@@ -236,7 +236,7 @@ def forgetful(p: PiecewisePoly) -> CohomologyClass:
 
     consts = [pc.terms.get((0, 0), Fraction(0)) for pc in p.parts]
     if len(set(consts)) != 1:
-        raise AssertionError("constant parts disagree despite continuity")
+        raise RuntimeError("constant parts disagree despite continuity")
     h0 = consts[0]
 
     lin = p.homogeneous_part(1)
@@ -273,8 +273,8 @@ def stability_discriminant(m: int, n: int) -> tuple[int, str]:
     tc = total_chern(m, n)
     delta = tc.h1 * tc.h1 - 4 * tc.h2
     if delta != -3 * (m - n) ** 2:
-        raise AssertionError(f"discriminant invariant violated: {delta}")
-    verdict = "stable" if delta < 0 and delta != -4 else "not stable"
+        raise RuntimeError(f"discriminant invariant violated: {delta}")
+    verdict = "stable" if delta < 0 else "not stable"
     return int(delta), verdict
 
 

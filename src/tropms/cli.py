@@ -34,9 +34,10 @@ from .gluing import (
     obstruction_class,
     parse_gluing,
     triple_cocycle,
+    unbounded_chains,
     validate_gluing,
 )
-from .graphs import build_fiber_product, general_simplicity, is_simple_rank2
+from .graphs import build_fiber_product, simplicity_verdict
 from .laurent import REFERENCE_A, REFERENCE_B, verify_cocycle
 from .pipeline import (
     CHECK_ORDER,
@@ -63,10 +64,10 @@ def _guard(fn):
     def wrapper(*args, **kwargs):
         try:
             code = fn(*args, **kwargs)
-        except (ValueError, OSError, json.JSONDecodeError) as err:
+        except (ValueError, OSError) as err:
             click.echo(f"error: {err}", err=True)
             sys.exit(EXIT_INVALID)
-        except (RuntimeError, AssertionError) as err:
+        except Exception as err:
             click.echo(f"internal error: {err}", err=True)
             sys.exit(EXIT_INTERNAL)
         sys.exit(EXIT_OK if code is None else code)
@@ -87,8 +88,7 @@ def _load_section(path: str):
     return parse_multisection(_load_json(path))
 
 
-def _load_gluing_for(msec, path: str):
-    g = parse_gluing(_load_json(path))
+def _valid_gluing(msec, g):
     rep = validate_gluing(msec, g)
     if not rep.ok:
         raise ValueError(f"gluing data invalid: {rep.codes()}")
@@ -208,14 +208,10 @@ def _parse_override(text: str) -> tuple[tuple[str, str], Fraction]:
 @_guard
 def obstruction(complex_path, section_path, gluing_path, overrides):
     """Evaluate the gluing obstruction: verdict, witness or splitting table."""
-    bundle = load_bundle(
+    msec, g = load_bundle(
         Manifest(complex_path, section_path, gluing_path, {}, root=".")
     )
-    msec, g = bundle.msec, bundle.gluing
-    rep = validate_gluing(msec, g)
-    if not rep.ok:
-        raise ValueError(f"gluing data invalid: {rep.codes()}")
-    c = triple_cocycle(msec, g)
+    c = triple_cocycle(msec, _valid_gluing(msec, g))
     report = obstruction_class(c, msec)
     if not report.trivial:
         _echo_json({"trivial": False, "witness": report.witness})
@@ -228,27 +224,12 @@ def obstruction(complex_path, section_path, gluing_path, overrides):
             if bar not in table:
                 raise ValueError(f"no splitting entry for {bar[0]},{bar[1]}")
             table[bar] = value
-        violations = _splitting_violations(msec, c, table)
+        violations = unbounded_chains(bar_complex(msec), c, table)
         out["consistent"] = not violations
         if violations:
-            out["violations"] = violations
+            out["violations"] = [",".join(chain) for chain in violations]
     out["splitting"] = {f"{x},{y}": v for (x, y), v in sorted(table.items())}
     _echo_json(out)
-
-
-def _splitting_violations(msec, c, table) -> list[str]:
-    """Chains where the (possibly overridden) table fails to bound c."""
-    bad = []
-    seen = set()
-    for tail, elift, flift, _ in bar_complex(msec).triangles:
-        chain = (tail, elift, flift)
-        if chain in seen:
-            continue
-        seen.add(chain)
-        ve, ef, vf = (tail, elift), (elift, flift), (tail, flift)
-        if table[ef] * table[ve] / table[vf] != c[chain]:
-            bad.append(f"{tail},{elift},{flift}")
-    return bad
 
 
 @main.command()
@@ -261,31 +242,21 @@ def simplicity(section_path, gluing_path, mode):
     """Minimal-cycle simplicity verdict, printed with reasons and witnesses.
 
     Without an explicit mode, degree-2 sections get the rank-2 criterion and
-    everything else the general one. Gluing data, when supplied, feeds the
+    everything else the general one. Assertion flags come from the complex
+    embedded in the section file. Gluing data, when supplied, feeds the
     smoothability upgrade through its obstruction class.
     """
     msec = _load_section(section_path)
-    asserted = msec.cover.base.asserted
-    established = False
+    trivial = False
     if gluing_path is not None:
-        g = _load_gluing_for(msec, gluing_path)
-        report = obstruction_class(triple_cocycle(msec, g), msec)
-        established = report.trivial and bool(asserted.get("open-gluing-induced"))
+        g = _valid_gluing(msec, parse_gluing(_load_json(gluing_path)))
+        trivial = obstruction_class(triple_cocycle(msec, g), msec).trivial
     if mode is None:
         mode = "rank2" if msec.cover.degree == 2 else "general"
-    if mode == "rank2":
-        verdict = is_simple_rank2(msec, obstruction_established=established)
-    else:
-        try:
-            verdict = general_simplicity(
-                msec,
-                local_bundles_asserted=bool(asserted.get("assumption-1.4")),
-            )
-        except ValueError as err:
-            if not str(err).startswith("[local-bundle-assumption]"):
-                raise
-            _echo_json({"tag": "refused", "reasons": [str(err)], "witnesses": []})
-            return EXIT_OK
+    asserted = msec.cover.base.asserted
+    verdict = simplicity_verdict(
+        msec, mode, lambda flag: asserted.get(flag, False), trivial
+    )
     _echo_json(
         {
             "tag": verdict.tag,

@@ -10,17 +10,16 @@ affine structure.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .lattice import (
     Vec,
-    canonical_transverse,
     ccw_cmp,
     det2,
-    dot,
     is_primitive,
     standard_triple,
 )
@@ -32,14 +31,6 @@ class Cell:
     dim: int
     faces: tuple[str, ...] = ()
     singular_markers: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class Flag:
-    """Inclusion of one cell into another (identities allowed)."""
-
-    source: str
-    target: str
 
 
 @dataclass(frozen=True)
@@ -104,10 +95,6 @@ class PolyhedralSurface:
         return sorted(
             c.id for c in self.cells.values() if cell_id in c.faces
         )
-
-    def edge_vertices(self, edge_id: str) -> tuple[str, str]:
-        f = self.cells[edge_id].faces
-        return (f[0], f[1])
 
     def boundary_cycle(self, face_id: str) -> tuple[str, ...]:
         return self.orientation[face_id]
@@ -304,49 +291,6 @@ def check_standard_vertex(fan: VertexFan) -> bool:
     return standard_triple([v for v, _ in fan.rays])
 
 
-def flags(s: PolyhedralSurface) -> list[Flag]:
-    """Every inclusion of a cell into a cell, identities included."""
-    out = []
-    closure: dict[str, set[str]] = {}
-    for c in sorted(s.cells.values(), key=lambda c: (c.dim, c.id)):
-        cl = {c.id}
-        for f in c.faces:
-            cl |= closure[f]
-        closure[c.id] = cl
-    for c in s.cells.values():
-        for src in closure[c.id]:
-            out.append(Flag(src, c.id))
-    return sorted(
-        out,
-        key=lambda fl: (
-            s.cells[fl.target].dim,
-            fl.target,
-            s.cells[fl.source].dim,
-            fl.source,
-        ),
-    )
-
-
-def compose(e1: Flag, e2: Flag) -> Flag:
-    """Compose inclusions tau -> sigma and sigma -> omega."""
-    if e1.target != e2.source:
-        raise ValueError(f"cannot compose {e1} with {e2}")
-    return Flag(e1.source, e2.target)
-
-
-def quotient_slope(fan: VertexFan, edge_id: str, m: Vec) -> int:
-    """Pair a covector with the canonical transverse generator at an edge.
-
-    The result only depends on the covector modulo those vanishing on the
-    generator.
-    """
-    for v, e in fan.rays:
-        if e == edge_id:
-            q = canonical_transverse(v)
-            return dot(m, q)
-    raise KeyError(f"edge {edge_id} not in fan at {fan.vertex}")
-
-
 def combinatorial_dual(s: PolyhedralSurface) -> PolyhedralSurface:
     """Swap vertices with 2-cells; edges stay themselves with dual endpoints.
 
@@ -468,6 +412,27 @@ def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
         raise ValueError(f"unknown field(s) {sorted(unknown)} in {where}")
 
 
+def parses(kind: str):
+    """Decorate a document parser so that a KeyError, TypeError, IndexError
+    or AttributeError raised on a malformed document becomes a ValueError
+    that names the kind of document."""
+
+    def decorate(parse):
+        @functools.wraps(parse)
+        def wrapper(data, *args, **kwargs):
+            try:
+                return parse(data, *args, **kwargs)
+            except (KeyError, TypeError, IndexError, AttributeError) as err:
+                raise ValueError(
+                    f"malformed {kind} ({type(err).__name__}: {err})"
+                ) from err
+
+        return wrapper
+
+    return decorate
+
+
+@parses("complex")
 def parse_complex(data: dict) -> PolyhedralSurface:
     if not isinstance(data, dict):
         raise ValueError("complex document must be an object")

@@ -20,6 +20,7 @@ from .complexes import (
     check_standard_vertex,
     complex_to_json,
     parse_complex,
+    parses,
     validate_surface,
 )
 from .lattice import Vec, dot, rot90
@@ -100,7 +101,8 @@ class BranchedCover:
                 seen.add(node)
                 cyc.append(node)
                 node = step(node)
-            assert node == cyc[0], "wall transitions are not bijective"
+            if node != cyc[0]:
+                raise RuntimeError("wall transitions are not bijective")
             cycles.append(cyc)
         cycles.sort(key=lambda c: min(s for i, s in c if i == 0))
         cache[v] = cycles
@@ -225,6 +227,8 @@ def validate_cover(cover: BranchedCover) -> ValidationReport:
             )
         if computed == trivial and v.id in cover.branch_vertices:
             bad("trivial-branch-vertex", f"vertex {v.id} is declared branch but unbranched")
+    if not cover.is_connected():
+        bad("cover-disconnected", "the total space is disconnected")
 
     nv, ne, nf = cover.total_space_counts()
     return ValidationReport(tuple(diags), nv - ne + nf)
@@ -540,7 +544,8 @@ def build_double_cover(
         twist[parent_edge[v]] = (want - rest) % 2
     root = order[0]
     root_sum = sum(twist[e] for e in incident[root]) % 2
-    assert root_sum == (1 if root in branch else 0), "parity bookkeeping broke"
+    if root_sum != (1 if root in branch else 0):
+        raise RuntimeError("parity bookkeeping broke")
 
     matchings = {
         eid: ((0, 1) if t == 0 else (1, 0)) for eid, t in twist.items()
@@ -597,7 +602,8 @@ def build_double_cover(
                 ray = _fan_ray(s, v, corners[i][2])
                 g = rot90(ray)
                 u = (u[0] + kinks[t] * g[0], u[1] + kinks[t] * g[1])
-            assert u == (0, 0), "kink pattern does not close up"
+            if u != (0, 0):
+                raise RuntimeError("kink pattern does not close up")
 
     return MultiSection(
         cover, slopes, label if label is not None else f"double({m},{n})"
@@ -615,7 +621,7 @@ def _typing_offset(cover: BranchedCover, v: str, eid: str) -> int:
                 f_here = corners[i][0]
                 if cover.matching(eid, f_here).index(s) == 0:
                     return t % 2
-        raise AssertionError("edge lift 0 not crossed")
+        raise RuntimeError("edge lift 0 not crossed")
     lid = cover.vertex_lift_at_edge(v, eid, 0)
     return 0 if lid.endswith("#0") else 1
 
@@ -689,6 +695,7 @@ def multisection_to_json(msec: MultiSection) -> dict:
     }
 
 
+@parses("multi-section")
 def parse_multisection(data: dict) -> MultiSection:
     if not isinstance(data, dict):
         raise ValueError("multi-section document must be an object")

@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import Diagnostic, ValidationReport
+from .complexes import Diagnostic, ValidationReport, parses
 from .covers import MultiSection, _fan_ray, _kink_along, validate_multisection
 from .lattice import Vec, canonical_transverse, det2, dot
 
@@ -360,16 +360,8 @@ def obstruction_class(c: Cochain2, msec: MultiSection) -> ObstructionReport:
     if witness != 1:
         return ObstructionReport(False, witness, None)
 
-    tri_edges: list[tuple[tuple[str, str], ...]] = []
-    tris: list[tuple[str, str, str]] = []
-    seen_chain = set()
-    for tail, elift, flift, _ in bar.triangles:
-        chain = (tail, elift, flift)
-        if chain in seen_chain:
-            continue
-        seen_chain.add(chain)
-        tris.append(chain)
-        tri_edges.append(((tail, elift), (elift, flift), (tail, flift)))
+    tris = list(dict.fromkeys(t[:3] for t in bar.triangles))
+    tri_edges = [((v, e), (e, f), (v, f)) for v, e, f in tris]
     by_edge: dict[tuple[str, str], list[int]] = {}
     for idx, trio in enumerate(tri_edges):
         for b in trio:
@@ -388,22 +380,19 @@ def obstruction_class(c: Cochain2, msec: MultiSection) -> ObstructionReport:
                     parent[t2] = (t, b)
                     order.append(t2)
                     queue.append(t2)
-    assert len(order) == len(tris), "order complex of a surface is connected"
+    if len(order) != len(tris):
+        raise RuntimeError("order complex of the total space is disconnected")
 
     tree_bars = {b for _, b in parent.values()}
     k: dict[tuple[str, str], Fraction] = {
         b: Fraction(1) for b in by_edge if b not in tree_bars
     }
 
-    def tri_value(idx):
-        v, e, f = tris[idx]
-        return c[(v, e, f)]
-
     for t in reversed(order[1:]):
         _, b = parent[t]
         (ve, ef, vf) = tri_edges[t]
         known = {bb: k[bb] for bb in (ve, ef, vf) if bb != b}
-        target = tri_value(t)
+        target = c[tris[t]]
         # k_ef * k_ve / k_vf = c
         if b == ve:
             k[b] = target * known[vf] / known[ef]
@@ -411,9 +400,9 @@ def obstruction_class(c: Cochain2, msec: MultiSection) -> ObstructionReport:
             k[b] = target * known[vf] / known[ve]
         else:
             k[b] = known[ef] * known[ve] / target
-    for idx in range(len(tris)):
-        ve, ef, vf = tri_edges[idx]
-        assert k[ef] * k[ve] / k[vf] == tri_value(idx), "bounding cochain failed"
+    failed = unbounded_chains(bar, c, k)
+    if failed:
+        raise RuntimeError(f"bounding cochain fails on chain {failed[0]}")
 
     # normalize to 1 on a lexicographic spanning tree of the 1-skeleton
     adj: dict[str, list[tuple[str, tuple[str, str], bool]]] = {
@@ -444,6 +433,19 @@ def obstruction_class(c: Cochain2, msec: MultiSection) -> ObstructionReport:
     for x, y in bar.edges:
         final[(x, y)] = k[(x, y)] * h[y] / h[x]
     return ObstructionReport(True, Fraction(1), final)
+
+
+def unbounded_chains(
+    bar: BarComplex, c: Cochain2, k: dict[tuple[str, str], Fraction]
+) -> list[tuple[str, str, str]]:
+    """Chains (vertex lift, edge lift, 2-cell lift) of the order complex on
+    which the 1-cochain ``k`` fails to bound ``c``, i.e. where
+    k(e, f) * k(v, e) / k(v, f) differs from c(v, e, f); in triangle order."""
+    bad = []
+    for v, e, f in dict.fromkeys(t[:3] for t in bar.triangles):
+        if k[(e, f)] * k[(v, e)] / k[(v, f)] != c[(v, e, f)]:
+            bad.append((v, e, f))
+    return bad
 
 
 # -- holonomy -----------------------------------------------------------------
@@ -534,6 +536,7 @@ def gluing_to_json(g: GluingData) -> dict:
     return {"schema": SCHEMA, "assignments": assignments}
 
 
+@parses("gluing data")
 def parse_gluing(data: dict) -> GluingData:
     if not isinstance(data, dict):
         raise ValueError("gluing document must be an object")

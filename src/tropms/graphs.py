@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import Callable
 
 from .chern import (
     CompleteFan,
@@ -253,13 +254,17 @@ def build_G0_tilde(msec: MultiSection) -> EmbeddedGraph:
 
 @dataclass(frozen=True)
 class Verdict:
-    tag: str  # simple | not_simple | smoothable | criterion_inconclusive
+    tag: str  # simple | not_simple | smoothable | criterion_inconclusive | refused
     reasons: tuple[str, ...]
     witnesses: tuple
 
     def __post_init__(self):
         if not self.reasons:
             raise ValueError("a verdict must cite at least one reason")
+
+
+class Refusal(ValueError):
+    """A criterion declines to run because a required assertion is missing."""
 
 
 _SMOOTH_FLAGS = ("positive", "simple", "elementary")
@@ -339,7 +344,7 @@ def general_simplicity(
             f"class mismatch: distinct-covector conditions fail: {crep.violations}"
         )
     if not local_bundles_asserted:
-        raise ValueError(
+        raise Refusal(
             "[local-bundle-assumption] existence of standard local models at "
             "the branch vertices must be asserted by the caller; refusing to "
             "run the general criterion without it"
@@ -387,6 +392,34 @@ def general_simplicity(
     return Verdict("criterion_inconclusive", tuple(failures), tuple(witnesses))
 
 
+def simplicity_verdict(
+    msec: MultiSection,
+    criterion: str,
+    asserts: Callable[[str], bool],
+    obstruction_trivial: bool = False,
+) -> Verdict:
+    """Run the rank-2 or the general criterion, reading the caller's
+    assertion flags through ``asserts``.
+
+    A trivial gluing obstruction feeds the smoothability upgrade only when
+    the gluing data is asserted to be induced by an open cover. A general
+    criterion run without asserted local models is refused, with the
+    refusal as the verdict's only reason.
+    """
+    if criterion == "rank2":
+        return is_simple_rank2(
+            msec,
+            obstruction_established=obstruction_trivial
+            and asserts("open-gluing-induced"),
+        )
+    try:
+        return general_simplicity(
+            msec, local_bundles_asserted=asserts("assumption-1.4")
+        )
+    except Refusal as err:
+        return Verdict("refused", (str(err),), ())
+
+
 # -- endomorphism witness -----------------------------------------------------
 
 
@@ -400,7 +433,7 @@ class WitnessRecord:
     constants: dict[str, Fraction]
     weights: dict[str, Vec]
     edge_checks: tuple[tuple[str, Fraction, bool], ...]
-    vertex_checks: tuple[tuple[str, bool, bool], ...]
+    vertex_checks: tuple[tuple[str, bool], ...]
     zero_extension: bool
     ok: bool
 
@@ -481,15 +514,9 @@ def endomorphism_witness(
         cands = _weight_candidates(msec, v, cycle_edges, diff, poly)
         if cands:
             weights[v] = cands[0]
-            vertex_checks.append((v, True, True))
-        else:
-            vertex_checks.append((v, False, False))
-    zero_extension = all(h for _, _, h in vertex_checks)
-    ok = (
-        all(c for _, _, c in edge_checks)
-        and all(t for _, t, _ in vertex_checks)
-        and zero_extension
-    )
+        vertex_checks.append((v, bool(cands)))
+    zero_extension = all(h for _, h in vertex_checks)
+    ok = all(c for _, _, c in edge_checks) and zero_extension
     return WitnessRecord(
         order=order,
         constants=constants,

@@ -9,26 +9,6 @@ from typing import Sequence
 Vec = tuple[int, int]
 
 
-def vec(x, y) -> Vec:
-    return (int(x), int(y))
-
-
-def add(u: Vec, v: Vec) -> Vec:
-    return (u[0] + v[0], u[1] + v[1])
-
-
-def sub(u: Vec, v: Vec) -> Vec:
-    return (u[0] - v[0], u[1] - v[1])
-
-
-def neg(u: Vec) -> Vec:
-    return (-u[0], -u[1])
-
-
-def scale(k: int, u: Vec) -> Vec:
-    return (k * u[0], k * u[1])
-
-
 def dot(u, v) -> int:
     return u[0] * v[0] + u[1] * v[1]
 
@@ -44,13 +24,6 @@ def rot90(u: Vec) -> Vec:
 
 def is_primitive(u: Vec) -> bool:
     return u != (0, 0) and math.gcd(u[0], u[1]) == 1
-
-
-def primitive(u: Vec) -> Vec:
-    if u == (0, 0):
-        raise ValueError("zero vector has no primitive direction")
-    g = math.gcd(u[0], u[1])
-    return (u[0] // g, u[1] // g)
 
 
 def is_basis(u: Vec, v: Vec) -> bool:
@@ -80,12 +53,14 @@ def canonical_transverse(r: Vec) -> Vec:
         raise ValueError(f"direction {r} must be primitive")
     # det(r, (x, y)) = r0*y - r1*x = 1 via the extended Euclid identity
     g, s, t = _xgcd(r[0], -r[1])
-    assert g == 1
+    if g != 1:
+        raise RuntimeError(f"gcd of primitive direction {r} is {g}")
     q0 = (t, s)
     rr = dot(r, r)
     k = (dot(r, q0) % rr - dot(r, q0)) // rr
     q = (q0[0] + k * r[0], q0[1] + k * r[1])
-    assert det2(r, q) == 1 and 0 <= dot(r, q) < rr
+    if det2(r, q) != 1 or not 0 <= dot(r, q) < rr:
+        raise RuntimeError(f"transverse generator {q} of {r} is not reduced")
     return q
 
 

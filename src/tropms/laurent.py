@@ -1,22 +1,15 @@
 """Exact two-variable Laurent polynomial and matrix algebra.
 
 Everything lives on the three inhomogeneous charts of the projective plane.
-Chart i carries the coordinate pair listed in CHART_VARS; a matrix remembers
-which chart its entries are written in, and chart changes are monomial
-substitutions.
+Chart i carries the coordinates w_i^j for j != i, in increasing j; a matrix
+remembers which chart its entries are written in, and chart changes are
+monomial substitutions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Iterable, Mapping
-
-Rat = Fraction
-
-
-def _rat(x) -> Fraction:
-    f = Fraction(x)
-    return f
 
 
 class LaurentPoly:
@@ -32,14 +25,14 @@ class LaurentPoly:
         clean: dict[tuple[int, int], Fraction] = {}
         if terms:
             for (i, j), c in terms.items():
-                c = _rat(c)
+                c = Fraction(c)
                 if c:
                     clean[(int(i), int(j))] = c
         self.terms = clean
 
     @classmethod
     def mono(cls, coeff, i: int = 0, j: int = 0) -> "LaurentPoly":
-        return cls({(i, j): _rat(coeff)})
+        return cls({(i, j): Fraction(coeff)})
 
     @classmethod
     def const(cls, coeff) -> "LaurentPoly":
@@ -138,13 +131,6 @@ class LaurentPoly:
 ZERO = LaurentPoly()
 ONE = LaurentPoly.const(1)
 
-#: Variable names per chart, in storage order (first, second exponent slot).
-CHART_VARS = {
-    0: ("w0^1", "w0^2"),
-    1: ("w1^0", "w1^2"),
-    2: ("w2^0", "w2^1"),
-}
-
 
 class ChartMap:
     """Invertible monomial substitution between charts."""
@@ -197,12 +183,6 @@ class LaurentMatrix:
         self.rows = len(rows)
         self.cols = len(rows[0])
         self.chart = chart
-
-    @classmethod
-    def identity(cls, n: int, chart: int) -> "LaurentMatrix":
-        return cls(
-            [[ONE if i == j else ZERO for j in range(n)] for i in range(n)], chart
-        )
 
     @classmethod
     def const(cls, grid, chart: int) -> "LaurentMatrix":
@@ -288,8 +268,8 @@ def _check_exponents(m: int, n: int) -> None:
 
 
 def _check_constants(a, b) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    a = tuple(_rat(x) for x in a)
-    b = tuple(_rat(x) for x in b)
+    a = tuple(Fraction(x) for x in a)
+    b = tuple(Fraction(x) for x in b)
     if len(a) != 3 or len(b) != 3:
         raise ValueError("need three constants on each side")
     if any(x == 0 for x in a + b):
@@ -405,36 +385,3 @@ def verify_duality(m: int, n: int) -> bool:
             return False
     return True
 
-
-# -- serialization ------------------------------------------------------------
-
-def poly_to_json(p: LaurentPoly) -> list:
-    return [[i, j, c.numerator, c.denominator] for i, j, c in p.sorted_terms()]
-
-
-def poly_from_json(data) -> LaurentPoly:
-    terms = {}
-    for item in data:
-        if len(item) != 4:
-            raise ValueError(f"bad Laurent term {item!r}")
-        i, j, num, den = item
-        terms[(int(i), int(j))] = Fraction(int(num), int(den))
-    return LaurentPoly(terms)
-
-
-def matrix_to_json(m: LaurentMatrix) -> dict:
-    return {
-        "chart": m.chart,
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": [poly_to_json(e) for row in m.entries for e in row],
-    }
-
-
-def matrix_from_json(data) -> LaurentMatrix:
-    rows, cols = int(data["rows"]), int(data["cols"])
-    flat = [poly_from_json(e) for e in data["entries"]]
-    if len(flat) != rows * cols:
-        raise ValueError("entry count mismatch")
-    grid = [flat[r * cols : (r + 1) * cols] for r in range(rows)]
-    return LaurentMatrix(grid, chart=int(data["chart"]))

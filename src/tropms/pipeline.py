@@ -20,6 +20,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .chern import stability_discriminant, total_chern
 from .complexes import (
@@ -27,14 +28,14 @@ from .complexes import (
     complex_to_json,
     complex_to_text,
     parse_complex,
-    validate_surface,
+    parses,
 )
 from .covers import (
+    ClassTag,
     MultiSection,
     classify,
     multisection_to_text,
     parse_multisection,
-    validate_cover,
     validate_multisection,
 )
 from .generators import (
@@ -53,7 +54,7 @@ from .gluing import (
     triple_cocycle,
     validate_gluing,
 )
-from .graphs import Verdict, general_simplicity, is_simple_rank2
+from .graphs import Verdict, simplicity_verdict
 from .laurent import REFERENCE_A, REFERENCE_B, verify_cocycle
 
 EXIT_OK = 0
@@ -68,15 +69,6 @@ ASSERTION_FLAGS = (
     "elementary",
     "open-gluing-induced",
     "assumption-1.4",
-)
-
-CHECK_ORDER = (
-    "validate",
-    "classify",
-    "cocycle",
-    "chern",
-    "obstruction",
-    "simplicity",
 )
 
 MANIFEST_SCHEMA = "manifest/v1"
@@ -114,6 +106,7 @@ def manifest_to_text(m: Manifest) -> str:
     return json.dumps(manifest_to_json(m), indent=2, sort_keys=True) + "\n"
 
 
+@parses("manifest")
 def parse_manifest(data: dict, root: str = ".") -> Manifest:
     if not isinstance(data, dict):
         raise ValueError("manifest must be an object")
@@ -209,17 +202,11 @@ def _structural_json(s: PolyhedralSurface) -> dict:
     return data
 
 
-@dataclass
-class _Bundle:
-    surface: PolyhedralSurface
-    msec: MultiSection
-    gluing: GluingData | None
-
-
-def load_bundle(manifest: Manifest) -> _Bundle:
+def load_bundle(manifest: Manifest) -> tuple[MultiSection, GluingData | None]:
     """Read and parse every file the manifest names, cross-check that the
     section was built over the named complex, and apply the manifest's
-    assertion flags to the working surface."""
+    assertion flags to the section's base. Returns the section and the
+    gluing data, if any."""
     with open(manifest.resolve(manifest.complex_path), encoding="utf-8") as fh:
         surface = parse_complex(json.load(fh))
     with open(manifest.resolve(manifest.section_path), encoding="utf-8") as fh:
@@ -233,8 +220,7 @@ def load_bundle(manifest: Manifest) -> _Bundle:
     for flag in ("regular", "positive", "simple", "elementary"):
         if manifest.asserts(flag):
             msec.cover.base.asserted[flag] = True
-            surface.asserted[flag] = True
-    return _Bundle(surface, msec, gluing)
+    return msec, gluing
 
 
 # -- the pipeline -------------------------------------------------------------
@@ -247,200 +233,146 @@ def _citation_of(verdict: Verdict) -> str:
     return "general-criterion"
 
 
+@dataclass
+class _Run:
+    """What the checks of one pipeline run read and leave for later checks."""
+
+    manifest: Manifest
+    msec: MultiSection
+    gluing: GluingData | None
+    tag: ClassTag | None = None
+    obstruction_trivial: bool = False
+
+
+class _Outcome(NamedTuple):
+    verdict: str
+    witnesses: tuple
+    exit_code: int = EXIT_OK
+    citation: str | None = None  # None: the check's own citation
+
+
+def _validate(run: _Run) -> _Outcome:
+    # the outermost validator reports the diagnostics of the ones it runs
+    if run.gluing is not None:
+        rep = validate_gluing(run.msec, run.gluing)
+    else:
+        rep = validate_multisection(run.msec)
+    lines = tuple(dict.fromkeys(f"{d.code}: {d.message}" for d in rep.diagnostics))
+    return _Outcome("fail", lines, EXIT_INVALID) if lines else _Outcome("pass", ())
+
+
+def _classify(run: _Run) -> _Outcome:
+    tag = run.tag
+    witnesses = (tag.tag,) + ((tag.pair,) if tag.pair else ())
+    if tag.tag == "none":
+        return _Outcome("fail", witnesses, EXIT_INVALID)
+    return _Outcome("pass", witnesses)
+
+
+def _cocycle(run: _Run) -> _Outcome:
+    m, n = run.tag.pair
+    ok = verify_cocycle(m, n, REFERENCE_A, REFERENCE_B)
+    witnesses = (f"m={m}", f"n={n}", "reference constants")
+    return _Outcome("pass", witnesses) if ok else _Outcome("fail", witnesses, EXIT_INTERNAL)
+
+
+def _chern(run: _Run) -> _Outcome:
+    m, n = run.tag.pair
+    delta, stability = stability_discriminant(m, n)
+    return _Outcome("pass", (repr(total_chern(m, n)), f"discriminant {delta}", stability))
+
+
+def _obstruction(run: _Run) -> _Outcome:
+    rep = obstruction_class(triple_cocycle(run.msec, run.gluing), run.msec)
+    run.obstruction_trivial = rep.trivial
+    return _Outcome("pass" if rep.trivial else "fail", (f"witness {rep.witness}",))
+
+
+def _simplicity(run: _Run) -> _Outcome:
+    criterion = "rank2" if run.tag.tag == "S_mn" else "general"
+    v = simplicity_verdict(
+        run.msec, criterion, run.manifest.asserts, run.obstruction_trivial
+    )
+    citation = _citation_of(v)
+    if v.tag == "not_simple":
+        return _Outcome("fail", ("not simple",) + v.witnesses, EXIT_NOT_SIMPLE, citation)
+    if v.tag == "criterion_inconclusive":
+        return _Outcome("inconclusive", v.reasons, EXIT_OK, citation)
+    if v.tag == "refused":
+        return _Outcome("refused", v.reasons, EXIT_OK, citation)
+    label = "simple & smoothable" if v.tag == "smoothable" else "simple"
+    return _Outcome("pass", (label,) + v.reasons, EXIT_OK, citation)
+
+
+def _without_pair(run: _Run) -> str | None:
+    if run.tag.tag != "S_mn":
+        return f"class {run.tag.tag} has no weight pair"
+    return None
+
+
+def _without_gluing(run: _Run) -> str | None:
+    return "no gluing data in the manifest" if run.gluing is None else None
+
+
+def _out_of_scope(run: _Run) -> str | None:
+    if run.tag.tag not in ("S_mn", "C"):
+        return f"class {run.tag.tag} out of scope"
+    return None
+
+
+#: The checks in run order: (check id, citation, reason to skip, run).
+CHECKS = (
+    ("validate", "complex-validity", None, _validate),
+    ("classify", "alternating-class", None, _classify),
+    ("cocycle", "fan-cocycle", _without_pair, _cocycle),
+    ("chern", "chern-total", _without_pair, _chern),
+    ("obstruction", "gluing-obstruction", _without_gluing, _obstruction),
+    ("simplicity", "general-criterion", _out_of_scope, _simplicity),
+)
+
+CHECK_ORDER = tuple(check for check, *_ in CHECKS)
+
+
 def run_pipeline(manifest: Manifest, checks=None) -> Report:
     """Run the selected checks (all of them by default) in the fixed order
     validate, classify, cocycle, chern, obstruction, simplicity."""
-    if checks is None:
-        selected = set(CHECK_ORDER)
-    else:
-        selected = set(checks)
-        unknown = selected - set(CHECK_ORDER)
-        if unknown:
-            raise ValueError(f"unknown check(s): {sorted(unknown)}")
-
-    records: list[CheckRecord] = []
-    exit_code = EXIT_OK
+    selected = set(CHECK_ORDER if checks is None else checks)
+    unknown = selected - set(CHECK_ORDER)
+    if unknown:
+        raise ValueError(f"unknown check(s): {sorted(unknown)}")
 
     t0 = time.perf_counter()
     try:
-        bundle = load_bundle(manifest)
-    except (OSError, ValueError, json.JSONDecodeError) as err:
-        records.append(
-            CheckRecord(
-                "validate",
-                "complex-validity",
-                "fail",
-                (str(err),),
-                round(time.perf_counter() - t0, 6),
-            )
-        )
-        return Report(tuple(records), EXIT_INVALID)
+        msec, gluing = load_bundle(manifest)
+    except (OSError, ValueError) as err:
+        rec = CheckRecord("validate", "complex-validity", "fail", (str(err),),
+                          round(time.perf_counter() - t0, 6))
+        return Report((rec,), EXIT_INVALID)
 
-    msec = bundle.msec
-    invalid = False
-    tag = None
-    obstruction_trivial = False
-
-    for check in CHECK_ORDER:
+    run = _Run(manifest, msec, gluing)
+    records: list[CheckRecord] = []
+    exit_code = EXIT_OK
+    for check, citation, skip, fn in CHECKS:
         if check not in selected:
             continue
-        start = time.perf_counter()
-
-        if invalid:
-            records.append(CheckRecord(check, _STATIC_CITATIONS[check], "skipped",
+        if exit_code == EXIT_INVALID:  # validate or classify failed
+            records.append(CheckRecord(check, citation, "skipped",
                                        ("input failed validation",), 0.0))
             continue
-
-        if check == "validate":
-            diags = []
-            diags += validate_surface(msec.cover.base).diagnostics
-            diags += validate_cover(msec.cover).diagnostics
-            diags += validate_multisection(msec).diagnostics
-            if bundle.gluing is not None:
-                diags += validate_gluing(msec, bundle.gluing).diagnostics
-            seen = []
-            for d in diags:
-                line = f"{d.code}: {d.message}"
-                if line not in seen:
-                    seen.append(line)
-            verdict = "pass" if not seen else "fail"
-            if seen:
-                invalid = True
-                exit_code = EXIT_INVALID
-            records.append(
-                CheckRecord(check, "complex-validity", verdict, tuple(seen),
-                            round(time.perf_counter() - start, 6))
-            )
+        start = time.perf_counter()
+        if check != "validate" and run.tag is None:
+            run.tag = classify(run.msec)  # every later check reads the class
+        reason = skip(run) if skip else None
+        if reason is not None:
+            records.append(CheckRecord(check, citation, "skipped", (reason,), 0.0))
             continue
-
-        if check == "classify":
-            tag = classify(msec)
-            witnesses = (tag.tag,) + ((tag.pair,) if tag.pair else ())
-            verdict = "pass" if tag.tag != "none" else "fail"
-            if tag.tag == "none":
-                invalid = True
-                exit_code = EXIT_INVALID
-            records.append(
-                CheckRecord(check, "alternating-class", verdict, witnesses,
-                            round(time.perf_counter() - start, 6))
-            )
-            continue
-
-        tag = tag if tag is not None else classify(msec)
-
-        if check == "cocycle":
-            if tag.tag == "S_mn":
-                m, n = tag.pair
-                ok = verify_cocycle(m, n, REFERENCE_A, REFERENCE_B)
-                records.append(
-                    CheckRecord(check, "fan-cocycle",
-                                "pass" if ok else "fail",
-                                (f"m={m}", f"n={n}", "reference constants"),
-                                round(time.perf_counter() - start, 6))
-                )
-                if not ok:
-                    exit_code = max(exit_code, EXIT_INTERNAL)
-            else:
-                records.append(
-                    CheckRecord(check, "fan-cocycle", "skipped",
-                                (f"class {tag.tag} has no weight pair",), 0.0)
-                )
-            continue
-
-        if check == "chern":
-            if tag.tag == "S_mn":
-                m, n = tag.pair
-                tc = total_chern(m, n)
-                delta, stability = stability_discriminant(m, n)
-                records.append(
-                    CheckRecord(check, "chern-total", "pass",
-                                (repr(tc), f"discriminant {delta}", stability),
-                                round(time.perf_counter() - start, 6))
-                )
-            else:
-                records.append(
-                    CheckRecord(check, "chern-total", "skipped",
-                                (f"class {tag.tag} has no weight pair",), 0.0)
-                )
-            continue
-
-        if check == "obstruction":
-            if bundle.gluing is None:
-                records.append(
-                    CheckRecord(check, "gluing-obstruction", "skipped",
-                                ("no gluing data in the manifest",), 0.0)
-                )
-                continue
-            rep = obstruction_class(triple_cocycle(msec, bundle.gluing), msec)
-            obstruction_trivial = rep.trivial
-            records.append(
-                CheckRecord(check, "gluing-obstruction",
-                            "pass" if rep.trivial else "fail",
-                            (f"witness {rep.witness}",),
-                            round(time.perf_counter() - start, 6))
-            )
-            continue
-
-        if check == "simplicity":
-            established = obstruction_trivial and manifest.asserts(
-                "open-gluing-induced"
-            )
-            if tag.tag == "S_mn":
-                v = is_simple_rank2(msec, obstruction_established=established)
-            elif tag.tag == "C":
-                try:
-                    v = general_simplicity(
-                        msec,
-                        local_bundles_asserted=manifest.asserts("assumption-1.4"),
-                    )
-                except ValueError as err:
-                    msg = str(err)
-                    if not msg.startswith("[local-bundle-assumption]"):
-                        raise
-                    records.append(
-                        CheckRecord(check, "local-bundle-assumption", "refused",
-                                    (msg,),
-                                    round(time.perf_counter() - start, 6))
-                    )
-                    continue
-            else:
-                records.append(
-                    CheckRecord(check, "general-criterion", "skipped",
-                                (f"class {tag.tag} out of scope",), 0.0)
-                )
-                continue
-            if v.tag == "not_simple":
-                exit_code = max(exit_code, EXIT_NOT_SIMPLE)
-                records.append(
-                    CheckRecord(check, _citation_of(v), "fail",
-                                ("not simple",) + v.witnesses,
-                                round(time.perf_counter() - start, 6))
-                )
-            elif v.tag == "criterion_inconclusive":
-                records.append(
-                    CheckRecord(check, _citation_of(v), "inconclusive",
-                                v.reasons,
-                                round(time.perf_counter() - start, 6))
-                )
-            else:
-                label = "simple & smoothable" if v.tag == "smoothable" else "simple"
-                records.append(
-                    CheckRecord(check, _citation_of(v), "pass", (label,) + v.reasons,
-                                round(time.perf_counter() - start, 6))
-                )
-            continue
-
+        out = fn(run)
+        records.append(
+            CheckRecord(check, out.citation or citation, out.verdict,
+                        out.witnesses, round(time.perf_counter() - start, 6))
+        )
+        exit_code = max(exit_code, out.exit_code)
     return Report(tuple(records), exit_code)
-
-
-_STATIC_CITATIONS = {
-    "validate": "complex-validity",
-    "classify": "alternating-class",
-    "cocycle": "fan-cocycle",
-    "chern": "chern-total",
-    "obstruction": "gluing-obstruction",
-    "simplicity": "general-criterion",
-}
 
 
 # -- example emission ---------------------------------------------------------

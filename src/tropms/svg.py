@@ -101,8 +101,7 @@ def render_svg(manifest: Manifest, layer: str) -> str:
     if layer not in LAYERS:
         raise ValueError(f"unknown layer {layer!r}; pick one of {LAYERS}")
     seed = int(os.environ.get("TOOL_SEED", "0"))
-    bundle = load_bundle(manifest)
-    msec = bundle.msec
+    msec, _ = load_bundle(manifest)
     surface = msec.cover.base
     pos = _layout(surface, seed)
     body: list[str] = [_STYLE]

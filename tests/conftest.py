@@ -1,6 +1,7 @@
 """Shared hand-built fixtures: small closed surfaces with standard fans."""
 
-from tropms.complexes import Cell, PolyhedralSurface, VertexFan
+from tropms.complexes import PolyhedralSurface, VertexFan, surface_from_cycles
+from tropms.covers import BranchedCover, MultiSection
 
 STD = ((1, 0), (0, 1), (-1, -1))
 
@@ -17,34 +18,8 @@ def attach_standard_fans(s: PolyhedralSurface) -> None:
         s.fans[v.id] = VertexFan(v.id, rays, cones)
 
 
-def build_closed_surface(face_cycles: dict[str, tuple[str, ...]],
-                         asserted: dict[str, bool] | None = None) -> PolyhedralSurface:
-    """Assemble a surface from oriented boundary cycles of its 2-cells."""
-    cells: dict[str, Cell] = {}
-    edge_ids: dict[frozenset, str] = {}
-    for cyc in face_cycles.values():
-        for v in cyc:
-            cells.setdefault(v, Cell(v, 0))
-        for i, v in enumerate(cyc):
-            w = cyc[(i + 1) % len(cyc)]
-            key = frozenset((v, w))
-            if key not in edge_ids:
-                eid = "e" + "".join(sorted((v, w)))
-                edge_ids[key] = eid
-                cells[eid] = Cell(eid, 1, tuple(sorted((v, w))))
-    orientation = {}
-    for fid, cyc in face_cycles.items():
-        es = tuple(
-            edge_ids[frozenset((cyc[i], cyc[(i + 1) % len(cyc)]))]
-            for i in range(len(cyc))
-        )
-        cells[fid] = Cell(fid, 2, es)
-        orientation[fid] = tuple(cyc)
-    return PolyhedralSurface(cells, {}, orientation, dict(asserted or {}))
-
-
 def tetrahedron() -> PolyhedralSurface:
-    s = build_closed_surface(
+    s = surface_from_cycles(
         {
             "fABC": ("A", "B", "C"),
             "fACD": ("A", "C", "D"),
@@ -71,6 +46,23 @@ def cube_surface() -> PolyhedralSurface:
         "fy1": (v(0, 1, 0), v(0, 1, 1), v(1, 1, 1), v(1, 1, 0)),
         "fy0": (v(0, 0, 0), v(1, 0, 0), v(1, 0, 1), v(0, 0, 1)),
     }
-    s = build_closed_surface(faces)
+    s = surface_from_cycles(faces)
     attach_standard_fans(s)
     return s
+
+
+def two_sheet_cover() -> MultiSection:
+    """Two identity-matched sheets over the tetrahedron with zero slopes: a
+    disconnected double cover."""
+    s = tetrahedron()
+    cover = BranchedCover(
+        s, 2, {e.id: (0, 1) for e in s.edges}, frozenset(),
+        {v.id: ((0,), (1,)) for v in s.vertices},
+    )
+    slopes = {}
+    for v in s.vertices:
+        corners = cover.wall_sequence(v.id)
+        for lid, cyc in zip(cover.vertex_lift_ids(v.id), cover.lift_cycles(v.id)):
+            for i, sheet in cyc:
+                slopes[(lid, corners[i][0], sheet)] = (0, 0)
+    return MultiSection(cover, slopes, "two sheets")

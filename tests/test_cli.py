@@ -15,6 +15,7 @@ from tropms.generators import (
 )
 from tropms.gluing import TorusElement, gluing_to_text
 from tropms.pipeline import (
+    EXIT_INTERNAL,
     EXIT_INVALID,
     EXIT_NOT_SIMPLE,
     EXIT_OK,
@@ -111,6 +112,42 @@ def test_validate_missing_manifest(tmp_path):
     res = invoke("validate", "--manifest", tmp_path / "nope.json")
     assert res.exit_code == EXIT_INVALID
     assert "error:" in res.stderr
+
+
+@pytest.mark.parametrize("command", ["classify", "validate"])
+@pytest.mark.parametrize("damage", ["no-degree", "bare-slope"])
+def test_malformed_section_exits_invalid(workdir, tmp_path, command, damage):
+    data = json.loads((workdir / "cube2.section.json").read_text())
+    if damage == "no-degree":
+        del data["degree"]
+    else:
+        data["slopes"][0]["slope"] = 1
+    (tmp_path / "bad.section.json").write_text(json.dumps(data))
+    if command == "classify":
+        res = invoke("classify", "--section", tmp_path / "bad.section.json")
+        (message,) = res.stderr.splitlines()
+        assert message.startswith("error: malformed multi-section (")
+    else:
+        m = Manifest(str(workdir / "cube2.complex.json"), "bad.section.json",
+                     None, {}, root=str(tmp_path))
+        (tmp_path / "bad.manifest.json").write_text(manifest_to_text(m))
+        res = invoke("validate", "--manifest", tmp_path / "bad.manifest.json")
+        (rec,) = json.loads(res.stdout)["checks"]
+        assert (rec["check"], rec["verdict"]) == ("validate", "fail")
+        (message,) = rec["witnesses"]
+        assert message.startswith("malformed multi-section (")
+        assert "\n" not in message
+    assert res.exit_code == EXIT_INVALID
+
+
+def test_unexpected_exception_exits_internal(workdir, monkeypatch):
+    def broken(msec):
+        raise KeyError("lost")
+
+    monkeypatch.setattr("tropms.cli.classify_section", broken)
+    res = invoke("classify", "--section", workdir / "cube-o1.section.json")
+    assert res.exit_code == EXIT_INTERNAL
+    assert res.stderr == "internal error: 'lost'\n"
 
 
 def test_classify(workdir):

@@ -4,17 +4,13 @@ import pytest
 
 from tropms.complexes import (
     Cell,
-    Flag,
     PolyhedralSurface,
     VertexFan,
     check_standard_vertex,
     combinatorial_dual,
     complex_to_json,
     complex_to_text,
-    compose,
-    flags,
     parse_complex,
-    quotient_slope,
     validate_surface,
 )
 from tropms.lattice import canonical_transverse, det2, dot
@@ -108,52 +104,6 @@ def test_standard_vertex_unimodular_invariance():
             tuple((f"f{i}", (i, (i + 1) % 3)) for i in range(3)),
         )
         assert check_standard_vertex(fan)
-
-
-def test_flag_counts_and_composition():
-    s = tetrahedron()
-    fl = flags(s)
-    # identities: 14; vertex-in-edge: 12; vertex-in-face: 12; edge-in-face: 12
-    assert len(fl) == 50
-    into_face = [f for f in fl if f.target == "fABC"]
-    assert len(into_face) == 7
-    ids = [f for f in fl if f.source == f.target]
-    assert len(ids) == 14
-    v_in_e = Flag("A", "eAB")
-    e_in_f = Flag("eAB", "fABC")
-    assert compose(v_in_e, e_in_f) == Flag("A", "fABC")
-    ident = Flag("eAB", "eAB")
-    assert compose(ident, e_in_f) == e_in_f
-    assert compose(v_in_e, Flag("eAB", "eAB")) == v_in_e
-    with pytest.raises(ValueError):
-        compose(e_in_f, v_in_e)
-
-
-def test_quotient_slope_frozen_examples():
-    fan = VertexFan(
-        "x",
-        (((1, 0), "ex"), ((1, 1), "ed"), ((0, 1), "ey")),
-        (),
-    )
-    assert quotient_slope(fan, "ex", (5, 7)) == 7
-    assert quotient_slope(fan, "ed", (2, -3)) == -3
-    with pytest.raises(KeyError):
-        quotient_slope(fan, "nope", (0, 0))
-
-
-def test_quotient_slope_well_defined():
-    rng = random.Random(17)
-    for _ in range(40):
-        r = rng.choice([(1, 0), (0, 1), (1, 1), (2, 1), (-1, 2), (3, -2)])
-        fan = VertexFan("x", ((r, "e"),), ())
-        m = (rng.randint(-9, 9), rng.randint(-9, 9))
-        q = canonical_transverse(r)
-        # shift by a covector vanishing on the transverse generator
-        kill = (q[1], -q[0])
-        assert dot(kill, q) == 0
-        k = rng.randint(-5, 5)
-        shifted = (m[0] + k * kill[0], m[1] + k * kill[1])
-        assert quotient_slope(fan, "e", m) == quotient_slope(fan, "e", shifted)
 
 
 def test_canonical_transverse_frozen():

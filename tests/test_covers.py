@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from conftest import cube_surface, tetrahedron
+from conftest import cube_surface, tetrahedron, two_sheet_cover
 
 from tropms.complexes import VertexFan, validate_surface
 from tropms.covers import (
@@ -188,7 +188,11 @@ def test_class_C_interior_difference_violation():
 def test_class_C_requires_total_ramification():
     s = cube_surface()
     matchings = {e.id: (1, 0, 2) for e in s.edges}
-    ram = {v.id: ((0, 1), (2,)) for v in s.vertices}
+    # one edge moves sheet 2 too, so that the total space is connected
+    matchings[s.edges[0].id] = (0, 2, 1)
+    cover = BranchedCover(s, 3, matchings, frozenset(), {})
+    ram = {v.id: cover.computed_ramification(v.id) for v in s.vertices}
+    assert all(len(blocks) == 2 for blocks in ram.values())
     cover = BranchedCover(s, 3, matchings, frozenset(all_vertices(s)), ram)
     assert validate_cover(cover).ok
     with pytest.raises(ValueError):
@@ -308,3 +312,9 @@ def test_labels_preserved():
     assert msec.label == "demo"
     text = multisection_to_text(msec)
     assert parse_multisection(json.loads(text)).label == "demo"
+
+
+def test_disconnected_cover_fails_validation():
+    msec = two_sheet_cover()
+    assert not msec.cover.is_connected()
+    assert validate_multisection(msec).codes() == ["cover-disconnected"]

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import build_closed_surface, cube_surface
-from tropms.complexes import VertexFan, validate_surface
+from conftest import cube_surface
+from tropms.complexes import VertexFan, surface_from_cycles, validate_surface
 from tropms.covers import (
     BranchedCover,
     MultiSection,
@@ -49,7 +49,8 @@ def full(m=2, n=1):
     return build_double_cover(cube_surface(), ALL8, m, n)
 
 
-# hexagonal bipyramid with a trivial double cover; sheet 1 realizes, at both
+# hexagonal bipyramid with a double cover branched at the two ends of one
+# equator edge, so that it is connected; sheet 1 realizes, at both
 # apexes, a function whose polytope misses every one of its own cone slopes
 HEX = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
 HEX_SLOPES = [(0, 0), (2, -2), (-1, -2), (-1, -1), (1, -3), (0, -3)]
@@ -74,7 +75,7 @@ def bipyramid_surface():
     for j in range(6):
         faces[f"t{j}"] = ("n", W[j], W[(j + 1) % 6])
         faces[f"b{j}"] = ("s", W[(j + 1) % 6], W[j])
-    s = build_closed_surface(faces)
+    s = surface_from_cycles(faces)
     s.fans["n"] = VertexFan(
         "n",
         tuple((HEX[j], _edge("n", W[j])) for j in range(6)),
@@ -106,13 +107,30 @@ def bipyramid_surface():
     return s
 
 
+# the branch points, and the slopes around each one's single lift by cone
+# (t_j, t_j-1, b_j-1, b_j, then again): pairwise distinct, and differences
+# along the rays, so the distinct-covector conditions hold
+CUT = ("w0", "w1")
+CUT_SLOPES = [(0, 0), (0, 0), (0, 0), (1, 0), (1, 0), (-1, 0), (-1, 0), (0, 0)]
+
+
 def bipyramid_msec(branch=frozenset()):
     s = bipyramid_surface()
     matchings = {e.id: (0, 1) for e in s.edges}
-    ram = {v.id: ((0,), (1,)) for v in s.vertices}
-    cover = BranchedCover(s, 2, matchings, branch, ram)
+    matchings[_edge(*CUT)] = (1, 0)
+    ram = {v.id: ((0, 1),) if v.id in CUT else ((0,), (1,)) for v in s.vertices}
+    cover = BranchedCover(s, 2, matchings, frozenset(branch) | set(CUT), ram)
     slopes = {}
+    for v in CUT:
+        corners = cover.wall_sequence(v)
+        cone = {fid: i for fid, (i, _) in s.fans[v].cones}
+        cyc = cover.lift_cycles(v)[0]
+        start = cone[corners[cyc[0][0]][0]]
+        for t, (i, sheet) in enumerate(cyc):
+            slopes[(f"{v}#0", corners[i][0], sheet)] = CUT_SLOPES[(start + t) % 8]
     for v in s.vertices:
+        if v.id in CUT:
+            continue
         for fid, _ in s.fans[v.id].cones:
             l0 = cover.vertex_lift_at_face(v.id, fid, 0)
             l1 = cover.vertex_lift_at_face(v.id, fid, 1)

@@ -16,10 +16,6 @@ from tropms.laurent import (
     build_tau,
     build_tau_sf,
     build_theta,
-    matrix_from_json,
-    matrix_to_json,
-    poly_from_json,
-    poly_to_json,
     verify_cocycle,
     verify_constant_independence,
     verify_duality,
@@ -240,22 +236,3 @@ def test_duality_full_range():
         if m != n:
             assert verify_duality(m, n), (m, n)
 
-
-# -- serialization -----------------------------------------------------------
-
-def test_poly_roundtrip():
-    p = LaurentPoly({(1, -2): Fraction(3, 4), (0, 0): Fraction(-2)})
-    assert poly_from_json(poly_to_json(p)) == p
-    assert poly_to_json(p) == [[0, 0, -2, 1], [1, -2, 3, 4]]
-
-
-def test_matrix_roundtrip():
-    tau10, tau21, tau02 = build_tau(2, -1, REFERENCE_A, REFERENCE_B)
-    for m in (tau10, tau21, tau02):
-        data = matrix_to_json(m)
-        assert matrix_from_json(data) == m
-
-
-def test_poly_from_json_rejects_malformed():
-    with pytest.raises(ValueError):
-        poly_from_json([[1, 2, 3]])

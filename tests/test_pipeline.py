@@ -1,8 +1,13 @@
 """Manifest plumbing, the check pipeline, and the example writer."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
+from conftest import two_sheet_cover
+
+import tropms
 
 from tropms.complexes import complex_to_text, parse_complex
 from tropms.covers import multisection_to_text, parse_multisection
@@ -219,3 +224,23 @@ def test_planted_pipeline_exits_not_simple(tmp_path):
     assert simp.verdict == "fail"
     assert simp.witnesses[0] == "not simple"
     assert any("p001" in str(w) for w in simp.witnesses[1:])
+
+
+def test_disconnected_cover_fails_validate(tmp_path):
+    msec = two_sheet_cover()
+    (tmp_path / "two.complex.json").write_text(complex_to_text(msec.cover.base))
+    (tmp_path / "two.section.json").write_text(multisection_to_text(msec))
+    m = Manifest("two.complex.json", "two.section.json", None, {}, root=str(tmp_path))
+    report = run_pipeline(m)
+    assert report.exit_code == EXIT_INVALID
+    rec = report.record("validate")
+    assert rec.verdict == "fail"
+    assert rec.witnesses == ("cover-disconnected: the total space is disconnected",)
+    assert all(r.verdict == "skipped" for r in report.checks[1:])
+
+
+def test_no_assert_statements_in_package():
+    # invariants must hold under python -O too, so they raise explicitly
+    for path in sorted(Path(tropms.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        assert not any(isinstance(n, ast.Assert) for n in ast.walk(tree)), path.name
