@@ -25,7 +25,7 @@ from .chern import (
     stability_discriminant,
     total_chern,
 )
-from .complexes import parse_complex
+from .complexes import parses
 from .covers import classify as classify_section
 from .covers import parse_multisection
 from .generators import EXAMPLE_NAMES
@@ -33,9 +33,9 @@ from .gluing import (
     bar_complex,
     obstruction_class,
     parse_gluing,
+    require_valid,
     triple_cocycle,
     unbounded_chains,
-    validate_gluing,
 )
 from .graphs import build_fiber_product, simplicity_verdict
 from .laurent import REFERENCE_A, REFERENCE_B, verify_cocycle
@@ -84,15 +84,17 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _load_section(path: str):
-    return parse_multisection(_load_json(path))
+@parses("rational")
+def _rational(text: str) -> Fraction:
+    return Fraction(text)
 
 
-def _valid_gluing(msec, g):
-    rep = validate_gluing(msec, g)
-    if not rep.ok:
-        raise ValueError(f"gluing data invalid: {rep.codes()}")
-    return g
+def _load_section(path: str, gluing_path: str | None = None):
+    """Parse and validate a section file and, when named, a gluing file."""
+    msec = parse_multisection(_load_json(path))
+    g = None if gluing_path is None else parse_gluing(_load_json(gluing_path))
+    require_valid(msec, g)
+    return msec, g
 
 
 @click.group()
@@ -124,7 +126,7 @@ def validate(manifest_path, checks):
 @_guard
 def classify(section_path):
     """Print the weight class of a multi-section."""
-    tag = classify_section(_load_section(section_path))
+    tag = classify_section(_load_section(section_path)[0])
     _echo_json({"class": tag.tag, "pair": tag.pair})
 
 
@@ -136,8 +138,8 @@ def classify(section_path):
 @_guard
 def verify_cocycle_command(m, n, a, b):
     """Check the three-chart transition matrices multiply to the identity."""
-    av = tuple(Fraction(x) for x in a) if a else REFERENCE_A
-    bv = tuple(Fraction(x) for x in b) if b else REFERENCE_B
+    av = tuple(_rational(x) for x in a) if a else REFERENCE_A
+    bv = tuple(_rational(x) for x in b) if b else REFERENCE_B
     ok = verify_cocycle(m, n, av, bv)
     _echo_json({"m": m, "n": n, "a": av, "b": bv, "cocycle": ok})
 
@@ -191,7 +193,10 @@ def _parse_override(text: str) -> tuple[tuple[str, str], Fraction]:
         raise ValueError(
             f"override {text!r} must look like 'source,target=p/q'"
         )
-    return (x.strip(), y.strip()), Fraction(value)
+    q = _rational(value)
+    if q == 0:
+        raise ValueError(f"override {text!r}: splitting entries must be nonzero")
+    return (x.strip(), y.strip()), q
 
 
 @main.command()
@@ -211,7 +216,8 @@ def obstruction(complex_path, section_path, gluing_path, overrides):
     msec, g = load_bundle(
         Manifest(complex_path, section_path, gluing_path, {}, root=".")
     )
-    c = triple_cocycle(msec, _valid_gluing(msec, g))
+    require_valid(msec, g)
+    c = triple_cocycle(msec, g)
     report = obstruction_class(c, msec)
     if not report.trivial:
         _echo_json({"trivial": False, "witness": report.witness})
@@ -246,11 +252,8 @@ def simplicity(section_path, gluing_path, mode):
     embedded in the section file. Gluing data, when supplied, feeds the
     smoothability upgrade through its obstruction class.
     """
-    msec = _load_section(section_path)
-    trivial = False
-    if gluing_path is not None:
-        g = _valid_gluing(msec, parse_gluing(_load_json(gluing_path)))
-        trivial = obstruction_class(triple_cocycle(msec, g), msec).trivial
+    msec, g = _load_section(section_path, gluing_path)
+    trivial = g is not None and obstruction_class(triple_cocycle(msec, g), msec).trivial
     if mode is None:
         mode = "rank2" if msec.cover.degree == 2 else "general"
     asserted = msec.cover.base.asserted
@@ -272,7 +275,7 @@ def simplicity(section_path, gluing_path, mode):
 @_guard
 def fiber_product(section_path):
     """Dump the fiber product of the cover with itself, cell by cell."""
-    fp = build_fiber_product(_load_section(section_path))
+    fp = build_fiber_product(_load_section(section_path)[0])
     cells = sorted(fp.cells.values(), key=lambda c: (c.dim, c.id))
     _echo_json(
         {

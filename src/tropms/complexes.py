@@ -14,7 +14,7 @@ import functools
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .lattice import (
     Vec,
@@ -63,8 +63,20 @@ class ValidationReport:
         return [d.code for d in self.diagnostics]
 
 
+class _SurfaceIndex(NamedTuple):
+    cofaces: dict[str, tuple[str, ...]]
+    edge_of: dict[frozenset, str]  # endpoints -> edge id
+    corners: dict[str, list[tuple[str, str, str]]]  # in 2-cell id order
+
+
 @dataclass
 class PolyhedralSurface:
+    """Cells, fans, boundary cycles and assertion flags of one surface.
+
+    ``cells`` and ``orientation`` must not change after the first query:
+    cofaces, edges and corners are read from an index built from them once.
+    """
+
     cells: dict[str, Cell]
     fans: dict[str, VertexFan] = field(default_factory=dict)
     orientation: dict[str, tuple[str, ...]] = field(default_factory=dict)
@@ -91,10 +103,28 @@ class PolyhedralSurface:
         counts = [len(self.of_dim(d)) for d in (0, 1, 2)]
         return counts[0] - counts[1] + counts[2]
 
+    @functools.cached_property
+    def _index(self) -> _SurfaceIndex:
+        cofaces: dict[str, list[str]] = {}
+        edge_of: dict[frozenset, str] = {}
+        for c in self.cells.values():
+            for f in set(c.faces):
+                cofaces.setdefault(f, []).append(c.id)
+            if c.dim == 1:
+                edge_of[frozenset(c.faces)] = c.id
+        # a boundary step without an edge leaves its 2-cell out of the corners
+        corners: dict[str, list[tuple[str, str, str]]] = {}
+        for f in self.faces2:
+            cyc = self.orientation.get(f.id, ())
+            eids = [edge_of.get(frozenset(p)) for p in zip(cyc, cyc[1:] + cyc[:1])]
+            if None not in eids:
+                for i, v in enumerate(cyc):
+                    corners.setdefault(v, []).append((f.id, eids[i], eids[i - 1]))
+        cofaces_sorted = {k: tuple(sorted(ids)) for k, ids in cofaces.items()}
+        return _SurfaceIndex(cofaces_sorted, edge_of, corners)
+
     def cofaces(self, cell_id: str) -> list[str]:
-        return sorted(
-            c.id for c in self.cells.values() if cell_id in c.faces
-        )
+        return list(self._index.cofaces.get(cell_id, ()))
 
     def boundary_cycle(self, face_id: str) -> tuple[str, ...]:
         return self.orientation[face_id]
@@ -105,24 +135,13 @@ class PolyhedralSurface:
         out = []
         for i, v in enumerate(cyc):
             w = cyc[(i + 1) % len(cyc)]
-            eid = self._edge_between(v, w)
-            out.append((eid, v, w))
+            out.append((self.edge_between(v, w), v, w))
         return out
 
     def edge_between(self, v: str, w: str) -> str:
         """Edge whose endpoints are the given pair of vertices."""
-        return self._edge_between(v, w)
-
-    def _edge_between(self, v: str, w: str) -> str:
-        cache = getattr(self, "_edge_pair_cache", None)
-        if cache is None:
-            cache = {}
-            for e in self.cells.values():
-                if e.dim == 1:
-                    cache[frozenset(e.faces)] = e.id
-            object.__setattr__(self, "_edge_pair_cache", cache)
         try:
-            return cache[frozenset((v, w))]
+            return self._index.edge_of[frozenset((v, w))]
         except KeyError:
             raise KeyError(f"no edge between {v} and {w}") from None
 
@@ -130,19 +149,9 @@ class PolyhedralSurface:
         """2-cells around a vertex in counterclockwise order as
         (face id, outgoing edge, incoming edge), chained so that the incoming
         edge of one corner is the outgoing edge of the next."""
-        local = []
-        for f in self.faces2:
-            if f.id not in self.orientation:
-                continue
-            walk = self.oriented_edges(f.id)
-            outs = [e for e, v, _ in walk if v == vertex_id]
-            ins = [e for e, _, w in walk if w == vertex_id]
-            if outs or ins:
-                if len(outs) != 1 or len(ins) != 1:
-                    raise ValueError(
-                        f"2-cell {f.id} touches vertex {vertex_id} more than once"
-                    )
-                local.append((f.id, outs[0], ins[0]))
+        local = self._index.corners.get(vertex_id, [])
+        if len({f for f, _, _ in local}) != len(local):
+            raise ValueError(f"a 2-cell touches vertex {vertex_id} more than once")
         if not local:
             return []
         by_out = {out: (f, out, inn) for f, out, inn in local}
@@ -228,15 +237,16 @@ def validate_surface(s: PolyhedralSurface) -> ValidationReport:
     chi = s.euler_characteristic()
     if chi % 2 != 0:
         bad("euler-characteristic-odd", f"closed surface cannot have chi = {chi}")
+    if any(d.code.startswith("orientation-") for d in diags):
+        # corners are read off the boundary cycles, so they are undefined
+        return ValidationReport(tuple(diags), chi)
 
     for vid in sorted(s.fans):
         fan = s.fans[vid]
         if vid not in s.cells or s.cells[vid].dim != 0:
             bad("fan-vertex", f"fan attached to non-vertex {vid}")
             continue
-        incident = sorted(
-            e.id for e in s.edges if vid in e.faces
-        )
+        incident = s.cofaces(vid)
         fan_edges = sorted(e for _, e in fan.rays)
         if fan_edges != incident:
             bad(
@@ -413,16 +423,16 @@ def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
 
 
 def parses(kind: str):
-    """Decorate a document parser so that a KeyError, TypeError, IndexError
-    or AttributeError raised on a malformed document becomes a ValueError
-    that names the kind of document."""
+    """Decorate a document parser so that a KeyError, TypeError, IndexError,
+    AttributeError or ZeroDivisionError raised on a malformed document
+    becomes a ValueError that names the kind of document."""
 
     def decorate(parse):
         @functools.wraps(parse)
         def wrapper(data, *args, **kwargs):
             try:
                 return parse(data, *args, **kwargs)
-            except (KeyError, TypeError, IndexError, AttributeError) as err:
+            except (KeyError, TypeError, IndexError, AttributeError, ZeroDivisionError) as err:
                 raise ValueError(
                     f"malformed {kind} ({type(err).__name__}: {err})"
                 ) from err

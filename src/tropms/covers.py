@@ -10,8 +10,10 @@ around each vertex lift, continuous across walls at lifts of rank at most two.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .complexes import (
     Diagnostic,
@@ -34,8 +36,21 @@ def _canon_partition(blocks) -> Partition:
     return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
 
+class _VertexLifts(NamedTuple):
+    corners: list[tuple[str, str, str]]
+    cycles: list[list[tuple[int, int]]]
+    ids: list[str]
+    lift_at: dict[tuple[int, int], str]  # (corner position, sheet) -> lift id
+
+
 @dataclass
 class BranchedCover:
+    """A degree-r cover of a base surface, given by its edge matchings.
+
+    ``base``, ``degree`` and ``edge_matchings`` must not change after the
+    first query: corners and vertex lifts are read from an index built once.
+    """
+
     base: PolyhedralSurface
     degree: int
     edge_matchings: dict[str, tuple[int, ...]]
@@ -57,15 +72,43 @@ class BranchedCover:
             return self.edge_matchings[eid]
         raise ValueError(f"2-cell {fid} is not a coface of edge {eid}")
 
+    @functools.cached_property
+    def _index(self) -> dict[str, _VertexLifts]:
+        out = {}
+        for v in self.base.vertices:
+            corners = self.base.corners(v.id)
+            k = len(corners)
+
+            def step(node):
+                i, s = node
+                f_here, _, wall = corners[i]
+                f_next = corners[(i + 1) % k][0]
+                lift = self.matching(wall, f_here).index(s)
+                return ((i + 1) % k, self.matching(wall, f_next)[lift])
+
+            seen = set()
+            cycles = []
+            for s0 in range(self.degree):
+                if (0, s0) in seen:
+                    continue
+                cyc = []
+                node = (0, s0)
+                while node not in seen:
+                    seen.add(node)
+                    cyc.append(node)
+                    node = step(node)
+                if node != cyc[0]:
+                    raise RuntimeError("wall transitions are not bijective")
+                cycles.append(cyc)
+            cycles.sort(key=lambda c: min(s for i, s in c if i == 0))
+            ids = [f"{v.id}#{min(s for i, s in cyc if i == 0)}" for cyc in cycles]
+            lift_at = {node: lid for lid, cyc in zip(ids, cycles) for node in cyc}
+            out[v.id] = _VertexLifts(corners, cycles, ids, lift_at)
+        return out
+
     def wall_sequence(self, v: str) -> list[tuple[str, str, str]]:
         """Corner chain around a vertex: (2-cell, outgoing edge, incoming edge)."""
-        cache = getattr(self, "_wall_cache", None)
-        if cache is None:
-            cache = {}
-            self._wall_cache = cache
-        if v not in cache:
-            cache[v] = self.base.corners(v)
-        return cache[v]
+        return self._index[v].corners
 
     def lift_cycles(self, v: str) -> list[list[tuple[int, int]]]:
         """Orbits of (corner position, sheet) under crossing walls ccw.
@@ -73,51 +116,16 @@ class BranchedCover:
         Each orbit is one vertex lift, listed from its smallest position-0
         sheet; orbits are ordered by that sheet.
         """
-        cache = getattr(self, "_cycle_cache", None)
-        if cache is None:
-            cache = {}
-            self._cycle_cache = cache
-        if v in cache:
-            return cache[v]
-        corners = self.wall_sequence(v)
-        k = len(corners)
-
-        def step(node):
-            i, s = node
-            f_here = corners[i][0]
-            wall = corners[i][2]
-            f_next = corners[(i + 1) % k][0]
-            lift = self.matching(wall, f_here).index(s)
-            return ((i + 1) % k, self.matching(wall, f_next)[lift])
-
-        seen = set()
-        cycles = []
-        for s0 in range(self.degree):
-            if (0, s0) in seen:
-                continue
-            cyc = []
-            node = (0, s0)
-            while node not in seen:
-                seen.add(node)
-                cyc.append(node)
-                node = step(node)
-            if node != cyc[0]:
-                raise RuntimeError("wall transitions are not bijective")
-            cycles.append(cyc)
-        cycles.sort(key=lambda c: min(s for i, s in c if i == 0))
-        cache[v] = cycles
-        return cycles
+        return self._index[v].cycles
 
     def vertex_lift_ids(self, v: str) -> list[str]:
-        return [
-            f"{v}#{min(s for i, s in cyc if i == 0)}" for cyc in self.lift_cycles(v)
-        ]
+        return list(self._index[v].ids)
 
     def lift_cycle_of(self, v: str, lift_id: str) -> list[tuple[int, int]]:
-        for lid, cyc in zip(self.vertex_lift_ids(v), self.lift_cycles(v)):
-            if lid == lift_id:
-                return cyc
-        raise KeyError(f"no lift {lift_id} at vertex {v}")
+        at = self._index[v]
+        if lift_id not in at.ids:
+            raise KeyError(f"no lift {lift_id} at vertex {v}")
+        return at.cycles[at.ids.index(lift_id)]
 
     def computed_ramification(self, v: str) -> Partition:
         return _canon_partition(
@@ -126,22 +134,18 @@ class BranchedCover:
 
     def vertex_lift_at_edge(self, v: str, eid: str, edge_lift: int) -> str:
         """Vertex lift to which one edge lift attaches at an endpoint."""
-        corners = self.wall_sequence(v)
-        for i, (f, _, inn) in enumerate(corners):
+        at = self._index[v]
+        for i, (f, _, inn) in enumerate(at.corners):
             if inn == eid:
-                sheet = self.matching(eid, f)[edge_lift]
-                for lid, cyc in zip(self.vertex_lift_ids(v), self.lift_cycles(v)):
-                    if (i, sheet) in cyc:
-                        return lid
+                return at.lift_at[(i, self.matching(eid, f)[edge_lift])]
         raise KeyError(f"edge {eid} is not incident to vertex {v}")
 
     def vertex_lift_at_face(self, v: str, fid: str, sheet: int) -> str:
         """Vertex lift sitting under one sheet of a 2-cell at a corner."""
-        for i, (f, _, _) in enumerate(self.wall_sequence(v)):
-            if f == fid:
-                for lid, cyc in zip(self.vertex_lift_ids(v), self.lift_cycles(v)):
-                    if (i, sheet) in cyc:
-                        return lid
+        at = self._index[v]
+        for i, (f, _, _) in enumerate(at.corners):
+            if f == fid and (i, sheet) in at.lift_at:
+                return at.lift_at[(i, sheet)]
         raise KeyError(f"2-cell {fid} has no corner at vertex {v}")
 
     def total_space_counts(self) -> tuple[int, int, int]:
@@ -317,12 +321,11 @@ def validate_multisection(msec: MultiSection) -> ValidationReport:
         diags.append(Diagnostic(code, msg))
 
     cover = msec.cover
-    expected: set[SlopeKey] = set()
-    for v in cover.base.vertices:
-        corners = cover.wall_sequence(v.id)
-        for lid, cyc in zip(cover.vertex_lift_ids(v.id), cover.lift_cycles(v.id)):
-            for i, s in cyc:
-                expected.add((lid, corners[i][0], s))
+    expected: set[SlopeKey] = {
+        (lid, at.corners[i][0], s)
+        for at in cover._index.values()
+        for (i, s), lid in at.lift_at.items()
+    }
     missing = expected - set(msec.slopes)
     extra = set(msec.slopes) - expected
     for key in sorted(missing):
@@ -378,10 +381,7 @@ def _branch_pair(msec: MultiSection, v: str) -> tuple[int, int] | None:
 
 def classify(msec: MultiSection) -> ClassTag:
     """Sort a multi-section into the alternating two-weight classes, the
-    distinct-covector class, or neither."""
-    rep = validate_multisection(msec)
-    if not rep.ok:
-        raise ValueError(f"multi-section is invalid: {rep.codes()}")
+    distinct-covector class, or neither. The section must be valid."""
     cover = msec.cover
     detail: dict = {}
     if cover.degree == 2 and cover.branch_vertices:

@@ -141,10 +141,8 @@ def vertex_edge_flags(msec: MultiSection) -> set[tuple[str, str]]:
 
 
 def bar_complex(msec: MultiSection) -> BarComplex:
+    """Order complex of the total space of a valid section."""
     cover = msec.cover
-    cached = getattr(cover, "_bar_cache", None)
-    if cached is not None:
-        return cached
     nodes: set[str] = set()
     edges: set[tuple[str, str]] = set()
     triangles: list[tuple[str, str, str, int]] = []
@@ -170,11 +168,9 @@ def bar_complex(msec: MultiSection) -> BarComplex:
                 edges.add((head, flift))
                 triangles.append((tail, elift, flift, 1))
                 triangles.append((head, elift, flift, -1))
-    out = BarComplex(
+    return BarComplex(
         tuple(sorted(nodes)), tuple(sorted(edges)), tuple(sorted(triangles))
     )
-    cover._bar_cache = out
-    return out
 
 
 # -- gluing data --------------------------------------------------------------
@@ -215,6 +211,18 @@ def validate_gluing(msec: MultiSection, g: GluingData) -> ValidationReport:
         else:
             bad("gluing-flag", f"({src}, {dst}) is not a flag of the total space")
     return ValidationReport(tuple(diags), rep.euler_characteristic)
+
+
+def require_valid(msec: MultiSection, g: GluingData | None = None) -> None:
+    """Validate a section, with its gluing data when given, where it enters
+    the program; raise ValueError with the diagnostic codes unless valid.
+    Functions that read the data later expect it valid and do not check."""
+    if g is None:
+        rep, what = validate_multisection(msec), "multi-section is invalid"
+    else:
+        rep, what = validate_gluing(msec, g), "gluing data invalid"
+    if not rep.ok:
+        raise ValueError(f"{what}: {rep.codes()}")
 
 
 def base_vertex(lift_id: str) -> str:
@@ -259,19 +267,15 @@ def _edge_kink_at(msec: MultiSection, v: str, eid: str, lift: int) -> int:
     """Kink of one edge lift seen from one endpoint."""
     cover = msec.cover
     corners = cover.wall_sequence(v)
-    k = len(corners)
     ray = _fan_ray(cover.base, v, eid)
     for i, (fid, _, inn) in enumerate(corners):
         if inn != eid:
             continue
-        sheet = cover.matching(eid, fid)[lift]
-        fid2 = corners[(i + 1) % k][0]
-        sheet2 = cover.matching(eid, fid2)[lift]
-        for lid, cyc in zip(cover.vertex_lift_ids(v), cover.lift_cycles(v)):
-            if (i, sheet) in cyc:
-                u1 = msec.slope(lid, fid, sheet)
-                u2 = msec.slope(lid, fid2, sheet2)
-                return _kink_along((u2[0] - u1[0], u2[1] - u1[1]), ray)
+        fid2 = corners[(i + 1) % len(corners)][0]
+        lid = cover.vertex_lift_at_edge(v, eid, lift)
+        u1 = msec.slope(lid, fid, cover.matching(eid, fid)[lift])
+        u2 = msec.slope(lid, fid2, cover.matching(eid, fid2)[lift])
+        return _kink_along((u2[0] - u1[0], u2[1] - u1[1]), ray)
     raise ValueError(f"edge {eid} not incident to vertex {v}")
 
 
@@ -459,13 +463,12 @@ def transport_ratios(
     k: dict[tuple[str, str], Fraction] | None = None,
 ) -> list[tuple[str, Fraction]]:
     """Sheet-comparison ratio on each edge of a cycle bounding a 2-cell, for
-    a rank-two cover: (edge id, ratio) in cycle order."""
+    a rank-two cover: (edge id, ratio) in cycle order. The section and the
+    gluing data are validated first."""
     cover = msec.cover
     if cover.degree != 2:
         raise ValueError("transport needs a rank-two cover")
-    rep = validate_gluing(msec, g)
-    if not rep.ok:
-        raise ValueError(f"gluing data invalid: {rep.codes()}")
+    require_valid(msec, g)
     c = triple_cocycle(msec, g)
     if k is None:
         ob = obstruction_class(c, msec)

@@ -19,7 +19,7 @@ from .chern import (
     newton_polytope,
     nonvanishing_at_fixed_point,
 )
-from .covers import MultiSection, check_class_C, classify, validate_multisection
+from .covers import MultiSection, check_class_C, classify
 from .gluing import GluingData, edge_lift_id, face_lift_id, transport_ratios
 from .lattice import Vec, dot
 
@@ -105,18 +105,12 @@ def pair_id(a: str, b: str) -> str:
     return f"{a}|{b}"
 
 
-def _require_valid(msec: MultiSection) -> None:
-    rep = validate_multisection(msec)
-    if not rep.ok:
-        raise ValueError(f"multi-section is invalid: {rep.codes()}")
-
-
 # -- the branch-free graph ----------------------------------------------------
 
 
 def build_G0(msec: MultiSection) -> EmbeddedGraph:
-    """Vertices and edges of the base whose closures avoid the branch set."""
-    _require_valid(msec)
+    """Vertices and edges of the base whose closures avoid the branch set.
+    The section must be valid."""
     base = msec.cover.base
     branch = msec.cover.branch_vertices
     vertices = frozenset(v.id for v in base.vertices if v.id not in branch)
@@ -143,8 +137,8 @@ def find_minimal_cycles(g: EmbeddedGraph) -> list[tuple[tuple[str, ...], str]]:
 
 
 def build_fiber_product(msec: MultiSection) -> FiberProductComplex:
-    """All ordered pairs of lifts with equal image, incidence componentwise."""
-    _require_valid(msec)
+    """All ordered pairs of lifts with equal image, incidence componentwise.
+    The section must be valid."""
     cover = msec.cover
     base = cover.base
     lifts: dict[str, list[str]] = {}
@@ -231,8 +225,7 @@ def difference_polytope(
 
 def build_G0_tilde(msec: MultiSection) -> EmbeddedGraph:
     """Branch-free pair vertices with nonempty difference polytope, and the
-    pair edges between them."""
-    _require_valid(msec)
+    pair edges between them. The section must be valid."""
     fp = build_fiber_product(msec)
     branch = msec.cover.branch_vertices
     vertices = set()

@@ -51,6 +51,7 @@ from .gluing import (
     gluing_to_text,
     obstruction_class,
     parse_gluing,
+    require_valid,
     triple_cocycle,
     validate_gluing,
 )
@@ -361,6 +362,8 @@ def run_pipeline(manifest: Manifest, checks=None) -> Report:
             continue
         start = time.perf_counter()
         if check != "validate" and run.tag is None:
+            if "validate" not in selected:
+                require_valid(run.msec)
             run.tag = classify(run.msec)  # every later check reads the class
         reason = skip(run) if skip else None
         if reason is not None:

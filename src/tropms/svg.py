@@ -6,17 +6,16 @@ edges, ``G0`` highlights the branch-free graph, ``cycles`` highlights its
 minimal cycles, and ``fiber`` draws the branch-free pair graph. Layout is a
 Tutte embedding of the base 1-skeleton with the lexicographically smallest
 2-cell as outer boundary, solved once with numpy and rounded, so output is
-byte-stable. The TOOL_SEED environment variable only rotates the outer ring;
-the default of 0 is itself deterministic.
+byte-stable.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
+from .gluing import require_valid
 from .graphs import build_G0, build_G0_tilde, find_minimal_cycles
 from .pipeline import Manifest, load_bundle
 
@@ -26,16 +25,15 @@ _SIZE = 600
 _RADIUS = 250
 
 
-def _layout(surface, seed: int) -> dict[str, tuple[float, float]]:
+def _layout(surface) -> dict[str, tuple[float, float]]:
     """Tutte embedding: outer face pinned on a circle, interior vertices at
     the centroid of their neighbors."""
     vids = sorted(v.id for v in surface.vertices)
     outer = min(f.id for f in surface.faces2)
     ring = surface.boundary_cycle(outer)
-    spin = 2.0 * math.pi * (seed % 360) / 360.0
     pos = {}
     for k, v in enumerate(ring):
-        ang = spin + 2.0 * math.pi * k / len(ring)
+        ang = 2.0 * math.pi * k / len(ring)
         pos[v] = (
             _SIZE / 2 + _RADIUS * math.cos(ang),
             _SIZE / 2 + _RADIUS * math.sin(ang),
@@ -100,10 +98,10 @@ def render_svg(manifest: Manifest, layer: str) -> str:
     """Render one layer of the manifest bundle as an SVG document."""
     if layer not in LAYERS:
         raise ValueError(f"unknown layer {layer!r}; pick one of {LAYERS}")
-    seed = int(os.environ.get("TOOL_SEED", "0"))
     msec, _ = load_bundle(manifest)
+    require_valid(msec)
     surface = msec.cover.base
-    pos = _layout(surface, seed)
+    pos = _layout(surface)
     body: list[str] = [_STYLE]
 
     def skeleton():

@@ -27,19 +27,23 @@ def test_tetrahedron_validates():
 
 
 def test_missing_coface_detected():
-    s = tetrahedron()
-    del s.cells["fBDC"]
-    del s.orientation["fBDC"]
-    s.fans.clear()
+    t = tetrahedron()
+    s = PolyhedralSurface(
+        {cid: c for cid, c in t.cells.items() if cid != "fBDC"},
+        {},
+        {fid: cyc for fid, cyc in t.orientation.items() if fid != "fBDC"},
+        dict(t.asserted),
+    )
     rep = validate_surface(s)
     assert not rep.ok
     assert "edge-coface-count" in rep.codes()
 
 
 def test_orientation_flip_detected():
-    s = tetrahedron()
-    s.orientation["fBDC"] = ("B", "C", "D")
-    s.fans.clear()
+    t = tetrahedron()
+    s = PolyhedralSurface(
+        dict(t.cells), {}, t.orientation | {"fBDC": ("B", "C", "D")}, dict(t.asserted)
+    )
     rep = validate_surface(s)
     assert "orientation-inconsistent" in rep.codes()
 

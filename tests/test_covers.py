@@ -242,11 +242,13 @@ def test_gl2_equivariance_of_class_C():
 
 
 def test_tampered_matching_detected():
-    msec = cover_1_0()
-    cover = msec.cover
-    eid = sorted(cover.edge_matchings)[0]
-    cover.edge_matchings[eid] = (1, 0) if cover.edge_matchings[eid] == (0, 1) else (0, 1)
-    cover._cycle_cache = {}
+    old = cover_1_0().cover
+    eid = sorted(old.edge_matchings)[0]
+    flipped = (1, 0) if old.edge_matchings[eid] == (0, 1) else (0, 1)
+    cover = BranchedCover(
+        old.base, old.degree, old.edge_matchings | {eid: flipped},
+        old.branch_vertices, old.ramification,
+    )
     rep = validate_cover(cover)
     assert not rep.ok
     codes = set(rep.codes())

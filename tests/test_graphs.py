@@ -175,13 +175,6 @@ def test_g0_full_branch_empty():
     assert build_G0(full()).is_empty
 
 
-def test_g0_requires_valid_multisection():
-    msec = ring()
-    msec.slopes.pop(next(iter(msec.slopes)))
-    with pytest.raises(ValueError, match="invalid"):
-        build_G0(msec)
-
-
 def test_minimal_cycles_ring():
     msec = ring()
     cycles = find_minimal_cycles(build_G0(msec))

@@ -2,12 +2,16 @@
 
 import ast
 import json
+import sys
 from pathlib import Path
 
 import pytest
 from conftest import two_sheet_cover
 
 import tropms
+from click.testing import CliRunner
+from tropms import complexes
+from tropms.cli import main
 
 from tropms.complexes import complex_to_text, parse_complex
 from tropms.covers import multisection_to_text, parse_multisection
@@ -244,3 +248,31 @@ def test_no_assert_statements_in_package():
     for path in sorted(Path(tropms.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         assert not any(isinstance(n, ast.Assert) for n in ast.walk(tree)), path.name
+
+
+@pytest.mark.parametrize("case", ["cube2", "rank3-cube", "simplicity --gluing"])
+def test_one_validation_pass_per_run(tmp_path, monkeypatch, case):
+    name = "rank3-cube" if case == "rank3-cube" else "cube2"
+    manifest = generate_example(name, str(tmp_path))
+    calls = []
+    original = complexes.validate_surface
+
+    def counting(s):
+        calls.append(s)
+        return original(s)
+
+    # every tropms module that binds the validator calls it by that name
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("tropms") and getattr(mod, "validate_surface", None) is original:
+            monkeypatch.setattr(mod, "validate_surface", counting)
+    if case == "simplicity --gluing":
+        res = CliRunner().invoke(main, [
+            "simplicity", "--section", str(tmp_path / manifest.section_path),
+            "--gluing", str(tmp_path / manifest.gluing_path),
+        ])
+        assert res.exit_code == EXIT_OK, res.output
+    else:
+        report = run_pipeline(manifest)
+        assert report.exit_code == EXIT_OK
+        assert [r.check for r in report.checks] == list(CHECK_ORDER)
+    assert len(calls) == 1
