@@ -1,4 +1,5 @@
-"""Golden outputs of the `validate`, `obstruction` and `simplicity` commands.
+"""Golden outputs of the `validate`, `obstruction`, `simplicity` and `render`
+commands.
 
 Each case runs one command on example inputs written to a scratch directory
 and addressed by relative paths, and compares the exit code, stdout and
@@ -102,6 +103,10 @@ def cases() -> dict[str, tuple[str, ...]]:
         "simplicity", "--section", "cube2.section.json", "--gluing", "cube2.gluing.json")
     out["simplicity-cube2-tampered"] = (
         "simplicity", "--section", "cube2.section.json", "--gluing", "cube2-tampered.gluing.json")
+    # the base layer prints every vertex position of the Tutte layout
+    for name in SECTIONS:
+        out[f"render-{name}"] = (
+            "render", "--manifest", f"{name}.manifest.json", "--layer", "base")
     return out
 
 
