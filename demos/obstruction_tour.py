@@ -24,11 +24,11 @@ from tropms.gluing import (
 )
 
 
-def recheck_splitting(msec, c, table) -> int:
+def recheck_splitting(bar, c, table) -> int:
     """Count the distinct chains where table fails to bound c (want zero)."""
     bad = 0
     seen = set()
-    for tail, elift, flift, _ in bar_complex(msec).triangles:
+    for tail, elift, flift, _ in bar.triangles:
         chain = (tail, elift, flift)
         if chain in seen:
             continue
@@ -45,24 +45,25 @@ def main() -> None:
           f"{len(msec.cover.base.vertices)} base vertices")
 
     # 1. seeded coboundary, trivial with an explicit splitting
+    bar = bar_complex(msec)
     g = seeded_coboundary_gluing(msec, seed=7)
-    c = triple_cocycle(msec, g)
-    rep = obstruction_class(c, msec)
+    c = triple_cocycle(msec, g, bar)
+    rep = obstruction_class(c, bar)
     print(f"\ncoboundary gluing: trivial={rep.trivial}, witness={rep.witness}")
     nontree = [(k, v) for k, v in sorted(rep.cochain.items()) if v != 1]
     for (x, y), v in nontree[:3]:
         print(f"  k[{x}, {y}] = {v}")
     print(f"  ... {len(rep.cochain)} entries, {len(nontree)} off the spanning tree")
-    print(f"  chains violating delta k = c: {recheck_splitting(msec, c, rep.cochain)}")
+    print(f"  chains violating delta k = c: {recheck_splitting(bar, c, rep.cochain)}")
 
     # 2. empty gluing data
-    rep0 = obstruction_class(triple_cocycle(msec, trivial_gluing()), msec)
+    rep0 = obstruction_class(triple_cocycle(msec, trivial_gluing(), bar), bar)
     print(f"\nempty gluing: trivial={rep0.trivial}, witness={rep0.witness}")
 
     # 3. one transverse entry makes the class nontrivial
     planted = dict(trivial_gluing())
     planted[("fx0.00a#0", "ep000p001~1")] = TorusElement.single((0, 1), Fraction(2))
-    repx = obstruction_class(triple_cocycle(msec, planted), msec)
+    repx = obstruction_class(triple_cocycle(msec, planted, bar), bar)
     print(f"\nplanted entry:  trivial={repx.trivial}, witness={repx.witness}")
     print(f"  splitting table produced: {repx.cochain is not None}")
 

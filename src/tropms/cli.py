@@ -30,7 +30,6 @@ from .covers import classify as classify_section
 from .covers import parse_multisection
 from .generators import EXAMPLE_NAMES
 from .gluing import (
-    bar_complex,
     obstruction_class,
     parse_gluing,
     require_valid,
@@ -90,11 +89,12 @@ def _rational(text: str) -> Fraction:
 
 
 def _load_section(path: str, gluing_path: str | None = None):
-    """Parse and validate a section file and, when named, a gluing file."""
+    """Parse and validate a section file and, when named, a gluing file;
+    return the section, the gluing data and, with gluing data, the order
+    complex."""
     msec = parse_multisection(_load_json(path))
     g = None if gluing_path is None else parse_gluing(_load_json(gluing_path))
-    require_valid(msec, g)
-    return msec, g
+    return msec, g, require_valid(msec, g)
 
 
 @click.group()
@@ -216,9 +216,9 @@ def obstruction(complex_path, section_path, gluing_path, overrides):
     msec, g = load_bundle(
         Manifest(complex_path, section_path, gluing_path, {}, root=".")
     )
-    require_valid(msec, g)
-    c = triple_cocycle(msec, g)
-    report = obstruction_class(c, msec)
+    bar = require_valid(msec, g)
+    c = triple_cocycle(msec, g, bar)
+    report = obstruction_class(c, bar)
     if not report.trivial:
         _echo_json({"trivial": False, "witness": report.witness})
         return EXIT_OK
@@ -226,11 +226,11 @@ def obstruction(complex_path, section_path, gluing_path, overrides):
     out = {"trivial": True, "witness": report.witness}
     if overrides:
         for text in overrides:
-            bar, value = _parse_override(text)
-            if bar not in table:
-                raise ValueError(f"no splitting entry for {bar[0]},{bar[1]}")
-            table[bar] = value
-        violations = unbounded_chains(bar_complex(msec), c, table)
+            key, value = _parse_override(text)
+            if key not in table:
+                raise ValueError(f"no splitting entry for {key[0]},{key[1]}")
+            table[key] = value
+        violations = unbounded_chains(bar, c, table)
         out["consistent"] = not violations
         if violations:
             out["violations"] = [",".join(chain) for chain in violations]
@@ -252,8 +252,8 @@ def simplicity(section_path, gluing_path, mode):
     embedded in the section file. Gluing data, when supplied, feeds the
     smoothability upgrade through its obstruction class.
     """
-    msec, g = _load_section(section_path, gluing_path)
-    trivial = g is not None and obstruction_class(triple_cocycle(msec, g), msec).trivial
+    msec, g, bar = _load_section(section_path, gluing_path)
+    trivial = g is not None and obstruction_class(triple_cocycle(msec, g, bar), bar).trivial
     if mode is None:
         mode = "rank2" if msec.cover.degree == 2 else "general"
     asserted = msec.cover.base.asserted

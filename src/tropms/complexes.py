@@ -200,6 +200,9 @@ def validate_surface(s: PolyhedralSurface) -> ValidationReport:
         n = len(s.cofaces(e.id))
         if n != 2:
             bad("edge-coface-count", f"edge {e.id} has {n} cofaces, expected 2")
+    for v in s.vertices:
+        if not s.cofaces(v.id):
+            bad("vertex-isolated", f"vertex {v.id} is a face of no edge")
 
     directed: dict[tuple[str, str], list[str]] = {}
     for f in s.faces2:

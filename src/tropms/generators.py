@@ -41,7 +41,13 @@ from .covers import (
     riemann_hurwitz_genus,
     validate_multisection,
 )
-from .gluing import GluingData, TorusElement, coboundary_gluing, validate_gluing
+from .gluing import (
+    GluingData,
+    TorusElement,
+    bar_complex,
+    coboundary_gluing,
+    validate_gluing,
+)
 
 EXAMPLE_NAMES = ("simplex5", "cube2", "cube-o1", "rank3-cube")
 
@@ -434,5 +440,5 @@ def seeded_coboundary_gluing(msec: MultiSection, seed: int = 0) -> GluingData:
         for lift in range(cover.degree):
             lam_edge[f"{e}~{lift}"] = Fraction(rng.randint(1, 7), rng.randint(1, 7))
     g = coboundary_gluing(msec, lam_vertex, lam_edge)
-    _require(validate_gluing(msec, g).ok, "seeded gluing validation")
+    _require(validate_gluing(msec, g, bar_complex(msec)).ok, "seeded gluing validation")
     return g

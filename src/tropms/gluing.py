@@ -180,20 +180,18 @@ def trivial_gluing() -> GluingData:
     return {}
 
 
-def validate_gluing(msec: MultiSection, g: GluingData) -> ValidationReport:
-    """Flags must be real inclusions; data landing in a rank-zero lattice
+def validate_gluing(
+    msec: MultiSection, g: GluingData, bar: BarComplex
+) -> ValidationReport:
+    """Check gluing data on a valid section whose order complex is ``bar``:
+    flags must be real inclusions; data landing in a rank-zero lattice
     (anything into a 2-cell lift) must be trivial."""
-    rep = validate_multisection(msec)
-    diags = list(rep.diagnostics)
-    if not rep.ok:
-        return rep
+    diags: list[Diagnostic] = []
 
     def bad(code, msg):
         diags.append(Diagnostic(code, msg))
 
-    cover = msec.cover
     ve = vertex_edge_flags(msec)
-    bar = bar_complex(msec)
     bar_edges = set(bar.edges)
     for (src, dst), elem in sorted(g.items()):
         if (src, dst) in ve:
@@ -210,19 +208,26 @@ def validate_gluing(msec: MultiSection, g: GluingData) -> ValidationReport:
                 )
         else:
             bad("gluing-flag", f"({src}, {dst}) is not a flag of the total space")
-    return ValidationReport(tuple(diags), rep.euler_characteristic)
+    return ValidationReport(tuple(diags), msec.cover.base.euler_characteristic())
 
 
-def require_valid(msec: MultiSection, g: GluingData | None = None) -> None:
-    """Validate a section, with its gluing data when given, where it enters
+def require_valid(
+    msec: MultiSection, g: GluingData | None = None
+) -> BarComplex | None:
+    """Validate a section, then its gluing data when given, where they enter
     the program; raise ValueError with the diagnostic codes unless valid.
-    Functions that read the data later expect it valid and do not check."""
-    if g is None:
-        rep, what = validate_multisection(msec), "multi-section is invalid"
-    else:
-        rep, what = validate_gluing(msec, g), "gluing data invalid"
+    Functions that read the data later expect it valid and do not check.
+    With gluing data, return the order complex of the total space: it is
+    built once the section is valid, checks the gluing data, and is passed
+    on to the functions that read it."""
+    what = "multi-section is invalid" if g is None else "gluing data invalid"
+    rep, bar = validate_multisection(msec), None
+    if rep.ok and g is not None:
+        bar = bar_complex(msec)
+        rep = validate_gluing(msec, g, bar)
     if not rep.ok:
         raise ValueError(f"{what}: {rep.codes()}")
+    return bar
 
 
 def base_vertex(lift_id: str) -> str:
@@ -308,8 +313,9 @@ def check_edge_kinks(msec: MultiSection) -> list[str]:
 Cochain2 = dict[tuple[str, str, str], Fraction]
 
 
-def triple_cocycle(msec: MultiSection, g: GluingData) -> Cochain2:
-    """Value of the gluing data on every chain of the total space.
+def triple_cocycle(msec: MultiSection, g: GluingData, bar: BarComplex) -> Cochain2:
+    """Value of the gluing data on every chain of ``bar``, the order complex
+    of the total space of ``msec``.
 
     The chain (vertex lift, edge lift, 2-cell lift) receives the vertex-edge
     element evaluated on the slope of the 2-cell lift, entirely in the chart
@@ -319,7 +325,6 @@ def triple_cocycle(msec: MultiSection, g: GluingData) -> Cochain2:
     mism = check_edge_kinks(msec)
     if mism:
         raise ValueError(f"edge kinks disagree between endpoints: {mism}")
-    bar = bar_complex(msec)
     out: Cochain2 = {}
     for x, elift, flift, _ in bar.triangles:
         key = (x, elift, flift)
@@ -347,16 +352,15 @@ class ObstructionReport:
     cochain: dict[tuple[str, str], Fraction] | None
 
 
-def obstruction_class(c: Cochain2, msec: MultiSection) -> ObstructionReport:
-    """Decide whether a triple cocycle bounds, and if so produce the canonical
-    bounding 1-cochain.
+def obstruction_class(c: Cochain2, bar: BarComplex) -> ObstructionReport:
+    """Decide whether a triple cocycle on the order complex ``bar`` bounds,
+    and if so produce the canonical bounding 1-cochain.
 
     The witness is the product of cocycle values against the orientation
     signs of the order complex; it is 1 exactly when a bounding cochain
     exists. The cochain is normalized to 1 on a lexicographic spanning tree
     of the order complex.
     """
-    bar = bar_complex(msec)
     witness = Fraction(1)
     for tail, elift, flift, sign in bar.triangles:
         val = c[(tail, elift, flift)]
@@ -468,10 +472,10 @@ def transport_ratios(
     cover = msec.cover
     if cover.degree != 2:
         raise ValueError("transport needs a rank-two cover")
-    require_valid(msec, g)
-    c = triple_cocycle(msec, g)
+    bar = require_valid(msec, g)
+    c = triple_cocycle(msec, g, bar)
     if k is None:
-        ob = obstruction_class(c, msec)
+        ob = obstruction_class(c, bar)
         if not ob.trivial:
             raise ValueError(
                 f"gluing-data inconsistency: obstruction witness {ob.witness}"

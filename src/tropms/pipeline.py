@@ -47,7 +47,9 @@ from .generators import (
     simplex5_multisection,
 )
 from .gluing import (
+    BarComplex,
     GluingData,
+    bar_complex,
     gluing_to_text,
     obstruction_class,
     parse_gluing,
@@ -242,6 +244,7 @@ class _Run:
     msec: MultiSection
     gluing: GluingData | None
     tag: ClassTag | None = None
+    bar: BarComplex | None = None  # built by the first check that reads it
     obstruction_trivial: bool = False
 
 
@@ -253,11 +256,11 @@ class _Outcome(NamedTuple):
 
 
 def _validate(run: _Run) -> _Outcome:
-    # the outermost validator reports the diagnostics of the ones it runs
-    if run.gluing is not None:
-        rep = validate_gluing(run.msec, run.gluing)
-    else:
-        rep = validate_multisection(run.msec)
+    # gluing data is checked against the order complex of a valid section
+    rep = validate_multisection(run.msec)
+    if rep.ok and run.gluing is not None:
+        run.bar = bar_complex(run.msec)
+        rep = validate_gluing(run.msec, run.gluing, run.bar)
     lines = tuple(dict.fromkeys(f"{d.code}: {d.message}" for d in rep.diagnostics))
     return _Outcome("fail", lines, EXIT_INVALID) if lines else _Outcome("pass", ())
 
@@ -284,7 +287,9 @@ def _chern(run: _Run) -> _Outcome:
 
 
 def _obstruction(run: _Run) -> _Outcome:
-    rep = obstruction_class(triple_cocycle(run.msec, run.gluing), run.msec)
+    if run.bar is None:  # the validate check was not selected
+        run.bar = bar_complex(run.msec)
+    rep = obstruction_class(triple_cocycle(run.msec, run.gluing, run.bar), run.bar)
     run.obstruction_trivial = rep.trivial
     return _Outcome("pass" if rep.trivial else "fail", (f"witness {rep.witness}",))
 

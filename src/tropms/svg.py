@@ -5,15 +5,14 @@ singular cells marked), ``cover`` adds the vertex lifts and sheet-offset
 edges, ``G0`` highlights the branch-free graph, ``cycles`` highlights its
 minimal cycles, and ``fiber`` draws the branch-free pair graph. Layout is a
 Tutte embedding of the base 1-skeleton with the lexicographically smallest
-2-cell as outer boundary, solved once with numpy and rounded, so output is
-byte-stable.
+2-cell as outer boundary, solved once in floating point by Gaussian
+elimination and rounded, so output is byte-stable. Tutte's layout is an
+embedding only for planar graphs, so bases that are not spheres are refused.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .gluing import require_valid
 from .graphs import build_G0, build_G0_tilde, find_minimal_cycles
@@ -25,9 +24,35 @@ _SIZE = 600
 _RADIUS = 250
 
 
+def _solve(mat: list[list[float]], rhs: list[list[float]]) -> list[list[float]]:
+    """Solve ``mat @ x = rhs`` for a nonsingular square ``mat`` by Gaussian
+    elimination with partial pivoting, for all columns of ``rhs`` at once."""
+    n = len(mat)
+    rows = [a + b for a, b in zip(mat, rhs)]
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k]
+        for row in rows[k + 1:]:
+            f = row[k] / pivot[k]
+            if f:
+                row[k:] = [a - f * b for a, b in zip(row[k:], pivot[k:])]
+    sol: list[list[float]] = [[] for _ in range(n)]
+    for i in reversed(range(n)):
+        row = rows[i]
+        sol[i] = [
+            (row[n + c] - sum(row[j] * sol[j][c] for j in range(i + 1, n))) / row[i]
+            for c in range(len(rhs[i]))
+        ]
+    return sol
+
+
 def _layout(surface) -> dict[str, tuple[float, float]]:
     """Tutte embedding: outer face pinned on a circle, interior vertices at
-    the centroid of their neighbors."""
+    the centroid of their neighbors. The base must be a sphere."""
+    chi = surface.euler_characteristic()
+    if chi != 2:
+        raise ValueError(f"render lays out spheres only; the base has chi = {chi}")
     vids = sorted(v.id for v in surface.vertices)
     outer = min(f.id for f in surface.faces2)
     ring = surface.boundary_cycle(outer)
@@ -46,20 +71,20 @@ def _layout(surface) -> dict[str, tuple[float, float]]:
     free = [v for v in vids if v not in pos]
     if free:
         fi = {v: i for i, v in enumerate(free)}
-        mat = np.zeros((len(free), len(free)))
-        rhs = np.zeros((len(free), 2))
+        mat = [[0.0] * len(free) for _ in free]
+        rhs = [[0.0, 0.0] for _ in free]
         for v in free:
             i = fi[v]
-            mat[i, i] = len(neighbors[v])
+            mat[i][i] = float(len(neighbors[v]))
             for w in sorted(neighbors[v]):
                 if w in fi:
-                    mat[i, fi[w]] -= 1.0
+                    mat[i][fi[w]] -= 1.0
                 else:
-                    rhs[i, 0] += pos[w][0]
-                    rhs[i, 1] += pos[w][1]
-        sol = np.linalg.solve(mat, rhs)
+                    rhs[i][0] += pos[w][0]
+                    rhs[i][1] += pos[w][1]
+        sol = _solve(mat, rhs)
         for v in free:
-            pos[v] = (float(sol[fi[v], 0]), float(sol[fi[v], 1]))
+            pos[v] = (sol[fi[v]][0], sol[fi[v]][1])
     return {v: (round(x, 2), round(y, 2)) for v, (x, y) in pos.items()}
 
 

@@ -195,8 +195,8 @@ def test_obstruction_solver_on_random_cochains():
     chains = sorted({(t, e, f) for t, e, f, _ in bar.triangles})
     for _ in range(200):
         g = _random_coboundary(msec, rng)
-        c = triple_cocycle(msec, g)
-        report = obstruction_class(c, msec)
+        c = triple_cocycle(msec, g, bar)
+        report = obstruction_class(c, bar)
         assert report.trivial and report.witness == 1
         k = report.cochain
         for tail, elift, flift in chains:
@@ -214,13 +214,13 @@ def test_obstruction_solver_on_random_cochains():
             vecs[planted_count % 3], Fraction(2 + planted_count % 3)
         )
         expected = obstruction_class(
-            triple_cocycle(msec, {flag: tamper}), msec
+            triple_cocycle(msec, {flag: tamper}, bar), bar
         ).witness
         if expected == 1:
             continue
         g = dict(_random_coboundary(msec, rng))
         g[flag] = g.get(flag, TRIVIAL) * tamper
-        report = obstruction_class(triple_cocycle(msec, g), msec)
+        report = obstruction_class(triple_cocycle(msec, g, bar), bar)
         assert not report.trivial
         assert report.witness == expected
         assert report.cochain is None

@@ -1,13 +1,18 @@
 """End-to-end checks of the command-line front end and the SVG renderer."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import tropms
 from tropms.cli import main
-from tropms.complexes import complex_to_text
+from tropms.complexes import complex_to_text, surface_from_cycles, validate_surface
 from tropms.covers import multisection_to_text
 from tropms.generators import (
     planted_multisection,
@@ -22,6 +27,7 @@ from tropms.pipeline import (
     Manifest,
     manifest_to_text,
 )
+from tropms.svg import _layout
 
 runner = CliRunner()
 
@@ -172,6 +178,28 @@ def test_orientation_step_without_edge_exits_invalid(workdir, tmp_path):
         assert res.exit_code == EXIT_INVALID
         (message,) = res.stderr.splitlines()
         assert message.startswith("error: multi-section is invalid: ['orientation-edge'")
+
+
+def test_isolated_vertex_exits_invalid(workdir, tmp_path):
+    def add_vertices(kind, data):
+        # two vertices keep the Euler characteristic even
+        cx = data if kind == "complex" else data.get("complex")
+        if cx is not None:
+            cx["cells"] += [{"id": "zz1", "dim": 0}, {"id": "zz2", "dim": 0}]
+
+    d = _edited_cube2(workdir, tmp_path, add_vertices)
+    res = invoke("validate", "--manifest", d / "cube2.manifest.json")
+    assert res.exit_code == EXIT_INVALID
+    rec = json.loads(res.stdout)["checks"][0]
+    assert (rec["check"], rec["verdict"]) == ("validate", "fail")
+    assert rec["witnesses"] == [
+        f"vertex-isolated: vertex {v} is a face of no edge" for v in ("zz1", "zz2")
+    ]
+    res = invoke("classify", "--section", d / "cube2.section.json")
+    assert res.exit_code == EXIT_INVALID
+    assert res.stderr == (
+        "error: multi-section is invalid: ['vertex-isolated', 'vertex-isolated']\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -489,3 +517,37 @@ def test_render_rejects_unknown_layer(workdir):
         "render", "--manifest", workdir / "cube2.manifest.json", "--layer", "shadow"
     )
     assert res.exit_code != EXIT_OK
+
+
+def test_render_refuses_base_that_is_not_a_sphere():
+    # a 3x3 triangulated torus: 9 vertices, 27 edges, 18 triangles
+    def v(i, j):
+        return f"v{i % 3}{j % 3}"
+
+    faces = {}
+    for i in range(3):
+        for j in range(3):
+            faces[f"a{i}{j}"] = (v(i, j), v(i + 1, j), v(i + 1, j + 1))
+            faces[f"b{i}{j}"] = (v(i, j), v(i + 1, j + 1), v(i, j + 1))
+    torus = surface_from_cycles(faces)
+    assert validate_surface(torus).ok
+    with pytest.raises(ValueError, match="chi = 0"):
+        _layout(torus)
+
+
+def test_cli_import_loads_no_third_party_module_but_click():
+    """Every command is a fresh process, so all that `tropms.cli` imports is
+    paid on each run; compared against a bare interpreter, whose site hooks
+    may load packages of their own."""
+    src = str(Path(tropms.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def top_level_modules(statement):
+        code = f"{statement}\nimport sys\nprint(' '.join(sys.modules))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        return {name.partition(".")[0] for name in out.split()}
+
+    extra = top_level_modules("import tropms.cli") - top_level_modules("pass")
+    assert extra - set(sys.stdlib_module_names) <= {"tropms", "click"}

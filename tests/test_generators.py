@@ -35,6 +35,7 @@ from tropms.generators import (
     simplex5_multisection,
 )
 from tropms.gluing import (
+    bar_complex,
     obstruction_class,
     transport_ratios,
     triple_cocycle,
@@ -145,9 +146,10 @@ def test_cube_o1_smoothable_upgrade():
 def test_cube_o1_seeded_gluing_trivial_obstruction():
     msec = cube_o1_multisection()
     g = seeded_coboundary_gluing(msec, seed=0)
-    assert g and validate_gluing(msec, g).ok
+    bar = bar_complex(msec)
+    assert g and validate_gluing(msec, g, bar).ok
     assert g == seeded_coboundary_gluing(cube_o1_multisection(), seed=0)
-    report = obstruction_class(triple_cocycle(msec, g), msec)
+    report = obstruction_class(triple_cocycle(msec, g, bar), bar)
     assert report.trivial and report.witness == 1
 
 

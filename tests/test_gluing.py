@@ -147,19 +147,20 @@ def test_bar_edge_signs_cancel():
 
 def test_validate_trivial_and_violations():
     msec = full_branch()
-    assert validate_gluing(msec, trivial_gluing()).ok
+    bar = bar_complex(msec)
+    assert validate_gluing(msec, trivial_gluing(), bar).ok
     good_flag = sorted(vertex_edge_flags(msec))[0]
-    assert validate_gluing(msec, {good_flag: TorusElement.single((1, 1), 2)}).ok
+    assert validate_gluing(msec, {good_flag: TorusElement.single((1, 1), 2)}, bar).ok
 
     # nontrivial element into a 2-cell lift names the offending chain
     rep = validate_gluing(
-        msec, {("ev000v010~0", "fz0~0"): TorusElement.single((1, 0), 2)}
+        msec, {("ev000v010~0", "fz0~0"): TorusElement.single((1, 0), 2)}, bar
     )
     assert "gluing-cocycle-violation" in rep.codes()
     msg = next(d for d in rep.diagnostics if d.code == "gluing-cocycle-violation")
     assert "fz0~0" in msg.message
 
-    rep = validate_gluing(msec, {("v000#0", "fz1~0"): TorusElement.single((1, 0), 2)})
+    rep = validate_gluing(msec, {("v000#0", "fz1~0"): TorusElement.single((1, 0), 2)}, bar)
     assert "gluing-flag" in rep.codes()
 
 
@@ -168,7 +169,7 @@ def test_validate_trivial_and_violations():
 
 def test_cocycle_trivial_data():
     msec = full_branch()
-    c = triple_cocycle(msec, trivial_gluing())
+    c = triple_cocycle(msec, trivial_gluing(), bar_complex(msec))
     assert len(c) == 96
     assert all(v == 1 for v in c.values())
 
@@ -179,19 +180,20 @@ def test_cocycle_single_entry_min_endpoint():
     vl = cover.vertex_lift_at_edge("v000", "ev000v010", 0)
     assert vl == "v000#0"
     g = {(vl, "ev000v010~0"): TorusElement.single((1, 0), 2)}
-    c = triple_cocycle(msec, g)
+    c = triple_cocycle(msec, g, bar_complex(msec))
     nontrivial = {k: v for k, v in c.items() if v != 1}
     assert nontrivial == {("v000#0", "ev000v010~0", "fz0~0"): Fraction(1, 4)}
 
 
 def test_cocycle_single_entry_other_endpoint():
     msec = full_branch()
+    bar = bar_complex(msec)
     cover = msec.cover
     vl = cover.vertex_lift_at_edge("v010", "ev000v010", 1)
     assert vl == "v010#0"
     g = {(vl, "ev000v010~1"): TorusElement.single((0, 1), 3)}
     nontrivial = {
-        k: v for k, v in triple_cocycle(msec, g).items() if v != 1
+        k: v for k, v in triple_cocycle(msec, g, bar).items() if v != 1
     }
     assert nontrivial == {
         ("v010#0", "ev000v010~1", "fx0~1"): Fraction(1, 3),
@@ -199,7 +201,7 @@ def test_cocycle_single_entry_other_endpoint():
     }
     # at this endpoint the edge direction is (1,0), so data along it is inert
     g2 = {(vl, "ev000v010~1"): TorusElement.single((1, 0), 3)}
-    assert all(v == 1 for v in triple_cocycle(msec, g2).values())
+    assert all(v == 1 for v in triple_cocycle(msec, g2, bar).values())
 
 
 def reslope_uniform(msec, v, kinks):
@@ -224,7 +226,7 @@ def test_kink_mismatch_rejected():
     bad = check_edge_kinks(msec)
     assert bad and all(e.startswith("ev000") for e in bad)
     with pytest.raises(ValueError, match="kinks disagree"):
-        triple_cocycle(msec, trivial_gluing())
+        triple_cocycle(msec, trivial_gluing(), bar_complex(msec))
 
 
 # -- obstruction --------------------------------------------------------------
@@ -232,7 +234,8 @@ def test_kink_mismatch_rejected():
 
 def test_obstruction_trivial_data():
     msec = full_branch()
-    ob = obstruction_class(triple_cocycle(msec, trivial_gluing()), msec)
+    bar = bar_complex(msec)
+    ob = obstruction_class(triple_cocycle(msec, trivial_gluing(), bar), bar)
     assert ob.trivial and ob.witness == 1
     assert len(ob.cochain) == 144
     assert all(v == 1 for v in ob.cochain.values())
@@ -244,8 +247,8 @@ def test_obstruction_of_coboundaries():
     rng = random.Random(2207)
     for _ in range(6):
         g = rand_coboundary(msec, rng)
-        c = triple_cocycle(msec, g)
-        ob = obstruction_class(c, msec)
+        c = triple_cocycle(msec, g, bar)
+        ob = obstruction_class(c, bar)
         assert ob.trivial and ob.witness == 1
         for v, e, f, _ in bar.triangles:
             assert (
@@ -257,8 +260,9 @@ def test_obstruction_of_coboundaries():
 def test_obstruction_deterministic():
     msec = full_branch()
     g = rand_coboundary(msec, random.Random(5))
-    c = triple_cocycle(msec, g)
-    assert obstruction_class(c, msec) == obstruction_class(c, msec)
+    bar = bar_complex(msec)
+    c = triple_cocycle(msec, g, bar)
+    assert obstruction_class(c, bar) == obstruction_class(c, bar)
 
 
 def test_planted_obstruction_detected():
@@ -268,7 +272,8 @@ def test_planted_obstruction_detected():
     flag = sorted(vertex_edge_flags(msec))[7]
     tampered = dict(base)
     tampered[flag] = tampered.get(flag, TRIVIAL) * TorusElement.single((1, 1), 2)
-    ob = obstruction_class(triple_cocycle(msec, tampered), msec)
+    bar = bar_complex(msec)
+    ob = obstruction_class(triple_cocycle(msec, tampered, bar), bar)
     assert not ob.trivial
     assert ob.witness != 1
     assert ob.cochain is None
@@ -276,13 +281,14 @@ def test_planted_obstruction_detected():
 
 def test_single_entry_witnesses():
     msec = full_branch()
+    bar = bar_complex(msec)
     cover = msec.cover
     vl = cover.vertex_lift_at_edge("v000", "ev000v010", 0)
     g = {(vl, "ev000v010~0"): TorusElement.single((1, 0), 2)}
-    assert obstruction_class(triple_cocycle(msec, g), msec).witness == Fraction(1, 4)
+    assert obstruction_class(triple_cocycle(msec, g, bar), bar).witness == Fraction(1, 4)
     vl = cover.vertex_lift_at_edge("v010", "ev000v010", 1)
     g = {(vl, "ev000v010~1"): TorusElement.single((0, 1), 3)}
-    assert obstruction_class(triple_cocycle(msec, g), msec).witness == 3
+    assert obstruction_class(triple_cocycle(msec, g, bar), bar).witness == 3
 
 
 # -- holonomy -----------------------------------------------------------------
@@ -302,8 +308,9 @@ def test_holonomy_trivial_and_coboundary():
 def test_holonomy_with_corrupted_cochain():
     msec = ring_cover()
     g = rand_coboundary(msec, random.Random(11))
-    c = triple_cocycle(msec, g)
-    ob = obstruction_class(c, msec)
+    bar = bar_complex(msec)
+    c = triple_cocycle(msec, g, bar)
+    ob = obstruction_class(c, bar)
     k = dict(ob.cochain)
     vlift = msec.cover.vertex_lift_at_edge("v000", "ev000v010", 0)
     k[(vlift, "ev000v010~0")] *= 3
@@ -316,7 +323,8 @@ def test_holonomy_rejects_bad_input():
     # obstructed data: a single entry transverse to its edge
     vl = msec.cover.vertex_lift_at_edge("v000", "ev000v010", 0)
     g = {(vl, "ev000v010~0"): TorusElement.single((1, 0), 2)}
-    assert not obstruction_class(triple_cocycle(msec, g), msec).trivial
+    bar = bar_complex(msec)
+    assert not obstruction_class(triple_cocycle(msec, g, bar), bar).trivial
     with pytest.raises(ValueError, match="inconsistency"):
         holonomy_around_cycle(msec, g, BOTTOM_CYCLE, "fz0")
     # invalid data placement

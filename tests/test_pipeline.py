@@ -10,7 +10,7 @@ from conftest import two_sheet_cover
 
 import tropms
 from click.testing import CliRunner
-from tropms import complexes
+from tropms import complexes, gluing
 from tropms.cli import main
 
 from tropms.complexes import complex_to_text, parse_complex
@@ -250,21 +250,26 @@ def test_no_assert_statements_in_package():
         assert not any(isinstance(n, ast.Assert) for n in ast.walk(tree)), path.name
 
 
+def _count_calls(monkeypatch, original) -> list:
+    """Record every call of a tropms function; every tropms module that
+    binds the function calls it by that name."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("tropms") and getattr(mod, original.__name__, None) is original:
+            monkeypatch.setattr(mod, original.__name__, counting)
+    return calls
+
+
 @pytest.mark.parametrize("case", ["cube2", "rank3-cube", "simplicity --gluing"])
 def test_one_validation_pass_per_run(tmp_path, monkeypatch, case):
     name = "rank3-cube" if case == "rank3-cube" else "cube2"
     manifest = generate_example(name, str(tmp_path))
-    calls = []
-    original = complexes.validate_surface
-
-    def counting(s):
-        calls.append(s)
-        return original(s)
-
-    # every tropms module that binds the validator calls it by that name
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.startswith("tropms") and getattr(mod, "validate_surface", None) is original:
-            monkeypatch.setattr(mod, "validate_surface", counting)
+    calls = _count_calls(monkeypatch, complexes.validate_surface)
     if case == "simplicity --gluing":
         res = CliRunner().invoke(main, [
             "simplicity", "--section", str(tmp_path / manifest.section_path),
@@ -275,4 +280,32 @@ def test_one_validation_pass_per_run(tmp_path, monkeypatch, case):
         report = run_pipeline(manifest)
         assert report.exit_code == EXIT_OK
         assert [r.check for r in report.checks] == list(CHECK_ORDER)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["cube2", "cube2 --check obstruction", "obstruction --k", "simplicity --gluing"],
+)
+def test_one_order_complex_per_run(tmp_path, monkeypatch, case):
+    manifest = generate_example("cube2", str(tmp_path))
+    calls = _count_calls(monkeypatch, gluing.bar_complex)
+    files = ["--section", str(tmp_path / manifest.section_path),
+             "--gluing", str(tmp_path / manifest.gluing_path)]
+    if case.startswith("cube2"):
+        checks = ["obstruction"] if "--check" in case else None
+        report = run_pipeline(manifest, checks)
+        assert report.exit_code == EXIT_OK
+        assert report.record("obstruction").verdict == "pass"
+    else:
+        args = {
+            "obstruction --k": [
+                "obstruction", "--complex", str(tmp_path / manifest.complex_path),
+                *files, "--k", "ep000p001~0,p000~0=1"],
+            "simplicity --gluing": ["simplicity", *files],
+        }[case]
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == EXIT_OK, res.output
+        if case == "obstruction --k":
+            assert json.loads(res.stdout)["consistent"] is True
     assert len(calls) == 1
