@@ -5,9 +5,8 @@ polytopes of piecewise linear functions on complete plane fans."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .lattice import Vec, ccw_cmp, det2, dot, is_primitive, solve_linear
 from .laurent import LaurentPoly
@@ -80,25 +79,29 @@ def linear_form(u) -> Poly:
     return Poly({(1, 0): Fraction(u[0]), (0, 1): Fraction(u[1])})
 
 
-@dataclass(frozen=True)
-class PiecewisePoly:
-    """One polynomial per cone of a complete fan, agreeing on shared rays."""
-
+class _Piecewise(NamedTuple):
     fan: CompleteFan
     parts: tuple[Poly, ...]
 
-    def __post_init__(self):
-        if len(self.parts) != self.fan.n_cones:
+
+class PiecewisePoly(_Piecewise):
+    """One polynomial per cone of a complete fan, agreeing on shared rays."""
+
+    __slots__ = ()
+
+    def __new__(cls, fan: CompleteFan, parts: tuple[Poly, ...]):
+        if len(parts) != fan.n_cones:
             raise ValueError("one polynomial per cone required")
-        n = self.fan.n_cones
+        n = fan.n_cones
         for i in range(n):
-            ray = self.fan.rays[(i + 1) % n]
-            here = _restrict_ray(self.parts[i], ray)
-            there = _restrict_ray(self.parts[(i + 1) % n], ray)
+            ray = fan.rays[(i + 1) % n]
+            here = _restrict_ray(parts[i], ray)
+            there = _restrict_ray(parts[(i + 1) % n], ray)
             if here != there:
                 raise ValueError(
                     f"discontinuous across ray {ray}: {here} vs {there}"
                 )
+        return super().__new__(cls, fan, parts)
 
     def __add__(self, other: "PiecewisePoly") -> "PiecewisePoly":
         if self.fan != other.fan:
@@ -152,8 +155,7 @@ def ray_class(fan: CompleteFan, ray_index: int) -> PiecewisePoly:
     return PiecewisePoly(fan, tuple(parts))
 
 
-@dataclass(frozen=True)
-class CohomologyClass:
+class CohomologyClass(NamedTuple):
     """Class in the cohomology of the projective plane, written against the
     basis 1, H, H^2 with H the hyperplane class."""
 
@@ -268,9 +270,9 @@ def total_chern(m: int, n: int) -> CohomologyClass:
     return CohomologyClass.of(1) + forgetful(c1) + forgetful(c2)
 
 
-def stability_discriminant(m: int, n: int) -> tuple[int, str]:
-    """Discriminant c1^2 - 4*c2 of the rank-2 bundle and a stability verdict."""
-    tc = total_chern(m, n)
+def stability_discriminant(m: int, n: int, tc: CohomologyClass) -> tuple[int, str]:
+    """Discriminant c1^2 - 4*c2 of the rank-2 bundle with total Chern class
+    ``tc = total_chern(m, n)``, and a stability verdict."""
     delta = tc.h1 * tc.h1 - 4 * tc.h2
     if delta != -3 * (m - n) ** 2:
         raise RuntimeError(f"discriminant invariant violated: {delta}")
@@ -281,8 +283,7 @@ def stability_discriminant(m: int, n: int) -> tuple[int, str]:
 # -- Newton polytopes --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NewtonPolytope:
+class NewtonPolytope(NamedTuple):
     """Lattice points of the polytope of a piecewise linear function, with the
     vertices of their convex hull in counterclockwise order from the
     lexicographically smallest point."""

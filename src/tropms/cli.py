@@ -4,78 +4,31 @@ Every subcommand reads and writes the JSON artifact formats: complexes,
 multi-sections, gluing data, manifests, and check reports. Numeric output is
 exact; fractions print as "p/q" strings. Exit codes follow one contract
 everywhere: 0 for success or an inconclusive criterion, 1 when a simplicity
-criterion comes back negative, 2 for invalid input, 3 for a broken internal
-invariant.
+criterion comes back negative, 2 for invalid input or a usage error, 3 for a
+broken internal invariant. Each command imports only the modules it runs; the
+functions it calls, not the parser, reject an unknown check, layer or example.
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
-import click
-
-from . import __version__
-from .chern import (
-    CANONICAL_FAN,
-    CompleteFan,
-    newton_polytope,
-    stability_discriminant,
-    total_chern,
-)
-from .complexes import parses
-from .covers import classify as classify_section
-from .covers import parse_multisection
-from .generators import EXAMPLE_NAMES
-from .gluing import (
-    obstruction_class,
-    parse_gluing,
-    require_valid,
-    triple_cocycle,
-    unbounded_chains,
-)
-from .graphs import build_fiber_product, simplicity_verdict
-from .laurent import REFERENCE_A, REFERENCE_B, verify_cocycle
-from .pipeline import (
-    CHECK_ORDER,
+from . import (
     EXIT_INTERNAL,
     EXIT_INVALID,
     EXIT_NOT_SIMPLE,
     EXIT_OK,
-    Manifest,
+    __version__,
     _jsonable,
-    generate_example,
-    load_bundle,
-    load_manifest,
-    manifest_to_text,
-    report_to_text,
-    run_pipeline,
 )
-from .svg import LAYERS, render_svg
-
-
-def _guard(fn):
-    """Map exceptions onto the exit-code contract and exit explicitly."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            code = fn(*args, **kwargs)
-        except (ValueError, OSError) as err:
-            click.echo(f"error: {err}", err=True)
-            sys.exit(EXIT_INVALID)
-        except Exception as err:
-            click.echo(f"internal error: {err}", err=True)
-            sys.exit(EXIT_INTERNAL)
-        sys.exit(EXIT_OK if code is None else code)
-
-    return wrapper
 
 
 def _echo_json(obj) -> None:
-    click.echo(json.dumps(_jsonable(obj), indent=2))
+    print(json.dumps(_jsonable(obj), indent=2))
 
 
 def _load_json(path: str):
@@ -83,75 +36,58 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-@parses("rational")
 def _rational(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as err:
+        raise ValueError(f"malformed rational (ZeroDivisionError: {err})") from err
 
 
 def _load_section(path: str, gluing_path: str | None = None):
     """Parse and validate a section file and, when named, a gluing file;
     return the section, the gluing data and, with gluing data, the order
     complex."""
+    from .covers import parse_multisection
+    from .gluing import parse_gluing, require_valid
+
     msec = parse_multisection(_load_json(path))
     g = None if gluing_path is None else parse_gluing(_load_json(gluing_path))
     return msec, g, require_valid(msec, g)
 
 
-@click.group()
-@click.version_option(version=__version__)
-def main():
-    """Exact checks for tropical multi-sections over affine surfaces."""
-
-
-@main.command()
-@click.option("--manifest", "manifest_path", required=True, type=click.Path())
-@click.option(
-    "--check",
-    "checks",
-    multiple=True,
-    type=click.Choice(CHECK_ORDER),
-    help="Restrict to these checks; default runs all of them in order.",
-)
-@_guard
-def validate(manifest_path, checks):
+def _validate(args):
     """Run the check pipeline on a manifest and print the report."""
-    manifest = load_manifest(manifest_path)
-    report = run_pipeline(manifest, checks=checks or None)
-    click.echo(report_to_text(report), nl=False)
+    from .pipeline import load_manifest, report_to_text, run_pipeline
+
+    report = run_pipeline(load_manifest(args.manifest), checks=args.checks)
+    sys.stdout.write(report_to_text(report))
     return report.exit_code
 
 
-@main.command()
-@click.option("--section", "section_path", required=True, type=click.Path())
-@_guard
-def classify(section_path):
+def _classify(args):
     """Print the weight class of a multi-section."""
-    tag = classify_section(_load_section(section_path)[0])
+    from .covers import classify
+
+    tag = classify(_load_section(args.section)[0])
     _echo_json({"class": tag.tag, "pair": tag.pair})
 
 
-@main.command("verify-cocycle")
-@click.option("--m", "m", type=int, required=True)
-@click.option("--n", "n", type=int, required=True)
-@click.option("--a", "a", nargs=3, type=str, default=None, help="Three rationals.")
-@click.option("--b", "b", nargs=3, type=str, default=None, help="Three rationals.")
-@_guard
-def verify_cocycle_command(m, n, a, b):
+def _verify_cocycle(args):
     """Check the three-chart transition matrices multiply to the identity."""
-    av = tuple(_rational(x) for x in a) if a else REFERENCE_A
-    bv = tuple(_rational(x) for x in b) if b else REFERENCE_B
-    ok = verify_cocycle(m, n, av, bv)
-    _echo_json({"m": m, "n": n, "a": av, "b": bv, "cocycle": ok})
+    from .laurent import REFERENCE_A, REFERENCE_B, verify_cocycle
+
+    av = tuple(_rational(x) for x in args.a) if args.a else REFERENCE_A
+    bv = tuple(_rational(x) for x in args.b) if args.b else REFERENCE_B
+    ok = verify_cocycle(args.m, args.n, av, bv)
+    _echo_json({"m": args.m, "n": args.n, "a": av, "b": bv, "cocycle": ok})
 
 
-@main.command()
-@click.option("--m", "m", type=int, required=True)
-@click.option("--n", "n", type=int, required=True)
-@_guard
-def chern(m, n):
+def _chern(args):
     """Print the total Chern class and the stability verdict."""
-    total = total_chern(m, n)
-    delta, verdict = stability_discriminant(m, n)
+    from .chern import stability_discriminant, total_chern
+
+    total = total_chern(args.m, args.n)
+    delta, verdict = stability_discriminant(args.m, args.n, total)
     _echo_json(
         {
             "total": repr(total),
@@ -162,17 +98,16 @@ def chern(m, n):
     )
 
 
-@main.command()
-@click.option("--slopes", "slopes_path", required=True, type=click.Path())
-@_guard
-def newton(slopes_path):
+def _newton(args):
     """Lattice points of the Newton polytope of a piecewise linear function.
 
     The file holds {"slopes": [[a, b], ...]} with one integer slope per cone
     in cyclic order, plus an optional "rays" list replacing the default fan
     (-1,0), (0,-1), (1,1). Lattice points print in lexicographic order.
     """
-    data = _load_json(slopes_path)
+    from .chern import CANONICAL_FAN, CompleteFan, newton_polytope
+
+    data = _load_json(args.slopes)
     if not isinstance(data, dict) or "slopes" not in data:
         raise ValueError('slopes file must be an object with a "slopes" list')
     fan = CompleteFan(data["rays"]) if data.get("rays") else CANONICAL_FAN
@@ -199,23 +134,12 @@ def _parse_override(text: str) -> tuple[tuple[str, str], Fraction]:
     return (x.strip(), y.strip()), q
 
 
-@main.command()
-@click.option("--complex", "complex_path", required=True, type=click.Path())
-@click.option("--section", "section_path", required=True, type=click.Path())
-@click.option("--gluing", "gluing_path", required=True, type=click.Path())
-@click.option(
-    "--k",
-    "overrides",
-    multiple=True,
-    help="Replace a splitting entry, e.g. --k 'p001#0,ep001p003#0=3/4'; "
-    "the overridden table is rechecked against the cocycle.",
-)
-@_guard
-def obstruction(complex_path, section_path, gluing_path, overrides):
+def _obstruction(args):
     """Evaluate the gluing obstruction: verdict, witness or splitting table."""
-    msec, g = load_bundle(
-        Manifest(complex_path, section_path, gluing_path, {}, root=".")
-    )
+    from .gluing import obstruction_class, require_valid, triple_cocycle, unbounded_chains
+    from .pipeline import Manifest, load_bundle
+
+    msec, g = load_bundle(Manifest(args.complex, args.section, args.gluing, {}))
     bar = require_valid(msec, g)
     c = triple_cocycle(msec, g, bar)
     report = obstruction_class(c, bar)
@@ -224,8 +148,8 @@ def obstruction(complex_path, section_path, gluing_path, overrides):
         return EXIT_OK
     table = dict(report.cochain)
     out = {"trivial": True, "witness": report.witness}
-    if overrides:
-        for text in overrides:
+    if args.overrides:
+        for text in args.overrides:
             key, value = _parse_override(text)
             if key not in table:
                 raise ValueError(f"no splitting entry for {key[0]},{key[1]}")
@@ -238,13 +162,7 @@ def obstruction(complex_path, section_path, gluing_path, overrides):
     _echo_json(out)
 
 
-@main.command()
-@click.option("--section", "section_path", required=True, type=click.Path())
-@click.option("--gluing", "gluing_path", default=None, type=click.Path())
-@click.option("--rank2", "mode", flag_value="rank2", help="Force the rank-2 criterion.")
-@click.option("--general", "mode", flag_value="general", help="Force the general criterion.")
-@_guard
-def simplicity(section_path, gluing_path, mode):
+def _simplicity(args):
     """Minimal-cycle simplicity verdict, printed with reasons and witnesses.
 
     Without an explicit mode, degree-2 sections get the rank-2 criterion and
@@ -252,10 +170,12 @@ def simplicity(section_path, gluing_path, mode):
     embedded in the section file. Gluing data, when supplied, feeds the
     smoothability upgrade through its obstruction class.
     """
-    msec, g, bar = _load_section(section_path, gluing_path)
+    from .gluing import obstruction_class, triple_cocycle
+    from .graphs import simplicity_verdict
+
+    msec, g, bar = _load_section(args.section, args.gluing)
     trivial = g is not None and obstruction_class(triple_cocycle(msec, g, bar), bar).trivial
-    if mode is None:
-        mode = "rank2" if msec.cover.degree == 2 else "general"
+    mode = args.mode or ("rank2" if msec.cover.degree == 2 else "general")
     asserted = msec.cover.base.asserted
     verdict = simplicity_verdict(
         msec, mode, lambda flag: asserted.get(flag, False), trivial
@@ -270,12 +190,11 @@ def simplicity(section_path, gluing_path, mode):
     return EXIT_NOT_SIMPLE if verdict.tag == "not_simple" else EXIT_OK
 
 
-@main.command("fiber-product")
-@click.option("--section", "section_path", required=True, type=click.Path())
-@_guard
-def fiber_product(section_path):
+def _fiber_product(args):
     """Dump the fiber product of the cover with itself, cell by cell."""
-    fp = build_fiber_product(_load_section(section_path)[0])
+    from .graphs import build_fiber_product
+
+    fp = build_fiber_product(_load_section(args.section)[0])
     cells = sorted(fp.cells.values(), key=lambda c: (c.dim, c.id))
     _echo_json(
         {
@@ -298,32 +217,114 @@ def fiber_product(section_path):
     )
 
 
-@main.command()
-@click.argument("name", type=click.Choice(EXAMPLE_NAMES))
-@click.option("--outdir", default=".", type=click.Path(file_okay=False))
-@_guard
-def example(name, outdir):
+def _example(args):
     """Write a built-in example (complex, section, gluing, manifest)."""
-    manifest = generate_example(name, outdir)
-    click.echo(manifest_to_text(manifest), nl=False)
+    from .pipeline import generate_example, manifest_to_text
+
+    sys.stdout.write(manifest_to_text(generate_example(args.name, args.outdir)))
 
 
-@main.command()
-@click.option("--manifest", "manifest_path", required=True, type=click.Path())
-@click.option("--layer", required=True, type=click.Choice(LAYERS))
-@click.option("--out", "out_path", default=None, type=click.Path(dir_okay=False))
-@_guard
-def render(manifest_path, layer, out_path):
+def _render(args):
     """Render one diagnostic SVG layer for a manifest's data."""
-    manifest = load_manifest(manifest_path)
-    document = render_svg(manifest, layer)
-    if out_path is None:
-        click.echo(document, nl=False)
+    from .pipeline import load_manifest
+    from .svg import render_svg
+
+    document = render_svg(load_manifest(args.manifest), args.layer)
+    if args.out is None:
+        sys.stdout.write(document)
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(document)
-        click.echo(out_path)
+        print(args.out)
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="tropms",
+        description="Exact checks for tropical multi-sections over affine surfaces.",
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"%(prog)s, version {__version__}"
+    )
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+
+    def command(name, fn):
+        doc = fn.__doc__
+        sub = commands.add_parser(name, help=doc.split("\n")[0], description=doc)
+        sub.set_defaults(run=fn)
+        return sub
+
+    sub = command("validate", _validate)
+    sub.add_argument("--manifest", required=True)
+    sub.add_argument(
+        "--check", dest="checks", action="append",
+        help="Restrict to these checks; default runs all of them in order.",
+    )
+
+    command("classify", _classify).add_argument("--section", required=True)
+
+    sub = command("verify-cocycle", _verify_cocycle)
+    sub.add_argument("--m", type=int, required=True)
+    sub.add_argument("--n", type=int, required=True)
+    # a negative rational such as -5/4 is a value, not an option
+    sub._negative_number_matcher = re.compile(r"^-\.?\d")
+    sub.add_argument("--a", nargs=3, help="Three rationals.")
+    sub.add_argument("--b", nargs=3, help="Three rationals.")
+
+    sub = command("chern", _chern)
+    sub.add_argument("--m", type=int, required=True)
+    sub.add_argument("--n", type=int, required=True)
+
+    command("newton", _newton).add_argument("--slopes", required=True)
+
+    sub = command("obstruction", _obstruction)
+    sub.add_argument("--complex", required=True)
+    sub.add_argument("--section", required=True)
+    sub.add_argument("--gluing", required=True)
+    sub.add_argument(
+        "--k", dest="overrides", action="append",
+        help="Replace a splitting entry, e.g. --k 'p001#0,ep001p003#0=3/4'; "
+        "the overridden table is rechecked against the cocycle.",
+    )
+
+    sub = command("simplicity", _simplicity)
+    sub.add_argument("--section", required=True)
+    sub.add_argument("--gluing")
+    sub.add_argument("--rank2", dest="mode", action="store_const", const="rank2",
+                     help="Force the rank-2 criterion.")
+    sub.add_argument("--general", dest="mode", action="store_const", const="general",
+                     help="Force the general criterion.")
+
+    command("fiber-product", _fiber_product).add_argument("--section", required=True)
+
+    sub = command("example", _example)
+    sub.add_argument("name")
+    sub.add_argument("--outdir", default=".")
+
+    sub = command("render", _render)
+    sub.add_argument("--manifest", required=True)
+    sub.add_argument("--layer", required=True)
+    sub.add_argument("--out")
+    return parser
+
+
+def main(argv=None) -> int:
+    """Run one command and return its exit code; a usage error exits 2."""
+    args = _parser().parse_args(argv)
+    try:
+        code = args.run(args)
+    except (ValueError, OSError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_INVALID
+    except Exception as err:
+        print(f"internal error: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
+    return EXIT_OK if code is None else code
+
+
+# perfbench/run.py calls main.main(args=..., prog_name=..., standalone_mode=...)
+main.main = lambda args, **_: sys.exit(main(args))
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

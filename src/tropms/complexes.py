@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import json
 from collections import deque
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 from .lattice import (
@@ -25,16 +24,14 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     id: str
     dim: int
     faces: tuple[str, ...] = ()
     singular_markers: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class VertexFan:
+class VertexFan(NamedTuple):
     """Affine chart at a vertex: one primitive ray per incident edge, listed
     counterclockwise, and one angular cone per incident 2-cell given by the
     pair of bounding ray indices."""
@@ -44,14 +41,12 @@ class VertexFan:
     cones: tuple[tuple[str, tuple[int, int]], ...]
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     code: str
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     diagnostics: tuple[Diagnostic, ...]
     euler_characteristic: int
 
@@ -69,7 +64,6 @@ class _SurfaceIndex(NamedTuple):
     corners: dict[str, list[tuple[str, str, str]]]  # in 2-cell id order
 
 
-@dataclass
 class PolyhedralSurface:
     """Cells, fans, boundary cycles and assertion flags of one surface.
 
@@ -77,10 +71,13 @@ class PolyhedralSurface:
     cofaces, edges and corners are read from an index built from them once.
     """
 
-    cells: dict[str, Cell]
-    fans: dict[str, VertexFan] = field(default_factory=dict)
-    orientation: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    asserted: dict[str, bool] = field(default_factory=dict)
+    def __init__(self, cells: dict[str, Cell], fans: dict[str, VertexFan] | None = None,
+                 orientation: dict[str, tuple[str, ...]] | None = None,
+                 asserted: dict[str, bool] | None = None):
+        self.cells = cells
+        self.fans = {} if fans is None else fans
+        self.orientation = {} if orientation is None else orientation
+        self.asserted = {} if asserted is None else asserted
 
     def of_dim(self, d: int) -> list[Cell]:
         return sorted(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .complexes import (
@@ -43,7 +42,6 @@ class _VertexLifts(NamedTuple):
     lift_at: dict[tuple[int, int], str]  # (corner position, sheet) -> lift id
 
 
-@dataclass
 class BranchedCover:
     """A degree-r cover of a base surface, given by its edge matchings.
 
@@ -51,11 +49,14 @@ class BranchedCover:
     first query: corners and vertex lifts are read from an index built once.
     """
 
-    base: PolyhedralSurface
-    degree: int
-    edge_matchings: dict[str, tuple[int, ...]]
-    branch_vertices: frozenset[str]
-    ramification: dict[str, Partition] = field(default_factory=dict)
+    def __init__(self, base: PolyhedralSurface, degree: int,
+                 edge_matchings: dict[str, tuple[int, ...]], branch_vertices: frozenset[str],
+                 ramification: dict[str, Partition] | None = None):
+        self.base = base
+        self.degree = degree
+        self.edge_matchings = edge_matchings
+        self.branch_vertices = branch_vertices
+        self.ramification = {} if ramification is None else ramification
 
     def edge_sides(self, eid: str) -> tuple[str, str]:
         sides = self.base.cofaces(eid)
@@ -177,11 +178,11 @@ class BranchedCover:
         return len(roots) == 1
 
 
-@dataclass
 class MultiSection:
-    cover: BranchedCover
-    slopes: dict[SlopeKey, Vec]
-    label: str = ""
+    def __init__(self, cover: BranchedCover, slopes: dict[SlopeKey, Vec], label: str = ""):
+        self.cover = cover
+        self.slopes = slopes
+        self.label = label
 
     def slope(self, lift_id: str, fid: str, sheet: int) -> Vec:
         return self.slopes[(lift_id, fid, sheet)]
@@ -347,8 +348,7 @@ def validate_multisection(msec: MultiSection) -> ValidationReport:
     return ValidationReport(tuple(diags), rep.euler_characteristic)
 
 
-@dataclass(frozen=True)
-class ClassTag:
+class ClassTag(NamedTuple):
     tag: str  # "S_mn", "S", "C" or "none"
     pair: tuple[int, int] | None
     detail: dict
@@ -405,8 +405,7 @@ def classify(msec: MultiSection) -> ClassTag:
     return ClassTag("none", None, detail)
 
 
-@dataclass(frozen=True)
-class ClassCReport:
+class ClassCReport(NamedTuple):
     ok: bool
     violations: tuple
 

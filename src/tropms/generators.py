@@ -21,7 +21,6 @@ genus) at construction time and raises RuntimeError when one fails.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 from .complexes import (
@@ -110,7 +109,7 @@ def _require(cond: bool, what: str) -> None:
 
 def _mark(s: PolyhedralSurface, cell_id: str, token: str) -> None:
     c = s.cells[cell_id]
-    s.cells[cell_id] = replace(c, singular_markers=c.singular_markers + (token,))
+    s.cells[cell_id] = c._replace(singular_markers=c.singular_markers + (token,))
 
 
 def _attach_trivalent_fans(

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .complexes import Diagnostic, ValidationReport, parses
 from .covers import MultiSection, _fan_ray, _kink_along, validate_multisection
@@ -118,8 +118,7 @@ def split_lift_id(lid: str) -> tuple[str, int]:
 # -- structure of the total space --------------------------------------------
 
 
-@dataclass(frozen=True)
-class BarComplex:
+class BarComplex(NamedTuple):
     """Order complex of the total space: nodes are lifted cells, edges are
     proper inclusions, triangles are full chains with orientation signs."""
 
@@ -220,13 +219,15 @@ def require_valid(
     With gluing data, return the order complex of the total space: it is
     built once the section is valid, checks the gluing data, and is passed
     on to the functions that read it."""
-    what = "multi-section is invalid" if g is None else "gluing data invalid"
-    rep, bar = validate_multisection(msec), None
-    if rep.ok and g is not None:
-        bar = bar_complex(msec)
-        rep = validate_gluing(msec, g, bar)
+    rep = validate_multisection(msec)
     if not rep.ok:
-        raise ValueError(f"{what}: {rep.codes()}")
+        raise ValueError(f"multi-section is invalid: {rep.codes()}")
+    if g is None:
+        return None
+    bar = bar_complex(msec)
+    rep = validate_gluing(msec, g, bar)
+    if not rep.ok:
+        raise ValueError(f"gluing data invalid: {rep.codes()}")
     return bar
 
 
@@ -345,8 +346,7 @@ def triple_cocycle(msec: MultiSection, g: GluingData, bar: BarComplex) -> Cochai
 # -- obstruction --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     trivial: bool
     witness: Fraction
     cochain: dict[tuple[str, str], Fraction] | None

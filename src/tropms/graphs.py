@@ -8,10 +8,9 @@ reports can be traced to the exact condition that fired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .chern import (
     CompleteFan,
@@ -24,27 +23,30 @@ from .gluing import GluingData, edge_lift_id, face_lift_id, transport_ratios
 from .lattice import Vec, dot
 
 
-@dataclass(frozen=True)
-class EmbeddedGraph:
-    """Subgraph of the 1-skeleton of a host complex."""
-
+class _Graph(NamedTuple):
     vertices: frozenset[str]
     edges: frozenset[str]
     host: object
 
-    def __post_init__(self):
-        for e in self.edges:
-            for v in self.host.cells[e].faces:
-                if v not in self.vertices:
+
+class EmbeddedGraph(_Graph):
+    """Subgraph of the 1-skeleton of a host complex."""
+
+    __slots__ = ()
+
+    def __new__(cls, vertices: frozenset[str], edges: frozenset[str], host: object):
+        for e in edges:
+            for v in host.cells[e].faces:
+                if v not in vertices:
                     raise ValueError(f"edge {e} has endpoint {v} outside the graph")
+        return super().__new__(cls, vertices, edges, host)
 
     @property
     def is_empty(self) -> bool:
         return not self.vertices
 
 
-@dataclass(frozen=True)
-class PairCell:
+class PairCell(NamedTuple):
     """Cell of the fiber product: an ordered pair of lifts over one base cell."""
 
     id: str
@@ -56,8 +58,7 @@ class PairCell:
     diagonal: bool
 
 
-@dataclass(frozen=True)
-class FiberProductComplex:
+class FiberProductComplex(NamedTuple):
     """Self fiber product of a branched cover, cell by cell."""
 
     cover: object
@@ -245,15 +246,19 @@ def build_G0_tilde(msec: MultiSection) -> EmbeddedGraph:
 # -- verdicts -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Verdict:
+class _Verdict(NamedTuple):
     tag: str  # simple | not_simple | smoothable | criterion_inconclusive | refused
     reasons: tuple[str, ...]
     witnesses: tuple
 
-    def __post_init__(self):
-        if not self.reasons:
+
+class Verdict(_Verdict):
+    __slots__ = ()
+
+    def __new__(cls, tag: str, reasons: tuple[str, ...], witnesses: tuple):
+        if not reasons:
             raise ValueError("a verdict must cite at least one reason")
+        return super().__new__(cls, tag, reasons, witnesses)
 
 
 class Refusal(ValueError):
@@ -416,8 +421,7 @@ def simplicity_verdict(
 # -- endomorphism witness -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WitnessRecord:
+class WitnessRecord(NamedTuple):
     """Machine-checkable certificate extracted from a minimal cycle: sheet
     order, comparison constants, monomial weights, and the per-edge and
     per-vertex checks that were run."""

@@ -18,10 +18,9 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple
 
+from . import EXIT_INTERNAL, EXIT_INVALID, EXIT_NOT_SIMPLE, EXIT_OK, _jsonable
 from .chern import stability_discriminant, total_chern
 from .complexes import (
     PolyhedralSurface,
@@ -38,14 +37,6 @@ from .covers import (
     parse_multisection,
     validate_multisection,
 )
-from .generators import (
-    EXAMPLE_NAMES,
-    cube2_multisection,
-    cube_o1_multisection,
-    rank3_multisection,
-    seeded_coboundary_gluing,
-    simplex5_multisection,
-)
 from .gluing import (
     BarComplex,
     GluingData,
@@ -60,11 +51,6 @@ from .gluing import (
 from .graphs import Verdict, simplicity_verdict
 from .laurent import REFERENCE_A, REFERENCE_B, verify_cocycle
 
-EXIT_OK = 0
-EXIT_NOT_SIMPLE = 1
-EXIT_INVALID = 2
-EXIT_INTERNAL = 3
-
 ASSERTION_FLAGS = (
     "regular",
     "positive",
@@ -78,12 +64,11 @@ MANIFEST_SCHEMA = "manifest/v1"
 REPORT_SCHEMA = "report/v1"
 
 
-@dataclass(frozen=True)
-class Manifest:
+class Manifest(NamedTuple):
     complex_path: str
     section_path: str
-    gluing_path: str | None = None
-    assertions: dict[str, bool] = field(default_factory=dict)
+    gluing_path: str | None
+    assertions: dict[str, bool]
     root: str = "."
 
     def asserts(self, flag: str) -> bool:
@@ -142,8 +127,7 @@ def load_manifest(path: str) -> Manifest:
     return parse_manifest(data, root=os.path.dirname(path) or ".")
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     check: str
     citation: str
     verdict: str  # pass | fail | refused | inconclusive | skipped
@@ -151,8 +135,7 @@ class CheckRecord:
     seconds: float
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     checks: tuple[CheckRecord, ...]
     exit_code: int
 
@@ -161,18 +144,6 @@ class Report:
             if rec.check == check:
                 return rec
         raise KeyError(f"no record for check {check!r}")
-
-
-def _jsonable(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in sorted(x.items())}
-    if isinstance(x, (str, int, float, bool)) or x is None:
-        return x
-    return str(x)
 
 
 def report_to_json(report: Report) -> dict:
@@ -236,16 +207,16 @@ def _citation_of(verdict: Verdict) -> str:
     return "general-criterion"
 
 
-@dataclass
 class _Run:
     """What the checks of one pipeline run read and leave for later checks."""
 
-    manifest: Manifest
-    msec: MultiSection
-    gluing: GluingData | None
-    tag: ClassTag | None = None
-    bar: BarComplex | None = None  # built by the first check that reads it
-    obstruction_trivial: bool = False
+    def __init__(self, manifest: Manifest, msec: MultiSection, gluing: GluingData | None):
+        self.manifest = manifest
+        self.msec = msec
+        self.gluing = gluing
+        self.tag: ClassTag | None = None
+        self.bar: BarComplex | None = None  # the order complex, with gluing data
+        self.obstruction_trivial = False
 
 
 class _Outcome(NamedTuple):
@@ -282,13 +253,12 @@ def _cocycle(run: _Run) -> _Outcome:
 
 def _chern(run: _Run) -> _Outcome:
     m, n = run.tag.pair
-    delta, stability = stability_discriminant(m, n)
-    return _Outcome("pass", (repr(total_chern(m, n)), f"discriminant {delta}", stability))
+    total = total_chern(m, n)
+    delta, stability = stability_discriminant(m, n, total)
+    return _Outcome("pass", (repr(total), f"discriminant {delta}", stability))
 
 
 def _obstruction(run: _Run) -> _Outcome:
-    if run.bar is None:  # the validate check was not selected
-        run.bar = bar_complex(run.msec)
     rep = obstruction_class(triple_cocycle(run.msec, run.gluing, run.bar), run.bar)
     run.obstruction_trivial = rep.trivial
     return _Outcome("pass" if rep.trivial else "fail", (f"witness {rep.witness}",))
@@ -368,7 +338,7 @@ def run_pipeline(manifest: Manifest, checks=None) -> Report:
         start = time.perf_counter()
         if check != "validate" and run.tag is None:
             if "validate" not in selected:
-                require_valid(run.msec)
+                run.bar = require_valid(run.msec, run.gluing)
             run.tag = classify(run.msec)  # every later check reads the class
         reason = skip(run) if skip else None
         if reason is not None:
@@ -384,13 +354,6 @@ def run_pipeline(manifest: Manifest, checks=None) -> Report:
 
 
 # -- example emission ---------------------------------------------------------
-
-_SECTION_BUILDERS = {
-    "simplex5": simplex5_multisection,
-    "cube2": cube2_multisection,
-    "cube-o1": cube_o1_multisection,
-    "rank3-cube": rank3_multisection,
-}
 
 _EXAMPLE_ASSERTIONS = {
     "simplex5": {"regular": True},
@@ -409,9 +372,16 @@ _EXAMPLE_ASSERTIONS = {
 def generate_example(name: str, outdir: str = ".") -> Manifest:
     """Write one worked example (complex, section, gluing data for the rank-2
     covers, manifest) into ``outdir`` and return its manifest."""
-    if name not in EXAMPLE_NAMES:
-        raise ValueError(f"unknown example {name!r}; pick one of {EXAMPLE_NAMES}")
-    msec = _SECTION_BUILDERS[name]()
+    from . import generators as gen
+
+    if name not in gen.EXAMPLE_NAMES:
+        raise ValueError(f"unknown example {name!r}; pick one of {gen.EXAMPLE_NAMES}")
+    msec = {
+        "simplex5": gen.simplex5_multisection,
+        "cube2": gen.cube2_multisection,
+        "cube-o1": gen.cube_o1_multisection,
+        "rank3-cube": gen.rank3_multisection,
+    }[name]()
     os.makedirs(outdir, exist_ok=True)
 
     complex_path = f"{name}.complex.json"
@@ -424,7 +394,7 @@ def generate_example(name: str, outdir: str = ".") -> Manifest:
     gluing_path = None
     if msec.cover.degree == 2:
         gluing_path = f"{name}.gluing.json"
-        g = seeded_coboundary_gluing(msec, seed=0)
+        g = gen.seeded_coboundary_gluing(msec, seed=0)
         with open(os.path.join(outdir, gluing_path), "w", encoding="utf-8") as fh:
             fh.write(gluing_to_text(g))
 

@@ -1,7 +1,33 @@
-"""Shared hand-built fixtures: small closed surfaces with standard fans."""
+"""Shared hand-built fixtures: small closed surfaces with standard fans, and
+an in-process runner for the command line."""
 
+import contextlib
+import io
+from typing import NamedTuple
+
+from tropms.cli import main
 from tropms.complexes import PolyhedralSurface, VertexFan, surface_from_cycles
 from tropms.covers import BranchedCover, MultiSection
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # stdout, then stderr
+
+
+def run_cli(argv) -> CliResult:
+    """Run ``tropms argv`` in this process and capture its exit code and
+    streams; an exception that ``main`` does not map to an exit code
+    propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([str(a) for a in argv])
+        except SystemExit as exc:  # usage errors and --version
+            code = exc.code
+    return CliResult(code, out.getvalue(), err.getvalue(), out.getvalue() + err.getvalue())
 
 STD = ((1, 0), (0, 1), (-1, -1))
 

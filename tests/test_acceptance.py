@@ -128,7 +128,7 @@ def test_total_chern_closed_form_and_discriminant():
         assert total.h0 == 1
         assert total.h1 == m + n
         assert total.h2 == m * m + n * n - m * n
-        delta, verdict = stability_discriminant(m, n)
+        delta, verdict = stability_discriminant(m, n, total)
         assert delta == -3 * (m - n) ** 2
         assert verdict == "stable"
     elapsed = time.monotonic() - start

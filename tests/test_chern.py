@@ -155,9 +155,9 @@ def test_total_chern_closed_form_and_symmetry():
 
 
 def test_stability_discriminant():
-    assert stability_discriminant(1, 0) == (-3, "stable")
-    assert stability_discriminant(3, 1) == (-12, "stable")
-    delta, verdict = stability_discriminant(-2, 3)
+    assert stability_discriminant(1, 0, total_chern(1, 0)) == (-3, "stable")
+    assert stability_discriminant(3, 1, total_chern(3, 1)) == (-12, "stable")
+    delta, verdict = stability_discriminant(-2, 3, total_chern(-2, 3))
     assert delta == -75 and verdict == "stable"
 
 

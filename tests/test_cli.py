@@ -8,10 +8,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from conftest import run_cli
 
 import tropms
-from tropms.cli import main
 from tropms.complexes import complex_to_text, surface_from_cycles, validate_surface
 from tropms.covers import multisection_to_text
 from tropms.generators import (
@@ -25,15 +24,13 @@ from tropms.pipeline import (
     EXIT_NOT_SIMPLE,
     EXIT_OK,
     Manifest,
+    generate_example,
     manifest_to_text,
 )
 from tropms.svg import _layout
 
-runner = CliRunner()
-
-
-def invoke(*args, env=None):
-    return runner.invoke(main, [str(a) for a in args], env=env)
+def invoke(*args):
+    return run_cli(args)
 
 
 @pytest.fixture(scope="module")
@@ -262,7 +259,7 @@ def test_unexpected_exception_exits_internal(workdir, monkeypatch):
     def broken(msec):
         raise KeyError("lost")
 
-    monkeypatch.setattr("tropms.cli.classify_section", broken)
+    monkeypatch.setattr("tropms.covers.classify", broken)
     res = invoke("classify", "--section", workdir / "cube-o1.section.json")
     assert res.exit_code == EXIT_INTERNAL
     assert res.stderr == "internal error: 'lost'\n"
@@ -535,19 +532,45 @@ def test_render_refuses_base_that_is_not_a_sphere():
         _layout(torus)
 
 
-def test_cli_import_loads_no_third_party_module_but_click():
-    """Every command is a fresh process, so all that `tropms.cli` imports is
-    paid on each run; compared against a bare interpreter, whose site hooks
-    may load packages of their own."""
+def _modules_loaded(code: str, *argv, cwd=None) -> set[str]:
+    """Names in ``sys.modules`` once a fresh interpreter has run ``code``
+    with ``argv`` as its arguments."""
     src = str(Path(tropms.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = f"import sys\ntry:\n    {code}\nfinally:\n    sys.stderr.write(' '.join(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env, cwd=cwd,
+                         check=True, capture_output=True, text=True)
+    return set(out.stderr.split())
 
-    def top_level_modules(statement):
-        code = f"{statement}\nimport sys\nprint(' '.join(sys.modules))"
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        return {name.partition(".")[0] for name in out.split()}
 
-    extra = top_level_modules("import tropms.cli") - top_level_modules("pass")
-    assert extra - set(sys.stdlib_module_names) <= {"tropms", "click"}
+def test_cli_import_loads_no_third_party_module():
+    """Every command is a fresh process, so all that `tropms.cli` imports is
+    paid on each run; compared against a bare interpreter, whose site hooks
+    may load packages of their own."""
+
+    def top_level(names):
+        return {name.partition(".")[0] for name in names}
+
+    extra = top_level(_modules_loaded("import tropms.cli")) - top_level(_modules_loaded("pass"))
+    assert extra - set(sys.stdlib_module_names) <= {"tropms"}
+
+
+@pytest.mark.parametrize(
+    "argv, ran, absent",
+    [
+        (("validate", "--manifest", "cube2.manifest.json"), "tropms.pipeline",
+         {"click", "dataclasses", "inspect", "tropms.generators", "tropms.svg"}),
+        (("chern", "--m", "2", "--n", "1"), "tropms.chern",
+         {"tropms.covers", "tropms.gluing", "tropms.pipeline"}),
+    ],
+)
+def test_command_loads_only_what_it_runs(tmp_path, argv, ran, absent):
+    """A command imports the modules it runs and no others: beyond a bare
+    interpreter, a child pays for compiling and executing each of them."""
+    generate_example("cube2", str(tmp_path))
+    loaded = _modules_loaded("from tropms.cli import main; main(sys.argv[1:])",
+                             *argv, cwd=tmp_path)
+    extra = loaded - _modules_loaded("pass")
+    assert ran in extra
+    assert not extra & absent

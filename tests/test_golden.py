@@ -10,6 +10,7 @@ files with
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import itertools
 import json
 import os
 import re
@@ -17,9 +18,8 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from conftest import run_cli
 
-from tropms.cli import main
 from tropms.complexes import complex_to_text
 from tropms.covers import multisection_to_text
 from tropms.generators import (
@@ -33,7 +33,13 @@ from tropms.gluing import (
     gluing_to_text,
     parse_gluing,
 )
-from tropms.pipeline import Manifest, generate_example, manifest_to_text
+from tropms.pipeline import (
+    CHECK_ORDER,
+    EXIT_INVALID,
+    Manifest,
+    generate_example,
+    manifest_to_text,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 SECONDS = re.compile(r'"seconds": [-+0-9.eE]+')
@@ -115,9 +121,7 @@ CASES = cases()
 
 def run_case(argv) -> str:
     """Exit code, stdout and stderr of one command, with `seconds` masked."""
-    res = CliRunner().invoke(main, list(argv))
-    if res.exception is not None and not isinstance(res.exception, SystemExit):
-        raise res.exception
+    res = run_cli(argv)
     stdout = SECONDS.sub('"seconds": 0', res.stdout)
     return f"exit: {res.exit_code}\n--- stdout\n{stdout}--- stderr\n{res.stderr}"
 
@@ -133,6 +137,21 @@ def inputs(tmp_path_factory):
 def test_golden(case, inputs, monkeypatch):
     monkeypatch.chdir(inputs)
     assert run_case(CASES[case]) == (GOLDEN / f"{case}.txt").read_text()
+
+
+
+def test_tampered_gluing_refused_under_every_check_subset(inputs, monkeypatch):
+    """Gluing data is checked where it enters, whichever checks are selected:
+    with the validate check it fails that check, without it the run stops."""
+    monkeypatch.chdir(inputs)
+    for k in range(1, len(CHECK_ORDER) + 1):
+        for subset in itertools.combinations(CHECK_ORDER, k):
+            argv = ["validate", "--manifest", "cube2-tampered.manifest.json"]
+            for check in subset:
+                argv += ["--check", check]
+            res = run_cli(argv)
+            assert res.exit_code == EXIT_INVALID, subset
+            assert "gluing-cocycle-violation" in res.output, subset
 
 
 if __name__ == "__main__":

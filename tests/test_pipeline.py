@@ -6,13 +6,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import two_sheet_cover
+from conftest import run_cli, two_sheet_cover
 
 import tropms
-from click.testing import CliRunner
 from tropms import complexes, gluing
-from tropms.cli import main
-
 from tropms.complexes import complex_to_text, parse_complex
 from tropms.covers import multisection_to_text, parse_multisection
 from tropms.generators import planted_multisection
@@ -271,7 +268,7 @@ def test_one_validation_pass_per_run(tmp_path, monkeypatch, case):
     manifest = generate_example(name, str(tmp_path))
     calls = _count_calls(monkeypatch, complexes.validate_surface)
     if case == "simplicity --gluing":
-        res = CliRunner().invoke(main, [
+        res = run_cli([
             "simplicity", "--section", str(tmp_path / manifest.section_path),
             "--gluing", str(tmp_path / manifest.gluing_path),
         ])
@@ -304,7 +301,7 @@ def test_one_order_complex_per_run(tmp_path, monkeypatch, case):
                 *files, "--k", "ep000p001~0,p000~0=1"],
             "simplicity --gluing": ["simplicity", *files],
         }[case]
-        res = CliRunner().invoke(main, args)
+        res = run_cli(args)
         assert res.exit_code == EXIT_OK, res.output
         if case == "obstruction --k":
             assert json.loads(res.stdout)["consistent"] is True
