@@ -29,6 +29,7 @@ def run_cli(argv) -> CliResult:
             code = exc.code
     return CliResult(code, out.getvalue(), err.getvalue(), out.getvalue() + err.getvalue())
 
+
 STD = ((1, 0), (0, 1), (-1, -1))
 
 

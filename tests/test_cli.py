@@ -29,6 +29,7 @@ from tropms.pipeline import (
 )
 from tropms.svg import _layout
 
+
 def invoke(*args):
     return run_cli(args)
 
@@ -564,6 +565,7 @@ def test_cli_import_loads_no_third_party_module():
         (("chern", "--m", "2", "--n", "1"), "tropms.chern",
          {"tropms.covers", "tropms.gluing", "tropms.pipeline"}),
     ],
+    ids=["validate", "chern"],
 )
 def test_command_loads_only_what_it_runs(tmp_path, argv, ran, absent):
     """A command imports the modules it runs and no others: beyond a bare

@@ -139,7 +139,6 @@ def test_golden(case, inputs, monkeypatch):
     assert run_case(CASES[case]) == (GOLDEN / f"{case}.txt").read_text()
 
 
-
 def test_tampered_gluing_refused_under_every_check_subset(inputs, monkeypatch):
     """Gluing data is checked where it enters, whichever checks are selected:
     with the validate check it fails that check, without it the run stops."""
