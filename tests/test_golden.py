@@ -95,6 +95,11 @@ def cases() -> dict[str, tuple[str, ...]]:
     out["obstruction-k-consistent"] = _obstruction("cube2.gluing.json", "--k", f"{SPLIT_KEY}=1")
     out["obstruction-k-inconsistent"] = _obstruction("cube2.gluing.json", "--k", f"{SPLIT_KEY}=271/13")
     out["obstruction-k-unknown"] = _obstruction("cube2.gluing.json", "--k", "never,seen=1")
+    # the full splitting table of each rank-2 example's own seeded gluing
+    for name in ("simplex5", "cube-o1"):
+        out[f"obstruction-{name}"] = (
+            "obstruction", "--complex", f"{name}.complex.json", "--section",
+            f"{name}.section.json", "--gluing", f"{name}.gluing.json")
     out["obstruction-nontrivial"] = (
         "obstruction", "--complex", "cube-o1.complex.json", "--section",
         "cube-o1.section.json", "--gluing", "obstructed.gluing.json")
