@@ -18,6 +18,7 @@ from tropms.generators import cube_o1_multisection, seeded_coboundary_gluing
 from tropms.gluing import (
     TorusElement,
     bar_complex,
+    normalize_splitting,
     obstruction_class,
     triple_cocycle,
     trivial_gluing,
@@ -50,11 +51,12 @@ def main() -> None:
     c = triple_cocycle(msec, g, bar)
     rep = obstruction_class(c, bar)
     print(f"\ncoboundary gluing: trivial={rep.trivial}, witness={rep.witness}")
-    nontree = [(k, v) for k, v in sorted(rep.cochain.items()) if v != 1]
+    table = normalize_splitting(bar, rep.cochain)
+    nontree = [(k, v) for k, v in sorted(table.items()) if v != 1]
     for (x, y), v in nontree[:3]:
         print(f"  k[{x}, {y}] = {v}")
-    print(f"  ... {len(rep.cochain)} entries, {len(nontree)} off the spanning tree")
-    print(f"  chains violating delta k = c: {recheck_splitting(bar, c, rep.cochain)}")
+    print(f"  ... {len(table)} entries, {len(nontree)} off the spanning tree")
+    print(f"  chains violating delta k = c: {recheck_splitting(bar, c, table)}")
 
     # 2. empty gluing data
     rep0 = obstruction_class(triple_cocycle(msec, trivial_gluing(), bar), bar)

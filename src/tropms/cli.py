@@ -47,11 +47,15 @@ def _load_section(path: str, gluing_path: str | None = None):
     """Parse and validate a section file and, when named, a gluing file;
     return the section, the gluing data and, with gluing data, the order
     complex."""
-    from .covers import parse_multisection
-    from .gluing import parse_gluing, require_valid
+    from .covers import parse_multisection, require_valid_section
 
     msec = parse_multisection(_load_json(path))
-    g = None if gluing_path is None else parse_gluing(_load_json(gluing_path))
+    if gluing_path is None:
+        require_valid_section(msec)
+        return msec, None, None
+    from .gluing import parse_gluing, require_valid
+
+    g = parse_gluing(_load_json(gluing_path))
     return msec, g, require_valid(msec, g)
 
 
@@ -136,24 +140,27 @@ def _parse_override(text: str) -> tuple[tuple[str, str], Fraction]:
 
 def _obstruction(args):
     """Evaluate the gluing obstruction: verdict, witness or splitting table."""
-    from .gluing import obstruction_class, require_valid, triple_cocycle, unbounded_chains
+    from .gluing import (normalize_splitting, obstruction_class, require_valid,
+                         triple_cocycle, unbounded_chains)
     from .pipeline import Manifest, load_bundle
 
     msec, g = load_bundle(Manifest(args.complex, args.section, args.gluing, {}))
     bar = require_valid(msec, g)
+    overrides = {}
+    for text in args.overrides or ():
+        key, value = _parse_override(text)
+        if key not in bar.edges:
+            raise ValueError(f"no splitting entry for {key[0]},{key[1]}")
+        overrides[key] = value
     c = triple_cocycle(msec, g, bar)
     report = obstruction_class(c, bar)
     if not report.trivial:
         _echo_json({"trivial": False, "witness": report.witness})
         return EXIT_OK
-    table = dict(report.cochain)
+    table = normalize_splitting(bar, report.cochain)
     out = {"trivial": True, "witness": report.witness}
-    if args.overrides:
-        for text in args.overrides:
-            key, value = _parse_override(text)
-            if key not in table:
-                raise ValueError(f"no splitting entry for {key[0]},{key[1]}")
-            table[key] = value
+    if overrides:
+        table.update(overrides)
         violations = unbounded_chains(bar, c, table)
         out["consistent"] = not violations
         if violations:

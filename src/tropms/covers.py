@@ -40,13 +40,15 @@ class _VertexLifts(NamedTuple):
     cycles: list[list[tuple[int, int]]]
     ids: list[str]
     lift_at: dict[tuple[int, int], str]  # (corner position, sheet) -> lift id
+    wall_at: dict[str, int]  # incoming edge -> its first corner position
 
 
 class BranchedCover:
     """A degree-r cover of a base surface, given by its edge matchings.
 
     ``base``, ``degree`` and ``edge_matchings`` must not change after the
-    first query: corners and vertex lifts are read from an index built once.
+    first query: corners, vertex lifts and matchings are read from indexes
+    built once.
     """
 
     def __init__(self, base: PolyhedralSurface, degree: int,
@@ -64,8 +66,23 @@ class BranchedCover:
             raise ValueError(f"edge {eid} has {len(sides)} cofaces")
         return sides[0], sides[1]
 
+    @functools.cached_property
+    def _matchings(self) -> dict[tuple[str, str], tuple[int, ...]]:
+        identity = tuple(range(self.degree))
+        out = {}
+        for e in self.base.edges:
+            sides = self.base.cofaces(e.id)
+            if len(sides) == 2:
+                if e.id in self.edge_matchings:
+                    out[e.id, sides[1]] = self.edge_matchings[e.id]
+                out[e.id, sides[0]] = identity
+        return out
+
     def matching(self, eid: str, fid: str) -> tuple[int, ...]:
         """Bijection from edge lifts to the sheets of one coface."""
+        found = self._matchings.get((eid, fid))
+        if found is not None:
+            return found
         a, b = self.edge_sides(eid)
         if fid == a:
             return tuple(range(self.degree))
@@ -104,12 +121,18 @@ class BranchedCover:
             cycles.sort(key=lambda c: min(s for i, s in c if i == 0))
             ids = [f"{v.id}#{min(s for i, s in cyc if i == 0)}" for cyc in cycles]
             lift_at = {node: lid for lid, cyc in zip(ids, cycles) for node in cyc}
-            out[v.id] = _VertexLifts(corners, cycles, ids, lift_at)
+            wall_at = {inn: i for i, (_, _, inn) in reversed(list(enumerate(corners)))}
+            out[v.id] = _VertexLifts(corners, cycles, ids, lift_at, wall_at)
         return out
 
     def wall_sequence(self, v: str) -> list[tuple[str, str, str]]:
         """Corner chain around a vertex: (2-cell, outgoing edge, incoming edge)."""
         return self._index[v].corners
+
+    def wall_position(self, v: str, eid: str) -> int | None:
+        """Position in ``wall_sequence(v)`` of the first corner whose incoming
+        edge is ``eid``; None when the edge does not end at ``v``."""
+        return self._index[v].wall_at.get(eid)
 
     def lift_cycles(self, v: str) -> list[list[tuple[int, int]]]:
         """Orbits of (corner position, sheet) under crossing walls ccw.
@@ -136,10 +159,10 @@ class BranchedCover:
     def vertex_lift_at_edge(self, v: str, eid: str, edge_lift: int) -> str:
         """Vertex lift to which one edge lift attaches at an endpoint."""
         at = self._index[v]
-        for i, (f, _, inn) in enumerate(at.corners):
-            if inn == eid:
-                return at.lift_at[(i, self.matching(eid, f)[edge_lift])]
-        raise KeyError(f"edge {eid} is not incident to vertex {v}")
+        i = at.wall_at.get(eid)
+        if i is None:
+            raise KeyError(f"edge {eid} is not incident to vertex {v}")
+        return at.lift_at[(i, self.matching(eid, at.corners[i][0])[edge_lift])]
 
     def vertex_lift_at_face(self, v: str, fid: str, sheet: int) -> str:
         """Vertex lift sitting under one sheet of a 2-cell at a corner."""
@@ -346,6 +369,13 @@ def validate_multisection(msec: MultiSection) -> ValidationReport:
             except ValueError as exc:
                 bad("slope-discontinuous", f"lift {lid}: {exc}")
     return ValidationReport(tuple(diags), rep.euler_characteristic)
+
+
+def require_valid_section(msec: MultiSection) -> None:
+    """Raise ValueError with the diagnostic codes unless the section is valid."""
+    rep = validate_multisection(msec)
+    if not rep.ok:
+        raise ValueError(f"multi-section is invalid: {rep.codes()}")
 
 
 class ClassTag(NamedTuple):

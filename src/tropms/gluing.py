@@ -16,12 +16,11 @@ edge quotient.
 from __future__ import annotations
 
 import json
-from collections import deque
 from fractions import Fraction
 from typing import NamedTuple
 
 from .complexes import Diagnostic, ValidationReport, parses
-from .covers import MultiSection, _fan_ray, _kink_along, validate_multisection
+from .covers import MultiSection, _fan_ray, _kink_along, require_valid_section
 from .lattice import Vec, canonical_transverse, det2, dot
 
 
@@ -98,6 +97,11 @@ class TorusElement:
 
 
 TRIVIAL = TorusElement()
+
+#: The value of every trivial chain of ``triple_cocycle``. The solver skips
+#: arithmetic whose operands are all this very object; a value that equals 1
+#: but is another object takes the arithmetic path, with the same result.
+ONE = Fraction(1)
 
 GluingData = dict[tuple[str, str], TorusElement]
 
@@ -219,9 +223,7 @@ def require_valid(
     With gluing data, return the order complex of the total space: it is
     built once the section is valid, checks the gluing data, and is passed
     on to the functions that read it."""
-    rep = validate_multisection(msec)
-    if not rep.ok:
-        raise ValueError(f"multi-section is invalid: {rep.codes()}")
+    require_valid_section(msec)
     if g is None:
         return None
     bar = bar_complex(msec)
@@ -274,15 +276,14 @@ def _edge_kink_at(msec: MultiSection, v: str, eid: str, lift: int) -> int:
     cover = msec.cover
     corners = cover.wall_sequence(v)
     ray = _fan_ray(cover.base, v, eid)
-    for i, (fid, _, inn) in enumerate(corners):
-        if inn != eid:
-            continue
-        fid2 = corners[(i + 1) % len(corners)][0]
-        lid = cover.vertex_lift_at_edge(v, eid, lift)
-        u1 = msec.slope(lid, fid, cover.matching(eid, fid)[lift])
-        u2 = msec.slope(lid, fid2, cover.matching(eid, fid2)[lift])
-        return _kink_along((u2[0] - u1[0], u2[1] - u1[1]), ray)
-    raise ValueError(f"edge {eid} not incident to vertex {v}")
+    i = cover.wall_position(v, eid)
+    if i is None:
+        raise ValueError(f"edge {eid} not incident to vertex {v}")
+    fid, fid2 = corners[i][0], corners[(i + 1) % len(corners)][0]
+    lid = cover.vertex_lift_at_edge(v, eid, lift)
+    u1 = msec.slope(lid, fid, cover.matching(eid, fid)[lift])
+    u2 = msec.slope(lid, fid2, cover.matching(eid, fid2)[lift])
+    return _kink_along((u2[0] - u1[0], u2[1] - u1[1]), ray)
 
 
 def _lift_rank(cover, v: str, lid: str) -> int:
@@ -333,7 +334,7 @@ def triple_cocycle(msec: MultiSection, g: GluingData, bar: BarComplex) -> Cochai
             continue
         elem = g.get((x, elift), TRIVIAL)
         if elem.is_trivial:
-            out[key] = Fraction(1)
+            out[key] = ONE
             continue
         eid, _ = split_lift_id(elift)
         fid, sheet = split_lift_id(flift)
@@ -354,93 +355,90 @@ class ObstructionReport(NamedTuple):
 
 def obstruction_class(c: Cochain2, bar: BarComplex) -> ObstructionReport:
     """Decide whether a triple cocycle on the order complex ``bar`` bounds,
-    and if so produce the canonical bounding 1-cochain.
+    and if so produce a bounding 1-cochain on the edges of ``bar``.
 
     The witness is the product of cocycle values against the orientation
     signs of the order complex; it is 1 exactly when a bounding cochain
-    exists. The cochain is normalized to 1 on a lexicographic spanning tree
-    of the order complex.
+    exists. The cochain is 1 off a breadth-first spanning tree of the chains
+    and is checked chain by chain; ``normalize_splitting`` turns it into the
+    canonical table.
     """
-    witness = Fraction(1)
+    witness = ONE
     for tail, elift, flift, sign in bar.triangles:
         val = c[(tail, elift, flift)]
-        witness *= val if sign == 1 else 1 / val
+        if val is not ONE:
+            witness *= val if sign == 1 else 1 / val
     if witness != 1:
         return ObstructionReport(False, witness, None)
 
-    tris = list(dict.fromkeys(t[:3] for t in bar.triangles))
-    tri_edges = [((v, e), (e, f), (v, f)) for v, e, f in tris]
-    by_edge: dict[tuple[str, str], list[int]] = {}
-    for idx, trio in enumerate(tri_edges):
+    # chains and edges of the order complex by number, sides as (ve, ef, vf)
+    number = {b: i for i, b in enumerate(bar.edges)}
+    chains = list(dict.fromkeys(t[:3] for t in bar.triangles))
+    sides = [(number[v, e], number[e, f], number[v, f]) for v, e, f in chains]
+    on_edge: list[list[int]] = [[] for _ in bar.edges]
+    for t, trio in enumerate(sides):
         for b in trio:
-            by_edge.setdefault(b, []).append(idx)
+            on_edge[b].append(t)
 
+    parent_edge = [-1] * len(chains)
+    seen = [False] * len(chains)
+    seen[0] = True
     order = [0]
-    parent: dict[int, tuple[int, tuple[str, str]]] = {}
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        t = queue.popleft()
-        for b in tri_edges[t]:
-            for t2 in by_edge[b]:
-                if t2 not in seen:
-                    seen.add(t2)
-                    parent[t2] = (t, b)
+    for t in order:  # breadth first: order grows while it is walked
+        for b in sides[t]:
+            for t2 in on_edge[b]:
+                if not seen[t2]:
+                    seen[t2] = True
+                    parent_edge[t2] = b
                     order.append(t2)
-                    queue.append(t2)
-    if len(order) != len(tris):
+    if len(order) != len(chains):
         raise RuntimeError("order complex of the total space is disconnected")
 
-    tree_bars = {b for _, b in parent.values()}
-    k: dict[tuple[str, str], Fraction] = {
-        b: Fraction(1) for b in by_edge if b not in tree_bars
-    }
-
+    k = [ONE] * len(bar.edges)
     for t in reversed(order[1:]):
-        _, b = parent[t]
-        (ve, ef, vf) = tri_edges[t]
-        known = {bb: k[bb] for bb in (ve, ef, vf) if bb != b}
-        target = c[tris[t]]
-        # k_ef * k_ve / k_vf = c
+        b = parent_edge[t]
+        ve, ef, vf = sides[t]
+        target = c[chains[t]]
+        # k_ef * k_ve / k_vf = c, solved for the tree edge b as x * y / z
         if b == ve:
-            k[b] = target * known[vf] / known[ef]
+            x, y, z = target, k[vf], k[ef]
         elif b == ef:
-            k[b] = target * known[vf] / known[ve]
+            x, y, z = target, k[vf], k[ve]
         else:
-            k[b] = known[ef] * known[ve] / target
-    failed = unbounded_chains(bar, c, k)
+            x, y, z = k[ef], k[ve], target
+        k[b] = ONE if x is ONE and y is ONE and z is ONE else x * y / z
+    cochain = dict(zip(bar.edges, k))
+    failed = unbounded_chains(bar, c, cochain)
     if failed:
         raise RuntimeError(f"bounding cochain fails on chain {failed[0]}")
+    return ObstructionReport(True, Fraction(1), cochain)
 
-    # normalize to 1 on a lexicographic spanning tree of the 1-skeleton
-    adj: dict[str, list[tuple[str, tuple[str, str], bool]]] = {
-        n: [] for n in bar.nodes
-    }
+
+def normalize_splitting(
+    bar: BarComplex, k: dict[tuple[str, str], Fraction]
+) -> dict[tuple[str, str], Fraction]:
+    """The bounding cochain ``k`` of ``obstruction_class`` times the
+    coboundary that makes it 1 on a lexicographic spanning tree of the
+    1-skeleton of ``bar``: the canonical splitting table."""
+    adj: dict[str, list] = {n: [] for n in bar.nodes}
     for x, y in bar.edges:
         adj[x].append((y, (x, y), True))
         adj[y].append((x, (x, y), False))
-    for n in adj:
-        adj[n].sort()
-    root = bar.nodes[0]
-    h: dict[str, Fraction] = {root: Fraction(1)}
-    stack = [root]
-    visited = {root}
+    h = {bar.nodes[0]: ONE}
+    stack = [bar.nodes[0]]
     while stack:
         x = stack.pop()
-        for y, b, forward in adj[x]:
-            if y in visited:
+        for y, b, forward in sorted(adj[x]):
+            if y in h:
                 continue
-            visited.add(y)
             # forward: x is the source of b, so k'_b = k_b * h_y / h_x
-            if forward:
-                h[y] = h[x] / k[b]
-            else:
-                h[y] = h[x] * k[b]
+            kb = k[b]
+            h[y] = h[x] if kb is ONE else h[x] / kb if forward else h[x] * kb
             stack.append(y)
-    final = {}
-    for x, y in bar.edges:
-        final[(x, y)] = k[(x, y)] * h[y] / h[x]
-    return ObstructionReport(True, Fraction(1), final)
+    return {
+        (x, y): ONE if k[x, y] is ONE and h[x] is h[y] else k[x, y] * h[y] / h[x]
+        for x, y in bar.edges
+    }
 
 
 def unbounded_chains(
@@ -450,9 +448,13 @@ def unbounded_chains(
     which the 1-cochain ``k`` fails to bound ``c``, i.e. where
     k(e, f) * k(v, e) / k(v, f) differs from c(v, e, f); in triangle order."""
     bad = []
-    for v, e, f in dict.fromkeys(t[:3] for t in bar.triangles):
-        if k[(e, f)] * k[(v, e)] / k[(v, f)] != c[(v, e, f)]:
-            bad.append((v, e, f))
+    for chain in dict.fromkeys(t[:3] for t in bar.triangles):
+        v, e, f = chain
+        ef, ve, vf, val = k[(e, f)], k[(v, e)], k[(v, f)], c[chain]
+        if ef is ONE and ve is ONE and vf is ONE and val is ONE:
+            continue
+        if ef * ve / vf != val:
+            bad.append(chain)
     return bad
 
 
@@ -480,7 +482,7 @@ def transport_ratios(
             raise ValueError(
                 f"gluing-data inconsistency: obstruction witness {ob.witness}"
             )
-        k = ob.cochain
+        k = normalize_splitting(bar, ob.cochain)
     faces = cover.base.cells[sigma].faces
 
     def t_value(v: str, eid: str, sheet: int) -> Fraction:

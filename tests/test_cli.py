@@ -389,6 +389,24 @@ def test_obstruction_override_unknown_entry(workdir):
     assert res.exit_code == EXIT_INVALID
 
 
+@pytest.mark.parametrize(
+    "override", ["garbage", "a,b=1/0", "ep000p001~0,p000~0=0", "never,seen=1"],
+    ids=["malformed", "division-by-zero", "zero", "unknown"],
+)
+def test_obstruction_bad_override_refused_whatever_the_class(workdir, override):
+    # the obstructed gluing has no splitting table, yet the override is checked
+    res = invoke(
+        "obstruction",
+        "--complex", workdir / "cube-o1.complex.json",
+        "--section", workdir / "cube-o1.section.json",
+        "--gluing", workdir / "obstructed.gluing.json",
+        "--k", override,
+    )
+    assert res.exit_code == EXIT_INVALID, res.output
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ")
+
+
 def test_obstruction_nontrivial(workdir):
     res = invoke(
         "obstruction",
@@ -564,8 +582,10 @@ def test_cli_import_loads_no_third_party_module():
          {"click", "dataclasses", "inspect", "tropms.generators", "tropms.svg"}),
         (("chern", "--m", "2", "--n", "1"), "tropms.chern",
          {"tropms.covers", "tropms.gluing", "tropms.pipeline"}),
+        (("classify", "--section", "cube2.section.json"), "tropms.covers",
+         {"tropms.gluing", "tropms.graphs", "tropms.chern", "tropms.pipeline"}),
     ],
-    ids=["validate", "chern"],
+    ids=["validate", "chern", "classify"],
 )
 def test_command_loads_only_what_it_runs(tmp_path, argv, ran, absent):
     """A command imports the modules it runs and no others: beyond a bare

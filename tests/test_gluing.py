@@ -20,6 +20,7 @@ from tropms.gluing import (
     parse_gluing,
     triple_cocycle,
     trivial_gluing,
+    unbounded_chains,
     validate_gluing,
     vertex_edge_flags,
 )
@@ -263,6 +264,26 @@ def test_obstruction_deterministic():
     bar = bar_complex(msec)
     c = triple_cocycle(msec, g, bar)
     assert obstruction_class(c, bar) == obstruction_class(c, bar)
+
+
+def test_unbounded_chains_does_not_rely_on_the_shared_one():
+    msec = full_branch()
+    bar = bar_complex(msec)
+    c = triple_cocycle(msec, rand_coboundary(msec, random.Random(31)), bar)
+    k = obstruction_class(c, bar).cochain
+    # equal to 1 but not the shared object: every chain takes the arithmetic
+    fresh_c = {key: Fraction(1) if v == 1 else v for key, v in c.items()}
+    fresh_k = {key: Fraction(1) if v == 1 else v for key, v in k.items()}
+    assert unbounded_chains(bar, fresh_c, fresh_k) == []
+    bar_edge = next(key for key, v in sorted(k.items()) if v != 1)
+    fresh_k[bar_edge] *= 2
+    through = [
+        (v, e, f)
+        for v, e, f in dict.fromkeys(t[:3] for t in bar.triangles)
+        if bar_edge in ((e, f), (v, e), (v, f))
+    ]
+    assert len(through) == 2
+    assert unbounded_chains(bar, fresh_c, fresh_k) == through
 
 
 def test_planted_obstruction_detected():

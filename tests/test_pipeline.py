@@ -306,3 +306,26 @@ def test_one_order_complex_per_run(tmp_path, monkeypatch, case):
         if case == "obstruction --k":
             assert json.loads(res.stdout)["consistent"] is True
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "case, normalized",
+    [("cube2", 0), ("simplicity --gluing", 0), ("obstruction", 1)],
+)
+def test_splitting_normalized_only_where_printed(tmp_path, monkeypatch, case, normalized):
+    manifest = generate_example("cube2", str(tmp_path))
+    calls = _count_calls(monkeypatch, gluing.normalize_splitting)
+    files = ["--section", str(tmp_path / manifest.section_path),
+             "--gluing", str(tmp_path / manifest.gluing_path)]
+    if case == "cube2":
+        report = run_pipeline(manifest)
+        assert report.record("obstruction").verdict == "pass"
+    else:
+        args = {
+            "obstruction": ["obstruction", "--complex",
+                            str(tmp_path / manifest.complex_path), *files],
+            "simplicity --gluing": ["simplicity", *files],
+        }[case]
+        res = run_cli(args)
+        assert res.exit_code == EXIT_OK, res.output
+    assert len(calls) == normalized
