@@ -99,8 +99,9 @@ class TorusElement:
 TRIVIAL = TorusElement()
 
 #: The value of every trivial chain of ``triple_cocycle``. The solver skips
-#: arithmetic whose operands are all this very object; a value that equals 1
-#: but is another object takes the arithmetic path, with the same result.
+#: arithmetic whose result this very object decides (a product of ONEs, a
+#: quotient by ONE); a value that equals 1 but is another object takes the
+#: arithmetic path, with the same result.
 ONE = Fraction(1)
 
 GluingData = dict[tuple[str, str], TorusElement]
@@ -380,15 +381,13 @@ def obstruction_class(c: Cochain2, bar: BarComplex) -> ObstructionReport:
         for b in trio:
             on_edge[b].append(t)
 
-    parent_edge = [-1] * len(chains)
-    seen = [False] * len(chains)
-    seen[0] = True
+    parent_edge: list[int | None] = [None] * len(chains)  # None: not reached
+    parent_edge[0] = -1
     order = [0]
     for t in order:  # breadth first: order grows while it is walked
         for b in sides[t]:
             for t2 in on_edge[b]:
-                if not seen[t2]:
-                    seen[t2] = True
+                if parent_edge[t2] is None:
                     parent_edge[t2] = b
                     order.append(t2)
     if len(order) != len(chains):
