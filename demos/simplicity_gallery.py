@@ -17,7 +17,7 @@ from tropms.generators import (
     rank3_multisection,
     simplex5_multisection,
 )
-from tropms.gluing import trivial_gluing
+from tropms.gluing import transport, trivial_gluing
 from tropms.graphs import (
     endomorphism_witness,
     general_simplicity,
@@ -37,31 +37,31 @@ def main() -> None:
         ("simplex5 (74)", simplex5_multisection(74)),
         ("simplex5 (58)", simplex5_multisection(58)),
     ):
-        show(name, msec, is_simple_rank2(msec))
+        show(name, msec, is_simple_rank2(msec, classify(msec)))
 
     planted = planted_multisection()
-    verdict = is_simple_rank2(planted)
+    verdict = is_simple_rank2(planted, classify(planted))
     show("planted square", planted, verdict)
     cycle, sigma = verdict.witnesses[0]
     print(f"  witness cycle {list(cycle)} around 2-cell {sigma}")
-    cert = endomorphism_witness(planted, trivial_gluing(), verdict.witnesses[0])
+    cert = endomorphism_witness(transport(planted, trivial_gluing()), verdict.witnesses[0])
     print(f"  certificate ok={cert.ok}, sheet order {cert.order}, "
           f"zero extension {cert.zero_extension}")
     for v in cycle:
         print(f"    c[{v}] = {cert.constants[v]}, weight {cert.weights[v]}")
 
     triangle = planted_triangle_multisection()
-    tverdict = is_simple_rank2(triangle)
+    tverdict = is_simple_rank2(triangle, classify(triangle))
     show("planted triangle", triangle, tverdict)
     tcycle, tsigma = tverdict.witnesses[0]
     print(f"  witness cycle {list(tcycle)} around 2-cell {tsigma}")
 
     rank3 = rank3_multisection()
     try:
-        general_simplicity(rank3)
+        general_simplicity(rank3, classify(rank3))
     except ValueError as err:
         print(f"\nrank3-cube refused: {str(err).split(';')[0]}")
-    gverdict = general_simplicity(rank3, local_bundles_asserted=True)
+    gverdict = general_simplicity(rank3, classify(rank3), local_bundles_asserted=True)
     show("rank3-cube", rank3, gverdict)
     for reason in gverdict.reasons:
         print(f"  {reason}")

@@ -177,15 +177,17 @@ def _simplicity(args):
     embedded in the section file. Gluing data, when supplied, feeds the
     smoothability upgrade through its obstruction class.
     """
-    from .gluing import obstruction_class, triple_cocycle
+    from .covers import classify
     from .graphs import simplicity_verdict
 
     msec, g, bar = _load_section(args.section, args.gluing)
+    if g is not None:
+        from .gluing import obstruction_class, triple_cocycle
     trivial = g is not None and obstruction_class(triple_cocycle(msec, g, bar), bar).trivial
     mode = args.mode or ("rank2" if msec.cover.degree == 2 else "general")
     asserted = msec.cover.base.asserted
     verdict = simplicity_verdict(
-        msec, mode, lambda flag: asserted.get(flag, False), trivial
+        msec, classify(msec), mode, lambda flag: asserted.get(flag, False), trivial
     )
     _echo_json(
         {

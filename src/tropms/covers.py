@@ -35,6 +35,14 @@ def _canon_partition(blocks) -> Partition:
     return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
 
+def edge_lift_id(eid: str, lift: int) -> str:
+    return f"{eid}~{lift}"
+
+
+def face_lift_id(fid: str, sheet: int) -> str:
+    return f"{fid}~{sheet}"
+
+
 class _VertexLifts(NamedTuple):
     corners: list[tuple[str, str, str]]
     cycles: list[list[tuple[int, int]]]

@@ -20,7 +20,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .complexes import Diagnostic, ValidationReport, parses
-from .covers import MultiSection, _fan_ray, _kink_along, require_valid_section
+from .covers import (MultiSection, _fan_ray, _kink_along, edge_lift_id,
+                     face_lift_id, require_valid_section)
 from .lattice import Vec, canonical_transverse, det2, dot
 
 
@@ -105,14 +106,6 @@ TRIVIAL = TorusElement()
 ONE = Fraction(1)
 
 GluingData = dict[tuple[str, str], TorusElement]
-
-
-def edge_lift_id(eid: str, lift: int) -> str:
-    return f"{eid}~{lift}"
-
-
-def face_lift_id(fid: str, sheet: int) -> str:
-    return f"{fid}~{sheet}"
 
 
 def split_lift_id(lid: str) -> tuple[str, int]:
@@ -460,18 +453,22 @@ def unbounded_chains(
 # -- holonomy -----------------------------------------------------------------
 
 
-def transport_ratios(
-    msec: MultiSection,
-    g: GluingData,
-    cycle: list[str],
-    sigma: str,
-    k: dict[tuple[str, str], Fraction] | None = None,
-) -> list[tuple[str, Fraction]]:
-    """Sheet-comparison ratio on each edge of a cycle bounding a 2-cell, for
-    a rank-two cover: (edge id, ratio) in cycle order. The section and the
-    gluing data are validated first."""
-    cover = msec.cover
-    if cover.degree != 2:
+class Transport(NamedTuple):
+    """What the sheet comparison along any cycle of a rank-two section reads
+    from one set of gluing data: the triple cocycle and a bounding cochain."""
+
+    msec: MultiSection
+    c: Cochain2
+    k: dict[tuple[str, str], Fraction]
+
+
+def transport(
+    msec: MultiSection, g: GluingData, k: dict[tuple[str, str], Fraction] | None = None
+) -> Transport:
+    """Validate a rank-two section and its gluing data, and compute the triple
+    cocycle and, unless ``k`` is given, the canonical splitting table: once
+    per gluing, for every cycle that ``transport_ratios`` then reads."""
+    if msec.cover.degree != 2:
         raise ValueError("transport needs a rank-two cover")
     bar = require_valid(msec, g)
     c = triple_cocycle(msec, g, bar)
@@ -482,14 +479,21 @@ def transport_ratios(
                 f"gluing-data inconsistency: obstruction witness {ob.witness}"
             )
         k = normalize_splitting(bar, ob.cochain)
+    return Transport(msec, c, k)
+
+
+def transport_ratios(t: Transport, cycle: list[str], sigma: str) -> list[tuple[str, Fraction]]:
+    """Sheet-comparison ratio on each edge of a cycle bounding a 2-cell:
+    (edge id, ratio) in cycle order."""
+    cover = t.msec.cover
     faces = cover.base.cells[sigma].faces
 
     def t_value(v: str, eid: str, sheet: int) -> Fraction:
         lift = cover.matching(eid, sigma).index(sheet)
         elift = edge_lift_id(eid, lift)
         vlift = cover.vertex_lift_at_edge(v, eid, lift)
-        kk = k.get((vlift, elift), Fraction(1))
-        return c[(vlift, elift, face_lift_id(sigma, sheet))] / kk
+        kk = t.k.get((vlift, elift), Fraction(1))
+        return t.c[(vlift, elift, face_lift_id(sigma, sheet))] / kk
 
     out = []
     n = len(cycle)
@@ -505,21 +509,15 @@ def transport_ratios(
     return out
 
 
-def holonomy_around_cycle(
-    msec: MultiSection,
-    g: GluingData,
-    cycle: list[str],
-    sigma: str,
-    k: dict[tuple[str, str], Fraction] | None = None,
-) -> Fraction:
+def holonomy_around_cycle(t: Transport, cycle: list[str], sigma: str) -> Fraction:
     """Multiplicative holonomy of the sheet-comparison constants around a
-    cycle bounding a 2-cell, for a rank-two cover.
+    cycle bounding a 2-cell.
 
     With the canonical bounding cochain the holonomy of consistent gluing
-    data is 1; passing an explicit cochain exposes corrupted data.
+    data is 1; a transport on an explicit cochain exposes corrupted data.
     """
     hol = Fraction(1)
-    for _, lam in transport_ratios(msec, g, cycle, sigma, k):
+    for _, lam in transport_ratios(t, cycle, sigma):
         hol *= lam
     return hol
 

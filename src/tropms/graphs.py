@@ -10,17 +10,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .chern import (
-    CompleteFan,
-    NewtonPolytope,
-    newton_polytope,
-    nonvanishing_at_fixed_point,
-)
-from .covers import MultiSection, check_class_C, classify
-from .gluing import GluingData, edge_lift_id, face_lift_id, transport_ratios
+from .covers import ClassTag, MultiSection, check_class_C, edge_lift_id, face_lift_id
 from .lattice import Vec, dot
+
+if TYPE_CHECKING:  # loaded where they run: at a pair vertex, and in the witness
+    from .chern import CompleteFan, NewtonPolytope
+    from .gluing import Transport
 
 
 class _Graph(NamedTuple):
@@ -69,23 +66,6 @@ class FiberProductComplex(NamedTuple):
             (c for c in self.cells.values() if c.dim == d), key=lambda c: c.id
         )
 
-    @property
-    def faces2(self) -> list[PairCell]:
-        return self.of_dim(2)
-
-    def diagonal_part(self) -> list[PairCell]:
-        return sorted(
-            (c for c in self.cells.values() if c.diagonal), key=lambda c: c.id
-        )
-
-    def off_diagonal_part(self) -> list[PairCell]:
-        return sorted(
-            (c for c in self.cells.values() if not c.diagonal), key=lambda c: c.id
-        )
-
-    def project(self, cid: str) -> str:
-        return self.cells[cid].base
-
     def boundary_cycle(self, pid: str) -> tuple[str, ...]:
         """Pair vertices around a 2-cell pair, following the base cycle."""
         cell = self.cells[pid]
@@ -125,7 +105,7 @@ def find_minimal_cycles(g: EmbeddedGraph) -> list[tuple[tuple[str, ...], str]]:
     """Boundary cycles of host 2-cells lying entirely inside the graph,
     ordered by 2-cell id."""
     out = []
-    for f in g.host.faces2:
+    for f in g.host.of_dim(2):
         if all(e in g.edges for e in f.faces):
             cyc = g.host.boundary_cycle(f.id)
             if all(v in g.vertices for v in cyc):
@@ -137,43 +117,34 @@ def find_minimal_cycles(g: EmbeddedGraph) -> list[tuple[tuple[str, ...], str]]:
 # -- fiber product ------------------------------------------------------------
 
 
-def build_fiber_product(msec: MultiSection) -> FiberProductComplex:
-    """All ordered pairs of lifts with equal image, incidence componentwise.
-    The section must be valid."""
+def _pairs_over(msec: MultiSection, cells) -> FiberProductComplex:
+    """Ordered pairs of lifts over the given base cells, which must include
+    the faces of each, with incidence componentwise. The section must be
+    valid."""
     cover = msec.cover
-    base = cover.base
     lifts: dict[str, list[str]] = {}
     faces_of: dict[str, tuple[str, ...]] = {}
-    base_of: dict[str, str] = {}
-    for v in base.vertices:
-        lifts[v.id] = cover.vertex_lift_ids(v.id)
-        for lid in lifts[v.id]:
-            faces_of[lid] = ()
-            base_of[lid] = v.id
-    for e in base.edges:
-        ids = []
-        for lift in range(cover.degree):
-            lid = edge_lift_id(e.id, lift)
-            ids.append(lid)
-            faces_of[lid] = tuple(
-                cover.vertex_lift_at_edge(v, e.id, lift) for v in e.faces
-            )
-            base_of[lid] = e.id
-        lifts[e.id] = ids
-    for f in base.faces2:
-        ids = []
-        for sheet in range(cover.degree):
-            lid = face_lift_id(f.id, sheet)
-            ids.append(lid)
-            faces_of[lid] = tuple(
-                edge_lift_id(eid, cover.matching(eid, f.id).index(sheet))
-                for eid in f.faces
-            )
-            base_of[lid] = f.id
-        lifts[f.id] = ids
+    for cell in cells:
+        if cell.dim == 0:
+            lifts[cell.id] = cover.vertex_lift_ids(cell.id)
+            faces_of.update((lid, ()) for lid in lifts[cell.id])
+        elif cell.dim == 1:
+            lifts[cell.id] = [edge_lift_id(cell.id, i) for i in range(cover.degree)]
+            for lift, lid in enumerate(lifts[cell.id]):
+                faces_of[lid] = tuple(
+                    cover.vertex_lift_at_edge(v, cell.id, lift) for v in cell.faces
+                )
+        else:
+            lifts[cell.id] = [face_lift_id(cell.id, s) for s in range(cover.degree)]
+            for sheet, lid in enumerate(lifts[cell.id]):
+                faces_of[lid] = tuple(
+                    edge_lift_id(eid, cover.matching(eid, cell.id).index(sheet))
+                    for eid in cell.faces
+                )
+    base_of = {lid: cid for cid, ids in lifts.items() for lid in ids}
 
-    cells: dict[str, PairCell] = {}
-    for cell in base.cells.values():
+    out: dict[str, PairCell] = {}
+    for cell in cells:
         for a, b in product(lifts[cell.id], lifts[cell.id]):
             pid = pair_id(a, b)
             pair_faces = tuple(
@@ -184,8 +155,14 @@ def build_fiber_product(msec: MultiSection) -> FiberProductComplex:
                     if base_of[fa] == base_of[fb]
                 )
             )
-            cells[pid] = PairCell(pid, cell.dim, a, b, cell.id, pair_faces, a == b)
-    return FiberProductComplex(cover, cells)
+            out[pid] = PairCell(pid, cell.dim, a, b, cell.id, pair_faces, a == b)
+    return FiberProductComplex(cover, out)
+
+
+def build_fiber_product(msec: MultiSection) -> FiberProductComplex:
+    """All ordered pairs of lifts with equal image, incidence componentwise.
+    The section must be valid."""
+    return _pairs_over(msec, msec.cover.base.cells.values())
 
 
 def _lift_slopes_by_cone(msec: MultiSection, v: str, lid: str) -> list[Vec]:
@@ -209,6 +186,8 @@ def _difference_data(
 ) -> tuple[CompleteFan, list[Vec], NewtonPolytope]:
     """Fan at a vertex with the per-cone slope difference of two lifts and
     its Newton polytope."""
+    from .chern import CompleteFan, newton_polytope
+
     fan = msec.cover.base.fans[v]
     cfan = CompleteFan([vec for vec, _ in fan.rays])
     sa = _lift_slopes_by_cone(msec, v, lift_a)
@@ -226,13 +205,15 @@ def difference_polytope(
 
 def build_G0_tilde(msec: MultiSection) -> EmbeddedGraph:
     """Branch-free pair vertices with nonempty difference polytope, and the
-    pair edges between them. The section must be valid."""
-    fp = build_fiber_product(msec)
-    branch = msec.cover.branch_vertices
+    pair edges between them, in the fiber product over the base cells whose
+    closures avoid the branch set. The section must be valid."""
+    free: dict = {}  # base cells by id, faces before the cells they bound
+    for cell in sorted(msec.cover.base.cells.values(), key=lambda c: c.dim):
+        if cell.id not in msec.cover.branch_vertices and all(f in free for f in cell.faces):
+            free[cell.id] = cell
+    fp = _pairs_over(msec, free.values())
     vertices = set()
     for cell in fp.of_dim(0):
-        if cell.base in branch:
-            continue
         if not difference_polytope(msec, cell.base, cell.a, cell.b).is_empty:
             vertices.add(cell.id)
     edges = frozenset(
@@ -284,12 +265,11 @@ def _smoothable_upgrade(
 
 
 def is_simple_rank2(
-    msec: MultiSection, obstruction_established: bool = False
+    msec: MultiSection, tag: ClassTag, obstruction_established: bool = False
 ) -> Verdict:
-    """Simplicity of a rank-two alternating multi-section from its branch-free
-    graph: weight gap 1 forbids minimal cycles, gap 2 forbids edges, gap 3 or
-    more forbids vertices."""
-    tag = classify(msec)
+    """Simplicity of a rank-two alternating multi-section, whose class is
+    ``tag``, from its branch-free graph: weight gap 1 forbids minimal cycles,
+    gap 2 forbids edges, gap 3 or more forbids vertices."""
     if tag.tag != "S_mn":
         raise ValueError(
             f"class mismatch: the rank-two criterion needs a uniform "
@@ -326,21 +306,31 @@ def is_simple_rank2(
     return Verdict("simple", (rule,), ())
 
 
+def _starved(msec: MultiSection, cell: PairCell) -> bool:
+    """Whether every cone at a pair vertex fails the nonvanishing test."""
+    from .chern import nonvanishing_at_fixed_point
+
+    cfan, diff, _ = _difference_data(msec, cell.base, cell.a, cell.b)
+    return not any(nonvanishing_at_fixed_point(cfan, diff, i) for i in range(cfan.n_cones))
+
+
 def general_simplicity(
-    msec: MultiSection, local_bundles_asserted: bool = False
+    msec: MultiSection, tag: ClassTag, local_bundles_asserted: bool = False
 ) -> Verdict:
     """Sufficient criterion for sections with pairwise distinct covectors: no
     minimal cycle on the branch-free pair graph and a surviving fixed point at
-    every pair vertex.
+    every pair vertex. A section of class ``tag`` other than C, which
+    ``classify`` may give without running the class-C check, is checked here.
 
     One-directional: when a condition fails the verdict is inconclusive,
     never a proof of non-simplicity.
     """
-    crep = check_class_C(msec)
-    if not crep.ok:
-        raise ValueError(
-            f"class mismatch: distinct-covector conditions fail: {crep.violations}"
-        )
+    if tag.tag != "C":
+        crep = check_class_C(msec)
+        if not crep.ok:
+            raise ValueError(
+                f"class mismatch: distinct-covector conditions fail: {crep.violations}"
+            )
     if not local_bundles_asserted:
         raise Refusal(
             "[local-bundle-assumption] existence of standard local models at "
@@ -360,15 +350,7 @@ def general_simplicity(
             f"{len(cycles_base)})"
         )
         witnesses.extend(cycles_pair if cycles_pair else cycles_base)
-    starved = []
-    for pv in sorted(gt.vertices):
-        cell = gt.host.cells[pv]
-        cfan, diff, _ = _difference_data(msec, cell.base, cell.a, cell.b)
-        if not any(
-            nonvanishing_at_fixed_point(cfan, diff, i)
-            for i in range(cfan.n_cones)
-        ):
-            starved.append(pv)
+    starved = [pv for pv in sorted(gt.vertices) if _starved(msec, gt.host.cells[pv])]
     if starved:
         failures.append(
             "[fixed-point-support] pair vertices where every cone fails the "
@@ -392,12 +374,13 @@ def general_simplicity(
 
 def simplicity_verdict(
     msec: MultiSection,
+    tag: ClassTag,
     criterion: str,
     asserts: Callable[[str], bool],
     obstruction_trivial: bool = False,
 ) -> Verdict:
-    """Run the rank-2 or the general criterion, reading the caller's
-    assertion flags through ``asserts``.
+    """Run the rank-2 or the general criterion on a section of class ``tag``,
+    reading the caller's assertion flags through ``asserts``.
 
     A trivial gluing obstruction feeds the smoothability upgrade only when
     the gluing data is asserted to be induced by an open cover. A general
@@ -407,12 +390,13 @@ def simplicity_verdict(
     if criterion == "rank2":
         return is_simple_rank2(
             msec,
+            tag,
             obstruction_established=obstruction_trivial
             and asserts("open-gluing-induced"),
         )
     try:
         return general_simplicity(
-            msec, local_bundles_asserted=asserts("assumption-1.4")
+            msec, tag, local_bundles_asserted=asserts("assumption-1.4")
         )
     except Refusal as err:
         return Verdict("refused", (str(err),), ())
@@ -462,17 +446,19 @@ def _weight_candidates(
 
 
 def endomorphism_witness(
-    msec: MultiSection,
-    g: GluingData,
-    minimal_cycle: tuple[tuple[str, ...], str],
+    t: Transport, minimal_cycle: tuple[tuple[str, ...], str]
 ) -> WitnessRecord:
     """Certificate that a minimal cycle supports a nonscalar endomorphism:
-    comparison constants ratioed by the edge transports, monomial weights
-    surviving exactly on the cycle, extended by zero elsewhere."""
+    comparison constants ratioed by the edge transports of ``t``, built once
+    per gluing, monomial weights surviving exactly on the cycle, extended by
+    zero elsewhere."""
+    from .gluing import transport_ratios
+
     cycle, sigma = minimal_cycle
     cycle = list(cycle)
+    msec = t.msec
     cover = msec.cover
-    ratios = transport_ratios(msec, g, cycle, sigma)
+    ratios = transport_ratios(t, cycle, sigma)
 
     for order in ((0, 1), (1, 0)):
         data = {}

@@ -52,7 +52,8 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+            s = out.get(e)
+            s = c if s is None else s + c
             if s:
                 out[e] = s
             else:
@@ -74,7 +75,8 @@ class LaurentPoly:
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 e = (i1 + i2, j1 + j2)
-                s = out.get(e, Fraction(0)) + c1 * c2
+                s = out.get(e)
+                s = c1 * c2 if s is None else s + c1 * c2
                 if s:
                     out[e] = s
                 else:
@@ -104,7 +106,8 @@ class LaurentPoly:
         for (i, j), c in self.terms.items():
             coeff = c * xc**i * yc**j
             e = (xi * i + yi * j, xj * i + yj * j)
-            s = out.get(e, Fraction(0)) + coeff
+            s = out.get(e)
+            s = coeff if s is None else s + coeff
             if s:
                 out[e] = s
             else:
@@ -207,15 +210,12 @@ class LaurentMatrix:
             raise ValueError(
                 f"chart mismatch ({self.chart} vs {other.chart}); convert first"
             )
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = ZERO
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
+        cols = list(zip(*other.entries))
+        out = [  # products with a zero entry are skipped
+            [sum((x * y for x, y in zip(row, col) if x.terms and y.terms), ZERO)
+             for col in cols]
+            for row in self.entries
+        ]
         return LaurentMatrix(out, self.chart)
 
     def __eq__(self, other) -> bool:

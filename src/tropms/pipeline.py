@@ -18,38 +18,23 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import EXIT_INTERNAL, EXIT_INVALID, EXIT_NOT_SIMPLE, EXIT_OK, _jsonable
-from .chern import stability_discriminant, total_chern
-from .complexes import (
-    PolyhedralSurface,
-    complex_to_json,
-    complex_to_text,
-    parse_complex,
-    parses,
-)
+from .complexes import complex_to_json, complex_to_text, parse_complex, parses
 from .covers import (
     ClassTag,
     MultiSection,
     classify,
     multisection_to_text,
     parse_multisection,
+    require_valid_section,
     validate_multisection,
 )
-from .gluing import (
-    BarComplex,
-    GluingData,
-    bar_complex,
-    gluing_to_text,
-    obstruction_class,
-    parse_gluing,
-    require_valid,
-    triple_cocycle,
-    validate_gluing,
-)
 from .graphs import Verdict, simplicity_verdict
-from .laurent import REFERENCE_A, REFERENCE_B, verify_cocycle
+
+if TYPE_CHECKING:  # gluing, chern and laurent are loaded by the checks that run them
+    from .gluing import BarComplex, GluingData
 
 ASSERTION_FLAGS = (
     "regular",
@@ -170,9 +155,10 @@ def report_to_text(report: Report) -> str:
 # -- loading ------------------------------------------------------------------
 
 
-def _structural_json(s: PolyhedralSurface) -> dict:
-    data = complex_to_json(s)
-    data.pop("asserted", None)
+def _structural_json(data):
+    """A complex document without its assertion flags; anything else as is."""
+    if isinstance(data, dict):
+        return {key: value for key, value in data.items() if key != "asserted"}
     return data
 
 
@@ -180,15 +166,23 @@ def load_bundle(manifest: Manifest) -> tuple[MultiSection, GluingData | None]:
     """Read and parse every file the manifest names, cross-check that the
     section was built over the named complex, and apply the manifest's
     assertion flags to the section's base. Returns the section and the
-    gluing data, if any."""
+    gluing data, if any. The complex file is parsed only when its document
+    differs from the one embedded in the section."""
     with open(manifest.resolve(manifest.complex_path), encoding="utf-8") as fh:
-        surface = parse_complex(json.load(fh))
+        named = json.load(fh)
     with open(manifest.resolve(manifest.section_path), encoding="utf-8") as fh:
-        msec = parse_multisection(json.load(fh))
-    if _structural_json(surface) != _structural_json(msec.cover.base):
+        data = json.load(fh)
+    embedded = data.get("complex") if isinstance(data, dict) else None
+    same = isinstance(named, dict) and _structural_json(named) == _structural_json(embedded)
+    surface = None if same else parse_complex(named)
+    msec = parse_multisection(data)
+    if not same and _structural_json(complex_to_json(surface)) != _structural_json(
+        complex_to_json(msec.cover.base)
+    ):
         raise ValueError("section is not built over the complex named alongside it")
     gluing = None
     if manifest.gluing_path is not None:
+        from .gluing import parse_gluing
         with open(manifest.resolve(manifest.gluing_path), encoding="utf-8") as fh:
             gluing = parse_gluing(json.load(fh))
     for flag in ("regular", "positive", "simple", "elementary"):
@@ -230,6 +224,7 @@ def _validate(run: _Run) -> _Outcome:
     # gluing data is checked against the order complex of a valid section
     rep = validate_multisection(run.msec)
     if rep.ok and run.gluing is not None:
+        from .gluing import bar_complex, validate_gluing
         run.bar = bar_complex(run.msec)
         rep = validate_gluing(run.msec, run.gluing, run.bar)
     lines = tuple(dict.fromkeys(f"{d.code}: {d.message}" for d in rep.diagnostics))
@@ -245,6 +240,8 @@ def _classify(run: _Run) -> _Outcome:
 
 
 def _cocycle(run: _Run) -> _Outcome:
+    from .laurent import REFERENCE_A, REFERENCE_B, verify_cocycle
+
     m, n = run.tag.pair
     ok = verify_cocycle(m, n, REFERENCE_A, REFERENCE_B)
     witnesses = (f"m={m}", f"n={n}", "reference constants")
@@ -252,6 +249,8 @@ def _cocycle(run: _Run) -> _Outcome:
 
 
 def _chern(run: _Run) -> _Outcome:
+    from .chern import stability_discriminant, total_chern
+
     m, n = run.tag.pair
     total = total_chern(m, n)
     delta, stability = stability_discriminant(m, n, total)
@@ -259,6 +258,8 @@ def _chern(run: _Run) -> _Outcome:
 
 
 def _obstruction(run: _Run) -> _Outcome:
+    from .gluing import obstruction_class, triple_cocycle
+
     rep = obstruction_class(triple_cocycle(run.msec, run.gluing, run.bar), run.bar)
     run.obstruction_trivial = rep.trivial
     return _Outcome("pass" if rep.trivial else "fail", (f"witness {rep.witness}",))
@@ -267,7 +268,7 @@ def _obstruction(run: _Run) -> _Outcome:
 def _simplicity(run: _Run) -> _Outcome:
     criterion = "rank2" if run.tag.tag == "S_mn" else "general"
     v = simplicity_verdict(
-        run.msec, criterion, run.manifest.asserts, run.obstruction_trivial
+        run.msec, run.tag, criterion, run.manifest.asserts, run.obstruction_trivial
     )
     citation = _citation_of(v)
     if v.tag == "not_simple":
@@ -337,7 +338,10 @@ def run_pipeline(manifest: Manifest, checks=None) -> Report:
             continue
         start = time.perf_counter()
         if check != "validate" and run.tag is None:
-            if "validate" not in selected:
+            if "validate" not in selected and run.gluing is None:
+                require_valid_section(run.msec)
+            elif "validate" not in selected:
+                from .gluing import require_valid
                 run.bar = require_valid(run.msec, run.gluing)
             run.tag = classify(run.msec)  # every later check reads the class
         reason = skip(run) if skip else None
@@ -373,6 +377,7 @@ def generate_example(name: str, outdir: str = ".") -> Manifest:
     """Write one worked example (complex, section, gluing data for the rank-2
     covers, manifest) into ``outdir`` and return its manifest."""
     from . import generators as gen
+    from .gluing import gluing_to_text
 
     if name not in gen.EXAMPLE_NAMES:
         raise ValueError(f"unknown example {name!r}; pick one of {gen.EXAMPLE_NAMES}")

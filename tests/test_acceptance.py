@@ -14,7 +14,7 @@ from tropms.chern import (
     stability_discriminant,
     total_chern,
 )
-from tropms.covers import euler_genus, riemann_hurwitz_genus
+from tropms.covers import classify, euler_genus, riemann_hurwitz_genus
 from tropms.generators import (
     cube2_multisection,
     cube_o1_multisection,
@@ -30,6 +30,7 @@ from tropms.gluing import (
     edge_lift_id,
     holonomy_around_cycle,
     obstruction_class,
+    transport,
     triple_cocycle,
     trivial_gluing,
     vertex_edge_flags,
@@ -165,19 +166,22 @@ def test_simplicity_verdicts_across_examples():
         lambda: simplex5_multisection(58),
         cube_o1_multisection,
     ):
-        assert is_simple_rank2(build()).tag == "simple"
+        msec = build()
+        assert is_simple_rank2(msec, classify(msec)).tag == "simple"
 
     planted = planted_multisection()
-    verdict = is_simple_rank2(planted)
+    verdict = is_simple_rank2(planted, classify(planted))
     assert verdict.tag == "not_simple"
-    witness = endomorphism_witness(planted, trivial_gluing(), verdict.witnesses[0])
+    witness = endomorphism_witness(
+        transport(planted, trivial_gluing()), verdict.witnesses[0]
+    )
     assert witness.ok and witness.zero_extension
     assert all(passed for _, _, passed in witness.edge_checks)
 
     rank3 = rank3_multisection()
     pair_graph = build_G0_tilde(rank3)
     assert not pair_graph.vertices and not pair_graph.edges
-    general = general_simplicity(rank3, local_bundles_asserted=True)
+    general = general_simplicity(rank3, classify(rank3), local_bundles_asserted=True)
     assert general.tag == "smoothable"
     assert any("criterion satisfied" in reason for reason in general.reasons)
     elapsed = time.monotonic() - start
@@ -238,9 +242,9 @@ def test_holonomy_trivial_on_minimal_cycles():
     assert cycles
     rng = random.Random(7)
     for _ in range(100):
-        g = _random_coboundary(msec, rng)
+        t = transport(msec, _random_coboundary(msec, rng))
         for cycle, fid in cycles:
-            assert holonomy_around_cycle(msec, g, list(cycle), fid) == 1
+            assert holonomy_around_cycle(t, list(cycle), fid) == 1
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"took {elapsed:.2f}s"
 

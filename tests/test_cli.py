@@ -584,13 +584,24 @@ def test_cli_import_loads_no_third_party_module():
          {"tropms.covers", "tropms.gluing", "tropms.pipeline"}),
         (("classify", "--section", "cube2.section.json"), "tropms.covers",
          {"tropms.gluing", "tropms.graphs", "tropms.chern", "tropms.pipeline"}),
+        (("validate", "--manifest", "rank3-cube.manifest.json"), "tropms.graphs",
+         {"tropms.gluing", "tropms.chern", "tropms.laurent"}),
+        (("fiber-product", "--section", "cube2.section.json"), "tropms.graphs",
+         {"tropms.gluing", "tropms.chern", "tropms.laurent", "tropms.pipeline"}),
+        (("simplicity", "--section", "planted.section.json"), "tropms.graphs",
+         {"tropms.gluing", "tropms.laurent"}),
     ],
-    ids=["validate", "chern", "classify"],
+    ids=["validate", "chern", "classify", "validate-class-C", "fiber-product",
+         "simplicity"],
 )
 def test_command_loads_only_what_it_runs(tmp_path, argv, ran, absent):
     """A command imports the modules it runs and no others: beyond a bare
     interpreter, a child pays for compiling and executing each of them."""
     generate_example("cube2", str(tmp_path))
+    generate_example("rank3-cube", str(tmp_path))
+    (tmp_path / "planted.section.json").write_text(
+        multisection_to_text(planted_multisection()), encoding="utf-8"
+    )
     loaded = _modules_loaded("from tropms.cli import main; main(sys.argv[1:])",
                              *argv, cwd=tmp_path)
     extra = loaded - _modules_loaded("pass")

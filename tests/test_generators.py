@@ -37,6 +37,7 @@ from tropms.generators import (
 from tropms.gluing import (
     bar_complex,
     obstruction_class,
+    transport,
     transport_ratios,
     triple_cocycle,
     trivial_gluing,
@@ -99,7 +100,7 @@ def test_cube2_cover_genus_and_class():
 def test_cube2_cover_simple():
     msec = cube2_multisection()
     assert len(build_G0(msec).vertices) == 0
-    assert is_simple_rank2(msec).tag == "simple"
+    assert is_simple_rank2(msec, classify(msec)).tag == "simple"
 
 
 def test_cube2_section_round_trip():
@@ -128,7 +129,7 @@ def test_cube_o1_genus_class_verdict():
     assert euler_genus(msec.cover) == 17
     tag = classify(msec)
     assert (tag.tag, tag.pair) == ("S_mn", (1, 0))
-    verdict = is_simple_rank2(msec)
+    verdict = is_simple_rank2(msec, tag)
     assert verdict.tag == "simple"
     assert verdict.reasons[0].startswith("[rank2-gap1]")
 
@@ -138,7 +139,7 @@ def test_cube_o1_smoothable_upgrade():
     msec.cover.base.asserted.update(
         {"positive": True, "simple": True, "elementary": True}
     )
-    verdict = is_simple_rank2(msec, obstruction_established=True)
+    verdict = is_simple_rank2(msec, classify(msec), obstruction_established=True)
     assert verdict.tag == "smoothable"
     assert any(r.startswith("[smoothability-upgrade]") for r in verdict.reasons)
 
@@ -172,7 +173,7 @@ def test_planted_unique_full_face():
 
 def test_planted_not_simple_with_witness():
     msec = planted_multisection()
-    verdict = is_simple_rank2(msec)
+    verdict = is_simple_rank2(msec, classify(msec))
     assert verdict.tag == "not_simple"
     assert len(verdict.witnesses) == 1
     cycle, fid = verdict.witnesses[0]
@@ -182,8 +183,8 @@ def test_planted_not_simple_with_witness():
 
 def test_planted_witness_validates():
     msec = planted_multisection()
-    verdict = is_simple_rank2(msec)
-    w = endomorphism_witness(msec, trivial_gluing(), verdict.witnesses[0])
+    verdict = is_simple_rank2(msec, classify(msec))
+    w = endomorphism_witness(transport(msec, trivial_gluing()), verdict.witnesses[0])
     assert w.ok and w.zero_extension
     assert all(passed for _, _, passed in w.edge_checks)
 
@@ -192,7 +193,7 @@ def test_planted_witness_under_coboundary_gluing():
     msec = planted_multisection()
     g = seeded_coboundary_gluing(msec, seed=3)
     cycle = find_minimal_cycles(build_G0(msec))[0]
-    w = endomorphism_witness(msec, g, cycle)
+    w = endomorphism_witness(transport(msec, g), cycle)
     assert w.ok
     hol = Fraction(1)
     for _, lam, _ in w.edge_checks:
@@ -210,7 +211,7 @@ def test_planted_triangle_unique_full_face():
     cycle, fid = cycles[0]
     assert fid == PLANTED_TRIANGLE_FACE
     assert len(cycle) == 3
-    assert is_simple_rank2(msec).tag == "not_simple"
+    assert is_simple_rank2(msec, classify(msec)).tag == "not_simple"
 
 
 # -- simplex5 -----------------------------------------------------------------
@@ -245,7 +246,7 @@ def test_simplex5_presets(branch_count, genus):
     assert euler_genus(msec.cover) == genus == riemann_hurwitz_genus(branch_count)
     tag = classify(msec)
     assert (tag.tag, tag.pair) == ("S_mn", (2, 1))
-    assert is_simple_rank2(msec).tag == "simple"
+    assert is_simple_rank2(msec, tag).tag == "simple"
 
 
 def test_simplex5_unknown_preset():
@@ -293,7 +294,7 @@ def test_rank3_class_and_criterion():
     assert classify(msec).tag == "C"
     assert check_class_C(msec).ok
     assert len(build_G0_tilde(msec).vertices) == 0
-    verdict = general_simplicity(msec, local_bundles_asserted=True)
+    verdict = general_simplicity(msec, classify(msec), local_bundles_asserted=True)
     assert verdict.tag == "smoothable"
     assert any("criterion satisfied" in r for r in verdict.reasons)
 
@@ -301,7 +302,7 @@ def test_rank3_class_and_criterion():
 def test_rank3_requires_local_bundle_assertion():
     msec = rank3_multisection()
     with pytest.raises(ValueError, match="local-bundle-assumption"):
-        general_simplicity(msec)
+        general_simplicity(msec, classify(msec))
 
 
 # -- holonomy across a planted cycle ------------------------------------------
@@ -309,9 +310,9 @@ def test_rank3_requires_local_bundle_assertion():
 
 def test_planted_cycle_holonomy_trivial_for_coboundary():
     msec = planted_multisection()
-    cycle, _ = is_simple_rank2(msec).witnesses[0]
+    cycle, _ = is_simple_rank2(msec, classify(msec)).witnesses[0]
     g = seeded_coboundary_gluing(msec, seed=11)
-    ratios = transport_ratios(msec, g, list(cycle), PLANTED_FACE)
+    ratios = transport_ratios(transport(msec, g), list(cycle), PLANTED_FACE)
     hol = Fraction(1)
     for _, lam in ratios:
         hol *= lam

@@ -18,6 +18,7 @@ from tropms.gluing import (
     holonomy_around_cycle,
     obstruction_class,
     parse_gluing,
+    transport,
     triple_cocycle,
     trivial_gluing,
     unbounded_chains,
@@ -317,13 +318,15 @@ def test_single_entry_witnesses():
 
 def test_holonomy_trivial_and_coboundary():
     msec = ring_cover()
-    assert holonomy_around_cycle(msec, trivial_gluing(), BOTTOM_CYCLE, "fz0") == 1
+    t = transport(msec, trivial_gluing())
+    assert holonomy_around_cycle(t, BOTTOM_CYCLE, "fz0") == 1
     rng = random.Random(808)
     for _ in range(6):
         g = rand_coboundary(msec, rng)
-        assert holonomy_around_cycle(msec, g, BOTTOM_CYCLE, "fz0") == 1
+        assert holonomy_around_cycle(transport(msec, g), BOTTOM_CYCLE, "fz0") == 1
     rev = list(reversed(BOTTOM_CYCLE))
-    assert holonomy_around_cycle(msec, rand_coboundary(msec, rng), rev, "fz0") == 1
+    t = transport(msec, rand_coboundary(msec, rng))
+    assert holonomy_around_cycle(t, rev, "fz0") == 1
 
 
 def test_holonomy_with_corrupted_cochain():
@@ -335,7 +338,7 @@ def test_holonomy_with_corrupted_cochain():
     k = dict(ob.cochain)
     vlift = msec.cover.vertex_lift_at_edge("v000", "ev000v010", 0)
     k[(vlift, "ev000v010~0")] *= 3
-    h = holonomy_around_cycle(msec, g, BOTTOM_CYCLE, "fz0", k=k)
+    h = holonomy_around_cycle(transport(msec, g, k=k), BOTTOM_CYCLE, "fz0")
     assert h in (Fraction(3), Fraction(1, 3))
 
 
@@ -347,15 +350,15 @@ def test_holonomy_rejects_bad_input():
     bar = bar_complex(msec)
     assert not obstruction_class(triple_cocycle(msec, g, bar), bar).trivial
     with pytest.raises(ValueError, match="inconsistency"):
-        holonomy_around_cycle(msec, g, BOTTOM_CYCLE, "fz0")
+        holonomy_around_cycle(transport(msec, g), BOTTOM_CYCLE, "fz0")
     # invalid data placement
     bad = {("v000#0", "fz0~0"): TorusElement.single((1, 0), 2)}
     with pytest.raises(ValueError, match="invalid"):
-        holonomy_around_cycle(msec, bad, BOTTOM_CYCLE, "fz0")
+        holonomy_around_cycle(transport(msec, bad), BOTTOM_CYCLE, "fz0")
     # cycle edge off the 2-cell
     with pytest.raises(ValueError, match="boundary"):
         holonomy_around_cycle(
-            msec, trivial_gluing(), ["v000", "v010", "v011", "v001"], "fz0"
+            transport(msec, trivial_gluing()), ["v000", "v010", "v011", "v001"], "fz0"
         )
 
 
@@ -370,7 +373,7 @@ def test_holonomy_needs_rank_two():
     )
     msec = MultiSection(cover, {}, label="flat")
     with pytest.raises(ValueError, match="rank-two"):
-        holonomy_around_cycle(msec, trivial_gluing(), BOTTOM_CYCLE, "fz0")
+        holonomy_around_cycle(transport(msec, trivial_gluing()), BOTTOM_CYCLE, "fz0")
 
 
 # -- serialization ------------------------------------------------------------

@@ -12,9 +12,18 @@ from tropms.covers import (
     MultiSection,
     build_double_cover,
     check_class_C,
+    classify,
     validate_multisection,
 )
-from tropms.gluing import TorusElement, coboundary_gluing, trivial_gluing
+from tropms.generators import (
+    cube2_multisection,
+    cube_o1_multisection,
+    planted_multisection,
+    planted_triangle_multisection,
+    rank3_multisection,
+    simplex5_multisection,
+)
+from tropms.gluing import TorusElement, coboundary_gluing, transport, trivial_gluing
 from tropms.graphs import (
     EmbeddedGraph,
     build_G0,
@@ -199,50 +208,60 @@ def test_minimal_cycles_empty_graph():
 
 
 def test_rank2_gap1_simple():
-    v = is_simple_rank2(corner(2, 1))
+    msec = corner(2, 1)
+    v = is_simple_rank2(msec, classify(msec))
     assert v.tag == "simple"
     assert v.reasons[0].startswith("[rank2-gap1]")
     assert v.witnesses == ()
 
 
 def test_rank2_gap1_not_simple():
-    v = is_simple_rank2(ring(2, 1))
+    msec = ring(2, 1)
+    v = is_simple_rank2(msec, classify(msec))
     assert v.tag == "not_simple"
     assert v.witnesses == ((BOTTOM, "fz0"),)
 
 
 def test_rank2_gap2():
-    assert is_simple_rank2(corner(3, 1)).tag == "simple"
-    v = is_simple_rank2(ring(3, 1))
+    msec = corner(3, 1)
+    assert is_simple_rank2(msec, classify(msec)).tag == "simple"
+    msec = ring(3, 1)
+    v = is_simple_rank2(msec, classify(msec))
     assert v.tag == "not_simple"
     assert v.reasons[0].startswith("[rank2-gap2]")
     assert v.witnesses == BOTTOM_EDGES
 
 
 def test_rank2_gap3():
-    v = is_simple_rank2(corner(4, 1))
+    msec = corner(4, 1)
+    v = is_simple_rank2(msec, classify(msec))
     assert v.tag == "not_simple"
     assert v.reasons[0].startswith("[rank2-gap3]")
     assert v.witnesses == ("v001", "v010", "v100", "v111")
-    assert is_simple_rank2(full(4, 1)).tag == "simple"
+    msec = full(4, 1)
+    assert is_simple_rank2(msec, classify(msec)).tag == "simple"
 
 
 def test_rank2_swap_symmetric():
-    assert is_simple_rank2(ring(1, 2)).tag == "not_simple"
-    assert is_simple_rank2(corner(1, 3)).tag == "simple"
+    msec = ring(1, 2)
+    assert is_simple_rank2(msec, classify(msec)).tag == "not_simple"
+    msec = corner(1, 3)
+    assert is_simple_rank2(msec, classify(msec)).tag == "simple"
 
 
 def test_rank2_class_mismatch():
+    msec = bipyramid_msec()
     with pytest.raises(ValueError, match="class mismatch"):
-        is_simple_rank2(bipyramid_msec())
+        is_simple_rank2(msec, classify(msec))
 
 
 def test_rank2_smoothable_upgrade():
     msec = corner(2, 1)
-    assert is_simple_rank2(msec, obstruction_established=True).tag == "simple"
+    tag = classify(msec)
+    assert is_simple_rank2(msec, tag, obstruction_established=True).tag == "simple"
     msec.cover.base.asserted.update(positive=True, simple=True, elementary=True)
-    assert is_simple_rank2(msec).tag == "simple"
-    v = is_simple_rank2(msec, obstruction_established=True)
+    assert is_simple_rank2(msec, tag).tag == "simple"
+    v = is_simple_rank2(msec, tag, obstruction_established=True)
     assert v.tag == "smoothable"
     assert any("[smoothability-upgrade]" in r for r in v.reasons)
 
@@ -251,14 +270,14 @@ def test_fiber_product_counts():
     msec = ring()
     fp = build_fiber_product(msec)
     assert [len(fp.of_dim(d)) for d in (0, 1, 2)] == [20, 48, 24]
-    diag = fp.diagonal_part()
+    diag = [c for c in fp.cells.values() if c.diagonal]
     by_dim = [len([c for c in diag if c.dim == d]) for d in (0, 1, 2)]
     assert by_dim == list(msec.cover.total_space_counts())
 
 
 def test_fiber_product_off_diagonal_involution():
     fp = build_fiber_product(ring())
-    off = fp.off_diagonal_part()
+    off = [c for c in fp.cells.values() if not c.diagonal]
     assert len(off) == 44
     for cell in off:
         twin = fp.cells[pair_id(cell.b, cell.a)]
@@ -286,7 +305,7 @@ def test_fiber_product_incidence_componentwise():
     assert len(pf.faces) == 4
     cyc = fp.boundary_cycle(pf.id)
     assert len(cyc) == 4
-    assert {fp.project(pv) for pv in cyc} == set(BOTTOM)
+    assert {fp.cells[pv].base for pv in cyc} == set(BOTTOM)
     boundary_endpoints = {pv for peid in pf.faces for pv in fp.cells[peid].faces}
     assert set(cyc) == boundary_endpoints
 
@@ -297,7 +316,7 @@ def test_g0_tilde_ring():
     fp = gt.host
     assert len(gt.vertices) == 12 and len(gt.edges) == 12
     diag = {pv for pv in gt.vertices if fp.cells[pv].diagonal}
-    assert {fp.project(pv) for pv in diag} == set(BOTTOM)
+    assert {fp.cells[pv].base for pv in diag} == set(BOTTOM)
     assert len(diag) == 8
     off = sorted(gt.vertices - diag)
     assert off == [
@@ -315,8 +334,8 @@ def test_g0_tilde_off_diagonal_matches_g0():
     fp = gt.host
     off_v = [pv for pv in gt.vertices if not fp.cells[pv].diagonal]
     off_e = [pe for pe in gt.edges if not fp.cells[pe].diagonal]
-    assert sorted(fp.project(pv) for pv in off_v) == sorted(g0.vertices)
-    assert sorted(fp.project(pe) for pe in off_e) == sorted(g0.edges)
+    assert sorted(fp.cells[pv].base for pv in off_v) == sorted(g0.vertices)
+    assert sorted(fp.cells[pe].base for pe in off_e) == sorted(g0.edges)
 
 
 def test_g0_tilde_projection_surjective():
@@ -324,7 +343,7 @@ def test_g0_tilde_projection_surjective():
     assert check_class_C(msec).ok
     gt = build_G0_tilde(msec)
     g0 = build_G0(msec)
-    assert {gt.host.project(pv) for pv in gt.vertices} == g0.vertices
+    assert {gt.host.cells[pv].base for pv in gt.vertices} == g0.vertices
 
 
 def test_g0_tilde_cycles():
@@ -337,6 +356,44 @@ def test_g0_tilde_cycles():
     ]
 
 
+def _g0_tilde_from_full_fiber_product(msec):
+    """The branch-free pair graph read off the whole self fiber product."""
+    fp = build_fiber_product(msec)
+    branch = msec.cover.branch_vertices
+    vertices = frozenset(
+        c.id
+        for c in fp.of_dim(0)
+        if c.base not in branch
+        and not difference_polytope(msec, c.base, c.a, c.b).is_empty
+    )
+    edges = frozenset(
+        c.id for c in fp.of_dim(1) if all(pv in vertices for pv in c.faces)
+    )
+    return EmbeddedGraph(vertices, edges, fp)
+
+
+@pytest.mark.parametrize(
+    "build, n_cycles",
+    [
+        (simplex5_multisection, 0),
+        (cube2_multisection, 0),
+        (cube_o1_multisection, 0),
+        (rank3_multisection, 0),
+        (planted_multisection, 3),
+        (planted_triangle_multisection, 3),
+    ],
+    ids=["simplex5", "cube2", "cube-o1", "rank3-cube", "planted", "planted-triangle"],
+)
+def test_g0_tilde_over_branch_free_cells_matches_full_fiber_product(build, n_cycles):
+    msec = build()
+    gt = build_G0_tilde(msec)
+    full = _g0_tilde_from_full_fiber_product(msec)
+    assert gt.vertices == full.vertices
+    assert gt.edges == full.edges
+    assert find_minimal_cycles(gt) == find_minimal_cycles(full)
+    assert len(find_minimal_cycles(gt)) == n_cycles
+
+
 def test_g0_tilde_diagonal_polytope_is_origin():
     msec = ring()
     cover = msec.cover
@@ -346,8 +403,9 @@ def test_g0_tilde_diagonal_polytope_is_origin():
 
 
 def test_general_requires_assertion():
+    msec = ring()
     with pytest.raises(ValueError, match="asserted"):
-        general_simplicity(ring())
+        general_simplicity(msec, classify(msec))
 
 
 def test_general_class_mismatch_on_coincident_slopes():
@@ -358,17 +416,18 @@ def test_general_class_mismatch_on_coincident_slopes():
     sheets = sorted(s for i, s in cover.lift_cycles("v001")[0] if i == pos0)
     msec.slopes[(lift, fid, sheets[1])] = msec.slopes[(lift, fid, sheets[0])]
     with pytest.raises(ValueError, match="class mismatch"):
-        general_simplicity(msec, local_bundles_asserted=True)
+        general_simplicity(msec, classify(msec), local_bundles_asserted=True)
 
 
 def test_general_requires_total_ramification():
     msec = bipyramid_msec(branch=frozenset({"n"}))
     with pytest.raises(ValueError, match="total ramification"):
-        general_simplicity(msec, local_bundles_asserted=True)
+        general_simplicity(msec, classify(msec), local_bundles_asserted=True)
 
 
 def test_general_satisfied_corner():
-    v = general_simplicity(corner(2, 1), local_bundles_asserted=True)
+    msec = corner(2, 1)
+    v = general_simplicity(msec, classify(msec), local_bundles_asserted=True)
     assert v.tag == "smoothable"
     assert any("criterion satisfied" in r for r in v.reasons)
     assert any("simple" in r for r in v.reasons)
@@ -378,11 +437,13 @@ def test_general_satisfied_corner():
 def test_general_satisfied_vacuously_on_full_branch():
     msec = full(2, 1)
     assert build_G0_tilde(msec).is_empty
-    assert general_simplicity(msec, local_bundles_asserted=True).tag == "smoothable"
+    tag = classify(msec)
+    assert general_simplicity(msec, tag, local_bundles_asserted=True).tag == "smoothable"
 
 
 def test_general_inconclusive_on_cycles_never_not_simple():
-    v = general_simplicity(ring(), local_bundles_asserted=True)
+    msec = ring()
+    v = general_simplicity(msec, classify(msec), local_bundles_asserted=True)
     assert v.tag == "criterion_inconclusive"
     assert any("minimal cycles exist" in r for r in v.reasons)
     assert "pair level: 3, base level: 1" in v.reasons[0]
@@ -395,7 +456,7 @@ def test_general_inconclusive_on_starved_fixed_points():
     poly = difference_polytope(msec, "n", n0, n1)
     assert poly.lattice_points == frozenset({(0, -2)})
     assert all(u not in poly for u in HEX_SLOPES)
-    v = general_simplicity(msec, local_bundles_asserted=True)
+    v = general_simplicity(msec, classify(msec), local_bundles_asserted=True)
     assert v.tag == "criterion_inconclusive"
     starved = [r for r in v.reasons if r.startswith("[fixed-point-support]")]
     assert len(starved) == 1
@@ -405,7 +466,7 @@ def test_general_inconclusive_on_starved_fixed_points():
 def test_witness_ring_trivial_gluing():
     msec = ring()
     cycle = find_minimal_cycles(build_G0(msec))[0]
-    w = endomorphism_witness(msec, trivial_gluing(), cycle)
+    w = endomorphism_witness(transport(msec, trivial_gluing()), cycle)
     assert w.ok and w.zero_extension
     assert w.order == (1, 0)
     assert all(c == 1 for c in w.constants.values())
@@ -429,7 +490,7 @@ def test_witness_weight_divisor_pattern():
     # strictly below the maximum on the remaining ray
     msec = ring()
     cycle = find_minimal_cycles(build_G0(msec))[0]
-    w = endomorphism_witness(msec, trivial_gluing(), cycle)
+    w = endomorphism_witness(transport(msec, trivial_gluing()), cycle)
     cycle_edges = set(BOTTOM_EDGES)
     for v, u in w.weights.items():
         poly = difference_polytope(
@@ -456,7 +517,7 @@ def test_witness_coboundary_gluing():
     }
     lam_edge = {"ev000v010~0": Fraction(7, 2)}
     g = coboundary_gluing(msec, lam_vertex, lam_edge)
-    w = endomorphism_witness(msec, g, cycle)
+    w = endomorphism_witness(transport(msec, g), cycle)
     assert w.ok
     assert all(passed for _, _, passed in w.edge_checks)
     hol = Fraction(1)
@@ -468,7 +529,7 @@ def test_witness_coboundary_gluing():
 
 def test_witness_from_rank2_verdict():
     msec = ring()
-    verdict = is_simple_rank2(msec)
+    verdict = is_simple_rank2(msec, classify(msec))
     assert verdict.tag == "not_simple"
-    w = endomorphism_witness(msec, trivial_gluing(), verdict.witnesses[0])
+    w = endomorphism_witness(transport(msec, trivial_gluing()), verdict.witnesses[0])
     assert w.ok

@@ -189,6 +189,31 @@ def test_pipeline_cross_checks_section_against_complex(exdir):
     assert "section is not built over the complex named alongside it" in rec.witnesses[0]
 
 
+@pytest.mark.parametrize("edit, parsed", [("asserted", 1), ("cell order", 2)])
+def test_complex_file_parsed_only_when_its_document_differs(
+    exdir, tmp_path, monkeypatch, edit, parsed
+):
+    """A complex file whose document equals the section's embedded complex,
+    assertion flags aside, is not parsed again; one that differs as a
+    document but not as a complex is parsed, compared and accepted."""
+    root, manifests = exdir
+    doc = json.loads((root / "rank3-cube" / "rank3-cube.complex.json").read_text())
+    if edit == "asserted":
+        doc["asserted"] = {"positive": True}
+    else:
+        doc["cells"].reverse()
+    (tmp_path / "edited.complex.json").write_text(json.dumps(doc))
+    m = manifests["rank3-cube"]._replace(
+        complex_path=str(tmp_path / "edited.complex.json"),
+        section_path=str(root / "rank3-cube" / "rank3-cube.section.json"),
+        root=".",
+    )
+    calls = _count_calls(monkeypatch, complexes.parse_complex)
+    report = run_pipeline(m)
+    assert report.exit_code == EXIT_OK
+    assert len(calls) == parsed
+
+
 def test_pipeline_corrupted_slope_names_the_lift(exdir, tmp_path):
     root, _ = exdir
     data = json.loads((root / "cube-o1" / "cube-o1.section.json").read_text())
@@ -329,3 +354,29 @@ def test_splitting_normalized_only_where_printed(tmp_path, monkeypatch, case, no
         res = run_cli(args)
         assert res.exit_code == EXIT_OK, res.output
     assert len(calls) == normalized
+
+
+@pytest.mark.parametrize(
+    "name, counted, expected",
+    [
+        ("rank3-cube", "check_class_C", 1),
+        ("rank3-cube", "parse_complex", 1),
+        ("rank3-cube", "build_fiber_product", 0),
+        ("cube2", "classify", 1),
+    ],
+)
+def test_class_and_complex_computed_once_per_run(
+    tmp_path, monkeypatch, name, counted, expected
+):
+    """The class is computed once and passed on to the simplicity criteria,
+    the complex is parsed once from the section, and the branch-free pair
+    graph is built without the whole fiber product."""
+    from tropms import covers, graphs
+
+    manifest = generate_example(name, str(tmp_path))
+    module = {"parse_complex": complexes, "build_fiber_product": graphs}.get(counted, covers)
+    calls = _count_calls(monkeypatch, getattr(module, counted))
+    report = run_pipeline(manifest)
+    assert report.exit_code == EXIT_OK
+    assert report.record("simplicity").verdict == "pass"
+    assert len(calls) == expected
