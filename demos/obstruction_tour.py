@@ -26,16 +26,10 @@ from tropms.gluing import (
 
 
 def recheck_splitting(bar, c, table) -> int:
-    """Count the distinct chains where table fails to bound c (want zero)."""
+    """Count the chains where table fails to bound c (want zero)."""
     bad = 0
-    seen = set()
-    for tail, elift, flift, _ in bar.triangles:
-        chain = (tail, elift, flift)
-        if chain in seen:
-            continue
-        seen.add(chain)
-        ve, ef, vf = (tail, elift), (elift, flift), (tail, flift)
-        if table[ef] * table[ve] / table[vf] != c[chain]:
+    for t, (ve, ef, vf) in enumerate(bar.sides):
+        if table.fraction(ef) * table.fraction(ve) / table.fraction(vf) != c.fraction(t):
             bad += 1
     return bad
 
@@ -52,10 +46,12 @@ def main() -> None:
     rep = obstruction_class(c, bar)
     print(f"\ncoboundary gluing: trivial={rep.trivial}, witness={rep.witness}")
     table = normalize_splitting(bar, rep.cochain)
-    nontree = [(k, v) for k, v in sorted(table.items()) if v != 1]
-    for (x, y), v in nontree[:3]:
-        print(f"  k[{x}, {y}] = {v}")
-    print(f"  ... {len(table)} entries, {len(nontree)} off the spanning tree")
+    nontree = [(b, table.fraction(b)) for b in range(len(bar.edges))
+               if table.fraction(b) != 1]
+    for b, v in nontree[:3]:
+        x, y = bar.edges[b]
+        print(f"  k[{bar.nodes[x]}, {bar.nodes[y]}] = {v}")
+    print(f"  ... {len(bar.edges)} entries, {len(nontree)} off the spanning tree")
     print(f"  chains violating delta k = c: {recheck_splitting(bar, c, table)}")
 
     # 2. empty gluing data

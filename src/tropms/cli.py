@@ -148,11 +148,12 @@ def _obstruction(args):
     bar = require_valid(msec, g)
     overrides = {}
     for text in args.overrides or ():
-        key, value = _parse_override(text)
-        if key not in bar.edges:
-            raise ValueError(f"no splitting entry for {key[0]},{key[1]}")
-        overrides[key] = value
-    c = triple_cocycle(msec, g, bar)
+        (x, y), value = _parse_override(text)
+        b = bar.number(x, y)
+        if b is None:
+            raise ValueError(f"no splitting entry for {x},{y}")
+        overrides[b] = value
+    c = triple_cocycle(msec, g, bar, overrides.values())
     report = obstruction_class(c, bar)
     if not report.trivial:
         _echo_json({"trivial": False, "witness": report.witness})
@@ -160,12 +161,16 @@ def _obstruction(args):
     table = normalize_splitting(bar, report.cochain)
     out = {"trivial": True, "witness": report.witness}
     if overrides:
-        table.update(overrides)
+        for b, value in overrides.items():
+            table.values[b] = table.vector(value)
         violations = unbounded_chains(bar, c, table)
         out["consistent"] = not violations
         if violations:
             out["violations"] = [",".join(chain) for chain in violations]
-    out["splitting"] = {f"{x},{y}": v for (x, y), v in sorted(table.items())}
+    names = bar.nodes
+    out["splitting"] = {
+        f"{names[x]},{names[y]}": q for (x, y), q in zip(bar.edges, table.fractions())
+    }
     _echo_json(out)
 
 

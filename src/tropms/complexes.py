@@ -59,6 +59,7 @@ class ValidationReport(NamedTuple):
 
 
 class _SurfaceIndex(NamedTuple):
+    by_dim: dict[int, list[str]]  # cell ids, sorted
     cofaces: dict[str, tuple[str, ...]]
     edge_of: dict[frozenset, str]  # endpoints -> edge id
     corners: dict[str, list[tuple[str, str, str]]]  # in 2-cell id order
@@ -67,8 +68,10 @@ class _SurfaceIndex(NamedTuple):
 class PolyhedralSurface:
     """Cells, fans, boundary cycles and assertion flags of one surface.
 
-    ``cells`` and ``orientation`` must not change after the first query:
-    cofaces, edges and corners are read from an index built from them once.
+    ``cells`` and ``orientation`` must not change after the first query,
+    except that a cell may be replaced by one of the same id and dimension:
+    the cells of each dimension, cofaces, edges and corners are read from an
+    index built from them once.
     """
 
     def __init__(self, cells: dict[str, Cell], fans: dict[str, VertexFan] | None = None,
@@ -80,9 +83,8 @@ class PolyhedralSurface:
         self.asserted = {} if asserted is None else asserted
 
     def of_dim(self, d: int) -> list[Cell]:
-        return sorted(
-            (c for c in self.cells.values() if c.dim == d), key=lambda c: c.id
-        )
+        """Cells of one dimension in id order."""
+        return [self.cells[i] for i in self._index.by_dim.get(d, ())]
 
     @property
     def vertices(self) -> list[Cell]:
@@ -102,23 +104,27 @@ class PolyhedralSurface:
 
     @functools.cached_property
     def _index(self) -> _SurfaceIndex:
+        by_dim: dict[int, list[str]] = {}
         cofaces: dict[str, list[str]] = {}
         edge_of: dict[frozenset, str] = {}
         for c in self.cells.values():
+            by_dim.setdefault(c.dim, []).append(c.id)
             for f in set(c.faces):
                 cofaces.setdefault(f, []).append(c.id)
             if c.dim == 1:
                 edge_of[frozenset(c.faces)] = c.id
+        for ids in by_dim.values():
+            ids.sort()
         # a boundary step without an edge leaves its 2-cell out of the corners
         corners: dict[str, list[tuple[str, str, str]]] = {}
-        for f in self.faces2:
+        for f in map(self.cells.get, by_dim.get(2, ())):
             cyc = self.orientation.get(f.id, ())
             eids = [edge_of.get(frozenset(p)) for p in zip(cyc, cyc[1:] + cyc[:1])]
             if None not in eids:
                 for i, v in enumerate(cyc):
                     corners.setdefault(v, []).append((f.id, eids[i], eids[i - 1]))
         cofaces_sorted = {k: tuple(sorted(ids)) for k, ids in cofaces.items()}
-        return _SurfaceIndex(cofaces_sorted, edge_of, corners)
+        return _SurfaceIndex(by_dim, cofaces_sorted, edge_of, corners)
 
     def cofaces(self, cell_id: str) -> list[str]:
         return list(self._index.cofaces.get(cell_id, ()))

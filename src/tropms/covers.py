@@ -210,6 +210,12 @@ class BranchedCover:
 
 
 class MultiSection:
+    """Slopes of a section over a branched cover.
+
+    ``slopes`` must not change after the first query of ``kinks``: the kinks
+    are read from an index built once.
+    """
+
     def __init__(self, cover: BranchedCover, slopes: dict[SlopeKey, Vec], label: str = ""):
         self.cover = cover
         self.slopes = slopes
@@ -217,6 +223,23 @@ class MultiSection:
 
     def slope(self, lift_id: str, fid: str, sheet: int) -> Vec:
         return self.slopes[(lift_id, fid, sheet)]
+
+    @functools.cached_property
+    def kinks(self) -> dict[tuple[str, int, int], int]:
+        """Kink across the wall after each corner of every vertex lift of rank
+        at most two, keyed by (lift id, corner position, sheet). A wall across
+        which the slope does not jump by a multiple of the quarter-turned wall
+        direction has no entry. Every slope of those lifts must be given."""
+        out = {}
+        for v, at in self.cover._index.items():
+            for lid, cyc in zip(at.ids, at.cycles):
+                if len(cyc) <= 2 * len(at.corners):
+                    for t, node in enumerate(cyc):
+                        try:
+                            out[(lid, *node)] = _kink(self, v, lid, cyc, t)
+                        except ValueError:
+                            pass
+        return out
 
 
 def validate_cover(cover: BranchedCover) -> ValidationReport:
@@ -320,19 +343,19 @@ def kink_sequence(msec: MultiSection, v: str, lift_id: str) -> list[tuple[str, i
     The kink across a wall is the integer multiple of the quarter-turned wall
     direction by which the slope jumps.
     """
-    cover = msec.cover
-    corners = cover.wall_sequence(v)
-    cyc = cover.lift_cycle_of(v, lift_id)
-    out = []
-    for t, (i, s) in enumerate(cyc):
-        j, s2 = cyc[(t + 1) % len(cyc)]
-        wall = corners[i][2]
-        ray = _fan_ray(cover.base, v, wall)
-        u_here = msec.slope(lift_id, corners[i][0], s)
-        u_next = msec.slope(lift_id, corners[j][0], s2)
-        diff = (u_next[0] - u_here[0], u_next[1] - u_here[1])
-        out.append((wall, _kink_along(diff, ray)))
-    return out
+    corners = msec.cover.wall_sequence(v)
+    cyc = msec.cover.lift_cycle_of(v, lift_id)
+    return [(corners[i][2], _kink(msec, v, lift_id, cyc, t)) for t, (i, _) in enumerate(cyc)]
+
+
+def _kink(msec: MultiSection, v: str, lift_id: str, cyc, t: int) -> int:
+    """Kink across the wall after node ``t`` of a lift's cycle, or raise."""
+    corners = msec.cover.wall_sequence(v)
+    (i, s), (j, s2) = cyc[t], cyc[(t + 1) % len(cyc)]
+    ray = _fan_ray(msec.cover.base, v, corners[i][2])
+    u_here = msec.slope(lift_id, corners[i][0], s)
+    u_next = msec.slope(lift_id, corners[j][0], s2)
+    return _kink_along((u_next[0] - u_here[0], u_next[1] - u_here[1]), ray)
 
 
 def validate_multisection(msec: MultiSection) -> ValidationReport:
@@ -367,15 +390,17 @@ def validate_multisection(msec: MultiSection) -> ValidationReport:
     if missing or extra:
         return ValidationReport(tuple(diags), rep.euler_characteristic)
 
+    kinks = msec.kinks
     for v in cover.base.vertices:
-        k = len(cover.wall_sequence(v.id))
-        for lid, cyc in zip(cover.vertex_lift_ids(v.id), cover.lift_cycles(v.id)):
-            if len(cyc) // k >= 3:
-                continue
-            try:
-                kink_sequence(msec, v.id, lid)
-            except ValueError as exc:
-                bad("slope-discontinuous", f"lift {lid}: {exc}")
+        at = cover._index[v.id]
+        for lid, cyc in zip(at.ids, at.cycles):
+            if len(cyc) <= 2 * len(at.corners) and any(
+                (lid, *node) not in kinks for node in cyc
+            ):
+                try:
+                    kink_sequence(msec, v.id, lid)  # raises at the first bad wall
+                except ValueError as exc:
+                    bad("slope-discontinuous", f"lift {lid}: {exc}")
     return ValidationReport(tuple(diags), rep.euler_characteristic)
 
 
@@ -405,9 +430,8 @@ def _branch_pair(msec: MultiSection, v: str) -> tuple[int, int] | None:
     if fan is None or not check_standard_vertex(fan):
         return None
     lift_id = cover.vertex_lift_ids(v)[cycles.index(doubles[0])]
-    try:
-        kinks = [kk for _, kk in kink_sequence(msec, v, lift_id)]
-    except ValueError:
+    kinks = [msec.kinks.get((lift_id, *node)) for node in doubles[0]]
+    if None in kinks:
         return None
     x, y = kinks[0], kinks[1]
     if x == y:

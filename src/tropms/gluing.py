@@ -16,12 +16,14 @@ edge quotient.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .complexes import Diagnostic, ValidationReport, parses
-from .covers import (MultiSection, _fan_ray, _kink_along, edge_lift_id,
-                     face_lift_id, require_valid_section)
+from .covers import (MultiSection, _fan_ray, edge_lift_id, face_lift_id,
+                     require_valid_section)
 from .lattice import Vec, canonical_transverse, det2, dot
 
 
@@ -35,11 +37,11 @@ class TorusElement:
         merged: dict[Vec, Fraction] = {}
         for vec, q in factors:
             vec = (int(vec[0]), int(vec[1]))
-            q = Fraction(q)
+            q = q if type(q) is Fraction else Fraction(q)
             if q == 0:
                 raise ValueError("torus coefficients must be nonzero")
-            cur = merged.get(vec, Fraction(1))
-            cur *= q
+            cur = merged.get(vec)
+            cur = q if cur is None else cur * q
             if cur == 1:
                 merged.pop(vec, None)
             else:
@@ -99,12 +101,6 @@ class TorusElement:
 
 TRIVIAL = TorusElement()
 
-#: The value of every trivial chain of ``triple_cocycle``. The solver skips
-#: arithmetic whose result this very object decides (a product of ONEs, a
-#: quotient by ONE); a value that equals 1 but is another object takes the
-#: arithmetic path, with the same result.
-ONE = Fraction(1)
-
 GluingData = dict[tuple[str, str], TorusElement]
 
 
@@ -117,12 +113,33 @@ def split_lift_id(lid: str) -> tuple[str, int]:
 
 
 class BarComplex(NamedTuple):
-    """Order complex of the total space: nodes are lifted cells, edges are
-    proper inclusions, triangles are full chains with orientation signs."""
+    """Order complex of the total space, numbered once. Nodes are the lifted
+    cells, sorted, and a node's number is its position; numbers sort as the
+    ids do, so every table below is in the order of its ids. Edges are the
+    proper inclusions, chains the full chains (vertex lift, edge lift, 2-cell
+    lift), sides the edge numbers (ve, ef, vf) of each chain, and triangles
+    the (chain, orientation sign) pairs."""
 
     nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
-    triangles: tuple[tuple[str, str, str, int], ...]
+    edges: tuple[tuple[int, int], ...]
+    chains: tuple[tuple[int, int, int], ...]
+    sides: tuple[tuple[int, int, int], ...]
+    triangles: tuple[tuple[int, int], ...]
+
+    def number(self, *ids: str) -> int | None:
+        """Number of the node, edge or chain given by one, two or three ids;
+        None when there is none."""
+        key = []
+        for x in ids:
+            i = bisect_left(self.nodes, x)
+            if self.nodes[i : i + 1] != (x,):
+                return None
+            key.append(i)
+        if len(key) == 1:
+            return key[0]
+        table, key = (self.edges if len(key) == 2 else self.chains), tuple(key)
+        i = bisect_left(table, key)
+        return i if table[i : i + 1] == (key,) else None
 
 
 def vertex_edge_flags(msec: MultiSection) -> set[tuple[str, str]]:
@@ -141,8 +158,7 @@ def bar_complex(msec: MultiSection) -> BarComplex:
     """Order complex of the total space of a valid section."""
     cover = msec.cover
     nodes: set[str] = set()
-    edges: set[tuple[str, str]] = set()
-    triangles: list[tuple[str, str, str, int]] = []
+    signed: list[tuple[str, str, str, int]] = []
     for v in cover.base.vertices:
         nodes.update(cover.vertex_lift_ids(v.id))
     for e in cover.base.edges:
@@ -156,17 +172,22 @@ def bar_complex(msec: MultiSection) -> BarComplex:
             for eid, v, w in walk:
                 lift = cover.matching(eid, f.id).index(s)
                 elift = edge_lift_id(eid, lift)
-                tail = cover.vertex_lift_at_edge(v, eid, lift)
-                head = cover.vertex_lift_at_edge(w, eid, lift)
-                edges.add((tail, elift))
-                edges.add((head, elift))
-                edges.add((elift, flift))
-                edges.add((tail, flift))
-                edges.add((head, flift))
-                triangles.append((tail, elift, flift, 1))
-                triangles.append((head, elift, flift, -1))
+                signed.append((cover.vertex_lift_at_edge(v, eid, lift), elift, flift, 1))
+                signed.append((cover.vertex_lift_at_edge(w, eid, lift), elift, flift, -1))
+    names = tuple(sorted(nodes))
+    rank = {x: i for i, x in enumerate(names)}
+    numbered = sorted((rank[v], rank[e], rank[f], sign) for v, e, f, sign in signed)
+    chains = tuple(dict.fromkeys(t[:3] for t in numbered))
+    # every inclusion is a side of a chain
+    edges = tuple(sorted({b for v, e, f in chains for b in ((v, e), (e, f), (v, f))}))
+    edge_no = {b: i for i, b in enumerate(edges)}
+    chain_no = {c: i for i, c in enumerate(chains)}
     return BarComplex(
-        tuple(sorted(nodes)), tuple(sorted(edges)), tuple(sorted(triangles))
+        names,
+        edges,
+        chains,
+        tuple((edge_no[v, e], edge_no[e, f], edge_no[v, f]) for v, e, f in chains),
+        tuple((chain_no[t[:3]], t[3]) for t in numbered),
     )
 
 
@@ -188,23 +209,21 @@ def validate_gluing(
     def bad(code, msg):
         diags.append(Diagnostic(code, msg))
 
-    ve = vertex_edge_flags(msec)
-    bar_edges = set(bar.edges)
+    ve = {sides[0] for sides in bar.sides}
     for (src, dst), elem in sorted(g.items()):
-        if (src, dst) in ve:
+        b = bar.number(src, dst)
+        if b in ve:
             continue
-        if (src, dst) in bar_edges:
-            if not elem.is_trivial:
-                chains = sorted(
-                    t[:3] for t in bar.triangles if (src, dst) in ((t[0], t[2]), (t[1], t[2]))
-                )
-                where = chains[0] if chains else (src, dst, "?")
-                bad(
-                    "gluing-cocycle-violation",
-                    f"nontrivial element into a 2-cell lift at chain {where}",
-                )
-        else:
+        if b is None:
             bad("gluing-flag", f"({src}, {dst}) is not a flag of the total space")
+        elif not elem.is_trivial:
+            # an inclusion into a 2-cell lift is a side ef or vf of some chain
+            t = min(t for t, (_, ef, vf) in enumerate(bar.sides) if b in (ef, vf))
+            where = tuple(bar.nodes[x] for x in bar.chains[t])
+            bad(
+                "gluing-cocycle-violation",
+                f"nontrivial element into a 2-cell lift at chain {where}",
+            )
     return ValidationReport(tuple(diags), msec.cover.base.euler_characteristic())
 
 
@@ -252,11 +271,12 @@ def coboundary_gluing(
     vertex-into-edge flag. Such data always has trivial obstruction."""
     out: GluingData = {}
     for vlift, elift in sorted(vertex_edge_flags(msec)):
-        lv = lam_vertex.get(vlift, TRIVIAL)
-        coeff = Fraction(lam_edge.get(elift, 1))
-        eid, _ = split_lift_id(elift)
-        le = edge_potential_chart(msec, eid, base_vertex(vlift), coeff)
-        elem = lv * le.inverse()
+        elem = lam_vertex.get(vlift, TRIVIAL)
+        coeff = lam_edge.get(elift, 1)
+        if coeff != 1:
+            eid, _ = split_lift_id(elift)
+            le = edge_potential_chart(msec, eid, base_vertex(vlift), Fraction(coeff))
+            elem = elem * le.inverse()
         if not elem.is_trivial:
             out[(vlift, elift)] = elem
     return out
@@ -265,77 +285,160 @@ def coboundary_gluing(
 # -- kink compatibility and the triple cocycle -------------------------------
 
 
-def _edge_kink_at(msec: MultiSection, v: str, eid: str, lift: int) -> int:
-    """Kink of one edge lift seen from one endpoint."""
-    cover = msec.cover
-    corners = cover.wall_sequence(v)
-    ray = _fan_ray(cover.base, v, eid)
-    i = cover.wall_position(v, eid)
-    if i is None:
-        raise ValueError(f"edge {eid} not incident to vertex {v}")
-    fid, fid2 = corners[i][0], corners[(i + 1) % len(corners)][0]
-    lid = cover.vertex_lift_at_edge(v, eid, lift)
-    u1 = msec.slope(lid, fid, cover.matching(eid, fid)[lift])
-    u2 = msec.slope(lid, fid2, cover.matching(eid, fid2)[lift])
-    return _kink_along((u2[0] - u1[0], u2[1] - u1[1]), ray)
-
-
-def _lift_rank(cover, v: str, lid: str) -> int:
-    k = len(cover.wall_sequence(v))
-    return len(cover.lift_cycle_of(v, lid)) // k
-
-
 def check_edge_kinks(msec: MultiSection) -> list[str]:
-    """Edge lifts whose kinks disagree between their two endpoints.
+    """Edge lifts whose kinks disagree between their two endpoints. The
+    section must be valid.
 
-    Endpoint lifts of rank three or more hold raw chart data and are skipped.
+    Endpoint lifts of rank three or more hold raw chart data, have no kinks
+    and are skipped.
     """
     cover = msec.cover
+    kinks = msec.kinks
+
+    def kink_at(v: str, eid: str, lift: int) -> int | None:
+        # the wall after corner i carries the edge; lift sits on one sheet there
+        at = cover._index[v]
+        i = at.wall_at[eid]
+        s = cover.matching(eid, at.corners[i][0])[lift]
+        return kinks.get((at.lift_at[i, s], i, s))
+
     bad = []
     for e in cover.base.edges:
         v, w = e.faces
         for lift in range(cover.degree):
-            lv = cover.vertex_lift_at_edge(v, e.id, lift)
-            lw = cover.vertex_lift_at_edge(w, e.id, lift)
-            if _lift_rank(cover, v, lv) >= 3 or _lift_rank(cover, w, lw) >= 3:
-                continue
-            if _edge_kink_at(msec, v, e.id, lift) != _edge_kink_at(
-                msec, w, e.id, lift
-            ):
+            kv, kw = kink_at(v, e.id, lift), kink_at(w, e.id, lift)
+            if kv is not None and kw is not None and kv != kw:
                 bad.append(edge_lift_id(e.id, lift))
     return sorted(bad)
 
 
-Cochain2 = dict[tuple[str, str, str], Fraction]
+def coprime_base(values) -> tuple[int, ...]:
+    """-1, then pairwise coprime integers above 1, increasing, such that every
+    given nonzero rational is a product of their powers.
+
+    Numerators and denominators are split at common divisors until no two
+    share one; nothing is factored (D. J. Bernstein, "Factoring into coprimes
+    in essentially linear time", J. Algorithms 54, 2005).
+    """
+    todo = sorted({abs(n) for q in values for n in (q.numerator, q.denominator)} - {1})
+    base: list[int] = []
+    while todo:
+        n = todo.pop()
+        for i, b in enumerate(base):
+            d = gcd(n, b)
+            if d > 1:  # the product of all numbers left drops by d
+                del base[i]
+                todo += [x for x in (d, n // d, b // d) if x > 1]
+                break
+        else:
+            base.append(n)
+    return (-1, *sorted(base))
 
 
-def triple_cocycle(msec: MultiSection, g: GluingData, bar: BarComplex) -> Cochain2:
+def _fraction(base: tuple[int, ...], v) -> Fraction:
+    """The rational with exponent vector ``v`` over ``base``."""
+    num = den = 1
+    for p, e in zip(base[1:], v[1:]):
+        if e > 0:
+            num *= p**e
+        elif e < 0:
+            den *= p**-e
+    return Fraction(-num if v[0] % 2 else num, den)
+
+
+class Cochain(NamedTuple):
+    """Rational values on the chains or on the edges of an order complex, by
+    number, as exponent vectors over a coprime base: the entry ``v`` stands
+    for the product of ``base[i] ** v[i]``, where ``base[0]`` is -1 and its
+    exponent counts mod 2.
+
+    Every trivial chain of ``triple_cocycle`` holds the one vector ``one``.
+    The solver skips arithmetic whose result this very object decides; a
+    vector of zeros that is another object takes the arithmetic path, with
+    the same result.
+    """
+
+    base: tuple[int, ...]
+    one: tuple[int, ...]
+    values: list[tuple[int, ...]]
+
+    def fraction(self, i: int) -> Fraction:
+        """Entry ``i`` as a rational."""
+        v = self.values[i]
+        return Fraction(1) if v is self.one else _fraction(self.base, v)
+
+    def fractions(self) -> list[Fraction]:
+        """Every entry as a rational, converting each distinct vector once."""
+        out = {self.one: Fraction(1)}
+        return [
+            out[v] if v in out else out.setdefault(v, _fraction(self.base, v))
+            for v in self.values
+        ]
+
+    def vector(self, q: Fraction) -> tuple[int, ...]:
+        """Exponent vector of a nonzero rational over the base, or raise."""
+        out = [1 if q < 0 else 0] + [0] * (len(self.base) - 1)
+        for sign, n in ((1, q.numerator), (-1, q.denominator)):
+            n = abs(n)
+            for i in range(1, len(self.base)):
+                while n % self.base[i] == 0:
+                    n //= self.base[i]
+                    out[i] += sign
+            if n != 1:
+                raise ValueError(f"{q} is not a product of powers of {self.base[1:]}")
+        return tuple(out)
+
+
+def triple_cocycle(
+    msec: MultiSection, g: GluingData, bar: BarComplex, extra=()
+) -> Cochain:
     """Value of the gluing data on every chain of ``bar``, the order complex
-    of the total space of ``msec``.
+    of the total space of ``msec``, over a coprime base of the gluing
+    coefficients and the rationals in ``extra``.
 
     The chain (vertex lift, edge lift, 2-cell lift) receives the vertex-edge
     element evaluated on the slope of the 2-cell lift, entirely in the chart
-    of the chain's own vertex. Edge lifts whose kinks disagree between their
-    endpoints make edge potentials frame-dependent and are rejected.
+    of the chain's own vertex: the coefficient q of a factor t (x) q enters
+    with exponent det(ray, t) * <m, q_t>. Edge lifts whose kinks disagree
+    between their endpoints make edge potentials frame-dependent and are
+    rejected.
     """
     mism = check_edge_kinks(msec)
     if mism:
         raise ValueError(f"edge kinks disagree between endpoints: {mism}")
-    out: Cochain2 = {}
-    for x, elift, flift, _ in bar.triangles:
-        key = (x, elift, flift)
-        if key in out:
+    # keyed by numerator and denominator: hashing a Fraction is slow
+    coefficients = {
+        (q.numerator, q.denominator): q for elem in g.values() for _, q in elem.factors
+    }
+    base = coprime_base([*coefficients.values(), *extra])
+    one = (0,) * len(base)
+    c = Cochain(base, one, [one] * len(bar.chains))
+    exps = {key: c.vector(q) for key, q in coefficients.items()}
+    values, nodes = c.values, bar.nodes
+    transverse: dict[Vec, Vec] = {}  # of each fan ray met
+    flag = None
+    for t, (x, e, f) in enumerate(bar.chains):
+        if (x, e) != flag:  # chains are sorted: those of one flag are adjacent
+            flag = (x, e)
+            elem = g.get((nodes[x], nodes[e]))
+            if elem is None:
+                continue
+            ray = _fan_ray(msec.cover.base, base_vertex(nodes[x]), split_lift_id(nodes[e])[0])
+            qt = transverse.get(ray) or transverse.setdefault(ray, canonical_transverse(ray))
+            coefficient = [0] * len(base)  # of the class against qt
+            for vec, q in elem.factors:
+                d = det2(ray, vec)
+                for i, a in enumerate(exps[q.numerator, q.denominator]):
+                    coefficient[i] += d * a
+        elif elem is None:
             continue
-        elem = g.get((x, elift), TRIVIAL)
-        if elem.is_trivial:
-            out[key] = ONE
-            continue
-        eid, _ = split_lift_id(elift)
-        fid, sheet = split_lift_id(flift)
-        ray = _fan_ray(msec.cover.base, base_vertex(x), eid)
-        m = msec.slope(x, fid, sheet)
-        out[key] = elem.edge_value(ray, m)
-    return out
+        fid, sheet = split_lift_id(nodes[f])
+        n = dot(msec.slope(nodes[x], fid, sheet), qt)
+        value = [n * a for a in coefficient]
+        value[0] %= 2
+        if any(value):
+            values[t] = tuple(value)
+    return c
 
 
 # -- obstruction --------------------------------------------------------------
@@ -344,12 +447,13 @@ def triple_cocycle(msec: MultiSection, g: GluingData, bar: BarComplex) -> Cochai
 class ObstructionReport(NamedTuple):
     trivial: bool
     witness: Fraction
-    cochain: dict[tuple[str, str], Fraction] | None
+    cochain: Cochain | None
 
 
-def obstruction_class(c: Cochain2, bar: BarComplex) -> ObstructionReport:
+def obstruction_class(c: Cochain, bar: BarComplex) -> ObstructionReport:
     """Decide whether a triple cocycle on the order complex ``bar`` bounds,
-    and if so produce a bounding 1-cochain on the edges of ``bar``.
+    and if so produce a bounding 1-cochain on the edges of ``bar``, over the
+    base of ``c``.
 
     The witness is the product of cocycle values against the orientation
     signs of the order complex; it is 1 exactly when a bounding cochain
@@ -357,24 +461,20 @@ def obstruction_class(c: Cochain2, bar: BarComplex) -> ObstructionReport:
     and is checked chain by chain; ``normalize_splitting`` turns it into the
     canonical table.
     """
-    witness = ONE
-    for tail, elift, flift, sign in bar.triangles:
-        val = c[(tail, elift, flift)]
-        if val is not ONE:
-            witness *= val if sign == 1 else 1 / val
-    if witness != 1:
-        return ObstructionReport(False, witness, None)
+    one, values, sides = c.one, c.values, bar.sides
+    w = [0] * len(one)
+    for t, sign in bar.triangles:
+        if values[t] is not one:
+            for i, a in enumerate(values[t]):
+                w[i] += sign * a
+    if w[0] % 2 or any(w[1:]):
+        return ObstructionReport(False, _fraction(c.base, w), None)
 
-    # chains and edges of the order complex by number, sides as (ve, ef, vf)
-    number = {b: i for i, b in enumerate(bar.edges)}
-    chains = list(dict.fromkeys(t[:3] for t in bar.triangles))
-    sides = [(number[v, e], number[e, f], number[v, f]) for v, e, f in chains]
     on_edge: list[list[int]] = [[] for _ in bar.edges]
     for t, trio in enumerate(sides):
         for b in trio:
             on_edge[b].append(t)
-
-    parent_edge: list[int | None] = [None] * len(chains)  # None: not reached
+    parent_edge: list[int | None] = [None] * len(sides)  # None: not reached
     parent_edge[0] = -1
     order = [0]
     for t in order:  # breadth first: order grows while it is walked
@@ -383,14 +483,14 @@ def obstruction_class(c: Cochain2, bar: BarComplex) -> ObstructionReport:
                 if parent_edge[t2] is None:
                     parent_edge[t2] = b
                     order.append(t2)
-    if len(order) != len(chains):
+    if len(order) != len(sides):
         raise RuntimeError("order complex of the total space is disconnected")
 
-    k = [ONE] * len(bar.edges)
+    k = [one] * len(bar.edges)
     for t in reversed(order[1:]):
         b = parent_edge[t]
         ve, ef, vf = sides[t]
-        target = c[chains[t]]
+        target = values[t]
         # k_ef * k_ve / k_vf = c, solved for the tree edge b as x * y / z
         if b == ve:
             x, y, z = target, k[vf], k[ef]
@@ -398,55 +498,64 @@ def obstruction_class(c: Cochain2, bar: BarComplex) -> ObstructionReport:
             x, y, z = target, k[vf], k[ve]
         else:
             x, y, z = k[ef], k[ve], target
-        k[b] = ONE if x is ONE and y is ONE and z is ONE else x * y / z
-    cochain = dict(zip(bar.edges, k))
+        if x is not one or y is not one or z is not one:
+            k[b] = tuple([p + q - r for p, q, r in zip(x, y, z)])
+    cochain = c._replace(values=k)
     failed = unbounded_chains(bar, c, cochain)
     if failed:
         raise RuntimeError(f"bounding cochain fails on chain {failed[0]}")
     return ObstructionReport(True, Fraction(1), cochain)
 
 
-def normalize_splitting(
-    bar: BarComplex, k: dict[tuple[str, str], Fraction]
-) -> dict[tuple[str, str], Fraction]:
+def normalize_splitting(bar: BarComplex, k: Cochain) -> Cochain:
     """The bounding cochain ``k`` of ``obstruction_class`` times the
     coboundary that makes it 1 on a lexicographic spanning tree of the
     1-skeleton of ``bar``: the canonical splitting table."""
-    adj: dict[str, list] = {n: [] for n in bar.nodes}
-    for x, y in bar.edges:
-        adj[x].append((y, (x, y), True))
-        adj[y].append((x, (x, y), False))
-    h = {bar.nodes[0]: ONE}
-    stack = [bar.nodes[0]]
+    one, kv = k.one, k.values
+    adj: list[list[tuple[int, int, bool]]] = [[] for _ in bar.nodes]
+    for b, (x, y) in enumerate(bar.edges):
+        adj[x].append((y, b, True))
+        adj[y].append((x, b, False))
+    h: list[tuple[int, ...] | None] = [None] * len(bar.nodes)
+    h[0] = one
+    stack = [0]
     while stack:
         x = stack.pop()
         for y, b, forward in sorted(adj[x]):
-            if y in h:
+            if h[y] is not None:
                 continue
             # forward: x is the source of b, so k'_b = k_b * h_y / h_x
-            kb = k[b]
-            h[y] = h[x] if kb is ONE else h[x] / kb if forward else h[x] * kb
+            kb, hx = kv[b], h[x]
+            if kb is one:
+                h[y] = hx
+            elif forward:
+                h[y] = tuple([p - q for p, q in zip(hx, kb)])
+            else:
+                h[y] = tuple([p + q for p, q in zip(hx, kb)])
             stack.append(y)
-    return {
-        (x, y): ONE if k[x, y] is ONE and h[x] is h[y] else k[x, y] * h[y] / h[x]
-        for x, y in bar.edges
-    }
+    return k._replace(values=[
+        one if kv[b] is one and h[x] is h[y]
+        else tuple([p + q - r for p, q, r in zip(kv[b], h[y], h[x])])
+        for b, (x, y) in enumerate(bar.edges)
+    ])
 
 
-def unbounded_chains(
-    bar: BarComplex, c: Cochain2, k: dict[tuple[str, str], Fraction]
-) -> list[tuple[str, str, str]]:
+def unbounded_chains(bar: BarComplex, c: Cochain, k: Cochain) -> list[tuple[str, str, str]]:
     """Chains (vertex lift, edge lift, 2-cell lift) of the order complex on
     which the 1-cochain ``k`` fails to bound ``c``, i.e. where
-    k(e, f) * k(v, e) / k(v, f) differs from c(v, e, f); in triangle order."""
+    k(e, f) * k(v, e) / k(v, f) differs from c(v, e, f); in chain order.
+    The two cochains must share their base."""
+    if k.base != c.base:
+        raise ValueError("the cochains have different bases")
+    one, kv = c.one, k.values
     bad = []
-    for chain in dict.fromkeys(t[:3] for t in bar.triangles):
-        v, e, f = chain
-        ef, ve, vf, val = k[(e, f)], k[(v, e)], k[(v, f)], c[chain]
-        if ef is ONE and ve is ONE and vf is ONE and val is ONE:
+    for t, (ve, ef, vf) in enumerate(bar.sides):
+        x, y, z, val = kv[ef], kv[ve], kv[vf], c.values[t]
+        if x is one and y is one and z is one and val is one:
             continue
-        if ef * ve / vf != val:
-            bad.append(chain)
+        d = [p + q - r - s for p, q, r, s in zip(x, y, z, val)]
+        if d[0] % 2 or any(d[1:]):
+            bad.append(tuple(bar.nodes[n] for n in bar.chains[t]))
     return bad
 
 
@@ -455,16 +564,16 @@ def unbounded_chains(
 
 class Transport(NamedTuple):
     """What the sheet comparison along any cycle of a rank-two section reads
-    from one set of gluing data: the triple cocycle and a bounding cochain."""
+    from one set of gluing data: the order complex, the triple cocycle and a
+    bounding cochain over the cocycle's base."""
 
     msec: MultiSection
-    c: Cochain2
-    k: dict[tuple[str, str], Fraction]
+    bar: BarComplex
+    c: Cochain
+    k: Cochain
 
 
-def transport(
-    msec: MultiSection, g: GluingData, k: dict[tuple[str, str], Fraction] | None = None
-) -> Transport:
+def transport(msec: MultiSection, g: GluingData, k: Cochain | None = None) -> Transport:
     """Validate a rank-two section and its gluing data, and compute the triple
     cocycle and, unless ``k`` is given, the canonical splitting table: once
     per gluing, for every cycle that ``transport_ratios`` then reads."""
@@ -479,7 +588,7 @@ def transport(
                 f"gluing-data inconsistency: obstruction witness {ob.witness}"
             )
         k = normalize_splitting(bar, ob.cochain)
-    return Transport(msec, c, k)
+    return Transport(msec, bar, c, k)
 
 
 def transport_ratios(t: Transport, cycle: list[str], sigma: str) -> list[tuple[str, Fraction]]:
@@ -492,8 +601,8 @@ def transport_ratios(t: Transport, cycle: list[str], sigma: str) -> list[tuple[s
         lift = cover.matching(eid, sigma).index(sheet)
         elift = edge_lift_id(eid, lift)
         vlift = cover.vertex_lift_at_edge(v, eid, lift)
-        kk = t.k.get((vlift, elift), Fraction(1))
-        return t.c[(vlift, elift, face_lift_id(sigma, sheet))] / kk
+        chain = t.bar.number(vlift, elift, face_lift_id(sigma, sheet))
+        return t.c.fraction(chain) / t.k.fraction(t.bar.number(vlift, elift))
 
     out = []
     n = len(cycle)

@@ -1,5 +1,5 @@
-"""Shared hand-built fixtures: small closed surfaces with standard fans, and
-an in-process runner for the command line."""
+"""Shared hand-built fixtures: small closed surfaces with standard fans, an
+in-process runner for the command line, and cochains read by cell ids."""
 
 import contextlib
 import io
@@ -15,6 +15,18 @@ class CliResult(NamedTuple):
     stdout: str
     stderr: str
     output: str  # stdout, then stderr
+
+
+def ids(bar, cells) -> list[tuple[str, ...]]:
+    """The node ids of each of ``cells`` (``bar.chains`` or ``bar.edges``)
+    of the order complex ``bar``."""
+    return [tuple(map(bar.nodes.__getitem__, cell)) for cell in cells]
+
+
+def by_id(bar, cochain, cells) -> dict:
+    """A cochain on ``cells`` of the order complex ``bar`` as rationals keyed
+    by the ids of each cell's nodes."""
+    return dict(zip(ids(bar, cells), cochain.fractions(), strict=True))
 
 
 def run_cli(argv) -> CliResult:

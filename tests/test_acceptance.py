@@ -7,6 +7,8 @@ import random
 import time
 from fractions import Fraction
 
+from conftest import ids
+
 from tropms.chern import (
     CANONICAL_FAN,
     CompleteFan,
@@ -196,13 +198,14 @@ def test_obstruction_solver_on_random_cochains():
     msec = cube2_multisection()
     rng = random.Random(6)
     bar = bar_complex(msec)
-    chains = sorted({(t, e, f) for t, e, f, _ in bar.triangles})
+    chains, edges = ids(bar, bar.chains), ids(bar, bar.edges)
     for _ in range(200):
         g = _random_coboundary(msec, rng)
         c = triple_cocycle(msec, g, bar)
         report = obstruction_class(c, bar)
         assert report.trivial and report.witness == 1
-        k = report.cochain
+        k = dict(zip(edges, report.cochain.fractions()))
+        c = dict(zip(chains, c.fractions()))
         for tail, elift, flift in chains:
             lhs = k[(elift, flift)] * k[(tail, elift)] / k[(tail, flift)]
             assert lhs == c[(tail, elift, flift)]

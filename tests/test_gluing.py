@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import cube_surface
+from conftest import by_id, cube_surface
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -136,10 +136,11 @@ def test_bar_edge_signs_cancel():
     from collections import defaultdict
 
     seen = defaultdict(list)
-    for v, e, f, sign in bar.triangles:
-        seen[(v, e)].append(sign)
-        seen[(e, f)].append(sign)
-        seen[(v, f)].append(-sign)
+    for t, sign in bar.triangles:
+        ve, ef, vf = bar.sides[t]
+        seen[ve].append(sign)
+        seen[ef].append(sign)
+        seen[vf].append(-sign)
     for edge, signs in seen.items():
         assert len(signs) == 2 and sum(signs) == 0, edge
 
@@ -171,7 +172,8 @@ def test_validate_trivial_and_violations():
 
 def test_cocycle_trivial_data():
     msec = full_branch()
-    c = triple_cocycle(msec, trivial_gluing(), bar_complex(msec))
+    bar = bar_complex(msec)
+    c = by_id(bar, triple_cocycle(msec, trivial_gluing(), bar), bar.chains)
     assert len(c) == 96
     assert all(v == 1 for v in c.values())
 
@@ -182,7 +184,8 @@ def test_cocycle_single_entry_min_endpoint():
     vl = cover.vertex_lift_at_edge("v000", "ev000v010", 0)
     assert vl == "v000#0"
     g = {(vl, "ev000v010~0"): TorusElement.single((1, 0), 2)}
-    c = triple_cocycle(msec, g, bar_complex(msec))
+    bar = bar_complex(msec)
+    c = by_id(bar, triple_cocycle(msec, g, bar), bar.chains)
     nontrivial = {k: v for k, v in c.items() if v != 1}
     assert nontrivial == {("v000#0", "ev000v010~0", "fz0~0"): Fraction(1, 4)}
 
@@ -195,7 +198,8 @@ def test_cocycle_single_entry_other_endpoint():
     assert vl == "v010#0"
     g = {(vl, "ev000v010~1"): TorusElement.single((0, 1), 3)}
     nontrivial = {
-        k: v for k, v in triple_cocycle(msec, g, bar).items() if v != 1
+        k: v for k, v in by_id(bar, triple_cocycle(msec, g, bar), bar.chains).items()
+        if v != 1
     }
     assert nontrivial == {
         ("v010#0", "ev000v010~1", "fx0~1"): Fraction(1, 3),
@@ -203,7 +207,7 @@ def test_cocycle_single_entry_other_endpoint():
     }
     # at this endpoint the edge direction is (1,0), so data along it is inert
     g2 = {(vl, "ev000v010~1"): TorusElement.single((1, 0), 3)}
-    assert all(v == 1 for v in triple_cocycle(msec, g2, bar).values())
+    assert all(v == 1 for v in by_id(bar, triple_cocycle(msec, g2, bar), bar.chains).values())
 
 
 def reslope_uniform(msec, v, kinks):
@@ -222,8 +226,8 @@ def reslope_uniform(msec, v, kinks):
 
 
 def test_kink_mismatch_rejected():
-    msec = full_branch()
-    assert check_edge_kinks(msec) == []
+    assert check_edge_kinks(full_branch()) == []
+    msec = full_branch()  # slopes are changed before the kinks are first read
     reslope_uniform(msec, "v000", [3, 0] * 3)
     bad = check_edge_kinks(msec)
     assert bad and all(e.startswith("ev000") for e in bad)
@@ -238,6 +242,7 @@ def test_obstruction_trivial_data():
     msec = full_branch()
     bar = bar_complex(msec)
     ob = obstruction_class(triple_cocycle(msec, trivial_gluing(), bar), bar)
+    ob = ob._replace(cochain=by_id(bar, ob.cochain, bar.edges))
     assert ob.trivial and ob.witness == 1
     assert len(ob.cochain) == 144
     assert all(v == 1 for v in ob.cochain.values())
@@ -251,8 +256,9 @@ def test_obstruction_of_coboundaries():
         g = rand_coboundary(msec, rng)
         c = triple_cocycle(msec, g, bar)
         ob = obstruction_class(c, bar)
+        c, ob = by_id(bar, c, bar.chains), ob._replace(cochain=by_id(bar, ob.cochain, bar.edges))
         assert ob.trivial and ob.witness == 1
-        for v, e, f, _ in bar.triangles:
+        for v, e, f in c:
             assert (
                 ob.cochain[(e, f)] * ob.cochain[(v, e)] / ob.cochain[(v, f)]
                 == c[(v, e, f)]
@@ -270,17 +276,18 @@ def test_obstruction_deterministic():
 def test_unbounded_chains_does_not_rely_on_the_shared_one():
     msec = full_branch()
     bar = bar_complex(msec)
-    c = triple_cocycle(msec, rand_coboundary(msec, random.Random(31)), bar)
+    c = triple_cocycle(msec, rand_coboundary(msec, random.Random(31)), bar, [Fraction(2)])
     k = obstruction_class(c, bar).cochain
-    # equal to 1 but not the shared object: every chain takes the arithmetic
-    fresh_c = {key: Fraction(1) if v == 1 else v for key, v in c.items()}
-    fresh_k = {key: Fraction(1) if v == 1 else v for key, v in k.items()}
+    # zero vectors but not the shared one: every chain takes the arithmetic
+    fresh_c = c._replace(values=[tuple(list(v)) for v in c.values])
+    fresh_k = k._replace(values=[tuple(list(v)) for v in k.values])
     assert unbounded_chains(bar, fresh_c, fresh_k) == []
-    bar_edge = next(key for key, v in sorted(k.items()) if v != 1)
-    fresh_k[bar_edge] *= 2
+    b = next(b for b in range(len(bar.edges)) if k.fraction(b) != 1)
+    bar_edge = tuple(bar.nodes[x] for x in bar.edges[b])
+    fresh_k.values[b] = tuple(map(sum, zip(fresh_k.values[b], k.vector(Fraction(2)))))
     through = [
         (v, e, f)
-        for v, e, f in dict.fromkeys(t[:3] for t in bar.triangles)
+        for v, e, f in by_id(bar, c, bar.chains)
         if bar_edge in ((e, f), (v, e), (v, f))
     ]
     assert len(through) == 2
@@ -333,11 +340,12 @@ def test_holonomy_with_corrupted_cochain():
     msec = ring_cover()
     g = rand_coboundary(msec, random.Random(11))
     bar = bar_complex(msec)
-    c = triple_cocycle(msec, g, bar)
+    c = triple_cocycle(msec, g, bar, [Fraction(3)])
     ob = obstruction_class(c, bar)
-    k = dict(ob.cochain)
+    k = ob.cochain
     vlift = msec.cover.vertex_lift_at_edge("v000", "ev000v010", 0)
-    k[(vlift, "ev000v010~0")] *= 3
+    b = bar.number(vlift, "ev000v010~0")
+    k.values[b] = tuple(map(sum, zip(k.values[b], k.vector(Fraction(3)))))
     h = holonomy_around_cycle(transport(msec, g, k=k), BOTTOM_CYCLE, "fz0")
     assert h in (Fraction(3), Fraction(1, 3))
 

@@ -66,7 +66,8 @@ def write_inputs(root: Path) -> None:
         (root / f"{name}.manifest.json").write_text(manifest_to_text(m))
     # cube2 gluing with one extra nontrivial flag into a 2-cell lift
     g = parse_gluing(json.loads((root / "cube2.gluing.json").read_text()))
-    tail, _, flift, _ = bar_complex(cube2_multisection()).triangles[0]
+    bar = bar_complex(cube2_multisection())
+    tail, _, flift = (bar.nodes[x] for x in bar.chains[0])
     g[(tail, flift)] = TorusElement.single((1, 0), 3)
     (root / "cube2-tampered.gluing.json").write_text(gluing_to_text(g))
     m = Manifest("cube2.complex.json", "cube2.section.json",
