@@ -65,7 +65,7 @@ def _restrict_ray(p: Poly, ray: Vec) -> dict[int, Fraction]:
     for (i, j), c in p.terms.items():
         if i < 0 or j < 0:
             raise ValueError("piecewise data must be polynomial")
-        val = c * Fraction(ray[0]) ** i * Fraction(ray[1]) ** j
+        val = c * (ray[0] ** i * ray[1] ** j)
         d = i + j
         s = out.get(d, Fraction(0)) + val
         if s:
@@ -222,19 +222,34 @@ def _coef(p: Poly, i: int, j: int) -> Fraction:
     return p.terms.get((i, j), Fraction(0))
 
 
-def forgetful(p: PiecewisePoly) -> CohomologyClass:
+_LINEAR = ((1, 0), (0, 1))
+_QUADRATIC = ((2, 0), (1, 1), (0, 2))
+
+
+def _forgetful_basis() -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+    """The systems that ``forgetful`` solves: cone by cone, the coefficients
+    of the three ray classes and of their six pairwise products."""
+    t = [ray_class(CANONICAL_FAN, i) for i in range(3)]
+    products = [t[i] * t[j] for i in range(3) for j in range(i, 3)]
+    return (
+        [[_coef(b.parts[cone], *e) for b in t] for cone in range(3) for e in _LINEAR],
+        [[_coef(b.parts[cone], *e) for b in products] for cone in range(3) for e in _QUADRATIC],
+    )
+
+
+def forgetful(p: PiecewisePoly, basis=None) -> CohomologyClass:
     """Push an equivariant class down to ordinary cohomology.
 
     Degree-one ray classes map to H and their pairwise products to H^2;
     globally linear functions map to zero. Defined on the canonical fan for
-    piecewise polynomials of degree at most two.
+    piecewise polynomials of degree at most two. ``basis`` is
+    ``_forgetful_basis()``, built here when not given.
     """
     if p.fan != CANONICAL_FAN:
         raise ValueError("forgetful map is defined over the canonical fan")
     if p.max_degree() > 2:
         raise ValueError("degree above two is not supported")
-
-    t = [ray_class(CANONICAL_FAN, i) for i in range(3)]
+    linear, quadratic = basis or _forgetful_basis()
 
     consts = [pc.terms.get((0, 0), Fraction(0)) for pc in p.parts]
     if len(set(consts)) != 1:
@@ -242,23 +257,12 @@ def forgetful(p: PiecewisePoly) -> CohomologyClass:
     h0 = consts[0]
 
     lin = p.homogeneous_part(1)
-    rows, rhs = [], []
-    for cone in range(3):
-        for e in ((1, 0), (0, 1)):
-            rows.append([_coef(t[k].parts[cone], *e) for k in range(3)])
-            rhs.append(_coef(lin.parts[cone], *e))
-    alpha = solve_linear(rows, rhs)
-    h1 = sum(alpha, Fraction(0))
+    rhs = [_coef(lin.parts[cone], *e) for cone in range(3) for e in _LINEAR]
+    h1 = sum(solve_linear(linear, rhs), Fraction(0))
 
     quad = p.homogeneous_part(2)
-    basis = [t[i] * t[j] for i in range(3) for j in range(i, 3)]
-    rows, rhs = [], []
-    for cone in range(3):
-        for e in ((2, 0), (1, 1), (0, 2)):
-            rows.append([_coef(bq.parts[cone], *e) for bq in basis])
-            rhs.append(_coef(quad.parts[cone], *e))
-    beta = solve_linear(rows, rhs)
-    h2 = sum(beta, Fraction(0))
+    rhs = [_coef(quad.parts[cone], *e) for cone in range(3) for e in _QUADRATIC]
+    h2 = sum(solve_linear(quadratic, rhs), Fraction(0))
 
     return CohomologyClass(h0, h1, h2)
 
@@ -267,7 +271,8 @@ def total_chern(m: int, n: int) -> CohomologyClass:
     """Total class 1 + c1 + c2 in ordinary cohomology, computed through the
     equivariant classes and the forgetful map."""
     c1, c2 = equivariant_chern(m, n)
-    return CohomologyClass.of(1) + forgetful(c1) + forgetful(c2)
+    basis = _forgetful_basis()
+    return CohomologyClass.of(1) + forgetful(c1, basis) + forgetful(c2, basis)
 
 
 def stability_discriminant(m: int, n: int, tc: CohomologyClass) -> tuple[int, str]:

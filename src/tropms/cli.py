@@ -252,7 +252,55 @@ def _render(args):
         print(args.out)
 
 
-def _parser() -> argparse.ArgumentParser:
+_REQUIRED = {"required": True}
+_INT = {"type": int, "required": True}
+
+#: Each command: its function and its arguments as (flags, options).
+_COMMANDS = {
+    "validate": (_validate, [
+        (("--manifest",), _REQUIRED),
+        (("--check",), {"dest": "checks", "action": "append", "help":
+                        "Restrict to these checks; default runs all of them in order."}),
+    ]),
+    "classify": (_classify, [(("--section",), _REQUIRED)]),
+    "verify-cocycle": (_verify_cocycle, [
+        (("--m",), _INT),
+        (("--n",), _INT),
+        (("--a",), {"nargs": 3, "help": "Three rationals."}),
+        (("--b",), {"nargs": 3, "help": "Three rationals."}),
+    ]),
+    "chern": (_chern, [(("--m",), _INT), (("--n",), _INT)]),
+    "newton": (_newton, [(("--slopes",), _REQUIRED)]),
+    "obstruction": (_obstruction, [
+        (("--complex",), _REQUIRED),
+        (("--section",), _REQUIRED),
+        (("--gluing",), _REQUIRED),
+        (("--k",), {"dest": "overrides", "action": "append", "help":
+                    "Replace a splitting entry, e.g. --k 'p001#0,ep001p003#0=3/4'; "
+                    "the overridden table is rechecked against the cocycle."}),
+    ]),
+    "simplicity": (_simplicity, [
+        (("--section",), _REQUIRED),
+        (("--gluing",), {}),
+        (("--rank2",), {"dest": "mode", "action": "store_const", "const": "rank2",
+                        "help": "Force the rank-2 criterion."}),
+        (("--general",), {"dest": "mode", "action": "store_const", "const": "general",
+                          "help": "Force the general criterion."}),
+    ]),
+    "fiber-product": (_fiber_product, [(("--section",), _REQUIRED)]),
+    "example": (_example, [(("name",), {}), (("--outdir",), {"default": "."})]),
+    "render": (_render, [
+        (("--manifest",), _REQUIRED),
+        (("--layer",), _REQUIRED),
+        (("--out",), {}),
+    ]),
+}
+
+
+def _parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of ``argv``: when it starts with a command, only that
+    command's subparser is built, else all of them, for the help, the usage
+    errors and ``--version``."""
     parser = argparse.ArgumentParser(
         prog="tropms",
         description="Exact checks for tropical multi-sections over affine surfaces.",
@@ -261,70 +309,24 @@ def _parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s, version {__version__}"
     )
     commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    def command(name, fn):
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    for name in names:
+        fn, arguments = _COMMANDS[name]
         doc = fn.__doc__
         sub = commands.add_parser(name, help=doc.split("\n")[0], description=doc)
         sub.set_defaults(run=fn)
-        return sub
-
-    sub = command("validate", _validate)
-    sub.add_argument("--manifest", required=True)
-    sub.add_argument(
-        "--check", dest="checks", action="append",
-        help="Restrict to these checks; default runs all of them in order.",
-    )
-
-    command("classify", _classify).add_argument("--section", required=True)
-
-    sub = command("verify-cocycle", _verify_cocycle)
-    sub.add_argument("--m", type=int, required=True)
-    sub.add_argument("--n", type=int, required=True)
-    # a negative rational such as -5/4 is a value, not an option
-    sub._negative_number_matcher = re.compile(r"^-\.?\d")
-    sub.add_argument("--a", nargs=3, help="Three rationals.")
-    sub.add_argument("--b", nargs=3, help="Three rationals.")
-
-    sub = command("chern", _chern)
-    sub.add_argument("--m", type=int, required=True)
-    sub.add_argument("--n", type=int, required=True)
-
-    command("newton", _newton).add_argument("--slopes", required=True)
-
-    sub = command("obstruction", _obstruction)
-    sub.add_argument("--complex", required=True)
-    sub.add_argument("--section", required=True)
-    sub.add_argument("--gluing", required=True)
-    sub.add_argument(
-        "--k", dest="overrides", action="append",
-        help="Replace a splitting entry, e.g. --k 'p001#0,ep001p003#0=3/4'; "
-        "the overridden table is rechecked against the cocycle.",
-    )
-
-    sub = command("simplicity", _simplicity)
-    sub.add_argument("--section", required=True)
-    sub.add_argument("--gluing")
-    sub.add_argument("--rank2", dest="mode", action="store_const", const="rank2",
-                     help="Force the rank-2 criterion.")
-    sub.add_argument("--general", dest="mode", action="store_const", const="general",
-                     help="Force the general criterion.")
-
-    command("fiber-product", _fiber_product).add_argument("--section", required=True)
-
-    sub = command("example", _example)
-    sub.add_argument("name")
-    sub.add_argument("--outdir", default=".")
-
-    sub = command("render", _render)
-    sub.add_argument("--manifest", required=True)
-    sub.add_argument("--layer", required=True)
-    sub.add_argument("--out")
+        if name == "verify-cocycle":
+            # a negative rational such as -5/4 is a value, not an option
+            sub._negative_number_matcher = re.compile(r"^-\.?\d")
+        for flags, options in arguments:
+            sub.add_argument(*flags, **options)
     return parser
 
 
 def main(argv=None) -> int:
     """Run one command and return its exit code; a usage error exits 2."""
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parser(argv).parse_args(argv)
     try:
         code = args.run(args)
     except (ValueError, OSError) as err:

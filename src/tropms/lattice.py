@@ -98,6 +98,10 @@ def ccw_cmp(u: Vec, v: Vec) -> int:
     return 0
 
 
+def _fraction(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction]:
     """Solve an exact linear system with a unique solution.
 
@@ -107,7 +111,7 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction]:
     if m != len(rhs):
         raise ValueError("shape mismatch")
     n = len(rows[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    aug = [[_fraction(x) for x in row] + [_fraction(rhs[i])] for i, row in enumerate(rows)]
     pivots = []
     r = 0
     for c in range(n):
@@ -116,11 +120,11 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction]:
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
         pv = aug[r][c]
-        aug[r] = [x / pv for x in aug[r]]
+        aug[r] = [x / pv if x else x for x in aug[r]]
         for i in range(m):
             if i != r and aug[i][c] != 0:
                 f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+                aug[i] = [a - f * b if b else a for a, b in zip(aug[i], aug[r])]
         pivots.append(c)
         r += 1
         if r == m:

@@ -1,5 +1,7 @@
 """End-to-end checks of the command-line front end and the SVG renderer."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -61,6 +63,60 @@ def test_version_flag():
     res = invoke("--version")
     assert res.exit_code == EXIT_OK
     assert "version" in res.output
+
+
+COMMANDS = ("validate", "classify", "verify-cocycle", "chern", "newton", "obstruction",
+            "simplicity", "fiber-product", "example", "render")
+
+
+@pytest.mark.parametrize(
+    "argv, code, stream, lines",
+    [
+        (["--help"], EXIT_OK, "stdout",
+         ["usage: tropms [-h] [--version] COMMAND ...",
+          "    validate      Run the check pipeline on a manifest and print the report.",
+          "    render        Render one diagnostic SVG layer for a manifest's data."]),
+        (["--version"], EXIT_OK, "stdout", [f"tropms, version {tropms.__version__}"]),
+        ([], EXIT_INVALID, "stderr",
+         ["usage: tropms [-h] [--version] COMMAND ...",
+          "tropms: error: the following arguments are required: COMMAND"]),
+        (["bogus"], EXIT_INVALID, "stderr",
+         ["tropms: error: argument COMMAND: invalid choice: 'bogus' (choose from "
+          + ", ".join(f"'{c}'" for c in COMMANDS) + ")"]),
+        (["validate"], EXIT_INVALID, "stderr",
+         ["usage: tropms validate [-h] --manifest MANIFEST [--check CHECKS]",
+          "tropms validate: error: the following arguments are required: --manifest"]),
+    ],
+    ids=["help", "version", "no-command", "unknown-command", "missing-option"],
+)
+def test_usage_output_and_exit_codes(argv, code, stream, lines, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    res = invoke(*argv)
+    assert res.exit_code == code
+    for line in lines:
+        assert line in getattr(res, stream).splitlines()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_parser_built_alone_matches_the_full_parser(command, monkeypatch):
+    """A command's arguments parse and print the same whether its subparser
+    is built alone, as a run builds it, or among all of them."""
+    from tropms.cli import _parser
+
+    monkeypatch.setenv("COLUMNS", "80")
+    alone, full = _parser([command]), _parser([])
+    assert len(alone._subparsers._group_actions[0].choices) == 1
+    assert len(full._subparsers._group_actions[0].choices) == len(COMMANDS)
+    outputs = []
+    for parser in (alone, full):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--help"])
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--no-such-option"])
+        outputs.append((out.getvalue(), err.getvalue()))
+    assert outputs[0] == outputs[1]
 
 
 def test_example_stdout_matches_manifest_file(tmp_path):

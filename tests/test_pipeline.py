@@ -380,3 +380,30 @@ def test_class_and_complex_computed_once_per_run(
     assert report.exit_code == EXIT_OK
     assert report.record("simplicity").verdict == "pass"
     assert len(calls) == expected
+
+
+def test_order_complex_and_kinks_computed_once_per_verdict(tmp_path, monkeypatch):
+    """A verdict with gluing data builds the order complex once and computes
+    the kink at each wall of each lift of rank at most two once; classify
+    and the kink check read the kinks from the section's index."""
+    from tropms import covers
+
+    manifest = generate_example("cube2", str(tmp_path))
+    bars = _count_calls(monkeypatch, gluing.bar_complex)
+    kinks = _count_calls(monkeypatch, covers._kink)
+    sequences = _count_calls(monkeypatch, covers.kink_sequence)
+    report = run_pipeline(manifest)
+    assert report.exit_code == EXIT_OK
+    assert report.record("obstruction").verdict == "pass"
+    assert report.record("classify").verdict == "pass"
+    cover = kinks[0][0].cover
+    walls = [
+        (lid, t)
+        for v in cover.base.vertices
+        for lid, cyc in zip(cover.vertex_lift_ids(v.id), cover.lift_cycles(v.id))
+        if len(cyc) <= 2 * len(cover.wall_sequence(v.id))
+        for t in range(len(cyc))
+    ]
+    assert len(bars) == 1
+    assert walls and sorted((lid, t) for _, _, lid, _, t in kinks) == sorted(walls)
+    assert sequences == []
