@@ -118,13 +118,14 @@ class BarComplex(NamedTuple):
     ids do, so every table below is in the order of its ids. Edges are the
     proper inclusions, chains the full chains (vertex lift, edge lift, 2-cell
     lift), sides the edge numbers (ve, ef, vf) of each chain, and triangles
-    the (chain, orientation sign) pairs."""
+    the chains with their orientation signs, (vertex lift, edge lift, 2-cell
+    lift, sign)."""
 
     nodes: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]
     chains: tuple[tuple[int, int, int], ...]
     sides: tuple[tuple[int, int, int], ...]
-    triangles: tuple[tuple[int, int], ...]
+    triangles: tuple[tuple[int, int, int, int], ...]
 
     def number(self, *ids: str) -> int | None:
         """Number of the node, edge or chain given by one, two or three ids;
@@ -157,37 +158,33 @@ def vertex_edge_flags(msec: MultiSection) -> set[tuple[str, str]]:
 def bar_complex(msec: MultiSection) -> BarComplex:
     """Order complex of the total space of a valid section."""
     cover = msec.cover
-    nodes: set[str] = set()
-    signed: list[tuple[str, str, str, int]] = []
-    for v in cover.base.vertices:
-        nodes.update(cover.vertex_lift_ids(v.id))
-    for e in cover.base.edges:
-        for lift in range(cover.degree):
-            nodes.add(edge_lift_id(e.id, lift))
-    for f in cover.base.faces2:
-        walk = cover.base.oriented_edges(f.id)
-        for s in range(cover.degree):
-            flift = face_lift_id(f.id, s)
-            nodes.add(flift)
-            for eid, v, w in walk:
-                lift = cover.matching(eid, f.id).index(s)
-                elift = edge_lift_id(eid, lift)
-                signed.append((cover.vertex_lift_at_edge(v, eid, lift), elift, flift, 1))
-                signed.append((cover.vertex_lift_at_edge(w, eid, lift), elift, flift, -1))
-    names = tuple(sorted(nodes))
+    base, degree = cover.base, cover.degree
+    names = sorted(
+        {lid for v in base.vertices for lid in cover.vertex_lift_ids(v.id)}
+        | {edge_lift_id(e.id, i) for e in base.edges for i in range(degree)}
+        | {face_lift_id(f.id, s) for f in base.faces2 for s in range(degree)}
+    )
     rank = {x: i for i, x in enumerate(names)}
-    numbered = sorted((rank[v], rank[e], rank[f], sign) for v, e, f, sign in signed)
-    chains = tuple(dict.fromkeys(t[:3] for t in numbered))
-    # every inclusion is a side of a chain
-    edges = tuple(sorted({b for v, e, f in chains for b in ((v, e), (e, f), (v, f))}))
-    edge_no = {b: i for i, b in enumerate(edges)}
-    chain_no = {c: i for i, c in enumerate(chains)}
+    signed = []  # (vertex lift, edge lift, 2-cell lift, orientation sign)
+    for f in base.faces2:
+        flifts = [rank[face_lift_id(f.id, s)] for s in range(degree)]
+        for eid, v, w in base.oriented_edges(f.id):
+            for lift, s in enumerate(cover.matching(eid, f.id)):
+                elift = rank[edge_lift_id(eid, lift)]
+                signed.append((rank[cover.vertex_lift_at_edge(v, eid, lift)], elift, flifts[s], 1))
+                signed.append((rank[cover.vertex_lift_at_edge(w, eid, lift)], elift, flifts[s], -1))
+    signed.sort()
+    chains = tuple(dict.fromkeys([t[:3] for t in signed]))
+    # every inclusion is a side of a chain; (x, y) is keyed x * n + y, which sorts as the pair
+    n = len(names)
+    keys = sorted({k for v, e, f in chains for k in (v * n + e, e * n + f, v * n + f)})
+    edge_no = {k: i for i, k in enumerate(keys)}
     return BarComplex(
-        names,
-        edges,
+        tuple(names),
+        tuple([divmod(k, n) for k in keys]),
         chains,
-        tuple((edge_no[v, e], edge_no[e, f], edge_no[v, f]) for v, e, f in chains),
-        tuple((chain_no[t[:3]], t[3]) for t in numbered),
+        tuple([(edge_no[v * n + e], edge_no[e * n + f], edge_no[v * n + f]) for v, e, f in chains]),
+        tuple(signed),
     )
 
 
@@ -463,7 +460,10 @@ def obstruction_class(c: Cochain, bar: BarComplex) -> ObstructionReport:
     """
     one, values, sides = c.one, c.values, bar.sides
     w = [0] * len(one)
-    for t, sign in bar.triangles:
+    t = 0
+    for v, e, f, sign in bar.triangles:
+        if bar.chains[t] != (v, e, f):  # the chains come in triangle order
+            t += 1
         if values[t] is not one:
             for i, a in enumerate(values[t]):
                 w[i] += sign * a

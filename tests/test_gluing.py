@@ -136,11 +136,10 @@ def test_bar_edge_signs_cancel():
     from collections import defaultdict
 
     seen = defaultdict(list)
-    for t, sign in bar.triangles:
-        ve, ef, vf = bar.sides[t]
-        seen[ve].append(sign)
-        seen[ef].append(sign)
-        seen[vf].append(-sign)
+    for v, e, f, sign in bar.triangles:
+        seen[(v, e)].append(sign)
+        seen[(e, f)].append(sign)
+        seen[(v, f)].append(-sign)
     for edge, signs in seen.items():
         assert len(signs) == 2 and sum(signs) == 0, edge
 
