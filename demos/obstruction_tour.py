@@ -27,11 +27,8 @@ from tropms.gluing import (
 
 def recheck_splitting(bar, c, table) -> int:
     """Count the chains where table fails to bound c (want zero)."""
-    bad = 0
-    for t, (ve, ef, vf) in enumerate(bar.sides):
-        if table.fraction(ef) * table.fraction(ve) / table.fraction(vf) != c.fraction(t):
-            bad += 1
-    return bad
+    k, values = table.fractions(), c.fractions()
+    return sum(k[ef] * k[ve] / k[vf] != values[t] for t, (ve, ef, vf) in enumerate(bar.sides))
 
 
 def main() -> None:
@@ -46,8 +43,7 @@ def main() -> None:
     rep = obstruction_class(c, bar)
     print(f"\ncoboundary gluing: trivial={rep.trivial}, witness={rep.witness}")
     table = normalize_splitting(bar, rep.cochain)
-    nontree = [(b, table.fraction(b)) for b in range(len(bar.edges))
-               if table.fraction(b) != 1]
+    nontree = [(b, v) for b, v in enumerate(table.fractions()) if v != 1]
     for b, v in nontree[:3]:
         x, y = bar.edges[b]
         print(f"  k[{bar.nodes[x]}, {bar.nodes[y]}] = {v}")

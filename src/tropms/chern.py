@@ -222,8 +222,7 @@ def _coef(p: Poly, i: int, j: int) -> Fraction:
     return p.terms.get((i, j), Fraction(0))
 
 
-_LINEAR = ((1, 0), (0, 1))
-_QUADRATIC = ((2, 0), (1, 1), (0, 2))
+_LINEAR, _QUADRATIC = ((1, 0), (0, 1)), ((2, 0), (1, 1), (0, 2))  # exponents
 
 
 def _forgetful_basis() -> tuple[list[list[Fraction]], list[list[Fraction]]]:
@@ -242,8 +241,8 @@ def forgetful(p: PiecewisePoly, basis=None) -> CohomologyClass:
 
     Degree-one ray classes map to H and their pairwise products to H^2;
     globally linear functions map to zero. Defined on the canonical fan for
-    piecewise polynomials of degree at most two. ``basis`` is
-    ``_forgetful_basis()``, built here when not given.
+    piecewise polynomials of degree at most two; ``basis`` defaults to
+    ``_forgetful_basis()``.
     """
     if p.fan != CANONICAL_FAN:
         raise ValueError("forgetful map is defined over the canonical fan")

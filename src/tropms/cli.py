@@ -254,53 +254,38 @@ def _render(args):
 
 _REQUIRED = {"required": True}
 _INT = {"type": int, "required": True}
+_RATIONALS = {"nargs": 3, "help": "Three rationals."}
 
-#: Each command: its function and its arguments as (flags, options).
+#: Each command: its function and its arguments as (flag, options).
 _COMMANDS = {
-    "validate": (_validate, [
-        (("--manifest",), _REQUIRED),
-        (("--check",), {"dest": "checks", "action": "append", "help":
-                        "Restrict to these checks; default runs all of them in order."}),
-    ]),
-    "classify": (_classify, [(("--section",), _REQUIRED)]),
+    "validate": (_validate, [("--manifest", _REQUIRED), ("--check", {
+        "dest": "checks", "action": "append",
+        "help": "Restrict to these checks; default runs all of them in order."})]),
+    "classify": (_classify, [("--section", _REQUIRED)]),
     "verify-cocycle": (_verify_cocycle, [
-        (("--m",), _INT),
-        (("--n",), _INT),
-        (("--a",), {"nargs": 3, "help": "Three rationals."}),
-        (("--b",), {"nargs": 3, "help": "Three rationals."}),
-    ]),
-    "chern": (_chern, [(("--m",), _INT), (("--n",), _INT)]),
-    "newton": (_newton, [(("--slopes",), _REQUIRED)]),
+        ("--m", _INT), ("--n", _INT), ("--a", _RATIONALS), ("--b", _RATIONALS)]),
+    "chern": (_chern, [("--m", _INT), ("--n", _INT)]),
+    "newton": (_newton, [("--slopes", _REQUIRED)]),
     "obstruction": (_obstruction, [
-        (("--complex",), _REQUIRED),
-        (("--section",), _REQUIRED),
-        (("--gluing",), _REQUIRED),
-        (("--k",), {"dest": "overrides", "action": "append", "help":
-                    "Replace a splitting entry, e.g. --k 'p001#0,ep001p003#0=3/4'; "
-                    "the overridden table is rechecked against the cocycle."}),
-    ]),
+        ("--complex", _REQUIRED), ("--section", _REQUIRED), ("--gluing", _REQUIRED),
+        ("--k", {"dest": "overrides", "action": "append", "help":
+                 "Replace a splitting entry, e.g. --k 'p001#0,ep001p003#0=3/4'; "
+                 "the overridden table is rechecked against the cocycle."})]),
     "simplicity": (_simplicity, [
-        (("--section",), _REQUIRED),
-        (("--gluing",), {}),
-        (("--rank2",), {"dest": "mode", "action": "store_const", "const": "rank2",
-                        "help": "Force the rank-2 criterion."}),
-        (("--general",), {"dest": "mode", "action": "store_const", "const": "general",
-                          "help": "Force the general criterion."}),
-    ]),
-    "fiber-product": (_fiber_product, [(("--section",), _REQUIRED)]),
-    "example": (_example, [(("name",), {}), (("--outdir",), {"default": "."})]),
-    "render": (_render, [
-        (("--manifest",), _REQUIRED),
-        (("--layer",), _REQUIRED),
-        (("--out",), {}),
-    ]),
+        ("--section", _REQUIRED), ("--gluing", {}),
+        ("--rank2", {"dest": "mode", "action": "store_const", "const": "rank2",
+                     "help": "Force the rank-2 criterion."}),
+        ("--general", {"dest": "mode", "action": "store_const", "const": "general",
+                       "help": "Force the general criterion."})]),
+    "fiber-product": (_fiber_product, [("--section", _REQUIRED)]),
+    "example": (_example, [("name", {}), ("--outdir", {"default": "."})]),
+    "render": (_render, [("--manifest", _REQUIRED), ("--layer", _REQUIRED), ("--out", {})]),
 }
 
 
 def _parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser of ``argv``: when it starts with a command, only that
-    command's subparser is built, else all of them, for the help, the usage
-    errors and ``--version``."""
+    """The parser of ``argv``: only the subparser of the command it starts
+    with, else all of them, for the help, usage errors and ``--version``."""
     parser = argparse.ArgumentParser(
         prog="tropms",
         description="Exact checks for tropical multi-sections over affine surfaces.",
@@ -318,8 +303,8 @@ def _parser(argv: list[str]) -> argparse.ArgumentParser:
         if name == "verify-cocycle":
             # a negative rational such as -5/4 is a value, not an option
             sub._negative_number_matcher = re.compile(r"^-\.?\d")
-        for flags, options in arguments:
-            sub.add_argument(*flags, **options)
+        for flag, options in arguments:
+            sub.add_argument(flag, **options)
     return parser
 
 

@@ -68,10 +68,9 @@ class _SurfaceIndex(NamedTuple):
 class PolyhedralSurface:
     """Cells, fans, boundary cycles and assertion flags of one surface.
 
-    ``cells`` and ``orientation`` must not change after the first query,
-    except that a cell may be replaced by one of the same id and dimension:
-    the cells of each dimension, cofaces, edges and corners are read from an
-    index built from them once.
+    ``cells`` (but for replacing a cell by one of its id and dimension) and
+    ``orientation`` must not change after the first query: the cells of each
+    dimension, cofaces, edges and corners are read from an index built once.
     """
 
     def __init__(self, cells: dict[str, Cell], fans: dict[str, VertexFan] | None = None,
@@ -113,8 +112,7 @@ class PolyhedralSurface:
                 cofaces.setdefault(f, []).append(c.id)
             if c.dim == 1:
                 edge_of[frozenset(c.faces)] = c.id
-        for ids in by_dim.values():
-            ids.sort()
+        by_dim = {d: sorted(ids) for d, ids in by_dim.items()}
         # a boundary step without an edge leaves its 2-cell out of the corners
         corners: dict[str, list[tuple[str, str, str]]] = {}
         for f in map(self.cells.get, by_dim.get(2, ())):

@@ -10,6 +10,7 @@ around each vertex lift, continuous across walls at lifts of rank at most two.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 from typing import NamedTuple
@@ -137,11 +138,6 @@ class BranchedCover:
         """Corner chain around a vertex: (2-cell, outgoing edge, incoming edge)."""
         return self._index[v].corners
 
-    def wall_position(self, v: str, eid: str) -> int | None:
-        """Position in ``wall_sequence(v)`` of the first corner whose incoming
-        edge is ``eid``; None when the edge does not end at ``v``."""
-        return self._index[v].wall_at.get(eid)
-
     def lift_cycles(self, v: str) -> list[list[tuple[int, int]]]:
         """Orbits of (corner position, sheet) under crossing walls ccw.
 
@@ -210,11 +206,8 @@ class BranchedCover:
 
 
 class MultiSection:
-    """Slopes of a section over a branched cover.
-
-    ``slopes`` must not change after the first query of ``kinks``: the kinks
-    are read from an index built once.
-    """
+    """Slopes of a section over a branched cover. ``slopes`` must not change
+    after the first query of ``kinks``, an index built once."""
 
     def __init__(self, cover: BranchedCover, slopes: dict[SlopeKey, Vec], label: str = ""):
         self.cover = cover
@@ -226,19 +219,17 @@ class MultiSection:
 
     @functools.cached_property
     def kinks(self) -> dict[tuple[str, int, int], int]:
-        """Kink across the wall after each corner of every vertex lift of rank
-        at most two, keyed by (lift id, corner position, sheet). A wall across
-        which the slope does not jump by a multiple of the quarter-turned wall
-        direction has no entry. Every slope of those lifts must be given."""
+        """Kink across the wall after each corner of every lift of rank at most
+        two, keyed by (lift id, corner position, sheet); a wall with no kink,
+        where the slope jump is no multiple of the turned wall, has no entry."""
         out = {}
         for v, at in self.cover._index.items():
             for lid, cyc in zip(at.ids, at.cycles):
-                if len(cyc) <= 2 * len(at.corners):
-                    for t, node in enumerate(cyc):
-                        try:
-                            out[(lid, *node)] = _kink(self, v, lid, cyc, t)
-                        except ValueError:
-                            pass
+                if len(cyc) > 2 * len(at.corners):
+                    continue
+                for t in range(len(cyc)):
+                    with contextlib.suppress(ValueError):
+                        out[(lid, *cyc[t])] = _kink(self, v, lid, cyc, t)
         return out
 
 
@@ -391,14 +382,11 @@ def validate_multisection(msec: MultiSection) -> ValidationReport:
         return ValidationReport(tuple(diags), rep.euler_characteristic)
 
     kinks = msec.kinks
-    for v in cover.base.vertices:
-        at = cover._index[v.id]
+    for v, at in cover._index.items():
         for lid, cyc in zip(at.ids, at.cycles):
-            if len(cyc) <= 2 * len(at.corners) and any(
-                (lid, *node) not in kinks for node in cyc
-            ):
+            if len(cyc) <= 2 * len(at.corners) and any((lid, *n) not in kinks for n in cyc):
                 try:
-                    kink_sequence(msec, v.id, lid)  # raises at the first bad wall
+                    kink_sequence(msec, v, lid)  # raises at the first bad wall
                 except ValueError as exc:
                     bad("slope-discontinuous", f"lift {lid}: {exc}")
     return ValidationReport(tuple(diags), rep.euler_characteristic)

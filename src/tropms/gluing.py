@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import NamedTuple
 
 from .complexes import Diagnostic, ValidationReport, parses
@@ -73,19 +73,6 @@ class TorusElement:
             out *= q ** dot(m, vec)
         return out
 
-    def edge_coefficient(self, ray: Vec) -> Fraction:
-        """Scalar of the class in the quotient by an edge direction, written
-        against the canonical transverse generator."""
-        out = Fraction(1)
-        for vec, q in self.factors:
-            out *= q ** det2(ray, vec)
-        return out
-
-    def edge_value(self, ray: Vec, m: Vec) -> Fraction:
-        """Evaluate the edge-quotient class on a covector."""
-        qt = canonical_transverse(ray)
-        return self.edge_coefficient(ray) ** dot(m, qt)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, TorusElement) and self.factors == other.factors
 
@@ -113,13 +100,11 @@ def split_lift_id(lid: str) -> tuple[str, int]:
 
 
 class BarComplex(NamedTuple):
-    """Order complex of the total space, numbered once. Nodes are the lifted
-    cells, sorted, and a node's number is its position; numbers sort as the
-    ids do, so every table below is in the order of its ids. Edges are the
-    proper inclusions, chains the full chains (vertex lift, edge lift, 2-cell
-    lift), sides the edge numbers (ve, ef, vf) of each chain, and triangles
-    the chains with their orientation signs, (vertex lift, edge lift, 2-cell
-    lift, sign)."""
+    """Order complex of the total space, numbered once: a node (lifted cell)
+    is numbered by its place among the sorted ids, so every table is in id
+    order. Edges are the inclusions, chains the full chains (vertex lift,
+    edge lift, 2-cell lift) with their sides (ve, ef, vf) as edge numbers,
+    and triangles the chains with orientation signs, (v, e, f, sign)."""
 
     nodes: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]
@@ -130,17 +115,15 @@ class BarComplex(NamedTuple):
     def number(self, *ids: str) -> int | None:
         """Number of the node, edge or chain given by one, two or three ids;
         None when there is none."""
-        key = []
-        for x in ids:
-            i = bisect_left(self.nodes, x)
-            if self.nodes[i : i + 1] != (x,):
-                return None
-            key.append(i)
-        if len(key) == 1:
-            return key[0]
-        table, key = (self.edges if len(key) == 2 else self.chains), tuple(key)
-        i = bisect_left(table, key)
-        return i if table[i : i + 1] == (key,) else None
+        key = tuple(_position(self.nodes, x) for x in ids)
+        if len(key) == 1 or None in key:
+            return key[0] if len(key) == 1 else None
+        return _position(self.edges if len(key) == 2 else self.chains, key)
+
+
+def _position(table: tuple, key) -> int | None:
+    i = bisect_left(table, key)
+    return i if table[i : i + 1] == (key,) else None
 
 
 def vertex_edge_flags(msec: MultiSection) -> set[tuple[str, str]]:
@@ -165,27 +148,24 @@ def bar_complex(msec: MultiSection) -> BarComplex:
         | {face_lift_id(f.id, s) for f in base.faces2 for s in range(degree)}
     )
     rank = {x: i for i, x in enumerate(names)}
+    lift_at = cover.vertex_lift_at_edge
     signed = []  # (vertex lift, edge lift, 2-cell lift, orientation sign)
     for f in base.faces2:
         flifts = [rank[face_lift_id(f.id, s)] for s in range(degree)]
         for eid, v, w in base.oriented_edges(f.id):
             for lift, s in enumerate(cover.matching(eid, f.id)):
                 elift = rank[edge_lift_id(eid, lift)]
-                signed.append((rank[cover.vertex_lift_at_edge(v, eid, lift)], elift, flifts[s], 1))
-                signed.append((rank[cover.vertex_lift_at_edge(w, eid, lift)], elift, flifts[s], -1))
+                signed.append((rank[lift_at(v, eid, lift)], elift, flifts[s], 1))
+                signed.append((rank[lift_at(w, eid, lift)], elift, flifts[s], -1))
     signed.sort()
     chains = tuple(dict.fromkeys([t[:3] for t in signed]))
     # every inclusion is a side of a chain; (x, y) is keyed x * n + y, which sorts as the pair
     n = len(names)
     keys = sorted({k for v, e, f in chains for k in (v * n + e, e * n + f, v * n + f)})
     edge_no = {k: i for i, k in enumerate(keys)}
-    return BarComplex(
-        tuple(names),
-        tuple([divmod(k, n) for k in keys]),
-        chains,
-        tuple([(edge_no[v * n + e], edge_no[e * n + f], edge_no[v * n + f]) for v, e, f in chains]),
-        tuple(signed),
-    )
+    sides = [(edge_no[v * n + e], edge_no[e * n + f], edge_no[v * n + f]) for v, e, f in chains]
+    edges = tuple([divmod(k, n) for k in keys])
+    return BarComplex(tuple(names), edges, chains, tuple(sides), tuple(signed))
 
 
 # -- gluing data --------------------------------------------------------------
@@ -202,25 +182,19 @@ def validate_gluing(
     flags must be real inclusions; data landing in a rank-zero lattice
     (anything into a 2-cell lift) must be trivial."""
     diags: list[Diagnostic] = []
-
-    def bad(code, msg):
-        diags.append(Diagnostic(code, msg))
-
     ve = {sides[0] for sides in bar.sides}
     for (src, dst), elem in sorted(g.items()):
         b = bar.number(src, dst)
-        if b in ve:
-            continue
         if b is None:
-            bad("gluing-flag", f"({src}, {dst}) is not a flag of the total space")
-        elif not elem.is_trivial:
+            diags.append(Diagnostic(
+                "gluing-flag", f"({src}, {dst}) is not a flag of the total space"))
+        elif b not in ve and not elem.is_trivial:
             # an inclusion into a 2-cell lift is a side ef or vf of some chain
             t = min(t for t, (_, ef, vf) in enumerate(bar.sides) if b in (ef, vf))
             where = tuple(bar.nodes[x] for x in bar.chains[t])
-            bad(
+            diags.append(Diagnostic(
                 "gluing-cocycle-violation",
-                f"nontrivial element into a 2-cell lift at chain {where}",
-            )
+                f"nontrivial element into a 2-cell lift at chain {where}"))
     return ValidationReport(tuple(diags), msec.cover.base.euler_characteristic())
 
 
@@ -283,12 +257,9 @@ def coboundary_gluing(
 
 
 def check_edge_kinks(msec: MultiSection) -> list[str]:
-    """Edge lifts whose kinks disagree between their two endpoints. The
-    section must be valid.
-
-    Endpoint lifts of rank three or more hold raw chart data, have no kinks
-    and are skipped.
-    """
+    """Edge lifts whose kinks disagree between their two endpoints, on a
+    valid section. Endpoint lifts of rank three or more hold raw chart data,
+    have no kinks and are skipped."""
     cover = msec.cover
     kinks = msec.kinks
 
@@ -309,14 +280,11 @@ def check_edge_kinks(msec: MultiSection) -> list[str]:
     return sorted(bad)
 
 
-def coprime_base(values) -> tuple[int, ...]:
-    """-1, then pairwise coprime integers above 1, increasing, such that every
-    given nonzero rational is a product of their powers.
-
-    Numerators and denominators are split at common divisors until no two
-    share one; nothing is factored (D. J. Bernstein, "Factoring into coprimes
-    in essentially linear time", J. Algorithms 54, 2005).
-    """
+def _coprime_base(values) -> tuple[int, ...]:
+    """-1, then increasing pairwise coprime integers above 1 whose powers give
+    every given nonzero rational: numerators and denominators are split at
+    common divisors, never factored (D. J. Bernstein, "Factoring into
+    coprimes in essentially linear time", J. Algorithms 54, 2005)."""
     todo = sorted({abs(n) for q in values for n in (q.numerator, q.denominator)} - {1})
     base: list[int] = []
     while todo:
@@ -334,52 +302,35 @@ def coprime_base(values) -> tuple[int, ...]:
 
 def _fraction(base: tuple[int, ...], v) -> Fraction:
     """The rational with exponent vector ``v`` over ``base``."""
-    num = den = 1
-    for p, e in zip(base[1:], v[1:]):
-        if e > 0:
-            num *= p**e
-        elif e < 0:
-            den *= p**-e
+    num = prod(p**e for p, e in zip(base[1:], v[1:]) if e > 0)
+    den = prod(p**-e for p, e in zip(base[1:], v[1:]) if e < 0)
     return Fraction(-num if v[0] % 2 else num, den)
 
 
 class Cochain(NamedTuple):
-    """Rational values on the chains or on the edges of an order complex, by
-    number, as exponent vectors over a coprime base: the entry ``v`` stands
-    for the product of ``base[i] ** v[i]``, where ``base[0]`` is -1 and its
-    exponent counts mod 2.
-
-    Every trivial chain of ``triple_cocycle`` holds the one vector ``one``.
-    The solver skips arithmetic whose result this very object decides; a
-    vector of zeros that is another object takes the arithmetic path, with
-    the same result.
-    """
+    """Rationals on the chains or the edges of an order complex, by number, as
+    exponent vectors over a coprime base: ``v`` stands for the product of
+    ``base[i] ** v[i]``, where ``base[0]`` is -1. Every trivial chain of
+    ``triple_cocycle`` holds the shared zero vector ``one``; the solver skips
+    arithmetic whose result this very object decides, and takes the
+    arithmetic path, with the same result, on any other zero vector."""
 
     base: tuple[int, ...]
     one: tuple[int, ...]
     values: list[tuple[int, ...]]
 
-    def fraction(self, i: int) -> Fraction:
-        """Entry ``i`` as a rational."""
-        v = self.values[i]
-        return Fraction(1) if v is self.one else _fraction(self.base, v)
-
     def fractions(self) -> list[Fraction]:
         """Every entry as a rational, converting each distinct vector once."""
         out = {self.one: Fraction(1)}
-        return [
-            out[v] if v in out else out.setdefault(v, _fraction(self.base, v))
-            for v in self.values
-        ]
+        return [out.get(v) or out.setdefault(v, _fraction(self.base, v)) for v in self.values]
 
     def vector(self, q: Fraction) -> tuple[int, ...]:
         """Exponent vector of a nonzero rational over the base, or raise."""
-        out = [1 if q < 0 else 0] + [0] * (len(self.base) - 1)
-        for sign, n in ((1, q.numerator), (-1, q.denominator)):
-            n = abs(n)
-            for i in range(1, len(self.base)):
-                while n % self.base[i] == 0:
-                    n //= self.base[i]
+        out = [int(q < 0)] + [0] * (len(self.base) - 1)
+        for sign, n in ((1, abs(q.numerator)), (-1, q.denominator)):
+            for i, p in enumerate(self.base[1:], 1):
+                while n % p == 0:
+                    n //= p
                     out[i] += sign
             if n != 1:
                 raise ValueError(f"{q} is not a product of powers of {self.base[1:]}")
@@ -404,30 +355,25 @@ def triple_cocycle(
     if mism:
         raise ValueError(f"edge kinks disagree between endpoints: {mism}")
     # keyed by numerator and denominator: hashing a Fraction is slow
-    coefficients = {
-        (q.numerator, q.denominator): q for elem in g.values() for _, q in elem.factors
-    }
-    base = coprime_base([*coefficients.values(), *extra])
+    coefficients = {(q.numerator, q.denominator): q for e in g.values() for _, q in e.factors}
+    base = _coprime_base([*coefficients.values(), *extra])
     one = (0,) * len(base)
     c = Cochain(base, one, [one] * len(bar.chains))
     exps = {key: c.vector(q) for key, q in coefficients.items()}
     values, nodes = c.values, bar.nodes
-    transverse: dict[Vec, Vec] = {}  # of each fan ray met
     flag = None
     for t, (x, e, f) in enumerate(bar.chains):
         if (x, e) != flag:  # chains are sorted: those of one flag are adjacent
-            flag = (x, e)
-            elem = g.get((nodes[x], nodes[e]))
-            if elem is None:
-                continue
-            ray = _fan_ray(msec.cover.base, base_vertex(nodes[x]), split_lift_id(nodes[e])[0])
-            qt = transverse.get(ray) or transverse.setdefault(ray, canonical_transverse(ray))
-            coefficient = [0] * len(base)  # of the class against qt
-            for vec, q in elem.factors:
-                d = det2(ray, vec)
-                for i, a in enumerate(exps[q.numerator, q.denominator]):
-                    coefficient[i] += d * a
-        elif elem is None:
+            flag, elem = (x, e), g.get((nodes[x], nodes[e]))
+            if elem is not None:
+                ray = _fan_ray(msec.cover.base, base_vertex(nodes[x]), split_lift_id(nodes[e])[0])
+                qt = canonical_transverse(ray)
+                coefficient = [0] * len(base)  # of the class against qt
+                for vec, q in elem.factors:
+                    d = det2(ray, vec)
+                    for i, a in enumerate(exps[q.numerator, q.denominator]):
+                        coefficient[i] += d * a
+        if elem is None:
             continue
         fid, sheet = split_lift_id(nodes[f])
         n = dot(msec.slope(nodes[x], fid, sheet), qt)
@@ -512,26 +458,19 @@ def normalize_splitting(bar: BarComplex, k: Cochain) -> Cochain:
     coboundary that makes it 1 on a lexicographic spanning tree of the
     1-skeleton of ``bar``: the canonical splitting table."""
     one, kv = k.one, k.values
-    adj: list[list[tuple[int, int, bool]]] = [[] for _ in bar.nodes]
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in bar.nodes]
     for b, (x, y) in enumerate(bar.edges):
-        adj[x].append((y, b, True))
-        adj[y].append((x, b, False))
-    h: list[tuple[int, ...] | None] = [None] * len(bar.nodes)
-    h[0] = one
+        adj[x].append((y, b, -1))  # x is the source of b: k'_b = k_b * h_y / h_x
+        adj[y].append((x, b, 1))
+    h: list[tuple[int, ...] | None] = [one] + [None] * (len(bar.nodes) - 1)
     stack = [0]
     while stack:
         x = stack.pop()
-        for y, b, forward in sorted(adj[x]):
+        for y, b, sign in sorted(adj[x]):
             if h[y] is not None:
                 continue
-            # forward: x is the source of b, so k'_b = k_b * h_y / h_x
-            kb, hx = kv[b], h[x]
-            if kb is one:
-                h[y] = hx
-            elif forward:
-                h[y] = tuple([p - q for p, q in zip(hx, kb)])
-            else:
-                h[y] = tuple([p + q for p, q in zip(hx, kb)])
+            kb = kv[b]
+            h[y] = h[x] if kb is one else tuple([p + sign * q for p, q in zip(h[x], kb)])
             stack.append(y)
     return k._replace(values=[
         one if kv[b] is one and h[x] is h[y]
@@ -545,8 +484,6 @@ def unbounded_chains(bar: BarComplex, c: Cochain, k: Cochain) -> list[tuple[str,
     which the 1-cochain ``k`` fails to bound ``c``, i.e. where
     k(e, f) * k(v, e) / k(v, f) differs from c(v, e, f); in chain order.
     The two cochains must share their base."""
-    if k.base != c.base:
-        raise ValueError("the cochains have different bases")
     one, kv = c.one, k.values
     bad = []
     for t, (ve, ef, vf) in enumerate(bar.sides):
@@ -584,9 +521,7 @@ def transport(msec: MultiSection, g: GluingData, k: Cochain | None = None) -> Tr
     if k is None:
         ob = obstruction_class(c, bar)
         if not ob.trivial:
-            raise ValueError(
-                f"gluing-data inconsistency: obstruction witness {ob.witness}"
-            )
+            raise ValueError(f"gluing-data inconsistency: obstruction witness {ob.witness}")
         k = normalize_splitting(bar, ob.cochain)
     return Transport(msec, bar, c, k)
 
@@ -601,8 +536,8 @@ def transport_ratios(t: Transport, cycle: list[str], sigma: str) -> list[tuple[s
         lift = cover.matching(eid, sigma).index(sheet)
         elift = edge_lift_id(eid, lift)
         vlift = cover.vertex_lift_at_edge(v, eid, lift)
-        chain = t.bar.number(vlift, elift, face_lift_id(sigma, sheet))
-        return t.c.fraction(chain) / t.k.fraction(t.bar.number(vlift, elift))
+        c = t.c.values[t.bar.number(vlift, elift, face_lift_id(sigma, sheet))]
+        return _fraction(t.c.base, c) / _fraction(t.k.base, t.k.values[t.bar.number(vlift, elift)])
 
     out = []
     n = len(cycle)
@@ -625,10 +560,7 @@ def holonomy_around_cycle(t: Transport, cycle: list[str], sigma: str) -> Fractio
     With the canonical bounding cochain the holonomy of consistent gluing
     data is 1; a transport on an explicit cochain exposes corrupted data.
     """
-    hol = Fraction(1)
-    for _, lam in transport_ratios(t, cycle, sigma):
-        hol *= lam
-    return hol
+    return prod((lam for _, lam in transport_ratios(t, cycle, sigma)), start=Fraction(1))
 
 
 # -- serialization ------------------------------------------------------------
@@ -670,12 +602,8 @@ def parse_gluing(data: dict) -> GluingData:
             if set(fac) != {"vec", "q"}:
                 raise ValueError(f"bad torus factor {fac}")
             num, _, den = str(fac["q"]).partition("/")
-            factors.append(
-                (
-                    (int(fac["vec"][0]), int(fac["vec"][1])),
-                    Fraction(int(num), int(den or "1")),
-                )
-            )
+            vec = (int(fac["vec"][0]), int(fac["vec"][1]))
+            factors.append((vec, Fraction(int(num), int(den or "1"))))
         key = (str(src), str(dst))
         if key in out:
             raise ValueError(f"duplicate gluing entry for {key}")

@@ -98,10 +98,6 @@ def ccw_cmp(u: Vec, v: Vec) -> int:
     return 0
 
 
-def _fraction(x) -> Fraction:
-    return x if type(x) is Fraction else Fraction(x)
-
-
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction]:
     """Solve an exact linear system with a unique solution.
 
@@ -111,7 +107,7 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction]:
     if m != len(rhs):
         raise ValueError("shape mismatch")
     n = len(rows[0]) if m else 0
-    aug = [[_fraction(x) for x in row] + [_fraction(rhs[i])] for i, row in enumerate(rows)]
+    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
     pivots = []
     r = 0
     for c in range(n):

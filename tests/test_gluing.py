@@ -101,22 +101,6 @@ def test_group_laws(a, b, m):
     assert a.inverse().inverse() == a
 
 
-def test_edge_projection():
-    t = TorusElement.single((1, 0), 2)
-    # class of (1,0) against the transverse generator of the ray (0,1)
-    assert t.edge_coefficient((0, 1)) == Fraction(1, 2)
-    assert t.edge_value((0, 1), (2, 7)) == 4
-    # data along the edge direction projects to nothing
-    assert t.edge_coefficient((1, 0)) == 1
-    assert t.edge_value((1, 0), (2, 7)) == 1
-
-
-@given(elems, elems)
-def test_projection_multiplicative(a, b):
-    for r in ((0, 1), (1, 0), (1, 1), (-1, 2)):
-        assert (a * b).edge_coefficient(r) == a.edge_coefficient(r) * b.edge_coefficient(r)
-
-
 # -- total-space structure ----------------------------------------------------
 
 
@@ -281,7 +265,7 @@ def test_unbounded_chains_does_not_rely_on_the_shared_one():
     fresh_c = c._replace(values=[tuple(list(v)) for v in c.values])
     fresh_k = k._replace(values=[tuple(list(v)) for v in k.values])
     assert unbounded_chains(bar, fresh_c, fresh_k) == []
-    b = next(b for b in range(len(bar.edges)) if k.fraction(b) != 1)
+    b = next(b for b, v in enumerate(k.fractions()) if v != 1)
     bar_edge = tuple(bar.nodes[x] for x in bar.edges[b])
     fresh_k.values[b] = tuple(map(sum, zip(fresh_k.values[b], k.vector(Fraction(2)))))
     through = [
