@@ -31,16 +31,13 @@ def is_basis(u: Vec, v: Vec) -> bool:
 
 
 def standard_triple(rays: Sequence[Vec]) -> bool:
-    """Three primitive rays summing to zero, any two a lattice basis."""
+    """Three primitive rays summing to zero, any two a lattice basis. When
+    three rays sum to zero and the first two are a basis, so are the other
+    pairs, and a vector of a basis is primitive."""
     if len(rays) != 3:
         return False
-    if any(not is_primitive(r) for r in rays):
-        return False
-    if (sum(r[0] for r in rays), sum(r[1] for r in rays)) != (0, 0):
-        return False
-    return all(
-        is_basis(rays[i], rays[j]) for i in range(3) for j in range(i + 1, 3)
-    )
+    a, b, c = rays
+    return a[0] + b[0] + c[0] == 0 and a[1] + b[1] + c[1] == 0 and is_basis(a, b)
 
 
 def canonical_transverse(r: Vec) -> Vec:
