@@ -116,9 +116,9 @@ class BarComplex(NamedTuple):
         """Number of the node, edge or chain given by one, two or three ids;
         None when there is none."""
         key = tuple(_position(self.nodes, x) for x in ids)
-        if len(key) == 1 or None in key:
-            return key[0] if len(key) == 1 else None
-        return _position(self.edges if len(key) == 2 else self.chains, key)
+        if len(key) > 1 and None not in key:
+            return _position(self.edges if len(key) == 2 else self.chains, key)
+        return key[0] if len(key) == 1 else None
 
 
 def _position(table: tuple, key) -> int | None:
@@ -182,7 +182,7 @@ def validate_gluing(
     flags must be real inclusions; data landing in a rank-zero lattice
     (anything into a 2-cell lift) must be trivial."""
     diags: list[Diagnostic] = []
-    ve = {sides[0] for sides in bar.sides}
+    ve = {ve for ve, _, _ in bar.sides}
     for (src, dst), elem in sorted(g.items()):
         b = bar.number(src, dst)
         if b is None:
@@ -285,7 +285,7 @@ def _coprime_base(values) -> tuple[int, ...]:
     every given nonzero rational: numerators and denominators are split at
     common divisors, never factored (D. J. Bernstein, "Factoring into
     coprimes in essentially linear time", J. Algorithms 54, 2005)."""
-    todo = sorted({abs(n) for q in values for n in (q.numerator, q.denominator)} - {1})
+    todo = sorted({abs(n) for q in values for n in (q.numerator, q.denominator)} - {0, 1})
     base: list[int] = []
     while todo:
         n = todo.pop()
@@ -329,7 +329,7 @@ class Cochain(NamedTuple):
         out = [int(q < 0)] + [0] * (len(self.base) - 1)
         for sign, n in ((1, abs(q.numerator)), (-1, q.denominator)):
             for i, p in enumerate(self.base[1:], 1):
-                while n % p == 0:
+                while n and n % p == 0:
                     n //= p
                     out[i] += sign
             if n != 1:
@@ -502,7 +502,7 @@ def unbounded_chains(bar: BarComplex, c: Cochain, k: Cochain) -> list[tuple[str,
 class Transport(NamedTuple):
     """What the sheet comparison along any cycle of a rank-two section reads
     from one set of gluing data: the order complex, the triple cocycle and a
-    bounding cochain over the cocycle's base."""
+    bounding cochain."""
 
     msec: MultiSection
     bar: BarComplex
@@ -602,8 +602,12 @@ def parse_gluing(data: dict) -> GluingData:
             if set(fac) != {"vec", "q"}:
                 raise ValueError(f"bad torus factor {fac}")
             num, _, den = str(fac["q"]).partition("/")
-            vec = (int(fac["vec"][0]), int(fac["vec"][1]))
-            factors.append((vec, Fraction(int(num), int(den or "1"))))
+            factors.append(
+                (
+                    (int(fac["vec"][0]), int(fac["vec"][1])),
+                    Fraction(int(num), int(den or "1")),
+                )
+            )
         key = (str(src), str(dst))
         if key in out:
             raise ValueError(f"duplicate gluing entry for {key}")
