@@ -143,22 +143,21 @@ def bar_complex(msec: MultiSection) -> BarComplex:
     cover = msec.cover
     base, degree = cover.base, cover.degree
     names = sorted(
-        {lid for v in base.vertices for lid in cover.vertex_lift_ids(v.id)}
+        {lid for at in cover._index.values() for lid in at.ids}
         | {edge_lift_id(e.id, i) for e in base.edges for i in range(degree)}
         | {face_lift_id(f.id, s) for f in base.faces2 for s in range(degree)}
     )
     rank = {x: i for i, x in enumerate(names)}
-    lift_at = cover.vertex_lift_at_edge
     signed = []  # (vertex lift, edge lift, 2-cell lift, orientation sign)
-    for f in base.faces2:
-        flifts = [rank[face_lift_id(f.id, s)] for s in range(degree)]
-        for eid, v, w in base.oriented_edges(f.id):
-            for lift, s in enumerate(cover.matching(eid, f.id)):
-                elift = rank[edge_lift_id(eid, lift)]
-                signed.append((rank[lift_at(v, eid, lift)], elift, flifts[s], 1))
-                signed.append((rank[lift_at(w, eid, lift)], elift, flifts[s], -1))
+    for at in cover._index.values():
+        for (i, s), lid in at.lift_at.items():
+            fid, out, inn = at.corners[i]  # the boundary walk of fid runs inn, vertex, out
+            flift = rank[face_lift_id(fid, s)]
+            for eid, sign in ((out, 1), (inn, -1)):
+                elift = rank[edge_lift_id(eid, cover.matching(eid, fid).index(s))]
+                signed.append((rank[lid], elift, flift, sign))
     signed.sort()
-    chains = tuple(dict.fromkeys([t[:3] for t in signed]))
+    chains = tuple(dict.fromkeys(t[:3] for t in signed))
     # every inclusion is a side of a chain; (x, y) is keyed x * n + y, which sorts as the pair
     n = len(names)
     keys = sorted({k for v, e, f in chains for k in (v * n + e, e * n + f, v * n + f)})
