@@ -10,7 +10,6 @@ around each vertex lift, continuous across walls at lifts of rank at most two.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 from typing import NamedTuple
@@ -228,8 +227,10 @@ class MultiSection:
                 if len(cyc) > 2 * len(at.corners):
                     continue
                 for t in range(len(cyc)):
-                    with contextlib.suppress(ValueError):
+                    try:
                         out[(lid, *cyc[t])] = _kink(self, v, lid, cyc, t)
+                    except ValueError:
+                        pass
         return out
 
 

@@ -113,8 +113,7 @@ class BarComplex(NamedTuple):
     triangles: tuple[tuple[int, int, int, int], ...]
 
     def number(self, *ids: str) -> int | None:
-        """Number of the node, edge or chain given by one, two or three ids;
-        None when there is none."""
+        """Number of the node, edge or chain given by one, two or three ids, or None."""
         key = tuple(_position(self.nodes, x) for x in ids)
         if len(key) > 1 and None not in key:
             return _position(self.edges if len(key) == 2 else self.chains, key)
