@@ -279,10 +279,9 @@ def check_edge_kinks(msec: MultiSection) -> list[str]:
 
 
 def _coprime_base(values) -> tuple[int, ...]:
-    """-1, then increasing pairwise coprime integers above 1 whose powers give
-    every given nonzero rational: numerators and denominators are split at
-    common divisors, never factored (D. J. Bernstein, "Factoring into
-    coprimes in essentially linear time", J. Algorithms 54, 2005)."""
+    """-1 and increasing pairwise coprime integers above 1 whose powers give
+    every given nonzero rational: split at common divisors, never factored
+    (Bernstein, "Factoring into coprimes in essentially linear time", 2005)."""
     todo = sorted({abs(n) for q in values for n in (q.numerator, q.denominator)} - {0, 1})
     base: list[int] = []
     while todo:
@@ -299,19 +298,22 @@ def _coprime_base(values) -> tuple[int, ...]:
 
 
 def _fraction(base: tuple[int, ...], v) -> Fraction:
-    """The rational with exponent vector ``v`` over ``base``."""
-    num = prod(p**e for p, e in zip(base[1:], v[1:]) if e > 0)
-    den = prod(p**-e for p, e in zip(base[1:], v[1:]) if e < 0)
-    return Fraction(-num if v[0] % 2 else num, den)
+    """The rational with exponent vector ``v`` over ``base`` (-1 included)."""
+    num = den = 1
+    for p, e in zip(base, v):
+        if e > 0:
+            num *= p**e
+        elif e < 0:
+            den *= p**-e
+    return Fraction(num, den)
 
 
 class Cochain(NamedTuple):
-    """Rationals on the chains or the edges of an order complex, by number, as
-    exponent vectors over a coprime base: ``v`` stands for the product of
-    ``base[i] ** v[i]``, where ``base[0]`` is -1. Every trivial chain of
-    ``triple_cocycle`` holds the shared zero vector ``one``; the solver skips
-    arithmetic whose result this very object decides, and takes the
-    arithmetic path, with the same result, on any other zero vector."""
+    """Rationals on the chains or the edges of an order complex, by number, as exponent
+    vectors over a coprime base: ``v`` stands for the product of ``base[i] ** v[i]``,
+    ``base[0]`` being -1. Every trivial chain of ``triple_cocycle`` holds the shared zero
+    vector ``one``; the solver skips arithmetic whose result this very object decides,
+    and takes the arithmetic path, with the same result, on any other zero vector."""
 
     base: tuple[int, ...]
     one: tuple[int, ...]
@@ -498,9 +500,8 @@ def unbounded_chains(bar: BarComplex, c: Cochain, k: Cochain) -> list[tuple[str,
 
 
 class Transport(NamedTuple):
-    """What the sheet comparison along any cycle of a rank-two section reads
-    from one set of gluing data: the order complex, the triple cocycle and a
-    bounding cochain."""
+    """What the sheet comparison along any cycle of a rank-two section reads from
+    one set of gluing data: the order complex, the triple cocycle and a bounding cochain."""
 
     msec: MultiSection
     bar: BarComplex
