@@ -1,8 +1,10 @@
 """Shared hand-built fixtures: small closed surfaces with standard fans, an
-in-process runner for the command line, and cochains read by cell ids."""
+in-process runner for the command line, cochains read by cell ids, and the
+coboundary of an order complex gauged on a spanning tree of its chains."""
 
 import contextlib
 import io
+from fractions import Fraction
 from typing import NamedTuple
 
 from tropms.cli import main
@@ -27,6 +29,40 @@ def by_id(bar, cochain, cells) -> dict:
     """A cochain on ``cells`` of the order complex ``bar`` as rationals keyed
     by the ids of each cell's nodes."""
     return dict(zip(ids(bar, cells), cochain.fractions(), strict=True))
+
+
+def tree_gauged_rows(bar) -> list[dict[int, Fraction]]:
+    """The rows of the coboundary d(k)(v, e, f) = k(e, f) + k(v, e) - k(v, f)
+    on exponents, one per chain, restricted to the edges of a spanning tree
+    of the chains (two chains are adjacent through a shared edge), as
+    {tree edge column: coefficient}.
+
+    Restricted to a tree the map is injective, and its image has the
+    dimension of the image of the whole map, one less than the number of
+    chains (H^2 of the total space is Z): the two images agree.
+    """
+    owners: dict[int, list[int]] = {}
+    for t, sides in enumerate(bar.sides):
+        for b in sides:
+            owners.setdefault(b, []).append(t)
+    root = list(range(len(bar.chains)))
+
+    def find(t):
+        while root[t] != t:
+            root[t] = root[root[t]]
+            t = root[t]
+        return t
+
+    column = {}
+    for b, (s, t) in sorted(owners.items()):
+        if find(s) != find(t):
+            root[find(s)] = find(t)
+            column[b] = len(column)
+    assert len(column) == len(bar.chains) - 1
+    return [
+        {column[b]: Fraction(sign) for b, sign in zip(sides, (1, 1, -1)) if b in column}
+        for sides in bar.sides
+    ]
 
 
 def run_cli(argv) -> CliResult:

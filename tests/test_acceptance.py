@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import ids
+from conftest import ids, tree_gauged_rows
 
 from tropms.chern import (
     CANONICAL_FAN,
@@ -245,40 +245,6 @@ def test_obstruction_solver_on_random_cochains():
     assert elapsed < 30.0, f"took {elapsed:.2f}s"
 
 
-def _tree_gauged_rows(bar) -> list[dict[int, Fraction]]:
-    """The rows of the coboundary d(k)(v, e, f) = k(e, f) + k(v, e) - k(v, f)
-    on exponents, one per chain, restricted to the edges of a spanning tree
-    of the chains (two chains are adjacent through a shared edge), as
-    {tree edge column: coefficient}.
-
-    Restricted to a tree the map is injective, and its image has the
-    dimension of the image of the whole map, one less than the number of
-    chains (H^2 of the total space is Z): the two images agree.
-    """
-    owners: dict[int, list[int]] = {}
-    for t, sides in enumerate(bar.sides):
-        for b in sides:
-            owners.setdefault(b, []).append(t)
-    root = list(range(len(bar.chains)))
-
-    def find(t):
-        while root[t] != t:
-            root[t] = root[root[t]]
-            t = root[t]
-        return t
-
-    column = {}
-    for b, (s, t) in sorted(owners.items()):
-        if find(s) != find(t):
-            root[find(s)] = find(t)
-            column[b] = len(column)
-    assert len(column) == len(bar.chains) - 1
-    return [
-        {column[b]: Fraction(sign) for b, sign in zip(sides, (1, 1, -1)) if b in column}
-        for sides in bar.sides
-    ]
-
-
 def _consistent(rows, rhs) -> list[bool]:
     """Gaussian elimination over the rationals of sparse ``rows`` with
     several right-hand sides, ``rhs[row][j]``: whether each right-hand side
@@ -334,7 +300,7 @@ def test_obstruction_solver_agrees_with_elimination():
         for t in range(len(bar.chains))
     ]
     bounds = [True] * len(cochains)
-    for (n, _), ok in zip(columns, _consistent(_tree_gauged_rows(bar), rhs)):
+    for (n, _), ok in zip(columns, _consistent(tree_gauged_rows(bar), rhs)):
         bounds[n] = bounds[n] and ok
     assert bounds.count(False) == 20
     number = {chain: t for t, chain in enumerate(bar.chains)}

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import by_id, cube_surface
+from conftest import by_id, cube_surface, tree_gauged_rows
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -25,7 +25,7 @@ from tropms.gluing import (
     validate_gluing,
     vertex_edge_flags,
 )
-from tropms.lattice import rot90
+from tropms.lattice import rot90, solve_linear
 
 
 def full_branch(m=2, n=1):
@@ -289,6 +289,31 @@ def test_planted_obstruction_detected():
     assert not ob.trivial
     assert ob.witness != 1
     assert ob.cochain is None
+
+
+def test_obstruction_agrees_with_solve_linear():
+    """lattice.solve_linear on the coboundary gauged on a spanning tree of the
+    chains, one base element at a time, finds a bounding cochain exactly when
+    obstruction_class does: random coboundaries bound, tampered ones do not."""
+    msec = full_branch()
+    bar = bar_complex(msec)
+    dense = [[r.get(j, 0) for j in range(len(bar.chains) - 1)] for r in tree_gauged_rows(bar)]
+    flag = sorted(vertex_edge_flags(msec))[7]
+    rng = random.Random(12)
+    for planted in (False, True) * 3:
+        g = rand_coboundary(msec, rng)
+        if planted:
+            g[flag] = g.get(flag, TRIVIAL) * TorusElement.single((1, 1), 2)
+        c = triple_cocycle(msec, g, bar)
+        assert all(v[0] == 0 for v in c.values)  # no negative value
+        bounds = True
+        for i in range(1, len(c.base)):
+            try:
+                solve_linear(dense, [v[i] for v in c.values])
+            except ValueError as err:
+                assert str(err) == "inconsistent system"
+                bounds = False
+        assert obstruction_class(c, bar).trivial == bounds == (not planted)
 
 
 def test_single_entry_witnesses():
