@@ -9,6 +9,7 @@ to run without the local model assertion.
 Run with: python3 demos/simplicity_gallery.py
 """
 
+from tropms.bundle import check
 from tropms.covers import classify, euler_genus
 from tropms.generators import (
     cube_o1_multisection,
@@ -44,7 +45,7 @@ def main() -> None:
     show("planted square", planted, verdict)
     cycle, sigma = verdict.witnesses[0]
     print(f"  witness cycle {list(cycle)} around 2-cell {sigma}")
-    cert = endomorphism_witness(transport(planted, trivial_gluing()), verdict.witnesses[0])
+    cert = endomorphism_witness(transport(check(planted, trivial_gluing())), verdict.witnesses[0])
     print(f"  certificate ok={cert.ok}, sheet order {cert.order}, "
           f"zero extension {cert.zero_extension}")
     for v in cycle:

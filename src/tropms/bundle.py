@@ -1,0 +1,92 @@
+"""The checked input of every command, read and validated once where it enters.
+
+``check`` is the only code that validates a section and its gluing data, and
+``load`` the only code that reads input files. Whatever reads a ``Bundle``
+expects it valid and does not check again.
+"""
+
+from __future__ import annotations
+
+import json
+from typing import TYPE_CHECKING, NamedTuple
+
+from .complexes import Diagnostic, complex_to_json, parse_complex
+from .covers import MultiSection, parse_multisection, validate_multisection
+
+if TYPE_CHECKING:  # gluing is loaded only when gluing data is given
+    from .gluing import BarComplex, GluingData
+
+
+class Bundle(NamedTuple):
+    """A valid section, its valid gluing data or None, the order complex of
+    its total space (with gluing data) or None, and the assertion flags that hold."""
+
+    msec: MultiSection
+    gluing: GluingData | None
+    bar: BarComplex | None
+    flags: frozenset[str]
+
+
+class Invalid(ValueError):
+    """Input that parsed but failed validation; carries the diagnostics."""
+
+    def __init__(self, what: str, diagnostics: tuple[Diagnostic, ...]):
+        super().__init__(f"{what}: {[d.code for d in diagnostics]}")
+        self.diagnostics = diagnostics
+
+
+def check(msec: MultiSection, gluing: GluingData | None = None, flags=frozenset()) -> Bundle:
+    """Validate a section, then its gluing data on the order complex of its
+    total space; raise ``Invalid`` unless both are valid."""
+    rep = validate_multisection(msec)
+    if not rep.ok:
+        raise Invalid("multi-section is invalid", rep.diagnostics)
+    bar = None
+    if gluing is not None:
+        from .gluing import bar_complex, validate_gluing
+
+        bar = bar_complex(msec)
+        rep = validate_gluing(msec, gluing, bar)
+        if not rep.ok:
+            raise Invalid("gluing data invalid", rep.diagnostics)
+    return Bundle(msec, gluing, bar, frozenset(flags))
+
+
+def _read(path: str):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _structural_json(data):
+    """A complex document without its assertion flags; anything else as is."""
+    if isinstance(data, dict):
+        return {key: value for key, value in data.items() if key != "asserted"}
+    return data
+
+
+def load(section_path: str, gluing_path: str | None = None, complex_path: str | None = None,
+         assertions: dict[str, bool] | None = None) -> Bundle:
+    """Read, parse and check a section file and the gluing and complex files
+    when named. The section must be built over the named complex, which is
+    parsed only when its document differs from the one the section embeds.
+    A flag holds when ``assertions`` say so, or when they are silent on it
+    and the embedded complex asserts it."""
+    named = None if complex_path is None else _read(complex_path)
+    data = _read(section_path)
+    embedded = data.get("complex") if isinstance(data, dict) else None
+    same = complex_path is None or (
+        isinstance(named, dict) and _structural_json(named) == _structural_json(embedded)
+    )
+    surface = None if same else parse_complex(named)
+    msec = parse_multisection(data)
+    if not same and _structural_json(complex_to_json(surface)) != _structural_json(
+        complex_to_json(msec.cover.base)
+    ):
+        raise ValueError("section is not built over the complex named alongside it")
+    gluing = None
+    if gluing_path is not None:
+        from .gluing import parse_gluing
+
+        gluing = parse_gluing(_read(gluing_path))
+    flags = msec.cover.base.asserted | (assertions or {})
+    return check(msec, gluing, (flag for flag, holds in flags.items() if holds))

@@ -31,32 +31,11 @@ def _echo_json(obj) -> None:
     print(json.dumps(_jsonable(obj), indent=2))
 
 
-def _load_json(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except ZeroDivisionError as err:
         raise ValueError(f"malformed rational (ZeroDivisionError: {err})") from err
-
-
-def _load_section(path: str, gluing_path: str | None = None):
-    """Parse and validate a section file and, when named, a gluing file;
-    return the section, the gluing data and, with gluing data, the order
-    complex."""
-    from .covers import parse_multisection, require_valid_section
-
-    msec = parse_multisection(_load_json(path))
-    if gluing_path is None:
-        require_valid_section(msec)
-        return msec, None, None
-    from .gluing import parse_gluing, require_valid
-
-    g = parse_gluing(_load_json(gluing_path))
-    return msec, g, require_valid(msec, g)
 
 
 def _validate(args):
@@ -70,9 +49,10 @@ def _validate(args):
 
 def _classify(args):
     """Print the weight class of a multi-section."""
+    from .bundle import load
     from .covers import classify
 
-    tag = classify(_load_section(args.section)[0])
+    tag = classify(load(args.section).msec)
     _echo_json({"class": tag.tag, "pair": tag.pair})
 
 
@@ -111,7 +91,8 @@ def _newton(args):
     """
     from .chern import CANONICAL_FAN, CompleteFan, newton_polytope
 
-    data = _load_json(args.slopes)
+    with open(args.slopes, encoding="utf-8") as fh:
+        data = json.load(fh)
     if not isinstance(data, dict) or "slopes" not in data:
         raise ValueError('slopes file must be an object with a "slopes" list')
     fan = CompleteFan(data["rays"]) if data.get("rays") else CANONICAL_FAN
@@ -140,12 +121,10 @@ def _parse_override(text: str) -> tuple[tuple[str, str], Fraction]:
 
 def _obstruction(args):
     """Evaluate the gluing obstruction: verdict, witness or splitting table."""
-    from .gluing import (normalize_splitting, obstruction_class, require_valid,
-                         triple_cocycle, unbounded_chains)
-    from .pipeline import Manifest, load_bundle
+    from .bundle import load
+    from .gluing import normalize_splitting, obstruction_class, triple_cocycle, unbounded_chains
 
-    msec, g = load_bundle(Manifest(args.complex, args.section, args.gluing, {}))
-    bar = require_valid(msec, g)
+    msec, g, bar, _ = load(args.section, args.gluing, args.complex)
     overrides = {}
     for text in args.overrides or ():
         (x, y), value = _parse_override(text)
@@ -182,18 +161,16 @@ def _simplicity(args):
     embedded in the section file. Gluing data, when supplied, feeds the
     smoothability upgrade through its obstruction class.
     """
+    from .bundle import load
     from .covers import classify
     from .graphs import simplicity_verdict
 
-    msec, g, bar = _load_section(args.section, args.gluing)
+    msec, g, bar, flags = load(args.section, args.gluing)
     if g is not None:
         from .gluing import obstruction_class, triple_cocycle
     trivial = g is not None and obstruction_class(triple_cocycle(msec, g, bar), bar).trivial
     mode = args.mode or ("rank2" if msec.cover.degree == 2 else "general")
-    asserted = msec.cover.base.asserted
-    verdict = simplicity_verdict(
-        msec, classify(msec), mode, lambda flag: asserted.get(flag, False), trivial
-    )
+    verdict = simplicity_verdict(msec, classify(msec), mode, flags, trivial)
     _echo_json(
         {
             "tag": verdict.tag,
@@ -206,9 +183,10 @@ def _simplicity(args):
 
 def _fiber_product(args):
     """Dump the fiber product of the cover with itself, cell by cell."""
+    from .bundle import load
     from .graphs import build_fiber_product
 
-    fp = build_fiber_product(_load_section(args.section)[0])
+    fp = build_fiber_product(load(args.section).msec)
     cells = sorted(fp.cells.values(), key=lambda c: (c.dim, c.id))
     _echo_json(
         {
@@ -240,10 +218,10 @@ def _example(args):
 
 def _render(args):
     """Render one diagnostic SVG layer for a manifest's data."""
-    from .pipeline import load_manifest
+    from .pipeline import load_bundle, load_manifest
     from .svg import render_svg
 
-    document = render_svg(load_manifest(args.manifest), args.layer)
+    document = render_svg(load_bundle(load_manifest(args.manifest)).msec, args.layer)
     if args.out is None:
         sys.stdout.write(document)
     else:

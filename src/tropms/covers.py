@@ -88,15 +88,10 @@ class BranchedCover:
 
     def matching(self, eid: str, fid: str) -> tuple[int, ...]:
         """Bijection from edge lifts to the sheets of one coface."""
-        found = self._matchings.get((eid, fid))
-        if found is not None:
-            return found
-        a, b = self.edge_sides(eid)
-        if fid == a:
-            return tuple(range(self.degree))
-        if fid == b:
-            return self.edge_matchings[eid]
-        raise ValueError(f"2-cell {fid} is not a coface of edge {eid}")
+        try:
+            return self._matchings[eid, fid]
+        except KeyError:
+            raise ValueError(f"2-cell {fid} is not a coface of edge {eid}") from None
 
     @functools.cached_property
     def _index(self) -> dict[str, _VertexLifts]:
@@ -391,13 +386,6 @@ def validate_multisection(msec: MultiSection) -> ValidationReport:
                 except ValueError as exc:
                     bad("slope-discontinuous", f"lift {lid}: {exc}")
     return ValidationReport(tuple(diags), rep.euler_characteristic)
-
-
-def require_valid_section(msec: MultiSection) -> None:
-    """Raise ValueError with the diagnostic codes unless the section is valid."""
-    rep = validate_multisection(msec)
-    if not rep.ok:
-        raise ValueError(f"multi-section is invalid: {rep.codes()}")
 
 
 class ClassTag(NamedTuple):

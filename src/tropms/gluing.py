@@ -19,12 +19,14 @@ import json
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, prod
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .complexes import Diagnostic, ValidationReport, parses
-from .covers import (MultiSection, _fan_ray, edge_lift_id, face_lift_id,
-                     require_valid_section)
+from .covers import MultiSection, _fan_ray, edge_lift_id, face_lift_id
 from .lattice import Vec, canonical_transverse, det2, dot
+
+if TYPE_CHECKING:
+    from .bundle import Bundle
 
 
 class TorusElement:
@@ -194,25 +196,6 @@ def validate_gluing(
                 "gluing-cocycle-violation",
                 f"nontrivial element into a 2-cell lift at chain {where}"))
     return ValidationReport(tuple(diags), msec.cover.base.euler_characteristic())
-
-
-def require_valid(
-    msec: MultiSection, g: GluingData | None = None
-) -> BarComplex | None:
-    """Validate a section, then its gluing data when given, where they enter
-    the program; raise ValueError with the diagnostic codes unless valid.
-    Functions that read the data later expect it valid and do not check.
-    With gluing data, return the order complex of the total space: it is
-    built once the section is valid, checks the gluing data, and is passed
-    on to the functions that read it."""
-    require_valid_section(msec)
-    if g is None:
-        return None
-    bar = bar_complex(msec)
-    rep = validate_gluing(msec, g, bar)
-    if not rep.ok:
-        raise ValueError(f"gluing data invalid: {rep.codes()}")
-    return bar
 
 
 def base_vertex(lift_id: str) -> str:
@@ -509,20 +492,19 @@ class Transport(NamedTuple):
     k: Cochain
 
 
-def transport(msec: MultiSection, g: GluingData, k: Cochain | None = None) -> Transport:
-    """Validate a rank-two section and its gluing data, and compute the triple
-    cocycle and, unless ``k`` is given, the canonical splitting table: once
-    per gluing, for every cycle that ``transport_ratios`` then reads."""
-    if msec.cover.degree != 2:
+def transport(b: Bundle, k: Cochain | None = None) -> Transport:
+    """Compute the triple cocycle of a checked rank-two section with gluing
+    data and, unless ``k`` is given, the canonical splitting table: once per
+    gluing, for every cycle that ``transport_ratios`` then reads."""
+    if b.msec.cover.degree != 2:
         raise ValueError("transport needs a rank-two cover")
-    bar = require_valid(msec, g)
-    c = triple_cocycle(msec, g, bar)
+    c = triple_cocycle(b.msec, b.gluing, b.bar)
     if k is None:
-        ob = obstruction_class(c, bar)
+        ob = obstruction_class(c, b.bar)
         if not ob.trivial:
             raise ValueError(f"gluing-data inconsistency: obstruction witness {ob.witness}")
-        k = normalize_splitting(bar, ob.cochain)
-    return Transport(msec, bar, c, k)
+        k = normalize_splitting(b.bar, ob.cochain)
+    return Transport(b.msec, b.bar, c, k)
 
 
 def transport_ratios(t: Transport, cycle: list[str], sigma: str) -> list[tuple[str, Fraction]]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .covers import ClassTag, MultiSection, check_class_C, edge_lift_id, face_lift_id
 from .lattice import Vec, dot
@@ -248,28 +248,18 @@ class Refusal(ValueError):
 
 _SMOOTH_FLAGS = ("positive", "simple", "elementary")
 
-
-def _smoothable_upgrade(
-    msec: MultiSection, obstruction_established: bool
-) -> str | None:
-    base = msec.cover.base
-    if not all(base.asserted.get(f, False) for f in _SMOOTH_FLAGS):
-        return None
-    if not obstruction_established:
-        return None
-    return (
-        "[smoothability-upgrade] base complex asserted "
-        + "+".join(_SMOOTH_FLAGS)
-        + " and the gluing obstruction is established trivial"
-    )
+_UPGRADE = (
+    "[smoothability-upgrade] base complex asserted "
+    + "+".join(_SMOOTH_FLAGS)
+    + " and the gluing obstruction is established trivial"
+)
 
 
-def is_simple_rank2(
-    msec: MultiSection, tag: ClassTag, obstruction_established: bool = False
-) -> Verdict:
+def is_simple_rank2(msec: MultiSection, tag: ClassTag, upgrade: bool = False) -> Verdict:
     """Simplicity of a rank-two alternating multi-section, whose class is
     ``tag``, from its branch-free graph: weight gap 1 forbids minimal cycles,
-    gap 2 forbids edges, gap 3 or more forbids vertices."""
+    gap 2 forbids edges, gap 3 or more forbids vertices. A simple section is
+    smoothable when ``upgrade`` says that the upgrade's conditions hold."""
     if tag.tag != "S_mn":
         raise ValueError(
             f"class mismatch: the rank-two criterion needs a uniform "
@@ -300,9 +290,8 @@ def is_simple_rank2(
 
     if witnesses:
         return Verdict("not_simple", (rule,), witnesses)
-    upgrade = _smoothable_upgrade(msec, obstruction_established)
     if upgrade:
-        return Verdict("smoothable", (rule, upgrade), ())
+        return Verdict("smoothable", (rule, _UPGRADE), ())
     return Verdict("simple", (rule,), ())
 
 
@@ -376,27 +365,23 @@ def simplicity_verdict(
     msec: MultiSection,
     tag: ClassTag,
     criterion: str,
-    asserts: Callable[[str], bool],
+    flags: frozenset[str],
     obstruction_trivial: bool = False,
 ) -> Verdict:
     """Run the rank-2 or the general criterion on a section of class ``tag``,
-    reading the caller's assertion flags through ``asserts``.
+    under the assertion flags that hold, ``flags``.
 
     A trivial gluing obstruction feeds the smoothability upgrade only when
-    the gluing data is asserted to be induced by an open cover. A general
-    criterion run without asserted local models is refused, with the
-    refusal as the verdict's only reason.
+    the base is asserted positive, simple and elementary and the gluing data
+    induced by an open cover. A general criterion run without asserted local
+    models is refused, with the refusal as the verdict's only reason.
     """
     if criterion == "rank2":
-        return is_simple_rank2(
-            msec,
-            tag,
-            obstruction_established=obstruction_trivial
-            and asserts("open-gluing-induced"),
-        )
+        upgrade = obstruction_trivial and flags >= {*_SMOOTH_FLAGS, "open-gluing-induced"}
+        return is_simple_rank2(msec, tag, upgrade)
     try:
         return general_simplicity(
-            msec, tag, local_bundles_asserted=asserts("assumption-1.4")
+            msec, tag, local_bundles_asserted="assumption-1.4" in flags
         )
     except Refusal as err:
         return Verdict("refused", (str(err),), ())

@@ -1,13 +1,14 @@
 """Manifest-driven verification pipeline.
 
 A manifest names a complex file, a section file, optional gluing data, and a
-set of assertion flags that the files cannot express themselves (regularity,
-positivity, simplicity and elementarity of the decomposition, whether the
-gluing data is induced by an open cover, and the local-bundle assumption for
-rank three and up). ``run_pipeline`` loads the bundle, runs the selected
-checks in a fixed order, and emits a report whose records each carry a check
-id, a glossary citation, a verdict, witnesses, and the elapsed time. Reports
-are deterministic apart from the timing fields.
+set of assertion flags that the files cannot prove (regularity, positivity,
+simplicity and elementarity of the decomposition, whether the gluing data is
+induced by an open cover, and the local-bundle assumption for rank three and
+up); they override the flags of the section's embedded complex key by key.
+``run_pipeline`` loads the checked bundle, runs the selected checks in a fixed
+order, and emits a report whose records each carry a check id, a glossary
+citation, a verdict, witnesses, and the elapsed time. Reports are
+deterministic apart from the timing fields.
 
 Exit codes: 0 success or inconclusive, 1 a simplicity check concluded
 not simple, 2 invalid input, 3 internal invariant breach.
@@ -18,23 +19,13 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from . import EXIT_INTERNAL, EXIT_INVALID, EXIT_NOT_SIMPLE, EXIT_OK, _jsonable
-from .complexes import complex_to_json, complex_to_text, parse_complex, parses
-from .covers import (
-    ClassTag,
-    MultiSection,
-    classify,
-    multisection_to_text,
-    parse_multisection,
-    require_valid_section,
-    validate_multisection,
-)
+from .bundle import Bundle, Invalid, load
+from .complexes import complex_to_text, parses
+from .covers import ClassTag, classify, multisection_to_text
 from .graphs import Verdict, simplicity_verdict
-
-if TYPE_CHECKING:  # gluing, chern and laurent are loaded by the checks that run them
-    from .gluing import BarComplex, GluingData
 
 ASSERTION_FLAGS = (
     "regular",
@@ -55,9 +46,6 @@ class Manifest(NamedTuple):
     gluing_path: str | None
     assertions: dict[str, bool]
     root: str = "."
-
-    def asserts(self, flag: str) -> bool:
-        return bool(self.assertions.get(flag, False))
 
     def resolve(self, path: str) -> str:
         return os.path.join(self.root, path)
@@ -155,40 +143,15 @@ def report_to_text(report: Report) -> str:
 # -- loading ------------------------------------------------------------------
 
 
-def _structural_json(data):
-    """A complex document without its assertion flags; anything else as is."""
-    if isinstance(data, dict):
-        return {key: value for key, value in data.items() if key != "asserted"}
-    return data
-
-
-def load_bundle(manifest: Manifest) -> tuple[MultiSection, GluingData | None]:
-    """Read and parse every file the manifest names, cross-check that the
-    section was built over the named complex, and apply the manifest's
-    assertion flags to the section's base. Returns the section and the
-    gluing data, if any. The complex file is parsed only when its document
-    differs from the one embedded in the section."""
-    with open(manifest.resolve(manifest.complex_path), encoding="utf-8") as fh:
-        named = json.load(fh)
-    with open(manifest.resolve(manifest.section_path), encoding="utf-8") as fh:
-        data = json.load(fh)
-    embedded = data.get("complex") if isinstance(data, dict) else None
-    same = isinstance(named, dict) and _structural_json(named) == _structural_json(embedded)
-    surface = None if same else parse_complex(named)
-    msec = parse_multisection(data)
-    if not same and _structural_json(complex_to_json(surface)) != _structural_json(
-        complex_to_json(msec.cover.base)
-    ):
-        raise ValueError("section is not built over the complex named alongside it")
-    gluing = None
-    if manifest.gluing_path is not None:
-        from .gluing import parse_gluing
-        with open(manifest.resolve(manifest.gluing_path), encoding="utf-8") as fh:
-            gluing = parse_gluing(json.load(fh))
-    for flag in ("regular", "positive", "simple", "elementary"):
-        if manifest.asserts(flag):
-            msec.cover.base.asserted[flag] = True
-    return msec, gluing
+def load_bundle(manifest: Manifest) -> Bundle:
+    """Read and check every file the manifest names, under its assertions."""
+    gluing = manifest.gluing_path
+    return load(
+        manifest.resolve(manifest.section_path),
+        None if gluing is None else manifest.resolve(gluing),
+        manifest.resolve(manifest.complex_path),
+        manifest.assertions,
+    )
 
 
 # -- the pipeline -------------------------------------------------------------
@@ -201,18 +164,6 @@ def _citation_of(verdict: Verdict) -> str:
     return "general-criterion"
 
 
-class _Run:
-    """What the checks of one pipeline run read and leave for later checks."""
-
-    def __init__(self, manifest: Manifest, msec: MultiSection, gluing: GluingData | None):
-        self.manifest = manifest
-        self.msec = msec
-        self.gluing = gluing
-        self.tag: ClassTag | None = None
-        self.bar: BarComplex | None = None  # the order complex, with gluing data
-        self.obstruction_trivial = False
-
-
 class _Outcome(NamedTuple):
     verdict: str
     witnesses: tuple
@@ -220,56 +171,46 @@ class _Outcome(NamedTuple):
     citation: str | None = None  # None: the check's own citation
 
 
-def _validate(run: _Run) -> _Outcome:
-    # gluing data is checked against the order complex of a valid section
-    rep = validate_multisection(run.msec)
-    if rep.ok and run.gluing is not None:
-        from .gluing import bar_complex, validate_gluing
-        run.bar = bar_complex(run.msec)
-        rep = validate_gluing(run.msec, run.gluing, run.bar)
-    lines = tuple(dict.fromkeys(f"{d.code}: {d.message}" for d in rep.diagnostics))
-    return _Outcome("fail", lines, EXIT_INVALID) if lines else _Outcome("pass", ())
+# Each check reads the checked bundle, the class tag and the records of the
+# checks that ran before it.
 
 
-def _classify(run: _Run) -> _Outcome:
-    tag = run.tag
+def _classify(b: Bundle, tag: ClassTag, records: list[CheckRecord]) -> _Outcome:
     witnesses = (tag.tag,) + ((tag.pair,) if tag.pair else ())
     if tag.tag == "none":
         return _Outcome("fail", witnesses, EXIT_INVALID)
     return _Outcome("pass", witnesses)
 
 
-def _cocycle(run: _Run) -> _Outcome:
+def _cocycle(b: Bundle, tag: ClassTag, records: list[CheckRecord]) -> _Outcome:
     from .laurent import REFERENCE_A, REFERENCE_B, verify_cocycle
 
-    m, n = run.tag.pair
+    m, n = tag.pair
     ok = verify_cocycle(m, n, REFERENCE_A, REFERENCE_B)
     witnesses = (f"m={m}", f"n={n}", "reference constants")
     return _Outcome("pass", witnesses) if ok else _Outcome("fail", witnesses, EXIT_INTERNAL)
 
 
-def _chern(run: _Run) -> _Outcome:
+def _chern(b: Bundle, tag: ClassTag, records: list[CheckRecord]) -> _Outcome:
     from .chern import stability_discriminant, total_chern
 
-    m, n = run.tag.pair
+    m, n = tag.pair
     total = total_chern(m, n)
     delta, stability = stability_discriminant(m, n, total)
     return _Outcome("pass", (repr(total), f"discriminant {delta}", stability))
 
 
-def _obstruction(run: _Run) -> _Outcome:
+def _obstruction(b: Bundle, tag: ClassTag, records: list[CheckRecord]) -> _Outcome:
     from .gluing import obstruction_class, triple_cocycle
 
-    rep = obstruction_class(triple_cocycle(run.msec, run.gluing, run.bar), run.bar)
-    run.obstruction_trivial = rep.trivial
+    rep = obstruction_class(triple_cocycle(b.msec, b.gluing, b.bar), b.bar)
     return _Outcome("pass" if rep.trivial else "fail", (f"witness {rep.witness}",))
 
 
-def _simplicity(run: _Run) -> _Outcome:
-    criterion = "rank2" if run.tag.tag == "S_mn" else "general"
-    v = simplicity_verdict(
-        run.msec, run.tag, criterion, run.manifest.asserts, run.obstruction_trivial
-    )
+def _simplicity(b: Bundle, tag: ClassTag, records: list[CheckRecord]) -> _Outcome:
+    criterion = "rank2" if tag.tag == "S_mn" else "general"
+    trivial = any(r.check == "obstruction" and r.verdict == "pass" for r in records)
+    v = simplicity_verdict(b.msec, tag, criterion, b.flags, trivial)
     citation = _citation_of(v)
     if v.tag == "not_simple":
         return _Outcome("fail", ("not simple",) + v.witnesses, EXIT_NOT_SIMPLE, citation)
@@ -281,25 +222,26 @@ def _simplicity(run: _Run) -> _Outcome:
     return _Outcome("pass", (label,) + v.reasons, EXIT_OK, citation)
 
 
-def _without_pair(run: _Run) -> str | None:
-    if run.tag.tag != "S_mn":
-        return f"class {run.tag.tag} has no weight pair"
+def _without_pair(b: Bundle, tag: ClassTag) -> str | None:
+    if tag.tag != "S_mn":
+        return f"class {tag.tag} has no weight pair"
     return None
 
 
-def _without_gluing(run: _Run) -> str | None:
-    return "no gluing data in the manifest" if run.gluing is None else None
+def _without_gluing(b: Bundle, tag: ClassTag) -> str | None:
+    return "no gluing data in the manifest" if b.gluing is None else None
 
 
-def _out_of_scope(run: _Run) -> str | None:
-    if run.tag.tag not in ("S_mn", "C"):
-        return f"class {run.tag.tag} out of scope"
+def _out_of_scope(b: Bundle, tag: ClassTag) -> str | None:
+    if tag.tag not in ("S_mn", "C"):
+        return f"class {tag.tag} out of scope"
     return None
 
 
-#: The checks in run order: (check id, citation, reason to skip, run).
+#: The checks in run order: (check id, citation, reason to skip, run); the
+#: validate check runs as the bundle is loaded.
 CHECKS = (
-    ("validate", "complex-validity", None, _validate),
+    ("validate", "complex-validity", None, None),
     ("classify", "alternating-class", None, _classify),
     ("cocycle", "fan-cocycle", _without_pair, _cocycle),
     ("chern", "chern-total", _without_pair, _chern),
@@ -312,7 +254,9 @@ CHECK_ORDER = tuple(check for check, *_ in CHECKS)
 
 def run_pipeline(manifest: Manifest, checks=None) -> Report:
     """Run the selected checks (all of them by default) in the fixed order
-    validate, classify, cocycle, chern, obstruction, simplicity."""
+    validate, classify, cocycle, chern, obstruction, simplicity. Input that
+    fails validation is reported by the validate check when it is selected,
+    and raises ``Invalid`` otherwise."""
     selected = set(CHECK_ORDER if checks is None else checks)
     unknown = selected - set(CHECK_ORDER)
     if unknown:
@@ -320,15 +264,21 @@ def run_pipeline(manifest: Manifest, checks=None) -> Report:
 
     t0 = time.perf_counter()
     try:
-        msec, gluing = load_bundle(manifest)
+        b = load_bundle(manifest)
+        validated = _Outcome("pass", ())
+    except Invalid as err:
+        if "validate" not in selected:
+            raise
+        lines = tuple(dict.fromkeys(f"{d.code}: {d.message}" for d in err.diagnostics))
+        validated = _Outcome("fail", lines, EXIT_INVALID)
     except (OSError, ValueError) as err:
         rec = CheckRecord("validate", "complex-validity", "fail", (str(err),),
                           round(time.perf_counter() - t0, 6))
         return Report((rec,), EXIT_INVALID)
 
-    run = _Run(manifest, msec, gluing)
     records: list[CheckRecord] = []
     exit_code = EXIT_OK
+    tag = None
     for check, citation, skip, fn in CHECKS:
         if check not in selected:
             continue
@@ -336,19 +286,17 @@ def run_pipeline(manifest: Manifest, checks=None) -> Report:
             records.append(CheckRecord(check, citation, "skipped",
                                        ("input failed validation",), 0.0))
             continue
-        start = time.perf_counter()
-        if check != "validate" and run.tag is None:
-            if "validate" not in selected and run.gluing is None:
-                require_valid_section(run.msec)
-            elif "validate" not in selected:
-                from .gluing import require_valid
-                run.bar = require_valid(run.msec, run.gluing)
-            run.tag = classify(run.msec)  # every later check reads the class
-        reason = skip(run) if skip else None
-        if reason is not None:
-            records.append(CheckRecord(check, citation, "skipped", (reason,), 0.0))
-            continue
-        out = fn(run)
+        if fn is None:  # validation ran as the bundle was loaded
+            out, start = validated, t0
+        else:
+            start = time.perf_counter()
+            if tag is None:
+                tag = classify(b.msec)  # every later check reads the class
+            reason = skip(b, tag) if skip else None
+            if reason is not None:
+                records.append(CheckRecord(check, citation, "skipped", (reason,), 0.0))
+                continue
+            out = fn(b, tag, records)
         records.append(
             CheckRecord(check, out.citation or citation, out.verdict,
                         out.witnesses, round(time.perf_counter() - start, 6))

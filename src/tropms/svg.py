@@ -1,4 +1,4 @@
-"""Deterministic SVG rendering of a manifest bundle.
+"""Deterministic SVG rendering of a checked multi-section.
 
 Five layers: ``base`` draws the complex (one vertex glyph per base vertex,
 singular cells marked), ``cover`` adds the vertex lifts and sheet-offset
@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 
-from .gluing import require_valid
+from .covers import MultiSection
 from .graphs import build_G0, build_G0_tilde, find_minimal_cycles
-from .pipeline import Manifest, load_bundle
 
 LAYERS = ("base", "cover", "G0", "cycles", "fiber")
 
@@ -119,12 +118,10 @@ _STYLE = (
 )
 
 
-def render_svg(manifest: Manifest, layer: str) -> str:
-    """Render one layer of the manifest bundle as an SVG document."""
+def render_svg(msec: MultiSection, layer: str) -> str:
+    """Render one layer of a checked section (``bundle.check``) as an SVG document."""
     if layer not in LAYERS:
         raise ValueError(f"unknown layer {layer!r}; pick one of {LAYERS}")
-    msec, _ = load_bundle(manifest)
-    require_valid(msec)
     surface = msec.cover.base
     pos = _layout(surface)
     body: list[str] = [_STYLE]

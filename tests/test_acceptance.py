@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from conftest import ids, tree_gauged_rows
 
+from tropms.bundle import check
 from tropms.chern import (
     CANONICAL_FAN,
     CompleteFan,
@@ -176,7 +177,7 @@ def test_simplicity_verdicts_across_examples():
     verdict = is_simple_rank2(planted, classify(planted))
     assert verdict.tag == "not_simple"
     witness = endomorphism_witness(
-        transport(planted, trivial_gluing()), verdict.witnesses[0]
+        transport(check(planted, trivial_gluing())), verdict.witnesses[0]
     )
     assert witness.ok and witness.zero_extension
     assert all(passed for _, _, passed in witness.edge_checks)
@@ -325,7 +326,7 @@ def test_holonomy_trivial_on_minimal_cycles():
     assert cycles
     rng = random.Random(7)
     for _ in range(100):
-        t = transport(msec, _random_coboundary(msec, rng))
+        t = transport(check(msec, _random_coboundary(msec, rng)))
         for cycle, fid in cycles:
             assert holonomy_around_cycle(t, list(cycle), fid) == 1
     elapsed = time.monotonic() - start

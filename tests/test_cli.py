@@ -277,6 +277,18 @@ def test_invalid_section_rejected_at_boundary(workdir, tmp_path, command):
     assert res.stderr == "error: multi-section is invalid: ['slope-coverage']\n"
 
 
+def test_render_checks_the_gluing_data_its_manifest_names(workdir, tmp_path):
+    def tamper(kind, data):
+        if kind == "gluing":  # a nontrivial element into a 2-cell lift
+            data["assignments"].append(
+                {"flag": ["fx0.00a#0", "p000~0"], "element": [{"vec": [1, 0], "q": "3"}]})
+
+    d = _edited_cube2(workdir, tmp_path, tamper)
+    res = invoke("render", "--manifest", d / "cube2.manifest.json", "--layer", "base")
+    assert res.exit_code == EXIT_INVALID
+    assert res.stderr == "error: gluing data invalid: ['gluing-cocycle-violation']\n"
+
+
 @pytest.mark.parametrize(
     "case",
     ["gluing-validate", "gluing-obstruction", "k-zero-denominator",
@@ -646,18 +658,26 @@ def test_cli_import_loads_no_third_party_module():
          {"tropms.gluing", "tropms.chern", "tropms.laurent", "tropms.pipeline"}),
         (("simplicity", "--section", "planted.section.json"), "tropms.graphs",
          {"tropms.gluing", "tropms.laurent"}),
+        (("render", "--manifest", "planted.manifest.json", "--layer", "cycles"), "tropms.svg",
+         {"tropms.gluing"}),
     ],
     ids=["validate", "chern", "classify", "validate-class-C", "fiber-product",
-         "simplicity"],
+         "simplicity", "render"],
 )
 def test_command_loads_only_what_it_runs(tmp_path, argv, ran, absent):
     """A command imports the modules it runs and no others: beyond a bare
     interpreter, a child pays for compiling and executing each of them."""
     generate_example("cube2", str(tmp_path))
     generate_example("rank3-cube", str(tmp_path))
+    planted = planted_multisection()
     (tmp_path / "planted.section.json").write_text(
-        multisection_to_text(planted_multisection()), encoding="utf-8"
+        multisection_to_text(planted), encoding="utf-8"
     )
+    (tmp_path / "planted.complex.json").write_text(
+        complex_to_text(planted.cover.base), encoding="utf-8"
+    )
+    (tmp_path / "planted.manifest.json").write_text(manifest_to_text(
+        Manifest("planted.complex.json", "planted.section.json", None, {})), encoding="utf-8")
     loaded = _modules_loaded("from tropms.cli import main; main(sys.argv[1:])",
                              *argv, cwd=tmp_path)
     extra = loaded - _modules_loaded("pass")

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from tropms.bundle import check
 from tropms.complexes import complex_to_text, validate_surface
 from tropms.covers import (
     check_class_C,
@@ -50,6 +51,7 @@ from tropms.graphs import (
     find_minimal_cycles,
     general_simplicity,
     is_simple_rank2,
+    simplicity_verdict,
 )
 
 
@@ -136,10 +138,8 @@ def test_cube_o1_genus_class_verdict():
 
 def test_cube_o1_smoothable_upgrade():
     msec = cube_o1_multisection()
-    msec.cover.base.asserted.update(
-        {"positive": True, "simple": True, "elementary": True}
-    )
-    verdict = is_simple_rank2(msec, classify(msec), obstruction_established=True)
+    flags = {"positive", "simple", "elementary", "open-gluing-induced"}
+    verdict = simplicity_verdict(msec, classify(msec), "rank2", flags, True)
     assert verdict.tag == "smoothable"
     assert any(r.startswith("[smoothability-upgrade]") for r in verdict.reasons)
 
@@ -184,7 +184,7 @@ def test_planted_not_simple_with_witness():
 def test_planted_witness_validates():
     msec = planted_multisection()
     verdict = is_simple_rank2(msec, classify(msec))
-    w = endomorphism_witness(transport(msec, trivial_gluing()), verdict.witnesses[0])
+    w = endomorphism_witness(transport(check(msec, trivial_gluing())), verdict.witnesses[0])
     assert w.ok and w.zero_extension
     assert all(passed for _, _, passed in w.edge_checks)
 
@@ -193,7 +193,7 @@ def test_planted_witness_under_coboundary_gluing():
     msec = planted_multisection()
     g = seeded_coboundary_gluing(msec, seed=3)
     cycle = find_minimal_cycles(build_G0(msec))[0]
-    w = endomorphism_witness(transport(msec, g), cycle)
+    w = endomorphism_witness(transport(check(msec, g)), cycle)
     assert w.ok
     hol = Fraction(1)
     for _, lam, _ in w.edge_checks:
@@ -312,7 +312,7 @@ def test_planted_cycle_holonomy_trivial_for_coboundary():
     msec = planted_multisection()
     cycle, _ = is_simple_rank2(msec, classify(msec)).witnesses[0]
     g = seeded_coboundary_gluing(msec, seed=11)
-    ratios = transport_ratios(transport(msec, g), list(cycle), PLANTED_FACE)
+    ratios = transport_ratios(transport(check(msec, g)), list(cycle), PLANTED_FACE)
     hol = Fraction(1)
     for _, lam in ratios:
         hol *= lam

@@ -6,6 +6,7 @@ from conftest import by_id, cube_surface, tree_gauged_rows
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tropms.bundle import check
 from tropms.covers import BranchedCover, MultiSection, build_double_cover
 from tropms.gluing import (
     TRIVIAL,
@@ -333,14 +334,14 @@ def test_single_entry_witnesses():
 
 def test_holonomy_trivial_and_coboundary():
     msec = ring_cover()
-    t = transport(msec, trivial_gluing())
+    t = transport(check(msec, trivial_gluing()))
     assert holonomy_around_cycle(t, BOTTOM_CYCLE, "fz0") == 1
     rng = random.Random(808)
     for _ in range(6):
         g = rand_coboundary(msec, rng)
-        assert holonomy_around_cycle(transport(msec, g), BOTTOM_CYCLE, "fz0") == 1
+        assert holonomy_around_cycle(transport(check(msec, g)), BOTTOM_CYCLE, "fz0") == 1
     rev = list(reversed(BOTTOM_CYCLE))
-    t = transport(msec, rand_coboundary(msec, rng))
+    t = transport(check(msec, rand_coboundary(msec, rng)))
     assert holonomy_around_cycle(t, rev, "fz0") == 1
 
 
@@ -354,7 +355,7 @@ def test_holonomy_with_corrupted_cochain():
     vlift = msec.cover.vertex_lift_at_edge("v000", "ev000v010", 0)
     b = bar.number(vlift, "ev000v010~0")
     k.values[b] = tuple(map(sum, zip(k.values[b], k.vector(Fraction(3)))))
-    h = holonomy_around_cycle(transport(msec, g, k=k), BOTTOM_CYCLE, "fz0")
+    h = holonomy_around_cycle(transport(check(msec, g), k=k), BOTTOM_CYCLE, "fz0")
     assert h in (Fraction(3), Fraction(1, 3))
 
 
@@ -366,15 +367,15 @@ def test_holonomy_rejects_bad_input():
     bar = bar_complex(msec)
     assert not obstruction_class(triple_cocycle(msec, g, bar), bar).trivial
     with pytest.raises(ValueError, match="inconsistency"):
-        holonomy_around_cycle(transport(msec, g), BOTTOM_CYCLE, "fz0")
+        holonomy_around_cycle(transport(check(msec, g)), BOTTOM_CYCLE, "fz0")
     # invalid data placement
     bad = {("v000#0", "fz0~0"): TorusElement.single((1, 0), 2)}
     with pytest.raises(ValueError, match="invalid"):
-        holonomy_around_cycle(transport(msec, bad), BOTTOM_CYCLE, "fz0")
+        holonomy_around_cycle(transport(check(msec, bad)), BOTTOM_CYCLE, "fz0")
     # cycle edge off the 2-cell
     with pytest.raises(ValueError, match="boundary"):
         holonomy_around_cycle(
-            transport(msec, trivial_gluing()), ["v000", "v010", "v011", "v001"], "fz0"
+            transport(check(msec, trivial_gluing())), ["v000", "v010", "v011", "v001"], "fz0"
         )
 
 
@@ -387,9 +388,11 @@ def test_holonomy_needs_rank_two():
         branch_vertices=frozenset(),
         ramification={v.id: ((0,),) for v in s.vertices},
     )
-    msec = MultiSection(cover, {}, label="flat")
+    # constant zero slopes: a valid section, refused for its degree alone
+    slopes = {(f"{v.id}#0", fid, 0): (0, 0) for v in s.vertices for fid, _, _ in s.corners(v.id)}
+    msec = MultiSection(cover, slopes, label="flat")
     with pytest.raises(ValueError, match="rank-two"):
-        holonomy_around_cycle(transport(msec, trivial_gluing()), BOTTOM_CYCLE, "fz0")
+        holonomy_around_cycle(transport(check(msec, trivial_gluing())), BOTTOM_CYCLE, "fz0")
 
 
 # -- serialization ------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import cube_surface
+from tropms.bundle import check
 from tropms.complexes import VertexFan, surface_from_cycles, validate_surface
 from tropms.covers import (
     BranchedCover,
@@ -35,6 +36,7 @@ from tropms.graphs import (
     general_simplicity,
     is_simple_rank2,
     pair_id,
+    simplicity_verdict,
 )
 
 RING = frozenset({"v001", "v101", "v111", "v011"})
@@ -258,10 +260,10 @@ def test_rank2_class_mismatch():
 def test_rank2_smoothable_upgrade():
     msec = corner(2, 1)
     tag = classify(msec)
-    assert is_simple_rank2(msec, tag, obstruction_established=True).tag == "simple"
-    msec.cover.base.asserted.update(positive=True, simple=True, elementary=True)
-    assert is_simple_rank2(msec, tag).tag == "simple"
-    v = is_simple_rank2(msec, tag, obstruction_established=True)
+    assert simplicity_verdict(msec, tag, "rank2", {"open-gluing-induced"}, True).tag == "simple"
+    flags = {"positive", "simple", "elementary", "open-gluing-induced"}
+    assert simplicity_verdict(msec, tag, "rank2", flags).tag == "simple"
+    v = simplicity_verdict(msec, tag, "rank2", flags, True)
     assert v.tag == "smoothable"
     assert any("[smoothability-upgrade]" in r for r in v.reasons)
 
@@ -466,7 +468,7 @@ def test_general_inconclusive_on_starved_fixed_points():
 def test_witness_ring_trivial_gluing():
     msec = ring()
     cycle = find_minimal_cycles(build_G0(msec))[0]
-    w = endomorphism_witness(transport(msec, trivial_gluing()), cycle)
+    w = endomorphism_witness(transport(check(msec, trivial_gluing())), cycle)
     assert w.ok and w.zero_extension
     assert w.order == (1, 0)
     assert all(c == 1 for c in w.constants.values())
@@ -490,7 +492,7 @@ def test_witness_weight_divisor_pattern():
     # strictly below the maximum on the remaining ray
     msec = ring()
     cycle = find_minimal_cycles(build_G0(msec))[0]
-    w = endomorphism_witness(transport(msec, trivial_gluing()), cycle)
+    w = endomorphism_witness(transport(check(msec, trivial_gluing())), cycle)
     cycle_edges = set(BOTTOM_EDGES)
     for v, u in w.weights.items():
         poly = difference_polytope(
@@ -517,7 +519,7 @@ def test_witness_coboundary_gluing():
     }
     lam_edge = {"ev000v010~0": Fraction(7, 2)}
     g = coboundary_gluing(msec, lam_vertex, lam_edge)
-    w = endomorphism_witness(transport(msec, g), cycle)
+    w = endomorphism_witness(transport(check(msec, g)), cycle)
     assert w.ok
     assert all(passed for _, _, passed in w.edge_checks)
     hol = Fraction(1)
@@ -531,5 +533,5 @@ def test_witness_from_rank2_verdict():
     msec = ring()
     verdict = is_simple_rank2(msec, classify(msec))
     assert verdict.tag == "not_simple"
-    w = endomorphism_witness(transport(msec, trivial_gluing()), verdict.witnesses[0])
+    w = endomorphism_witness(transport(check(msec, trivial_gluing())), verdict.witnesses[0])
     assert w.ok

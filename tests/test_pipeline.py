@@ -101,9 +101,34 @@ def test_parse_manifest_rejections():
 
 def test_manifest_asserts_and_resolve(tmp_path):
     m = Manifest("c.json", "s.json", None, {"regular": True}, root=str(tmp_path))
-    assert m.asserts("regular")
-    assert not m.asserts("positive")
     assert m.resolve("c.json") == str(tmp_path / "c.json")
+
+
+_SMOOTH = {"positive": True, "simple": True, "elementary": True}
+
+
+@pytest.mark.parametrize(
+    "name, embedded, assertions, label",
+    [
+        ("cube-o1", _SMOOTH, {"open-gluing-induced": True}, "simple & smoothable"),
+        ("cube-o1", _SMOOTH, {"open-gluing-induced": True, "positive": False}, "simple"),
+        ("rank3-cube", {"assumption-1.4": True}, {}, "simple & smoothable"),
+    ],
+    ids=["embedded-and-manifest", "manifest-false-wins", "embedded-local-models"],
+)
+def test_manifest_overrides_embedded_flags_key_by_key(tmp_path, name, embedded, assertions,
+                                                      label):
+    """A flag holds when the manifest asserts it, or when the manifest is
+    silent on it and the section's embedded complex asserts it."""
+    manifest = generate_example(name, str(tmp_path))
+    path = tmp_path / manifest.section_path
+    data = json.loads(path.read_text())
+    data["complex"]["asserted"] = embedded
+    path.write_text(json.dumps(data))
+    report = run_pipeline(manifest._replace(assertions=assertions))
+    assert report.exit_code == EXIT_OK
+    simp = report.record("simplicity")
+    assert (simp.verdict, simp.witnesses[0]) == ("pass", label)
 
 
 def test_full_pipeline_cube_o1(exdir):
@@ -287,21 +312,34 @@ def _count_calls(monkeypatch, original) -> list:
     return calls
 
 
-@pytest.mark.parametrize("case", ["cube2", "rank3-cube", "simplicity --gluing"])
+@pytest.mark.parametrize(
+    "case",
+    ["cube2", "rank3-cube", "cube2 --check obstruction", "simplicity --gluing", "classify",
+     "fiber-product", "render", "obstruction"],
+)
 def test_one_validation_pass_per_run(tmp_path, monkeypatch, case):
     name = "rank3-cube" if case == "rank3-cube" else "cube2"
     manifest = generate_example(name, str(tmp_path))
     calls = _count_calls(monkeypatch, complexes.validate_surface)
-    if case == "simplicity --gluing":
-        res = run_cli([
-            "simplicity", "--section", str(tmp_path / manifest.section_path),
-            "--gluing", str(tmp_path / manifest.gluing_path),
-        ])
+    section = ["--section", str(tmp_path / manifest.section_path)]
+    gluing = ["--gluing", str(tmp_path / f"{name}.gluing.json")]
+    args = {
+        "simplicity --gluing": ["simplicity", *section, *gluing],
+        "classify": ["classify", *section],
+        "fiber-product": ["fiber-product", *section],
+        "render": ["render", "--manifest", str(tmp_path / f"{name}.manifest.json"),
+                   "--layer", "base"],
+        "obstruction": ["obstruction", "--complex", str(tmp_path / manifest.complex_path),
+                        *section, *gluing],
+    }.get(case)
+    if args is not None:
+        res = run_cli(args)
         assert res.exit_code == EXIT_OK, res.output
     else:
-        report = run_pipeline(manifest)
+        checks = ["obstruction"] if "--check" in case else list(CHECK_ORDER)
+        report = run_pipeline(manifest, checks)
         assert report.exit_code == EXIT_OK
-        assert [r.check for r in report.checks] == list(CHECK_ORDER)
+        assert [r.check for r in report.checks] == checks
     assert len(calls) == 1
 
 
