@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING, NamedTuple
 
+from . import schema
 from .complexes import Diagnostic, complex_to_json, parse_complex
 from .covers import MultiSection, parse_multisection, validate_multisection
 
@@ -31,7 +32,10 @@ class Invalid(ValueError):
     """Input that parsed but failed validation; carries the diagnostics."""
 
     def __init__(self, what: str, diagnostics: tuple[Diagnostic, ...]):
-        super().__init__(f"{what}: {[d.code for d in diagnostics]}")
+        first = diagnostics[0]
+        # the message names input ids as they are; quoted, it stays on one line
+        message = first.message if first.message.isprintable() else repr(first.message)
+        super().__init__(f"{what}: {[d.code for d in diagnostics]}; {first.code}: {message}")
         self.diagnostics = diagnostics
 
 
@@ -77,8 +81,10 @@ def load(section_path: str, gluing_path: str | None = None, complex_path: str | 
     same = complex_path is None or (
         isinstance(named, dict) and _structural_json(named) == _structural_json(embedded)
     )
-    surface = None if same else parse_complex(named)
-    msec = parse_multisection(data)
+    surface = None if same else schema.from_file(complex_path, parse_complex, named)
+    if same and named is not None:  # equal values may differ in JSON type (1 == 1.0 == true)
+        schema.from_file(complex_path, lambda d: schema.COMPLEX.parse(d, lambda *_: None), named)
+    msec = schema.from_file(section_path, parse_multisection, data)
     if not same and _structural_json(complex_to_json(surface)) != _structural_json(
         complex_to_json(msec.cover.base)
     ):
@@ -87,6 +93,6 @@ def load(section_path: str, gluing_path: str | None = None, complex_path: str | 
     if gluing_path is not None:
         from .gluing import parse_gluing
 
-        gluing = parse_gluing(_read(gluing_path))
+        gluing = schema.from_file(gluing_path, parse_gluing)
     flags = msec.cover.base.asserted | (assertions or {})
     return check(msec, gluing, (flag for flag, holds in flags.items() if holds))

@@ -85,19 +85,18 @@ def _chern(args):
 def _newton(args):
     """Lattice points of the Newton polytope of a piecewise linear function.
 
-    The file holds {"slopes": [[a, b], ...]} with one integer slope per cone
-    in cyclic order, plus an optional "rays" list replacing the default fan
-    (-1,0), (0,-1), (1,1). Lattice points print in lexicographic order.
+    The file (``schema.NEWTON``) holds {"slopes": [[a, b], ...]} with one
+    integer slope per cone in cyclic order, plus an optional "rays" list
+    replacing the default fan (-1,0), (0,-1), (1,1). Lattice points print in
+    lexicographic order.
     """
+    from . import schema
     from .chern import CANONICAL_FAN, CompleteFan, newton_polytope
 
-    with open(args.slopes, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or "slopes" not in data:
-        raise ValueError('slopes file must be an object with a "slopes" list')
-    fan = CompleteFan(data["rays"]) if data.get("rays") else CANONICAL_FAN
-    slopes = [tuple(int(c) for c in u) for u in data["slopes"]]
-    poly = newton_polytope(fan, slopes)
+    slopes, rays = schema.from_file(
+        args.slopes, lambda data: schema.NEWTON.parse(data, lambda *fields: fields)
+    )
+    poly = newton_polytope(CompleteFan(rays) if rays else CANONICAL_FAN, slopes)
     _echo_json(
         {
             "lattice_points": sorted(poly.lattice_points),

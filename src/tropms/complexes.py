@@ -11,10 +11,10 @@ affine structure.
 from __future__ import annotations
 
 import functools
-import json
 from collections import deque
 from typing import NamedTuple, Sequence
 
+from . import schema
 from .lattice import (
     Vec,
     ccw_cmp,
@@ -410,91 +410,18 @@ def orient_cycles(
 
 # -- serialization ------------------------------------------------------------
 
-SCHEMA = "complex/v1"
 
-_TOP_KEYS = {"schema", "cells", "fans", "orientation", "asserted"}
-_CELL_KEYS = {"id", "dim", "faces", "singular"}
-_FAN_KEYS = {"vertex", "rays", "cones"}
-_RAY_KEYS = {"vec", "edge"}
-_CONE_KEYS = {"face2", "rays"}
-_ORI_KEYS = {"face2", "cycle"}
-
-
-def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ValueError(f"unknown field(s) {sorted(unknown)} in {where}")
-
-
-def parses(kind: str):
-    """Decorate a document parser so that a KeyError, TypeError, IndexError,
-    AttributeError or ZeroDivisionError raised on a malformed document
-    becomes a ValueError that names the kind of document."""
-
-    def decorate(parse):
-        @functools.wraps(parse)
-        def wrapper(data, *args, **kwargs):
-            try:
-                return parse(data, *args, **kwargs)
-            except (KeyError, TypeError, IndexError, AttributeError, ZeroDivisionError) as err:
-                raise ValueError(
-                    f"malformed {kind} ({type(err).__name__}: {err})"
-                ) from err
-
-        return wrapper
-
-    return decorate
-
-
-@parses("complex")
 def parse_complex(data: dict) -> PolyhedralSurface:
-    if not isinstance(data, dict):
-        raise ValueError("complex document must be an object")
-    _check_keys(data, _TOP_KEYS, "complex")
-    if data.get("schema") != SCHEMA:
-        raise ValueError(f"expected schema {SCHEMA!r}, got {data.get('schema')!r}")
-    cells: dict[str, Cell] = {}
-    for raw in data.get("cells", []):
-        _check_keys(raw, _CELL_KEYS, f"cell {raw.get('id')!r}")
-        cid = str(raw["id"])
-        if cid in cells:
-            raise ValueError(f"duplicate cell id {cid}")
-        cells[cid] = Cell(
-            cid,
-            int(raw["dim"]),
-            tuple(str(f) for f in raw.get("faces", [])),
-            tuple(str(m) for m in raw.get("singular", [])),
-        )
-    fans: dict[str, VertexFan] = {}
-    for raw in data.get("fans", []):
-        _check_keys(raw, _FAN_KEYS, f"fan at {raw.get('vertex')!r}")
-        rays = []
-        for rr in raw.get("rays", []):
-            _check_keys(rr, _RAY_KEYS, "fan ray")
-            vx, vy = rr["vec"]
-            rays.append(((int(vx), int(vy)), str(rr["edge"])))
-        cones = []
-        for cc in raw.get("cones", []):
-            _check_keys(cc, _CONE_KEYS, "fan cone")
-            i, j = cc["rays"]
-            cones.append((str(cc["face2"]), (int(i), int(j))))
-        vid = str(raw["vertex"])
-        if vid in fans:
-            raise ValueError(f"duplicate fan at {vid}")
-        fans[vid] = VertexFan(vid, tuple(rays), tuple(cones))
-    orientation: dict[str, tuple[str, ...]] = {}
-    for raw in data.get("orientation", []):
-        _check_keys(raw, _ORI_KEYS, "orientation entry")
-        fid = str(raw["face2"])
-        if fid in orientation:
-            raise ValueError(f"duplicate orientation for {fid}")
-        orientation[fid] = tuple(str(v) for v in raw.get("cycle", []))
-    asserted = {}
-    for k, v in data.get("asserted", {}).items():
-        if not isinstance(v, bool):
-            raise ValueError(f"asserted flag {k!r} must be boolean")
-        asserted[str(k)] = v
-    return PolyhedralSurface(cells, fans, orientation, asserted)
+    return schema.COMPLEX.parse(data, _build_complex)
+
+
+def _build_complex(cells, fans, orientation, asserted) -> PolyhedralSurface:
+    return PolyhedralSurface(
+        schema.unique("cells", [(cell[0], Cell(*cell)) for cell in cells]),
+        schema.unique("fans", [(fan[0], VertexFan(*fan)) for fan in fans]),
+        schema.unique("orientation", orientation),
+        dict(asserted),
+    )
 
 
 def _cycle_canonical(cyc: Sequence[str]) -> tuple[str, ...]:
@@ -504,39 +431,16 @@ def _cycle_canonical(cyc: Sequence[str]) -> tuple[str, ...]:
 
 
 def complex_to_json(s: PolyhedralSurface) -> dict:
-    cells = []
-    for c in sorted(s.cells.values(), key=lambda c: (c.dim, c.id)):
-        entry: dict = {"id": c.id, "dim": c.dim}
-        if c.faces:
-            entry["faces"] = sorted(c.faces)
-        if c.singular_markers:
-            entry["singular"] = sorted(c.singular_markers)
-        cells.append(entry)
-    fans = []
-    for vid in sorted(s.fans):
-        fan = s.fans[vid]
-        fans.append(
-            {
-                "vertex": vid,
-                "rays": [{"vec": list(v), "edge": e} for v, e in fan.rays],
-                "cones": [
-                    {"face2": f, "rays": list(pair)} for f, pair in fan.cones
-                ],
-            }
-        )
-    orientation = [
-        {"face2": fid, "cycle": list(_cycle_canonical(s.orientation[fid]))}
-        for fid in sorted(s.orientation)
+    """The complex/v1 document of a surface; optional fields that are empty
+    are left out."""
+    cells = [
+        (c.id, c.dim, sorted(c.faces) or None, sorted(c.singular_markers) or None)
+        for c in sorted(s.cells.values(), key=lambda c: (c.dim, c.id))
     ]
-    out = {"schema": SCHEMA, "cells": cells}
-    if fans:
-        out["fans"] = fans
-    if orientation:
-        out["orientation"] = orientation
-    if s.asserted:
-        out["asserted"] = {k: s.asserted[k] for k in sorted(s.asserted)}
-    return out
+    fans = [(vid, s.fans[vid].rays, s.fans[vid].cones) for vid in sorted(s.fans)]
+    orientation = [(fid, _cycle_canonical(s.orientation[fid])) for fid in sorted(s.orientation)]
+    return schema.COMPLEX.dump((cells, fans or None, orientation or None, s.asserted or None))
 
 
 def complex_to_text(s: PolyhedralSurface) -> str:
-    return json.dumps(complex_to_json(s), indent=2, sort_keys=True) + "\n"
+    return schema.text(complex_to_json(s))

@@ -11,9 +11,9 @@ around each vertex lift, continuous across walls at lifts of rank at most two.
 from __future__ import annotations
 
 import functools
-import json
 from typing import NamedTuple
 
+from . import schema
 from .complexes import (
     Diagnostic,
     PolyhedralSurface,
@@ -21,7 +21,6 @@ from .complexes import (
     check_standard_vertex,
     complex_to_json,
     parse_complex,
-    parses,
     validate_surface,
 )
 from .lattice import Vec, dot, rot90
@@ -54,6 +53,10 @@ class _VertexLifts(NamedTuple):
 class BranchedCover:
     """A degree-r cover of a base surface, given by its edge matchings.
 
+    ``ramification`` and ``lifts`` are what an input declares: the partition
+    of the sheets at each vertex, and each vertex's lifts as (lift id, sheets
+    at corner position 0), or None when the input declares no lifts.
+
     ``base``, ``degree`` and ``edge_matchings`` must not change after the
     first query: corners, vertex lifts and matchings are read from indexes
     built once.
@@ -61,12 +64,14 @@ class BranchedCover:
 
     def __init__(self, base: PolyhedralSurface, degree: int,
                  edge_matchings: dict[str, tuple[int, ...]], branch_vertices: frozenset[str],
-                 ramification: dict[str, Partition] | None = None):
+                 ramification: dict[str, Partition] | None = None,
+                 lifts: dict[str, tuple[tuple[str, tuple[int, ...]], ...]] | None = None):
         self.base = base
         self.degree = degree
         self.edge_matchings = edge_matchings
         self.branch_vertices = branch_vertices
         self.ramification = {} if ramification is None else ramification
+        self.lifts = lifts
 
     def edge_sides(self, eid: str) -> tuple[str, str]:
         sides = self.base.cofaces(eid)
@@ -148,6 +153,14 @@ class BranchedCover:
         if lift_id not in at.ids:
             raise KeyError(f"no lift {lift_id} at vertex {v}")
         return at.cycles[at.ids.index(lift_id)]
+
+    def computed_lifts(self, v: str) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        """Each lift of a vertex as (lift id, its sheets at corner position 0)."""
+        at = self._index[v]
+        return tuple(
+            (lid, tuple(sorted(s for i, s in cyc if i == 0)))
+            for lid, cyc in zip(at.ids, at.cycles)
+        )
 
     def computed_ramification(self, v: str) -> Partition:
         return _canon_partition(
@@ -258,6 +271,12 @@ def validate_cover(cover: BranchedCover) -> ValidationReport:
         return ValidationReport(tuple(diags), base_rep.euler_characteristic)
 
     trivial = _canon_partition([(s,) for s in range(cover.degree)])
+    if cover.lifts is not None:
+        computed = {v.id: cover.computed_lifts(v.id) for v in cover.base.vertices}
+        for v in sorted(set(cover.lifts) | set(computed)):
+            declared, actual = cover.lifts.get(v), computed.get(v)
+            if declared != actual:
+                bad("lift-mismatch", f"vertex {v}: declared lifts {declared}, computed {actual}")
     for v in cover.base.vertices:
         computed = cover.computed_ramification(v.id)
         declared = cover.ramification.get(v.id, trivial)
@@ -352,6 +371,7 @@ def validate_multisection(msec: MultiSection) -> ValidationReport:
     rep = validate_cover(msec.cover)
     diags = list(rep.diagnostics)
     declaration_only = {
+        "lift-mismatch",
         "ramification-mismatch",
         "undeclared-branch-vertex",
         "trivial-branch-vertex",
@@ -683,99 +703,38 @@ def _tree_cycle(s, parent_edge, root, a, b) -> list[str]:
 
 # -- serialization ------------------------------------------------------------
 
-SCHEMA = "multisection/v1"
 
-_TOP_KEYS = {
-    "schema",
-    "complex",
-    "degree",
-    "label",
-    "lifts",
-    "matchings",
-    "branch",
-    "ramification",
-    "slopes",
-}
+def parse_multisection(data: dict) -> MultiSection:
+    return schema.MULTISECTION.parse(data, _build_multisection)
+
+
+def _build_multisection(complex_doc, degree, label, lifts, matchings, branch,
+                        ramification, slopes) -> MultiSection:
+    base = schema.within("complex", parse_complex, complex_doc)
+    ram = {v: _canon_partition(blocks) for v, blocks in ramification}
+    trivial = _canon_partition([(sh,) for sh in range(degree)])
+    cover = BranchedCover(
+        base, degree, dict(matchings), frozenset(branch),
+        {v.id: ram.get(v.id, trivial) for v in base.vertices},
+        None if lifts is None else schema.unique("lifts", lifts),
+    )
+    return MultiSection(cover, schema.unique("slopes", [(s[:3], s[3]) for s in slopes]), label)
 
 
 def multisection_to_json(msec: MultiSection) -> dict:
     cover = msec.cover
-    lifts = []
-    for v in cover.base.vertices:
-        entries = []
-        for lid, cyc in zip(cover.vertex_lift_ids(v.id), cover.lift_cycles(v.id)):
-            entries.append(
-                {"id": lid, "sheets": sorted(s for i, s in cyc if i == 0)}
-            )
-        lifts.append({"vertex": v.id, "lifts": entries})
-    slopes = []
-    for (lid, fid, sheet), u in sorted(msec.slopes.items()):
-        slopes.append(
-            {"vertex_lift": lid, "face2": fid, "sheet": sheet, "slope": list(u)}
-        )
-    return {
-        "schema": SCHEMA,
-        "complex": complex_to_json(cover.base),
-        "degree": cover.degree,
-        "label": msec.label,
-        "lifts": lifts,
-        "matchings": [
-            {"edge": eid, "perm": list(cover.edge_matchings[eid])}
-            for eid in sorted(cover.edge_matchings)
-        ],
-        "branch": sorted(cover.branch_vertices),
-        "ramification": [
-            {"vertex": v, "blocks": [list(b) for b in cover.ramification[v]]}
-            for v in sorted(cover.ramification)
-            if v in cover.branch_vertices
-        ],
-        "slopes": slopes,
-    }
-
-
-@parses("multi-section")
-def parse_multisection(data: dict) -> MultiSection:
-    if not isinstance(data, dict):
-        raise ValueError("multi-section document must be an object")
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        raise ValueError(f"unknown field(s) {sorted(unknown)} in multi-section")
-    if data.get("schema") != SCHEMA:
-        raise ValueError(f"expected schema {SCHEMA!r}, got {data.get('schema')!r}")
-    base = parse_complex(data["complex"])
-    degree = int(data["degree"])
-    matchings = {}
-    for raw in data.get("matchings", []):
-        if set(raw) != {"edge", "perm"}:
-            raise ValueError(f"bad matching entry {raw}")
-        matchings[str(raw["edge"])] = tuple(int(x) for x in raw["perm"])
-    branch = frozenset(str(v) for v in data.get("branch", []))
-    ram: dict[str, Partition] = {}
-    for raw in data.get("ramification", []):
-        if set(raw) != {"vertex", "blocks"}:
-            raise ValueError(f"bad ramification entry {raw}")
-        ram[str(raw["vertex"])] = _canon_partition(
-            tuple(int(x) for x in b) for b in raw["blocks"]
-        )
-    trivial = _canon_partition([(sh,) for sh in range(degree)])
-    cover = BranchedCover(base, degree, matchings, branch, {})
-    for v in base.vertices:
-        cover.ramification[v.id] = ram.get(v.id, trivial)
-    slopes: dict[SlopeKey, Vec] = {}
-    for raw in data.get("slopes", []):
-        if set(raw) != {"vertex_lift", "face2", "sheet", "slope"}:
-            raise ValueError(f"bad slope entry {raw}")
-        key = (str(raw["vertex_lift"]), str(raw["face2"]), int(raw["sheet"]))
-        if key in slopes:
-            raise ValueError(f"duplicate slope for {key}")
-        sx, sy = raw["slope"]
-        slopes[key] = (int(sx), int(sy))
-    declared_lifts = data.get("lifts", [])
-    for raw in declared_lifts:
-        if set(raw) != {"vertex", "lifts"}:
-            raise ValueError(f"bad lift entry {raw}")
-    return MultiSection(cover, slopes, str(data.get("label", "")))
+    return schema.MULTISECTION.dump((
+        complex_to_json(cover.base),
+        cover.degree,
+        msec.label,
+        [(v.id, cover.computed_lifts(v.id)) for v in cover.base.vertices],
+        [(eid, cover.edge_matchings[eid]) for eid in sorted(cover.edge_matchings)],
+        sorted(cover.branch_vertices),
+        [(v, cover.ramification[v]) for v in sorted(cover.ramification)
+         if v in cover.branch_vertices],
+        [(*key, u) for key, u in sorted(msec.slopes.items())],
+    ))
 
 
 def multisection_to_text(msec: MultiSection) -> str:
-    return json.dumps(multisection_to_json(msec), indent=2, sort_keys=True) + "\n"
+    return schema.text(multisection_to_json(msec))

@@ -15,13 +15,13 @@ edge quotient.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, prod
 from typing import TYPE_CHECKING, NamedTuple
 
-from .complexes import Diagnostic, ValidationReport, parses
+from . import schema
+from .complexes import Diagnostic, ValidationReport
 from .covers import MultiSection, _fan_ray, edge_lift_id, face_lift_id
 from .lattice import Vec, canonical_transverse, det2, dot
 
@@ -546,57 +546,24 @@ def holonomy_around_cycle(t: Transport, cycle: list[str], sigma: str) -> Fractio
 
 # -- serialization ------------------------------------------------------------
 
-SCHEMA = "gluing/v1"
 
-
-def gluing_to_json(g: GluingData) -> dict:
-    assignments = []
-    for (src, dst), elem in sorted(g.items()):
-        assignments.append(
-            {
-                "flag": [src, dst],
-                "element": [
-                    {"vec": list(vec), "q": f"{q.numerator}/{q.denominator}"}
-                    for vec, q in elem.factors
-                ],
-            }
-        )
-    return {"schema": SCHEMA, "assignments": assignments}
-
-
-@parses("gluing data")
 def parse_gluing(data: dict) -> GluingData:
-    if not isinstance(data, dict):
-        raise ValueError("gluing document must be an object")
-    unknown = set(data) - {"schema", "assignments"}
-    if unknown:
-        raise ValueError(f"unknown field(s) {sorted(unknown)} in gluing data")
-    if data.get("schema") != SCHEMA:
-        raise ValueError(f"expected schema {SCHEMA!r}, got {data.get('schema')!r}")
-    out: GluingData = {}
-    for raw in data.get("assignments", []):
-        if set(raw) != {"flag", "element"}:
-            raise ValueError(f"bad gluing entry {raw}")
-        src, dst = raw["flag"]
-        factors = []
-        for fac in raw["element"]:
-            if set(fac) != {"vec", "q"}:
-                raise ValueError(f"bad torus factor {fac}")
-            num, _, den = str(fac["q"]).partition("/")
-            factors.append(
-                (
-                    (int(fac["vec"][0]), int(fac["vec"][1])),
-                    Fraction(int(num), int(den or "1")),
-                )
-            )
-        key = (str(src), str(dst))
-        if key in out:
-            raise ValueError(f"duplicate gluing entry for {key}")
-        elem = TorusElement(factors)
-        if not elem.is_trivial:
-            out[key] = elem
-    return out
+    """Gluing data from its gluing/v1 document; trivial elements are dropped."""
+    return schema.GLUING.parse(data, _build_gluing)
+
+
+def _build_gluing(assignments) -> GluingData:
+    pairs = []
+    for i, (flag, factors) in enumerate(assignments):
+        try:
+            pairs.append((flag, TorusElement(factors)))
+        except ValueError:  # a zero coefficient
+            raise schema.Malformed("has a zero coefficient", ValueError,
+                                   "assignments", i, "element") from None
+    return {flag: elem for flag, elem in schema.unique("assignments", pairs).items()
+            if not elem.is_trivial}
 
 
 def gluing_to_text(g: GluingData) -> str:
-    return json.dumps(gluing_to_json(g), indent=2, sort_keys=True) + "\n"
+    assignments = [(flag, elem.factors) for flag, elem in sorted(g.items())]
+    return schema.text(schema.GLUING.dump((assignments,)))

@@ -16,14 +16,13 @@ not simple, 2 invalid input, 3 internal invariant breach.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from typing import NamedTuple
 
-from . import EXIT_INTERNAL, EXIT_INVALID, EXIT_NOT_SIMPLE, EXIT_OK, _jsonable
+from . import EXIT_INTERNAL, EXIT_INVALID, EXIT_NOT_SIMPLE, EXIT_OK, _jsonable, schema
 from .bundle import Bundle, Invalid, load
-from .complexes import complex_to_text, parses
+from .complexes import complex_to_text
 from .covers import ClassTag, classify, multisection_to_text
 from .graphs import Verdict, simplicity_verdict
 
@@ -36,7 +35,6 @@ ASSERTION_FLAGS = (
     "assumption-1.4",
 )
 
-MANIFEST_SCHEMA = "manifest/v1"
 REPORT_SCHEMA = "report/v1"
 
 
@@ -51,53 +49,25 @@ class Manifest(NamedTuple):
         return os.path.join(self.root, path)
 
 
-def manifest_to_json(m: Manifest) -> dict:
-    out = {
-        "schema": MANIFEST_SCHEMA,
-        "complex": m.complex_path,
-        "section": m.section_path,
-        "assertions": {k: m.assertions[k] for k in sorted(m.assertions)},
-    }
-    if m.gluing_path is not None:
-        out["gluing"] = m.gluing_path
-    return out
-
-
 def manifest_to_text(m: Manifest) -> str:
-    return json.dumps(manifest_to_json(m), indent=2, sort_keys=True) + "\n"
+    return schema.text(schema.MANIFEST.dump(
+        (m.complex_path, m.section_path, m.gluing_path, m.assertions)
+    ))
 
 
-@parses("manifest")
 def parse_manifest(data: dict, root: str = ".") -> Manifest:
-    if not isinstance(data, dict):
-        raise ValueError("manifest must be an object")
-    unknown = set(data) - {"schema", "complex", "section", "gluing", "assertions"}
-    if unknown:
-        raise ValueError(f"unknown field(s) {sorted(unknown)} in manifest")
-    if data.get("schema") != MANIFEST_SCHEMA:
-        raise ValueError(
-            f"expected schema {MANIFEST_SCHEMA!r}, got {data.get('schema')!r}"
-        )
-    for key in ("complex", "section"):
-        if not isinstance(data.get(key), str):
-            raise ValueError(f"manifest field {key!r} must be a path")
-    gluing = data.get("gluing")
-    if gluing is not None and not isinstance(gluing, str):
-        raise ValueError("manifest field 'gluing' must be a path")
-    assertions = {}
-    for k, v in data.get("assertions", {}).items():
-        if k not in ASSERTION_FLAGS:
-            raise ValueError(f"unknown assertion flag {k!r}")
-        if not isinstance(v, bool):
-            raise ValueError(f"assertion flag {k!r} must be boolean")
-        assertions[k] = v
-    return Manifest(data["complex"], data["section"], gluing, assertions, root)
+    def build(complex_path, section_path, gluing_path, assertions):
+        unknown = sorted(set(assertions) - set(ASSERTION_FLAGS))
+        if unknown:
+            raise schema.Malformed("is an unknown assertion flag", ValueError,
+                                   "assertions", unknown[0])
+        return Manifest(complex_path, section_path, gluing_path, dict(assertions), root)
+
+    return schema.MANIFEST.parse(data, build)
 
 
 def load_manifest(path: str) -> Manifest:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return parse_manifest(data, root=os.path.dirname(path) or ".")
+    return schema.from_file(path, lambda data: parse_manifest(data, os.path.dirname(path) or "."))
 
 
 class CheckRecord(NamedTuple):
@@ -137,7 +107,7 @@ def report_to_json(report: Report) -> dict:
 
 
 def report_to_text(report: Report) -> str:
-    return json.dumps(report_to_json(report), indent=2, sort_keys=True) + "\n"
+    return schema.text(report_to_json(report))
 
 
 # -- loading ------------------------------------------------------------------

@@ -200,6 +200,50 @@ def test_malformed_section_exits_invalid(workdir, tmp_path, command, damage):
     assert res.exit_code == EXIT_INVALID
 
 
+# Leniencies of the hand-written readers each type now rejects, as
+# (file, JSON path, new value from the old one, kind of document): cube2's
+# section read by `classify`, or a slopes file read by `newton`.
+SLOPES = {"slopes": [[0, 0], [1, 0], [0, 1]]}
+STRICT_READS = {
+    "degree-float": ("section", ("degree",), lambda old: 2.9, "multi-section"),
+    "slope-half": ("section", ("slopes", 0, "slope", 0), lambda old: old + 0.5, "multi-section"),
+    "sheet-bool": ("section", ("slopes", 0, "sheet"), lambda old: True, "multi-section"),
+    "dim-string": ("section", ("complex", "cells", 0, "dim"), str, "complex"),
+    "label-object": ("section", ("label",), lambda old: {"x": 1}, "multi-section"),
+    "branch-string": ("section", ("branch",), lambda old: "p000", "multi-section"),
+    "lifts-string": ("section", ("lifts",), lambda old: "nonsense", "multi-section"),
+    "slope-string": ("section", ("slopes", 0, "slope"), lambda old: "ab", "multi-section"),
+    "slope-triple": ("section", ("slopes", 0, "slope"), lambda old: [1, 2, 3], "multi-section"),
+    "newton-bare-slopes": ("slopes", ("slopes",), lambda old: [1, 2, 3], "slopes file"),
+    "newton-slopes-int": ("slopes", ("slopes",), lambda old: 5, "slopes file"),
+    "newton-bare-rays": ("slopes", ("rays",), lambda old: [1, 2, 3], "slopes file"),
+    "newton-half-slope": ("slopes", ("slopes", 1, 0), lambda old: old + 0.5, "slopes file"),
+    "newton-unknown-key": ("slopes", ("extra",), lambda old: 1, "slopes file"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRICT_READS))
+def test_strict_read_names_kind_and_path(workdir, tmp_path, case):
+    kind, path, new, document = STRICT_READS[case]
+    data = json.loads(json.dumps(SLOPES)) if kind == "slopes" else json.loads(
+        (workdir / "cube2.section.json").read_text())
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = new(node.get(path[-1]) if isinstance(node, dict) else node[path[-1]])
+    bad = tmp_path / f"bad.{kind}.json"
+    bad.write_text(json.dumps(data))
+    if kind == "slopes":
+        res = invoke("newton", "--slopes", bad)
+    else:
+        res = invoke("classify", "--section", bad)
+    assert res.exit_code == EXIT_INVALID
+    (message,) = res.stderr.splitlines()
+    where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).removeprefix(".")
+    assert message.startswith(f"error: malformed {document} (")
+    assert f"bad.{kind}.json: {where}" in message  # the place changed, or one inside it
+
+
 def _edited_cube2(workdir, tmp_path, edit):
     """Copy the cube2 files into tmp_path, passing each parsed document
     through ``edit(kind, data)``, with a manifest naming all three."""
@@ -252,7 +296,23 @@ def test_isolated_vertex_exits_invalid(workdir, tmp_path):
     res = invoke("classify", "--section", d / "cube2.section.json")
     assert res.exit_code == EXIT_INVALID
     assert res.stderr == (
-        "error: multi-section is invalid: ['vertex-isolated', 'vertex-isolated']\n"
+        "error: multi-section is invalid: ['vertex-isolated', 'vertex-isolated']; "
+        "vertex-isolated: vertex zz1 is a face of no edge\n"
+    )
+
+
+def test_invalid_line_quotes_a_message_with_a_line_break(workdir, tmp_path):
+    def add_vertices(kind, data):
+        cx = data if kind == "complex" else data.get("complex")
+        if cx is not None:
+            cx["cells"] += [{"id": "zz\n1", "dim": 0}, {"id": "zz2", "dim": 0}]
+
+    d = _edited_cube2(workdir, tmp_path, add_vertices)
+    res = invoke("classify", "--section", d / "cube2.section.json")
+    assert res.exit_code == EXIT_INVALID
+    assert res.stderr == (
+        "error: multi-section is invalid: ['vertex-isolated', 'vertex-isolated']; "
+        "vertex-isolated: 'vertex zz\\n1 is a face of no edge'\n"
     )
 
 
@@ -274,7 +334,10 @@ def test_invalid_section_rejected_at_boundary(workdir, tmp_path, command):
     }[command]
     res = invoke(*args)
     assert res.exit_code == EXIT_INVALID
-    assert res.stderr == "error: multi-section is invalid: ['slope-coverage']\n"
+    assert res.stderr == (
+        "error: multi-section is invalid: ['slope-coverage']; slope-coverage: "
+        "missing slope for ('fx0.00a#0', 'p000', 0)\n"
+    )
 
 
 def test_render_checks_the_gluing_data_its_manifest_names(workdir, tmp_path):
@@ -286,7 +349,10 @@ def test_render_checks_the_gluing_data_its_manifest_names(workdir, tmp_path):
     d = _edited_cube2(workdir, tmp_path, tamper)
     res = invoke("render", "--manifest", d / "cube2.manifest.json", "--layer", "base")
     assert res.exit_code == EXIT_INVALID
-    assert res.stderr == "error: gluing data invalid: ['gluing-cocycle-violation']\n"
+    assert res.stderr == (
+        "error: gluing data invalid: ['gluing-cocycle-violation']; gluing-cocycle-violation: "
+        "nontrivial element into a 2-cell lift at chain ('fx0.00a#0', 'ep000p001~0', 'p000~0')\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -308,6 +308,23 @@ def test_multisection_rejects_unknown_fields():
         parse_multisection(doc)
 
 
+@pytest.mark.parametrize("damage", ["empty", "bogus-id", "sheets", "extra-vertex", "absent"])
+def test_declared_lifts_checked_against_computed(damage):
+    doc = json.loads(multisection_to_text(cover_1_0()))
+    if damage == "empty":
+        doc["lifts"] = []
+    elif damage == "bogus-id":
+        doc["lifts"][0]["lifts"][0]["id"] = "bogus#9"
+    elif damage == "sheets":
+        doc["lifts"][0]["lifts"][0]["sheets"] = [1]
+    elif damage == "extra-vertex":
+        doc["lifts"].append({"vertex": "nowhere", "lifts": []})
+    else:  # lifts left undeclared are not compared
+        del doc["lifts"]
+    codes = set(validate_multisection(parse_multisection(doc)).codes())
+    assert codes == (set() if damage == "absent" else {"lift-mismatch"})
+
+
 def test_labels_preserved():
     s = cube_surface()
     msec = build_double_cover(s, all_vertices(s), 3, 1, label="demo")
