@@ -4,12 +4,14 @@ commands.
 Each case runs one command on example inputs written to a scratch directory
 and addressed by relative paths, and compares the exit code, stdout and
 stderr byte for byte with ``tests/golden/<case>.txt``; the `seconds` fields
-of reports are masked. After an intended change of output, rewrite the
-files with
+of reports are masked. The inputs themselves are pinned too: the sha256 of
+every file ``write_inputs`` writes is kept in ``tests/golden/inputs.sha256``.
+After an intended change of output, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 import itertools
 import json
 import os
@@ -42,6 +44,7 @@ from tropms.pipeline import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+DIGESTS = GOLDEN / "inputs.sha256"
 SECONDS = re.compile(r'"seconds": [-+0-9.eE]+')
 
 EXAMPLES = ("simplex5", "cube2", "cube-o1", "rank3-cube")
@@ -76,6 +79,14 @@ def write_inputs(root: Path) -> None:
     # a single transverse torus element obstructs the cube-o1 gluing
     g = {("fx0.00a#0", "ep000p001~1"): TorusElement.single((0, 1), 2)}
     (root / "obstructed.gluing.json").write_text(gluing_to_text(g))
+
+
+def input_digests(root: Path) -> str:
+    """One `sha256sum` line per file in ``root``, sorted by name."""
+    return "".join(
+        f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n"
+        for path in sorted(root.iterdir())
+    )
 
 
 def _obstruction(gluing, *extra):
@@ -145,6 +156,11 @@ def test_golden(case, inputs, monkeypatch):
     assert run_case(CASES[case]) == (GOLDEN / f"{case}.txt").read_text()
 
 
+def test_written_inputs_are_byte_identical(inputs):
+    """Every input file the writers produce keeps its bytes."""
+    assert input_digests(inputs) == DIGESTS.read_text()
+
+
 def test_tampered_gluing_refused_under_every_check_subset(inputs, monkeypatch):
     """Gluing data is checked where it enters, whichever checks are selected:
     with the validate check it fails that check, without it the run stops."""
@@ -165,6 +181,7 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         write_inputs(Path(tmp))
+        digests = input_digests(Path(tmp))
         here = os.getcwd()
         os.chdir(tmp)
         try:
@@ -173,4 +190,5 @@ if __name__ == "__main__":
             os.chdir(here)
     for case, text in texts.items():
         (GOLDEN / f"{case}.txt").write_text(text)
-    print(f"wrote {len(texts)} golden files to {GOLDEN}", file=sys.stderr)
+    DIGESTS.write_text(digests)
+    print(f"wrote {len(texts)} golden files and {DIGESTS.name} to {GOLDEN}", file=sys.stderr)
