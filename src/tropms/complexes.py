@@ -11,6 +11,7 @@ affine structure.
 from __future__ import annotations
 
 import functools
+import json
 from collections import deque
 from typing import NamedTuple, Sequence
 
@@ -430,17 +431,17 @@ def _cycle_canonical(cyc: Sequence[str]) -> tuple[str, ...]:
     return tuple(cyc[k:]) + tuple(cyc[:k])
 
 
-def complex_to_json(s: PolyhedralSurface) -> dict:
-    """The complex/v1 document of a surface; optional fields that are empty
-    are left out."""
+def complex_to_text(s: PolyhedralSurface) -> str:
+    """The complex/v1 text of a surface; optional fields that are empty are
+    left out."""
     cells = [
         (c.id, c.dim, sorted(c.faces) or None, sorted(c.singular_markers) or None)
         for c in sorted(s.cells.values(), key=lambda c: (c.dim, c.id))
     ]
     fans = [(vid, s.fans[vid].rays, s.fans[vid].cones) for vid in sorted(s.fans)]
     orientation = [(fid, _cycle_canonical(s.orientation[fid])) for fid in sorted(s.orientation)]
-    return schema.COMPLEX.dump((cells, fans or None, orientation or None, s.asserted or None))
+    return schema.COMPLEX.text((cells, fans or None, orientation or None, s.asserted or None))
 
 
-def complex_to_text(s: PolyhedralSurface) -> str:
-    return schema.text(complex_to_json(s))
+def complex_to_json(s: PolyhedralSurface) -> dict:
+    return json.loads(complex_to_text(s))

@@ -19,7 +19,7 @@ from .complexes import (
     PolyhedralSurface,
     ValidationReport,
     check_standard_vertex,
-    complex_to_json,
+    complex_to_text,
     parse_complex,
     validate_surface,
 )
@@ -721,10 +721,10 @@ def _build_multisection(complex_doc, degree, label, lifts, matchings, branch,
     return MultiSection(cover, schema.unique("slopes", [(s[:3], s[3]) for s in slopes]), label)
 
 
-def multisection_to_json(msec: MultiSection) -> dict:
+def multisection_to_text(msec: MultiSection) -> str:
     cover = msec.cover
-    return schema.MULTISECTION.dump((
-        complex_to_json(cover.base),
+    return schema.MULTISECTION.text((
+        complex_to_text(cover.base),
         cover.degree,
         msec.label,
         [(v.id, cover.computed_lifts(v.id)) for v in cover.base.vertices],
@@ -734,7 +734,3 @@ def multisection_to_json(msec: MultiSection) -> dict:
          if v in cover.branch_vertices],
         [(*key, u) for key, u in sorted(msec.slopes.items())],
     ))
-
-
-def multisection_to_text(msec: MultiSection) -> str:
-    return schema.text(multisection_to_json(msec))

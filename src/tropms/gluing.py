@@ -566,4 +566,4 @@ def _build_gluing(assignments) -> GluingData:
 
 def gluing_to_text(g: GluingData) -> str:
     assignments = [(flag, elem.factors) for flag, elem in sorted(g.items())]
-    return schema.text(schema.GLUING.dump((assignments,)))
+    return schema.GLUING.text((assignments,))

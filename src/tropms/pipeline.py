@@ -50,9 +50,7 @@ class Manifest(NamedTuple):
 
 
 def manifest_to_text(m: Manifest) -> str:
-    return schema.text(schema.MANIFEST.dump(
-        (m.complex_path, m.section_path, m.gluing_path, m.assertions)
-    ))
+    return schema.MANIFEST.text((m.complex_path, m.section_path, m.gluing_path, m.assertions))
 
 
 def parse_manifest(data: dict, root: str = ".") -> Manifest:

@@ -7,9 +7,10 @@ as INT or VEC, [T] for a list of T, or a table for a nested object.
 ``Document.parse`` walks a document, checking the exact JSON type of every
 value (an integer is not a bool, a float or a string), and hands its fields
 in table order to a build function; lists read as tuples, and so do nested
-objects, of their fields. ``Document.dump`` writes such tuples back, leaving
-out the fields given as None and keeping tuples as arrays (``json`` writes
-them as lists), so a reader takes a tuple where it takes a list. A document
+objects, of their fields. ``Document.text`` writes such tuples back as
+canonical text, leaving out the fields given as None: each table is
+compiled once per indentation depth into a writer that knows its sorted
+keys and separators, so no generic encoder walks the values. A document
 that breaks its table raises ``Malformed``: one line that names the kind of
 document, the cause, the file when known and the JSON path, which is built
 only as the error unwinds.
@@ -22,6 +23,8 @@ import os
 import re
 import reprlib
 from fractions import Fraction
+from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable
 
 
@@ -45,25 +48,50 @@ def _wrong(what: str, value, *path, cause: type = TypeError) -> Malformed:
     return Malformed(f"must be {what}, got {reprlib.repr(value)}", cause, *path)
 
 
-def _same(value):
-    return value
+def _seps(depth: int) -> tuple[str, str]:
+    """The separator between the items of a container whose opening line
+    sits at ``depth``, and the line break before its closing bracket."""
+    return ",\n" + "  " * (depth + 1), "\n" + "  " * depth
+
+
+def _container(brackets: str, depth: int) -> Callable:
+    """The writer of a container at ``depth`` from the texts of its items,
+    one to a line; without items it is just ``brackets``."""
+    sep, end = _seps(depth)
+    head, tail = brackets[0] + sep[1:], end + brackets[1]
+
+    def wrap(items) -> str:
+        body = sep.join(items)
+        return head + body + tail if body else brackets
+
+    return wrap
 
 
 _ARRAY = (list, tuple)  # the types of a JSON array as read and as written
 
 
 class Leaf:
-    """A JSON value of one exact type, read and written as it is."""
+    """A JSON value of one exact type, read as it is and written by ``write``."""
 
-    def __init__(self, what: str, exact: type):
-        self.what, self.exact = what, exact
+    def __init__(self, what: str, exact: type, write: Callable | None = None):
+        self.what, self.exact, self.write = what, exact, write
 
     def read(self, value):
         if type(value) is not self.exact:
             raise _wrong(self.what, value)
         return value
 
-    write = staticmethod(_same)
+    def writer(self, depth: int) -> Callable:
+        return self.write
+
+
+class Embedded(Leaf):
+    """An object read as it is and written from its own canonical text,
+    which holds no raw line break inside a string."""
+
+    def writer(self, depth: int) -> Callable:
+        pad = _seps(depth)[1]
+        return lambda text: text.rstrip("\n").replace("\n", pad)
 
 
 class Pair:
@@ -81,7 +109,10 @@ class Pair:
         i = int(type(value[0]) is exact)  # the element of another type
         raise _wrong(self.item.what, value[i], i)
 
-    write = staticmethod(_same)
+    def writer(self, depth: int) -> Callable:
+        sep, end = _seps(depth)
+        form, write = f"[{sep[1:]}%s{sep}%s{end}]", self.item.write
+        return lambda v: form % (write(v[0]), write(v[1]))
 
 
 class Flags(Leaf):
@@ -93,7 +124,10 @@ class Flags(Leaf):
                 raise _wrong("boolean", flag, name)
         return value
 
-    write = staticmethod(dict)  # a copy, so that the document shares no dict with its object
+    def writer(self, depth: int) -> Callable:
+        wrap = _container("{}", depth)
+        return lambda flags: wrap(
+            [_quote(name) + (": true" if flags[name] else ": false") for name in sorted(flags)])
 
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -110,8 +144,8 @@ class Rational(Leaf):
             raise Malformed("has a zero denominator", ZeroDivisionError)
         return Fraction(int(match[1]), int(match[2] or 1))
 
-    def write(self, q: Fraction) -> str:
-        return f"{q.numerator}/{q.denominator}"
+    def writer(self, depth: int) -> Callable:
+        return lambda q: f'"{q.numerator}/{q.denominator}"'
 
 
 class List:
@@ -119,8 +153,6 @@ class List:
 
     def __init__(self, item):
         self.item = item
-        if item.write is _same:
-            self.write = _same
 
     def read(self, value) -> tuple:
         if type(value) not in _ARRAY:
@@ -140,9 +172,9 @@ class List:
             raise
         return tuple(out)
 
-    def write(self, values) -> list:
-        write = self.item.write
-        return [write(x) for x in values]
+    def writer(self, depth: int) -> Callable:
+        wrap, write = _container("[]", depth), self.item.writer(depth + 1)
+        return lambda values: wrap(map(write, values))
 
 
 _REQUIRED = object()
@@ -152,15 +184,12 @@ class Record:
     """A JSON object with the fields of a table and no others."""
 
     def __init__(self, table: dict):
-        self.names, self.order = frozenset(table), tuple(table)
-        self.fields = []  # (name, type, default, exact type when read and written as is)
+        self.names = frozenset(table)
+        self.fields = []  # (name, type, default, exact type when read as is)
         for name, spec in table.items():
             kind, default = spec if type(spec) is tuple else (spec, _REQUIRED)
             kind = _type(kind)
             self.fields.append((name, kind, default, kind.exact if type(kind) is Leaf else None))
-        # the fields a writer may leave out or must convert, with their converters
-        self.written = [(name, kind.write) for name, kind, default, _ in self.fields
-                        if default is not _REQUIRED or kind.write is not _same]
 
     def read(self, value) -> tuple:
         if type(value) is not dict:
@@ -183,15 +212,14 @@ class Record:
             raise Malformed("is an unknown field", ValueError, min(set(value) - self.names))
         return tuple(out)
 
-    def write(self, values) -> dict:
-        out = dict(zip(self.order, values))
-        for name, write in self.written:
-            value = out[name]
-            if value is None:
-                del out[name]
-            elif write is not _same:
-                out[name] = write(value)
-        return out
+    def writer(self, depth: int, fields=None) -> Callable:
+        """The writer of the tuple of field values in table order, keys
+        sorted; a field given as None is left out."""
+        fields = sorted((name, i, kind) for i, (name, kind, *_) in enumerate(fields or self.fields))
+        fields = [(i, _quote(name) + ": ", kind.writer(depth + 1)) for name, i, kind in fields]
+        wrap = _container("{}", depth)
+        return lambda values: wrap(
+            [key + write(v) for i, key, write in fields if (v := values[i]) is not None])
 
 
 def _type(spec):
@@ -221,12 +249,13 @@ class Document(Record):
             err.kind = err.kind or self.kind
             raise
 
-    def dump(self, values) -> dict:
-        """The JSON object of a document with these field values."""
-        out = self.write(values)
-        if self.schema:
-            out["schema"] = self.schema
-        return out
+    @cached_property
+    def _write(self) -> Callable:
+        return self.writer(0, self.fields + [("schema", STR)])
+
+    def text(self, values) -> str:
+        """The canonical text of a document with these field values."""
+        return self._write((*values, self.schema)) + "\n"
 
 
 def within(key: str, parse: Callable, value):
@@ -264,14 +293,15 @@ def unique(field: str, pairs) -> dict:
 
 
 def text(obj) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, final newline."""
+    """Canonical JSON text of an untyped object: sorted keys, two-space
+    indent, final newline."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-INT = Leaf("an integer", int)
-STR = Leaf("a string", str)
-PATH = Leaf("a path", str)
-OBJECT = Leaf("an object", dict)
+INT = Leaf("an integer", int, int.__repr__)
+STR = Leaf("a string", str, _quote)
+PATH = Leaf("a path", str, _quote)
+OBJECT = Embedded("an object", dict)
 VEC = Pair("[int, int]", INT)
 FLAG = Pair("[str, str]", STR)
 RATIONAL = Rational('a "p/q" rational', str)
@@ -289,7 +319,7 @@ COMPLEX = Document("complex", "complex/v1", {
 })
 
 MULTISECTION = Document("multi-section", "multisection/v1", {
-    "complex": OBJECT,  # a complex/v1 document, read by parse_complex
+    "complex": OBJECT,  # a complex/v1 document, read by parse_complex, written as its text
     "degree": INT,
     "label": (STR, ""),
     # absent, the lifts are not declared, so not compared with the computed ones
