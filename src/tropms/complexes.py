@@ -444,4 +444,5 @@ def complex_to_text(s: PolyhedralSurface) -> str:
 
 
 def complex_to_json(s: PolyhedralSurface) -> dict:
+    """The complex/v1 document of a surface, read back from its text."""
     return json.loads(complex_to_text(s))
