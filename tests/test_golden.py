@@ -28,6 +28,7 @@ from tropms.generators import (
     cube2_multisection,
     planted_multisection,
     planted_triangle_multisection,
+    simplex5_multisection,
 )
 from tropms.gluing import (
     TorusElement,
@@ -67,6 +68,11 @@ def write_inputs(root: Path) -> None:
         m = Manifest(f"{name}.complex.json", f"{name}.section.json", None,
                      {"regular": True}, root=str(root))
         (root / f"{name}.manifest.json").write_text(manifest_to_text(m))
+    # the 58-branch simplex5 cover, which no case reads but perfbench's
+    # cli-session does
+    msec = simplex5_multisection(58)
+    (root / "simplex5-58.complex.json").write_text(complex_to_text(msec.cover.base))
+    (root / "simplex5-58.section.json").write_text(multisection_to_text(msec))
     # cube2 gluing with one extra nontrivial flag into a 2-cell lift
     g = parse_gluing(json.loads((root / "cube2.gluing.json").read_text()))
     bar = bar_complex(cube2_multisection())
