@@ -4,6 +4,7 @@ polytopes of piecewise linear functions on complete plane fans."""
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -225,9 +226,11 @@ def _coef(p: Poly, i: int, j: int) -> Fraction:
 _LINEAR, _QUADRATIC = ((1, 0), (0, 1)), ((2, 0), (1, 1), (0, 2))  # exponents
 
 
+@functools.cache
 def _forgetful_basis() -> tuple[list[list[Fraction]], list[list[Fraction]]]:
     """The systems that ``forgetful`` solves: cone by cone, the coefficients
-    of the three ray classes and of their six pairwise products."""
+    of the three ray classes and of their six pairwise products. Computed
+    once; ``solve_linear`` copies the rows it is given."""
     t = [ray_class(CANONICAL_FAN, i) for i in range(3)]
     products = [t[i] * t[j] for i in range(3) for j in range(i, 3)]
     return (
@@ -236,19 +239,18 @@ def _forgetful_basis() -> tuple[list[list[Fraction]], list[list[Fraction]]]:
     )
 
 
-def forgetful(p: PiecewisePoly, basis=None) -> CohomologyClass:
+def forgetful(p: PiecewisePoly) -> CohomologyClass:
     """Push an equivariant class down to ordinary cohomology.
 
     Degree-one ray classes map to H and their pairwise products to H^2;
     globally linear functions map to zero. Defined on the canonical fan for
-    piecewise polynomials of degree at most two; ``basis`` defaults to
-    ``_forgetful_basis()``.
+    piecewise polynomials of degree at most two.
     """
     if p.fan != CANONICAL_FAN:
         raise ValueError("forgetful map is defined over the canonical fan")
     if p.max_degree() > 2:
         raise ValueError("degree above two is not supported")
-    linear, quadratic = basis or _forgetful_basis()
+    linear, quadratic = _forgetful_basis()
 
     consts = [pc.terms.get((0, 0), Fraction(0)) for pc in p.parts]
     if len(set(consts)) != 1:
@@ -270,8 +272,7 @@ def total_chern(m: int, n: int) -> CohomologyClass:
     """Total class 1 + c1 + c2 in ordinary cohomology, computed through the
     equivariant classes and the forgetful map."""
     c1, c2 = equivariant_chern(m, n)
-    basis = _forgetful_basis()
-    return CohomologyClass.of(1) + forgetful(c1, basis) + forgetful(c2, basis)
+    return CohomologyClass.of(1) + forgetful(c1) + forgetful(c2)
 
 
 def stability_discriminant(m: int, n: int, tc: CohomologyClass) -> tuple[int, str]:

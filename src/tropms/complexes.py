@@ -309,7 +309,7 @@ def check_standard_vertex(fan: VertexFan) -> bool:
 def combinatorial_dual(s: PolyhedralSurface) -> PolyhedralSurface:
     """Swap vertices with 2-cells; edges stay themselves with dual endpoints.
 
-    Fans do not dualize; the result carries the flag "dual-no-fans".
+    Fans do not dualize: the result has none, and keeps the flags of ``s``.
     """
     cells: dict[str, Cell] = {}
     for f in s.faces2:
@@ -331,7 +331,7 @@ def combinatorial_dual(s: PolyhedralSurface) -> PolyhedralSurface:
         cells=cells,
         fans={},
         orientation=orientation,
-        asserted=dict(s.asserted) | {"dual-no-fans": True},
+        asserted=dict(s.asserted),
     )
 
 

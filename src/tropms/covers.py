@@ -711,10 +711,11 @@ def parse_multisection(data: dict) -> MultiSection:
 def _build_multisection(complex_doc, degree, label, lifts, matchings, branch,
                         ramification, slopes) -> MultiSection:
     base = schema.within("complex", parse_complex, complex_doc)
-    ram = {v: _canon_partition(blocks) for v, blocks in ramification}
+    ram = schema.unique("ramification", ramification)
+    ram = {v: _canon_partition(blocks) for v, blocks in ram.items()}
     trivial = _canon_partition([(sh,) for sh in range(degree)])
     cover = BranchedCover(
-        base, degree, dict(matchings), frozenset(branch),
+        base, degree, schema.unique("matchings", matchings), frozenset(branch),
         {v.id: ram.get(v.id, trivial) for v in base.vertices},
         None if lifts is None else schema.unique("lifts", lifts),
     )

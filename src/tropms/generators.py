@@ -13,9 +13,15 @@ Four deterministic generators:
   rank3-cube   cube2 base carrying rank-3 fans and a degree-3 totally
                ramified cover with a fixed three-sheet slope table.
 
-Branch presets were found once by a seeded parity search and are frozen below;
-every builder revalidates the cheap invariants (counts, parities, matchings,
-genus) at construction time and raises RuntimeError when one fails.
+Branch presets were found once by a seeded parity search and are frozen below.
+Every builder rechecks its invariants and raises RuntimeError when one fails.
+A base must be valid and trivalent, with its frozen vertex and marker counts.
+Every double cover is built by ``_double_cover``: the 2-cells with a fully
+unbranched boundary must be exactly the planted one (none for cube2, cube-o1
+and simplex5), ``build_double_cover`` refuses a branch set that breaks
+condition E, and the genus from the Euler characteristic, the Riemann-Hurwitz
+genus of the branch count and the frozen genus must agree. ``EXAMPLES`` is
+the table of the examples ``tropms example`` writes.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from .covers import (
     BranchedCover,
     MultiSection,
     build_double_cover,
-    check_condition_E,
     euler_genus,
     riemann_hurwitz_genus,
     validate_multisection,
@@ -47,8 +52,6 @@ from .gluing import (
     coboundary_gluing,
     validate_gluing,
 )
-
-EXAMPLE_NAMES = ("simplex5", "cube2", "cube-o1", "rank3-cube")
 
 STANDARD_FAN_RAYS = ((1, 0), (0, 1), (-1, -1))
 RANK3_FAN_RAYS = ((2, 1), (-1, 0), (-1, -1))
@@ -112,25 +115,49 @@ def _mark(s: PolyhedralSurface, cell_id: str, token: str) -> None:
     s.cells[cell_id] = c._replace(singular_markers=c.singular_markers + (token,))
 
 
-def _attach_trivalent_fans(
-    s: PolyhedralSurface,
-    rays,
-    quad_corner_first: bool = False,
-) -> None:
-    """One fan per vertex, the given rays assigned to outgoing edges in
-    counterclockwise corner order, optionally starting the chain at the corner
-    lying on a quadrilateral 2-cell."""
-    for v in s.vertices:
-        chain = s.corners(v.id)
+def _dual_base(primal: PolyhedralSurface, rays, what: str, vertices: int, markers: int,
+               quad_corner_first: bool = False) -> PolyhedralSurface:
+    """The combinatorial dual of ``primal`` with one fan per vertex: the given
+    rays assigned to outgoing edges in counterclockwise corner order,
+    optionally starting the chain at the corner lying on a quadrilateral
+    2-cell. Requires a valid surface with the given numbers of vertices and
+    of marked 2-cells."""
+    base = combinatorial_dual(primal)
+    for v in base.vertices:
+        chain = base.corners(v.id)
         _require(len(chain) == 3, f"vertex {v.id} is not trivalent")
         if quad_corner_first:
-            sizes = [len(s.cells[f].faces) for f, _, _ in chain]
+            sizes = [len(base.cells[f].faces) for f, _, _ in chain]
             _require(sizes.count(4) == 1, f"vertex {v.id} has {sizes.count(4)} quad corners")
             p = sizes.index(4)
             chain = chain[p:] + chain[:p]
         fan_rays = tuple((rays[i], out) for i, (_, out, _) in enumerate(chain))
         cones = tuple((f, (i, (i + 1) % 3)) for i, (f, _, _) in enumerate(chain))
-        s.fans[v.id] = VertexFan(v.id, fan_rays, cones)
+        base.fans[v.id] = VertexFan(v.id, fan_rays, cones)
+    _require(validate_surface(base).ok, f"{what} base validation")
+    _require(len(base.vertices) == vertices, f"{what} base must have {vertices} vertices")
+    marked = [c for c in base.cells.values() if c.singular_markers]
+    _require(len(marked) == markers, f"{what} base must carry {markers} singular markers")
+    return base
+
+
+def _double_cover(base: PolyhedralSurface, unbranched, m: int, n: int, label: str,
+                  genus: int, planted: str | None = None) -> MultiSection:
+    """Double cover of ``base`` branched over every vertex but
+    ``unbranched``, with weights (m, n). Requires that the 2-cells with a
+    fully unbranched boundary are exactly ``planted`` (or none), and that the
+    Euler-characteristic genus, the Riemann-Hurwitz genus and ``genus``
+    agree."""
+    branch = frozenset(v.id for v in base.vertices) - set(unbranched)
+    full = [f.id for f in base.faces2 if branch.isdisjoint(base.boundary_cycle(f.id))]
+    _require(full == ([] if planted is None else [planted]),
+             f"{label} fully unbranched 2-cells {full}")
+    msec = build_double_cover(base, branch, m, n, label=label)
+    _require(
+        euler_genus(msec.cover) == riemann_hurwitz_genus(len(branch)) == genus,
+        f"{label} cover genus",
+    )
+    return msec
 
 
 # -- cube2 --------------------------------------------------------------------
@@ -171,72 +198,38 @@ def _cube2_triangles() -> dict[str, tuple[str, ...]]:
     return tris
 
 
-def cube2_base() -> PolyhedralSurface:
-    """Dual of the triangulated side-2 cube: 48 trivalent vertices, 72 edges,
-    26 two-cells, standard fans everywhere. The eight 2-cells dual to cube
-    corners carry a cone-point marker each."""
+def _cube_dual(rays, what: str, quad_corner_first: bool = False) -> PolyhedralSurface:
+    """Dual of the triangulated side-2 cube, the eight 2-cells dual to cube
+    corners carrying a cone-point marker each, with the given fans."""
     primal = surface_from_cycles(_cube2_triangles())
     for v in primal.vertices:
         if set(v.id[1:]) <= {"0", "2"}:
             _mark(primal, v.id, "cone-point")
-    base = combinatorial_dual(primal)
-    _attach_trivalent_fans(base, STANDARD_FAN_RAYS)
-    base.asserted.pop("dual-no-fans", None)
-    _require(validate_surface(base).ok, "cube2 base validation")
-    _require(len(base.vertices) == 48, "cube2 base must have 48 vertices")
-    marked = [c for c in base.cells.values() if c.singular_markers]
-    _require(len(marked) == 8, "cube2 base must carry 8 cone-point markers")
-    return base
+    return _dual_base(primal, rays, what, 48, 8, quad_corner_first)
+
+
+def cube2_base() -> PolyhedralSurface:
+    """Dual of the triangulated side-2 cube: 48 trivalent vertices, 72 edges,
+    26 two-cells, standard fans everywhere. The eight 2-cells dual to cube
+    corners carry a cone-point marker each."""
+    return _cube_dual(STANDARD_FAN_RAYS, "cube2")
 
 
 def cube2_multisection() -> MultiSection:
     """Double cover branched over all 48 base vertices, weights (2, 1)."""
-    base = cube2_base()
-    branch = frozenset(v.id for v in base.vertices)
-    _require(check_condition_E(base, branch), "cube2 branch parity")
-    msec = build_double_cover(base, branch, 2, 1, label="cube2")
-    _require(
-        euler_genus(msec.cover) == 23 == riemann_hurwitz_genus(len(branch)),
-        "cube2 cover genus",
-    )
-    return msec
+    return _double_cover(cube2_base(), (), 2, 1, "cube2", 23)
 
 
 def cube_o1_multisection() -> MultiSection:
     """Double cover branched over 36 of the 48 base vertices, weights (1, 0);
     no 2-cell has a fully unbranched boundary."""
-    base = cube2_base()
-    branch = frozenset(v.id for v in base.vertices) - set(CUBE_O1_UNBRANCHED)
-    _require(len(branch) == 36, "cube-o1 must branch over 36 vertices")
-    _require(check_condition_E(base, branch), "cube-o1 branch parity")
-    _require(
-        all(
-            any(v in branch for v in base.boundary_cycle(f.id))
-            for f in base.faces2
-        ),
-        "cube-o1 must touch every 2-cell boundary",
-    )
-    msec = build_double_cover(base, branch, 1, 0, label="cube-o1")
-    _require(euler_genus(msec.cover) == 17, "cube-o1 cover genus")
-    return msec
+    return _double_cover(cube2_base(), CUBE_O1_UNBRANCHED, 1, 0, "cube-o1", 17)
 
 
 def planted_multisection() -> MultiSection:
     """Like cube-o1 but with the boundary of one 2-cell kept entirely
     unbranched, defeating simplicity there; weights (2, 1)."""
-    base = cube2_base()
-    branch = frozenset(v.id for v in base.vertices) - set(PLANTED_UNBRANCHED)
-    _require(len(branch) == 36, "planted example must branch over 36 vertices")
-    _require(check_condition_E(base, branch), "planted branch parity")
-    full = [
-        f.id
-        for f in base.faces2
-        if all(v not in branch for v in base.boundary_cycle(f.id))
-    ]
-    _require(full == [PLANTED_FACE], "exactly one fully unbranched 2-cell")
-    msec = build_double_cover(base, branch, 2, 1, label="planted")
-    _require(euler_genus(msec.cover) == 17, "planted cover genus")
-    return msec
+    return _double_cover(cube2_base(), PLANTED_UNBRANCHED, 2, 1, "planted", 17, PLANTED_FACE)
 
 
 # -- simplex5 -----------------------------------------------------------------
@@ -282,14 +275,7 @@ def simplex5_base() -> PolyhedralSurface:
         coords = [int(ch) for ch in v.id[1:]]
         if coords.count(0) == 2 and min(c for c in coords if c) >= 1:
             _mark(primal, v.id, "focus-focus")
-    base = combinatorial_dual(primal)
-    _attach_trivalent_fans(base, STANDARD_FAN_RAYS)
-    base.asserted.pop("dual-no-fans", None)
-    _require(validate_surface(base).ok, "simplex5 base validation")
-    _require(len(base.vertices) == 100, "simplex5 base must have 100 vertices")
-    marked = [c for c in base.cells.values() if c.singular_markers]
-    _require(len(marked) == 24, "simplex5 base must carry 24 singular markers")
-    return base
+    return _dual_base(primal, STANDARD_FAN_RAYS, "simplex5", 100, 24)
 
 
 def simplex5_multisection(branch_count: int = 74) -> MultiSection:
@@ -300,49 +286,22 @@ def simplex5_multisection(branch_count: int = 74) -> MultiSection:
             f"branch_count must be one of {sorted(SIMPLEX5_UNBRANCHED)}, "
             f"got {branch_count}"
         )
-    base = simplex5_base()
-    unbranched = set(SIMPLEX5_UNBRANCHED[branch_count])
-    branch = frozenset(v.id for v in base.vertices) - unbranched
-    _require(len(branch) == branch_count, "simplex5 branch count")
-    _require(check_condition_E(base, branch), "simplex5 branch parity")
-    _require(
-        all(
-            any(v in branch for v in base.boundary_cycle(f.id))
-            for f in base.faces2
-        ),
-        "simplex5 branch must touch every 2-cell boundary",
+    return _double_cover(
+        simplex5_base(), SIMPLEX5_UNBRANCHED[branch_count], 2, 1,
+        f"simplex5-{branch_count}", {74: 36, 58: 28}[branch_count],
     )
-    msec = build_double_cover(base, branch, 2, 1, label=f"simplex5-{branch_count}")
-    genus = euler_genus(msec.cover)
-    _require(
-        genus == riemann_hurwitz_genus(branch_count) == {74: 36, 58: 28}[branch_count],
-        "simplex5 cover genus",
-    )
-    return msec
 
 
 def planted_triangle_multisection() -> MultiSection:
     """Simplex5 cover with the triangular 2-cell at one simplex corner kept
     entirely unbranched; weights (2, 1), 74 branch vertices, genus 36."""
     base = simplex5_base()
-    branch = frozenset(v.id for v in base.vertices) - set(
-        PLANTED_TRIANGLE_UNBRANCHED
-    )
-    _require(len(branch) == 74, "planted triangle must branch over 74 vertices")
-    _require(check_condition_E(base, branch), "planted triangle branch parity")
-    full = [
-        f.id
-        for f in base.faces2
-        if all(v not in branch for v in base.boundary_cycle(f.id))
-    ]
-    _require(full == [PLANTED_TRIANGLE_FACE], "exactly one fully unbranched 2-cell")
     _require(
         len(base.cells[PLANTED_TRIANGLE_FACE].faces) == 3,
         "the planted 2-cell must be a triangle",
     )
-    msec = build_double_cover(base, branch, 2, 1, label="planted-triangle")
-    _require(euler_genus(msec.cover) == 36, "planted triangle cover genus")
-    return msec
+    return _double_cover(base, PLANTED_TRIANGLE_UNBRANCHED, 2, 1, "planted-triangle", 36,
+                         PLANTED_TRIANGLE_FACE)
 
 
 # -- rank3-cube ---------------------------------------------------------------
@@ -385,15 +344,7 @@ def _gf3_edge_voltages(s: PolyhedralSurface) -> dict[str, int]:
 def rank3_base() -> PolyhedralSurface:
     """The cube2 base with rank-3 fans: rays (2,1), (-1,0), (-1,-1) assigned
     in corner order starting at each vertex's quadrilateral corner."""
-    primal = surface_from_cycles(_cube2_triangles())
-    for v in primal.vertices:
-        if set(v.id[1:]) <= {"0", "2"}:
-            _mark(primal, v.id, "cone-point")
-    base = combinatorial_dual(primal)
-    _attach_trivalent_fans(base, RANK3_FAN_RAYS, quad_corner_first=True)
-    base.asserted.pop("dual-no-fans", None)
-    _require(validate_surface(base).ok, "rank3-cube base validation")
-    return base
+    return _cube_dual(RANK3_FAN_RAYS, "rank3-cube", quad_corner_first=True)
 
 
 def rank3_multisection() -> MultiSection:
@@ -441,3 +392,14 @@ def seeded_coboundary_gluing(msec: MultiSection, seed: int = 0) -> GluingData:
     g = coboundary_gluing(msec, lam_vertex, lam_edge)
     _require(validate_gluing(msec, g, bar_complex(msec)).ok, "seeded gluing validation")
     return g
+
+
+#: The examples ``tropms example`` writes: name -> (builder, manifest
+#: assertions).
+EXAMPLES = {
+    "simplex5": (simplex5_multisection, {"regular": True}),
+    "cube2": (cube2_multisection, {"regular": True}),
+    "cube-o1": (cube_o1_multisection, {"regular": True, "positive": True, "simple": True,
+                                       "elementary": True, "open-gluing-induced": True}),
+    "rank3-cube": (rank3_multisection, {"regular": True, "assumption-1.4": True}),
+}

@@ -275,19 +275,6 @@ def run_pipeline(manifest: Manifest, checks=None) -> Report:
 
 # -- example emission ---------------------------------------------------------
 
-_EXAMPLE_ASSERTIONS = {
-    "simplex5": {"regular": True},
-    "cube2": {"regular": True},
-    "cube-o1": {
-        "regular": True,
-        "positive": True,
-        "simple": True,
-        "elementary": True,
-        "open-gluing-induced": True,
-    },
-    "rank3-cube": {"regular": True, "assumption-1.4": True},
-}
-
 
 def generate_example(name: str, outdir: str = ".") -> Manifest:
     """Write one worked example (complex, section, gluing data for the rank-2
@@ -295,14 +282,10 @@ def generate_example(name: str, outdir: str = ".") -> Manifest:
     from . import generators as gen
     from .gluing import gluing_to_text
 
-    if name not in gen.EXAMPLE_NAMES:
-        raise ValueError(f"unknown example {name!r}; pick one of {gen.EXAMPLE_NAMES}")
-    msec = {
-        "simplex5": gen.simplex5_multisection,
-        "cube2": gen.cube2_multisection,
-        "cube-o1": gen.cube_o1_multisection,
-        "rank3-cube": gen.rank3_multisection,
-    }[name]()
+    if name not in gen.EXAMPLES:
+        raise ValueError(f"unknown example {name!r}; pick one of {tuple(gen.EXAMPLES)}")
+    build, assertions = gen.EXAMPLES[name]
+    msec = build()
     os.makedirs(outdir, exist_ok=True)
 
     complex_path = f"{name}.complex.json"
@@ -319,13 +302,7 @@ def generate_example(name: str, outdir: str = ".") -> Manifest:
         with open(os.path.join(outdir, gluing_path), "w", encoding="utf-8") as fh:
             fh.write(gluing_to_text(g))
 
-    manifest = Manifest(
-        complex_path,
-        section_path,
-        gluing_path,
-        dict(_EXAMPLE_ASSERTIONS[name]),
-        root=outdir,
-    )
+    manifest = Manifest(complex_path, section_path, gluing_path, dict(assertions), root=outdir)
     with open(os.path.join(outdir, f"{name}.manifest.json"), "w", encoding="utf-8") as fh:
         fh.write(manifest_to_text(manifest))
     return manifest

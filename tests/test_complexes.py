@@ -128,7 +128,7 @@ def test_dual_of_tetrahedron():
     s = tetrahedron()
     d = combinatorial_dual(s)
     assert len(d.vertices) == 4 and len(d.edges) == 6 and len(d.faces2) == 4
-    assert d.asserted.get("dual-no-fans") is True
+    assert d.asserted == s.asserted
     assert not d.fans
     rep = validate_surface(d)
     assert rep.ok, rep.diagnostics

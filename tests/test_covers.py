@@ -337,3 +337,21 @@ def test_disconnected_cover_fails_validation():
     msec = two_sheet_cover()
     assert not msec.cover.is_connected()
     assert validate_multisection(msec).codes() == ["cover-disconnected"]
+
+
+@pytest.mark.parametrize("field", ["matchings", "ramification"])
+def test_multisection_rejects_duplicate_keyed_entries(field):
+    """A second entry for the same edge or vertex is refused, whichever of
+    the two entries is wrong; neither silently wins."""
+    doc = json.loads(multisection_to_text(cover_1_0()))
+    entries = doc[field]
+    if field == "matchings":
+        first = entries[0]
+        entries.append({"edge": first["edge"], "perm": first["perm"][::-1]})
+        key, at = first["edge"], len(entries) - 1
+    else:
+        first = entries[0]
+        entries.insert(0, {"vertex": first["vertex"], "blocks": [[0], [1]]})
+        key, at = first["vertex"], 1
+    with pytest.raises(ValueError, match=rf"{field}\[{at}\] duplicates an earlier entry: '{key}'"):
+        parse_multisection(doc)
