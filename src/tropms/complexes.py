@@ -60,18 +60,32 @@ class ValidationReport(NamedTuple):
 
 
 class _SurfaceIndex(NamedTuple):
-    by_dim: dict[int, list[str]]  # cell ids, sorted
-    cofaces: dict[str, tuple[str, ...]]
-    edge_of: dict[frozenset, str]  # endpoints -> edge id
-    corners: dict[str, list[tuple[str, str, str]]]  # in 2-cell id order
+    """The topology of a surface numbered once. The cells of each dimension
+    are numbered in id order, so numbers sort as ids do, and every other
+    table holds numbers. Corners are numbered vertex by vertex in chain
+    order; a vertex whose corners do not chain into one cycle has none."""
+
+    ids: dict[int, tuple[str, ...]]  # dimension -> cell ids, sorted
+    number: tuple[dict[str, int], ...]  # per dimension 0, 1, 2: cell id -> number
+    malformed: bool  # a cell of another dimension, or faces unfit for their cell
+    ends: tuple[tuple, ...]  # per edge: its vertices as listed, None for a non-vertex
+    star: tuple[tuple[int, ...], ...]  # per vertex: the edges ending there
+    sides: tuple[tuple[int, ...], ...]  # per edge: the 2-cells it bounds
+    walks: tuple[tuple[int, ...] | None, ...]  # per 2-cell: the edge leaving each cycle vertex
+    between: dict[int, int]  # v * (vertex count) + w -> the edge between vertices v and w
+    corners: tuple[tuple[int, int, int], ...]  # (2-cell, outgoing edge, incoming edge)
+    first: tuple[int, ...]  # per vertex and one more: its first corner
+    walls: tuple[list[int], ...]  # per edge and end: the corner there whose incoming edge it is
+    links: dict[int, str]  # vertex -> why its corners do not chain into one cycle
 
 
 class PolyhedralSurface:
     """Cells, fans, boundary cycles and assertion flags of one surface.
 
-    ``cells`` (but for replacing a cell by one of its id and dimension) and
-    ``orientation`` must not change after the first query: the cells of each
-    dimension, cofaces, edges and corners are read from an index built once.
+    The topology is numbered once, on the first query: ``cells`` and
+    ``orientation`` must not change after it, but for replacing a cell by one
+    with the same id, dimension and faces. Fans and singular markers are read
+    whenever a check runs, so they may be assigned or replaced at any time.
     """
 
     def __init__(self, cells: dict[str, Cell], fans: dict[str, VertexFan] | None = None,
@@ -84,7 +98,7 @@ class PolyhedralSurface:
 
     def of_dim(self, d: int) -> list[Cell]:
         """Cells of one dimension in id order."""
-        return [self.cells[i] for i in self._index.by_dim.get(d, ())]
+        return [self.cells[i] for i in self._index.ids.get(d, ())]
 
     @property
     def vertices(self) -> list[Cell]:
@@ -99,86 +113,127 @@ class PolyhedralSurface:
         return self.of_dim(2)
 
     def euler_characteristic(self) -> int:
-        counts = [len(self.of_dim(d)) for d in (0, 1, 2)]
-        return counts[0] - counts[1] + counts[2]
+        ids = self._index.ids
+        return len(ids[0]) - len(ids[1]) + len(ids[2])
 
     @functools.cached_property
     def _index(self) -> _SurfaceIndex:
-        by_dim: dict[int, list[str]] = {}
-        cofaces: dict[str, list[str]] = {}
-        edge_of: dict[frozenset, str] = {}
-        for c in self.cells.values():
+        cells = self.cells
+        by_dim: dict[int, list[str]] = {0: [], 1: [], 2: []}
+        for c in cells.values():
             by_dim.setdefault(c.dim, []).append(c.id)
-            for f in set(c.faces):
-                cofaces.setdefault(f, []).append(c.id)
-            if c.dim == 1:
-                edge_of[frozenset(c.faces)] = c.id
-        by_dim = {d: sorted(ids) for d, ids in by_dim.items()}
+        ids = {d: tuple(sorted(cids)) for d, cids in by_dim.items()}
+        number = tuple({cid: i for i, cid in enumerate(ids[d])} for d in (0, 1, 2))
+        nv = len(ids[0])
+        ends = tuple([tuple(map(number[0].get, cells[e].faces)) for e in ids[1]])
+        boundaries = tuple([tuple(map(number[1].get, cells[f].faces)) for f in ids[2]])
+        malformed = len(ids) > 3 or any(cells[v].faces for v in ids[0])
+        star: list[list[int]] = [[] for _ in ids[0]]
+        sides: list[list[int]] = [[] for _ in ids[1]]
+        between = {}
+        for e, p in enumerate(ends):  # a malformed edge is only reported
+            if len(p) != 2 or None in p or p[0] == p[1]:
+                malformed = True
+                continue
+            star[p[0]].append(e)
+            star[p[1]].append(e)
+            between[p[0] * nv + p[1]] = between[p[1] * nv + p[0]] = e
+        for f, edges in enumerate(boundaries):
+            for e in edges:
+                if e is None:
+                    malformed = True
+                elif not sides[e] or sides[e][-1] != f:  # an edge listed twice bounds once
+                    sides[e].append(f)
         # a boundary step without an edge leaves its 2-cell out of the corners
-        corners: dict[str, list[tuple[str, str, str]]] = {}
-        for f in map(self.cells.get, by_dim.get(2, ())):
-            cyc = self.orientation.get(f.id, ())
-            eids = [edge_of.get(frozenset(p)) for p in zip(cyc, cyc[1:] + cyc[:1])]
-            if None not in eids:
-                for i, v in enumerate(cyc):
-                    corners.setdefault(v, []).append((f.id, eids[i], eids[i - 1]))
-        cofaces_sorted = {k: tuple(sorted(ids)) for k, ids in cofaces.items()}
-        return _SurfaceIndex(by_dim, cofaces_sorted, edge_of, corners)
+        walks = []
+        around: list[list[tuple[int, int, int]]] = [[] for _ in ids[0]]
+        for f, fid in enumerate(ids[2]):
+            cyc, walk = self.orientation.get(fid), None
+            if cyc is not None:
+                cyc = tuple(map(number[0].get, cyc))
+            if cyc is not None and None not in cyc:
+                walk = tuple([between.get(v * nv + w) for v, w in zip(cyc, cyc[1:] + cyc[:1])])
+                walk = None if None in walk else walk
+            walks.append(walk)
+            if walk:
+                prev = walk[-1]
+                for v, out in zip(cyc, walk):
+                    around[v].append((f, out, prev))
+                    prev = out
+        corners, first, links = [], [], {}
+        walls = tuple([-1, -1] for _ in ids[1])
+        for v, local in enumerate(around):
+            first.append(len(corners))
+            by_out = {corner[1]: corner for corner in local}
+            chain = [by_out[min(by_out)]] if by_out else []
+            while chain and chain[-1][2] != chain[0][1] and len(chain) <= len(local):
+                chain.append(by_out.get(chain[-1][2]))
+                if chain[-1] is None:
+                    break
+            if len({f for f, _, _ in local}) != len(local):
+                links[v] = f"a 2-cell touches vertex {ids[0][v]} more than once"
+            elif chain and (chain[-1] is None or chain[-1][2] != chain[0][1]):
+                links[v] = f"corners around {ids[0][v]} do not close up"
+            elif len(chain) != len(local):
+                links[v] = f"corners around {ids[0][v]} split into several cycles"
+            if v in links:
+                continue
+            for c, (_, _, inn) in enumerate(chain, len(corners)):
+                end = 0 if ends[inn][0] == v else 1
+                if walls[inn][end] < 0:
+                    walls[inn][end] = c
+            corners += chain
+        first.append(len(corners))
+        return _SurfaceIndex(ids, number, malformed, ends, tuple(map(tuple, star)),
+                             tuple(map(tuple, sides)), tuple(walks), between,
+                             tuple(corners), tuple(first), walls, links)
 
     def cofaces(self, cell_id: str) -> list[str]:
-        return list(self._index.cofaces.get(cell_id, ()))
+        """Cells of one dimension more having the given vertex or edge as a face, in id order."""
+        x = self._index
+        for d, table in ((0, x.star), (1, x.sides)):
+            k = x.number[d].get(cell_id)
+            if k is not None:
+                return [x.ids[d + 1][c] for c in table[k]]
+        return []
 
     def boundary_cycle(self, face_id: str) -> tuple[str, ...]:
         return self.orientation[face_id]
 
-    def oriented_edges(self, face_id: str) -> list[tuple[str, str, str]]:
-        """Directed boundary walk: (edge id, tail vertex, head vertex)."""
-        cyc = self.orientation[face_id]
-        out = []
-        for i, v in enumerate(cyc):
-            w = cyc[(i + 1) % len(cyc)]
-            out.append((self.edge_between(v, w), v, w))
-        return out
-
     def edge_between(self, v: str, w: str) -> str:
         """Edge whose endpoints are the given pair of vertices."""
-        try:
-            return self._index.edge_of[frozenset((v, w))]
-        except KeyError:
-            raise KeyError(f"no edge between {v} and {w}") from None
+        x = self._index
+        a, b = x.number[0].get(v), x.number[0].get(w)
+        e = None if a is None or b is None else x.between.get(a * len(x.ids[0]) + b)
+        if e is None:
+            raise KeyError(f"no edge between {v} and {w}")
+        return x.ids[1][e]
 
     def corners(self, vertex_id: str) -> list[tuple[str, str, str]]:
         """2-cells around a vertex in counterclockwise order as
         (face id, outgoing edge, incoming edge), chained so that the incoming
         edge of one corner is the outgoing edge of the next."""
-        local = self._index.corners.get(vertex_id, [])
-        if len({f for f, _, _ in local}) != len(local):
-            raise ValueError(f"a 2-cell touches vertex {vertex_id} more than once")
-        if not local:
+        x = self._index
+        v = x.number[0].get(vertex_id)
+        if v is None:
             return []
-        by_out = {out: (f, out, inn) for f, out, inn in local}
-        start = min(by_out)
-        chain = [by_out[start]]
-        while True:
-            nxt = chain[-1][2]
-            if nxt == start:
-                break
-            if nxt not in by_out or len(chain) > len(local):
-                raise ValueError(f"corners around {vertex_id} do not close up")
-            chain.append(by_out[nxt])
-        if len(chain) != len(local):
-            raise ValueError(f"corners around {vertex_id} split into several cycles")
-        return chain
+        if v in x.links:
+            raise ValueError(x.links[v])
+        E, F = x.ids[1], x.ids[2]
+        return [(F[f], E[out], E[inn]) for f, out, inn in x.corners[x.first[v]:x.first[v + 1]]]
 
 
 def validate_surface(s: PolyhedralSurface) -> ValidationReport:
     """Structural checks for a closed oriented surface with affine fans."""
+    x = s._index
+    V, E, F = x.ids[0], x.ids[1], x.ids[2]
     diags: list[Diagnostic] = []
 
     def bad(code: str, msg: str) -> None:
         diags.append(Diagnostic(code, msg))
 
-    for c in sorted(s.cells.values(), key=lambda c: (c.dim, c.id)):
+    structure = sorted(s.cells.values(), key=lambda c: (c.dim, c.id)) if x.malformed else ()
+    for c in structure:
         if c.dim not in (0, 1, 2):
             bad("cell-dim", f"cell {c.id} has dimension {c.dim}")
             continue
@@ -198,42 +253,44 @@ def validate_surface(s: PolyhedralSurface) -> ValidationReport:
     if any(d.code in ("missing-face", "face-dim", "edge-endpoints") for d in diags):
         return ValidationReport(tuple(diags), s.euler_characteristic())
 
-    for e in s.edges:
-        n = len(s.cofaces(e.id))
-        if n != 2:
-            bad("edge-coface-count", f"edge {e.id} has {n} cofaces, expected 2")
-    for v in s.vertices:
-        if not s.cofaces(v.id):
-            bad("vertex-isolated", f"vertex {v.id} is a face of no edge")
+    for e, sides in enumerate(x.sides):
+        if len(sides) != 2:
+            bad("edge-coface-count", f"edge {E[e]} has {len(sides)} cofaces, expected 2")
+    for v, star in enumerate(x.star):
+        if not star:
+            bad("vertex-isolated", f"vertex {V[v]} is a face of no edge")
 
-    directed: dict[tuple[str, str], list[str]] = {}
-    for f in s.faces2:
-        if f.id not in s.orientation:
-            bad("orientation-missing", f"2-cell {f.id} has no boundary cycle")
-            continue
-        cyc = s.orientation[f.id]
-        if len(set(cyc)) != len(cyc) or len(cyc) < 3:
-            bad("orientation-degenerate", f"2-cell {f.id} cycle {cyc} is degenerate")
-            continue
-        try:
-            walk = s.oriented_edges(f.id)
-        except KeyError as exc:
-            bad("orientation-edge", f"2-cell {f.id}: {exc}")
-            continue
-        if sorted(e for e, _, _ in walk) != sorted(f.faces):
-            bad(
-                "orientation-face-mismatch",
-                f"2-cell {f.id} boundary cycle does not match its edge list",
-            )
-        for eid, v, w in walk:
-            directed.setdefault((v, w), []).append(f.id)
-    for (v, w), users in sorted(directed.items()):
+    nv = len(V)
+    directed: dict[int, list[int]] = {}  # v * nv + w -> the 2-cells walking from v to w
+    for f, fid in enumerate(F):
+        cyc, walk = s.orientation.get(fid), x.walks[f]
+        if cyc is None:
+            bad("orientation-missing", f"2-cell {fid} has no boundary cycle")
+        elif len(set(cyc)) != len(cyc) or len(cyc) < 3:
+            bad("orientation-degenerate", f"2-cell {fid} cycle {cyc} is degenerate")
+        elif walk is None:
+            try:
+                for v, w in zip(cyc, (*cyc[1:], *cyc[:1])):
+                    s.edge_between(v, w)
+            except KeyError as exc:
+                bad("orientation-edge", f"2-cell {fid}: {exc}")
+        else:
+            if sorted(walk) != sorted(map(x.number[1].__getitem__, s.cells[fid].faces)):
+                bad(
+                    "orientation-face-mismatch",
+                    f"2-cell {fid} boundary cycle does not match its edge list",
+                )
+            cyc = tuple(map(x.number[0].__getitem__, cyc))
+            for v, w in zip(cyc, cyc[1:] + cyc[:1]):
+                directed.setdefault(v * nv + w, []).append(f)
+    for k, users in sorted(directed.items()):  # in the order of the (tail, head) id pairs
+        v, w = V[k // nv], V[k % nv]
         if len(users) > 1:
             bad(
                 "orientation-inconsistent",
-                f"edge {v}->{w} traversed twice (by {users})",
+                f"edge {v}->{w} traversed twice (by {[F[f] for f in users]})",
             )
-        if (w, v) not in directed:
+        if k % nv * nv + k // nv not in directed:
             bad(
                 "orientation-inconsistent",
                 f"edge {v}->{w} never traversed in the opposite direction",
@@ -245,13 +302,16 @@ def validate_surface(s: PolyhedralSurface) -> ValidationReport:
     if any(d.code.startswith("orientation-") for d in diags):
         # corners are read off the boundary cycles, so they are undefined
         return ValidationReport(tuple(diags), chi)
+    for why in x.links.values():
+        bad("vertex-link", why)
 
     for vid in sorted(s.fans):
         fan = s.fans[vid]
-        if vid not in s.cells or s.cells[vid].dim != 0:
+        v = x.number[0].get(vid)
+        if v is None:
             bad("fan-vertex", f"fan attached to non-vertex {vid}")
             continue
-        incident = s.cofaces(vid)
+        incident = [E[e] for e in x.star[v]]
         fan_edges = sorted(e for _, e in fan.rays)
         if fan_edges != incident:
             bad(
@@ -259,29 +319,15 @@ def validate_surface(s: PolyhedralSurface) -> ValidationReport:
                 f"fan at {vid} covers edges {fan_edges}, incident are {incident}",
             )
             continue
-        n = len(fan.rays)
-        vecs = [v for v, _ in fan.rays]
-        if any(not is_primitive(v) for v in vecs):
-            bad("fan-not-complete", f"fan at {vid} has a non-primitive ray")
+        flaw = _fan_flaw(tuple([vec for vec, _ in fan.rays]), tuple([p for _, p in fan.cones]))
+        if flaw:
+            bad("fan-not-complete", f"fan at {vid} {flaw}")
             continue
-        ok_order = all(det2(vecs[i], vecs[(i + 1) % n]) > 0 for i in range(n))
-        descents = sum(
-            1 for i in range(n) if ccw_cmp(vecs[i], vecs[(i + 1) % n]) > 0
-        )
-        if not ok_order or descents != 1:
-            bad("fan-not-complete", f"fan at {vid} rays do not sweep one full turn")
+        if v in x.links:  # reported as vertex-link
             continue
-        sectors = {(i, (i + 1) % n) for i in range(n)}
-        got = {pair for _, pair in fan.cones}
-        if got != sectors or len(fan.cones) != n:
-            bad("fan-not-complete", f"fan at {vid} cones do not tile the circle")
-            continue
-        try:
-            corner_list = s.corners(vid)
-        except ValueError as exc:
-            bad("fan-cone-mismatch", str(exc))
-            continue
-        corner_by_face = {f: (out, inn) for f, out, inn in corner_list}
+        corner_by_face = {
+            F[f]: (E[out], E[inn]) for f, out, inn in x.corners[x.first[v]:x.first[v + 1]]
+        }
         edge_of = {i: e for i, (_, e) in enumerate(fan.rays)}
         for face2, (i, j) in fan.cones:
             if face2 not in corner_by_face:
@@ -301,6 +347,22 @@ def validate_surface(s: PolyhedralSurface) -> ValidationReport:
     return ValidationReport(tuple(diags), chi)
 
 
+@functools.lru_cache(maxsize=256)
+def _fan_flaw(vecs: tuple[Vec, ...], cones: tuple[tuple[int, int], ...]) -> str:
+    """What keeps rays, and cones given as pairs of ray indices, from forming
+    a complete fan; empty if nothing does. Fans of one shape are checked once."""
+    n = len(vecs)
+    if any(not is_primitive(vec) for vec in vecs):
+        return "has a non-primitive ray"
+    ok_order = all(det2(vecs[i], vecs[(i + 1) % n]) > 0 for i in range(n))
+    descents = sum(1 for i in range(n) if ccw_cmp(vecs[i], vecs[(i + 1) % n]) > 0)
+    if not ok_order or descents != 1:
+        return "rays do not sweep one full turn"
+    if set(cones) != {(i, (i + 1) % n) for i in range(n)} or len(cones) != n:
+        return "cones do not tile the circle"
+    return ""
+
+
 def check_standard_vertex(fan: VertexFan) -> bool:
     """Three primitive rays summing to zero and pairwise lattice bases."""
     return standard_triple([v for v, _ in fan.rays])
@@ -311,22 +373,25 @@ def combinatorial_dual(s: PolyhedralSurface) -> PolyhedralSurface:
 
     Fans do not dualize: the result has none, and keeps the flags of ``s``.
     """
+    x = s._index
+    V, E, F = x.ids[0], x.ids[1], x.ids[2]
     cells: dict[str, Cell] = {}
-    for f in s.faces2:
-        cells[f.id] = Cell(f.id, 0, (), s.cells[f.id].singular_markers)
-    for e in s.edges:
-        sides = s.cofaces(e.id)
+    for fid in F:
+        cells[fid] = Cell(fid, 0, (), s.cells[fid].singular_markers)
+    for e, sides in enumerate(x.sides):
         if len(sides) != 2:
-            raise ValueError(f"edge {e.id} has {len(sides)} cofaces; dual undefined")
-        cells[e.id] = Cell(e.id, 1, tuple(sides), e.singular_markers)
+            raise ValueError(f"edge {E[e]} has {len(sides)} cofaces; dual undefined")
+        cells[E[e]] = Cell(E[e], 1, (F[sides[0]], F[sides[1]]), s.cells[E[e]].singular_markers)
     orientation: dict[str, tuple[str, ...]] = {}
-    for v in s.vertices:
-        chain = s.corners(v.id)
+    for v, vid in enumerate(V):
+        if v in x.links:
+            raise ValueError(x.links[v])
+        chain = x.corners[x.first[v]:x.first[v + 1]]
         if not chain:
-            raise ValueError(f"vertex {v.id} has no incident 2-cells")
-        incident_edges = tuple(sorted({out for _, out, _ in chain}))
-        cells[v.id] = Cell(v.id, 2, incident_edges, s.cells[v.id].singular_markers)
-        orientation[v.id] = tuple(f for f, _, _ in chain)
+            raise ValueError(f"vertex {vid} has no incident 2-cells")
+        edges = tuple([E[out] for out in sorted({out for _, out, _ in chain})])
+        cells[vid] = Cell(vid, 2, edges, s.cells[vid].singular_markers)
+        orientation[vid] = tuple([F[f] for f, _, _ in chain])
     return PolyhedralSurface(
         cells=cells,
         fans={},
@@ -345,23 +410,19 @@ def surface_from_cycles(
     result does not depend on dict order.
     """
     cells: dict[str, Cell] = {}
-    edge_ids: dict[frozenset, str] = {}
+    edge_ids: dict[tuple[str, str], str] = {}  # sorted endpoints -> edge id
     for cyc in face_cycles.values():
         for v in cyc:
             cells.setdefault(v, Cell(v, 0))
-        for i, v in enumerate(cyc):
-            w = cyc[(i + 1) % len(cyc)]
-            key = frozenset((v, w))
-            if key not in edge_ids:
-                eid = "e" + "".join(sorted((v, w)))
-                edge_ids[key] = eid
-                cells[eid] = Cell(eid, 1, tuple(sorted((v, w))))
+        for v, w in zip(cyc, (*cyc[1:], *cyc[:1])):
+            ends = (v, w) if v < w else (w, v)
+            if ends not in edge_ids:
+                eid = edge_ids[ends] = "e" + ends[0] + ends[1]
+                cells[eid] = Cell(eid, 1, ends)
     orientation = {}
     for fid, cyc in sorted(face_cycles.items()):
-        es = tuple(
-            edge_ids[frozenset((cyc[i], cyc[(i + 1) % len(cyc)]))]
-            for i in range(len(cyc))
-        )
+        steps = zip(cyc, (*cyc[1:], *cyc[:1]))
+        es = tuple([edge_ids[(v, w) if v < w else (w, v)] for v, w in steps])
         cells[fid] = Cell(fid, 2, es)
         orientation[fid] = tuple(cyc)
     return PolyhedralSurface(cells, {}, orientation, dict(asserted or {}))
@@ -427,16 +488,18 @@ def _build_complex(cells, fans, orientation, asserted) -> PolyhedralSurface:
 
 def _cycle_canonical(cyc: Sequence[str]) -> tuple[str, ...]:
     # rotate so the lexicographically smallest entry comes first
-    k = min(range(len(cyc)), key=lambda i: cyc[i])
+    k = cyc.index(min(cyc))
     return tuple(cyc[k:]) + tuple(cyc[:k])
 
 
 def complex_to_text(s: PolyhedralSurface) -> str:
     """The complex/v1 text of a surface; optional fields that are empty are
     left out."""
+    ids = s._index.ids
     cells = [
-        (c.id, c.dim, sorted(c.faces) or None, sorted(c.singular_markers) or None)
-        for c in sorted(s.cells.values(), key=lambda c: (c.dim, c.id))
+        (c.id, c.dim, sorted(c.faces) if c.faces else None,
+         sorted(c.singular_markers) if c.singular_markers else None)
+        for c in (s.cells[cid] for d in sorted(ids) for cid in ids[d])
     ]
     fans = [(vid, s.fans[vid].rays, s.fans[vid].cones) for vid in sorted(s.fans)]
     orientation = [(fid, _cycle_canonical(s.orientation[fid])) for fid in sorted(s.orientation)]

@@ -11,6 +11,7 @@ around each vertex lift, continuous across walls at lifts of rank at most two.
 from __future__ import annotations
 
 import functools
+from contextlib import suppress
 from typing import NamedTuple
 
 from . import schema
@@ -42,12 +43,20 @@ def face_lift_id(fid: str, sheet: int) -> str:
     return f"{fid}~{sheet}"
 
 
-class _VertexLifts(NamedTuple):
-    corners: list[tuple[str, str, str]]
-    cycles: list[list[tuple[int, int]]]
-    ids: list[str]
-    lift_at: dict[tuple[int, int], str]  # (corner position, sheet) -> lift id
-    wall_at: dict[str, int]  # incoming edge -> its first corner position
+class _CoverIndex(NamedTuple):
+    """The sheets of a cover numbered once over the numbers of its base. Node
+    ``c * degree + s`` is sheet s at corner c; the vertex lifts are numbered
+    vertex by vertex, those of one vertex by their smallest sheet at its first
+    corner, and each lift's orbit starts there and crosses the walls ccw."""
+
+    matchings: tuple[tuple[tuple[int, ...], ...], ...]  # per edge and side: lift -> sheet
+    lifts: tuple[tuple[tuple[int, ...], ...], ...]  # per corner, out and in edge: sheet -> lift
+    sheets: tuple[tuple[tuple[int, ...], ...], ...]  # per corner, out and in edge: lift -> sheet
+    orbits: tuple[tuple[int, ...], ...]  # per vertex lift: its nodes
+    blocks: tuple[tuple[int, ...], ...]  # per vertex lift: its sheets at its vertex's first corner
+    lift_of: tuple[int, ...]  # per node: its vertex lift
+    first: tuple[int, ...]  # per vertex and one more: its first lift
+    ids: tuple[str, ...]  # per vertex lift: its id
 
 
 class BranchedCover:
@@ -57,9 +66,9 @@ class BranchedCover:
     of the sheets at each vertex, and each vertex's lifts as (lift id, sheets
     at corner position 0), or None when the input declares no lifts.
 
-    ``base``, ``degree`` and ``edge_matchings`` must not change after the
-    first query: corners, vertex lifts and matchings are read from indexes
-    built once.
+    The lifts are numbered once, on the first query, from the base's topology:
+    ``degree``, ``edge_matchings`` and the base's cells and orientation must
+    not change after it. Fans and markers are read whenever a check runs.
     """
 
     def __init__(self, base: PolyhedralSurface, degree: int,
@@ -73,69 +82,67 @@ class BranchedCover:
         self.ramification = {} if ramification is None else ramification
         self.lifts = lifts
 
-    def edge_sides(self, eid: str) -> tuple[str, str]:
-        sides = self.base.cofaces(eid)
-        if len(sides) != 2:
-            raise ValueError(f"edge {eid} has {len(sides)} cofaces")
-        return sides[0], sides[1]
-
     @functools.cached_property
-    def _matchings(self) -> dict[tuple[str, str], tuple[int, ...]]:
-        identity = tuple(range(self.degree))
-        out = {}
-        for e in self.base.edges:
-            sides = self.base.cofaces(e.id)
-            if len(sides) == 2:
-                if e.id in self.edge_matchings:
-                    out[e.id, sides[1]] = self.edge_matchings[e.id]
-                out[e.id, sides[0]] = identity
-        return out
+    def _index(self) -> _CoverIndex:
+        x, r = self.base._index, self.degree
+        if x.links:
+            raise ValueError(next(iter(x.links.values())))
+        identity = tuple(range(r))
+        pairs: dict[tuple[int, ...], tuple] = {}  # matching -> (both sides, their inverses)
+        matchings, inverses = [], []
+        for e, eid in enumerate(x.ids[1]):
+            if len(x.sides[e]) != 2:
+                raise ValueError(f"edge {eid} has {len(x.sides[e])} cofaces")
+            perm = tuple(self.edge_matchings[eid])
+            if perm not in pairs:
+                pairs[perm] = ((identity, perm), (identity, tuple(map(perm.index, identity))))
+            matchings.append(pairs[perm][0])
+            inverses.append(pairs[perm][1])
+        lifts, sheets = [], []
+        for f, out, inn in x.corners:
+            a, b = x.sides[out].index(f), x.sides[inn].index(f)
+            lifts.append((inverses[out][a], inverses[inn][b]))
+            sheets.append((matchings[out][a], matchings[inn][b]))
+        lift_of = [-1] * (len(x.corners) * r)
+        orbits, blocks, first, ids = [], [], [], []
+        for v, vid in enumerate(x.ids[0]):
+            first.append(len(orbits))
+            c0, c1 = x.first[v], x.first[v + 1]
+            for s0 in range(r) if c1 > c0 else ():
+                if lift_of[c0 * r + s0] >= 0:
+                    continue
+                orbit, c, s = [], c0, s0
+                while lift_of[c * r + s] < 0:
+                    lift_of[c * r + s] = len(orbits)
+                    orbit.append(c * r + s)
+                    nxt = c + 1 if c + 1 < c1 else c0
+                    c, s = nxt, sheets[nxt][0][lifts[c][1][s]]
+                if (c, s) != (c0, s0):
+                    raise RuntimeError("wall transitions are not bijective")
+                orbits.append(tuple(orbit))
+                blocks.append(tuple(sorted([node - c0 * r for node in orbit[::c1 - c0]])))
+                ids.append(f"{vid}#{s0}")
+        first.append(len(orbits))
+        return _CoverIndex(tuple(matchings), tuple(lifts), tuple(sheets), tuple(orbits),
+                           tuple(blocks), tuple(lift_of), tuple(first), tuple(ids))
+
+    def _vertex(self, v: str) -> tuple[int, range]:
+        """Number of a base vertex and the numbers of its lifts."""
+        n = self.base._index.number[0][v]
+        return n, range(self._index.first[n], self._index.first[n + 1])
 
     def matching(self, eid: str, fid: str) -> tuple[int, ...]:
         """Bijection from edge lifts to the sheets of one coface."""
-        try:
-            return self._matchings[eid, fid]
-        except KeyError:
-            raise ValueError(f"2-cell {fid} is not a coface of edge {eid}") from None
-
-    @functools.cached_property
-    def _index(self) -> dict[str, _VertexLifts]:
-        out = {}
-        for v in self.base.vertices:
-            corners = self.base.corners(v.id)
-            k = len(corners)
-
-            def step(node):
-                i, s = node
-                f_here, _, wall = corners[i]
-                f_next = corners[(i + 1) % k][0]
-                lift = self.matching(wall, f_here).index(s)
-                return ((i + 1) % k, self.matching(wall, f_next)[lift])
-
-            seen = set()
-            cycles = []
-            for s0 in range(self.degree):
-                if (0, s0) in seen:
-                    continue
-                cyc = []
-                node = (0, s0)
-                while node not in seen:
-                    seen.add(node)
-                    cyc.append(node)
-                    node = step(node)
-                if node != cyc[0]:
-                    raise RuntimeError("wall transitions are not bijective")
-                cycles.append(cyc)
-            cycles.sort(key=lambda c: min(s for i, s in c if i == 0))
-            ids = [f"{v.id}#{min(s for i, s in cyc if i == 0)}" for cyc in cycles]
-            lift_at = {node: lid for lid, cyc in zip(ids, cycles) for node in cyc}
-            wall_at = {inn: i for i, (_, _, inn) in reversed(list(enumerate(corners)))}
-            out[v.id] = _VertexLifts(corners, cycles, ids, lift_at, wall_at)
-        return out
+        x = self.base._index
+        e = x.number[1].get(eid)
+        f = x.number[2].get(fid, -1)
+        if e is None or f not in x.sides[e]:
+            raise ValueError(f"2-cell {fid} is not a coface of edge {eid}")
+        return self._index.matchings[e][x.sides[e].index(f)]
 
     def wall_sequence(self, v: str) -> list[tuple[str, str, str]]:
         """Corner chain around a vertex: (2-cell, outgoing edge, incoming edge)."""
-        return self._index[v].corners
+        return self.base.corners(v)
 
     def lift_cycles(self, v: str) -> list[list[tuple[int, int]]]:
         """Orbits of (corner position, sheet) under crossing walls ccw.
@@ -143,78 +150,70 @@ class BranchedCover:
         Each orbit is one vertex lift, listed from its smallest position-0
         sheet; orbits are ordered by that sheet.
         """
-        return self._index[v].cycles
+        n, lifts = self._vertex(v)
+        c0, r = self.base._index.first[n], self.degree
+        return [[(node // r - c0, node % r) for node in self._index.orbits[i]] for i in lifts]
 
     def vertex_lift_ids(self, v: str) -> list[str]:
-        return list(self._index[v].ids)
-
-    def lift_cycle_of(self, v: str, lift_id: str) -> list[tuple[int, int]]:
-        at = self._index[v]
-        if lift_id not in at.ids:
-            raise KeyError(f"no lift {lift_id} at vertex {v}")
-        return at.cycles[at.ids.index(lift_id)]
+        lifts = self._vertex(v)[1]
+        return list(self._index.ids[lifts.start:lifts.stop])
 
     def computed_lifts(self, v: str) -> tuple[tuple[str, tuple[int, ...]], ...]:
         """Each lift of a vertex as (lift id, its sheets at corner position 0)."""
-        at = self._index[v]
-        return tuple(
-            (lid, tuple(sorted(s for i, s in cyc if i == 0)))
-            for lid, cyc in zip(at.ids, at.cycles)
-        )
+        lifts = self._vertex(v)[1]
+        return tuple(zip(self._index.ids[lifts.start:lifts.stop],
+                         self._index.blocks[lifts.start:lifts.stop]))
 
     def computed_ramification(self, v: str) -> Partition:
-        return _canon_partition(
-            [s for i, s in cyc if i == 0] for cyc in self.lift_cycles(v)
-        )
+        lifts = self._vertex(v)[1]
+        return self._index.blocks[lifts.start:lifts.stop]
 
     def vertex_lift_at_edge(self, v: str, eid: str, edge_lift: int) -> str:
         """Vertex lift to which one edge lift attaches at an endpoint."""
-        at = self._index[v]
-        i = at.wall_at.get(eid)
-        if i is None:
+        x, cx = self.base._index, self._index
+        n, e = x.number[0].get(v), x.number[1].get(eid)
+        if e is None or n not in x.ends[e]:
             raise KeyError(f"edge {eid} is not incident to vertex {v}")
-        return at.lift_at[(i, self.matching(eid, at.corners[i][0])[edge_lift])]
+        c = x.walls[e][x.ends[e].index(n)]
+        return cx.ids[cx.lift_of[c * self.degree + cx.sheets[c][1][edge_lift]]]
 
     def vertex_lift_at_face(self, v: str, fid: str, sheet: int) -> str:
         """Vertex lift sitting under one sheet of a 2-cell at a corner."""
-        at = self._index[v]
-        for i, (f, _, _) in enumerate(at.corners):
-            if f == fid and (i, sheet) in at.lift_at:
-                return at.lift_at[(i, sheet)]
+        x, cx = self.base._index, self._index
+        n, f = self._vertex(v)[0], x.number[2].get(fid)
+        for c in range(x.first[n], x.first[n + 1]):
+            if x.corners[c][0] == f and 0 <= sheet < self.degree:
+                return cx.ids[cx.lift_of[c * self.degree + sheet]]
         raise KeyError(f"2-cell {fid} has no corner at vertex {v}")
 
     def total_space_counts(self) -> tuple[int, int, int]:
-        nv = sum(len(self.lift_cycles(v.id)) for v in self.base.vertices)
-        ne = len(self.base.edges) * self.degree
-        nf = len(self.base.faces2) * self.degree
-        return nv, ne, nf
+        ids = self.base._index.ids
+        return len(self._index.ids), len(ids[1]) * self.degree, len(ids[2]) * self.degree
 
     def is_connected(self) -> bool:
-        parent: dict[tuple[str, int], tuple[str, int]] = {}
+        """Whether the sheets of the 2-cells, joined across every edge lift,
+        form one component."""
+        x, r = self.base._index, self.degree
+        parent = list(range(len(x.ids[2]) * r))  # sheet s of 2-cell f is f * r + s
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+        def find(a):
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            return a
 
-        for f in self.base.faces2:
-            for s in range(self.degree):
-                parent[(f.id, s)] = (f.id, s)
-        for e in self.base.edges:
-            a, b = self.edge_sides(e.id)
-            ma, mb = self.matching(e.id, a), self.matching(e.id, b)
-            for lift in range(self.degree):
-                ra, rb = find((a, ma[lift])), find((b, mb[lift]))
+        for (a, b), (ma, mb) in zip(x.sides, self._index.matchings):
+            for lift in range(r):
+                ra, rb = find(a * r + ma[lift]), find(b * r + mb[lift])
                 if ra != rb:
                     parent[ra] = rb
-        roots = {find(x) for x in parent}
-        return len(roots) == 1
+        return len({find(a) for a in range(len(parent))}) == 1
 
 
 class MultiSection:
     """Slopes of a section over a branched cover. ``slopes`` must not change
-    after the first query of ``kinks``, an index built once."""
+    after the first check that reads them: they are read into a table by node
+    once, and the kinks into another."""
 
     def __init__(self, cover: BranchedCover, slopes: dict[SlopeKey, Vec], label: str = ""):
         self.cover = cover
@@ -225,21 +224,29 @@ class MultiSection:
         return self.slopes[(lift_id, fid, sheet)]
 
     @functools.cached_property
-    def kinks(self) -> dict[tuple[str, int, int], int]:
-        """Kink across the wall after each corner of every lift of rank at most
-        two, keyed by (lift id, corner position, sheet); a wall with no kink,
-        where the slope jump is no multiple of the turned wall, has no entry."""
-        out = {}
-        for v, at in self.cover._index.items():
-            for lid, cyc in zip(at.ids, at.cycles):
-                if len(cyc) > 2 * len(at.corners):
+    def _slope_at(self) -> tuple[Vec | None, ...]:
+        """The slope at every node of the cover, None where none is given."""
+        x, cx, r = self.cover.base._index, self.cover._index, self.cover.degree
+        F, ids, get = x.ids[2], cx.ids, self.slopes.get
+        return tuple([get((ids[cx.lift_of[c * r + s]], F[f], s))
+                      for c, (f, _, _) in enumerate(x.corners) for s in range(r)])
+
+    @functools.cached_property
+    def kinks(self) -> tuple[int | None, ...]:
+        """Kink across the wall after each node of every lift of rank at most
+        two, by node; None at other lifts, and at a wall with no kink, where
+        the slope jump is no multiple of the turned wall."""
+        x, cx = self.cover.base._index, self.cover._index
+        out: list[int | None] = [None] * len(cx.lift_of)
+        for v, vid in enumerate(x.ids[0]):
+            for lift in range(cx.first[v], cx.first[v + 1]):
+                cyc = cx.orbits[lift]
+                if len(cyc) > 2 * (x.first[v + 1] - x.first[v]):
                     continue
                 for t in range(len(cyc)):
-                    try:
-                        out[(lid, *cyc[t])] = _kink(self, v, lid, cyc, t)
-                    except ValueError:
-                        pass
-        return out
+                    with suppress(ValueError):
+                        out[cyc[t]] = _kink(self, vid, cx.ids[lift], cyc, t)
+        return tuple(out)
 
 
 def validate_cover(cover: BranchedCover) -> ValidationReport:
@@ -253,45 +260,50 @@ def validate_cover(cover: BranchedCover) -> ValidationReport:
     if cover.degree < 1:
         bad("cover-degree", f"degree {cover.degree} is not positive")
         return ValidationReport(tuple(diags), base_rep.euler_characteristic)
-    edge_ids = {e.id for e in cover.base.edges}
-    if set(cover.edge_matchings) != edge_ids:
+    x = cover.base._index
+    V = x.ids[0]
+    if cover.edge_matchings.keys() != set(x.ids[1]):
         bad(
             "edge-matching",
             "matchings must cover exactly the edges of the base",
         )
     else:
-        for eid in sorted(edge_ids):
+        identity = list(range(cover.degree))
+        for eid in x.ids[1]:
             perm = cover.edge_matchings[eid]
-            if sorted(perm) != list(range(cover.degree)):
+            if sorted(perm) != identity:
                 bad("edge-matching", f"edge {eid}: {perm} is not a permutation")
     for v in sorted(cover.branch_vertices):
-        if v not in cover.base.cells or cover.base.cells[v].dim != 0:
+        if v not in x.number[0]:
             bad("branch-not-vertex", f"branch point {v} is not a vertex")
     if any(d.code in ("edge-matching", "branch-not-vertex") for d in diags) or not base_rep.ok:
         return ValidationReport(tuple(diags), base_rep.euler_characteristic)
 
-    trivial = _canon_partition([(s,) for s in range(cover.degree)])
+    trivial = tuple((s,) for s in range(cover.degree))
+    first, blocks = cover._index.first, cover._index.blocks
     if cover.lifts is not None:
-        computed = {v.id: cover.computed_lifts(v.id) for v in cover.base.vertices}
-        for v in sorted(set(cover.lifts) | set(computed)):
-            declared, actual = cover.lifts.get(v), computed.get(v)
-            if declared != actual:
-                bad("lift-mismatch", f"vertex {v}: declared lifts {declared}, computed {actual}")
-    for v in cover.base.vertices:
-        computed = cover.computed_ramification(v.id)
-        declared = cover.ramification.get(v.id, trivial)
-        if _canon_partition(declared) != computed:
+        computed = {vid: cover.computed_lifts(vid) for vid in V}
+        if computed != cover.lifts:
+            for v in sorted(set(cover.lifts) | set(computed)):
+                declared, actual = cover.lifts.get(v), computed.get(v)
+                if declared != actual:
+                    bad("lift-mismatch",
+                        f"vertex {v}: declared lifts {declared}, computed {actual}")
+    for v, vid in enumerate(V):
+        computed = blocks[first[v]:first[v + 1]]
+        declared = cover.ramification.get(vid, trivial)
+        if declared != computed and _canon_partition(declared) != computed:
             bad(
                 "ramification-mismatch",
-                f"vertex {v.id}: declared {declared}, computed {computed}",
+                f"vertex {vid}: declared {declared}, computed {computed}",
             )
-        if computed != trivial and v.id not in cover.branch_vertices:
+        if computed != trivial and vid not in cover.branch_vertices:
             bad(
                 "undeclared-branch-vertex",
-                f"vertex {v.id} has nontrivial monodromy {computed}",
+                f"vertex {vid} has nontrivial monodromy {computed}",
             )
-        if computed == trivial and v.id in cover.branch_vertices:
-            bad("trivial-branch-vertex", f"vertex {v.id} is declared branch but unbranched")
+        if computed == trivial and vid in cover.branch_vertices:
+            bad("trivial-branch-vertex", f"vertex {vid} is declared branch but unbranched")
     if not cover.is_connected():
         bad("cover-disconnected", "the total space is disconnected")
 
@@ -317,22 +329,6 @@ def riemann_hurwitz_genus(n_branch: int) -> int:
     return n_branch // 2 - 1
 
 
-def _kink_along(diff: Vec, ray: Vec) -> int:
-    """Integer k with diff = k * rot90(ray), or raise."""
-    g = rot90(ray)
-    if g[0] != 0:
-        if diff[0] % g[0] != 0:
-            raise ValueError(f"difference {diff} not a multiple of {g}")
-        k = diff[0] // g[0]
-    else:
-        if g[1] == 0 or diff[1] % g[1] != 0:
-            raise ValueError(f"difference {diff} not a multiple of {g}")
-        k = diff[1] // g[1]
-    if (k * g[0], k * g[1]) != tuple(diff):
-        raise ValueError(f"difference {diff} not a multiple of {g}")
-    return k
-
-
 def _fan_ray(s: PolyhedralSurface, v: str, eid: str) -> Vec:
     fan = s.fans.get(v)
     if fan is None:
@@ -349,19 +345,24 @@ def kink_sequence(msec: MultiSection, v: str, lift_id: str) -> list[tuple[str, i
     The kink across a wall is the integer multiple of the quarter-turned wall
     direction by which the slope jumps.
     """
-    corners = msec.cover.wall_sequence(v)
-    cyc = msec.cover.lift_cycle_of(v, lift_id)
-    return [(corners[i][2], _kink(msec, v, lift_id, cyc, t)) for t, (i, _) in enumerate(cyc)]
+    x, r = msec.cover.base._index, msec.cover.degree
+    cyc = msec.cover._index.orbits[msec.cover._index.ids.index(lift_id)]
+    return [(x.ids[1][x.corners[node // r][2]], _kink(msec, v, lift_id, cyc, t))
+            for t, node in enumerate(cyc)]
 
 
 def _kink(msec: MultiSection, v: str, lift_id: str, cyc, t: int) -> int:
-    """Kink across the wall after node ``t`` of a lift's cycle, or raise."""
-    corners = msec.cover.wall_sequence(v)
-    (i, s), (j, s2) = cyc[t], cyc[(t + 1) % len(cyc)]
-    ray = _fan_ray(msec.cover.base, v, corners[i][2])
-    u_here = msec.slope(lift_id, corners[i][0], s)
-    u_next = msec.slope(lift_id, corners[j][0], s2)
-    return _kink_along((u_next[0] - u_here[0], u_next[1] - u_here[1]), ray)
+    """Kink across the wall after node ``t`` of the orbit ``cyc`` of a lift
+    of ``v``: the integer k such that the slope jumps by k times the
+    quarter-turned wall, or raise."""
+    x, slope_at = msec.cover.base._index, msec._slope_at
+    ray = _fan_ray(msec.cover.base, v, x.ids[1][x.corners[cyc[t] // msec.cover.degree][2]])
+    u, w = slope_at[cyc[t]], slope_at[cyc[(t + 1) % len(cyc)]]
+    diff, g = (w[0] - u[0], w[1] - u[1]), rot90(ray)
+    k = diff[0] // g[0] if g[0] else diff[1] // g[1] if g[1] else 0
+    if g == (0, 0) or (k * g[0], k * g[1]) != diff:
+        raise ValueError(f"difference {diff} not a multiple of {g}")
+    return k
 
 
 def validate_multisection(msec: MultiSection) -> ValidationReport:
@@ -383,28 +384,28 @@ def validate_multisection(msec: MultiSection) -> ValidationReport:
         diags.append(Diagnostic(code, msg))
 
     cover = msec.cover
-    expected: set[SlopeKey] = {
-        (lid, at.corners[i][0], s)
-        for at in cover._index.values()
-        for (i, s), lid in at.lift_at.items()
-    }
-    missing = expected - set(msec.slopes)
-    extra = set(msec.slopes) - expected
-    for key in sorted(missing):
-        bad("slope-coverage", f"missing slope for {key}")
-    for key in sorted(extra):
-        bad("slope-coverage", f"slope for unknown key {key}")
-    if missing or extra:
+    x, cx, r = cover.base._index, cover._index, cover.degree
+    if None in msec._slope_at or len(msec.slopes) != len(msec._slope_at):
+        expected: set[SlopeKey] = {
+            (cx.ids[cx.lift_of[c * r + s]], x.ids[2][f], s)
+            for c, (f, _, _) in enumerate(x.corners) for s in range(r)
+        }
+        for key in sorted(expected - set(msec.slopes)):
+            bad("slope-coverage", f"missing slope for {key}")
+        for key in sorted(set(msec.slopes) - expected):
+            bad("slope-coverage", f"slope for unknown key {key}")
         return ValidationReport(tuple(diags), rep.euler_characteristic)
 
     kinks = msec.kinks
-    for v, at in cover._index.items():
-        for lid, cyc in zip(at.ids, at.cycles):
-            if len(cyc) <= 2 * len(at.corners) and any((lid, *n) not in kinks for n in cyc):
+    for v, vid in enumerate(x.ids[0]):
+        for lift in range(cx.first[v], cx.first[v + 1]):
+            cyc = cx.orbits[lift]
+            rank_two = len(cyc) <= 2 * (x.first[v + 1] - x.first[v])
+            if rank_two and None in map(kinks.__getitem__, cyc):
                 try:
-                    kink_sequence(msec, v, lid)  # raises at the first bad wall
+                    kink_sequence(msec, vid, cx.ids[lift])  # raises at the first bad wall
                 except ValueError as exc:
-                    bad("slope-discontinuous", f"lift {lid}: {exc}")
+                    bad("slope-discontinuous", f"lift {cx.ids[lift]}: {exc}")
     return ValidationReport(tuple(diags), rep.euler_characteristic)
 
 
@@ -414,28 +415,26 @@ class ClassTag(NamedTuple):
     detail: dict
 
 
-def _branch_pair(msec: MultiSection, v: str) -> tuple[int, int] | None:
-    """Weight pair at a 2-fold branch vertex, or None if not a standard
-    alternating local model."""
+def _branch_pair(msec: MultiSection, v: int) -> tuple[int, int] | None:
+    """Weight pair at the 2-fold branch vertex numbered ``v``, or None if not
+    a standard alternating local model."""
     cover = msec.cover
-    k = len(cover.wall_sequence(v))
-    cycles = cover.lift_cycles(v)
+    x, cx = cover.base._index, cover._index
+    k = x.first[v + 1] - x.first[v]
+    cycles = cx.orbits[cx.first[v]:cx.first[v + 1]]
     doubles = [c for c in cycles if len(c) == 2 * k]
-    if len(doubles) != 1 or any(len(c) != k for c in cycles if c not in doubles):
+    if len(doubles) != 1 or any(len(c) != k for c in cycles if c is not doubles[0]):
         return None
-    fan = cover.base.fans.get(v)
+    fan = cover.base.fans.get(x.ids[0][v])
     if fan is None or not check_standard_vertex(fan):
         return None
-    lift_id = cover.vertex_lift_ids(v)[cycles.index(doubles[0])]
-    kinks = [msec.kinks.get((lift_id, *node)) for node in doubles[0]]
+    kinks = [msec.kinks[node] for node in doubles[0]]
     if None in kinks:
         return None
-    x, y = kinks[0], kinks[1]
-    if x == y:
+    a, b = kinks[0], kinks[1]
+    if a == b or kinks != [a, b] * k:
         return None
-    if kinks != [x, y] * k:
-        return None
-    return (max(x, y), min(x, y))
+    return (max(a, b), min(a, b))
 
 
 def classify(msec: MultiSection) -> ClassTag:
@@ -444,9 +443,10 @@ def classify(msec: MultiSection) -> ClassTag:
     cover = msec.cover
     detail: dict = {}
     if cover.degree == 2 and cover.branch_vertices:
+        number = cover.base._index.number[0]
         pairs = {}
         for v in sorted(cover.branch_vertices):
-            pairs[v] = _branch_pair(msec, v)
+            pairs[v] = _branch_pair(msec, number[v])
         detail = {v: {"pair": p} for v, p in pairs.items()}
         if all(p is not None for p in pairs.values()):
             distinct = set(pairs.values())
@@ -478,43 +478,36 @@ def check_class_C(msec: MultiSection) -> ClassCReport:
     cone.
     """
     cover = msec.cover
+    x, cx, r = cover.base._index, cover._index, cover.degree
     violations = []
     for v in sorted(cover.branch_vertices):
-        cycles = cover.lift_cycles(v)
-        corners = cover.wall_sequence(v)
-        k = len(corners)
-        if len(cycles) != 1 or len(cycles[0]) != k * cover.degree:
+        n, lifts = cover._vertex(v)
+        c0, c1 = x.first[n], x.first[n + 1]
+        if len(lifts) != 1 or len(cx.orbits[lifts[0]]) != (c1 - c0) * r:
             raise ValueError(
                 f"class check requires total ramification; vertex {v} is not"
             )
         fan = cover.base.fans.get(v)
         if fan is None:
             raise ValueError(f"vertex {v} has no fan")
-        lift_id = cover.vertex_lift_ids(v)[0]
-        cyc = cycles[0]
         cone_rays = {f: pair for f, pair in fan.cones}
-        for pos in range(k):
-            fid = corners[pos][0]
-            sheets = sorted(s for i, s in cyc if i == pos)
-            us = [msec.slope(lift_id, fid, s) for s in sheets]
+        for c in range(c0, c1):  # the one lift covers every sheet at every corner
+            fid = x.ids[2][x.corners[c][0]]
+            us = msec._slope_at[c * r:(c + 1) * r]
             ia, ib = cone_rays[fid]
             ra = fan.rays[ia][0]
             rb = fan.rays[ib][0]
-            for a in range(len(us)):
-                for b in range(len(us)):
+            for a in range(r):
+                for b in range(r):
                     if a == b:
                         continue
                     d = (us[a][0] - us[b][0], us[a][1] - us[b][1])
                     if d == (0, 0):
                         if a < b:
-                            violations.append(
-                                ("coincident-slopes", v, fid, sheets[a], sheets[b])
-                            )
+                            violations.append(("coincident-slopes", v, fid, a, b))
                         continue
                     if dot(d, ra) > 0 and dot(d, rb) > 0:
-                        violations.append(
-                            ("difference-interior", v, fid, sheets[a], sheets[b], d)
-                        )
+                        violations.append(("difference-interior", v, fid, a, b, d))
     return ClassCReport(not violations, tuple(violations))
 
 
@@ -522,39 +515,25 @@ def check_condition_E(s: PolyhedralSurface, branch) -> bool:
     """Every 2-cell must carry an even number of branch vertices on its
     boundary."""
     branch = set(branch)
-    for f in s.faces2:
-        cyc = s.orientation[f.id]
-        if sum(1 for v in cyc if v in branch) % 2 != 0:
-            return False
-    return True
+    return all(sum(v in branch for v in s.orientation[f]) % 2 == 0 for f in s._index.ids[2])
 
 
-def _spanning_tree(s: PolyhedralSurface) -> tuple[list[str], dict[str, str], set[str]]:
-    """Lexicographic BFS tree of the 1-skeleton: (bfs order, vertex -> tree
-    edge to parent, tree edges)."""
-    adj: dict[str, list[tuple[str, str]]] = {v.id: [] for v in s.vertices}
-    for e in s.edges:
-        a, b = e.faces
-        adj[a].append((b, e.id))
-        adj[b].append((a, e.id))
-    for v in adj:
-        adj[v].sort()
-    root = min(adj)
-    order = [root]
-    parent_edge: dict[str, str] = {}
-    seen = {root}
-    queue = [root]
-    while queue:
-        v = queue.pop(0)
-        for w, eid in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                parent_edge[w] = eid
+def _spanning_tree(x) -> tuple[list[int], list[int]]:
+    """Lexicographic BFS tree of the 1-skeleton of a numbered surface: (bfs
+    order, per vertex its tree edge to the parent, -1 at the root)."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in x.star]
+    for e, (a, b) in enumerate(x.ends):
+        adj[a].append((b, e))
+        adj[b].append((a, e))
+    order, parent = [0], [-1] * len(adj)
+    for v in order:  # breadth first: order grows while it is walked
+        for w, e in sorted(adj[v]):
+            if w and parent[w] < 0:
+                parent[w] = e
                 order.append(w)
-                queue.append(w)
     if len(order) != len(adj):
         raise ValueError("base 1-skeleton is disconnected")
-    return order, parent_edge, set(parent_edge.values())
+    return order, parent
 
 
 def build_double_cover(
@@ -571,94 +550,69 @@ def build_double_cover(
     if m == n:
         raise ValueError("the two weights must differ (m != n)")
     branch = frozenset(branch)
-    vertex_ids = {v.id for v in s.vertices}
-    if not branch <= vertex_ids:
+    x = s._index
+    V, E, F = x.ids[0], x.ids[1], x.ids[2]
+    if not branch <= x.number[0].keys():
         raise ValueError("branch points must be vertices of the base")
     if len(branch) < 2 or len(branch) % 2 != 0:
         raise ValueError("need an even branch set of size at least 2")
     base_rep = validate_surface(s)
     if not base_rep.ok:
         raise ValueError(f"base surface invalid: {base_rep.codes()}")
-    for v in s.vertices:
-        fan = s.fans.get(v.id)
+    for vid in V:
+        fan = s.fans.get(vid)
         if fan is None or len(fan.rays) != 3:
-            raise ValueError(f"vertex {v.id} must be trivalent with a fan")
+            raise ValueError(f"vertex {vid} must be trivalent with a fan")
         total = tuple(sum(c) for c in zip(*(vec for vec, _ in fan.rays)))
         if total != (0, 0):
-            raise ValueError(f"fan rays at {v.id} do not sum to zero")
+            raise ValueError(f"fan rays at {vid} do not sum to zero")
     if not check_condition_E(s, branch):
         raise ValueError("branch set meets some 2-cell an odd number of times")
 
-    order, parent_edge, tree = _spanning_tree(s)
-    incident: dict[str, list[str]] = {v: [] for v in vertex_ids}
-    for e in s.edges:
-        incident[e.faces[0]].append(e.id)
-        incident[e.faces[1]].append(e.id)
-
-    twist = {e.id: 0 for e in s.edges}
+    order, parent = _spanning_tree(x)
+    branched = [vid in branch for vid in V]
+    twist = [0] * len(E)
     for v in reversed(order[1:]):
-        want = 1 if v in branch else 0
-        rest = sum(twist[e] for e in incident[v] if e != parent_edge[v]) % 2
-        twist[parent_edge[v]] = (want - rest) % 2
-    root = order[0]
-    root_sum = sum(twist[e] for e in incident[root]) % 2
-    if root_sum != (1 if root in branch else 0):
+        rest = sum(twist[e] for e in x.star[v] if e != parent[v]) % 2
+        twist[parent[v]] = (branched[v] - rest) % 2
+    if sum(twist[e] for e in x.star[0]) % 2 != branched[0]:
         raise RuntimeError("parity bookkeeping broke")
 
-    matchings = {
-        eid: ((0, 1) if t == 0 else (1, 0)) for eid, t in twist.items()
-    }
-    ram = {}
-    for v in vertex_ids:
-        if v in branch:
-            ram[v] = ((0, 1),)
-        else:
-            ram[v] = ((0,), (1,))
+    matchings = {eid: ((0, 1) if t == 0 else (1, 0)) for eid, t in zip(E, twist)}
+    ram = {vid: ((0, 1),) if b else ((0,), (1,)) for vid, b in zip(V, branched)}
     cover = BranchedCover(s, 2, matchings, branch, ram)
     if not cover.is_connected():
         raise ValueError("double cover is disconnected")
 
     # one bit per vertex: unbranched, which lift has the larger weight;
     # branched, the phase of the alternation. Edge constraints tie them.
-    offset: dict[tuple[str, str], int] = {}
-    for e in s.edges:
-        for v in e.faces:
-            offset[(v, e.id)] = _typing_offset(cover, v, e.id)
-    bit: dict[str, int] = {order[0]: 0}
-    rhs = {
-        e.id: (offset[(e.faces[0], e.id)] + offset[(e.faces[1], e.id)]) % 2
-        for e in s.edges
-    }
+    cx = cover._index
+    rhs = [(_typing_offset(cover, e, 0) + _typing_offset(cover, e, 1)) % 2 for e in range(len(E))]
+    bit = [0] * len(V)
     for v in order[1:]:
-        eid = parent_edge[v]
-        a, b = s.cells[eid].faces
-        other = b if v == a else a
-        bit[v] = (rhs[eid] + bit[other]) % 2
-    for e in s.edges:
-        a, b = e.faces
-        if (bit[a] + bit[b]) % 2 != rhs[e.id]:
-            cycle = _tree_cycle(s, parent_edge, order[0], a, b)
+        a, b = x.ends[parent[v]]
+        bit[v] = (rhs[parent[v]] + bit[b if v == a else a]) % 2
+    for e, (a, b) in enumerate(x.ends):
+        if (bit[a] + bit[b]) % 2 != rhs[e]:
+            cycle = [V[v] for v in _tree_cycle(x, parent, a, b)]
             raise ValueError(
                 f"no consistent sheet typing; inconsistent cycle {cycle}"
             )
 
     slopes: dict[SlopeKey, Vec] = {}
-    for v in vertex_ids:
-        corners = cover.wall_sequence(v)
-        for lid, cyc in zip(cover.vertex_lift_ids(v), cover.lift_cycles(v)):
-            if v in branch:
-                kinks = [
-                    m if (t + bit[v]) % 2 == 0 else n for t in range(len(cyc))
-                ]
-            else:
-                ref = min(sh for i, sh in cyc if i == 0)
-                weight = m if (ref + bit[v]) % 2 == 0 else n
-                kinks = [weight] * len(cyc)
+    for v, vid in enumerate(V):
+        ray_of = {e: vec for vec, e in s.fans[vid].rays}
+        for lift in range(cx.first[v], cx.first[v + 1]):
+            cyc = cx.orbits[lift]
+            if branched[v]:
+                kinks = [m if (t + bit[v]) % 2 == 0 else n for t in range(len(cyc))]
+            else:  # cyc[0] % 2 is the lift's sheet at the first corner
+                kinks = [m if (cyc[0] + bit[v]) % 2 == 0 else n] * len(cyc)
             u = (0, 0)
-            for t, (i, sh) in enumerate(cyc):
-                slopes[(lid, corners[i][0], sh)] = u
-                ray = _fan_ray(s, v, corners[i][2])
-                g = rot90(ray)
+            for t, node in enumerate(cyc):
+                f, _, inn = x.corners[node // 2]
+                slopes[(cx.ids[lift], F[f], node % 2)] = u
+                g = rot90(ray_of[E[inn]])
                 u = (u[0] + kinks[t] * g[0], u[1] + kinks[t] * g[1])
             if u != (0, 0):
                 raise RuntimeError("kink pattern does not close up")
@@ -668,37 +622,30 @@ def build_double_cover(
     )
 
 
-def _typing_offset(cover: BranchedCover, v: str, eid: str) -> int:
-    """Parity comparing edge lift 0 at an endpoint with the vertex bit."""
-    if v in cover.branch_vertices:
-        corners = cover.wall_sequence(v)
-        cyc = cover.lift_cycles(v)[0]
-        k = len(corners)
-        for t, (i, s) in enumerate(cyc):
-            if corners[i][2] == eid:
-                f_here = corners[i][0]
-                if cover.matching(eid, f_here).index(s) == 0:
-                    return t % 2
-        raise RuntimeError("edge lift 0 not crossed")
-    lid = cover.vertex_lift_at_edge(v, eid, 0)
-    return 0 if lid.endswith("#0") else 1
+def _typing_offset(cover: BranchedCover, e: int, end: int) -> int:
+    """Parity comparing edge lift 0 at one end of edge ``e`` with the vertex bit."""
+    x, cx = cover.base._index, cover._index
+    c = x.walls[e][end]
+    node = c * 2 + cx.sheets[c][1][0]  # where edge lift 0 enters the vertex
+    lift, v = cx.lift_of[node], x.ends[e][end]
+    if x.ids[0][v] in cover.branch_vertices:
+        return cx.orbits[lift].index(node) % 2
+    return 0 if lift == cx.first[v] else 1
 
 
-def _tree_cycle(s, parent_edge, root, a, b) -> list[str]:
+def _tree_cycle(x, parent: list[int], a: int, b: int) -> list[int]:
     def path_to_root(v):
         out = [v]
-        while v != root:
-            eid = parent_edge[v]
-            x, y = s.cells[eid].faces
-            v = y if v == x else x
+        while parent[v] >= 0:
+            p, q = x.ends[parent[v]]
+            v = q if v == p else p
             out.append(v)
         return out
 
     pa, pb = path_to_root(a), path_to_root(b)
-    sa, sb = set(pa), set(pb)
+    sb = set(pb)
     meet = next(v for v in pa if v in sb)
-    cycle = pa[: pa.index(meet) + 1] + list(reversed(pb[: pb.index(meet)]))
-    return cycle
+    return pa[: pa.index(meet) + 1] + list(reversed(pb[: pb.index(meet)]))
 
 
 # -- serialization ------------------------------------------------------------
@@ -715,7 +662,8 @@ def _build_multisection(complex_doc, degree, label, lifts, matchings, branch,
     ram = {v: _canon_partition(blocks) for v, blocks in ram.items()}
     trivial = _canon_partition([(sh,) for sh in range(degree)])
     cover = BranchedCover(
-        base, degree, schema.unique("matchings", matchings), frozenset(branch),
+        base, degree, schema.unique("matchings", matchings),
+        frozenset(schema.unique("branch", [(v, None) for v in branch])),
         {v.id: ram.get(v.id, trivial) for v in base.vertices},
         None if lifts is None else schema.unique("lifts", lifts),
     )

@@ -130,42 +130,44 @@ def _position(table: tuple, key) -> int | None:
 def vertex_edge_flags(msec: MultiSection) -> set[tuple[str, str]]:
     """All (vertex lift, edge lift) inclusion flags."""
     cover = msec.cover
-    out = set()
-    for e in cover.base.edges:
-        for lift in range(cover.degree):
-            elift = edge_lift_id(e.id, lift)
-            for v in e.faces:
-                out.add((cover.vertex_lift_at_edge(v, e.id, lift), elift))
-    return out
+    x, cx, r = cover.base._index, cover._index, cover.degree
+    return {
+        (cx.ids[cx.lift_of[c * r + cx.sheets[c][1][lift]]], edge_lift_id(x.ids[1][e], lift))
+        for e, walls in enumerate(x.walls) for c in walls for lift in range(r)
+    }
 
 
 def bar_complex(msec: MultiSection) -> BarComplex:
     """Order complex of the total space of a valid section."""
     cover = msec.cover
-    base, degree = cover.base, cover.degree
-    names = sorted(
-        {lid for at in cover._index.values() for lid in at.ids}
-        | {edge_lift_id(e.id, i) for e in base.edges for i in range(degree)}
-        | {face_lift_id(f.id, s) for f in base.faces2 for s in range(degree)}
-    )
-    rank = {x: i for i, x in enumerate(names)}
+    x, cx, r = cover.base._index, cover._index, cover.degree
+    # vertex, edge and 2-cell lifts in the cover's numbers, then by rank among the sorted ids
+    names = [*cx.ids, *[edge_lift_id(e, i) for e in x.ids[1] for i in range(r)],
+             *[face_lift_id(f, s) for f in x.ids[2] for s in range(r)]]
+    order = sorted(range(len(names)), key=names.__getitem__)
+    rank = [0] * len(names)
+    for i, k in enumerate(order):
+        rank[k] = i
+    ne, nf = len(cx.ids), len(cx.ids) + len(x.ids[1]) * r
     signed = []  # (vertex lift, edge lift, 2-cell lift, orientation sign)
-    for at in cover._index.values():
-        for (i, s), lid in at.lift_at.items():
-            fid, out, inn = at.corners[i]  # the boundary walk of fid runs inn, vertex, out
-            flift = rank[face_lift_id(fid, s)]
-            for eid, sign in ((out, 1), (inn, -1)):
-                elift = rank[edge_lift_id(eid, cover.matching(eid, fid).index(s))]
-                signed.append((rank[lid], elift, flift, sign))
+    for c, (f, out, inn) in enumerate(x.corners):  # the boundary walk of f runs inn, vertex, out
+        lo, li = cx.lifts[c]
+        for s in range(r):
+            v, flift = rank[cx.lift_of[c * r + s]], rank[nf + f * r + s]
+            signed.append((v, rank[ne + out * r + lo[s]], flift, 1))
+            signed.append((v, rank[ne + inn * r + li[s]], flift, -1))
     signed.sort()
-    chains = tuple(dict.fromkeys(t[:3] for t in signed))
-    # every inclusion is a side of a chain; (x, y) is keyed x * n + y, which sorts as the pair
+    chains = tuple(dict.fromkeys([t[:3] for t in signed]))
+    # every inclusion is a side of a chain; (a, b) is keyed a * n + b, which sorts as the pair
     n = len(names)
-    keys = sorted({k for v, e, f in chains for k in (v * n + e, e * n + f, v * n + f)})
-    edge_no = {k: i for i, k in enumerate(keys)}
-    sides = [(edge_no[v * n + e], edge_no[e * n + f], edge_no[v * n + f]) for v, e, f in chains]
+    ve = [v * n + e for v, e, _ in chains]
+    ef = [e * n + f for _, e, f in chains]
+    vf = [v * n + f for v, _, f in chains]
+    keys = sorted({*ve, *ef, *vf})
+    edge_no = dict(zip(keys, range(len(keys)))).__getitem__
+    sides = zip(map(edge_no, ve), map(edge_no, ef), map(edge_no, vf))
     edges = tuple([divmod(k, n) for k in keys])
-    return BarComplex(tuple(names), edges, chains, tuple(sides), tuple(signed))
+    return BarComplex(tuple([names[k] for k in order]), edges, chains, tuple(sides), tuple(signed))
 
 
 # -- gluing data --------------------------------------------------------------
@@ -202,33 +204,26 @@ def base_vertex(lift_id: str) -> str:
     return lift_id.rpartition("#")[0]
 
 
-def edge_potential_chart(
-    msec: MultiSection, eid: str, v: str, coeff: Fraction
-) -> TorusElement:
-    """Chart representative at one endpoint of an edge potential given as a
-    scalar against the canonical generator of the edge quotient."""
-    e = msec.cover.base.cells[eid]
-    ray = _fan_ray(msec.cover.base, v, eid)
-    if v == min(e.faces):
-        return TorusElement.single(canonical_transverse(ray), coeff)
-    return TorusElement.single(canonical_transverse(ray), 1 / coeff)
-
-
 def coboundary_gluing(
     msec: MultiSection,
     lam_vertex: dict[str, TorusElement],
     lam_edge: dict[str, Fraction],
 ) -> GluingData:
     """Gluing data of the form (vertex potential) / (edge potential) on every
-    vertex-into-edge flag. Such data always has trivial obstruction."""
+    vertex-into-edge flag. Such data always has trivial obstruction. An edge
+    potential's chart representative is its scalar against the canonical
+    generator of the edge quotient at the smaller endpoint, the inverse at the
+    other."""
     out: GluingData = {}
-    for vlift, elift in sorted(vertex_edge_flags(msec)):
+    flags = [f for f in vertex_edge_flags(msec) if f[0] in lam_vertex or f[1] in lam_edge]
+    for vlift, elift in sorted(flags):
         elem = lam_vertex.get(vlift, TRIVIAL)
-        coeff = lam_edge.get(elift, 1)
+        coeff = Fraction(lam_edge.get(elift, 1))
         if coeff != 1:
-            eid, _ = split_lift_id(elift)
-            le = edge_potential_chart(msec, eid, base_vertex(vlift), Fraction(coeff))
-            elem = elem * le.inverse()
+            eid, v = split_lift_id(elift)[0], base_vertex(vlift)
+            chart = coeff if v == min(msec.cover.base.cells[eid].faces) else 1 / coeff
+            ray = _fan_ray(msec.cover.base, v, eid)
+            elem = elem * TorusElement.single(canonical_transverse(ray), 1 / chart)
         if not elem.is_trivial:
             out[(vlift, elift)] = elem
     return out
@@ -242,22 +237,13 @@ def check_edge_kinks(msec: MultiSection) -> list[str]:
     valid section. Endpoint lifts of rank three or more hold raw chart data,
     have no kinks and are skipped."""
     cover = msec.cover
-    kinks = msec.kinks
-
-    def kink_at(v: str, eid: str, lift: int) -> int | None:
-        # the wall after corner i carries the edge; lift sits on one sheet there
-        at = cover._index[v]
-        i = at.wall_at[eid]
-        s = cover.matching(eid, at.corners[i][0])[lift]
-        return kinks.get((at.lift_at[i, s], i, s))
-
+    x, cx, r, kinks = cover.base._index, cover._index, cover.degree, msec.kinks
     bad = []
-    for e in cover.base.edges:
-        v, w = e.faces
-        for lift in range(cover.degree):
-            kv, kw = kink_at(v, e.id, lift), kink_at(w, e.id, lift)
+    for e, (c, d) in enumerate(x.walls):  # the walls after corner c and d carry the edge
+        for lift in range(r):
+            kv, kw = kinks[c * r + cx.sheets[c][1][lift]], kinks[d * r + cx.sheets[d][1][lift]]
             if kv is not None and kw is not None and kv != kw:
-                bad.append(edge_lift_id(e.id, lift))
+                bad.append(edge_lift_id(x.ids[1][e], lift))
     return sorted(bad)
 
 

@@ -170,7 +170,7 @@ def _lift_slopes_by_cone(msec: MultiSection, v: str, lid: str) -> list[Vec]:
     cover = msec.cover
     fan = cover.base.fans[v]
     corners = cover.wall_sequence(v)
-    cyc = cover.lift_cycle_of(v, lid)
+    cyc = cover.lift_cycles(v)[cover.vertex_lift_ids(v).index(lid)]
     if len(cyc) != len(corners):
         raise ValueError(f"lift {lid} is not single-sheeted over {v}")
     sheet_at = {corners[pos][0]: s for pos, s in cyc}

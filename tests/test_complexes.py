@@ -11,8 +11,10 @@ from tropms.complexes import (
     complex_to_json,
     complex_to_text,
     parse_complex,
+    surface_from_cycles,
     validate_surface,
 )
+from tropms.covers import BranchedCover, validate_cover
 from tropms.lattice import canonical_transverse, det2, dot
 
 
@@ -58,6 +60,29 @@ def test_incomplete_fan_detected():
     )
     rep = validate_surface(s)
     assert "fan-not-complete" in rep.codes()
+
+
+def test_pinched_vertex_reported_not_raised():
+    """Two octahedra glued at both poles: each pole's corners close into two
+    cycles. Validation reports both poles instead of raising, and a cover
+    over the surface is refused with the same diagnostics."""
+    cycles = {}
+    for k in (1, 2):
+        ring = [f"{c}{k}" for c in "abcd"]
+        for i in range(4):
+            cycles[f"n{k}{i}"] = ("N", ring[i], ring[(i + 1) % 4])
+            cycles[f"s{k}{i}"] = ("S", ring[(i + 1) % 4], ring[i])
+    s = surface_from_cycles(cycles)
+    rep = validate_surface(s)
+    assert rep.euler_characteristic == 2
+    assert [f"{d.code}: {d.message}" for d in rep.diagnostics] == [
+        "vertex-link: corners around N split into several cycles",
+        "vertex-link: corners around S split into several cycles",
+    ]
+    cover = BranchedCover(s, 2, {e.id: (0, 1) for e in s.edges}, frozenset())
+    assert validate_cover(cover).diagnostics == rep.diagnostics
+    with pytest.raises(ValueError, match="split into several cycles"):
+        s.corners("N")
 
 
 def test_fan_corner_mismatch_detected():

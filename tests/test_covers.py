@@ -339,13 +339,17 @@ def test_disconnected_cover_fails_validation():
     assert validate_multisection(msec).codes() == ["cover-disconnected"]
 
 
-@pytest.mark.parametrize("field", ["matchings", "ramification"])
+@pytest.mark.parametrize("field", ["matchings", "ramification", "branch"])
 def test_multisection_rejects_duplicate_keyed_entries(field):
     """A second entry for the same edge or vertex is refused, whichever of
-    the two entries is wrong; neither silently wins."""
+    the two entries is wrong; neither silently wins. A repeated branch
+    vertex is refused too, where the writer would drop the copy."""
     doc = json.loads(multisection_to_text(cover_1_0()))
     entries = doc[field]
-    if field == "matchings":
+    if field == "branch":
+        entries.append(entries[0])
+        key, at = entries[0], len(entries) - 1
+    elif field == "matchings":
         first = entries[0]
         entries.append({"edge": first["edge"], "perm": first["perm"][::-1]})
         key, at = first["edge"], len(entries) - 1

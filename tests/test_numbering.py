@@ -1,0 +1,172 @@
+"""The numbered surface and cover against a recomputation from the
+definition on string ids, a renaming that keeps the order of ids, and the
+contract that fans and markers are read whenever a check runs."""
+
+import json
+import os
+
+import pytest
+from conftest import tetrahedron
+
+from tropms import generators
+from tropms.complexes import VertexFan, combinatorial_dual, complex_to_text, validate_surface
+from tropms.covers import BranchedCover, validate_cover, validate_multisection
+from tropms.generators import cube2_multisection
+from tropms.gluing import bar_complex
+from tropms.pipeline import generate_example, load_manifest, report_to_text, run_pipeline
+
+SECTIONS = {
+    **{name: build for name, (build, _) in generators.EXAMPLES.items()},
+    "planted": generators.planted_multisection,
+    "planted-triangle": generators.planted_triangle_multisection,
+}
+
+
+def recomputed(msec):
+    """From the definition, on string ids: each vertex's lift ids and
+    ramification, the connectivity and cell counts of the total space, and
+    the nodes, chains and inclusions of its order complex.
+
+    The corners around a vertex are read off the boundary cycles and chained
+    ccw from the smallest outgoing edge; a vertex lift is an orbit of (corner
+    position, sheet) under crossing the wall after each corner, where an
+    edge lift meets the sheets of its first coface by the identity."""
+    cover = msec.cover
+    base, r = cover.base, cover.degree
+    edge_of = {frozenset(c.faces): c.id for c in base.edges}
+    cofaces = {e.id: sorted(f.id for f in base.faces2 if e.id in f.faces) for e in base.edges}
+
+    def sheet(e, f, lift):
+        return lift if f == cofaces[e][0] else cover.edge_matchings[e][lift]
+
+    def lift_of(e, f, s):
+        return next(x for x in range(r) if sheet(e, f, x) == s)
+
+    around = {}
+    for f, cyc in base.orientation.items():
+        for i, v in enumerate(cyc):
+            out = edge_of[frozenset((v, cyc[(i + 1) % len(cyc)]))]
+            around.setdefault(v, {})[out] = (f, edge_of[frozenset((cyc[i - 1], v))])
+    lifts, ramification, chains = {}, {}, set()
+    for v, by_out in around.items():
+        walls = [min(by_out)]
+        while by_out[walls[-1]][1] != walls[0]:
+            walls.append(by_out[walls[-1]][1])
+        corners = [(by_out[e][0], e, by_out[e][1]) for e in walls]
+        k, seen = len(corners), set()
+        lifts[v], blocks = [], []
+        for s0 in range(r):
+            node, orbit = (0, s0), []
+            while node not in seen:
+                seen.add(node)
+                orbit.append(node)
+                i, s = node
+                f, _, wall = corners[i]
+                node = ((i + 1) % k, sheet(wall, corners[(i + 1) % k][0], lift_of(wall, f, s)))
+            if orbit:
+                lifts[v].append(f"{v}#{s0}")
+                blocks.append(tuple(sorted(s for i, s in orbit if i == 0)))
+                for i, s in orbit:
+                    f, out, inn = corners[i]
+                    for e in (out, inn):
+                        chains.add((lifts[v][-1], f"{e}~{lift_of(e, f, s)}", f"{f}~{s}"))
+        ramification[v] = tuple(sorted(blocks))
+
+    component = {(f.id, s): {(f.id, s)} for f in base.faces2 for s in range(r)}
+    for e, (a, b) in cofaces.items():
+        for lift in range(r):
+            x, y = component[a, sheet(e, a, lift)], component[b, sheet(e, b, lift)]
+            if x is not y:
+                x |= y
+                for member in y:
+                    component[member] = x
+    connected = len({id(c) for c in component.values()}) == 1
+    counts = (sum(map(len, lifts.values())), len(base.edges) * r, len(base.faces2) * r)
+    nodes = sorted({x for chain in chains for x in chain})
+    inclusions = {pair for v, e, f in chains for pair in ((v, e), (e, f), (v, f))}
+    return lifts, ramification, connected, counts, nodes, chains, inclusions
+
+
+@pytest.mark.parametrize("name", sorted(SECTIONS))
+def test_numbering_matches_a_walk_from_the_definition(name):
+    msec = SECTIONS[name]()
+    cover = msec.cover
+    lifts, ramification, connected, counts, nodes, chains, inclusions = recomputed(msec)
+    assert {v.id: cover.vertex_lift_ids(v.id) for v in cover.base.vertices} == lifts
+    assert {v.id: cover.computed_ramification(v.id) for v in cover.base.vertices} == ramification
+    assert cover.is_connected() is connected is True
+    assert cover.total_space_counts() == counts
+    bar = bar_complex(msec)
+    assert list(bar.nodes) == nodes
+    assert {tuple(bar.nodes[n] for n in chain) for chain in bar.chains} == chains
+    assert len(bar.chains) == len(bar.triangles) == len(chains)
+    assert {tuple(bar.nodes[n] for n in edge) for edge in bar.edges} == inclusions
+    assert len(bar.edges) == len(inclusions)
+
+
+ID_FIELDS = {"id", "faces", "vertex", "edge", "face2", "cycle", "vertex_lift", "branch", "flag"}
+
+
+def _prefixed(doc, field=None):
+    """A document with every cell and lift id prefixed by "Z", which keeps
+    the order of the ids."""
+    if isinstance(doc, dict):
+        return {key: _prefixed(value, key) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [_prefixed(value, field) for value in doc]
+    return "Z" + doc if isinstance(doc, str) and field in ID_FIELDS else doc
+
+
+def _report(manifest) -> str:
+    doc = json.loads(report_to_text(run_pipeline(manifest)))
+    for check in doc["checks"]:
+        check["seconds"] = 0
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("name", sorted(generators.EXAMPLES))
+def test_order_preserving_renaming_keeps_the_report(tmp_path, name):
+    manifest = generate_example(name, str(tmp_path / "plain"))
+    renamed = tmp_path / "renamed"
+    renamed.mkdir()
+    for file in os.listdir(manifest.root):
+        with open(os.path.join(manifest.root, file), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not file.endswith(".manifest.json"):
+            doc = _prefixed(doc)
+        (renamed / file).write_text(json.dumps(doc), encoding="utf-8")
+    plain = _report(manifest)
+    assert "Z" not in plain
+    assert _report(load_manifest(str(renamed / f"{name}.manifest.json"))).replace("Z", "") == plain
+
+
+def test_fans_and_markers_are_read_after_numbering():
+    """The index holds topology only: a fan assigned after the first corner
+    query, and a cell whose markers are replaced as the generators mark
+    cells, are what later checks read."""
+    s = tetrahedron()  # its fans were assigned from the corners, so it is numbered
+    assert validate_surface(s).ok
+    good = s.fans["A"]
+    s.fans["A"] = VertexFan("A", tuple(((2, 0), e) for _, e in good.rays), good.cones)
+    assert validate_surface(s).codes() == ["fan-not-complete"]
+    cover = BranchedCover(s, 1, {e.id: (0,) for e in s.edges}, frozenset())
+    assert validate_cover(cover).codes() == ["fan-not-complete"]
+    s.fans["A"] = good
+    assert validate_cover(cover).ok
+    generators._mark(s, "fABC", "cone-point")
+    assert s.cells["fABC"].singular_markers == ("cone-point",)
+    assert '"cone-point"' in complex_to_text(s)
+    assert combinatorial_dual(s).cells["fABC"].singular_markers == ("cone-point",)
+    assert validate_surface(s).ok
+
+
+def test_section_validation_reads_a_fan_replaced_after_numbering():
+    msec = cube2_multisection()
+    assert validate_multisection(msec).ok
+    base = msec.cover.base
+    v = base.vertices[0].id
+    fan = base.fans.pop(v)
+    assert validate_multisection(msec).codes() == []  # a vertex may carry no fan
+    rolled = fan.cones[1:] + fan.cones[:1]  # each 2-cell gets the next one's rays
+    base.fans[v] = fan._replace(cones=tuple((f, p) for (f, _), (_, p) in zip(rolled, fan.cones)))
+    assert "fan-cone-mismatch" in validate_multisection(msec).codes()
