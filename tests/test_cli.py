@@ -726,9 +726,11 @@ def test_cli_import_loads_no_third_party_module():
          {"tropms.gluing", "tropms.laurent"}),
         (("render", "--manifest", "planted.manifest.json", "--layer", "cycles"), "tropms.svg",
          {"tropms.gluing"}),
+        (("render", "--manifest", "planted.manifest.json", "--layer", "fiber"), "tropms.chern",
+         {"tropms.gluing"}),
     ],
     ids=["validate", "chern", "classify", "validate-class-C", "fiber-product",
-         "simplicity", "render"],
+         "simplicity", "render", "render-fiber"],
 )
 def test_command_loads_only_what_it_runs(tmp_path, argv, ran, absent):
     """A command imports the modules it runs and no others: beyond a bare

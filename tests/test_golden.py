@@ -1,5 +1,5 @@
-"""Golden outputs of the `validate`, `obstruction`, `simplicity` and `render`
-commands.
+"""Golden outputs of the `validate`, `obstruction`, `simplicity`, `render`
+and `fiber-product` commands.
 
 Each case runs one command on example inputs written to a scratch directory
 and addressed by relative paths, and compares the exit code, stdout and
@@ -136,6 +136,15 @@ def cases() -> dict[str, tuple[str, ...]]:
     for name in SECTIONS:
         out[f"render-{name}"] = (
             "render", "--manifest", f"{name}.manifest.json", "--layer", "base")
+    # the other layers, of which only fiber draws a nonempty pair graph
+    for name in ("cube-o1", "planted", "simplex5", "planted-triangle"):
+        for layer in ("cover", "G0", "cycles", "fiber"):
+            out[f"render-{name}-{layer}"] = (
+                "render", "--manifest", f"{name}.manifest.json", "--layer", layer)
+    out["render-rank3-cube-cover"] = (
+        "render", "--manifest", "rank3-cube.manifest.json", "--layer", "cover")
+    for name in ("cube-o1", "rank3-cube"):
+        out[f"fiber-product-{name}"] = ("fiber-product", "--section", f"{name}.section.json")
     return out
 
 
