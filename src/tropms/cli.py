@@ -183,26 +183,27 @@ def _simplicity(args):
 def _fiber_product(args):
     """Dump the fiber product of the cover with itself, cell by cell."""
     from .bundle import load
-    from .graphs import build_fiber_product
+    from .graphs import build_fiber_product, pair_id
 
     fp = build_fiber_product(load(args.section).msec)
-    cells = sorted(fp.cells.values(), key=lambda c: (c.dim, c.id))
+    names = fp.cover.base._index.ids
+    lifts = [fp.lift_ids(k) for k in range(len(fp.cells))]
+    ids = [pair_id(a, b) for a, b in lifts]
+    cells = [(k, fp.cells[k]) for d in (0, 1, 2) for k in sorted(fp.of_dim(d), key=ids.__getitem__)]
     _echo_json(
         {
-            "counts": {
-                str(d): sum(1 for c in cells if c.dim == d) for d in (0, 1, 2)
-            },
+            "counts": {str(d): len(fp.of_dim(d)) for d in (0, 1, 2)},
             "cells": [
                 {
-                    "id": c.id,
+                    "id": ids[k],
                     "dim": c.dim,
-                    "a": c.a,
-                    "b": c.b,
-                    "base": c.base,
-                    "faces": list(c.faces),
+                    "a": lifts[k][0],
+                    "b": lifts[k][1],
+                    "base": names[c.dim][c.base],
+                    "faces": sorted(ids[f] for f in c.faces),
                     "diagonal": c.diagonal,
                 }
-                for c in cells
+                for k, c in cells
             ],
         }
     )

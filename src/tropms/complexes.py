@@ -78,6 +78,10 @@ class _SurfaceIndex(NamedTuple):
     walls: tuple[list[int], ...]  # per edge and end: the corner there whose incoming edge it is
     links: dict[int, str]  # vertex -> why its corners do not chain into one cycle
 
+    def corner(self, v: int, f: int) -> int:
+        """The corner of the 2-cell numbered ``f`` at the vertex numbered ``v``."""
+        return next(c for c in range(self.first[v], self.first[v + 1]) if self.corners[c][0] == f)
+
 
 class PolyhedralSurface:
     """Cells, fans, boundary cycles and assertion flags of one surface.

@@ -63,8 +63,9 @@ class BranchedCover:
     """A degree-r cover of a base surface, given by its edge matchings.
 
     ``ramification`` and ``lifts`` are what an input declares: the partition
-    of the sheets at each vertex, and each vertex's lifts as (lift id, sheets
-    at corner position 0), or None when the input declares no lifts.
+    of the sheets at each vertex, trivial where none is given, and each
+    vertex's lifts as (lift id, sheets at corner position 0), or None when
+    the input declares no lifts.
 
     The lifts are numbered once, on the first query, from the base's topology:
     ``degree``, ``edge_matchings`` and the base's cells and orientation must
@@ -131,19 +132,6 @@ class BranchedCover:
         n = self.base._index.number[0][v]
         return n, range(self._index.first[n], self._index.first[n + 1])
 
-    def matching(self, eid: str, fid: str) -> tuple[int, ...]:
-        """Bijection from edge lifts to the sheets of one coface."""
-        x = self.base._index
-        e = x.number[1].get(eid)
-        f = x.number[2].get(fid, -1)
-        if e is None or f not in x.sides[e]:
-            raise ValueError(f"2-cell {fid} is not a coface of edge {eid}")
-        return self._index.matchings[e][x.sides[e].index(f)]
-
-    def wall_sequence(self, v: str) -> list[tuple[str, str, str]]:
-        """Corner chain around a vertex: (2-cell, outgoing edge, incoming edge)."""
-        return self.base.corners(v)
-
     def lift_cycles(self, v: str) -> list[list[tuple[int, int]]]:
         """Orbits of (corner position, sheet) under crossing walls ccw.
 
@@ -153,10 +141,6 @@ class BranchedCover:
         n, lifts = self._vertex(v)
         c0, r = self.base._index.first[n], self.degree
         return [[(node // r - c0, node % r) for node in self._index.orbits[i]] for i in lifts]
-
-    def vertex_lift_ids(self, v: str) -> list[str]:
-        lifts = self._vertex(v)[1]
-        return list(self._index.ids[lifts.start:lifts.stop])
 
     def computed_lifts(self, v: str) -> tuple[tuple[str, tuple[int, ...]], ...]:
         """Each lift of a vertex as (lift id, its sheets at corner position 0)."""
@@ -176,15 +160,6 @@ class BranchedCover:
             raise KeyError(f"edge {eid} is not incident to vertex {v}")
         c = x.walls[e][x.ends[e].index(n)]
         return cx.ids[cx.lift_of[c * self.degree + cx.sheets[c][1][edge_lift]]]
-
-    def vertex_lift_at_face(self, v: str, fid: str, sheet: int) -> str:
-        """Vertex lift sitting under one sheet of a 2-cell at a corner."""
-        x, cx = self.base._index, self._index
-        n, f = self._vertex(v)[0], x.number[2].get(fid)
-        for c in range(x.first[n], x.first[n + 1]):
-            if x.corners[c][0] == f and 0 <= sheet < self.degree:
-                return cx.ids[cx.lift_of[c * self.degree + sheet]]
-        raise KeyError(f"2-cell {fid} has no corner at vertex {v}")
 
     def total_space_counts(self) -> tuple[int, int, int]:
         ids = self.base._index.ids
@@ -268,10 +243,9 @@ def validate_cover(cover: BranchedCover) -> ValidationReport:
             "matchings must cover exactly the edges of the base",
         )
     else:
-        identity = list(range(cover.degree))
-        for eid in x.ids[1]:
+        for eid in x.ids[1]:  # nothing is sized by the degree before a matching confirms it
             perm = cover.edge_matchings[eid]
-            if sorted(perm) != identity:
+            if len(perm) != cover.degree or sorted(perm) != list(range(len(perm))):
                 bad("edge-matching", f"edge {eid}: {perm} is not a permutation")
     for v in sorted(cover.branch_vertices):
         if v not in x.number[0]:
@@ -659,12 +633,10 @@ def _build_multisection(complex_doc, degree, label, lifts, matchings, branch,
                         ramification, slopes) -> MultiSection:
     base = schema.within("complex", parse_complex, complex_doc)
     ram = schema.unique("ramification", ramification)
-    ram = {v: _canon_partition(blocks) for v, blocks in ram.items()}
-    trivial = _canon_partition([(sh,) for sh in range(degree)])
     cover = BranchedCover(
         base, degree, schema.unique("matchings", matchings),
         frozenset(schema.unique("branch", [(v, None) for v in branch])),
-        {v.id: ram.get(v.id, trivial) for v in base.vertices},
+        {v: _canon_partition(blocks) for v, blocks in ram.items()},
         None if lifts is None else schema.unique("lifts", lifts),
     )
     return MultiSection(cover, schema.unique("slopes", [(s[:3], s[3]) for s in slopes]), label)

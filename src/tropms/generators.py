@@ -377,9 +377,7 @@ def seeded_coboundary_gluing(msec: MultiSection, seed: int = 0) -> GluingData:
     the coboundary of seeded vertex and edge potentials."""
     rng = random.Random(seed)
     cover = msec.cover
-    vertex_lifts = sorted(
-        lid for v in cover.base.vertices for lid in cover.vertex_lift_ids(v.id)
-    )
+    vertex_lifts = sorted(cover._index.ids)
     lam_vertex = {}
     for lid in vertex_lifts[:: max(1, len(vertex_lifts) // 6)]:
         vec = (rng.randint(-2, 2), rng.randint(-2, 2))

@@ -497,12 +497,13 @@ def transport_ratios(t: Transport, cycle: list[str], sigma: str) -> list[tuple[s
     """Sheet-comparison ratio on each edge of a cycle bounding a 2-cell:
     (edge id, ratio) in cycle order."""
     cover = t.msec.cover
-    faces = cover.base.cells[sigma].faces
+    x, cx, r = cover.base._index, cover._index, cover.degree
+    f = x.number[2][sigma]
 
-    def t_value(v: str, eid: str, sheet: int) -> Fraction:
-        lift = cover.matching(eid, sigma).index(sheet)
-        elift = edge_lift_id(eid, lift)
-        vlift = cover.vertex_lift_at_edge(v, eid, lift)
+    def t_value(v: str, e: int, sheet: int) -> Fraction:
+        # the lifts over v, e and sigma under one sheet of sigma, named as the bar's nodes are
+        vlift = cx.ids[cx.lift_of[x.corner(x.number[0][v], f) * r + sheet]]
+        elift = edge_lift_id(x.ids[1][e], cx.matchings[e][x.sides[e].index(f)].index(sheet))
         c = t.c.values[t.bar.number(vlift, elift, face_lift_id(sigma, sheet))]
         return _fraction(t.c.base, c) / _fraction(t.k.base, t.k.values[t.bar.number(vlift, elift)])
 
@@ -511,11 +512,10 @@ def transport_ratios(t: Transport, cycle: list[str], sigma: str) -> list[tuple[s
     for i in range(n):
         v, w = cycle[i], cycle[(i + 1) % n]
         eid = cover.base.edge_between(v, w)
-        if eid not in faces:
+        e = x.number[1][eid]
+        if f not in x.sides[e]:
             raise ValueError(f"cycle edge {eid} is not on the boundary of {sigma}")
-        lam = (t_value(v, eid, 1) / t_value(v, eid, 0)) / (
-            t_value(w, eid, 1) / t_value(w, eid, 0)
-        )
+        lam = (t_value(v, e, 1) / t_value(v, e, 0)) / (t_value(w, e, 1) / t_value(w, e, 0))
         out.append((eid, lam))
     return out
 

@@ -9,10 +9,9 @@ reports can be traced to the exact condition that fired.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from typing import TYPE_CHECKING, NamedTuple
 
-from .covers import ClassTag, MultiSection, check_class_C, edge_lift_id, face_lift_id
+from .covers import BranchedCover, ClassTag, MultiSection, check_class_C, edge_lift_id, face_lift_id
 from .lattice import Vec, dot
 
 if TYPE_CHECKING:  # loaded where they run: at a pair vertex, and in the witness
@@ -21,19 +20,21 @@ if TYPE_CHECKING:  # loaded where they run: at a pair vertex, and in the witness
 
 
 class _Graph(NamedTuple):
-    vertices: frozenset[str]
-    edges: frozenset[str]
+    vertices: frozenset[int]
+    edges: frozenset[int]
     host: object
 
 
 class EmbeddedGraph(_Graph):
-    """Subgraph of the 1-skeleton of a host complex."""
+    """Subgraph of the 1-skeleton of a host, a base surface or a fiber
+    product, given by the numbers of its vertices and edges in the host."""
 
     __slots__ = ()
 
-    def __new__(cls, vertices: frozenset[str], edges: frozenset[str], host: object):
+    def __new__(cls, vertices: frozenset[int], edges: frozenset[int], host: object):
+        fp = isinstance(host, FiberProductComplex)
         for e in edges:
-            for v in host.cells[e].faces:
+            for v in host.cells[e].faces if fp else host._index.ends[e]:
                 if v not in vertices:
                     raise ValueError(f"edge {e} has endpoint {v} outside the graph")
         return super().__new__(cls, vertices, edges, host)
@@ -44,41 +45,63 @@ class EmbeddedGraph(_Graph):
 
 
 class PairCell(NamedTuple):
-    """Cell of the fiber product: an ordered pair of lifts over one base cell."""
+    """Cell of the fiber product: an ordered pair of lifts a, b over one base
+    cell, all by number. The base cell is numbered among the cells of its
+    dimension; vertex lifts are numbered as the cover numbers them, edge and
+    2-cell lifts by their lift and sheet. Faces are pair cells."""
 
-    id: str
     dim: int
-    a: str
-    b: str
-    base: str
-    faces: tuple[str, ...]
-    diagonal: bool
+    base: int
+    a: int
+    b: int
+    faces: tuple[int, ...]
+
+    @property
+    def diagonal(self) -> bool:
+        return self.a == self.b
 
 
 class FiberProductComplex(NamedTuple):
-    """Self fiber product of a branched cover, cell by cell."""
+    """Self fiber product of a branched cover over some base cells, numbered
+    dimension by dimension: the pairs over one base cell are numbered from
+    ``start[dim][base cell]`` on, a before b, a lift's pairs by b."""
 
-    cover: object
-    cells: dict[str, PairCell]
+    cover: BranchedCover
+    cells: list[PairCell]
+    start: tuple[dict[int, int], ...]  # per dimension: base cell -> its first pair cell
+    first: list[int]  # per dimension and one more: its first pair cell
 
-    def of_dim(self, d: int) -> list[PairCell]:
-        return sorted(
-            (c for c in self.cells.values() if c.dim == d), key=lambda c: c.id
-        )
+    def of_dim(self, d: int) -> range:
+        return range(self.first[d], self.first[d + 1])
 
-    def boundary_cycle(self, pid: str) -> tuple[str, ...]:
-        """Pair vertices around a 2-cell pair, following the base cycle."""
-        cell = self.cells[pid]
+    def vertex(self, v: int, a: int, b: int) -> int:
+        """Number of the pair vertex over base vertex ``v`` with lifts ``a`` and ``b``."""
+        lo = self.cover._index.first
+        return self.start[0][v] + (a - lo[v]) * (lo[v + 1] - lo[v]) + b - lo[v]
+
+    def lift_ids(self, k: int) -> tuple[str, str]:
+        """The ids of the two lifts of pair cell ``k``."""
+        dim, base, a, b, _ = self.cells[k]
+        if dim == 0:
+            ids = self.cover._index.ids
+            return ids[a], ids[b]
+        name, lift_id = self.cover.base._index.ids[dim][base], (edge_lift_id, face_lift_id)[dim - 1]
+        return lift_id(name, a), lift_id(name, b)
+
+    def id(self, k: int) -> str:
+        return pair_id(*self.lift_ids(k))
+
+    def boundary_cycle(self, k: int) -> tuple[int, ...]:
+        """Pair vertices around pair 2-cell ``k``, following the base cycle."""
+        cell = self.cells[k]
         if cell.dim != 2:
-            raise ValueError(f"{pid} is not a 2-cell pair")
-        cover = self.cover
-        sa = int(cell.a.rsplit("~", 1)[1])
-        sb = int(cell.b.rsplit("~", 1)[1])
+            raise ValueError(f"{self.id(k)} is not a 2-cell pair")
+        x, cx, r = self.cover.base._index, self.cover._index, self.cover.degree
         out = []
-        for v in cover.base.boundary_cycle(cell.base):
-            va = cover.vertex_lift_at_face(v, cell.base, sa)
-            vb = cover.vertex_lift_at_face(v, cell.base, sb)
-            out.append(pair_id(va, vb))
+        for vid in self.cover.base.orientation[x.ids[2][cell.base]]:
+            v = x.number[0][vid]
+            c = x.corner(v, cell.base)
+            out.append(self.vertex(v, cx.lift_of[c * r + cell.a], cx.lift_of[c * r + cell.b]))
         return tuple(out)
 
 
@@ -89,139 +112,129 @@ def pair_id(a: str, b: str) -> str:
 # -- the branch-free graph ----------------------------------------------------
 
 
+def _branch_free(msec: MultiSection) -> tuple[list[int], ...]:
+    """Numbers of the base vertices, edges and 2-cells whose closures avoid
+    the branch set."""
+    x = msec.cover.base._index
+    free = [vid not in msec.cover.branch_vertices for vid in x.ids[0]]
+    edges = [e for e, (a, b) in enumerate(x.ends) if free[a] and free[b]]
+    inside = set(edges)
+    return ([v for v, ok in enumerate(free) if ok], edges,
+            [f for f, walk in enumerate(x.walks) if inside.issuperset(walk)])
+
+
 def build_G0(msec: MultiSection) -> EmbeddedGraph:
     """Vertices and edges of the base whose closures avoid the branch set.
     The section must be valid."""
-    base = msec.cover.base
-    branch = msec.cover.branch_vertices
-    vertices = frozenset(v.id for v in base.vertices if v.id not in branch)
-    edges = frozenset(
-        e.id for e in base.edges if all(v not in branch for v in e.faces)
-    )
-    return EmbeddedGraph(vertices, edges, base)
+    vertices, edges, _ = _branch_free(msec)
+    return EmbeddedGraph(frozenset(vertices), frozenset(edges), msec.cover.base)
 
 
 def find_minimal_cycles(g: EmbeddedGraph) -> list[tuple[tuple[str, ...], str]]:
-    """Boundary cycles of host 2-cells lying entirely inside the graph,
-    ordered by 2-cell id."""
-    out = []
-    for f in g.host.of_dim(2):
-        if all(e in g.edges for e in f.faces):
-            cyc = g.host.boundary_cycle(f.id)
-            if all(v in g.vertices for v in cyc):
-                out.append((cyc, f.id))
-    out.sort(key=lambda item: item[1])
-    return out
+    """Boundary cycles of host 2-cells whose edges all lie inside the graph,
+    as (vertex ids in cycle order, 2-cell id), ordered by 2-cell id."""
+    host = g.host
+    if isinstance(host, FiberProductComplex):
+        out = [(tuple(map(host.id, host.boundary_cycle(k))), host.id(k))
+               for k in host.of_dim(2) if g.edges.issuperset(host.cells[k].faces)]
+    else:
+        x = host._index
+        out = [(host.boundary_cycle(x.ids[2][f]), x.ids[2][f])
+               for f, walk in enumerate(x.walks) if g.edges.issuperset(walk)]
+    return sorted(out, key=lambda item: item[1])
 
 
 # -- fiber product ------------------------------------------------------------
 
 
-def _pairs_over(msec: MultiSection, cells) -> FiberProductComplex:
-    """Ordered pairs of lifts over the given base cells, which must include
-    the faces of each, with incidence componentwise. The section must be
-    valid."""
+def _pairs_over(msec: MultiSection, cells: tuple[list[int], ...]) -> FiberProductComplex:
+    """Ordered pairs of lifts over the base cells numbered ``cells[d]`` in
+    each dimension d, which must include the faces of each, with incidence
+    componentwise. The section must be valid."""
     cover = msec.cover
-    lifts: dict[str, list[str]] = {}
-    faces_of: dict[str, tuple[str, ...]] = {}
-    for cell in cells:
-        if cell.dim == 0:
-            lifts[cell.id] = cover.vertex_lift_ids(cell.id)
-            faces_of.update((lid, ()) for lid in lifts[cell.id])
-        elif cell.dim == 1:
-            lifts[cell.id] = [edge_lift_id(cell.id, i) for i in range(cover.degree)]
-            for lift, lid in enumerate(lifts[cell.id]):
-                faces_of[lid] = tuple(
-                    cover.vertex_lift_at_edge(v, cell.id, lift) for v in cell.faces
-                )
-        else:
-            lifts[cell.id] = [face_lift_id(cell.id, s) for s in range(cover.degree)]
-            for sheet, lid in enumerate(lifts[cell.id]):
-                faces_of[lid] = tuple(
-                    edge_lift_id(eid, cover.matching(eid, cell.id).index(sheet))
-                    for eid in cell.faces
-                )
-    base_of = {lid: cid for cid, ids in lifts.items() for lid in ids}
-
-    out: dict[str, PairCell] = {}
-    for cell in cells:
-        for a, b in product(lifts[cell.id], lifts[cell.id]):
-            pid = pair_id(a, b)
-            pair_faces = tuple(
-                sorted(
-                    pair_id(fa, fb)
-                    for fa in faces_of[a]
-                    for fb in faces_of[b]
-                    if base_of[fa] == base_of[fb]
-                )
-            )
-            out[pid] = PairCell(pid, cell.dim, a, b, cell.id, pair_faces, a == b)
-    return FiberProductComplex(cover, out)
+    x, cx, r = cover.base._index, cover._index, cover.degree
+    fp = FiberProductComplex(cover, [], ({}, {}, {}), [0])
+    out, start = fp.cells, fp.start
+    for v in cells[0]:
+        start[0][v] = len(out)
+        lifts = range(cx.first[v], cx.first[v + 1])
+        out += [PairCell(0, v, a, b, ()) for a in lifts for b in lifts]
+    fp.first.append(len(out))
+    for e in cells[1]:
+        start[1][e] = len(out)
+        # per end: the vertex lift there of each edge lift
+        ends = [(v, [cx.lift_of[c * r + s] for s in cx.sheets[c][1]])
+                for v, c in zip(x.ends[e], x.walls[e])]
+        out += [PairCell(1, e, a, b, tuple([fp.vertex(v, at[a], at[b]) for v, at in ends]))
+                for a in range(r) for b in range(r)]
+    fp.first.append(len(out))
+    rims: dict[int, list] = {f: [] for f in cells[2]}  # per 2-cell: (edge, its lift on each sheet)
+    for c, (f, out_edge, _) in enumerate(x.corners):
+        if f in rims:
+            rims[f].append((start[1][out_edge], cx.lifts[c][0]))
+    for f, rim in rims.items():
+        start[2][f] = len(out)
+        out += [PairCell(2, f, a, b, tuple([e0 + lift[a] * r + lift[b] for e0, lift in rim]))
+                for a in range(r) for b in range(r)]
+    fp.first.append(len(out))
+    return fp
 
 
 def build_fiber_product(msec: MultiSection) -> FiberProductComplex:
     """All ordered pairs of lifts with equal image, incidence componentwise.
     The section must be valid."""
-    return _pairs_over(msec, msec.cover.base.cells.values())
-
-
-def _lift_slopes_by_cone(msec: MultiSection, v: str, lid: str) -> list[Vec]:
-    """Slopes of a single-sheeted vertex lift, listed in the fan's cone order."""
-    cover = msec.cover
-    fan = cover.base.fans[v]
-    corners = cover.wall_sequence(v)
-    cyc = cover.lift_cycles(v)[cover.vertex_lift_ids(v).index(lid)]
-    if len(cyc) != len(corners):
-        raise ValueError(f"lift {lid} is not single-sheeted over {v}")
-    sheet_at = {corners[pos][0]: s for pos, s in cyc}
-    face_at = {pair[0]: face2 for face2, pair in fan.cones}
-    return [
-        msec.slope(lid, face_at[i], sheet_at[face_at[i]])
-        for i in range(len(fan.rays))
-    ]
+    ids = msec.cover.base._index.ids
+    return _pairs_over(msec, tuple([list(range(len(ids[d]))) for d in (0, 1, 2)]))
 
 
 def _difference_data(
-    msec: MultiSection, v: str, lift_a: str, lift_b: str
+    msec: MultiSection, v: int, a: int, b: int
 ) -> tuple[CompleteFan, list[Vec], NewtonPolytope]:
-    """Fan at a vertex with the per-cone slope difference of two lifts and
-    its Newton polytope."""
+    """Fan at the vertex numbered ``v`` with the per-cone slope difference
+    of its single-sheeted lifts numbered ``a`` and ``b``, and its Newton
+    polytope."""
     from .chern import CompleteFan, newton_polytope
 
-    fan = msec.cover.base.fans[v]
+    cover = msec.cover
+    x, cx, r = cover.base._index, cover._index, cover.degree
+    fan = cover.base.fans[x.ids[0][v]]
+    face_at = {pair[0]: x.number[2][fid] for fid, pair in fan.cones}  # cone -> 2-cell
+    slopes = []
+    for lift in (a, b):
+        if len(cx.orbits[lift]) != x.first[v + 1] - x.first[v]:
+            raise ValueError(f"lift {cx.ids[lift]} is not single-sheeted over {x.ids[0][v]}")
+        at = {x.corners[node // r][0]: msec._slope_at[node] for node in cx.orbits[lift]}
+        slopes.append([at[face_at[i]] for i in range(len(fan.rays))])
+    diff = [(q[0] - p[0], q[1] - p[1]) for p, q in zip(*slopes)]
     cfan = CompleteFan([vec for vec, _ in fan.rays])
-    sa = _lift_slopes_by_cone(msec, v, lift_a)
-    sb = _lift_slopes_by_cone(msec, v, lift_b)
-    diff = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(sa, sb)]
     return cfan, diff, newton_polytope(cfan, diff)
 
 
-def difference_polytope(
-    msec: MultiSection, v: str, lift_a: str, lift_b: str
-) -> NewtonPolytope:
-    """Newton polytope of the difference of two vertex-lift functions."""
-    return _difference_data(msec, v, lift_a, lift_b)[2]
+def difference_polytope(msec: MultiSection, v: int, a: int, b: int) -> NewtonPolytope:
+    """Newton polytope of the difference of two vertex-lift functions, by number."""
+    return _difference_data(msec, v, a, b)[2]
+
+
+def _pair_graph(msec: MultiSection) -> tuple[EmbeddedGraph, dict[int, tuple]]:
+    """The branch-free pair graph, and the difference data of
+    ``_difference_data`` at each of its vertices."""
+    fp = _pairs_over(msec, _branch_free(msec))
+    data = {}
+    for k in fp.of_dim(0):
+        cell = fp.cells[k]
+        found = _difference_data(msec, cell.base, cell.a, cell.b)
+        if not found[2].is_empty:
+            data[k] = found
+    edges = frozenset(k for k in fp.of_dim(1) if all(pv in data for pv in fp.cells[k].faces))
+    return EmbeddedGraph(frozenset(data), edges, fp), data
 
 
 def build_G0_tilde(msec: MultiSection) -> EmbeddedGraph:
-    """Branch-free pair vertices with nonempty difference polytope, and the
-    pair edges between them, in the fiber product over the base cells whose
-    closures avoid the branch set. The section must be valid."""
-    free: dict = {}  # base cells by id, faces before the cells they bound
-    for cell in sorted(msec.cover.base.cells.values(), key=lambda c: c.dim):
-        if cell.id not in msec.cover.branch_vertices and all(f in free for f in cell.faces):
-            free[cell.id] = cell
-    fp = _pairs_over(msec, free.values())
-    vertices = set()
-    for cell in fp.of_dim(0):
-        if not difference_polytope(msec, cell.base, cell.a, cell.b).is_empty:
-            vertices.add(cell.id)
-    edges = frozenset(
-        cell.id
-        for cell in fp.of_dim(1)
-        if all(pv in vertices for pv in cell.faces)
-    )
-    return EmbeddedGraph(frozenset(vertices), edges, fp)
+    """Branch-free pair vertices with nonempty difference polytope, diagonal
+    ones included, and the pair edges between them, in the fiber product
+    over the base cells whose closures avoid the branch set. The section
+    must be valid."""
+    return _pair_graph(msec)[0]
 
 
 # -- verdicts -----------------------------------------------------------------
@@ -267,7 +280,7 @@ def is_simple_rank2(msec: MultiSection, tag: ClassTag, upgrade: bool = False) ->
         )
     m, n = tag.pair
     d = m - n
-    g0 = build_G0(msec)
+    g0, names = build_G0(msec), msec.cover.base._index.ids
 
     if d == 1:
         witnesses = tuple(find_minimal_cycles(g0))
@@ -276,13 +289,13 @@ def is_simple_rank2(msec: MultiSection, tag: ClassTag, upgrade: bool = False) ->
             "branch-free graph carries no minimal cycle"
         )
     elif d == 2:
-        witnesses = tuple(sorted(g0.edges))
+        witnesses = tuple(names[1][e] for e in sorted(g0.edges))  # numbers sort as ids
         rule = (
             "[rank2-gap2] weight gap 2: simple if and only if the "
             "branch-free graph has no edges"
         )
     else:
-        witnesses = tuple(sorted(g0.vertices))
+        witnesses = tuple(names[0][v] for v in sorted(g0.vertices))
         rule = (
             "[rank2-gap3] weight gap 3 or more: simple if and only if the "
             "branch-free graph is empty"
@@ -295,11 +308,11 @@ def is_simple_rank2(msec: MultiSection, tag: ClassTag, upgrade: bool = False) ->
     return Verdict("simple", (rule,), ())
 
 
-def _starved(msec: MultiSection, cell: PairCell) -> bool:
-    """Whether every cone at a pair vertex fails the nonvanishing test."""
+def _starved(cfan: CompleteFan, diff: list[Vec]) -> bool:
+    """Whether every cone at a pair vertex, with its fan and slope
+    differences, fails the nonvanishing test."""
     from .chern import nonvanishing_at_fixed_point
 
-    cfan, diff, _ = _difference_data(msec, cell.base, cell.a, cell.b)
     return not any(nonvanishing_at_fixed_point(cfan, diff, i) for i in range(cfan.n_cones))
 
 
@@ -326,7 +339,7 @@ def general_simplicity(
             "the branch vertices must be asserted by the caller; refusing to "
             "run the general criterion without it"
         )
-    gt = build_G0_tilde(msec)
+    gt, data = _pair_graph(msec)
     g0 = build_G0(msec)
     cycles_pair = find_minimal_cycles(gt)
     cycles_base = find_minimal_cycles(g0)
@@ -339,7 +352,7 @@ def general_simplicity(
             f"{len(cycles_base)})"
         )
         witnesses.extend(cycles_pair if cycles_pair else cycles_base)
-    starved = [pv for pv in sorted(gt.vertices) if _starved(msec, gt.host.cells[pv])]
+    starved = sorted(gt.host.id(k) for k, (cfan, diff, _) in data.items() if _starved(cfan, diff))
     if starved:
         failures.append(
             "[fixed-point-support] pair vertices where every cone fails the "
@@ -442,15 +455,18 @@ def endomorphism_witness(
     cycle, sigma = minimal_cycle
     cycle = list(cycle)
     msec = t.msec
-    cover = msec.cover
+    x, cx = msec.cover.base._index, msec.cover._index
     ratios = transport_ratios(t, cycle, sigma)
+    nodes = {}  # per cycle vertex: its number and the node of sheet 0 at its corner of sigma
+    for vid in cycle:
+        v = x.number[0][vid]
+        nodes[vid] = v, x.corner(v, x.number[2][sigma]) * msec.cover.degree
 
     for order in ((0, 1), (1, 0)):
         data = {}
-        for v in cycle:
-            la = cover.vertex_lift_at_face(v, sigma, order[0])
-            lb = cover.vertex_lift_at_face(v, sigma, order[1])
-            data[v] = _difference_data(msec, v, la, lb)
+        for vid, (v, node) in nodes.items():
+            la, lb = cx.lift_of[node + order[0]], cx.lift_of[node + order[1]]
+            data[vid] = _difference_data(msec, v, la, lb)
         if all(not poly.is_empty for _, _, poly in data.values()):
             break
     else:

@@ -123,7 +123,7 @@ def render_svg(msec: MultiSection, layer: str) -> str:
     if layer not in LAYERS:
         raise ValueError(f"unknown layer {layer!r}; pick one of {LAYERS}")
     surface = msec.cover.base
-    pos = _layout(surface)
+    pos, vids = _layout(surface), surface._index.ids[0]
     body: list[str] = [_STYLE]
 
     def skeleton():
@@ -155,12 +155,13 @@ def render_svg(msec: MultiSection, layer: str) -> str:
             for lift in range(cover.degree):
                 oa, ob = _offset(a, b, 3.0 * (lift - (cover.degree - 1) / 2.0))
                 body.append(_line(oa, ob, "cover-edge"))
-        for v in surface.vertices:
-            lifts = cover.vertex_lift_ids(v.id)
-            cls = "branch" if v.id in cover.branch_vertices else "lift"
-            x, y = pos[v.id]
-            for k in range(len(lifts)):
-                ang = 2.0 * math.pi * k / len(lifts)
+        first = cover._index.first
+        for v, vid in enumerate(vids):
+            lifts = first[v + 1] - first[v]
+            cls = "branch" if vid in cover.branch_vertices else "lift"
+            x, y = pos[vid]
+            for k in range(lifts):
+                ang = 2.0 * math.pi * k / lifts
                 body.append(
                     _dot((round(x + 6 * math.cos(ang), 2),
                           round(y + 6 * math.sin(ang), 2)), cls, r=3.0)
@@ -169,11 +170,11 @@ def render_svg(msec: MultiSection, layer: str) -> str:
     elif layer == "G0":
         skeleton()
         g0 = build_G0(msec)
-        for eid in sorted(g0.edges):
-            a, b = surface.cells[eid].faces
-            body.append(_line(pos[a], pos[b], "g0-edge", width=3.0))
+        for e in sorted(g0.edges):  # numbers sort as ids do
+            a, b = surface._index.ends[e]
+            body.append(_line(pos[vids[a]], pos[vids[b]], "g0-edge", width=3.0))
         for v in sorted(g0.vertices):
-            body.append(_dot(pos[v], "g0-vertex", r=5.0))
+            body.append(_dot(pos[vids[v]], "g0-vertex", r=5.0))
 
     elif layer == "cycles":
         skeleton()
@@ -183,18 +184,17 @@ def render_svg(msec: MultiSection, layer: str) -> str:
 
     elif layer == "fiber":
         gt = build_G0_tilde(msec)
-        fp = gt.host
+        fp, blocks = gt.host, msec.cover._index.blocks
         spots = {}
-        for pv in sorted(gt.vertices):
+        for pv in gt.vertices:
             cell = fp.cells[pv]
-            sa = int(cell.a.rpartition("#")[2])
-            sb = int(cell.b.rpartition("#")[2])
-            x, y = pos[cell.base]
+            sa, sb = blocks[cell.a][0], blocks[cell.b][0]  # the sheets in the lift ids
+            x, y = pos[vids[cell.base]]
             spots[pv] = (round(x + 8 * (sa - sb), 2), round(y + 8 * (sa + sb - 1), 2))
-        for eid in sorted(gt.edges):
-            ends = fp.cells[eid].faces
-            body.append(_line(spots[ends[0]], spots[ends[1]], "pair-edge"))
-        for pv in sorted(gt.vertices):
+        for pe in sorted(gt.edges, key=fp.id):
+            a, b = sorted(fp.cells[pe].faces, key=fp.id)
+            body.append(_line(spots[a], spots[b], "pair-edge"))
+        for pv in sorted(gt.vertices, key=fp.id):
             body.append(_dot(spots[pv], "pair", r=3.5))
 
     head = (

@@ -136,8 +136,8 @@ def two_sheet_cover() -> MultiSection:
     )
     slopes = {}
     for v in s.vertices:
-        corners = cover.wall_sequence(v.id)
-        for lid, cyc in zip(cover.vertex_lift_ids(v.id), cover.lift_cycles(v.id)):
+        corners = s.corners(v.id)
+        for (lid, _), cyc in zip(cover.computed_lifts(v.id), cover.lift_cycles(v.id)):
             for i, sheet in cyc:
                 slopes[(lid, corners[i][0], sheet)] = (0, 0)
     return MultiSection(cover, slopes, "two sheets")

@@ -78,7 +78,7 @@ def _random_coboundary(msec, rng):
     cover = msec.cover
     lam_vertex = {}
     for v in cover.base.vertices:
-        for lid in cover.vertex_lift_ids(v.id):
+        for lid, _ in cover.computed_lifts(v.id):
             if rng.random() < 0.4:
                 lam_vertex[lid] = TorusElement.single(
                     (rng.randint(-2, 2), rng.randint(-2, 2)),

@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import pytest
 from conftest import cube_surface, tetrahedron, two_sheet_cover
 
+from tropms.bundle import Invalid, load
 from tropms.complexes import VertexFan, validate_surface
 from tropms.covers import (
     BranchedCover,
@@ -20,6 +22,7 @@ from tropms.covers import (
     validate_multisection,
 )
 from tropms.lattice import rot90
+from tropms.pipeline import generate_example
 
 
 def all_vertices(s):
@@ -35,8 +38,8 @@ def reslope_vertex(msec, v, kinks):
     """Rewrite the slopes around the single lift of a branch vertex from a
     kink sequence, anchored at the zero covector."""
     cover = msec.cover
-    corners = cover.wall_sequence(v)
-    lid = cover.vertex_lift_ids(v)[0]
+    corners = cover.base.corners(v)
+    lid = cover.computed_lifts(v)[0][0]
     cyc = cover.lift_cycles(v)[0]
     assert len(kinks) == len(cyc)
     fan = cover.base.fans[v]
@@ -101,7 +104,7 @@ def test_kink_sequences_alternate():
     msec = cover_1_0()
     cover = msec.cover
     for v in sorted(cover.branch_vertices):
-        lid = cover.vertex_lift_ids(v)[0]
+        lid = cover.computed_lifts(v)[0][0]
         kinks = [k for _, k in kink_sequence(msec, v, lid)]
         assert sorted(set(kinks)) == [0, 1]
         assert kinks == kinks[:2] * 3
@@ -138,7 +141,7 @@ def test_classify_uniform_pairs():
 def test_classify_affine_shift_invariance():
     msec = cover_1_0()
     v = "v101"
-    lid = msec.cover.vertex_lift_ids(v)[0]
+    lid = msec.cover.computed_lifts(v)[0][0]
     for key in list(msec.slopes):
         if key[0] == lid:
             u = msec.slopes[key]
@@ -359,3 +362,22 @@ def test_multisection_rejects_duplicate_keyed_entries(field):
         key, at = first["vertex"], 1
     with pytest.raises(ValueError, match=rf"{field}\[{at}\] duplicates an earlier entry: '{key}'"):
         parse_multisection(doc)
+
+
+def test_declared_degree_is_checked_before_anything_is_sized_by_it(tmp_path):
+    """A declared degree far above what the matchings show is refused on
+    the matchings, and nothing is allocated by the degree before that: at a
+    million sheets one list of them would take 8 MB."""
+    generate_example("cube2", str(tmp_path))
+    path = tmp_path / "cube2.section.json"
+    doc = json.loads(path.read_text())
+    doc["degree"] = 10**6
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        with pytest.raises(Invalid, match="edge-matching"):
+            load(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000

@@ -57,7 +57,7 @@ def rand_coboundary(msec, rng):
     cover = msec.cover
     lam_v = {}
     for v in cover.base.vertices:
-        for lid in cover.vertex_lift_ids(v.id):
+        for lid, _ in cover.computed_lifts(v.id):
             lam_v[lid] = rand_elem(rng)
     lam_e = {}
     for e in cover.base.edges:
@@ -196,8 +196,8 @@ def test_cocycle_single_entry_other_endpoint():
 
 def reslope_uniform(msec, v, kinks):
     cover = msec.cover
-    corners = cover.wall_sequence(v)
-    lid = cover.vertex_lift_ids(v)[0]
+    corners = cover.base.corners(v)
+    lid = cover.computed_lifts(v)[0][0]
     cyc = cover.lift_cycles(v)[0]
     fan = cover.base.fans[v]
     ray_of = {e: vec for vec, e in fan.rays}

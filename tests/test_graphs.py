@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import cube_surface
+from tropms import chern
 from tropms.bundle import check
 from tropms.complexes import VertexFan, surface_from_cycles, validate_surface
 from tropms.covers import (
@@ -77,6 +78,17 @@ S_SLOPES = {
 }
 
 
+def lift_at(cover, v, fid, sheet):
+    """Number of the vertex lift under one sheet of a 2-cell at a vertex."""
+    x = cover.base._index
+    return cover._index.lift_of[x.corner(x.number[0][v], x.number[2][fid]) * cover.degree + sheet]
+
+
+def ids(base, dim, numbers):
+    """The ids of base cells of one dimension given by number."""
+    return frozenset(base._index.ids[dim][k] for k in numbers)
+
+
 def _edge(a, b):
     return "e" + "".join(sorted((a, b)))
 
@@ -133,7 +145,7 @@ def bipyramid_msec(branch=frozenset()):
     cover = BranchedCover(s, 2, matchings, frozenset(branch) | set(CUT), ram)
     slopes = {}
     for v in CUT:
-        corners = cover.wall_sequence(v)
+        corners = s.corners(v)
         cone = {fid: i for fid, (i, _) in s.fans[v].cones}
         cyc = cover.lift_cycles(v)[0]
         start = cone[corners[cyc[0][0]][0]]
@@ -143,8 +155,8 @@ def bipyramid_msec(branch=frozenset()):
         if v.id in CUT:
             continue
         for fid, _ in s.fans[v.id].cones:
-            l0 = cover.vertex_lift_at_face(v.id, fid, 0)
-            l1 = cover.vertex_lift_at_face(v.id, fid, 1)
+            l0 = cover._index.ids[lift_at(cover, v.id, fid, 0)]
+            l1 = cover._index.ids[lift_at(cover, v.id, fid, 1)]
             slopes[(l0, fid, 0)] = (0, 0)
             if v.id == "n":
                 slopes[(l1, fid, 1)] = HEX_SLOPES[int(fid[1:])]
@@ -165,20 +177,21 @@ def test_bipyramid_fixture_is_valid():
 
 def test_embedded_graph_rejects_dangling_edge():
     base = cube_surface()
+    number = base._index.number
     with pytest.raises(ValueError, match="outside"):
-        EmbeddedGraph(frozenset({"v000"}), frozenset({"ev000v010"}), base)
+        EmbeddedGraph(frozenset({number[0]["v000"]}), frozenset({number[1]["ev000v010"]}), base)
 
 
 def test_g0_ring():
     g = build_G0(ring())
-    assert g.vertices == frozenset(BOTTOM)
-    assert g.edges == frozenset(BOTTOM_EDGES)
+    assert ids(g.host, 0, g.vertices) == frozenset(BOTTOM)
+    assert ids(g.host, 1, g.edges) == frozenset(BOTTOM_EDGES)
     assert not g.is_empty
 
 
 def test_g0_corner_isolated_vertices():
     g = build_G0(corner())
-    assert g.vertices == frozenset({"v100", "v010", "v001", "v111"})
+    assert ids(g.host, 0, g.vertices) == frozenset({"v100", "v010", "v001", "v111"})
     assert g.edges == frozenset()
 
 
@@ -196,8 +209,8 @@ def test_minimal_cycles_ring():
 def test_minimal_cycles_whole_skeleton():
     base = cube_surface()
     g = EmbeddedGraph(
-        frozenset(v.id for v in base.vertices),
-        frozenset(e.id for e in base.edges),
+        frozenset(range(len(base.vertices))),
+        frozenset(range(len(base.edges))),
         base,
     )
     cycles = find_minimal_cycles(g)
@@ -272,20 +285,22 @@ def test_fiber_product_counts():
     msec = ring()
     fp = build_fiber_product(msec)
     assert [len(fp.of_dim(d)) for d in (0, 1, 2)] == [20, 48, 24]
-    diag = [c for c in fp.cells.values() if c.diagonal]
+    diag = [c for c in fp.cells if c.diagonal]
     by_dim = [len([c for c in diag if c.dim == d]) for d in (0, 1, 2)]
     assert by_dim == list(msec.cover.total_space_counts())
 
 
 def test_fiber_product_off_diagonal_involution():
     fp = build_fiber_product(ring())
-    off = [c for c in fp.cells.values() if not c.diagonal]
+    number = {fp.id(k): k for k in range(len(fp.cells))}
+    off = [k for k, c in enumerate(fp.cells) if not c.diagonal]
     assert len(off) == 44
-    for cell in off:
-        twin = fp.cells[pair_id(cell.b, cell.a)]
-        assert not twin.diagonal and twin.base == cell.base
+    for k in off:
+        a, b = fp.lift_ids(k)
+        twin = fp.cells[number[pair_id(b, a)]]
+        assert not twin.diagonal and twin.base == fp.cells[k].base
     # orbits under the swap match the base cells with two distinct lifts
-    orbits = {frozenset((c.a, c.b)) for c in off}
+    orbits = {frozenset(fp.lift_ids(k)) for k in off}
     assert len(orbits) == 22
 
 
@@ -293,8 +308,9 @@ def test_fiber_product_incidence_componentwise():
     msec = ring()
     fp = build_fiber_product(msec)
     cover = msec.cover
-    pe = fp.cells[pair_id("ev000v010~0", "ev000v010~1")]
-    assert pe.dim == 1 and pe.base == "ev000v010"
+    number = {fp.id(k): k for k in range(len(fp.cells))}
+    pe = fp.cells[number[pair_id("ev000v010~0", "ev000v010~1")]]
+    assert pe.dim == 1 and ids(cover.base, 1, [pe.base]) == {"ev000v010"}
     want = {
         pair_id(
             cover.vertex_lift_at_edge(v, "ev000v010", 0),
@@ -302,12 +318,13 @@ def test_fiber_product_incidence_componentwise():
         )
         for v in ("v000", "v010")
     }
-    assert set(pe.faces) == want
-    pf = fp.cells[pair_id("fz0~0", "fz0~1")]
+    assert {fp.id(pv) for pv in pe.faces} == want
+    pf_number = number[pair_id("fz0~0", "fz0~1")]
+    pf = fp.cells[pf_number]
     assert len(pf.faces) == 4
-    cyc = fp.boundary_cycle(pf.id)
+    cyc = fp.boundary_cycle(pf_number)
     assert len(cyc) == 4
-    assert {fp.cells[pv].base for pv in cyc} == set(BOTTOM)
+    assert ids(cover.base, 0, [fp.cells[pv].base for pv in cyc]) == set(BOTTOM)
     boundary_endpoints = {pv for peid in pf.faces for pv in fp.cells[peid].faces}
     assert set(cyc) == boundary_endpoints
 
@@ -318,9 +335,9 @@ def test_g0_tilde_ring():
     fp = gt.host
     assert len(gt.vertices) == 12 and len(gt.edges) == 12
     diag = {pv for pv in gt.vertices if fp.cells[pv].diagonal}
-    assert {fp.cells[pv].base for pv in diag} == set(BOTTOM)
+    assert ids(msec.cover.base, 0, [fp.cells[pv].base for pv in diag]) == set(BOTTOM)
     assert len(diag) == 8
-    off = sorted(gt.vertices - diag)
+    off = sorted(map(fp.id, gt.vertices - diag))
     assert off == [
         "v000#1|v000#0",
         "v010#1|v010#0",
@@ -362,14 +379,15 @@ def _g0_tilde_from_full_fiber_product(msec):
     """The branch-free pair graph read off the whole self fiber product."""
     fp = build_fiber_product(msec)
     branch = msec.cover.branch_vertices
+    V = msec.cover.base._index.ids[0]
     vertices = frozenset(
-        c.id
-        for c in fp.of_dim(0)
-        if c.base not in branch
+        k
+        for k, c in zip(fp.of_dim(0), fp.cells)
+        if V[c.base] not in branch
         and not difference_polytope(msec, c.base, c.a, c.b).is_empty
     )
     edges = frozenset(
-        c.id for c in fp.of_dim(1) if all(pv in vertices for pv in c.faces)
+        k for k in fp.of_dim(1) if all(pv in vertices for pv in fp.cells[k].faces)
     )
     return EmbeddedGraph(vertices, edges, fp)
 
@@ -390,8 +408,10 @@ def test_g0_tilde_over_branch_free_cells_matches_full_fiber_product(build, n_cyc
     msec = build()
     gt = build_G0_tilde(msec)
     full = _g0_tilde_from_full_fiber_product(msec)
-    assert gt.vertices == full.vertices
-    assert gt.edges == full.edges
+    # the two fiber products number their cells apart, so compare ids
+    for part in ("vertices", "edges"):
+        assert {gt.host.id(k) for k in getattr(gt, part)} == {
+            full.host.id(k) for k in getattr(full, part)}
     assert find_minimal_cycles(gt) == find_minimal_cycles(full)
     assert len(find_minimal_cycles(gt)) == n_cycles
 
@@ -399,8 +419,8 @@ def test_g0_tilde_over_branch_free_cells_matches_full_fiber_product(build, n_cyc
 def test_g0_tilde_diagonal_polytope_is_origin():
     msec = ring()
     cover = msec.cover
-    lid = cover.vertex_lift_at_face("v000", "fz0", 0)
-    poly = difference_polytope(msec, "v000", lid, lid)
+    lift = lift_at(cover, "v000", "fz0", 0)
+    poly = difference_polytope(msec, cover.base._index.number[0]["v000"], lift, lift)
     assert poly.lattice_points == frozenset({(0, 0)})
 
 
@@ -413,8 +433,8 @@ def test_general_requires_assertion():
 def test_general_class_mismatch_on_coincident_slopes():
     msec = ring()
     cover = msec.cover
-    lift = cover.vertex_lift_ids("v001")[0]
-    pos0, fid = 0, cover.wall_sequence("v001")[0][0]
+    lift = cover.computed_lifts("v001")[0][0]
+    pos0, fid = 0, cover.base.corners("v001")[0][0]
     sheets = sorted(s for i, s in cover.lift_cycles("v001")[0] if i == pos0)
     msec.slopes[(lift, fid, sheets[1])] = msec.slopes[(lift, fid, sheets[0])]
     with pytest.raises(ValueError, match="class mismatch"):
@@ -453,9 +473,9 @@ def test_general_inconclusive_on_cycles_never_not_simple():
 
 def test_general_inconclusive_on_starved_fixed_points():
     msec = bipyramid_msec()
-    n0 = msec.cover.vertex_lift_at_face("n", "t0", 0)
-    n1 = msec.cover.vertex_lift_at_face("n", "t0", 1)
-    poly = difference_polytope(msec, "n", n0, n1)
+    n0 = lift_at(msec.cover, "n", "t0", 0)
+    n1 = lift_at(msec.cover, "n", "t0", 1)
+    poly = difference_polytope(msec, msec.cover.base._index.number[0]["n"], n0, n1)
     assert poly.lattice_points == frozenset({(0, -2)})
     assert all(u not in poly for u in HEX_SLOPES)
     v = general_simplicity(msec, classify(msec), local_bundles_asserted=True)
@@ -463,6 +483,21 @@ def test_general_inconclusive_on_starved_fixed_points():
     starved = [r for r in v.reasons if r.startswith("[fixed-point-support]")]
     assert len(starved) == 1
     assert "n#0|n#1" in starved[0] and "s#0|s#1" in starved[0]
+
+
+@pytest.mark.parametrize("build, calls", [(ring, 16), (bipyramid_msec, 24)],
+                         ids=["ring", "bipyramid"])
+def test_general_criterion_computes_each_difference_polytope_once(monkeypatch, build, calls):
+    """One Newton polytope per branch-free pair vertex: the fixed-point test
+    reuses the data of the pair graph's build."""
+    msec = build()
+    tag = classify(msec)
+    seen = []
+    newton_polytope = chern.newton_polytope
+    monkeypatch.setattr(chern, "newton_polytope",
+                        lambda *args: seen.append(args) or newton_polytope(*args))
+    general_simplicity(msec, tag, local_bundles_asserted=True)
+    assert len(seen) == calls
 
 
 def test_witness_ring_trivial_gluing():
@@ -497,9 +532,9 @@ def test_witness_weight_divisor_pattern():
     for v, u in w.weights.items():
         poly = difference_polytope(
             msec,
-            v,
-            msec.cover.vertex_lift_at_face(v, "fz0", 1),
-            msec.cover.vertex_lift_at_face(v, "fz0", 0),
+            msec.cover.base._index.number[0][v],
+            lift_at(msec.cover, v, "fz0", 1),
+            lift_at(msec.cover, v, "fz0", 0),
         )
         for vec, eid in msec.cover.base.fans[v].rays:
             vals = [p[0] * vec[0] + p[1] * vec[1] for p in poly.lattice_points]

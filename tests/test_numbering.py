@@ -13,6 +13,7 @@ from tropms.complexes import VertexFan, combinatorial_dual, complex_to_text, val
 from tropms.covers import BranchedCover, validate_cover, validate_multisection
 from tropms.generators import cube2_multisection
 from tropms.gluing import bar_complex
+from tropms.graphs import build_fiber_product
 from tropms.pipeline import generate_example, load_manifest, report_to_text, run_pipeline
 
 SECTIONS = {
@@ -24,13 +25,17 @@ SECTIONS = {
 
 def recomputed(msec):
     """From the definition, on string ids: each vertex's lift ids and
-    ramification, the connectivity and cell counts of the total space, and
-    the nodes, chains and inclusions of its order complex.
+    ramification, the connectivity and cell counts of the total space, the
+    nodes, chains and inclusions of its order complex, and each cell of the
+    self fiber product as pair id -> (dimension, base cell, sorted face ids,
+    diagonal).
 
     The corners around a vertex are read off the boundary cycles and chained
     ccw from the smallest outgoing edge; a vertex lift is an orbit of (corner
     position, sheet) under crossing the wall after each corner, where an
-    edge lift meets the sheets of its first coface by the identity."""
+    edge lift meets the sheets of its first coface by the identity. A pair
+    of lifts over one base cell has as faces the pairs of their faces, read
+    off the chains, over one base face."""
     cover = msec.cover
     base, r = cover.base, cover.degree
     edge_of = {frozenset(c.faces): c.id for c in base.edges}
@@ -47,7 +52,7 @@ def recomputed(msec):
         for i, v in enumerate(cyc):
             out = edge_of[frozenset((v, cyc[(i + 1) % len(cyc)]))]
             around.setdefault(v, {})[out] = (f, edge_of[frozenset((cyc[i - 1], v))])
-    lifts, ramification, chains = {}, {}, set()
+    lifts, ramification, chains, base_of = {}, {}, set(), {}
     for v, by_out in around.items():
         walls = [min(by_out)]
         while by_out[walls[-1]][1] != walls[0]:
@@ -66,9 +71,12 @@ def recomputed(msec):
             if orbit:
                 lifts[v].append(f"{v}#{s0}")
                 blocks.append(tuple(sorted(s for i, s in orbit if i == 0)))
+                base_of[lifts[v][-1]] = v
                 for i, s in orbit:
                     f, out, inn = corners[i]
+                    base_of[f"{f}~{s}"] = f
                     for e in (out, inn):
+                        base_of[f"{e}~{lift_of(e, f, s)}"] = e
                         chains.add((lifts[v][-1], f"{e}~{lift_of(e, f, s)}", f"{f}~{s}"))
         ramification[v] = tuple(sorted(blocks))
 
@@ -84,15 +92,29 @@ def recomputed(msec):
     counts = (sum(map(len, lifts.values())), len(base.edges) * r, len(base.faces2) * r)
     nodes = sorted({x for chain in chains for x in chain})
     inclusions = {pair for v, e, f in chains for pair in ((v, e), (e, f), (v, f))}
-    return lifts, ramification, connected, counts, nodes, chains, inclusions
+
+    faces_of, over = {}, {}
+    for v, e, f in chains:
+        faces_of.setdefault(e, set()).add(v)
+        faces_of.setdefault(f, set()).add(e)
+    for lift, cell in base_of.items():
+        over.setdefault(cell, []).append(lift)
+    pairs = {}
+    for cell, over_cell in over.items():
+        for a in over_cell:
+            for b in over_cell:
+                faces = sorted(f"{fa}|{fb}" for fa in faces_of.get(a, ())
+                               for fb in faces_of.get(b, ()) if base_of[fa] == base_of[fb])
+                pairs[f"{a}|{b}"] = (base.cells[cell].dim, cell, faces, a == b)
+    return lifts, ramification, connected, counts, nodes, chains, inclusions, pairs
 
 
 @pytest.mark.parametrize("name", sorted(SECTIONS))
 def test_numbering_matches_a_walk_from_the_definition(name):
     msec = SECTIONS[name]()
     cover = msec.cover
-    lifts, ramification, connected, counts, nodes, chains, inclusions = recomputed(msec)
-    assert {v.id: cover.vertex_lift_ids(v.id) for v in cover.base.vertices} == lifts
+    lifts, ramification, connected, counts, nodes, chains, inclusions, pairs = recomputed(msec)
+    assert {v.id: [lid for lid, _ in cover.computed_lifts(v.id)] for v in cover.base.vertices} == lifts
     assert {v.id: cover.computed_ramification(v.id) for v in cover.base.vertices} == ramification
     assert cover.is_connected() is connected is True
     assert cover.total_space_counts() == counts
@@ -102,6 +124,11 @@ def test_numbering_matches_a_walk_from_the_definition(name):
     assert len(bar.chains) == len(bar.triangles) == len(chains)
     assert {tuple(bar.nodes[n] for n in edge) for edge in bar.edges} == inclusions
     assert len(bar.edges) == len(inclusions)
+    fp = build_fiber_product(msec)
+    names = cover.base._index.ids
+    assert len(fp.cells) == len(pairs)
+    assert {fp.id(k): (c.dim, names[c.dim][c.base], sorted(map(fp.id, c.faces)), c.diagonal)
+            for k, c in enumerate(fp.cells)} == pairs
 
 
 ID_FIELDS = {"id", "faces", "vertex", "edge", "face2", "cycle", "vertex_lift", "branch", "flag"}

@@ -438,8 +438,8 @@ def test_order_complex_and_kinks_computed_once_per_verdict(tmp_path, monkeypatch
     walls = [
         (lid, t)
         for v in cover.base.vertices
-        for lid, cyc in zip(cover.vertex_lift_ids(v.id), cover.lift_cycles(v.id))
-        if len(cyc) <= 2 * len(cover.wall_sequence(v.id))
+        for (lid, _), cyc in zip(cover.computed_lifts(v.id), cover.lift_cycles(v.id))
+        if len(cyc) <= 2 * len(cover.base.corners(v.id))
         for t in range(len(cyc))
     ]
     assert len(bars) == 1
