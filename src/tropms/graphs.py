@@ -62,9 +62,10 @@ class PairCell(NamedTuple):
 
 
 class FiberProductComplex(NamedTuple):
-    """Self fiber product of a branched cover over some base cells, numbered
-    dimension by dimension: the pairs over one base cell are numbered from
-    ``start[dim][base cell]`` on, a before b, a lift's pairs by b."""
+    """Self fiber product of a branched cover over some base cells. Its cells
+    are numbered dimension by dimension; the pairs (a, b) over one base cell
+    are numbered from ``start[dim][base cell]`` on, by a and then by b, each
+    counted from the cell's first lift."""
 
     cover: BranchedCover
     cells: list[PairCell]
@@ -85,7 +86,8 @@ class FiberProductComplex(NamedTuple):
         if dim == 0:
             ids = self.cover._index.ids
             return ids[a], ids[b]
-        name, lift_id = self.cover.base._index.ids[dim][base], (edge_lift_id, face_lift_id)[dim - 1]
+        name = self.cover.base._index.ids[dim][base]
+        lift_id = edge_lift_id if dim == 1 else face_lift_id
         return lift_id(name, a), lift_id(name, b)
 
     def id(self, k: int) -> str:

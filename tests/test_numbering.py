@@ -114,7 +114,8 @@ def test_numbering_matches_a_walk_from_the_definition(name):
     msec = SECTIONS[name]()
     cover = msec.cover
     lifts, ramification, connected, counts, nodes, chains, inclusions, pairs = recomputed(msec)
-    assert {v.id: [lid for lid, _ in cover.computed_lifts(v.id)] for v in cover.base.vertices} == lifts
+    computed = {v.id: [lid for lid, _ in cover.computed_lifts(v.id)] for v in cover.base.vertices}
+    assert computed == lifts
     assert {v.id: cover.computed_ramification(v.id) for v in cover.base.vertices} == ramification
     assert cover.is_connected() is connected is True
     assert cover.total_space_counts() == counts
