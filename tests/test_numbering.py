@@ -5,16 +5,54 @@ contract that fans and markers are read whenever a check runs."""
 import json
 import os
 
+from fractions import Fraction
+
 import pytest
-from conftest import tetrahedron
+from conftest import run_cli, tetrahedron
 
 from tropms import generators
-from tropms.complexes import VertexFan, combinatorial_dual, complex_to_text, validate_surface
-from tropms.covers import BranchedCover, validate_cover, validate_multisection
+from tropms.bundle import check
+from tropms.complexes import (
+    PolyhedralSurface,
+    VertexFan,
+    combinatorial_dual,
+    complex_to_text,
+    validate_surface,
+)
+from tropms.covers import (
+    BranchedCover,
+    MultiSection,
+    classify,
+    multisection_to_text,
+    parse_multisection,
+    validate_cover,
+    validate_multisection,
+)
 from tropms.generators import cube2_multisection
-from tropms.gluing import bar_complex
-from tropms.graphs import build_fiber_product
-from tropms.pipeline import generate_example, load_manifest, report_to_text, run_pipeline
+from tropms.gluing import (
+    TorusElement,
+    bar_complex,
+    coboundary_gluing,
+    gluing_to_text,
+    obstruction_class,
+    transport,
+    triple_cocycle,
+    trivial_gluing,
+    vertex_edge_flags,
+)
+from tropms.graphs import (
+    build_fiber_product,
+    endomorphism_witness,
+    general_simplicity,
+    is_simple_rank2,
+)
+from tropms.pipeline import (
+    EXIT_INVALID,
+    generate_example,
+    load_manifest,
+    report_to_text,
+    run_pipeline,
+)
 
 SECTIONS = {
     **{name: build for name, (build, _) in generators.EXAMPLES.items()},
@@ -198,3 +236,64 @@ def test_section_validation_reads_a_fan_replaced_after_numbering():
     rolled = fan.cones[1:] + fan.cones[:1]  # each 2-cell gets the next one's rays
     base.fans[v] = fan._replace(cones=tuple((f, p) for (f, _), (_, p) in zip(rolled, fan.cones)))
     assert "fan-cone-mismatch" in validate_multisection(msec).codes()
+
+
+def test_a_fanless_vertex_is_refused_where_its_rays_are_read(tmp_path):
+    """rank3-cube passes validation without the fan of fx0.00a, whose lift
+    has rank three and no kinks; a gluing element or an edge potential
+    there needs the fan, and both are refused by name."""
+    msec = generators.rank3_multisection()
+    msec.cover.base.fans.pop("fx0.00a")
+    text = multisection_to_text(msec)
+    fresh = parse_multisection(json.loads(text))  # a cover built without the fan
+    flag = min(f for f in vertex_edge_flags(fresh) if f[0] == "fx0.00a#0")
+    files = {"complex": complex_to_text(msec.cover.base), "section": text,
+             "gluing": gluing_to_text({flag: TorusElement.single((1, 0), 2)})}
+    for kind, body in files.items():
+        (tmp_path / f"fanless.{kind}.json").write_text(body, encoding="utf-8")
+    res = run_cli(["obstruction", *[a for kind in files
+                                    for a in (f"--{kind}", tmp_path / f"fanless.{kind}.json")]])
+    assert (res.exit_code, res.stderr) == (EXIT_INVALID, "error: vertex fx0.00a has no fan\n")
+    with pytest.raises(ValueError, match="^vertex fx0.00a has no fan$"):
+        coboundary_gluing(fresh, {}, {flag[1]: Fraction(2)})
+
+
+def _rotated(msec, k: int):
+    """The section on a fresh cover over a copy of its base whose fans list
+    their rays from the k-th on, with the cone indices remapped to match."""
+    base, cover = msec.cover.base, msec.cover
+    fans = {}
+    for vid, fan in base.fans.items():
+        n = len(fan.rays)
+        fans[vid] = fan._replace(rays=fan.rays[k:] + fan.rays[:k], cones=tuple(
+            (f, ((i - k) % n, (j - k) % n)) for f, (i, j) in fan.cones))
+    rotated = PolyhedralSurface(base.cells, fans, base.orientation, base.asserted)
+    assert validate_surface(rotated).ok
+    return MultiSection(BranchedCover(rotated, cover.degree, cover.edge_matchings,
+                                      cover.branch_vertices, cover.ramification, cover.lifts),
+                        msec.slopes, msec.label)
+
+
+def _fan_readings(name, msec):
+    if name == "planted":
+        verdict = is_simple_rank2(msec, classify(msec))
+        t = transport(check(msec, trivial_gluing()))
+        return verdict, [endomorphism_witness(t, cycle) for cycle in verdict.witnesses]
+    if name == "rank3-cube":
+        tag = classify(msec)
+        return tag, general_simplicity(msec, tag, local_bundles_asserted=True)
+    g = generators.seeded_coboundary_gluing(msec, 3)
+    bar = bar_complex(msec)
+    return g, obstruction_class(triple_cocycle(msec, g, bar), bar)
+
+
+@pytest.mark.parametrize("name, build", [
+    ("planted", generators.planted_multisection),
+    ("rank3-cube", generators.rank3_multisection),
+    ("cube-o1", generators.cube_o1_multisection),
+])
+def test_verdicts_do_not_depend_on_where_a_fan_starts_its_rays(name, build):
+    msec = build()
+    plain = _fan_readings(name, msec)
+    for k in (1, 2):
+        assert _fan_readings(name, _rotated(msec, k)) == plain
