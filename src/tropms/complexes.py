@@ -16,13 +16,7 @@ from collections import deque
 from typing import NamedTuple, Sequence
 
 from . import schema
-from .lattice import (
-    Vec,
-    ccw_cmp,
-    det2,
-    is_primitive,
-    standard_triple,
-)
+from .lattice import Vec, ccw_cmp, det2, is_primitive
 
 
 class Cell(NamedTuple):
@@ -88,8 +82,9 @@ class PolyhedralSurface:
 
     The topology is numbered once, on the first query: ``cells`` and
     ``orientation`` must not change after it, but for replacing a cell by one
-    with the same id, dimension and faces. Fans and singular markers are read
-    whenever a check runs, so they may be assigned or replaced at any time.
+    with the same id, dimension and faces. Validation reads the fans and
+    singular markers whenever it runs, so they may be assigned or replaced at
+    any time; a cover over the surface reads the fans once, into its index.
     """
 
     def __init__(self, cells: dict[str, Cell], fans: dict[str, VertexFan] | None = None,
@@ -365,11 +360,6 @@ def _fan_flaw(vecs: tuple[Vec, ...], cones: tuple[tuple[int, int], ...]) -> str:
     if set(cones) != {(i, (i + 1) % n) for i in range(n)} or len(cones) != n:
         return "cones do not tile the circle"
     return ""
-
-
-def check_standard_vertex(fan: VertexFan) -> bool:
-    """Three primitive rays summing to zero and pairwise lattice bases."""
-    return standard_triple([v for v, _ in fan.rays])
 
 
 def combinatorial_dual(s: PolyhedralSurface) -> PolyhedralSurface:

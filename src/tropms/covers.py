@@ -11,6 +11,7 @@ around each vertex lift, continuous across walls at lifts of rank at most two.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
 from contextlib import suppress
 from typing import NamedTuple
 
@@ -19,12 +20,11 @@ from .complexes import (
     Diagnostic,
     PolyhedralSurface,
     ValidationReport,
-    check_standard_vertex,
     complex_to_text,
     parse_complex,
     validate_surface,
 )
-from .lattice import Vec, dot, rot90
+from .lattice import Vec, dot, rot90, standard_triple
 
 SlopeKey = tuple[str, str, int]  # (vertex lift id, 2-cell id, sheet)
 
@@ -47,7 +47,8 @@ class _CoverIndex(NamedTuple):
     """The sheets of a cover numbered once over the numbers of its base. Node
     ``c * degree + s`` is sheet s at corner c; the vertex lifts are numbered
     vertex by vertex, those of one vertex by their smallest sheet at its first
-    corner, and each lift's orbit starts there and crosses the walls ccw."""
+    corner, and each lift's orbit starts there and crosses the walls ccw. The
+    fans are read here once, as the cone of each corner."""
 
     matchings: tuple[tuple[tuple[int, ...], ...], ...]  # per edge and side: lift -> sheet
     lifts: tuple[tuple[tuple[int, ...], ...], ...]  # per corner, out and in edge: sheet -> lift
@@ -57,6 +58,7 @@ class _CoverIndex(NamedTuple):
     lift_of: tuple[int, ...]  # per node: its vertex lift
     first: tuple[int, ...]  # per vertex and one more: its first lift
     ids: tuple[str, ...]  # per vertex lift: its id
+    rays: tuple[tuple[Vec, Vec] | None, ...]  # per corner: rays of its out and in edge, or no fan
 
 
 class BranchedCover:
@@ -69,7 +71,8 @@ class BranchedCover:
 
     The lifts are numbered once, on the first query, from the base's topology:
     ``degree``, ``edge_matchings`` and the base's cells and orientation must
-    not change after it. Fans and markers are read whenever a check runs.
+    not change after it. The fans are read then too, into the cone of each
+    corner: a fan replaced later is seen by validation only.
     """
 
     def __init__(self, base: PolyhedralSurface, degree: int,
@@ -86,12 +89,13 @@ class BranchedCover:
     @functools.cached_property
     def _index(self) -> _CoverIndex:
         x, r = self.base._index, self.degree
+        E = x.ids[1]
         if x.links:
             raise ValueError(next(iter(x.links.values())))
         identity = tuple(range(r))
         pairs: dict[tuple[int, ...], tuple] = {}  # matching -> (both sides, their inverses)
         matchings, inverses = [], []
-        for e, eid in enumerate(x.ids[1]):
+        for e, eid in enumerate(E):
             if len(x.sides[e]) != 2:
                 raise ValueError(f"edge {eid} has {len(x.sides[e])} cofaces")
             perm = tuple(self.edge_matchings[eid])
@@ -105,10 +109,14 @@ class BranchedCover:
             lifts.append((inverses[out][a], inverses[inn][b]))
             sheets.append((matchings[out][a], matchings[inn][b]))
         lift_of = [-1] * (len(x.corners) * r)
-        orbits, blocks, first, ids = [], [], [], []
+        orbits, blocks, first, ids, rays = [], [], [], [], []
         for v, vid in enumerate(x.ids[0]):
             first.append(len(orbits))
             c0, c1 = x.first[v], x.first[v + 1]
+            fan = self.base.fans.get(vid)
+            ray_of = {e: vec for vec, e in fan.rays} if fan else {}
+            rays += [(ray_of.get(E[out]), ray_of.get(E[inn])) if fan else None
+                     for _, out, inn in x.corners[c0:c1]]
             for s0 in range(r) if c1 > c0 else ():
                 if lift_of[c0 * r + s0] >= 0:
                     continue
@@ -125,7 +133,16 @@ class BranchedCover:
                 ids.append(f"{vid}#{s0}")
         first.append(len(orbits))
         return _CoverIndex(tuple(matchings), tuple(lifts), tuple(sheets), tuple(orbits),
-                           tuple(blocks), tuple(lift_of), tuple(first), tuple(ids))
+                           tuple(blocks), tuple(lift_of), tuple(first), tuple(ids), tuple(rays))
+
+    def cone(self, c: int) -> tuple[Vec, Vec]:
+        """The rays of the outgoing and incoming edge of corner ``c``, or
+        raise where its vertex has no fan."""
+        rays = self._index.rays[c]
+        if rays is None:
+            x = self.base._index
+            raise ValueError(f"vertex {x.ids[0][bisect_right(x.first, c) - 1]} has no fan")
+        return rays
 
     def _vertex(self, v: str) -> tuple[int, range]:
         """Number of a base vertex and the numbers of its lifts."""
@@ -195,9 +212,6 @@ class MultiSection:
         self.slopes = slopes
         self.label = label
 
-    def slope(self, lift_id: str, fid: str, sheet: int) -> Vec:
-        return self.slopes[(lift_id, fid, sheet)]
-
     @functools.cached_property
     def _slope_at(self) -> tuple[Vec | None, ...]:
         """The slope at every node of the cover, None where none is given."""
@@ -213,14 +227,14 @@ class MultiSection:
         the slope jump is no multiple of the turned wall."""
         x, cx = self.cover.base._index, self.cover._index
         out: list[int | None] = [None] * len(cx.lift_of)
-        for v, vid in enumerate(x.ids[0]):
+        for v in range(len(x.ids[0])):
             for lift in range(cx.first[v], cx.first[v + 1]):
                 cyc = cx.orbits[lift]
                 if len(cyc) > 2 * (x.first[v + 1] - x.first[v]):
                     continue
                 for t in range(len(cyc)):
                     with suppress(ValueError):
-                        out[cyc[t]] = _kink(self, vid, cx.ids[lift], cyc, t)
+                        out[cyc[t]] = _kink(self, cyc, t)
         return tuple(out)
 
 
@@ -303,34 +317,25 @@ def riemann_hurwitz_genus(n_branch: int) -> int:
     return n_branch // 2 - 1
 
 
-def _fan_ray(s: PolyhedralSurface, v: str, eid: str) -> Vec:
-    fan = s.fans.get(v)
-    if fan is None:
-        raise ValueError(f"vertex {v} has no fan")
-    for vec, e in fan.rays:
-        if e == eid:
-            return vec
-    raise ValueError(f"edge {eid} has no ray in the fan at {v}")
-
-
 def kink_sequence(msec: MultiSection, v: str, lift_id: str) -> list[tuple[str, int]]:
     """Kinks around one vertex lift, in ccw order: (wall edge, kink).
 
     The kink across a wall is the integer multiple of the quarter-turned wall
     direction by which the slope jumps.
     """
-    x, r = msec.cover.base._index, msec.cover.degree
-    cyc = msec.cover._index.orbits[msec.cover._index.ids.index(lift_id)]
-    return [(x.ids[1][x.corners[node // r][2]], _kink(msec, v, lift_id, cyc, t))
+    x, cx, r = msec.cover.base._index, msec.cover._index, msec.cover.degree
+    lifts = msec.cover._vertex(v)[1]
+    cyc = cx.orbits[cx.ids.index(lift_id, lifts.start, lifts.stop)]
+    return [(x.ids[1][x.corners[node // r][2]], _kink(msec, cyc, t))
             for t, node in enumerate(cyc)]
 
 
-def _kink(msec: MultiSection, v: str, lift_id: str, cyc, t: int) -> int:
-    """Kink across the wall after node ``t`` of the orbit ``cyc`` of a lift
-    of ``v``: the integer k such that the slope jumps by k times the
+def _kink(msec: MultiSection, cyc, t: int) -> int:
+    """Kink across the wall after node ``t`` of the orbit ``cyc`` of a vertex
+    lift: the integer k such that the slope jumps by k times the
     quarter-turned wall, or raise."""
-    x, slope_at = msec.cover.base._index, msec._slope_at
-    ray = _fan_ray(msec.cover.base, v, x.ids[1][x.corners[cyc[t] // msec.cover.degree][2]])
+    slope_at = msec._slope_at
+    ray = msec.cover.cone(cyc[t] // msec.cover.degree)[1]
     u, w = slope_at[cyc[t]], slope_at[cyc[(t + 1) % len(cyc)]]
     diff, g = (w[0] - u[0], w[1] - u[1]), rot90(ray)
     k = diff[0] // g[0] if g[0] else diff[1] // g[1] if g[1] else 0
@@ -399,8 +404,8 @@ def _branch_pair(msec: MultiSection, v: int) -> tuple[int, int] | None:
     doubles = [c for c in cycles if len(c) == 2 * k]
     if len(doubles) != 1 or any(len(c) != k for c in cycles if c is not doubles[0]):
         return None
-    fan = cover.base.fans.get(x.ids[0][v])
-    if fan is None or not check_standard_vertex(fan):
+    rays = cx.rays[x.first[v]:x.first[v + 1]]
+    if None in rays or not standard_triple([out for out, _ in rays]):
         return None
     kinks = [msec.kinks[node] for node in doubles[0]]
     if None in kinks:
@@ -461,16 +466,10 @@ def check_class_C(msec: MultiSection) -> ClassCReport:
             raise ValueError(
                 f"class check requires total ramification; vertex {v} is not"
             )
-        fan = cover.base.fans.get(v)
-        if fan is None:
-            raise ValueError(f"vertex {v} has no fan")
-        cone_rays = {f: pair for f, pair in fan.cones}
         for c in range(c0, c1):  # the one lift covers every sheet at every corner
             fid = x.ids[2][x.corners[c][0]]
             us = msec._slope_at[c * r:(c + 1) * r]
-            ia, ib = cone_rays[fid]
-            ra = fan.rays[ia][0]
-            rb = fan.rays[ib][0]
+            ra, rb = cover.cone(c)
             for a in range(r):
                 for b in range(r):
                     if a == b:
@@ -574,8 +573,7 @@ def build_double_cover(
             )
 
     slopes: dict[SlopeKey, Vec] = {}
-    for v, vid in enumerate(V):
-        ray_of = {e: vec for vec, e in s.fans[vid].rays}
+    for v in range(len(V)):
         for lift in range(cx.first[v], cx.first[v + 1]):
             cyc = cx.orbits[lift]
             if branched[v]:
@@ -584,9 +582,8 @@ def build_double_cover(
                 kinks = [m if (cyc[0] + bit[v]) % 2 == 0 else n] * len(cyc)
             u = (0, 0)
             for t, node in enumerate(cyc):
-                f, _, inn = x.corners[node // 2]
-                slopes[(cx.ids[lift], F[f], node % 2)] = u
-                g = rot90(ray_of[E[inn]])
+                slopes[(cx.ids[lift], F[x.corners[node // 2][0]], node % 2)] = u
+                g = rot90(cx.rays[node // 2][1])
                 u = (u[0] + kinks[t] * g[0], u[1] + kinks[t] * g[1])
             if u != (0, 0):
                 raise RuntimeError("kink pattern does not close up")

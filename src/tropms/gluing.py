@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import schema
 from .complexes import Diagnostic, ValidationReport
-from .covers import MultiSection, _fan_ray, edge_lift_id, face_lift_id
+from .covers import MultiSection, edge_lift_id, face_lift_id
 from .lattice import Vec, canonical_transverse, det2, dot
 
 if TYPE_CHECKING:
@@ -93,11 +93,6 @@ TRIVIAL = TorusElement()
 GluingData = dict[tuple[str, str], TorusElement]
 
 
-def split_lift_id(lid: str) -> tuple[str, int]:
-    base, _, idx = lid.rpartition("~")
-    return base, int(idx)
-
-
 # -- structure of the total space --------------------------------------------
 
 
@@ -106,13 +101,17 @@ class BarComplex(NamedTuple):
     is numbered by its place among the sorted ids, so every table is in id
     order. Edges are the inclusions, chains the full chains (vertex lift,
     edge lift, 2-cell lift) with their sides (ve, ef, vf) as edge numbers,
-    and triangles the chains with orientation signs, (v, e, f, sign)."""
+    triangles the chains with orientation signs, (v, e, f, sign), where the
+    sign is 1 when the edge lift is over the corner's outgoing edge and -1
+    when over its incoming one, and ``node`` the cover node, ``c * degree
+    + s``, that each chain lies over."""
 
     nodes: tuple[str, ...]
     edges: tuple[tuple[int, int], ...]
     chains: tuple[tuple[int, int, int], ...]
     sides: tuple[tuple[int, int, int], ...]
     triangles: tuple[tuple[int, int, int, int], ...]
+    node: tuple[int, ...]
 
     def number(self, *ids: str) -> int | None:
         """Number of the node, edge or chain given by one, two or three ids, or None."""
@@ -127,12 +126,13 @@ def _position(table: tuple, key) -> int | None:
     return i if table[i : i + 1] == (key,) else None
 
 
-def vertex_edge_flags(msec: MultiSection) -> set[tuple[str, str]]:
-    """All (vertex lift, edge lift) inclusion flags."""
+def vertex_edge_flags(msec: MultiSection) -> dict[tuple[str, str], int]:
+    """All (vertex lift, edge lift) inclusion flags, each mapped to the
+    corner that carries it: the corner whose incoming edge is the flag's."""
     cover = msec.cover
     x, cx, r = cover.base._index, cover._index, cover.degree
     return {
-        (cx.ids[cx.lift_of[c * r + cx.sheets[c][1][lift]]], edge_lift_id(x.ids[1][e], lift))
+        (cx.ids[cx.lift_of[c * r + cx.sheets[c][1][lift]]], edge_lift_id(x.ids[1][e], lift)): c
         for e, walls in enumerate(x.walls) for c in walls for lift in range(r)
     }
 
@@ -149,15 +149,15 @@ def bar_complex(msec: MultiSection) -> BarComplex:
     for i, k in enumerate(order):
         rank[k] = i
     ne, nf = len(cx.ids), len(cx.ids) + len(x.ids[1]) * r
-    signed = []  # (vertex lift, edge lift, 2-cell lift, orientation sign)
+    signed = []  # (vertex lift, edge lift, 2-cell lift, orientation sign, cover node)
     for c, (f, out, inn) in enumerate(x.corners):  # the boundary walk of f runs inn, vertex, out
         lo, li = cx.lifts[c]
         for s in range(r):
             v, flift = rank[cx.lift_of[c * r + s]], rank[nf + f * r + s]
-            signed.append((v, rank[ne + out * r + lo[s]], flift, 1))
-            signed.append((v, rank[ne + inn * r + li[s]], flift, -1))
-    signed.sort()
-    chains = tuple(dict.fromkeys([t[:3] for t in signed]))
+            signed.append((v, rank[ne + out * r + lo[s]], flift, 1, c * r + s))
+            signed.append((v, rank[ne + inn * r + li[s]], flift, -1, c * r + s))
+    signed.sort()  # a 2-cell meets a vertex at one corner, so each chain once
+    chains = tuple([t[:3] for t in signed])
     # every inclusion is a side of a chain; (a, b) is keyed a * n + b, which sorts as the pair
     n = len(names)
     ve = [v * n + e for v, e, _ in chains]
@@ -167,7 +167,8 @@ def bar_complex(msec: MultiSection) -> BarComplex:
     edge_no = dict(zip(keys, range(len(keys)))).__getitem__
     sides = zip(map(edge_no, ve), map(edge_no, ef), map(edge_no, vf))
     edges = tuple([divmod(k, n) for k in keys])
-    return BarComplex(tuple([names[k] for k in order]), edges, chains, tuple(sides), tuple(signed))
+    return BarComplex(tuple([names[k] for k in order]), edges, chains, tuple(sides),
+                      tuple([t[:4] for t in signed]), tuple([t[4] for t in signed]))
 
 
 # -- gluing data --------------------------------------------------------------
@@ -200,10 +201,6 @@ def validate_gluing(
     return ValidationReport(tuple(diags), msec.cover.base.euler_characteristic())
 
 
-def base_vertex(lift_id: str) -> str:
-    return lift_id.rpartition("#")[0]
-
-
 def coboundary_gluing(
     msec: MultiSection,
     lam_vertex: dict[str, TorusElement],
@@ -214,15 +211,16 @@ def coboundary_gluing(
     potential's chart representative is its scalar against the canonical
     generator of the edge quotient at the smaller endpoint, the inverse at the
     other."""
-    out: GluingData = {}
-    flags = [f for f in vertex_edge_flags(msec) if f[0] in lam_vertex or f[1] in lam_edge]
-    for vlift, elift in sorted(flags):
+    x, out = msec.cover.base._index, {}
+    flags = vertex_edge_flags(msec)
+    for vlift, elift in sorted(f for f in flags if f[0] in lam_vertex or f[1] in lam_edge):
         elem = lam_vertex.get(vlift, TRIVIAL)
         coeff = Fraction(lam_edge.get(elift, 1))
         if coeff != 1:
-            eid, v = split_lift_id(elift)[0], base_vertex(vlift)
-            chart = coeff if v == min(msec.cover.base.cells[eid].faces) else 1 / coeff
-            ray = _fan_ray(msec.cover.base, v, eid)
+            c = flags[vlift, elift]
+            e = x.corners[c][2]  # the flag's vertex is the end of e whose wall c is
+            chart = coeff if x.ends[e][x.walls[e].index(c)] == min(x.ends[e]) else 1 / coeff
+            ray = msec.cover.cone(c)[1]
             elem = elem * TorusElement.single(canonical_transverse(ray), 1 / chart)
         if not elem.is_trivial:
             out[(vlift, elift)] = elem
@@ -323,6 +321,7 @@ def triple_cocycle(
     mism = check_edge_kinks(msec)
     if mism:
         raise ValueError(f"edge kinks disagree between endpoints: {mism}")
+    cover, slope_at = msec.cover, msec._slope_at
     # keyed by numerator and denominator: hashing a Fraction is slow
     coefficients = {(q.numerator, q.denominator): q for e in g.values() for _, q in e.factors}
     base = _coprime_base([*coefficients.values(), *extra])
@@ -331,11 +330,12 @@ def triple_cocycle(
     exps = {key: c.vector(q) for key, q in coefficients.items()}
     values, nodes = c.values, bar.nodes
     flag = None
-    for t, (x, e, f) in enumerate(bar.chains):
+    for t, (x, e, _) in enumerate(bar.chains):
         if (x, e) != flag:  # chains are sorted: those of one flag are adjacent
             flag, elem = (x, e), g.get((nodes[x], nodes[e]))
-            if elem is not None:
-                ray = _fan_ray(msec.cover.base, base_vertex(nodes[x]), split_lift_id(nodes[e])[0])
+            if elem is not None:  # the sign says if e is the corner's outgoing or incoming edge
+                out_ray, in_ray = cover.cone(bar.node[t] // cover.degree)
+                ray = out_ray if bar.triangles[t][3] > 0 else in_ray
                 qt = canonical_transverse(ray)
                 coefficient = [0] * len(base)  # of the class against qt
                 for vec, q in elem.factors:
@@ -344,8 +344,7 @@ def triple_cocycle(
                         coefficient[i] += d * a
         if elem is None:
             continue
-        fid, sheet = split_lift_id(nodes[f])
-        n = dot(msec.slope(nodes[x], fid, sheet), qt)
+        n = dot(slope_at[bar.node[t]], qt)
         value = [n * a for a in coefficient]
         value[0] %= 2
         if any(value):
@@ -375,12 +374,9 @@ def obstruction_class(c: Cochain, bar: BarComplex) -> ObstructionReport:
     """
     one, values, sides = c.one, c.values, bar.sides
     w = [0] * len(one)
-    t = 0
-    for v, e, f, sign in bar.triangles:
-        if bar.chains[t] != (v, e, f):  # the chains come in triangle order
-            t += 1
-        if values[t] is not one:
-            for i, a in enumerate(values[t]):
+    for (_, _, _, sign), value in zip(bar.triangles, values):  # one triangle per chain
+        if value is not one:
+            for i, a in enumerate(value):
                 w[i] += sign * a
     if w[0] % 2 or any(w[1:]):
         return ObstructionReport(False, _fraction(c.base, w), None)

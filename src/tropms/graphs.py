@@ -192,23 +192,21 @@ def build_fiber_product(msec: MultiSection) -> FiberProductComplex:
 def _difference_data(
     msec: MultiSection, v: int, a: int, b: int
 ) -> tuple[CompleteFan, list[Vec], NewtonPolytope]:
-    """Fan at the vertex numbered ``v`` with the per-cone slope difference
-    of its single-sheeted lifts numbered ``a`` and ``b``, and its Newton
-    polytope."""
+    """Fan at the vertex numbered ``v``, with cone i at its i-th corner, the
+    slope difference on each cone of its single-sheeted lifts numbered ``a``
+    and ``b``, and its Newton polytope."""
     from .chern import CompleteFan, newton_polytope
 
     cover = msec.cover
-    x, cx, r = cover.base._index, cover._index, cover.degree
-    fan = cover.base.fans[x.ids[0][v]]
-    face_at = {pair[0]: x.number[2][fid] for fid, pair in fan.cones}  # cone -> 2-cell
-    slopes = []
+    x, cx, slope_at = cover.base._index, cover._index, msec._slope_at
+    corners = range(x.first[v], x.first[v + 1])
     for lift in (a, b):
-        if len(cx.orbits[lift]) != x.first[v + 1] - x.first[v]:
+        if len(cx.orbits[lift]) != len(corners):
             raise ValueError(f"lift {cx.ids[lift]} is not single-sheeted over {x.ids[0][v]}")
-        at = {x.corners[node // r][0]: msec._slope_at[node] for node in cx.orbits[lift]}
-        slopes.append([at[face_at[i]] for i in range(len(fan.rays))])
-    diff = [(q[0] - p[0], q[1] - p[1]) for p, q in zip(*slopes)]
-    cfan = CompleteFan([vec for vec, _ in fan.rays])
+    # a single-sheeted orbit has its i-th node at the vertex's i-th corner
+    diff = [(slope_at[q][0] - slope_at[p][0], slope_at[q][1] - slope_at[p][1])
+            for p, q in zip(cx.orbits[a], cx.orbits[b])]
+    cfan = CompleteFan([cover.cone(c)[0] for c in corners])
     return cfan, diff, newton_polytope(cfan, diff)
 
 
@@ -310,14 +308,6 @@ def is_simple_rank2(msec: MultiSection, tag: ClassTag, upgrade: bool = False) ->
     return Verdict("simple", (rule,), ())
 
 
-def _starved(cfan: CompleteFan, diff: list[Vec]) -> bool:
-    """Whether every cone at a pair vertex, with its fan and slope
-    differences, fails the nonvanishing test."""
-    from .chern import nonvanishing_at_fixed_point
-
-    return not any(nonvanishing_at_fixed_point(cfan, diff, i) for i in range(cfan.n_cones))
-
-
 def general_simplicity(
     msec: MultiSection, tag: ClassTag, local_bundles_asserted: bool = False
 ) -> Verdict:
@@ -354,7 +344,9 @@ def general_simplicity(
             f"{len(cycles_base)})"
         )
         witnesses.extend(cycles_pair if cycles_pair else cycles_base)
-    starved = sorted(gt.host.id(k) for k, (cfan, diff, _) in data.items() if _starved(cfan, diff))
+    # a cone's fixed point survives when its slope difference lies in the polytope
+    starved = sorted(gt.host.id(k) for k, (_, diff, poly) in data.items()
+                     if not any(d in poly for d in diff))
     if starved:
         failures.append(
             "[fixed-point-support] pair vertices where every cone fails the "
@@ -421,28 +413,22 @@ class WitnessRecord(NamedTuple):
 
 def _weight_candidates(
     msec: MultiSection,
-    v: str,
+    v: int,
     cycle_edges: set[str],
+    cfan: CompleteFan,
     diff: list[Vec],
     poly: NewtonPolytope,
 ) -> list[Vec]:
     """Lattice points of the difference polytope that stay tight on the two
-    cycle-edge rays and vanish on every other edge divisor at the vertex."""
-    fan = msec.cover.base.fans[v]
-    vecs = [vec for vec, _ in fan.rays]
-    eids = [e for _, e in fan.rays]
-    values = [dot(diff[i], vecs[i]) for i in range(len(vecs))]
-    good = []
-    for p in sorted(poly.lattice_points):
-        ok = True
-        for i, r in enumerate(vecs):
-            tight = dot(p, r) == values[i]
-            if tight != (eids[i] in cycle_edges):
-                ok = False
-                break
-        if ok:
-            good.append(p)
-    return good
+    cycle-edge rays and vanish on every other edge divisor at the vertex
+    numbered ``v``, whose difference data ``_difference_data`` gives."""
+    x = msec.cover.base._index
+    corners = x.corners[x.first[v]:x.first[v + 1]]
+    on_cycle = [x.ids[1][out] in cycle_edges for _, out, _ in corners]
+    values = [dot(d, ray) for d, ray in zip(diff, cfan.rays)]
+    return [p for p in sorted(poly.lattice_points)
+            if all((dot(p, ray) == value) == on
+                   for ray, value, on in zip(cfan.rays, values, on_cycle))]
 
 
 def endomorphism_witness(
@@ -496,8 +482,7 @@ def endomorphism_witness(
     weights = {}
     vertex_checks = []
     for v in cycle:
-        _, diff, poly = data[v]
-        cands = _weight_candidates(msec, v, cycle_edges, diff, poly)
+        cands = _weight_candidates(msec, nodes[v][0], cycle_edges, *data[v])
         if cands:
             weights[v] = cands[0]
         vertex_checks.append((v, bool(cands)))

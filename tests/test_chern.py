@@ -216,6 +216,18 @@ def test_nonvanishing_convex_case_all_true():
         assert nonvanishing_at_fixed_point(CANONICAL_FAN, tri_slopes(2), i)
 
 
+@pytest.mark.parametrize("fan, slopes", [
+    (HEX_FAN, HEX_SLOPES),
+    *[(CANONICAL_FAN, tri_slopes(k)) for k in (-1, 1, 2)],
+])
+def test_nonvanishing_is_membership_in_the_newton_polytope(fan, slopes):
+    """A cone's fixed point survives exactly when its integral slope lies in
+    the polytope, which is cut out by the same inequalities."""
+    poly = newton_polytope(fan, slopes)
+    for i, u in enumerate(slopes):
+        assert nonvanishing_at_fixed_point(fan, slopes, i) == (u in poly)
+
+
 def scan_polytope(fan, slopes, bound=24):
     """Independent membership scan: sample the function on many directions."""
     samples = [

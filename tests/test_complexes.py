@@ -6,7 +6,6 @@ from tropms.complexes import (
     Cell,
     PolyhedralSurface,
     VertexFan,
-    check_standard_vertex,
     combinatorial_dual,
     complex_to_json,
     complex_to_text,
@@ -15,7 +14,7 @@ from tropms.complexes import (
     validate_surface,
 )
 from tropms.covers import BranchedCover, validate_cover
-from tropms.lattice import canonical_transverse, det2, dot
+from tropms.lattice import canonical_transverse, det2, dot, standard_triple
 
 
 from conftest import tetrahedron
@@ -99,19 +98,19 @@ def test_fan_corner_mismatch_detected():
 
 def test_standard_vertex_examples():
     fan = tetrahedron().fans["A"]
-    assert check_standard_vertex(fan)
+    assert standard_triple([v for v, _ in fan.rays])
     alt = VertexFan(
         "x",
         (((1, 1), "a"), ((0, -1), "b"), ((-1, 0), "c")),
         (("f", (0, 1)), ("g", (1, 2)), ("h", (2, 0))),
     )
-    assert check_standard_vertex(alt)
+    assert standard_triple([v for v, _ in alt.rays])
     four = VertexFan(
         "x",
         (((1, 0), "a"), ((0, 1), "b"), ((-1, 0), "c"), ((0, -1), "d")),
         tuple((f, (i, (i + 1) % 4)) for i, f in enumerate("fghi")),
     )
-    assert not check_standard_vertex(four)
+    assert not standard_triple([v for v, _ in four.rays])
 
 
 def test_standard_vertex_unimodular_invariance():
@@ -132,7 +131,7 @@ def test_standard_vertex_unimodular_invariance():
             tuple((v, f"e{i}") for i, v in enumerate(img)),
             tuple((f"f{i}", (i, (i + 1) % 3)) for i in range(3)),
         )
-        assert check_standard_vertex(fan)
+        assert standard_triple([v for v, _ in fan.rays])
 
 
 def test_canonical_transverse_frozen():

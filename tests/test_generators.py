@@ -284,7 +284,7 @@ def test_rank3_slope_table_applied_per_cone():
     fan = base.fans[v]
     for fid, (i, _) in fan.cones:
         for sheet in range(3):
-            assert msec.slope(f"{v}#0", fid, sheet) == RANK3_SLOPE_TABLE[i][sheet]
+            assert msec.slopes[(f"{v}#0", fid, sheet)] == RANK3_SLOPE_TABLE[i][sheet]
     table_values = {u for row in RANK3_SLOPE_TABLE for u in row}
     assert set(msec.slopes.values()) == table_values
 

@@ -64,9 +64,10 @@ SECTIONS = {
 def recomputed(msec):
     """From the definition, on string ids: each vertex's lift ids and
     ramification, the connectivity and cell counts of the total space, the
-    nodes, chains and inclusions of its order complex, and each cell of the
+    nodes, chains and inclusions of its order complex, each cell of the
     self fiber product as pair id -> (dimension, base cell, sorted face ids,
-    diagonal).
+    diagonal), and the cone of each corner, vertex by vertex in id order, as
+    the fan's rays on its outgoing and incoming edge, None without a fan.
 
     The corners around a vertex are read off the boundary cycles and chained
     ccw from the smallest outgoing edge; a vertex lift is an orbit of (corner
@@ -90,12 +91,14 @@ def recomputed(msec):
         for i, v in enumerate(cyc):
             out = edge_of[frozenset((v, cyc[(i + 1) % len(cyc)]))]
             around.setdefault(v, {})[out] = (f, edge_of[frozenset((cyc[i - 1], v))])
-    lifts, ramification, chains, base_of = {}, {}, set(), {}
-    for v, by_out in around.items():
+    lifts, ramification, chains, base_of, cones = {}, {}, set(), {}, []
+    for v, by_out in sorted(around.items()):
         walls = [min(by_out)]
         while by_out[walls[-1]][1] != walls[0]:
             walls.append(by_out[walls[-1]][1])
         corners = [(by_out[e][0], e, by_out[e][1]) for e in walls]
+        ray = {e: vec for vec, e in base.fans[v].rays} if v in base.fans else None
+        cones += [ray and (ray[out], ray[inn]) for _, out, inn in corners]
         k, seen = len(corners), set()
         lifts[v], blocks = [], []
         for s0 in range(r):
@@ -144,14 +147,15 @@ def recomputed(msec):
                 faces = sorted(f"{fa}|{fb}" for fa in faces_of.get(a, ())
                                for fb in faces_of.get(b, ()) if base_of[fa] == base_of[fb])
                 pairs[f"{a}|{b}"] = (base.cells[cell].dim, cell, faces, a == b)
-    return lifts, ramification, connected, counts, nodes, chains, inclusions, pairs
+    return lifts, ramification, connected, counts, nodes, chains, inclusions, pairs, cones
 
 
 @pytest.mark.parametrize("name", sorted(SECTIONS))
 def test_numbering_matches_a_walk_from_the_definition(name):
     msec = SECTIONS[name]()
     cover = msec.cover
-    lifts, ramification, connected, counts, nodes, chains, inclusions, pairs = recomputed(msec)
+    (lifts, ramification, connected, counts, nodes, chains, inclusions, pairs,
+     cones) = recomputed(msec)
     computed = {v.id: [lid for lid, _ in cover.computed_lifts(v.id)] for v in cover.base.vertices}
     assert computed == lifts
     assert {v.id: cover.computed_ramification(v.id) for v in cover.base.vertices} == ramification
@@ -168,6 +172,21 @@ def test_numbering_matches_a_walk_from_the_definition(name):
     assert len(fp.cells) == len(pairs)
     assert {fp.id(k): (c.dim, names[c.dim][c.base], sorted(map(fp.id, c.faces)), c.diagonal)
             for k, c in enumerate(fp.cells)} == pairs
+    assert list(cover._index.rays) == cones and None not in cones
+
+
+def test_a_vertex_without_a_fan_has_no_cones():
+    msec = cube2_multisection()
+    fans = dict(msec.cover.base.fans)
+    v = min(fans)
+    del fans[v]
+    fanless = _refanned(msec, fans)
+    cones = recomputed(fanless)[-1]
+    assert list(fanless.cover._index.rays) == cones
+    x = fanless.cover.base._index
+    n = x.number[0][v]
+    corners = range(x.first[n], x.first[n + 1])
+    assert [c for c, cone in enumerate(cones) if cone is None] == list(corners)
 
 
 ID_FIELDS = {"id", "faces", "vertex", "edge", "face2", "cycle", "vertex_lift", "branch", "flag"}
@@ -258,20 +277,25 @@ def test_a_fanless_vertex_is_refused_where_its_rays_are_read(tmp_path):
         coboundary_gluing(fresh, {}, {flag[1]: Fraction(2)})
 
 
-def _rotated(msec, k: int):
-    """The section on a fresh cover over a copy of its base whose fans list
-    their rays from the k-th on, with the cone indices remapped to match."""
+def _refanned(msec, fans):
+    """The section on a fresh cover over a copy of its base with ``fans``."""
     base, cover = msec.cover.base, msec.cover
+    copy = PolyhedralSurface(base.cells, fans, base.orientation, base.asserted)
+    assert validate_surface(copy).ok
+    return MultiSection(BranchedCover(copy, cover.degree, cover.edge_matchings,
+                                      cover.branch_vertices, cover.ramification, cover.lifts),
+                        msec.slopes, msec.label)
+
+
+def _rotated(msec, k: int):
+    """The section on a fresh cover whose fans list their rays from the
+    k-th on, with the cone indices remapped to match."""
     fans = {}
-    for vid, fan in base.fans.items():
+    for vid, fan in msec.cover.base.fans.items():
         n = len(fan.rays)
         fans[vid] = fan._replace(rays=fan.rays[k:] + fan.rays[:k], cones=tuple(
             (f, ((i - k) % n, (j - k) % n)) for f, (i, j) in fan.cones))
-    rotated = PolyhedralSurface(base.cells, fans, base.orientation, base.asserted)
-    assert validate_surface(rotated).ok
-    return MultiSection(BranchedCover(rotated, cover.degree, cover.edge_matchings,
-                                      cover.branch_vertices, cover.ramification, cover.lifts),
-                        msec.slopes, msec.label)
+    return _refanned(msec, fans)
 
 
 def _fan_readings(name, msec):

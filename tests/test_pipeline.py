@@ -443,5 +443,6 @@ def test_order_complex_and_kinks_computed_once_per_verdict(tmp_path, monkeypatch
         for t in range(len(cyc))
     ]
     assert len(bars) == 1
-    assert walls and sorted((lid, t) for _, _, lid, _, t in kinks) == sorted(walls)
+    ids, lift_of = cover._index.ids, cover._index.lift_of
+    assert walls and sorted((ids[lift_of[cyc[0]]], t) for _, cyc, t in kinks) == sorted(walls)
     assert sequences == []
