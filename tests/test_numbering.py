@@ -1,10 +1,11 @@
 """The numbered surface and cover against a recomputation from the
-definition on string ids, a renaming that keeps the order of ids, and the
-contract that fans and markers are read whenever a check runs."""
+definition on string ids, a renaming that keeps the order of ids, the
+contract that validation reads fans and markers on every run while a cover
+reads the fans once, and the readers of a fan at a vertex without one or
+with its rays listed from another ray."""
 
 import json
 import os
-
 from fractions import Fraction
 
 import pytest
@@ -226,9 +227,9 @@ def test_order_preserving_renaming_keeps_the_report(tmp_path, name):
 
 
 def test_fans_and_markers_are_read_after_numbering():
-    """The index holds topology only: a fan assigned after the first corner
-    query, and a cell whose markers are replaced as the generators mark
-    cells, are what later checks read."""
+    """The surface index holds topology only: a fan assigned after the first
+    corner query, and a cell whose markers are replaced as the generators
+    mark cells, are what later validation reads."""
     s = tetrahedron()  # its fans were assigned from the corners, so it is numbered
     assert validate_surface(s).ok
     good = s.fans["A"]
@@ -266,12 +267,13 @@ def test_a_fanless_vertex_is_refused_where_its_rays_are_read(tmp_path):
     text = multisection_to_text(msec)
     fresh = parse_multisection(json.loads(text))  # a cover built without the fan
     flag = min(f for f in vertex_edge_flags(fresh) if f[0] == "fx0.00a#0")
-    files = {"complex": complex_to_text(msec.cover.base), "section": text,
-             "gluing": gluing_to_text({flag: TorusElement.single((1, 0), 2)})}
-    for kind, body in files.items():
-        (tmp_path / f"fanless.{kind}.json").write_text(body, encoding="utf-8")
-    res = run_cli(["obstruction", *[a for kind in files
-                                    for a in (f"--{kind}", tmp_path / f"fanless.{kind}.json")]])
+    args = ["obstruction"]
+    for kind, body in (("complex", complex_to_text(msec.cover.base)), ("section", text),
+                       ("gluing", gluing_to_text({flag: TorusElement.single((1, 0), 2)}))):
+        path = tmp_path / f"fanless.{kind}.json"
+        path.write_text(body, encoding="utf-8")
+        args += [f"--{kind}", path]
+    res = run_cli(args)
     assert (res.exit_code, res.stderr) == (EXIT_INVALID, "error: vertex fx0.00a has no fan\n")
     with pytest.raises(ValueError, match="^vertex fx0.00a has no fan$"):
         coboundary_gluing(fresh, {}, {flag[1]: Fraction(2)})
