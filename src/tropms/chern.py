@@ -136,23 +136,20 @@ class PiecewisePoly(_Piecewise):
         )
 
 
+def _meet(a: Vec, b: Vec, p: int, q: int) -> tuple[Fraction, Fraction]:
+    """The u with dot(u, a) = p and dot(u, b) = q, by Cramer's rule."""
+    d = det2(a, b)
+    return Fraction(det2((p, q), (a[1], b[1])), d), Fraction(det2((a[0], b[0]), (p, q)), d)
+
+
 def ray_class(fan: CompleteFan, ray_index: int) -> PiecewisePoly:
     """Piecewise linear class of the divisor at one ray: value 1 on that ray,
     0 on every other ray, linear on each cone."""
-    n = fan.n_cones
     target = fan.rays[ray_index]
     parts = []
-    for i in range(n):
+    for i in range(fan.n_cones):
         ra, rb = fan.cone_rays(i)
-        if target == ra:
-            rhs = (1, 0)
-        elif target == rb:
-            rhs = (0, 1)
-        else:
-            parts.append(Poly())
-            continue
-        sol = solve_linear([[ra[0], ra[1]], [rb[0], rb[1]]], rhs)
-        parts.append(linear_form(sol))
+        parts.append(linear_form(_meet(ra, rb, int(target == ra), int(target == rb))))
     return PiecewisePoly(fan, tuple(parts))
 
 
@@ -258,14 +255,16 @@ def forgetful(p: PiecewisePoly) -> CohomologyClass:
     h0 = consts[0]
 
     lin = p.homogeneous_part(1)
-    rhs = [_coef(lin.parts[cone], *e) for cone in range(3) for e in _LINEAR]
-    h1 = sum(solve_linear(linear, rhs), Fraction(0))
-
+    rhs1 = [_coef(lin.parts[cone], *e) for cone in range(3) for e in _LINEAR]
     quad = p.homogeneous_part(2)
-    rhs = [_coef(quad.parts[cone], *e) for cone in range(3) for e in _QUADRATIC]
-    h2 = sum(solve_linear(quadratic, rhs), Fraction(0))
-
-    return CohomologyClass(h0, h1, h2)
+    rhs2 = [_coef(quad.parts[cone], *e) for cone in range(3) for e in _QUADRATIC]
+    try:  # a system without a unique solution is a fault of this module, not of the input
+        (x1,), (x2,) = solve_linear(linear, [rhs1]), solve_linear(quadratic, [rhs2])
+    except ValueError as err:
+        raise RuntimeError(f"forgetful system: {err}") from err
+    if x1 is None or x2 is None:
+        raise RuntimeError("forgetful system is inconsistent")
+    return CohomologyClass(h0, sum(x1, Fraction(0)), sum(x2, Fraction(0)))
 
 
 def total_chern(m: int, n: int) -> CohomologyClass:
@@ -363,10 +362,7 @@ def newton_polytope(fan: CompleteFan, slopes: Sequence[Vec]) -> NewtonPolytope:
         for j in range(i + 1, len(rays)):
             if det2(rays[i], rays[j]) == 0:
                 continue
-            sol = solve_linear(
-                [[rays[i][0], rays[i][1]], [rays[j][0], rays[j][1]]],
-                [values[i], values[j]],
-            )
+            sol = _meet(rays[i], rays[j], values[i], values[j])
             if feasible(sol):
                 corners.append(sol)
     if not corners:

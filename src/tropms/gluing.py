@@ -492,16 +492,18 @@ def transport(b: Bundle, k: Cochain | None = None) -> Transport:
 def transport_ratios(t: Transport, cycle: list[str], sigma: str) -> list[tuple[str, Fraction]]:
     """Sheet-comparison ratio on each edge of a cycle bounding a 2-cell:
     (edge id, ratio) in cycle order."""
-    cover = t.msec.cover
-    x, cx, r = cover.base._index, cover._index, cover.degree
+    cover, bar = t.msec.cover, t.bar
+    x, r = cover.base._index, cover.degree
     f = x.number[2][sigma]
+    # the chain over each cover node and its corner's outgoing (1) or incoming (-1) edge
+    chain = {(node, tri[3]): k for k, (node, tri) in enumerate(zip(bar.node, bar.triangles))}
 
     def t_value(v: str, e: int, sheet: int) -> Fraction:
-        # the lifts over v, e and sigma under one sheet of sigma, named as the bar's nodes are
-        vlift = cx.ids[cx.lift_of[x.corner(x.number[0][v], f) * r + sheet]]
-        elift = edge_lift_id(x.ids[1][e], cx.matchings[e][x.sides[e].index(f)].index(sheet))
-        c = t.c.values[t.bar.number(vlift, elift, face_lift_id(sigma, sheet))]
-        return _fraction(t.c.base, c) / _fraction(t.k.base, t.k.values[t.bar.number(vlift, elift)])
+        # the chain over v, e and sigma under one sheet of sigma, and its vertex-edge side
+        c = x.corner(x.number[0][v], f)
+        k = chain[c * r + sheet, 1 if x.corners[c][1] == e else -1]
+        value, side = t.c.values[k], t.k.values[bar.sides[k][0]]
+        return _fraction(t.c.base, value) / _fraction(t.k.base, side)
 
     out = []
     n = len(cycle)

@@ -194,8 +194,8 @@ def _difference_data(
 ) -> tuple[CompleteFan, list[Vec], NewtonPolytope]:
     """Fan at the vertex numbered ``v``, with cone i at its i-th corner, the
     slope difference on each cone of its single-sheeted lifts numbered ``a``
-    and ``b``, and its Newton polytope."""
-    from .chern import CompleteFan, newton_polytope
+    and ``b``, and its Newton polytope: the origin when a is b."""
+    from .chern import CompleteFan, NewtonPolytope, newton_polytope
 
     cover = msec.cover
     x, cx, slope_at = cover.base._index, cover._index, msec._slope_at
@@ -207,6 +207,8 @@ def _difference_data(
     diff = [(slope_at[q][0] - slope_at[p][0], slope_at[q][1] - slope_at[p][1])
             for p, q in zip(cx.orbits[a], cx.orbits[b])]
     cfan = CompleteFan([cover.cone(c)[0] for c in corners])
+    if a == b:  # the difference is zero
+        return cfan, diff, NewtonPolytope(frozenset({(0, 0)}), ((0, 0),))
     return cfan, diff, newton_polytope(cfan, diff)
 
 

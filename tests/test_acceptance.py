@@ -4,6 +4,7 @@ self-contained, uses exact arithmetic throughout, and asserts its own
 wall-clock budget.
 """
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -47,6 +48,7 @@ from tropms.graphs import (
     general_simplicity,
     is_simple_rank2,
 )
+from tropms.lattice import det2, solve_linear
 from tropms.laurent import (
     verify_cocycle,
     verify_constant_independence,
@@ -246,63 +248,22 @@ def test_obstruction_solver_on_random_cochains():
     assert elapsed < 30.0, f"took {elapsed:.2f}s"
 
 
-def _consistent(rows, rhs) -> list[bool]:
-    """Gaussian elimination over the rationals of sparse ``rows`` with
-    several right-hand sides, ``rhs[row][j]``: whether each right-hand side
-    j is in the span of the columns."""
-    rows = [dict(r) for r in rows]
-    rhs = [list(r) for r in rhs]
-    holding: dict[int, set[int]] = {}  # column -> rows with an entry there
-    for i, r in enumerate(rows):
-        for col in r:
-            holding.setdefault(col, set()).add(i)
-    pivoted = set()
-    for col in sorted(holding):
-        candidates = sorted(holding[col] - pivoted)
-        if not candidates:
-            continue
-        p = candidates[0]
-        pivoted.add(p)
-        for i in candidates[1:]:
-            f = rows[i][col] / rows[p][col]
-            for c2, a in rows[p].items():
-                v = rows[i].get(c2, 0) - f * a
-                if v:
-                    rows[i][c2] = v
-                    holding[c2].add(i)
-                else:
-                    rows[i].pop(c2, None)
-                    holding[c2].discard(i)
-            rhs[i] = [a - f * b if b else a for a, b in zip(rhs[i], rhs[p])]
-    out = [True] * len(rhs[0])
-    for i in set(range(len(rows))) - pivoted:  # rows reduced to zero
-        for j, v in enumerate(rhs[i]):
-            out[j] = out[j] and v == 0
-    return out
-
-
 def test_obstruction_solver_agrees_with_elimination():
     """The solver's verdict on each cochain of the solver test agrees with
-    exact rational elimination of the coboundary on exponent rows, one base
-    element at a time, and with the signed exponent sum; under ten seconds.
-
-    lattice.solve_linear is dense, one right-hand side at a time (1.4 s on
-    cube2), so the same gauged system is eliminated here sparsely, with the
-    exponent row of every base element of every cochain as a right-hand side.
-    """
+    lattice.solve_linear on the coboundary gauged on a spanning tree of the
+    chains, given the exponent row of every base element of every cochain as
+    a right-hand side in one call, and with the signed exponent sum; under
+    ten seconds."""
     start = time.monotonic()
     msec = cube2_multisection()
     bar = bar_complex(msec)
     cochains = [triple_cocycle(msec, g, bar) for g, _ in _solver_gluings(msec, bar)]
     columns = [(n, i) for n, c in enumerate(cochains) for i in range(1, len(c.base))]
     assert all(v[0] == 0 for c in cochains for v in c.values)  # no negative value
-    rhs = [
-        [Fraction(cochains[n].values[t][i]) for n, i in columns]
-        for t in range(len(bar.chains))
-    ]
+    rhs = [[v[i] for v in cochains[n].values] for n, i in columns]
     bounds = [True] * len(cochains)
-    for (n, _), ok in zip(columns, _consistent(tree_gauged_rows(bar), rhs)):
-        bounds[n] = bounds[n] and ok
+    for (n, _), x in zip(columns, solve_linear(tree_gauged_rows(bar), rhs)):
+        bounds[n] = bounds[n] and x is not None
     assert bounds.count(False) == 20
     number = {chain: t for t, chain in enumerate(bar.chains)}
     orientation = [0] * len(bar.chains)
@@ -357,16 +318,46 @@ def _random_continuous_slopes(fan, rng):
             return u
 
 
+def _random_fan_and_slopes(rng):
+    """A complete fan of 3 to 6 primitive rays with coordinates in [-2, 2],
+    and integer slopes in [-4, 4]^2 continuous across every ray: values at
+    the rays up to 3 above a linear function, so some ray cuts the polytope
+    short of its neighbours, and each cone's slope found by scanning the
+    box for the point that takes them."""
+    pool = [(x, y) for x in range(-2, 3) for y in range(-2, 3) if math.gcd(x, y) == 1]
+    while True:
+        rays = sorted(rng.sample(pool, rng.randint(3, 6)), key=lambda r: math.atan2(r[1], r[0]))
+        n = len(rays)
+        if any(rays[i][0] * rays[(i + 1) % n][1] - rays[i][1] * rays[(i + 1) % n][0] <= 0
+               for i in range(n)):
+            continue  # a cone of angle pi or more: not complete
+        u = (rng.randint(-4, 4), rng.randint(-4, 4))
+        values = [u[0] * x + u[1] * y + rng.randint(0, 3) for x, y in rays]
+        slopes = []
+        for i in range(n):
+            (ax, ay), (bx, by) = rays[i], rays[(i + 1) % n]
+            slopes += [(x, y) for x in range(-4, 5) for y in range(-4, 5)
+                       if x * ax + y * ay == values[i] and x * bx + y * by == values[(i + 1) % n]]
+        if len(slopes) == n:
+            return CompleteFan(rays), slopes
+
+
 def test_newton_polytope_against_box_scan():
     """Newton polytope lattice points agree with an exhaustive bounding-box
-    scan for 100 random continuous piecewise linear functions with slopes in
-    [-4, 4]^2; under ten seconds."""
+    scan for 200 random continuous piecewise linear functions with slopes in
+    [-4, 4]^2: 100 on the canonical and square fans, and 100 on random
+    complete fans, where two rays spanning a cone of determinant 2 or more
+    put polytope corners off the lattice; under ten seconds."""
     start = time.monotonic()
     square_fan = CompleteFan([(1, 0), (0, 1), (-1, 0), (0, -1)])
     rng = random.Random(88)
-    for trial in range(100):
-        fan = CANONICAL_FAN if trial % 2 == 0 else square_fan
-        slopes = _random_continuous_slopes(fan, rng)
+    fans = (CANONICAL_FAN, square_fan)
+    cases = [(fans[t % 2], _random_continuous_slopes(fans[t % 2], rng)) for t in range(100)]
+    cases += [_random_fan_and_slopes(rng) for _ in range(100)]
+    wide = sum(any(abs(det2(*fan.cone_rays(i))) >= 2 for i in range(fan.n_cones))
+               for fan, _ in cases[100:])
+    assert wide >= 50, wide
+    for fan, slopes in cases:
         poly = newton_polytope(fan, slopes)
         scan = set()
         for x in range(-8, 9):

@@ -445,6 +445,22 @@ def test_chern():
     }
 
 
+@pytest.mark.parametrize("linear, cause", [
+    ([[1, 1, 0]] * 6, "dependent columns"),
+    ([[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1], [0, 0, 1]], "inconsistent"),
+], ids=["singular", "inconsistent"])
+def test_chern_broken_forgetful_system_is_internal(monkeypatch, linear, cause):
+    """A forgetful system without a unique solution is a fault of the
+    program, not of its input: exit 3, not 2."""
+    from tropms import chern
+
+    quadratic = chern._forgetful_basis()[1]
+    monkeypatch.setattr(chern, "_forgetful_basis", lambda: (linear, quadratic))
+    res = invoke("chern", "--m", 2, "--n", 1)
+    assert res.exit_code == EXIT_INTERNAL
+    assert res.stderr.startswith("internal error: forgetful system") and cause in res.stderr
+
+
 def test_newton_lexicographic_points(tmp_path):
     path = tmp_path / "slopes.json"
     path.write_text(json.dumps({"slopes": [[0, 0], [1, 0], [0, 1]]}))
