@@ -41,18 +41,22 @@ class Invalid(ValueError):
 
 def check(msec: MultiSection, gluing: GluingData | None = None, flags=frozenset()) -> Bundle:
     """Validate a section, then its gluing data on the order complex of its
-    total space; raise ``Invalid`` unless both are valid."""
+    total space and the kinks its edge potentials need to agree; raise
+    ``Invalid`` unless all hold."""
     rep = validate_multisection(msec)
     if not rep.ok:
         raise Invalid("multi-section is invalid", rep.diagnostics)
     bar = None
     if gluing is not None:
-        from .gluing import bar_complex, validate_gluing
+        from .gluing import bar_complex, check_edge_kinks, validate_gluing
 
         bar = bar_complex(msec)
-        rep = validate_gluing(msec, gluing, bar)
-        if not rep.ok:
-            raise Invalid("gluing data invalid", rep.diagnostics)
+        diags = validate_gluing(msec, gluing, bar).diagnostics + tuple(
+            Diagnostic("gluing-kink-mismatch", f"edge lift {e}: kinks disagree between endpoints")
+            for e in check_edge_kinks(msec)
+        )
+        if diags:
+            raise Invalid("gluing data invalid", diags)
     return Bundle(msec, gluing, bar, frozenset(flags))
 
 

@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .lattice import Vec, ccw_cmp, det2, dot, is_primitive, solve_linear
+from .lattice import Vec, det2, dot, fan_flaw, solve_linear
 from .laurent import LaurentPoly
 
 Poly = LaurentPoly  # exponent slot 0 is xi1, slot 1 is xi2; exponents stay >= 0
@@ -20,26 +20,11 @@ class CompleteFan:
     order, with the two-dimensional cones spanned by consecutive rays."""
 
     def __init__(self, rays: Sequence[Vec]):
-        rays = [tuple(int(c) for c in r) for r in rays]
-        if len(rays) < 3:
-            raise ValueError("a complete fan needs at least three rays")
-        for r in rays:
-            if not is_primitive(r):
-                raise ValueError(f"ray {r} is not primitive")
-        if len(set(rays)) != len(rays):
-            raise ValueError("repeated ray")
-        for i, r in enumerate(rays):
-            s = rays[(i + 1) % len(rays)]
-            if det2(r, s) <= 0:
-                raise ValueError(f"rays {r}, {s} are not in counterclockwise position")
-        descents = sum(
-            1
-            for i in range(len(rays))
-            if ccw_cmp(rays[i], rays[(i + 1) % len(rays)]) > 0
-        )
-        if descents != 1:
-            raise ValueError("rays wind around the origin more than once")
-        self.rays: tuple[Vec, ...] = tuple(rays)
+        rays = tuple([tuple(int(c) for c in r) for r in rays])
+        flaw = fan_flaw(rays)
+        if flaw:
+            raise ValueError(f"fan {list(rays)} {flaw}")
+        self.rays: tuple[Vec, ...] = rays
 
     @property
     def n_cones(self) -> int:

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import functools
 import json
-from collections import deque
 from typing import NamedTuple, Sequence
 
 from . import schema
-from .lattice import Vec, ccw_cmp, det2, is_primitive
+from .lattice import Vec, fan_flaw
 
 
 class Cell(NamedTuple):
@@ -351,12 +350,9 @@ def _fan_flaw(vecs: tuple[Vec, ...], cones: tuple[tuple[int, int], ...]) -> str:
     """What keeps rays, and cones given as pairs of ray indices, from forming
     a complete fan; empty if nothing does. Fans of one shape are checked once."""
     n = len(vecs)
-    if any(not is_primitive(vec) for vec in vecs):
-        return "has a non-primitive ray"
-    ok_order = all(det2(vecs[i], vecs[(i + 1) % n]) > 0 for i in range(n))
-    descents = sum(1 for i in range(n) if ccw_cmp(vecs[i], vecs[(i + 1) % n]) > 0)
-    if not ok_order or descents != 1:
-        return "rays do not sweep one full turn"
+    flaw = fan_flaw(vecs)
+    if flaw:
+        return flaw
     if set(cones) != {(i, (i + 1) % n) for i in range(n)} or len(cones) != n:
         return "cones do not tile the circle"
     return ""
@@ -420,48 +416,6 @@ def surface_from_cycles(
         cells[fid] = Cell(fid, 2, es)
         orientation[fid] = tuple(cyc)
     return PolyhedralSurface(cells, {}, orientation, dict(asserted or {}))
-
-
-def orient_cycles(
-    face_cycles: dict[str, tuple[str, ...]]
-) -> dict[str, tuple[str, ...]]:
-    """Flip whole boundary cycles until every shared edge is traversed once in
-    each direction; breadth-first from the lexicographically smallest face id.
-
-    Works on any orientable closed complex; an inconsistent input surfaces
-    later as a validation failure, not here.
-    """
-    users: dict[frozenset, list[str]] = {}
-    for fid, cyc in face_cycles.items():
-        for i, v in enumerate(cyc):
-            users.setdefault(frozenset((v, cyc[(i + 1) % len(cyc)])), []).append(fid)
-    out = {}
-    flip = {}
-    queue = deque()
-    for start in sorted(face_cycles):
-        if start in flip:
-            continue
-        flip[start] = False
-        queue.append(start)
-        while queue:
-            fid = queue.popleft()
-            cyc = face_cycles[fid]
-            if flip[fid]:
-                cyc = tuple(reversed(cyc))
-            out[fid] = tuple(cyc)
-            for i, v in enumerate(cyc):
-                w = cyc[(i + 1) % len(cyc)]
-                for other in users[frozenset((v, w))]:
-                    if other == fid or other in flip:
-                        continue
-                    ocyc = face_cycles[other]
-                    same = any(
-                        (ocyc[j], ocyc[(j + 1) % len(ocyc)]) == (v, w)
-                        for j in range(len(ocyc))
-                    )
-                    flip[other] = same  # same direction means it must flip
-                    queue.append(other)
-    return out
 
 
 # -- serialization ------------------------------------------------------------

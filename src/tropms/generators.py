@@ -33,7 +33,6 @@ from .complexes import (
     PolyhedralSurface,
     VertexFan,
     combinatorial_dual,
-    orient_cycles,
     surface_from_cycles,
     validate_surface,
 )
@@ -237,7 +236,9 @@ def planted_multisection() -> MultiSection:
 
 def _simplex5_triangles() -> dict[str, tuple[str, ...]]:
     """Standard triangulation of each of the four facets of the dilated
-    3-simplex, consistently oriented."""
+    3-simplex, consistently oriented: facet zi enters the boundary of the
+    simplex with sign (-1)^zi, so the triangles of the odd facets are
+    listed reversed."""
 
     def qid(c):
         return "q" + "".join(str(x) for x in c)
@@ -245,6 +246,7 @@ def _simplex5_triangles() -> dict[str, tuple[str, ...]]:
     tris = {}
     for zi in range(4):
         rest = [j for j in range(4) if j != zi]
+        step = (-1) ** zi
 
         def pt(x, y, z):
             c = [0, 0, 0, 0]
@@ -256,14 +258,14 @@ def _simplex5_triangles() -> dict[str, tuple[str, ...]]:
                 z = 4 - x - y
                 tris[f"f{zi}.u{x}{y}{z}"] = (
                     pt(x + 1, y, z), pt(x, y + 1, z), pt(x, y, z + 1),
-                )
+                )[::step]
         for x in range(4):
             for y in range(4 - x):
                 z = 3 - x - y
                 tris[f"f{zi}.d{x}{y}{z}"] = (
                     pt(x, y + 1, z + 1), pt(x + 1, y, z + 1), pt(x + 1, y + 1, z),
-                )
-    return orient_cycles(tris)
+                )[::step]
+    return tris
 
 
 def simplex5_base() -> PolyhedralSurface:
@@ -309,23 +311,21 @@ def planted_triangle_multisection() -> MultiSection:
 
 def _gf3_edge_voltages(s: PolyhedralSurface) -> dict[str, int]:
     """Cyclic-shift exponents making the corner walk rotate sheets by one at
-    every vertex; crossing a wall with the lexicographically first coface on
-    the near side adds the exponent, the reverse crossing subtracts it."""
-    eids = sorted(e.id for e in s.edges)
-    eidx = {e: i for i, e in enumerate(eids)}
-    n = len(eids)
+    every vertex; crossing a wall with its first coface, in id order, on the
+    near side adds the exponent, the reverse crossing subtracts it."""
+    x = s._index
+    n = len(x.ids[1])
     pivots: dict[int, list[int]] = {}
-    for v in s.vertices:
+    for v in range(len(x.ids[0])):
         row = [0] * (n + 1)
-        for f_here, _, wall in s.corners(v.id):
-            first = s.cofaces(wall)[0]
-            sign = 1 if f_here == first else -1
-            row[eidx[wall]] = (row[eidx[wall]] + sign) % 3
+        for f, _, wall in x.corners[x.first[v]:x.first[v + 1]]:
+            sign = 1 if f == x.sides[wall][0] else -1
+            row[wall] = (row[wall] + sign) % 3
         row[n] = 1
         for c, prow in pivots.items():
             if row[c]:
                 mult = row[c] * pow(prow[c], -1, 3) % 3
-                row = [(x - mult * y) % 3 for x, y in zip(row, prow)]
+                row = [(a - mult * b) % 3 for a, b in zip(row, prow)]
         lead = next((c for c in range(n) if row[c]), None)
         if lead is None:
             _require(row[n] == 0, "rank-3 voltage system is inconsistent")
@@ -338,7 +338,7 @@ def _gf3_edge_voltages(s: PolyhedralSurface) -> dict[str, int]:
         for c2 in range(c + 1, n):
             acc = (acc - row[c2] * g[c2]) % 3
         g[c] = acc * pow(row[c], -1, 3) % 3
-    return {e: g[eidx[e]] for e in eids}
+    return dict(zip(x.ids[1], g))
 
 
 def rank3_base() -> PolyhedralSurface:

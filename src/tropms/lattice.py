@@ -95,6 +95,22 @@ def ccw_cmp(u: Vec, v: Vec) -> int:
     return 0
 
 
+def fan_flaw(rays: Sequence[Vec]) -> str:
+    """What keeps rays listed in order from being the primitive rays of a
+    complete fan, turning once around the origin, strictly counterclockwise;
+    empty if nothing does. Each step then turns by less than a half turn, so
+    the angle passes the positive x-axis once per full turn: rays that pass
+    are at least three and point in distinct directions."""
+    n = len(rays)
+    if not all(map(is_primitive, rays)):
+        return "has a non-primitive ray"
+    strict = all(det2(rays[i - 1], rays[i]) > 0 for i in range(n))
+    turns = sum(ccw_cmp(rays[i - 1], rays[i]) > 0 for i in range(n))
+    if not strict or turns != 1:
+        return "rays do not sweep one full turn"
+    return ""
+
+
 def solve_linear(rows: Sequence, rhs: Sequence[Sequence]) -> list[list[Fraction] | None]:
     """Solve ``rows`` x = b exactly for each right-hand side b in ``rhs``: the
     unique solution as Fractions, or None where that side is inconsistent.

@@ -1,13 +1,17 @@
+import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
-from conftest import by_id, cube_surface, tree_gauged_rows
+from conftest import by_id, cube_surface, run_cli, tree_gauged_rows
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tropms.bundle import check
-from tropms.covers import BranchedCover, MultiSection, build_double_cover
+from tropms import EXIT_INVALID
+from tropms.bundle import Invalid, check
+from tropms.complexes import complex_to_text
+from tropms.covers import BranchedCover, MultiSection, build_double_cover, multisection_to_text
 from tropms.gluing import (
     TRIVIAL,
     TorusElement,
@@ -27,6 +31,7 @@ from tropms.gluing import (
     vertex_edge_flags,
 )
 from tropms.lattice import rot90, solve_linear
+from tropms.pipeline import CHECK_ORDER, Manifest, manifest_to_text
 
 
 def full_branch(m=2, n=1):
@@ -215,8 +220,39 @@ def test_kink_mismatch_rejected():
     reslope_uniform(msec, "v000", [3, 0] * 3)
     bad = check_edge_kinks(msec)
     assert bad and all(e.startswith("ev000") for e in bad)
-    with pytest.raises(ValueError, match="kinks disagree"):
-        triple_cocycle(msec, trivial_gluing(), bar_complex(msec))
+    with pytest.raises(Invalid, match="gluing-kink-mismatch") as err:
+        check(msec, trivial_gluing())
+    assert [d.message for d in err.value.diagnostics] == [
+        f"edge lift {e}: kinks disagree between endpoints" for e in bad
+    ]
+
+
+def test_kink_mismatch_fails_validation_under_every_check_subset(tmp_path, monkeypatch):
+    """A valid section whose edge kinks disagree, with gluing data (here
+    none flagged), fails the validate check, and stops the run without it."""
+    msec = full_branch()
+    reslope_uniform(msec, "v000", [3, 0] * 3)
+    (tmp_path / "k.complex.json").write_text(complex_to_text(msec.cover.base))
+    (tmp_path / "k.section.json").write_text(multisection_to_text(msec))
+    (tmp_path / "k.gluing.json").write_text(gluing_to_text({}))
+    m = Manifest("k.complex.json", "k.section.json", "k.gluing.json", {})
+    (tmp_path / "k.manifest.json").write_text(manifest_to_text(m))
+    monkeypatch.chdir(tmp_path)
+    res = run_cli(["validate", "--manifest", "k.manifest.json"])
+    assert res.exit_code == EXIT_INVALID, res.output
+    first = json.loads(res.stdout)["checks"][0]
+    assert (first["check"], first["verdict"]) == ("validate", "fail")
+    assert first["witnesses"] and all(
+        w.startswith("gluing-kink-mismatch: edge lift ev000") for w in first["witnesses"]
+    )
+    for k in range(1, len(CHECK_ORDER) + 1):
+        for subset in itertools.combinations(CHECK_ORDER, k):
+            argv = ["validate", "--manifest", "k.manifest.json"]
+            for name in subset:
+                argv += ["--check", name]
+            res = run_cli(argv)
+            assert res.exit_code == EXIT_INVALID, subset
+            assert "gluing-kink-mismatch" in res.output, subset
 
 
 # -- obstruction --------------------------------------------------------------

@@ -5,16 +5,22 @@ sides. Every returned solution is also checked by substitution.
 
 The cases are derandomized and their number is fixed (300). Their budget is
 10 s; they take about 2 s on a shared 2-vCPU VM.
+
+The complete-fan predicate against floating-point angles: 300 derandomized
+lists of one to six small integer rays, budget 2 s.
 """
 
+import math
 import time
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from tropms.chern import CompleteFan
+from tropms.complexes import VertexFan, surface_from_cycles, validate_surface
 from tropms.lattice import solve_linear
 
 ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
@@ -91,3 +97,96 @@ def test_solve_linear_agrees_with_sympy():
 def test_solve_linear_refuses_a_side_of_the_wrong_length():
     with pytest.raises(ValueError, match="shape mismatch"):
         solve_linear([[1, 0], [0, 1]], [[1, 2], [1, 2, 3]])
+
+
+# -- complete fans --------------------------------------------------------------
+
+
+def _is_complete_fan(rays) -> bool:
+    """Primitive rays, at least three in distinct directions, listed in
+    increasing angle up to a rotation, no two neighbours a half turn or more
+    apart: read off ``math.atan2``."""
+    if len(rays) < 3 or any(math.gcd(*r) != 1 for r in rays):
+        return False
+    angle = [math.atan2(y, x) % (2 * math.pi) for x, y in rays]
+    order = sorted(range(len(rays)), key=angle.__getitem__)
+    ascending = [angle[i] for i in order]
+    gaps = [b - a for a, b in zip(ascending, ascending[1:])]
+    gaps.append(2 * math.pi - ascending[-1] + ascending[0])
+    k = order.index(0)
+    return (
+        min(gaps) > 1e-9
+        and max(gaps) < math.pi - 1e-9
+        and order[k:] + order[:k] == list(range(len(rays)))
+    )
+
+
+def _pyramid_with_fan(rays):
+    """A closed surface with apex a joined to r0, ..., r(n-1) by 2-cells
+    (a, ri, ri+1), closed by the 2-cell (rn-1, ..., r0) when n >= 3, with
+    the rays as the fan at a and the cones tiling in list order."""
+    n = len(rays)
+    ring = [f"r{i}" for i in range(n)]
+    cycles = {f"s{i}": ("a", ring[i], ring[(i + 1) % n]) for i in range(n)}
+    if n >= 3:
+        cycles["t"] = tuple(reversed(ring))
+    s = surface_from_cycles(cycles)
+    fan_rays = tuple((r, s.edge_between("a", v)) for r, v in zip(rays, ring))
+    cones = tuple((f"s{i}", (i, (i + 1) % n)) for i in range(n))
+    s.fans["a"] = VertexFan("a", fan_rays, cones)
+    return s
+
+
+RAY = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+
+
+@st.composite
+def ray_lists(draw):
+    """One to six rays with coordinates in [-4, 4]. Half the lists hold
+    distinct primitive rays listed by angle from a drawn one, so that
+    complete fans are drawn often, and near misses: one ray may then be
+    negated, two swapped, or every other ray listed first, which makes five
+    rays spread evenly wind twice."""
+    n = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        return draw(st.lists(RAY, min_size=n, max_size=n))
+    primitive = RAY.filter(lambda r: math.gcd(*r) == 1)
+    rays = draw(st.lists(primitive, min_size=n, max_size=n, unique=True))
+    rays.sort(key=lambda r: math.atan2(r[1], r[0]) % (2 * math.pi))
+    k = draw(st.integers(0, n - 1))
+    rays = rays[k:] + rays[:k]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    change = draw(st.sampled_from(["none", "none", "negate", "swap", "twice"]))
+    if change == "negate":
+        rays[i] = (-rays[i][0], -rays[i][1])
+    elif change == "swap":
+        rays[i], rays[j] = rays[j], rays[i]
+    elif change == "twice":
+        rays = rays[::2] + rays[1::2]
+    return rays
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(ray_lists())
+@example([(1, 0), (-3, 1), (2, -3), (1, 3), (-1, -2)])  # strictly ccw steps, two full turns
+def _fan_agrees_with_angles(rays):
+    complete = _is_complete_fan(rays)
+    try:
+        CompleteFan(rays)
+        raised = False
+    except ValueError:
+        raised = True
+    assert raised != complete, rays
+    if len(rays) >= 2:  # no vertex of a closed surface here has one edge
+        codes = validate_surface(_pyramid_with_fan(rays)).codes()
+        assert ("fan-not-complete" in codes) != complete, (rays, codes)
+
+
+def test_complete_fan_agrees_with_angles():
+    """``CompleteFan`` refuses exactly the ray lists that the angles reject,
+    and ``validate_surface`` reports the same lists, their cones tiling, as
+    ``fan-not-complete``; 300 derandomized cases under two seconds."""
+    start = time.monotonic()
+    _fan_agrees_with_angles()
+    elapsed = time.monotonic() - start
+    assert elapsed < 2.0, f"took {elapsed:.2f}s"
