@@ -21,7 +21,6 @@ from tropms.gluing import (
     normalize_splitting,
     obstruction_class,
     triple_cocycle,
-    trivial_gluing,
 )
 
 
@@ -51,12 +50,11 @@ def main() -> None:
     print(f"  chains violating delta k = c: {recheck_splitting(bar, c, table)}")
 
     # 2. empty gluing data
-    rep0 = obstruction_class(triple_cocycle(msec, trivial_gluing(), bar), bar)
+    rep0 = obstruction_class(triple_cocycle(msec, {}, bar), bar)
     print(f"\nempty gluing: trivial={rep0.trivial}, witness={rep0.witness}")
 
     # 3. one transverse entry makes the class nontrivial
-    planted = dict(trivial_gluing())
-    planted[("fx0.00a#0", "ep000p001~1")] = TorusElement.single((0, 1), Fraction(2))
+    planted = {("fx0.00a#0", "ep000p001~1"): TorusElement.single((0, 1), Fraction(2))}
     repx = obstruction_class(triple_cocycle(msec, planted, bar), bar)
     print(f"\nplanted entry:  trivial={repx.trivial}, witness={repx.witness}")
     print(f"  splitting table produced: {repx.cochain is not None}")

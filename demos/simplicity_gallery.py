@@ -18,7 +18,7 @@ from tropms.generators import (
     rank3_multisection,
     simplex5_multisection,
 )
-from tropms.gluing import transport, trivial_gluing
+from tropms.gluing import transport
 from tropms.graphs import (
     endomorphism_witness,
     general_simplicity,
@@ -45,7 +45,7 @@ def main() -> None:
     show("planted square", planted, verdict)
     cycle, sigma = verdict.witnesses[0]
     print(f"  witness cycle {list(cycle)} around 2-cell {sigma}")
-    cert = endomorphism_witness(transport(check(planted, trivial_gluing())), verdict.witnesses[0])
+    cert = endomorphism_witness(transport(check(planted, {})), verdict.witnesses[0])
     print(f"  certificate ok={cert.ok}, sheet order {cert.order}, "
           f"zero extension {cert.zero_extension}")
     for v in cycle:
@@ -58,10 +58,8 @@ def main() -> None:
     print(f"  witness cycle {list(tcycle)} around 2-cell {tsigma}")
 
     rank3 = rank3_multisection()
-    try:
-        general_simplicity(rank3, classify(rank3))
-    except ValueError as err:
-        print(f"\nrank3-cube refused: {str(err).split(';')[0]}")
+    refusal = general_simplicity(rank3, classify(rank3))
+    print(f"\nrank3-cube {refusal.tag}: {refusal.reasons[0].split(';')[0]}")
     gverdict = general_simplicity(rank3, classify(rank3), local_bundles_asserted=True)
     show("rank3-cube", rank3, gverdict)
     for reason in gverdict.reasons:

@@ -106,9 +106,6 @@ class PiecewisePoly(_Piecewise):
     def scale(self, c) -> "PiecewisePoly":
         return PiecewisePoly(self.fan, tuple(p.scale(c) for p in self.parts))
 
-    def is_zero(self) -> bool:
-        return all(p.is_zero for p in self.parts)
-
     def homogeneous_part(self, d: int) -> "PiecewisePoly":
         parts = []
         for p in self.parts:

@@ -42,7 +42,6 @@ class Diagnostic(NamedTuple):
 
 class ValidationReport(NamedTuple):
     diagnostics: tuple[Diagnostic, ...]
-    euler_characteristic: int
 
     @property
     def ok(self) -> bool:
@@ -249,7 +248,7 @@ def validate_surface(s: PolyhedralSurface) -> ValidationReport:
             bad("edge-endpoints", f"edge {c.id} needs two distinct endpoints")
 
     if any(d.code in ("missing-face", "face-dim", "edge-endpoints") for d in diags):
-        return ValidationReport(tuple(diags), s.euler_characteristic())
+        return ValidationReport(tuple(diags))
 
     for e, sides in enumerate(x.sides):
         if len(sides) != 2:
@@ -299,7 +298,7 @@ def validate_surface(s: PolyhedralSurface) -> ValidationReport:
         bad("euler-characteristic-odd", f"closed surface cannot have chi = {chi}")
     if any(d.code.startswith("orientation-") for d in diags):
         # corners are read off the boundary cycles, so they are undefined
-        return ValidationReport(tuple(diags), chi)
+        return ValidationReport(tuple(diags))
     for why in x.links.values():
         bad("vertex-link", why)
 
@@ -342,7 +341,7 @@ def validate_surface(s: PolyhedralSurface) -> ValidationReport:
                     f"{edge_of[j]}) but corner edges ({out}, {inn})",
                 )
 
-    return ValidationReport(tuple(diags), chi)
+    return ValidationReport(tuple(diags))
 
 
 @functools.lru_cache(maxsize=256)

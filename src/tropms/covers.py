@@ -165,10 +165,6 @@ class BranchedCover:
         return tuple(zip(self._index.ids[lifts.start:lifts.stop],
                          self._index.blocks[lifts.start:lifts.stop]))
 
-    def computed_ramification(self, v: str) -> Partition:
-        lifts = self._vertex(v)[1]
-        return self._index.blocks[lifts.start:lifts.stop]
-
     def vertex_lift_at_edge(self, v: str, eid: str, edge_lift: int) -> str:
         """Vertex lift to which one edge lift attaches at an endpoint."""
         x, cx = self.base._index, self._index
@@ -248,7 +244,7 @@ def validate_cover(cover: BranchedCover) -> ValidationReport:
 
     if cover.degree < 1:
         bad("cover-degree", f"degree {cover.degree} is not positive")
-        return ValidationReport(tuple(diags), base_rep.euler_characteristic)
+        return ValidationReport(tuple(diags))
     x = cover.base._index
     V = x.ids[0]
     if cover.edge_matchings.keys() != set(x.ids[1]):
@@ -265,7 +261,7 @@ def validate_cover(cover: BranchedCover) -> ValidationReport:
         if v not in x.number[0]:
             bad("branch-not-vertex", f"branch point {v} is not a vertex")
     if any(d.code in ("edge-matching", "branch-not-vertex") for d in diags) or not base_rep.ok:
-        return ValidationReport(tuple(diags), base_rep.euler_characteristic)
+        return ValidationReport(tuple(diags))
 
     trivial = tuple((s,) for s in range(cover.degree))
     first, blocks = cover._index.first, cover._index.blocks
@@ -294,9 +290,7 @@ def validate_cover(cover: BranchedCover) -> ValidationReport:
             bad("trivial-branch-vertex", f"vertex {vid} is declared branch but unbranched")
     if not cover.is_connected():
         bad("cover-disconnected", "the total space is disconnected")
-
-    nv, ne, nf = cover.total_space_counts()
-    return ValidationReport(tuple(diags), nv - ne + nf)
+    return ValidationReport(tuple(diags))
 
 
 def euler_genus(cover: BranchedCover) -> int:
@@ -315,19 +309,6 @@ def riemann_hurwitz_genus(n_branch: int) -> int:
     if n_branch < 2 or n_branch % 2 != 0:
         raise ValueError("branch count must be even and at least 2")
     return n_branch // 2 - 1
-
-
-def kink_sequence(msec: MultiSection, v: str, lift_id: str) -> list[tuple[str, int]]:
-    """Kinks around one vertex lift, in ccw order: (wall edge, kink).
-
-    The kink across a wall is the integer multiple of the quarter-turned wall
-    direction by which the slope jumps.
-    """
-    x, cx, r = msec.cover.base._index, msec.cover._index, msec.cover.degree
-    lifts = msec.cover._vertex(v)[1]
-    cyc = cx.orbits[cx.ids.index(lift_id, lifts.start, lifts.stop)]
-    return [(x.ids[1][x.corners[node // r][2]], _kink(msec, cyc, t))
-            for t, node in enumerate(cyc)]
 
 
 def _kink(msec: MultiSection, cyc, t: int) -> int:
@@ -373,19 +354,21 @@ def validate_multisection(msec: MultiSection) -> ValidationReport:
             bad("slope-coverage", f"missing slope for {key}")
         for key in sorted(set(msec.slopes) - expected):
             bad("slope-coverage", f"slope for unknown key {key}")
-        return ValidationReport(tuple(diags), rep.euler_characteristic)
+        return ValidationReport(tuple(diags))
 
     kinks = msec.kinks
-    for v, vid in enumerate(x.ids[0]):
+    for v in range(len(x.ids[0])):
         for lift in range(cx.first[v], cx.first[v + 1]):
             cyc = cx.orbits[lift]
-            rank_two = len(cyc) <= 2 * (x.first[v + 1] - x.first[v])
-            if rank_two and None in map(kinks.__getitem__, cyc):
+            if len(cyc) > 2 * (x.first[v + 1] - x.first[v]):
+                continue
+            at = [kinks[node] for node in cyc]
+            if None in at:
                 try:
-                    kink_sequence(msec, vid, cx.ids[lift])  # raises at the first bad wall
+                    _kink(msec, cyc, at.index(None))  # raises at the first wall with no kink
                 except ValueError as exc:
                     bad("slope-discontinuous", f"lift {cx.ids[lift]}: {exc}")
-    return ValidationReport(tuple(diags), rep.euler_characteristic)
+    return ValidationReport(tuple(diags))
 
 
 class ClassTag(NamedTuple):

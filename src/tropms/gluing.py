@@ -1,6 +1,6 @@
 """Open-gluing data on a multi-section, its triple-intersection cocycle, the
-obstruction class on the order complex of the total space, and holonomy of
-gluing constants around cycles.
+obstruction class on the order complex of the total space, and the transport
+of gluing constants along cycles.
 
 Gluing data assigns a torus element to flags between lifted cells. The
 coefficient lattice has rank two at vertex lifts, rank one at edge lifts and
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import schema
@@ -65,16 +65,6 @@ class TorusElement:
     def __mul__(self, other: "TorusElement") -> "TorusElement":
         return TorusElement(self.factors + other.factors)
 
-    def inverse(self) -> "TorusElement":
-        return TorusElement([(v, 1 / q) for v, q in self.factors])
-
-    def evaluate(self, m: Vec) -> Fraction:
-        """Pair against a covector: product of q ** <m, vec>."""
-        out = Fraction(1)
-        for vec, q in self.factors:
-            out *= q ** dot(m, vec)
-        return out
-
     def __eq__(self, other) -> bool:
         return isinstance(other, TorusElement) and self.factors == other.factors
 
@@ -113,12 +103,10 @@ class BarComplex(NamedTuple):
     triangles: tuple[tuple[int, int, int, int], ...]
     node: tuple[int, ...]
 
-    def number(self, *ids: str) -> int | None:
-        """Number of the node, edge or chain given by one, two or three ids, or None."""
-        key = tuple(_position(self.nodes, x) for x in ids)
-        if len(key) > 1 and None not in key:
-            return _position(self.edges if len(key) == 2 else self.chains, key)
-        return key[0] if len(key) == 1 else None
+    def number(self, src: str, dst: str) -> int | None:
+        """Number of the edge of the flag from node ``src`` into ``dst``, or None."""
+        key = (_position(self.nodes, src), _position(self.nodes, dst))
+        return None if None in key else _position(self.edges, key)
 
 
 def _position(table: tuple, key) -> int | None:
@@ -174,10 +162,6 @@ def bar_complex(msec: MultiSection) -> BarComplex:
 # -- gluing data --------------------------------------------------------------
 
 
-def trivial_gluing() -> GluingData:
-    return {}
-
-
 def validate_gluing(
     msec: MultiSection, g: GluingData, bar: BarComplex
 ) -> ValidationReport:
@@ -198,7 +182,7 @@ def validate_gluing(
             diags.append(Diagnostic(
                 "gluing-cocycle-violation",
                 f"nontrivial element into a 2-cell lift at chain {where}"))
-    return ValidationReport(tuple(diags), msec.cover.base.euler_characteristic())
+    return ValidationReport(tuple(diags))
 
 
 def coboundary_gluing(
@@ -458,7 +442,7 @@ def unbounded_chains(bar: BarComplex, c: Cochain, k: Cochain) -> list[tuple[str,
     return bad
 
 
-# -- holonomy -----------------------------------------------------------------
+# -- transport ----------------------------------------------------------------
 
 
 class Transport(NamedTuple):
@@ -513,16 +497,6 @@ def transport_ratios(t: Transport, cycle: list[str], sigma: str) -> list[tuple[s
         lam = (t_value(v, e, 1) / t_value(v, e, 0)) / (t_value(w, e, 1) / t_value(w, e, 0))
         out.append((eid, lam))
     return out
-
-
-def holonomy_around_cycle(t: Transport, cycle: list[str], sigma: str) -> Fraction:
-    """Multiplicative holonomy of the sheet-comparison constants around a
-    cycle bounding a 2-cell.
-
-    With the canonical bounding cochain the holonomy of consistent gluing
-    data is 1; a transport on an explicit cochain exposes corrupted data.
-    """
-    return prod((lam for _, lam in transport_ratios(t, cycle, sigma)), start=Fraction(1))
 
 
 # -- serialization ------------------------------------------------------------

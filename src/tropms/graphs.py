@@ -212,11 +212,6 @@ def _difference_data(
     return cfan, diff, newton_polytope(cfan, diff)
 
 
-def difference_polytope(msec: MultiSection, v: int, a: int, b: int) -> NewtonPolytope:
-    """Newton polytope of the difference of two vertex-lift functions, by number."""
-    return _difference_data(msec, v, a, b)[2]
-
-
 def _pair_graph(msec: MultiSection) -> tuple[EmbeddedGraph, dict[int, tuple]]:
     """The branch-free pair graph, and the difference data of
     ``_difference_data`` at each of its vertices."""
@@ -255,10 +250,6 @@ class Verdict(_Verdict):
         if not reasons:
             raise ValueError("a verdict must cite at least one reason")
         return super().__new__(cls, tag, reasons, witnesses)
-
-
-class Refusal(ValueError):
-    """A criterion declines to run because a required assertion is missing."""
 
 
 _SMOOTH_FLAGS = ("positive", "simple", "elementary")
@@ -317,6 +308,8 @@ def general_simplicity(
     minimal cycle on the branch-free pair graph and a surviving fixed point at
     every pair vertex. A section of class ``tag`` other than C, which
     ``classify`` may give without running the class-C check, is checked here.
+    Without asserted local models the criterion is refused, with the refusal
+    as the verdict's only reason.
 
     One-directional: when a condition fails the verdict is inconclusive,
     never a proof of non-simplicity.
@@ -328,11 +321,11 @@ def general_simplicity(
                 f"class mismatch: distinct-covector conditions fail: {crep.violations}"
             )
     if not local_bundles_asserted:
-        raise Refusal(
+        return Verdict("refused", (
             "[local-bundle-assumption] existence of standard local models at "
             "the branch vertices must be asserted by the caller; refusing to "
-            "run the general criterion without it"
-        )
+            "run the general criterion without it",
+        ), ())
     gt, data = _pair_graph(msec)
     g0 = build_G0(msec)
     cycles_pair = find_minimal_cycles(gt)
@@ -382,18 +375,13 @@ def simplicity_verdict(
 
     A trivial gluing obstruction feeds the smoothability upgrade only when
     the base is asserted positive, simple and elementary and the gluing data
-    induced by an open cover. A general criterion run without asserted local
-    models is refused, with the refusal as the verdict's only reason.
+    induced by an open cover. The general criterion runs when the local
+    models are asserted (``assumption-1.4``), and is refused otherwise.
     """
     if criterion == "rank2":
         upgrade = obstruction_trivial and flags >= {*_SMOOTH_FLAGS, "open-gluing-induced"}
         return is_simple_rank2(msec, tag, upgrade)
-    try:
-        return general_simplicity(
-            msec, tag, local_bundles_asserted="assumption-1.4" in flags
-        )
-    except Refusal as err:
-        return Verdict("refused", (str(err),), ())
+    return general_simplicity(msec, tag, local_bundles_asserted="assumption-1.4" in flags)
 
 
 # -- endomorphism witness -----------------------------------------------------

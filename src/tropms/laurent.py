@@ -187,22 +187,6 @@ class LaurentMatrix:
         self.cols = len(rows[0])
         self.chart = chart
 
-    @classmethod
-    def const(cls, grid, chart: int) -> "LaurentMatrix":
-        return cls(
-            [[LaurentPoly.const(c) for c in row] for row in grid], chart
-        )
-
-    @classmethod
-    def diag(cls, values, chart: int) -> "LaurentMatrix":
-        vals = [
-            v if isinstance(v, LaurentPoly) else LaurentPoly.const(v) for v in values
-        ]
-        n = len(vals)
-        return cls(
-            [[vals[i] if i == j else ZERO for j in range(n)] for i in range(n)], chart
-        )
-
     def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch")
@@ -224,18 +208,6 @@ class LaurentMatrix:
             and self.chart == other.chart
             and self.entries == other.entries
         )
-
-    def transpose(self) -> "LaurentMatrix":
-        return LaurentMatrix(
-            [[self.entries[j][i] for j in range(self.rows)] for i in range(self.cols)],
-            self.chart,
-        )
-
-    def det2(self) -> LaurentPoly:
-        if self.rows != 2 or self.cols != 2:
-            raise ValueError("det2 is for 2x2 matrices")
-        e = self.entries
-        return e[0][0] * e[1][1] - e[0][1] * e[1][0]
 
     def is_identity(self) -> bool:
         for i in range(self.rows):
@@ -326,62 +298,3 @@ def verify_cocycle(m: int, n: int, a, b) -> bool:
     tau10, tau21, tau02 = build_tau(m, n, a, b)
     prod = tau02.to_chart0() @ tau21.to_chart0() @ tau10.to_chart0()
     return prod.is_identity()
-
-
-def verify_constant_independence(m: int, n: int, a, b) -> bool:
-    """Check the diagonal gauge conjugating the constants to the reference ones.
-
-    Requires prod(a_i * b_i) = -1; the gauge f is built from the constants and
-    the identities tau02*f2 = f0*tau'02, tau21*f1 = f2*tau'21,
-    tau10*f0 = f1*tau'10 are tested exactly, where tau' uses the reference
-    constants.
-    """
-    _check_exponents(m, n)
-    a, b = _check_constants(a, b)
-    prod = Fraction(1)
-    for x, y in zip(a, b):
-        prod *= x * y
-    if prod != -1:
-        raise ValueError("gauge exists only when prod(a_i b_i) = -1")
-
-    tau10, tau21, tau02 = build_tau(m, n, a, b)
-    ref10, ref21, ref02 = build_tau(m, n, REFERENCE_A, REFERENCE_B)
-
-    f0 = (Fraction(1), a[0] * a[2] * b[1])
-    f1 = (-a[0], a[0] * a[2] * b[0] * b[1])
-    f2 = (-a[0] * b[1], 1 / b[2])
-
-    ok0 = tau02 @ LaurentMatrix.diag(f2, 2) == LaurentMatrix.diag(f0, 2) @ ref02
-    ok1 = tau21 @ LaurentMatrix.diag(f1, 1) == LaurentMatrix.diag(f2, 1) @ ref21
-    ok2 = tau10 @ LaurentMatrix.diag(f0, 0) == LaurentMatrix.diag(f1, 0) @ ref10
-    return ok0 and ok1 and ok2
-
-
-def verify_duality(m: int, n: int) -> bool:
-    """J-conjugation swap of the two weights and transpose-inverse duality,
-    at the reference constants."""
-    _check_exponents(m, n)
-    tau = build_tau(m, n, REFERENCE_A, REFERENCE_B)
-    swp = build_tau(n, m, REFERENCE_A, REFERENCE_B)
-    dua = build_tau(-m, -n, REFERENCE_A, REFERENCE_B)
-
-    def J(chart):
-        return LaurentMatrix.const([[0, -1], [1, 0]], chart)
-
-    def Jinv(chart):
-        return LaurentMatrix.const([[0, 1], [-1, 0]], chart)
-
-    tau10, tau21, tau02 = tau
-    swp10, swp21, swp02 = swp
-    ok = (
-        tau10 @ J(0) == Jinv(0) @ swp10
-        and tau21 @ Jinv(1) == J(1) @ swp21
-        and tau02 @ J(2) == J(2) @ swp02
-    )
-    if not ok:
-        return False
-    for t, d in zip(tau, dua):
-        if not (t @ d.transpose()).is_identity():
-            return False
-    return True
-

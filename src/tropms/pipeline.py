@@ -223,8 +223,8 @@ CHECK_ORDER = tuple(check for check, *_ in CHECKS)
 def run_pipeline(manifest: Manifest, checks=None) -> Report:
     """Run the selected checks (all of them by default) in the fixed order
     validate, classify, cocycle, chern, obstruction, simplicity. Input that
-    fails validation is reported by the validate check when it is selected,
-    and raises ``Invalid`` otherwise."""
+    cannot be read, or fails validation, is reported by the validate check
+    when it is selected, and raises otherwise."""
     selected = set(CHECK_ORDER if checks is None else checks)
     unknown = selected - set(CHECK_ORDER)
     if unknown:
@@ -240,6 +240,8 @@ def run_pipeline(manifest: Manifest, checks=None) -> Report:
         lines = tuple(dict.fromkeys(f"{d.code}: {d.message}" for d in err.diagnostics))
         validated = _Outcome("fail", lines, EXIT_INVALID)
     except (OSError, ValueError) as err:
+        if "validate" not in selected:
+            raise
         rec = CheckRecord("validate", "complex-validity", "fail", (str(err),),
                           round(time.perf_counter() - t0, 6))
         return Report((rec,), EXIT_INVALID)

@@ -1,10 +1,12 @@
 """Shared hand-built fixtures: small closed surfaces with standard fans, an
-in-process runner for the command line, cochains read by cell ids, and the
-coboundary of an order complex gauged on a spanning tree of its chains."""
+in-process runner for the command line, cochains read by cell ids, the
+coboundary of an order complex gauged on a spanning tree of its chains, and
+the holonomy of a transport around a cycle."""
 
 import contextlib
 import io
 from fractions import Fraction
+from math import prod
 from typing import NamedTuple
 
 from tropms.cli import main
@@ -63,6 +65,17 @@ def tree_gauged_rows(bar) -> list[dict[int, Fraction]]:
         {column[b]: Fraction(sign) for b, sign in zip(sides, (1, 1, -1)) if b in column}
         for sides in bar.sides
     ]
+
+
+def holonomy(t, cycle, sigma) -> Fraction:
+    """Multiplicative holonomy of the sheet-comparison constants of the
+    transport ``t`` around a cycle bounding the 2-cell ``sigma``: the product
+    of its ``transport_ratios``. With the canonical bounding cochain it is 1
+    for consistent gluing data; a transport on an explicit cochain exposes
+    corrupted data."""
+    from tropms.gluing import transport_ratios
+
+    return prod((lam for _, lam in transport_ratios(t, list(cycle), sigma)), start=Fraction(1))
 
 
 def run_cli(argv) -> CliResult:

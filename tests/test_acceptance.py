@@ -9,7 +9,8 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import ids, tree_gauged_rows
+from conftest import holonomy, ids, tree_gauged_rows
+from laurent_identities import verify_constant_independence, verify_duality
 
 from tropms.bundle import check
 from tropms.chern import (
@@ -33,11 +34,9 @@ from tropms.gluing import (
     bar_complex,
     coboundary_gluing,
     edge_lift_id,
-    holonomy_around_cycle,
     obstruction_class,
     transport,
     triple_cocycle,
-    trivial_gluing,
     vertex_edge_flags,
 )
 from tropms.graphs import (
@@ -49,11 +48,7 @@ from tropms.graphs import (
     is_simple_rank2,
 )
 from tropms.lattice import det2, solve_linear
-from tropms.laurent import (
-    verify_cocycle,
-    verify_constant_independence,
-    verify_duality,
-)
+from tropms.laurent import verify_cocycle
 
 
 def _weight_pairs(bound):
@@ -178,9 +173,7 @@ def test_simplicity_verdicts_across_examples():
     planted = planted_multisection()
     verdict = is_simple_rank2(planted, classify(planted))
     assert verdict.tag == "not_simple"
-    witness = endomorphism_witness(
-        transport(check(planted, trivial_gluing())), verdict.witnesses[0]
-    )
+    witness = endomorphism_witness(transport(check(planted, {})), verdict.witnesses[0])
     assert witness.ok and witness.zero_extension
     assert all(passed for _, _, passed in witness.edge_checks)
 
@@ -289,7 +282,7 @@ def test_holonomy_trivial_on_minimal_cycles():
     for _ in range(100):
         t = transport(check(msec, _random_coboundary(msec, rng)))
         for cycle, fid in cycles:
-            assert holonomy_around_cycle(t, list(cycle), fid) == 1
+            assert holonomy(t, cycle, fid) == 1
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"took {elapsed:.2f}s"
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import re
@@ -21,6 +22,7 @@ from tropms.generators import (
 )
 from tropms.gluing import TorusElement, gluing_to_text
 from tropms.pipeline import (
+    CHECK_ORDER,
     EXIT_INTERNAL,
     EXIT_INVALID,
     EXIT_NOT_SIMPLE,
@@ -338,6 +340,40 @@ def test_invalid_section_rejected_at_boundary(workdir, tmp_path, command):
         "error: multi-section is invalid: ['slope-coverage']; slope-coverage: "
         "missing slope for ('fx0.00a#0', 'p000', 0)\n"
     )
+
+
+@pytest.mark.parametrize("damage", ["malformed", "missing"])
+def test_unreadable_section_under_every_check_subset(workdir, tmp_path, damage):
+    """A section that cannot be read fails the validate check when it is
+    selected; without it the run stops with the error alone, as it does on a
+    section that fails validation."""
+    def float_degree(kind, data):
+        if kind == "section":
+            data["degree"] = 2.0
+
+    d = _edited_cube2(workdir, tmp_path, float_degree)
+    section = d / "cube2.section.json"
+    if damage == "missing":
+        section.unlink()
+    message = {
+        "malformed": "malformed multi-section (TypeError: cube2.section.json: "
+                     "degree must be an integer, got 2.0)",
+        "missing": f"[Errno 2] No such file or directory: '{section}'",
+    }[damage]
+    for k in range(1, len(CHECK_ORDER) + 1):
+        for subset in itertools.combinations(CHECK_ORDER, k):
+            argv = ["validate", "--manifest", d / "cube2.manifest.json"]
+            for check in subset:
+                argv += ["--check", check]
+            res = invoke(*argv)
+            assert res.exit_code == EXIT_INVALID, subset
+            if "validate" in subset:
+                report = json.loads(res.stdout)
+                assert [(r["check"], r["verdict"], r["witnesses"]) for r in report["checks"]] == [
+                    ("validate", "fail", [message])], subset
+                assert (report["exit_code"], res.stderr) == (EXIT_INVALID, ""), subset
+            else:
+                assert (res.stdout, res.stderr) == ("", f"error: {message}\n"), subset
 
 
 def test_render_checks_the_gluing_data_its_manifest_names(workdir, tmp_path):

@@ -14,7 +14,6 @@ from tropms.covers import (
     check_condition_E,
     classify,
     euler_genus,
-    kink_sequence,
     multisection_to_text,
     parse_multisection,
     riemann_hurwitz_genus,
@@ -56,7 +55,7 @@ def test_cube_fixture():
     s = cube_surface()
     rep = validate_surface(s)
     assert rep.ok, rep.diagnostics
-    assert rep.euler_characteristic == 2
+    assert s.euler_characteristic() == 2
     assert len(s.vertices) == 8 and len(s.edges) == 12 and len(s.faces2) == 6
 
 
@@ -94,18 +93,18 @@ def test_double_cover_shape():
     for v in cover.branch_vertices:
         cycles = cover.lift_cycles(v)
         assert len(cycles) == 1 and len(cycles[0]) == 6
-        assert cover.computed_ramification(v) == ((0, 1),)
+        assert tuple(block for _, block in cover.computed_lifts(v)) == ((0, 1),)
     assert cover.is_connected()
-    # total space characteristic recorded in the report
-    assert rep.euler_characteristic == 8 - 24 + 12
+    nv, ne, nf = cover.total_space_counts()
+    assert nv - ne + nf == 8 - 24 + 12
 
 
 def test_kink_sequences_alternate():
     msec = cover_1_0()
     cover = msec.cover
     for v in sorted(cover.branch_vertices):
-        lid = cover.computed_lifts(v)[0][0]
-        kinks = [k for _, k in kink_sequence(msec, v, lid)]
+        (lift,) = cover._vertex(v)[1]
+        kinks = [msec.kinks[node] for node in cover._index.orbits[lift]]
         assert sorted(set(kinks)) == [0, 1]
         assert kinks == kinks[:2] * 3
 
@@ -194,7 +193,7 @@ def test_class_C_requires_total_ramification():
     # one edge moves sheet 2 too, so that the total space is connected
     matchings[s.edges[0].id] = (0, 2, 1)
     cover = BranchedCover(s, 3, matchings, frozenset(), {})
-    ram = {v.id: cover.computed_ramification(v.id) for v in s.vertices}
+    ram = {v.id: tuple(block for _, block in cover.computed_lifts(v.id)) for v in s.vertices}
     assert all(len(blocks) == 2 for blocks in ram.values())
     cover = BranchedCover(s, 3, matchings, frozenset(all_vertices(s)), ram)
     assert validate_cover(cover).ok

@@ -41,7 +41,6 @@ from tropms.gluing import (
     transport,
     transport_ratios,
     triple_cocycle,
-    trivial_gluing,
     validate_gluing,
 )
 from tropms.graphs import (
@@ -184,7 +183,7 @@ def test_planted_not_simple_with_witness():
 def test_planted_witness_validates():
     msec = planted_multisection()
     verdict = is_simple_rank2(msec, classify(msec))
-    w = endomorphism_witness(transport(check(msec, trivial_gluing())), verdict.witnesses[0])
+    w = endomorphism_witness(transport(check(msec, {})), verdict.witnesses[0])
     assert w.ok and w.zero_extension
     assert all(passed for _, _, passed in w.edge_checks)
 
@@ -301,8 +300,9 @@ def test_rank3_class_and_criterion():
 
 def test_rank3_requires_local_bundle_assertion():
     msec = rank3_multisection()
-    with pytest.raises(ValueError, match="local-bundle-assumption"):
-        general_simplicity(msec, classify(msec))
+    v = general_simplicity(msec, classify(msec))
+    assert v.tag == "refused"
+    assert len(v.reasons) == 1 and "local-bundle-assumption" in v.reasons[0]
 
 
 # -- holonomy across a planted cycle ------------------------------------------

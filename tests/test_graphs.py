@@ -25,13 +25,13 @@ from tropms.generators import (
     rank3_multisection,
     simplex5_multisection,
 )
-from tropms.gluing import TorusElement, coboundary_gluing, transport, trivial_gluing
+from tropms.gluing import TorusElement, coboundary_gluing, transport
 from tropms.graphs import (
     EmbeddedGraph,
+    _difference_data,
     build_G0,
     build_G0_tilde,
     build_fiber_product,
-    difference_polytope,
     endomorphism_witness,
     find_minimal_cycles,
     general_simplicity,
@@ -384,7 +384,7 @@ def _g0_tilde_from_full_fiber_product(msec):
         k
         for k, c in zip(fp.of_dim(0), fp.cells)
         if V[c.base] not in branch
-        and not difference_polytope(msec, c.base, c.a, c.b).is_empty
+        and not _difference_data(msec, c.base, c.a, c.b)[2].is_empty
     )
     edges = frozenset(
         k for k in fp.of_dim(1) if all(pv in vertices for pv in fp.cells[k].faces)
@@ -420,14 +420,15 @@ def test_g0_tilde_diagonal_polytope_is_origin():
     msec = ring()
     cover = msec.cover
     lift = lift_at(cover, "v000", "fz0", 0)
-    poly = difference_polytope(msec, cover.base._index.number[0]["v000"], lift, lift)
+    poly = _difference_data(msec, cover.base._index.number[0]["v000"], lift, lift)[2]
     assert poly.lattice_points == frozenset({(0, 0)})
 
 
 def test_general_requires_assertion():
     msec = ring()
-    with pytest.raises(ValueError, match="asserted"):
-        general_simplicity(msec, classify(msec))
+    v = general_simplicity(msec, classify(msec))
+    assert v.tag == "refused"
+    assert len(v.reasons) == 1 and "asserted" in v.reasons[0]
 
 
 def test_general_class_mismatch_on_coincident_slopes():
@@ -475,7 +476,7 @@ def test_general_inconclusive_on_starved_fixed_points():
     msec = bipyramid_msec()
     n0 = lift_at(msec.cover, "n", "t0", 0)
     n1 = lift_at(msec.cover, "n", "t0", 1)
-    poly = difference_polytope(msec, msec.cover.base._index.number[0]["n"], n0, n1)
+    poly = _difference_data(msec, msec.cover.base._index.number[0]["n"], n0, n1)[2]
     assert poly.lattice_points == frozenset({(0, -2)})
     assert all(u not in poly for u in HEX_SLOPES)
     v = general_simplicity(msec, classify(msec), local_bundles_asserted=True)
@@ -504,7 +505,7 @@ def test_general_criterion_computes_each_difference_polytope_once(monkeypatch, b
 def test_witness_ring_trivial_gluing():
     msec = ring()
     cycle = find_minimal_cycles(build_G0(msec))[0]
-    w = endomorphism_witness(transport(check(msec, trivial_gluing())), cycle)
+    w = endomorphism_witness(transport(check(msec, {})), cycle)
     assert w.ok and w.zero_extension
     assert w.order == (1, 0)
     assert all(c == 1 for c in w.constants.values())
@@ -528,15 +529,15 @@ def test_witness_weight_divisor_pattern():
     # strictly below the maximum on the remaining ray
     msec = ring()
     cycle = find_minimal_cycles(build_G0(msec))[0]
-    w = endomorphism_witness(transport(check(msec, trivial_gluing())), cycle)
+    w = endomorphism_witness(transport(check(msec, {})), cycle)
     cycle_edges = set(BOTTOM_EDGES)
     for v, u in w.weights.items():
-        poly = difference_polytope(
+        poly = _difference_data(
             msec,
             msec.cover.base._index.number[0][v],
             lift_at(msec.cover, v, "fz0", 1),
             lift_at(msec.cover, v, "fz0", 0),
-        )
+        )[2]
         for vec, eid in msec.cover.base.fans[v].rays:
             vals = [p[0] * vec[0] + p[1] * vec[1] for p in poly.lattice_points]
             pairing = u[0] * vec[0] + u[1] * vec[1]
@@ -569,5 +570,5 @@ def test_witness_from_rank2_verdict():
     msec = ring()
     verdict = is_simple_rank2(msec, classify(msec))
     assert verdict.tag == "not_simple"
-    w = endomorphism_witness(transport(check(msec, trivial_gluing())), verdict.witnesses[0])
+    w = endomorphism_witness(transport(check(msec, {})), verdict.witnesses[0])
     assert w.ok

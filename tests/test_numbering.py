@@ -38,7 +38,6 @@ from tropms.gluing import (
     obstruction_class,
     transport,
     triple_cocycle,
-    trivial_gluing,
     vertex_edge_flags,
 )
 from tropms.graphs import (
@@ -159,7 +158,8 @@ def test_numbering_matches_a_walk_from_the_definition(name):
      cones) = recomputed(msec)
     computed = {v.id: [lid for lid, _ in cover.computed_lifts(v.id)] for v in cover.base.vertices}
     assert computed == lifts
-    assert {v.id: cover.computed_ramification(v.id) for v in cover.base.vertices} == ramification
+    assert {v.id: tuple(block for _, block in cover.computed_lifts(v.id))
+            for v in cover.base.vertices} == ramification
     assert cover.is_connected() is connected is True
     assert cover.total_space_counts() == counts
     bar = bar_complex(msec)
@@ -303,7 +303,7 @@ def _rotated(msec, k: int):
 def _fan_readings(name, msec):
     if name == "planted":
         verdict = is_simple_rank2(msec, classify(msec))
-        t = transport(check(msec, trivial_gluing()))
+        t = transport(check(msec, {}))
         return verdict, [endomorphism_witness(t, cycle) for cycle in verdict.witnesses]
     if name == "rank3-cube":
         tag = classify(msec)

@@ -429,7 +429,6 @@ def test_order_complex_and_kinks_computed_once_per_verdict(tmp_path, monkeypatch
     manifest = generate_example("cube2", str(tmp_path))
     bars = _count_calls(monkeypatch, gluing.bar_complex)
     kinks = _count_calls(monkeypatch, covers._kink)
-    sequences = _count_calls(monkeypatch, covers.kink_sequence)
     report = run_pipeline(manifest)
     assert report.exit_code == EXIT_OK
     assert report.record("obstruction").verdict == "pass"
@@ -445,4 +444,3 @@ def test_order_complex_and_kinks_computed_once_per_verdict(tmp_path, monkeypatch
     assert len(bars) == 1
     ids, lift_of = cover._index.ids, cover._index.lift_of
     assert walls and sorted((ids[lift_of[cyc[0]]], t) for _, cyc, t in kinks) == sorted(walls)
-    assert sequences == []
