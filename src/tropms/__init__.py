@@ -2,9 +2,10 @@
 with piecewise linear slope data, exact transition-matrix algebra, equivariant
 characteristic classes, gluing obstructions and simplicity criteria.
 
-The exit codes and the JSON conversion live here, so that the command line
-and the pipeline share them without loading the check modules."""
+The exit codes and the JSON writer live here, so that the command line and
+the pipeline share them without loading the check modules."""
 
+import json
 from fractions import Fraction
 
 __version__ = "0.1.0"
@@ -25,3 +26,9 @@ def _jsonable(x):
     if isinstance(x, (str, int, float, bool)) or x is None:
         return x
     return str(x)
+
+
+def _json_text(x) -> str:
+    """The JSON text of reports and command output: ``x`` made JSON-able,
+    keys sorted, two-space indent, final newline."""
+    return json.dumps(_jsonable(x), indent=2) + "\n"

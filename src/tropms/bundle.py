@@ -1,13 +1,13 @@
 """The checked input of every command, read and validated once where it enters.
 
 ``check`` is the only code that validates a section and its gluing data, and
-``load`` the only code that reads input files. Whatever reads a ``Bundle``
-expects it valid and does not check again.
+``load`` the only code that reads section, complex and gluing files, each
+through ``schema.read``. Whatever reads a ``Bundle`` expects it valid and
+does not check again.
 """
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import schema
@@ -43,26 +43,21 @@ def check(msec: MultiSection, gluing: GluingData | None = None, flags=frozenset(
     """Validate a section, then its gluing data on the order complex of its
     total space and the kinks its edge potentials need to agree; raise
     ``Invalid`` unless all hold."""
-    rep = validate_multisection(msec)
-    if not rep.ok:
-        raise Invalid("multi-section is invalid", rep.diagnostics)
+    diags = validate_multisection(msec)
+    if diags:
+        raise Invalid("multi-section is invalid", diags)
     bar = None
     if gluing is not None:
         from .gluing import bar_complex, check_edge_kinks, validate_gluing
 
         bar = bar_complex(msec)
-        diags = validate_gluing(msec, gluing, bar).diagnostics + tuple(
+        diags = validate_gluing(msec, gluing, bar) + tuple(
             Diagnostic("gluing-kink-mismatch", f"edge lift {e}: kinks disagree between endpoints")
             for e in check_edge_kinks(msec)
         )
         if diags:
             raise Invalid("gluing data invalid", diags)
     return Bundle(msec, gluing, bar, frozenset(flags))
-
-
-def _read(path: str):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def _structural_json(data):
@@ -79,8 +74,8 @@ def load(section_path: str, gluing_path: str | None = None, complex_path: str | 
     parsed only when its document differs from the one the section embeds.
     A flag holds when ``assertions`` say so, or when they are silent on it
     and the embedded complex asserts it."""
-    named = None if complex_path is None else _read(complex_path)
-    data = _read(section_path)
+    named = None if complex_path is None else schema.read(complex_path)
+    data = schema.read(section_path)
     embedded = data.get("complex") if isinstance(data, dict) else None
     same = complex_path is None or (
         isinstance(named, dict) and _structural_json(named) == _structural_json(embedded)

@@ -12,7 +12,6 @@ functions it calls, not the parser, reject an unknown check, layer or example.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from fractions import Fraction
@@ -23,12 +22,12 @@ from . import (
     EXIT_NOT_SIMPLE,
     EXIT_OK,
     __version__,
-    _jsonable,
+    _json_text,
 )
 
 
 def _echo_json(obj) -> None:
-    print(json.dumps(_jsonable(obj), indent=2))
+    sys.stdout.write(_json_text(obj))
 
 
 def _rational(text: str) -> Fraction:

@@ -40,17 +40,6 @@ class Diagnostic(NamedTuple):
     message: str
 
 
-class ValidationReport(NamedTuple):
-    diagnostics: tuple[Diagnostic, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.diagnostics
-
-    def codes(self) -> list[str]:
-        return [d.code for d in self.diagnostics]
-
-
 class _SurfaceIndex(NamedTuple):
     """The topology of a surface numbered once. The cells of each dimension
     are numbered in id order, so numbers sort as ids do, and every other
@@ -220,8 +209,9 @@ class PolyhedralSurface:
         return [(F[f], E[out], E[inn]) for f, out, inn in x.corners[x.first[v]:x.first[v + 1]]]
 
 
-def validate_surface(s: PolyhedralSurface) -> ValidationReport:
-    """Structural checks for a closed oriented surface with affine fans."""
+def validate_surface(s: PolyhedralSurface) -> tuple[Diagnostic, ...]:
+    """Structural checks for a closed oriented surface with affine fans; the
+    diagnostics of what fails, none when it is valid."""
     x = s._index
     V, E, F = x.ids[0], x.ids[1], x.ids[2]
     diags: list[Diagnostic] = []
@@ -248,7 +238,7 @@ def validate_surface(s: PolyhedralSurface) -> ValidationReport:
             bad("edge-endpoints", f"edge {c.id} needs two distinct endpoints")
 
     if any(d.code in ("missing-face", "face-dim", "edge-endpoints") for d in diags):
-        return ValidationReport(tuple(diags))
+        return tuple(diags)
 
     for e, sides in enumerate(x.sides):
         if len(sides) != 2:
@@ -298,7 +288,7 @@ def validate_surface(s: PolyhedralSurface) -> ValidationReport:
         bad("euler-characteristic-odd", f"closed surface cannot have chi = {chi}")
     if any(d.code.startswith("orientation-") for d in diags):
         # corners are read off the boundary cycles, so they are undefined
-        return ValidationReport(tuple(diags))
+        return tuple(diags)
     for why in x.links.values():
         bad("vertex-link", why)
 
@@ -341,7 +331,7 @@ def validate_surface(s: PolyhedralSurface) -> ValidationReport:
                     f"{edge_of[j]}) but corner edges ({out}, {inn})",
                 )
 
-    return ValidationReport(tuple(diags))
+    return tuple(diags)
 
 
 @functools.lru_cache(maxsize=256)

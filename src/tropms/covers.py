@@ -19,7 +19,6 @@ from . import schema
 from .complexes import (
     Diagnostic,
     PolyhedralSurface,
-    ValidationReport,
     complex_to_text,
     parse_complex,
     validate_surface,
@@ -234,17 +233,18 @@ class MultiSection:
         return tuple(out)
 
 
-def validate_cover(cover: BranchedCover) -> ValidationReport:
-    """Base validity, matching shape, and declared-versus-computed branching."""
-    base_rep = validate_surface(cover.base)
-    diags = list(base_rep.diagnostics)
+def validate_cover(cover: BranchedCover) -> tuple[Diagnostic, ...]:
+    """Base validity, matching shape, and declared-versus-computed branching;
+    the diagnostics of what fails."""
+    base_diags = validate_surface(cover.base)
+    diags = list(base_diags)
 
     def bad(code, msg):
         diags.append(Diagnostic(code, msg))
 
     if cover.degree < 1:
         bad("cover-degree", f"degree {cover.degree} is not positive")
-        return ValidationReport(tuple(diags))
+        return tuple(diags)
     x = cover.base._index
     V = x.ids[0]
     if cover.edge_matchings.keys() != set(x.ids[1]):
@@ -260,8 +260,8 @@ def validate_cover(cover: BranchedCover) -> ValidationReport:
     for v in sorted(cover.branch_vertices):
         if v not in x.number[0]:
             bad("branch-not-vertex", f"branch point {v} is not a vertex")
-    if any(d.code in ("edge-matching", "branch-not-vertex") for d in diags) or not base_rep.ok:
-        return ValidationReport(tuple(diags))
+    if base_diags or any(d.code in ("edge-matching", "branch-not-vertex") for d in diags):
+        return tuple(diags)
 
     trivial = tuple((s,) for s in range(cover.degree))
     first, blocks = cover._index.first, cover._index.blocks
@@ -290,7 +290,7 @@ def validate_cover(cover: BranchedCover) -> ValidationReport:
             bad("trivial-branch-vertex", f"vertex {vid} is declared branch but unbranched")
     if not cover.is_connected():
         bad("cover-disconnected", "the total space is disconnected")
-    return ValidationReport(tuple(diags))
+    return tuple(diags)
 
 
 def euler_genus(cover: BranchedCover) -> int:
@@ -325,12 +325,11 @@ def _kink(msec: MultiSection, cyc, t: int) -> int:
     return k
 
 
-def validate_multisection(msec: MultiSection) -> ValidationReport:
+def validate_multisection(msec: MultiSection) -> tuple[Diagnostic, ...]:
     """Cover validity plus slope coverage and continuity at lifts of rank
-    at most two. Lifts of higher rank carry raw chart data and are exempt
-    from the continuity check."""
-    rep = validate_cover(msec.cover)
-    diags = list(rep.diagnostics)
+    at most two, as diagnostics. Lifts of higher rank carry raw chart data
+    and are exempt from the continuity check."""
+    diags = list(validate_cover(msec.cover))
     declaration_only = {
         "lift-mismatch",
         "ramification-mismatch",
@@ -338,7 +337,7 @@ def validate_multisection(msec: MultiSection) -> ValidationReport:
         "trivial-branch-vertex",
     }
     if any(d.code not in declaration_only for d in diags):
-        return rep
+        return tuple(diags)
 
     def bad(code, msg):
         diags.append(Diagnostic(code, msg))
@@ -354,7 +353,7 @@ def validate_multisection(msec: MultiSection) -> ValidationReport:
             bad("slope-coverage", f"missing slope for {key}")
         for key in sorted(set(msec.slopes) - expected):
             bad("slope-coverage", f"slope for unknown key {key}")
-        return ValidationReport(tuple(diags))
+        return tuple(diags)
 
     kinks = msec.kinks
     for v in range(len(x.ids[0])):
@@ -368,7 +367,7 @@ def validate_multisection(msec: MultiSection) -> ValidationReport:
                     _kink(msec, cyc, at.index(None))  # raises at the first wall with no kink
                 except ValueError as exc:
                     bad("slope-discontinuous", f"lift {cx.ids[lift]}: {exc}")
-    return ValidationReport(tuple(diags))
+    return tuple(diags)
 
 
 class ClassTag(NamedTuple):
@@ -416,23 +415,19 @@ def classify(msec: MultiSection) -> ClassTag:
                 return ClassTag("S_mn", next(iter(distinct)), detail)
             return ClassTag("S", None, detail)
     try:
-        creport = check_class_C(msec)
+        violations = check_class_C(msec)
     except ValueError:
         return ClassTag("none", None, detail)
-    if creport.ok:
+    if not violations:
         return ClassTag("C", None, detail or {"violations": []})
     detail = dict(detail)
-    detail["violations"] = creport.violations
+    detail["violations"] = violations
     return ClassTag("none", None, detail)
 
 
-class ClassCReport(NamedTuple):
-    ok: bool
-    violations: tuple
-
-
-def check_class_C(msec: MultiSection) -> ClassCReport:
-    """Distinct-covector conditions at totally ramified branch vertices.
+def check_class_C(msec: MultiSection) -> tuple:
+    """Distinct-covector conditions at totally ramified branch vertices: the
+    violations, none when the section is of class C.
 
     Requires every branch vertex to be totally ramified. On each maximal cone
     at such a vertex the sheet slopes must be pairwise distinct, and no
@@ -464,7 +459,7 @@ def check_class_C(msec: MultiSection) -> ClassCReport:
                         continue
                     if dot(d, ra) > 0 and dot(d, rb) > 0:
                         violations.append(("difference-interior", v, fid, a, b, d))
-    return ClassCReport(not violations, tuple(violations))
+    return tuple(violations)
 
 
 def check_condition_E(s: PolyhedralSurface, branch) -> bool:
@@ -512,9 +507,9 @@ def build_double_cover(
         raise ValueError("branch points must be vertices of the base")
     if len(branch) < 2 or len(branch) % 2 != 0:
         raise ValueError("need an even branch set of size at least 2")
-    base_rep = validate_surface(s)
-    if not base_rep.ok:
-        raise ValueError(f"base surface invalid: {base_rep.codes()}")
+    diags = validate_surface(s)
+    if diags:
+        raise ValueError(f"base surface invalid: {[d.code for d in diags]}")
     for vid in V:
         fan = s.fans.get(vid)
         if fan is None or len(fan.rays) != 3:

@@ -133,7 +133,7 @@ def _dual_base(primal: PolyhedralSurface, rays, what: str, vertices: int, marker
         fan_rays = tuple((rays[i], out) for i, (_, out, _) in enumerate(chain))
         cones = tuple((f, (i, (i + 1) % 3)) for i, (f, _, _) in enumerate(chain))
         base.fans[v.id] = VertexFan(v.id, fan_rays, cones)
-    _require(validate_surface(base).ok, f"{what} base validation")
+    _require(not validate_surface(base), f"{what} base validation")
     _require(len(base.vertices) == vertices, f"{what} base must have {vertices} vertices")
     marked = [c for c in base.cells.values() if c.singular_markers]
     _require(len(marked) == markers, f"{what} base must carry {markers} singular markers")
@@ -365,7 +365,7 @@ def rank3_multisection() -> MultiSection:
             for sheet in range(3):
                 slopes[(lid, fid, sheet)] = RANK3_SLOPE_TABLE[i][sheet]
     msec = MultiSection(cover, slopes, label="rank3-cube")
-    _require(validate_multisection(msec).ok, "rank3-cube ramification, connectivity, slopes")
+    _require(not validate_multisection(msec), "rank3-cube ramification, connectivity, slopes")
     return msec
 
 
@@ -388,7 +388,7 @@ def seeded_coboundary_gluing(msec: MultiSection, seed: int = 0) -> GluingData:
         for lift in range(cover.degree):
             lam_edge[f"{e}~{lift}"] = Fraction(rng.randint(1, 7), rng.randint(1, 7))
     g = coboundary_gluing(msec, lam_vertex, lam_edge)
-    _require(validate_gluing(msec, g, bar_complex(msec)).ok, "seeded gluing validation")
+    _require(not validate_gluing(msec, g, bar_complex(msec)), "seeded gluing validation")
     return g
 
 

@@ -21,7 +21,7 @@ from math import gcd
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import schema
-from .complexes import Diagnostic, ValidationReport
+from .complexes import Diagnostic
 from .covers import MultiSection, edge_lift_id, face_lift_id
 from .lattice import Vec, canonical_transverse, det2, dot
 
@@ -164,10 +164,10 @@ def bar_complex(msec: MultiSection) -> BarComplex:
 
 def validate_gluing(
     msec: MultiSection, g: GluingData, bar: BarComplex
-) -> ValidationReport:
+) -> tuple[Diagnostic, ...]:
     """Check gluing data on a valid section whose order complex is ``bar``:
     flags must be real inclusions; data landing in a rank-zero lattice
-    (anything into a 2-cell lift) must be trivial."""
+    (anything into a 2-cell lift) must be trivial. Returns the diagnostics."""
     diags: list[Diagnostic] = []
     ve = {ve for ve, _, _ in bar.sides}
     for (src, dst), elem in sorted(g.items()):
@@ -182,7 +182,7 @@ def validate_gluing(
             diags.append(Diagnostic(
                 "gluing-cocycle-violation",
                 f"nontrivial element into a 2-cell lift at chain {where}"))
-    return ValidationReport(tuple(diags))
+    return tuple(diags)
 
 
 def coboundary_gluing(

@@ -315,10 +315,10 @@ def general_simplicity(
     never a proof of non-simplicity.
     """
     if tag.tag != "C":
-        crep = check_class_C(msec)
-        if not crep.ok:
+        violations = check_class_C(msec)
+        if violations:
             raise ValueError(
-                f"class mismatch: distinct-covector conditions fail: {crep.violations}"
+                f"class mismatch: distinct-covector conditions fail: {violations}"
             )
     if not local_bundles_asserted:
         return Verdict("refused", (

@@ -20,7 +20,7 @@ import os
 import time
 from typing import NamedTuple
 
-from . import EXIT_INTERNAL, EXIT_INVALID, EXIT_NOT_SIMPLE, EXIT_OK, _jsonable, schema
+from . import EXIT_INTERNAL, EXIT_INVALID, EXIT_NOT_SIMPLE, EXIT_OK, _json_text, schema
 from .bundle import Bundle, Invalid, load
 from .complexes import complex_to_text
 from .covers import ClassTag, classify, multisection_to_text
@@ -95,7 +95,7 @@ def report_to_json(report: Report) -> dict:
                 "check": rec.check,
                 "citation": rec.citation,
                 "verdict": rec.verdict,
-                "witnesses": _jsonable(rec.witnesses),
+                "witnesses": rec.witnesses,
                 "seconds": rec.seconds,
             }
             for rec in report.checks
@@ -105,7 +105,7 @@ def report_to_json(report: Report) -> dict:
 
 
 def report_to_text(report: Report) -> str:
-    return schema.text(report_to_json(report))
+    return _json_text(report_to_json(report))
 
 
 # -- loading ------------------------------------------------------------------

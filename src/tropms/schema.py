@@ -13,7 +13,8 @@ compiled once per indentation depth into a writer that knows its sorted
 keys and separators, so no generic encoder walks the values. A document
 that breaks its table raises ``Malformed``: one line that names the kind of
 document, the cause, the file when known and the JSON path, which is built
-only as the error unwinds.
+only as the error unwinds. ``read`` opens and decodes every input file; one
+that is not JSON text in UTF-8 raises a ValueError led by the file's name.
 """
 
 from __future__ import annotations
@@ -268,12 +269,21 @@ def within(key: str, parse: Callable, value):
         raise
 
 
-def from_file(path: str, parse: Callable, data=None):
-    """``parse`` the JSON document of a file, or ``data`` already read from
-    it; its errors name the file."""
-    if data is None:
+def read(path: str):
+    """The JSON document of a file. A file that is not JSON text in UTF-8, or
+    nests too deeply to decode, raises ValueError led by the file's name."""
+    try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
+    except (ValueError, RecursionError) as err:  # ValueError: JSON or UTF-8 decoding
+        raise ValueError(f"{os.path.basename(path)}: {err}") from err
+
+
+def from_file(path: str, parse: Callable, data=None):
+    """``parse`` the JSON document of a file, or ``data`` already ``read``
+    from it; its errors name the file."""
+    if data is None:
+        data = read(path)
     try:
         return parse(data)
     except Malformed as err:
@@ -290,12 +300,6 @@ def unique(field: str, pairs) -> dict:
         i = next(i for i, key in enumerate(keys) if key in keys[:i])
         raise Malformed(f"duplicates an earlier entry: {keys[i]!r}", ValueError, field, i)
     return out
-
-
-def text(obj) -> str:
-    """Canonical JSON text of an untyped object: sorted keys, two-space
-    indent, final newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 INT = Leaf("an integer", int, int.__repr__)

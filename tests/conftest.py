@@ -139,6 +139,21 @@ def cube_surface() -> PolyhedralSurface:
     return s
 
 
+def triangulated_torus() -> PolyhedralSurface:
+    """A 3x3 triangulated torus without fans: 9 vertices, 27 edges and 18
+    triangles a{i}{j}, b{i}{j}."""
+
+    def v(i, j):
+        return f"v{i % 3}{j % 3}"
+
+    faces = {}
+    for i in range(3):
+        for j in range(3):
+            faces[f"a{i}{j}"] = (v(i, j), v(i + 1, j), v(i + 1, j + 1))
+            faces[f"b{i}{j}"] = (v(i, j), v(i + 1, j + 1), v(i, j + 1))
+    return surface_from_cycles(faces)
+
+
 def two_sheet_cover() -> MultiSection:
     """Two identity-matched sheets over the tetrahedron with zero slopes: a
     disconnected double cover."""

@@ -11,10 +11,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from conftest import run_cli
+from conftest import run_cli, triangulated_torus
 
 import tropms
-from tropms.complexes import complex_to_text, surface_from_cycles, validate_surface
+from tropms.complexes import complex_to_text, validate_surface
 from tropms.covers import multisection_to_text
 from tropms.generators import (
     planted_multisection,
@@ -244,6 +244,39 @@ def test_strict_read_names_kind_and_path(workdir, tmp_path, case):
     where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).removeprefix(".")
     assert message.startswith(f"error: malformed {document} (")
     assert f"bad.{kind}.json: {where}" in message  # the place changed, or one inside it
+
+
+UNDECODABLE = {
+    "truncated": lambda raw: raw[: len(raw) // 2],
+    "leading-0xff": lambda raw: b"\xff" + raw,
+    "nested-too-deeply": lambda raw: b"[" * 100_000 + raw,
+}
+
+
+@pytest.mark.parametrize("damage", sorted(UNDECODABLE))
+@pytest.mark.parametrize("kind", ["manifest", "complex", "section", "gluing", "slopes"])
+def test_file_that_is_not_json_text_is_named(workdir, tmp_path, kind, damage):
+    """A file that is not JSON text in UTF-8, or nests too deeply to decode,
+    exits 2, and the error leads with the file's name: on stderr, or as the
+    failed validate record."""
+    for name in ("manifest", "complex", "section", "gluing"):
+        (tmp_path / f"cube2.{name}.json").write_bytes((workdir / f"cube2.{name}.json").read_bytes())
+    (tmp_path / "slopes.json").write_text(json.dumps(SLOPES))
+    bad = tmp_path / ("slopes.json" if kind == "slopes" else f"cube2.{kind}.json")
+    bad.write_bytes(UNDECODABLE[damage](bad.read_bytes()))
+    if kind == "slopes":
+        res = invoke("newton", "--slopes", bad)
+    else:
+        res = invoke("validate", "--manifest", tmp_path / "cube2.manifest.json")
+    assert res.exit_code == EXIT_INVALID
+    if kind in ("slopes", "manifest"):
+        (message,) = res.stderr.splitlines()
+        assert message.startswith(f"error: {bad.name}: ")
+    else:
+        (rec,) = json.loads(res.output)["checks"]
+        assert (rec["check"], rec["verdict"]) == ("validate", "fail")
+        (message,) = rec["witnesses"]
+        assert message.startswith(f"{bad.name}: ")
 
 
 def _edited_cube2(workdir, tmp_path, edit):
@@ -722,17 +755,8 @@ def test_render_rejects_unknown_layer(workdir):
 
 
 def test_render_refuses_base_that_is_not_a_sphere():
-    # a 3x3 triangulated torus: 9 vertices, 27 edges, 18 triangles
-    def v(i, j):
-        return f"v{i % 3}{j % 3}"
-
-    faces = {}
-    for i in range(3):
-        for j in range(3):
-            faces[f"a{i}{j}"] = (v(i, j), v(i + 1, j), v(i + 1, j + 1))
-            faces[f"b{i}{j}"] = (v(i, j), v(i + 1, j + 1), v(i, j + 1))
-    torus = surface_from_cycles(faces)
-    assert validate_surface(torus).ok
+    torus = triangulated_torus()
+    assert validate_surface(torus) == ()
     with pytest.raises(ValueError, match="chi = 0"):
         _layout(torus)
 
@@ -759,6 +783,11 @@ def test_cli_import_loads_no_third_party_module():
 
     extra = top_level(_modules_loaded("import tropms.cli")) - top_level(_modules_loaded("pass"))
     assert extra - set(sys.stdlib_module_names) <= {"tropms"}
+
+
+# The tropms modules a `validate` child loads, and their source lines, at
+# most: every child compiles them, so code added to the verdict path shows here.
+VALIDATE_SOURCE = {"cube2.manifest.json": (12, 4031), "rank3-cube.manifest.json": (9, 2832)}
 
 
 @pytest.mark.parametrize(
@@ -803,3 +832,11 @@ def test_command_loads_only_what_it_runs(tmp_path, argv, ran, absent):
     extra = loaded - _modules_loaded("pass")
     assert ran in extra
     assert not extra & absent
+    if argv[0] == "validate":
+        ours = [name.partition(".")[2] or "__init__" for name in extra
+                if name.partition(".")[0] == "tropms"]
+        package = Path(tropms.__file__).parent
+        lines = sum(len((package / f"{name}.py").read_text(encoding="utf-8").splitlines())
+                    for name in ours)
+        modules, bound = VALIDATE_SOURCE[argv[2]]
+        assert len(ours) <= modules and lines <= bound, (sorted(ours), lines)

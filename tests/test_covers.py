@@ -1,8 +1,9 @@
+import ast
 import json
 import tracemalloc
 
 import pytest
-from conftest import cube_surface, tetrahedron, two_sheet_cover
+from conftest import cube_surface, tetrahedron, triangulated_torus, two_sheet_cover
 
 from tropms.bundle import Invalid, load
 from tropms.complexes import VertexFan, validate_surface
@@ -20,6 +21,7 @@ from tropms.covers import (
     validate_cover,
     validate_multisection,
 )
+from tropms.generators import STANDARD_FAN_RAYS, _dual_base
 from tropms.lattice import rot90
 from tropms.pipeline import generate_example
 
@@ -54,7 +56,7 @@ def reslope_vertex(msec, v, kinks):
 def test_cube_fixture():
     s = cube_surface()
     rep = validate_surface(s)
-    assert rep.ok, rep.diagnostics
+    assert rep == (), rep
     assert s.euler_characteristic() == 2
     assert len(s.vertices) == 8 and len(s.edges) == 12 and len(s.faces2) == 6
 
@@ -83,11 +85,28 @@ def test_build_preconditions():
         build_double_cover(s, ["v000", "v001"], 1, 0)
 
 
+def test_double_cover_refuses_an_inconsistent_sheet_typing():
+    """On a torus, a branch set may meet every 2-cell evenly and still admit
+    no sheet typing under the edge twists the builder picks (none outside
+    its spanning tree): the refusal names a cycle of the 1-skeleton around
+    which the typing parity does not close."""
+    base = _dual_base(triangulated_torus(), STANDARD_FAN_RAYS, "honeycomb torus", 18, 0)
+    branch = {"a00", "a01", "b01", "b02"}
+    assert check_condition_E(base, branch)
+    with pytest.raises(ValueError, match=r"^no consistent sheet typing; inconsistent cycle ") as err:
+        build_double_cover(base, branch, 2, 1)
+    cycle = ast.literal_eval(str(err.value).partition("cycle ")[2])
+    assert cycle == ["a10", "b10", "a00", "b00", "a20", "b20"]
+    assert len(set(cycle)) == len(cycle) >= 3
+    for v, w in zip(cycle, cycle[1:] + cycle[:1]):  # a closed walk along edges
+        base.edge_between(v, w)
+
+
 def test_double_cover_shape():
     msec = cover_1_0()
     cover = msec.cover
     rep = validate_multisection(msec)
-    assert rep.ok, rep.diagnostics
+    assert rep == (), rep
     assert cover.degree == 2
     assert len(cover.branch_vertices) == 8
     for v in cover.branch_vertices:
@@ -145,7 +164,7 @@ def test_classify_affine_shift_invariance():
         if key[0] == lid:
             u = msec.slopes[key]
             msec.slopes[key] = (u[0] + 3, u[1] - 2)
-    assert validate_multisection(msec).ok
+    assert validate_multisection(msec) == ()
     tag = classify(msec)
     assert tag.tag == "S_mn" and tag.pair == (1, 0)
 
@@ -153,7 +172,7 @@ def test_classify_affine_shift_invariance():
 def test_classify_mixed_weights():
     msec = cover_1_0()
     reslope_vertex(msec, "v000", [2, 0, 2, 0, 2, 0])
-    assert validate_multisection(msec).ok
+    assert validate_multisection(msec) == ()
     tag = classify(msec)
     assert tag.tag == "S"
     assert tag.detail["v000"]["pair"] == (2, 0)
@@ -163,7 +182,7 @@ def test_classify_mixed_weights():
 def test_classify_uniform_kinks_is_not_standard():
     msec = cover_1_0()
     reslope_vertex(msec, "v000", [1, 1, 1, 1, 1, 1])
-    assert validate_multisection(msec).ok
+    assert validate_multisection(msec) == ()
     tag = classify(msec)
     assert tag.tag == "none"
     assert any(viol[0] == "coincident-slopes" for viol in tag.detail["violations"])
@@ -172,18 +191,18 @@ def test_classify_uniform_kinks_is_not_standard():
 def test_class_C_holds_for_alternating_models():
     msec = cover_1_0()
     rep = check_class_C(msec)
-    assert rep.ok and not rep.violations
+    assert rep == ()
 
 
 def test_class_C_interior_difference_violation():
     msec = cover_1_0()
     reslope_vertex(msec, "v000", [0, 1, 2, 2, 1, 0])
-    assert validate_multisection(msec).ok
+    assert validate_multisection(msec) == ()
     rep = check_class_C(msec)
-    assert not rep.ok
-    kinds = {viol[0] for viol in rep.violations}
+    assert rep
+    kinds = {viol[0] for viol in rep}
     assert "difference-interior" in kinds
-    assert any(viol[1] == "v000" for viol in rep.violations)
+    assert any(viol[1] == "v000" for viol in rep)
     assert classify(msec).tag == "none"
 
 
@@ -196,7 +215,7 @@ def test_class_C_requires_total_ramification():
     ram = {v.id: tuple(block for _, block in cover.computed_lifts(v.id)) for v in s.vertices}
     assert all(len(blocks) == 2 for blocks in ram.values())
     cover = BranchedCover(s, 3, matchings, frozenset(all_vertices(s)), ram)
-    assert validate_cover(cover).ok
+    assert validate_cover(cover) == ()
     with pytest.raises(ValueError):
         check_class_C(MultiSection(cover, {}, "partial"))
 
@@ -237,10 +256,10 @@ def test_gl2_equivariance_of_class_C():
     )
     slopes2 = {k: apply_covec(u, m_inv) for k, u in msec.slopes.items()}
     msec2 = MultiSection(cover2, slopes2, msec.label)
-    assert validate_multisection(msec2).ok
+    assert validate_multisection(msec2) == ()
     r1, r2 = check_class_C(msec), check_class_C(msec2)
-    assert r1.ok == r2.ok
-    assert {v[:2] for v in r1.violations} == {v[:2] for v in r2.violations}
+    assert bool(r1) == bool(r2)
+    assert {v[:2] for v in r1} == {v[:2] for v in r2}
 
 
 def test_tampered_matching_detected():
@@ -252,8 +271,8 @@ def test_tampered_matching_detected():
         old.branch_vertices, old.ramification,
     )
     rep = validate_cover(cover)
-    assert not rep.ok
-    codes = set(rep.codes())
+    assert rep
+    codes = {d.code for d in rep}
     assert "ramification-mismatch" in codes
     assert "trivial-branch-vertex" in codes
 
@@ -265,7 +284,7 @@ def test_undeclared_branch_detected():
     cover.branch_vertices = cover.branch_vertices - {v}
     cover.ramification[v] = ((0,), (1,))
     rep = validate_cover(cover)
-    codes = set(rep.codes())
+    codes = {d.code for d in rep}
     assert "undeclared-branch-vertex" in codes
     assert "ramification-mismatch" in codes
 
@@ -275,8 +294,8 @@ def test_slope_coverage_diagnostic():
     key = sorted(msec.slopes)[0]
     del msec.slopes[key]
     rep = validate_multisection(msec)
-    assert not rep.ok
-    assert "slope-coverage" in rep.codes()
+    assert rep
+    assert "slope-coverage" in [d.code for d in rep]
 
 
 def test_slope_discontinuity_diagnostic():
@@ -285,8 +304,8 @@ def test_slope_discontinuity_diagnostic():
     u = msec.slopes[key]
     msec.slopes[key] = (u[0] + 1, u[1] + 1)
     rep = validate_multisection(msec)
-    assert not rep.ok
-    assert "slope-discontinuous" in rep.codes()
+    assert rep
+    assert "slope-discontinuous" in [d.code for d in rep]
 
 
 def test_multisection_roundtrip_byte_identical():
@@ -294,7 +313,7 @@ def test_multisection_roundtrip_byte_identical():
     text = multisection_to_text(msec)
     parsed = parse_multisection(json.loads(text))
     assert multisection_to_text(parsed) == text
-    assert validate_multisection(parsed).ok
+    assert validate_multisection(parsed) == ()
     assert classify(parsed).pair == (1, 0)
 
 
@@ -323,7 +342,7 @@ def test_declared_lifts_checked_against_computed(damage):
         doc["lifts"].append({"vertex": "nowhere", "lifts": []})
     else:  # lifts left undeclared are not compared
         del doc["lifts"]
-    codes = set(validate_multisection(parse_multisection(doc)).codes())
+    codes = {d.code for d in validate_multisection(parse_multisection(doc))}
     assert codes == (set() if damage == "absent" else {"lift-mismatch"})
 
 
@@ -338,7 +357,7 @@ def test_labels_preserved():
 def test_disconnected_cover_fails_validation():
     msec = two_sheet_cover()
     assert not msec.cover.is_connected()
-    assert validate_multisection(msec).codes() == ["cover-disconnected"]
+    assert [d.code for d in validate_multisection(msec)] == ["cover-disconnected"]
 
 
 @pytest.mark.parametrize("field", ["matchings", "ramification", "branch"])

@@ -69,7 +69,7 @@ def face_size_histogram(s):
 def test_cube2_base_counts():
     base = cube2_base()
     assert counts(base) == (48, 72, 26)
-    assert validate_surface(base).ok
+    assert validate_surface(base) == ()
     assert face_size_histogram(base) == {8: 6, 4: 12, 6: 8}
 
 
@@ -92,7 +92,7 @@ def test_cube2_base_deterministic():
 
 def test_cube2_cover_genus_and_class():
     msec = cube2_multisection()
-    assert validate_multisection(msec).ok
+    assert validate_multisection(msec) == ()
     assert euler_genus(msec.cover) == 23 == riemann_hurwitz_genus(48)
     tag = classify(msec)
     assert (tag.tag, tag.pair) == ("S_mn", (2, 1))
@@ -147,7 +147,7 @@ def test_cube_o1_seeded_gluing_trivial_obstruction():
     msec = cube_o1_multisection()
     g = seeded_coboundary_gluing(msec, seed=0)
     bar = bar_complex(msec)
-    assert g and validate_gluing(msec, g, bar).ok
+    assert g and validate_gluing(msec, g, bar) == ()
     assert g == seeded_coboundary_gluing(cube_o1_multisection(), seed=0)
     report = obstruction_class(triple_cocycle(msec, g, bar), bar)
     assert report.trivial and report.witness == 1
@@ -219,7 +219,7 @@ def test_planted_triangle_unique_full_face():
 def test_simplex5_base_counts():
     base = simplex5_base()
     assert counts(base) == (100, 150, 52)
-    assert validate_surface(base).ok
+    assert validate_surface(base) == ()
     assert face_size_histogram(base) == {3: 4, 6: 48}
 
 
@@ -239,7 +239,7 @@ def test_simplex5_markers():
 @pytest.mark.parametrize("branch_count,genus", [(74, 36), (58, 28)])
 def test_simplex5_presets(branch_count, genus):
     msec = simplex5_multisection(branch_count)
-    assert validate_multisection(msec).ok
+    assert validate_multisection(msec) == ()
     assert len(msec.cover.branch_vertices) == branch_count
     assert check_condition_E(msec.cover.base, msec.cover.branch_vertices)
     assert euler_genus(msec.cover) == genus == riemann_hurwitz_genus(branch_count)
@@ -264,7 +264,7 @@ def test_simplex5_preset_tables_disjoint_sizes():
 def test_rank3_cover_structure():
     msec = rank3_multisection()
     cover = msec.cover
-    assert validate_cover(cover).ok
+    assert validate_cover(cover) == ()
     assert cover.degree == 3
     assert cover.is_connected()
     assert all(
@@ -291,7 +291,7 @@ def test_rank3_slope_table_applied_per_cone():
 def test_rank3_class_and_criterion():
     msec = rank3_multisection()
     assert classify(msec).tag == "C"
-    assert check_class_C(msec).ok
+    assert check_class_C(msec) == ()
     assert len(build_G0_tilde(msec).vertices) == 0
     verdict = general_simplicity(msec, classify(msec), local_bundles_asserted=True)
     assert verdict.tag == "smoothable"

@@ -144,20 +144,20 @@ def test_bar_edge_signs_cancel():
 def test_validate_trivial_and_violations():
     msec = full_branch()
     bar = bar_complex(msec)
-    assert validate_gluing(msec, {}, bar).ok
+    assert validate_gluing(msec, {}, bar) == ()
     good_flag = sorted(vertex_edge_flags(msec))[0]
-    assert validate_gluing(msec, {good_flag: TorusElement.single((1, 1), 2)}, bar).ok
+    assert validate_gluing(msec, {good_flag: TorusElement.single((1, 1), 2)}, bar) == ()
 
     # nontrivial element into a 2-cell lift names the offending chain
     rep = validate_gluing(
         msec, {("ev000v010~0", "fz0~0"): TorusElement.single((1, 0), 2)}, bar
     )
-    assert "gluing-cocycle-violation" in rep.codes()
-    msg = next(d for d in rep.diagnostics if d.code == "gluing-cocycle-violation")
+    assert "gluing-cocycle-violation" in [d.code for d in rep]
+    msg = next(d for d in rep if d.code == "gluing-cocycle-violation")
     assert "fz0~0" in msg.message
 
     rep = validate_gluing(msec, {("v000#0", "fz1~0"): TorusElement.single((1, 0), 2)}, bar)
-    assert "gluing-flag" in rep.codes()
+    assert "gluing-flag" in [d.code for d in rep]
 
 
 # -- triple cocycle -----------------------------------------------------------

@@ -178,7 +178,7 @@ def _fan_agrees_with_angles(rays):
         raised = True
     assert raised != complete, rays
     if len(rays) >= 2:  # no vertex of a closed surface here has one edge
-        codes = validate_surface(_pyramid_with_fan(rays)).codes()
+        codes = [d.code for d in validate_surface(_pyramid_with_fan(rays))]
         assert ("fan-not-complete" in codes) != complete, (rays, codes)
 
 

@@ -93,7 +93,7 @@ def relabel_sheets(msec: MultiSection, rng: random.Random) -> MultiSection:
 def verdicts(msec: MultiSection, flags: frozenset[str]) -> tuple:
     """Validity, class tag, weight pair, simplicity verdict and the cell
     counts of the self fiber product of a section."""
-    valid = validate_multisection(msec).ok
+    valid = validate_multisection(msec) == ()
     tag = classify(msec)
     criterion = "rank2" if tag.tag == "S_mn" else "general"
     simplicity = simplicity_verdict(msec, tag, criterion, flags, True).tag

@@ -231,31 +231,31 @@ def test_fans_and_markers_are_read_after_numbering():
     corner query, and a cell whose markers are replaced as the generators
     mark cells, are what later validation reads."""
     s = tetrahedron()  # its fans were assigned from the corners, so it is numbered
-    assert validate_surface(s).ok
+    assert validate_surface(s) == ()
     good = s.fans["A"]
     s.fans["A"] = VertexFan("A", tuple(((2, 0), e) for _, e in good.rays), good.cones)
-    assert validate_surface(s).codes() == ["fan-not-complete"]
+    assert [d.code for d in validate_surface(s)] == ["fan-not-complete"]
     cover = BranchedCover(s, 1, {e.id: (0,) for e in s.edges}, frozenset())
-    assert validate_cover(cover).codes() == ["fan-not-complete"]
+    assert [d.code for d in validate_cover(cover)] == ["fan-not-complete"]
     s.fans["A"] = good
-    assert validate_cover(cover).ok
+    assert validate_cover(cover) == ()
     generators._mark(s, "fABC", "cone-point")
     assert s.cells["fABC"].singular_markers == ("cone-point",)
     assert '"cone-point"' in complex_to_text(s)
     assert combinatorial_dual(s).cells["fABC"].singular_markers == ("cone-point",)
-    assert validate_surface(s).ok
+    assert validate_surface(s) == ()
 
 
 def test_section_validation_reads_a_fan_replaced_after_numbering():
     msec = cube2_multisection()
-    assert validate_multisection(msec).ok
+    assert validate_multisection(msec) == ()
     base = msec.cover.base
     v = base.vertices[0].id
     fan = base.fans.pop(v)
-    assert validate_multisection(msec).codes() == []  # a vertex may carry no fan
+    assert validate_multisection(msec) == ()  # a vertex may carry no fan
     rolled = fan.cones[1:] + fan.cones[:1]  # each 2-cell gets the next one's rays
     base.fans[v] = fan._replace(cones=tuple((f, p) for (f, _), (_, p) in zip(rolled, fan.cones)))
-    assert "fan-cone-mismatch" in validate_multisection(msec).codes()
+    assert "fan-cone-mismatch" in [d.code for d in validate_multisection(msec)]
 
 
 def test_a_fanless_vertex_is_refused_where_its_rays_are_read(tmp_path):
@@ -283,7 +283,7 @@ def _refanned(msec, fans):
     """The section on a fresh cover over a copy of its base with ``fans``."""
     base, cover = msec.cover.base, msec.cover
     copy = PolyhedralSurface(base.cells, fans, base.orientation, base.asserted)
-    assert validate_surface(copy).ok
+    assert validate_surface(copy) == ()
     return MultiSection(BranchedCover(copy, cover.degree, cover.edge_matchings,
                                       cover.branch_vertices, cover.ramification, cover.lifts),
                         msec.slopes, msec.label)
