@@ -618,9 +618,15 @@ def _build_multisection(complex_doc, degree, label, lifts, matchings, branch,
 
 
 def multisection_to_text(msec: MultiSection) -> str:
+    return _section_text(msec, complex_to_text(msec.cover.base))
+
+
+def _section_text(msec: MultiSection, complex_text: str) -> str:
+    """The multisection/v1 text of a section that embeds ``complex_text``,
+    the text of its base, for a writer that has it already."""
     cover = msec.cover
     return schema.MULTISECTION.text((
-        complex_to_text(cover.base),
+        complex_text,
         cover.degree,
         msec.label,
         [(v.id, cover.computed_lifts(v.id)) for v in cover.base.vertices],

@@ -23,7 +23,7 @@ from typing import NamedTuple
 from . import EXIT_INTERNAL, EXIT_INVALID, EXIT_NOT_SIMPLE, EXIT_OK, _json_text, schema
 from .bundle import Bundle, Invalid, load
 from .complexes import complex_to_text
-from .covers import ClassTag, classify, multisection_to_text
+from .covers import ClassTag, _section_text, classify
 from .graphs import Verdict, simplicity_verdict
 
 ASSERTION_FLAGS = (
@@ -292,10 +292,11 @@ def generate_example(name: str, outdir: str = ".") -> Manifest:
 
     complex_path = f"{name}.complex.json"
     section_path = f"{name}.section.json"
+    complex_text = complex_to_text(msec.cover.base)
     with open(os.path.join(outdir, complex_path), "w", encoding="utf-8") as fh:
-        fh.write(complex_to_text(msec.cover.base))
+        fh.write(complex_text)
     with open(os.path.join(outdir, section_path), "w", encoding="utf-8") as fh:
-        fh.write(multisection_to_text(msec))
+        fh.write(_section_text(msec, complex_text))
 
     gluing_path = None
     if msec.cover.degree == 2:

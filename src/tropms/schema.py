@@ -8,9 +8,8 @@ as INT or VEC, [T] for a list of T, or a table for a nested object.
 value (an integer is not a bool, a float or a string), and hands its fields
 in table order to a build function; lists read as tuples, and so do nested
 objects, of their fields. ``Document.text`` writes such tuples back as
-canonical text, leaving out the fields given as None: each table is
-compiled once per indentation depth into a writer that knows its sorted
-keys and separators, so no generic encoder walks the values. A document
+canonical text through ``writer``, which turns each table into straight-line
+code and which no command that only reads input loads. A document
 that breaks its table raises ``Malformed``: one line that names the kind of
 document, the cause, the file when known and the JSON path, which is built
 only as the error unwinds. ``read`` opens and decodes every input file; one
@@ -24,8 +23,6 @@ import os
 import re
 import reprlib
 from fractions import Fraction
-from functools import cached_property
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable
 
 
@@ -49,50 +46,19 @@ def _wrong(what: str, value, *path, cause: type = TypeError) -> Malformed:
     return Malformed(f"must be {what}, got {reprlib.repr(value)}", cause, *path)
 
 
-def _seps(depth: int) -> tuple[str, str]:
-    """The separator between the items of a container whose opening line
-    sits at ``depth``, and the line break before its closing bracket."""
-    return ",\n" + "  " * (depth + 1), "\n" + "  " * depth
-
-
-def _container(brackets: str, depth: int) -> Callable:
-    """The writer of a container at ``depth`` from the texts of its items,
-    one to a line; without items it is just ``brackets``."""
-    sep, end = _seps(depth)
-    head, tail = brackets[0] + sep[1:], end + brackets[1]
-
-    def wrap(items) -> str:
-        body = sep.join(items)
-        return head + body + tail if body else brackets
-
-    return wrap
-
-
 _ARRAY = (list, tuple)  # the types of a JSON array as read and as written
 
 
 class Leaf:
-    """A JSON value of one exact type, read as it is and written by ``write``."""
+    """A JSON value of one exact type, read as it is."""
 
-    def __init__(self, what: str, exact: type, write: Callable | None = None):
-        self.what, self.exact, self.write = what, exact, write
+    def __init__(self, what: str, exact: type):
+        self.what, self.exact = what, exact
 
     def read(self, value):
         if type(value) is not self.exact:
             raise _wrong(self.what, value)
         return value
-
-    def writer(self, depth: int) -> Callable:
-        return self.write
-
-
-class Embedded(Leaf):
-    """An object read as it is and written from its own canonical text,
-    which holds no raw line break inside a string."""
-
-    def writer(self, depth: int) -> Callable:
-        pad = _seps(depth)[1]
-        return lambda text: text.rstrip("\n").replace("\n", pad)
 
 
 class Pair:
@@ -110,11 +76,6 @@ class Pair:
         i = int(type(value[0]) is exact)  # the element of another type
         raise _wrong(self.item.what, value[i], i)
 
-    def writer(self, depth: int) -> Callable:
-        sep, end = _seps(depth)
-        form, write = f"[{sep[1:]}%s{sep}%s{end}]", self.item.write
-        return lambda v: form % (write(v[0]), write(v[1]))
-
 
 class Flags(Leaf):
     """An object of boolean flags; its reader decides which names it knows."""
@@ -124,11 +85,6 @@ class Flags(Leaf):
             if type(flag) is not bool:
                 raise _wrong("boolean", flag, name)
         return value
-
-    def writer(self, depth: int) -> Callable:
-        wrap = _container("{}", depth)
-        return lambda flags: wrap(
-            [_quote(name) + (": true" if flags[name] else ": false") for name in sorted(flags)])
 
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -144,9 +100,6 @@ class Rational(Leaf):
         if match[2] and not int(match[2]):
             raise Malformed("has a zero denominator", ZeroDivisionError)
         return Fraction(int(match[1]), int(match[2] or 1))
-
-    def writer(self, depth: int) -> Callable:
-        return lambda q: f'"{q.numerator}/{q.denominator}"'
 
 
 class List:
@@ -172,10 +125,6 @@ class List:
             err.path.insert(0, len(out))
             raise
         return tuple(out)
-
-    def writer(self, depth: int) -> Callable:
-        wrap, write = _container("[]", depth), self.item.writer(depth + 1)
-        return lambda values: wrap(map(write, values))
 
 
 _REQUIRED = object()
@@ -213,15 +162,6 @@ class Record:
             raise Malformed("is an unknown field", ValueError, min(set(value) - self.names))
         return tuple(out)
 
-    def writer(self, depth: int, fields=None) -> Callable:
-        """The writer of the tuple of field values in table order, keys
-        sorted; a field given as None is left out."""
-        fields = sorted((name, i, kind) for i, (name, kind, *_) in enumerate(fields or self.fields))
-        fields = [(i, _quote(name) + ": ", kind.writer(depth + 1)) for name, i, kind in fields]
-        wrap = _container("{}", depth)
-        return lambda values: wrap(
-            [key + write(v) for i, key, write in fields if (v := values[i]) is not None])
-
 
 def _type(spec):
     if type(spec) is list:
@@ -250,13 +190,12 @@ class Document(Record):
             err.kind = err.kind or self.kind
             raise
 
-    @cached_property
-    def _write(self) -> Callable:
-        return self.writer(0, self.fields + [("schema", STR)])
-
     def text(self, values) -> str:
-        """The canonical text of a document with these field values."""
-        return self._write((*values, self.schema)) + "\n"
+        """The canonical text of a document with these field values, in
+        table order; a field given as None is left out."""
+        from .writer import text
+
+        return text(self, values)
 
 
 def within(key: str, parse: Callable, value):
@@ -302,10 +241,10 @@ def unique(field: str, pairs) -> dict:
     return out
 
 
-INT = Leaf("an integer", int, int.__repr__)
-STR = Leaf("a string", str, _quote)
-PATH = Leaf("a path", str, _quote)
-OBJECT = Embedded("an object", dict)
+INT = Leaf("an integer", int)
+STR = Leaf("a string", str)
+PATH = Leaf("a path", str)
+OBJECT = Leaf("an object", dict)  # the section's embedded complex, written from its text
 VEC = Pair("[int, int]", INT)
 FLAG = Pair("[str, str]", STR)
 RATIONAL = Rational('a "p/q" rational', str)

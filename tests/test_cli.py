@@ -787,31 +787,33 @@ def test_cli_import_loads_no_third_party_module():
 
 # The tropms modules a `validate` child loads, and their source lines, at
 # most: every child compiles them, so code added to the verdict path shows here.
-VALIDATE_SOURCE = {"cube2.manifest.json": (12, 4031), "rank3-cube.manifest.json": (9, 2832)}
+VALIDATE_SOURCE = {"cube2.manifest.json": (12, 3977), "rank3-cube.manifest.json": (9, 2778)}
 
 
 @pytest.mark.parametrize(
     "argv, ran, absent",
     [
         (("validate", "--manifest", "cube2.manifest.json"), "tropms.pipeline",
-         {"click", "dataclasses", "inspect", "tropms.generators", "tropms.svg"}),
+         {"click", "dataclasses", "inspect", "tropms.generators", "tropms.svg", "tropms.writer"}),
         (("chern", "--m", "2", "--n", "1"), "tropms.chern",
-         {"tropms.covers", "tropms.gluing", "tropms.pipeline"}),
+         {"tropms.covers", "tropms.gluing", "tropms.pipeline", "tropms.writer"}),
         (("classify", "--section", "cube2.section.json"), "tropms.covers",
-         {"tropms.gluing", "tropms.graphs", "tropms.chern", "tropms.pipeline"}),
+         {"tropms.gluing", "tropms.graphs", "tropms.chern", "tropms.pipeline", "tropms.writer"}),
         (("validate", "--manifest", "rank3-cube.manifest.json"), "tropms.graphs",
-         {"tropms.gluing", "tropms.chern", "tropms.laurent"}),
+         {"tropms.gluing", "tropms.chern", "tropms.laurent", "tropms.writer"}),
         (("fiber-product", "--section", "cube2.section.json"), "tropms.graphs",
-         {"tropms.gluing", "tropms.chern", "tropms.laurent", "tropms.pipeline"}),
+         {"tropms.gluing", "tropms.chern", "tropms.laurent", "tropms.pipeline", "tropms.writer"}),
         (("simplicity", "--section", "planted.section.json"), "tropms.graphs",
-         {"tropms.gluing", "tropms.laurent"}),
+         {"tropms.gluing", "tropms.laurent", "tropms.writer"}),
         (("render", "--manifest", "planted.manifest.json", "--layer", "cycles"), "tropms.svg",
-         {"tropms.gluing"}),
+         {"tropms.gluing", "tropms.writer"}),
         (("render", "--manifest", "planted.manifest.json", "--layer", "fiber"), "tropms.chern",
-         {"tropms.gluing"}),
+         {"tropms.gluing", "tropms.writer"}),
+        (("example", "cube2", "--outdir", "written"), "tropms.writer",
+         {"tropms.chern", "tropms.laurent", "tropms.svg"}),
     ],
     ids=["validate", "chern", "classify", "validate-class-C", "fiber-product",
-         "simplicity", "render", "render-fiber"],
+         "simplicity", "render", "render-fiber", "example"],
 )
 def test_command_loads_only_what_it_runs(tmp_path, argv, ran, absent):
     """A command imports the modules it runs and no others: beyond a bare

@@ -12,10 +12,13 @@ the fields given as None. The section's embedded complex is drawn the same
 way, so its ids are as hostile as the section's own.
 
 The cases are derandomized and their number is fixed (100 per table). Their
-budget is 10 s in all; they take about 5 s on a shared 2-vCPU VM.
+budget is 10 s in all; they take about 5 s on a shared 2-vCPU VM. One more,
+deterministic case writes every table with strings that would break a
+``%`` or ``format`` template built from them, and ints of 2**70.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -84,3 +87,42 @@ def test_embedded_complex_keeps_a_hostile_id():
     back = schema.MULTISECTION.parse(json.loads(text), lambda *fields: fields)
     assert back[0]["cells"] == [{"dim": 0, "id": cid, "singular": []}]
     assert back[5] == (cid,)
+
+
+HOSTILE = "%s %% %(a)d {} {0} \\ \u2028 "  # would break a template that held it
+BIG = 2**70
+
+
+def hostile(kind, n=0):
+    """A value of ``kind`` whose strings hold HOSTILE and whose ints are
+    about ±2**70, and the JSON it stands for. A record at an odd ``n``
+    leaves its optional fields out."""
+    if isinstance(kind, schema.Record):
+        out = [(name, None if n % 2 and default is not schema._REQUIRED else hostile(k, i))
+               for i, (name, k, default, _) in enumerate(kind.fields)]
+        return (tuple(pair and pair[0] for _, pair in out),
+                {name: pair[1] for name, pair in out if pair is not None})
+    if isinstance(kind, schema.List):
+        pairs = [hostile(kind.item, i) for i in range(2)]
+        return tuple(v for v, _ in pairs), [doc for _, doc in pairs]
+    if kind is schema.OBJECT:
+        value, doc = hostile(schema.COMPLEX)
+        return schema.COMPLEX.text(value), {**doc, "schema": schema.COMPLEX.schema}
+    text, big = f"{HOSTILE}{n}", (-1) ** n * (BIG + n)
+    if kind is schema.RATIONAL:
+        q = Fraction(big, 3)
+        return q, f"{q.numerator}/{q.denominator}"
+    leaves = {schema.INT: (big, big), schema.STR: (text, text), schema.PATH: (text, text),
+              schema.VEC: ((big, -big), [big, -big]),
+              schema.FLAG: ((text, text + "!"), [text, text + "!"]),
+              schema.FLAGS: ({text: True, "%(a)d": False},) * 2}
+    return leaves[kind]
+
+
+@pytest.mark.parametrize("name", DOCUMENTS)
+def test_text_of_template_syntax_and_huge_ints_is_json(name):
+    doc = DOCUMENTS[name]
+    value, expected_doc = hostile(doc)
+    if doc.schema:
+        expected_doc["schema"] = doc.schema
+    assert doc.text(value) == json.dumps(expected_doc, indent=2, sort_keys=True) + "\n"
