@@ -93,7 +93,7 @@ def _embedded(depth: int) -> Callable:
     """The writer of a document held at ``depth`` of another, from its own
     canonical text, which holds no raw line break inside a string."""
     pad = _pad(depth)
-    return lambda text: text.rstrip("\n").replace("\n", pad)
+    return lambda inner: inner.rstrip("\n").replace("\n", pad)
 
 
 class _Source:
