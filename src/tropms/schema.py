@@ -9,7 +9,7 @@ value (an integer is not a bool, a float or a string), and hands its fields
 in table order to a build function; lists read as tuples, and so do nested
 objects, of their fields. ``Document.text`` writes such tuples back as
 canonical text through ``writer``, which turns each table into straight-line
-code and which no command that only reads input loads. A document
+code and which a command loads only when it writes such text. A document
 that breaks its table raises ``Malformed``: one line that names the kind of
 document, the cause, the file when known and the JSON path, which is built
 only as the error unwinds. ``read`` opens and decodes every input file; one

@@ -15,8 +15,10 @@ comprehension. Flags, rationals, lists of lists and the embedded complex
 are written by closures. The source holds only field names and separators
 from the tables; every value reaches it as an argument.
 
-No verdict command loads this module: ``schema.Document.text`` imports it
-on its first call, so only the commands that write input files pay for it.
+``schema.Document.text`` imports this module on its first call, so the
+commands that write input files load it, and a reading command only when a
+named complex file differs from the one its section embeds, since
+``bundle.load`` then compares their canonical documents.
 """
 
 from __future__ import annotations
