@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import schema
-from .complexes import Diagnostic, complex_to_json, parse_complex
+from .complexes import Diagnostic, canonical, parse_complex
 from .covers import MultiSection, parse_multisection, validate_multisection
 
 if TYPE_CHECKING:  # gluing is loaded only when gluing data is given
@@ -71,7 +71,8 @@ def load(section_path: str, gluing_path: str | None = None, complex_path: str | 
          assertions: dict[str, bool] | None = None) -> Bundle:
     """Read, parse and check a section file and the gluing and complex files
     when named. The section must be built over the named complex, which is
-    parsed only when its document differs from the one the section embeds.
+    parsed, and compared with the section's base, only when its document
+    differs from the one the section embeds.
     A flag holds when ``assertions`` say so, or when they are silent on it
     and the embedded complex asserts it."""
     named = None if complex_path is None else schema.read(complex_path)
@@ -84,9 +85,7 @@ def load(section_path: str, gluing_path: str | None = None, complex_path: str | 
     if same and named is not None:  # equal values may differ in JSON type (1 == 1.0 == true)
         schema.from_file(complex_path, lambda d: schema.COMPLEX.parse(d, lambda *_: None), named)
     msec = schema.from_file(section_path, parse_multisection, data)
-    if not same and _structural_json(complex_to_json(surface)) != _structural_json(
-        complex_to_json(msec.cover.base)
-    ):
+    if not same and canonical(surface) != canonical(msec.cover.base):
         raise ValueError("section is not built over the complex named alongside it")
     gluing = None
     if gluing_path is not None:

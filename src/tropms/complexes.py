@@ -11,7 +11,7 @@ affine structure.
 from __future__ import annotations
 
 import functools
-import json
+from types import MappingProxyType
 from typing import NamedTuple, Sequence
 
 from . import schema
@@ -64,23 +64,32 @@ class _SurfaceIndex(NamedTuple):
         return next(c for c in range(self.first[v], self.first[v + 1]) if self.corners[c][0] == f)
 
 
-class PolyhedralSurface:
+class ReadOnly:
+    """An object built whole: assigning or deleting an attribute raises.
+    ``functools.cached_property`` writes the instance dict directly, so an
+    index is still computed on its first query, from fields that cannot change."""
+
+    def __setattr__(self, name: str, *_):
+        raise AttributeError(f"{type(self).__name__} is read-only: {name} cannot change")
+
+    __delattr__ = __setattr__
+
+
+class PolyhedralSurface(ReadOnly):
     """Cells, fans, boundary cycles and assertion flags of one surface.
 
-    The topology is numbered once, on the first query: ``cells`` and
-    ``orientation`` must not change after it, but for replacing a cell by one
-    with the same id, dimension and faces. Validation reads the fans and
-    singular markers whenever it runs, so they may be assigned or replaced at
-    any time; a cover over the surface reads the fans once, into its index.
+    ``cells`` and ``orientation`` are read-only copies of what the surface
+    is built from, and its topology is numbered once, on the first query.
+    The fans and flags are plain dicts, which validation reads whenever it
+    runs; a cover over the surface reads the fans once, into its index.
     """
 
     def __init__(self, cells: dict[str, Cell], fans: dict[str, VertexFan] | None = None,
                  orientation: dict[str, tuple[str, ...]] | None = None,
                  asserted: dict[str, bool] | None = None):
-        self.cells = cells
-        self.fans = {} if fans is None else fans
-        self.orientation = {} if orientation is None else orientation
-        self.asserted = {} if asserted is None else asserted
+        self.__dict__.update(cells=MappingProxyType(dict(cells)), fans=dict(fans or {}),
+                             orientation=MappingProxyType(dict(orientation or {})),
+                             asserted=dict(asserted or {}))
 
     def of_dim(self, d: int) -> list[Cell]:
         """Cells of one dimension in id order."""
@@ -371,19 +380,16 @@ def combinatorial_dual(s: PolyhedralSurface) -> PolyhedralSurface:
         edges = tuple([E[out] for out in sorted({out for _, out, _ in chain})])
         cells[vid] = Cell(vid, 2, edges, s.cells[vid].singular_markers)
         orientation[vid] = tuple([F[f] for f, _, _ in chain])
-    return PolyhedralSurface(
-        cells=cells,
-        fans={},
-        orientation=orientation,
-        asserted=dict(s.asserted),
-    )
+    return PolyhedralSurface(cells, {}, orientation, s.asserted)
 
 
 def surface_from_cycles(
     face_cycles: dict[str, tuple[str, ...]],
     asserted: dict[str, bool] | None = None,
+    markers: dict[str, tuple[str, ...]] | None = None,
 ) -> PolyhedralSurface:
-    """Assemble a closed surface from oriented boundary cycles of its 2-cells.
+    """Assemble a closed surface from oriented boundary cycles of its 2-cells,
+    with the singular ``markers`` of its vertices by id.
 
     Vertices are created as encountered; edges get content-derived ids, so the
     result does not depend on dict order.
@@ -392,7 +398,7 @@ def surface_from_cycles(
     edge_ids: dict[tuple[str, str], str] = {}  # sorted endpoints -> edge id
     for cyc in face_cycles.values():
         for v in cyc:
-            cells.setdefault(v, Cell(v, 0))
+            cells.setdefault(v, Cell(v, 0, (), markers.get(v, ()) if markers else ()))
         for v, w in zip(cyc, (*cyc[1:], *cyc[:1])):
             ends = (v, w) if v < w else (w, v)
             if ends not in edge_ids:
@@ -404,7 +410,7 @@ def surface_from_cycles(
         es = tuple([edge_ids[(v, w) if v < w else (w, v)] for v, w in steps])
         cells[fid] = Cell(fid, 2, es)
         orientation[fid] = tuple(cyc)
-    return PolyhedralSurface(cells, {}, orientation, dict(asserted or {}))
+    return PolyhedralSurface(cells, {}, orientation, asserted)
 
 
 # -- serialization ------------------------------------------------------------
@@ -419,7 +425,7 @@ def _build_complex(cells, fans, orientation, asserted) -> PolyhedralSurface:
         schema.unique("cells", [(cell[0], Cell(*cell)) for cell in cells]),
         schema.unique("fans", [(fan[0], VertexFan(*fan)) for fan in fans]),
         schema.unique("orientation", orientation),
-        dict(asserted),
+        asserted,
     )
 
 
@@ -429,9 +435,10 @@ def _cycle_canonical(cyc: Sequence[str]) -> tuple[str, ...]:
     return tuple(cyc[k:]) + tuple(cyc[:k])
 
 
-def complex_to_text(s: PolyhedralSurface) -> str:
-    """The complex/v1 text of a surface; optional fields that are empty are
-    left out."""
+def canonical(s: PolyhedralSurface) -> tuple:
+    """The cells, fans and boundary cycles of a surface as its text lists
+    them: cells by dimension and id with sorted faces and markers, fans by
+    vertex, each cycle from its smallest vertex; equal for equal complexes."""
     ids = s._index.ids
     cells = [
         (c.id, c.dim, sorted(c.faces) if c.faces else None,
@@ -440,9 +447,9 @@ def complex_to_text(s: PolyhedralSurface) -> str:
     ]
     fans = [(vid, s.fans[vid].rays, s.fans[vid].cones) for vid in sorted(s.fans)]
     orientation = [(fid, _cycle_canonical(s.orientation[fid])) for fid in sorted(s.orientation)]
-    return schema.COMPLEX.text((cells, fans or None, orientation or None, s.asserted or None))
+    return cells, fans or None, orientation or None
 
 
-def complex_to_json(s: PolyhedralSurface) -> dict:
-    """The complex/v1 document of a surface, read back from its text."""
-    return json.loads(complex_to_text(s))
+def complex_to_text(s: PolyhedralSurface) -> str:
+    """The complex/v1 text of a surface; optional fields that are empty are left out."""
+    return schema.COMPLEX.text((*canonical(s), s.asserted or None))

@@ -13,12 +13,14 @@ from __future__ import annotations
 import functools
 from bisect import bisect_right
 from contextlib import suppress
+from types import MappingProxyType
 from typing import NamedTuple
 
 from . import schema
 from .complexes import (
     Diagnostic,
     PolyhedralSurface,
+    ReadOnly,
     complex_to_text,
     parse_complex,
     validate_surface,
@@ -60,30 +62,29 @@ class _CoverIndex(NamedTuple):
     rays: tuple[tuple[Vec, Vec] | None, ...]  # per corner: rays of its out and in edge, or no fan
 
 
-class BranchedCover:
-    """A degree-r cover of a base surface, given by its edge matchings.
+class BranchedCover(ReadOnly):
+    """A degree-r cover of a base surface, given by its edge matchings; its
+    mappings are read-only copies of what it is built from.
 
     ``ramification`` and ``lifts`` are what an input declares: the partition
     of the sheets at each vertex, trivial where none is given, and each
     vertex's lifts as (lift id, sheets at corner position 0), or None when
     the input declares no lifts.
 
-    The lifts are numbered once, on the first query, from the base's topology:
-    ``degree``, ``edge_matchings`` and the base's cells and orientation must
-    not change after it. The fans are read then too, into the cone of each
-    corner: a fan replaced later is seen by validation only.
+    The lifts are numbered once, on the first query, from the base's topology.
+    The fans are read then too, into the cone of each corner: a fan replaced
+    later is seen by validation only.
     """
 
     def __init__(self, base: PolyhedralSurface, degree: int,
                  edge_matchings: dict[str, tuple[int, ...]], branch_vertices: frozenset[str],
                  ramification: dict[str, Partition] | None = None,
                  lifts: dict[str, tuple[tuple[str, tuple[int, ...]], ...]] | None = None):
-        self.base = base
-        self.degree = degree
-        self.edge_matchings = edge_matchings
-        self.branch_vertices = branch_vertices
-        self.ramification = {} if ramification is None else ramification
-        self.lifts = lifts
+        self.__dict__.update(
+            base=base, degree=degree, edge_matchings=MappingProxyType(dict(edge_matchings)),
+            branch_vertices=frozenset(branch_vertices),
+            ramification=MappingProxyType(dict(ramification or {})),
+            lifts=None if lifts is None else MappingProxyType(dict(lifts)))
 
     @functools.cached_property
     def _index(self) -> _CoverIndex:
@@ -197,15 +198,13 @@ class BranchedCover:
         return len({find(a) for a in range(len(parent))}) == 1
 
 
-class MultiSection:
-    """Slopes of a section over a branched cover. ``slopes`` must not change
-    after the first check that reads them: they are read into a table by node
-    once, and the kinks into another."""
+class MultiSection(ReadOnly):
+    """Slopes of a section over a branched cover, a read-only copy of what it
+    is built from: they are read into a table by node once, and the kinks
+    into another."""
 
     def __init__(self, cover: BranchedCover, slopes: dict[SlopeKey, Vec], label: str = ""):
-        self.cover = cover
-        self.slopes = slopes
-        self.label = label
+        self.__dict__.update(cover=cover, slopes=MappingProxyType(dict(slopes)), label=label)
 
     @functools.cached_property
     def _slope_at(self) -> tuple[Vec | None, ...]:
@@ -496,7 +495,8 @@ def build_double_cover(
 
     The branch set must be even-sized, at least two, and meet every 2-cell in
     an even number of vertices. Edge twists are the canonical solution with
-    no twists outside the lexicographic spanning tree.
+    no twists outside the lexicographic spanning tree: on a base with nonzero
+    H^1, a branch set whose cover needs a twist off the tree is refused.
     """
     if m == n:
         raise ValueError("the two weights must differ (m != n)")
@@ -546,9 +546,8 @@ def build_double_cover(
     for e, (a, b) in enumerate(x.ends):
         if (bit[a] + bit[b]) % 2 != rhs[e]:
             cycle = [V[v] for v in _tree_cycle(x, parent, a, b)]
-            raise ValueError(
-                f"no consistent sheet typing; inconsistent cycle {cycle}"
-            )
+            raise ValueError("no consistent sheet typing with no twist off the spanning "
+                             f"tree; inconsistent cycle {cycle}")
 
     slopes: dict[SlopeKey, Vec] = {}
     for v in range(len(V)):

@@ -109,11 +109,6 @@ def _require(cond: bool, what: str) -> None:
         raise RuntimeError(f"example generator invariant failed: {what}")
 
 
-def _mark(s: PolyhedralSurface, cell_id: str, token: str) -> None:
-    c = s.cells[cell_id]
-    s.cells[cell_id] = c._replace(singular_markers=c.singular_markers + (token,))
-
-
 def _dual_base(primal: PolyhedralSurface, rays, what: str, vertices: int, markers: int,
                quad_corner_first: bool = False) -> PolyhedralSurface:
     """The combinatorial dual of ``primal`` with one fan per vertex: the given
@@ -121,18 +116,19 @@ def _dual_base(primal: PolyhedralSurface, rays, what: str, vertices: int, marker
     optionally starting the chain at the corner lying on a quadrilateral
     2-cell. Requires a valid surface with the given numbers of vertices and
     of marked 2-cells."""
-    base = combinatorial_dual(primal)
-    for v in base.vertices:
-        chain = base.corners(v.id)
+    dual, fans = combinatorial_dual(primal), {}
+    for v in dual.vertices:
+        chain = dual.corners(v.id)
         _require(len(chain) == 3, f"vertex {v.id} is not trivalent")
         if quad_corner_first:
-            sizes = [len(base.cells[f].faces) for f, _, _ in chain]
+            sizes = [len(dual.cells[f].faces) for f, _, _ in chain]
             _require(sizes.count(4) == 1, f"vertex {v.id} has {sizes.count(4)} quad corners")
             p = sizes.index(4)
             chain = chain[p:] + chain[:p]
         fan_rays = tuple((rays[i], out) for i, (_, out, _) in enumerate(chain))
         cones = tuple((f, (i, (i + 1) % 3)) for i, (f, _, _) in enumerate(chain))
-        base.fans[v.id] = VertexFan(v.id, fan_rays, cones)
+        fans[v.id] = VertexFan(v.id, fan_rays, cones)
+    base = PolyhedralSurface(dual.cells, fans, dual.orientation, dual.asserted)
     _require(not validate_surface(base), f"{what} base validation")
     _require(len(base.vertices) == vertices, f"{what} base must have {vertices} vertices")
     marked = [c for c in base.cells.values() if c.singular_markers]
@@ -200,11 +196,11 @@ def _cube2_triangles() -> dict[str, tuple[str, ...]]:
 def _cube_dual(rays, what: str, quad_corner_first: bool = False) -> PolyhedralSurface:
     """Dual of the triangulated side-2 cube, the eight 2-cells dual to cube
     corners carrying a cone-point marker each, with the given fans."""
-    primal = surface_from_cycles(_cube2_triangles())
-    for v in primal.vertices:
-        if set(v.id[1:]) <= {"0", "2"}:
-            _mark(primal, v.id, "cone-point")
-    return _dual_base(primal, rays, what, 48, 8, quad_corner_first)
+    tris = _cube2_triangles()
+    corners = {v: ("cone-point",) for cyc in tris.values() for v in cyc
+               if set(v[1:]) <= {"0", "2"}}
+    return _dual_base(surface_from_cycles(tris, markers=corners), rays, what, 48, 8,
+                      quad_corner_first)
 
 
 def cube2_base() -> PolyhedralSurface:
@@ -272,12 +268,10 @@ def simplex5_base() -> PolyhedralSurface:
     """Dual of the triangulated simplex boundary: 100 trivalent vertices, 150
     edges, 52 two-cells, standard fans everywhere. The 24 two-cells dual to
     points interior to simplex edges carry a focus-focus marker each."""
-    primal = surface_from_cycles(_simplex5_triangles())
-    for v in primal.vertices:
-        coords = [int(ch) for ch in v.id[1:]]
-        if coords.count(0) == 2 and min(c for c in coords if c) >= 1:
-            _mark(primal, v.id, "focus-focus")
-    return _dual_base(primal, STANDARD_FAN_RAYS, "simplex5", 100, 24)
+    tris = _simplex5_triangles()
+    on_edges = {v: ("focus-focus",) for cyc in tris.values() for v in cyc if v.count("0") == 2}
+    return _dual_base(surface_from_cycles(tris, markers=on_edges), STANDARD_FAN_RAYS,
+                      "simplex5", 100, 24)
 
 
 def simplex5_multisection(branch_count: int = 74) -> MultiSection:

@@ -455,19 +455,17 @@ class Transport(NamedTuple):
     k: Cochain
 
 
-def transport(b: Bundle, k: Cochain | None = None) -> Transport:
+def transport(b: Bundle) -> Transport:
     """Compute the triple cocycle of a checked rank-two section with gluing
-    data and, unless ``k`` is given, the canonical splitting table: once per
-    gluing, for every cycle that ``transport_ratios`` then reads."""
+    data and the canonical splitting table: once per gluing, for every cycle
+    that ``transport_ratios`` then reads."""
     if b.msec.cover.degree != 2:
         raise ValueError("transport needs a rank-two cover")
     c = triple_cocycle(b.msec, b.gluing, b.bar)
-    if k is None:
-        ob = obstruction_class(c, b.bar)
-        if not ob.trivial:
-            raise ValueError(f"gluing-data inconsistency: obstruction witness {ob.witness}")
-        k = normalize_splitting(b.bar, ob.cochain)
-    return Transport(b.msec, b.bar, c, k)
+    ob = obstruction_class(c, b.bar)
+    if not ob.trivial:
+        raise ValueError(f"gluing-data inconsistency: obstruction witness {ob.witness}")
+    return Transport(b.msec, b.bar, c, normalize_splitting(b.bar, ob.cochain))
 
 
 def transport_ratios(t: Transport, cycle: list[str], sigma: str) -> list[tuple[str, Fraction]]:

@@ -80,12 +80,6 @@ class Report(NamedTuple):
     checks: tuple[CheckRecord, ...]
     exit_code: int
 
-    def record(self, check: str) -> CheckRecord:
-        for rec in self.checks:
-            if rec.check == check:
-                return rec
-        raise KeyError(f"no record for check {check!r}")
-
 
 def report_to_json(report: Report) -> dict:
     return {

@@ -15,10 +15,10 @@ comprehension. Flags, rationals, lists of lists and the embedded complex
 are written by closures. The source holds only field names and separators
 from the tables; every value reaches it as an argument.
 
-``schema.Document.text`` imports this module on its first call, so the
-commands that write input files load it, and a reading command only when a
-named complex file differs from the one its section embeds, since
-``bundle.load`` then compares their canonical documents.
+``schema.Document.text`` imports this module on its first call, and of the
+commands only ``example`` calls it: ``bundle.load`` compares a named complex
+that differs from the section's embedded one through
+``complexes.canonical``, the values written here, without writing either.
 """
 
 from __future__ import annotations

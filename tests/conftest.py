@@ -1,9 +1,11 @@
-"""Shared hand-built fixtures: small closed surfaces with standard fans, an
-in-process runner for the command line, cochains read by cell ids, the
+"""Shared hand-built fixtures: small closed surfaces with standard fans, a
+modified copy of a read-only surface, cover or section, an in-process
+runner for the command line, cochains read by cell ids, the
 coboundary of an order complex gauged on a spanning tree of its chains, and
 the holonomy of a transport around a cycle."""
 
 import contextlib
+import inspect
 import io
 from fractions import Fraction
 from math import prod
@@ -76,6 +78,13 @@ def holonomy(t, cycle, sigma) -> Fraction:
     from tropms.gluing import transport_ratios
 
     return prod((lam for _, lam in transport_ratios(t, list(cycle), sigma)), start=Fraction(1))
+
+
+def rebuilt(obj, **fields):
+    """A copy of a surface, cover or section built with the given
+    constructor arguments replaced: the three are read-only once built."""
+    names = inspect.signature(type(obj)).parameters
+    return type(obj)(**{name: fields.get(name, getattr(obj, name)) for name in names})
 
 
 def run_cli(argv) -> CliResult:

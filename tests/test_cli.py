@@ -787,7 +787,8 @@ def test_cli_import_loads_no_third_party_module():
 
 # The tropms modules a `validate` child loads, and their source lines, at
 # most: every child compiles them, so code added to the verdict path shows here.
-VALIDATE_SOURCE = {"cube2.manifest.json": (12, 3977), "rank3-cube.manifest.json": (9, 2778)}
+VALIDATE_SOURCE = {"cube2.manifest.json": (12, 3974), "rank3-cube.manifest.json": (9, 2777),
+                   "rotated.manifest.json": (12, 3974)}
 
 
 @pytest.mark.parametrize(
@@ -801,6 +802,8 @@ VALIDATE_SOURCE = {"cube2.manifest.json": (12, 3977), "rank3-cube.manifest.json"
          {"tropms.gluing", "tropms.graphs", "tropms.chern", "tropms.pipeline", "tropms.writer"}),
         (("validate", "--manifest", "rank3-cube.manifest.json"), "tropms.graphs",
          {"tropms.gluing", "tropms.chern", "tropms.laurent", "tropms.writer"}),
+        (("validate", "--manifest", "rotated.manifest.json"), "tropms.pipeline",
+         {"tropms.generators", "tropms.svg", "tropms.writer"}),
         (("fiber-product", "--section", "cube2.section.json"), "tropms.graphs",
          {"tropms.gluing", "tropms.chern", "tropms.laurent", "tropms.pipeline", "tropms.writer"}),
         (("simplicity", "--section", "planted.section.json"), "tropms.graphs",
@@ -812,13 +815,21 @@ VALIDATE_SOURCE = {"cube2.manifest.json": (12, 3977), "rank3-cube.manifest.json"
         (("example", "cube2", "--outdir", "written"), "tropms.writer",
          {"tropms.chern", "tropms.laurent", "tropms.svg"}),
     ],
-    ids=["validate", "chern", "classify", "validate-class-C", "fiber-product",
-         "simplicity", "render", "render-fiber", "example"],
+    ids=["validate", "chern", "classify", "validate-class-C", "validate-differing-complex",
+         "fiber-product", "simplicity", "render", "render-fiber", "example"],
 )
 def test_command_loads_only_what_it_runs(tmp_path, argv, ran, absent):
     """A command imports the modules it runs and no others: beyond a bare
-    interpreter, a child pays for compiling and executing each of them."""
-    generate_example("cube2", str(tmp_path))
+    interpreter, a child pays for compiling and executing each of them. A
+    complex file that differs from the section's embedded complex only in
+    where a boundary cycle starts is parsed and compared without the writer."""
+    cube2 = generate_example("cube2", str(tmp_path))
+    doc = json.loads((tmp_path / "cube2.complex.json").read_text(encoding="utf-8"))
+    cycle = doc["orientation"][0]["cycle"]
+    cycle.append(cycle.pop(0))
+    (tmp_path / "rotated.complex.json").write_text(json.dumps(doc), encoding="utf-8")
+    (tmp_path / "rotated.manifest.json").write_text(manifest_to_text(
+        cube2._replace(complex_path="rotated.complex.json")), encoding="utf-8")
     generate_example("rank3-cube", str(tmp_path))
     planted = planted_multisection()
     (tmp_path / "planted.section.json").write_text(

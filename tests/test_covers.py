@@ -3,7 +3,7 @@ import json
 import tracemalloc
 
 import pytest
-from conftest import cube_surface, tetrahedron, triangulated_torus, two_sheet_cover
+from conftest import cube_surface, rebuilt, tetrahedron, triangulated_torus, two_sheet_cover
 
 from tropms.bundle import Invalid, load
 from tropms.complexes import VertexFan, validate_surface
@@ -36,8 +36,8 @@ def cover_1_0(m=1, n=0):
 
 
 def reslope_vertex(msec, v, kinks):
-    """Rewrite the slopes around the single lift of a branch vertex from a
-    kink sequence, anchored at the zero covector."""
+    """The section with the slopes around the single lift of a branch vertex
+    rewritten from a kink sequence, anchored at the zero covector."""
     cover = msec.cover
     corners = cover.base.corners(v)
     lid = cover.computed_lifts(v)[0][0]
@@ -45,12 +45,13 @@ def reslope_vertex(msec, v, kinks):
     assert len(kinks) == len(cyc)
     fan = cover.base.fans[v]
     ray_of = {e: vec for vec, e in fan.rays}
-    u = (0, 0)
+    u, slopes = (0, 0), dict(msec.slopes)
     for t, (i, s) in enumerate(cyc):
-        msec.slopes[(lid, corners[i][0], s)] = u
+        slopes[(lid, corners[i][0], s)] = u
         g = rot90(ray_of[corners[i][2]])
         u = (u[0] + kinks[t] * g[0], u[1] + kinks[t] * g[1])
     assert u == (0, 0), "test kink pattern must close up"
+    return rebuilt(msec, slopes=slopes)
 
 
 def test_cube_fixture():
@@ -93,7 +94,8 @@ def test_double_cover_refuses_an_inconsistent_sheet_typing():
     base = _dual_base(triangulated_torus(), STANDARD_FAN_RAYS, "honeycomb torus", 18, 0)
     branch = {"a00", "a01", "b01", "b02"}
     assert check_condition_E(base, branch)
-    with pytest.raises(ValueError, match=r"^no consistent sheet typing; inconsistent cycle ") as err:
+    with pytest.raises(ValueError, match=r"^no consistent sheet typing with no twist off the "
+                       r"spanning tree; inconsistent cycle ") as err:
         build_double_cover(base, branch, 2, 1)
     cycle = ast.literal_eval(str(err.value).partition("cycle ")[2])
     assert cycle == ["a10", "b10", "a00", "b00", "a20", "b20"]
@@ -160,18 +162,16 @@ def test_classify_affine_shift_invariance():
     msec = cover_1_0()
     v = "v101"
     lid = msec.cover.computed_lifts(v)[0][0]
-    for key in list(msec.slopes):
-        if key[0] == lid:
-            u = msec.slopes[key]
-            msec.slopes[key] = (u[0] + 3, u[1] - 2)
+    msec = rebuilt(msec, slopes={
+        key: (u[0] + 3, u[1] - 2) if key[0] == lid else u for key, u in msec.slopes.items()
+    })
     assert validate_multisection(msec) == ()
     tag = classify(msec)
     assert tag.tag == "S_mn" and tag.pair == (1, 0)
 
 
 def test_classify_mixed_weights():
-    msec = cover_1_0()
-    reslope_vertex(msec, "v000", [2, 0, 2, 0, 2, 0])
+    msec = reslope_vertex(cover_1_0(), "v000", [2, 0, 2, 0, 2, 0])
     assert validate_multisection(msec) == ()
     tag = classify(msec)
     assert tag.tag == "S"
@@ -180,8 +180,7 @@ def test_classify_mixed_weights():
 
 
 def test_classify_uniform_kinks_is_not_standard():
-    msec = cover_1_0()
-    reslope_vertex(msec, "v000", [1, 1, 1, 1, 1, 1])
+    msec = reslope_vertex(cover_1_0(), "v000", [1, 1, 1, 1, 1, 1])
     assert validate_multisection(msec) == ()
     tag = classify(msec)
     assert tag.tag == "none"
@@ -195,8 +194,7 @@ def test_class_C_holds_for_alternating_models():
 
 
 def test_class_C_interior_difference_violation():
-    msec = cover_1_0()
-    reslope_vertex(msec, "v000", [0, 1, 2, 2, 1, 0])
+    msec = reslope_vertex(cover_1_0(), "v000", [0, 1, 2, 2, 1, 0])
     assert validate_multisection(msec) == ()
     rep = check_class_C(msec)
     assert rep
@@ -221,8 +219,7 @@ def test_class_C_requires_total_ramification():
 
 
 def test_gl2_equivariance_of_class_C():
-    msec = cover_1_0()
-    reslope_vertex(msec, "v000", [0, 1, 2, 2, 1, 0])
+    msec = reslope_vertex(cover_1_0(), "v000", [0, 1, 2, 2, 1, 0])
     m_fwd = ((1, 1), (0, 1))
     m_inv = ((1, -1), (0, 1))
 
@@ -281,8 +278,8 @@ def test_undeclared_branch_detected():
     msec = cover_1_0()
     cover = msec.cover
     v = sorted(cover.branch_vertices)[0]
-    cover.branch_vertices = cover.branch_vertices - {v}
-    cover.ramification[v] = ((0,), (1,))
+    cover = rebuilt(cover, branch_vertices=cover.branch_vertices - {v},
+                    ramification=cover.ramification | {v: ((0,), (1,))})
     rep = validate_cover(cover)
     codes = {d.code for d in rep}
     assert "undeclared-branch-vertex" in codes
@@ -292,7 +289,7 @@ def test_undeclared_branch_detected():
 def test_slope_coverage_diagnostic():
     msec = cover_1_0()
     key = sorted(msec.slopes)[0]
-    del msec.slopes[key]
+    msec = rebuilt(msec, slopes={k: u for k, u in msec.slopes.items() if k != key})
     rep = validate_multisection(msec)
     assert rep
     assert "slope-coverage" in [d.code for d in rep]
@@ -302,7 +299,7 @@ def test_slope_discontinuity_diagnostic():
     msec = cover_1_0()
     key = sorted(msec.slopes)[3]
     u = msec.slopes[key]
-    msec.slopes[key] = (u[0] + 1, u[1] + 1)
+    msec = rebuilt(msec, slopes=msec.slopes | {key: (u[0] + 1, u[1] + 1)})
     rep = validate_multisection(msec)
     assert rep
     assert "slope-discontinuous" in [d.code for d in rep]

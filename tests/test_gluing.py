@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import by_id, cube_surface, holonomy, run_cli, tree_gauged_rows
+from conftest import by_id, cube_surface, holonomy, rebuilt, run_cli, tree_gauged_rows
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -210,18 +210,18 @@ def reslope_uniform(msec, v, kinks):
     cyc = cover.lift_cycles(v)[0]
     fan = cover.base.fans[v]
     ray_of = {e: vec for vec, e in fan.rays}
-    u = (0, 0)
+    u, slopes = (0, 0), dict(msec.slopes)
     for t, (i, s) in enumerate(cyc):
-        msec.slopes[(lid, corners[i][0], s)] = u
+        slopes[(lid, corners[i][0], s)] = u
         g = rot90(ray_of[corners[i][2]])
         u = (u[0] + kinks[t] * g[0], u[1] + kinks[t] * g[1])
     assert u == (0, 0)
+    return rebuilt(msec, slopes=slopes)
 
 
 def test_kink_mismatch_rejected():
     assert check_edge_kinks(full_branch()) == []
-    msec = full_branch()  # slopes are changed before the kinks are first read
-    reslope_uniform(msec, "v000", [3, 0] * 3)
+    msec = reslope_uniform(full_branch(), "v000", [3, 0] * 3)
     bad = check_edge_kinks(msec)
     assert bad and all(e.startswith("ev000") for e in bad)
     with pytest.raises(Invalid, match="gluing-kink-mismatch") as err:
@@ -234,8 +234,7 @@ def test_kink_mismatch_rejected():
 def test_kink_mismatch_fails_validation_under_every_check_subset(tmp_path, monkeypatch):
     """A valid section whose edge kinks disagree, with gluing data (here
     none flagged), fails the validate check, and stops the run without it."""
-    msec = full_branch()
-    reslope_uniform(msec, "v000", [3, 0] * 3)
+    msec = reslope_uniform(full_branch(), "v000", [3, 0] * 3)
     (tmp_path / "k.complex.json").write_text(complex_to_text(msec.cover.base))
     (tmp_path / "k.section.json").write_text(multisection_to_text(msec))
     (tmp_path / "k.gluing.json").write_text(gluing_to_text({}))
@@ -390,7 +389,7 @@ def test_holonomy_with_corrupted_cochain():
     vlift = msec.cover.vertex_lift_at_edge("v000", "ev000v010", 0)
     b = bar.number(vlift, "ev000v010~0")
     k.values[b] = tuple(map(sum, zip(k.values[b], k.vector(Fraction(3)))))
-    h = holonomy(transport(check(msec, g), k=k), BOTTOM_CYCLE, "fz0")
+    h = holonomy(transport(check(msec, g))._replace(k=k), BOTTOM_CYCLE, "fz0")
     assert h in (Fraction(3), Fraction(1, 3))
 
 

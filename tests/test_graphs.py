@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cube_surface
+from conftest import cube_surface, rebuilt
 from tropms import chern
 from tropms.bundle import check
 from tropms.complexes import VertexFan, surface_from_cycles, validate_surface
@@ -437,7 +437,8 @@ def test_general_class_mismatch_on_coincident_slopes():
     lift = cover.computed_lifts("v001")[0][0]
     pos0, fid = 0, cover.base.corners("v001")[0][0]
     sheets = sorted(s for i, s in cover.lift_cycles("v001")[0] if i == pos0)
-    msec.slopes[(lift, fid, sheets[1])] = msec.slopes[(lift, fid, sheets[0])]
+    same = msec.slopes[(lift, fid, sheets[0])]
+    msec = rebuilt(msec, slopes=msec.slopes | {(lift, fid, sheets[1]): same})
     with pytest.raises(ValueError, match="class mismatch"):
         general_simplicity(msec, classify(msec), local_bundles_asserted=True)
 

@@ -1,8 +1,8 @@
 """The numbered surface and cover against a recomputation from the
 definition on string ids, a renaming that keeps the order of ids, the
-contract that validation reads fans and markers on every run while a cover
-reads the fans once, and the readers of a fan at a vertex without one or
-with its rays listed from another ray."""
+contract that validation reads fans on every run while a cover reads them
+once, the read-only surface, cover and section, and the readers of a fan at
+a vertex without one or with its rays listed from another ray."""
 
 import json
 import os
@@ -16,8 +16,8 @@ from tropms.bundle import check
 from tropms.complexes import (
     PolyhedralSurface,
     VertexFan,
-    combinatorial_dual,
     complex_to_text,
+    parse_complex,
     validate_surface,
 )
 from tropms.covers import (
@@ -228,8 +228,8 @@ def test_order_preserving_renaming_keeps_the_report(tmp_path, name):
 
 def test_fans_and_markers_are_read_after_numbering():
     """The surface index holds topology only: a fan assigned after the first
-    corner query, and a cell whose markers are replaced as the generators
-    mark cells, are what later validation reads."""
+    corner query is what later validation reads, while a cell, and so its
+    markers, cannot be replaced once the surface is built."""
     s = tetrahedron()  # its fans were assigned from the corners, so it is numbered
     assert validate_surface(s) == ()
     good = s.fans["A"]
@@ -239,11 +239,39 @@ def test_fans_and_markers_are_read_after_numbering():
     assert [d.code for d in validate_cover(cover)] == ["fan-not-complete"]
     s.fans["A"] = good
     assert validate_cover(cover) == ()
-    generators._mark(s, "fABC", "cone-point")
-    assert s.cells["fABC"].singular_markers == ("cone-point",)
-    assert '"cone-point"' in complex_to_text(s)
-    assert combinatorial_dual(s).cells["fABC"].singular_markers == ("cone-point",)
+    with pytest.raises(TypeError):
+        s.cells["fABC"] = s.cells["fABC"]._replace(singular_markers=("cone-point",))
+    assert s.cells["fABC"].singular_markers == ()
     assert validate_surface(s) == ()
+
+
+@pytest.mark.parametrize("source", ["parsed", "generated"])
+def test_surface_cover_and_section_are_read_only(source):
+    """No attribute of a surface, cover or section can be assigned or
+    deleted, and the mappings they hold take no item assignment."""
+    msec = cube2_multisection()
+    surface = msec.cover.base
+    if source == "parsed":
+        surface = parse_complex(json.loads(complex_to_text(surface)))
+        msec = parse_multisection(json.loads(multisection_to_text(msec)))
+    validate_multisection(msec)  # the indexes are in the instance dicts too
+    cells = ("cells", "orientation")
+    for obj, mappings in ((surface, cells), (msec.cover.base, cells),
+                          (msec.cover, ("edge_matchings", "ramification", "lifts")),
+                          (msec, ("slopes",))):
+        for name in [*vars(obj), "added"]:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+        for name in mappings:
+            table = getattr(obj, name)
+            if table is None:  # a cover built with no declared lifts
+                assert (source, name) == ("generated", "lifts")
+                continue
+            key = next(iter(table))
+            with pytest.raises(TypeError):
+                table[key] = table[key]
 
 
 def test_section_validation_reads_a_fan_replaced_after_numbering():

@@ -40,6 +40,11 @@ def exdir(tmp_path_factory):
     return root, manifests
 
 
+def record(report, check: str):
+    """The record of one check in a report."""
+    return next(rec for rec in report.checks if rec.check == check)
+
+
 def test_generate_example_writes_expected_files(exdir):
     root, manifests = exdir
     names = sorted(p.name for p in (root / "cube-o1").iterdir())
@@ -127,7 +132,7 @@ def test_manifest_overrides_embedded_flags_key_by_key(tmp_path, name, embedded, 
     path.write_text(json.dumps(data))
     report = run_pipeline(manifest._replace(assertions=assertions))
     assert report.exit_code == EXIT_OK
-    simp = report.record("simplicity")
+    simp = record(report, "simplicity")
     assert (simp.verdict, simp.witnesses[0]) == ("pass", label)
 
 
@@ -137,10 +142,10 @@ def test_full_pipeline_cube_o1(exdir):
     assert report.exit_code == EXIT_OK
     assert tuple(r.check for r in report.checks) == CHECK_ORDER
     assert all(r.verdict == "pass" for r in report.checks)
-    assert report.record("classify").witnesses == ("S_mn", (1, 0))
-    assert report.record("chern").witnesses[:2] == ("1 + H + H^2", "discriminant -3")
-    assert report.record("obstruction").witnesses == ("witness 1",)
-    simp = report.record("simplicity")
+    assert record(report, "classify").witnesses == ("S_mn", (1, 0))
+    assert record(report, "chern").witnesses[:2] == ("1 + H + H^2", "discriminant -3")
+    assert record(report, "obstruction").witnesses == ("witness 1",)
+    simp = record(report, "simplicity")
     assert simp.witnesses[0] == "simple & smoothable"
     assert simp.citation == "rank2-gap1"
 
@@ -177,10 +182,10 @@ def test_rank3_pipeline_skips_and_refusal(exdir):
     root, manifests = exdir
     report = run_pipeline(manifests["rank3-cube"])
     assert report.exit_code == EXIT_OK
-    assert report.record("cocycle").verdict == "skipped"
-    assert report.record("chern").witnesses == ("class C has no weight pair",)
-    assert report.record("obstruction").witnesses == ("no gluing data in the manifest",)
-    assert report.record("simplicity").verdict == "pass"
+    assert record(report, "cocycle").verdict == "skipped"
+    assert record(report, "chern").witnesses == ("class C has no weight pair",)
+    assert record(report, "obstruction").witnesses == ("no gluing data in the manifest",)
+    assert record(report, "simplicity").verdict == "pass"
 
     # same data without the local-model assertion: the criterion refuses
     bare = Manifest(
@@ -192,7 +197,7 @@ def test_rank3_pipeline_skips_and_refusal(exdir):
     )
     report = run_pipeline(bare, checks=("validate", "classify", "simplicity"))
     assert report.exit_code == EXIT_OK
-    simp = report.record("simplicity")
+    simp = record(report, "simplicity")
     assert simp.verdict == "refused"
     assert simp.citation == "local-bundle-assumption"
 
@@ -209,12 +214,12 @@ def test_pipeline_cross_checks_section_against_complex(exdir):
     )
     report = run_pipeline(m)
     assert report.exit_code == EXIT_INVALID
-    rec = report.record("validate")
+    rec = record(report, "validate")
     assert rec.verdict == "fail"
     assert "section is not built over the complex named alongside it" in rec.witnesses[0]
 
 
-@pytest.mark.parametrize("edit, parsed", [("asserted", 1), ("cell order", 2)])
+@pytest.mark.parametrize("edit, parsed", [("asserted", 1), ("cell order", 2), ("cycle start", 2)])
 def test_complex_file_parsed_only_when_its_document_differs(
     exdir, tmp_path, monkeypatch, edit, parsed
 ):
@@ -225,8 +230,11 @@ def test_complex_file_parsed_only_when_its_document_differs(
     doc = json.loads((root / "rank3-cube" / "rank3-cube.complex.json").read_text())
     if edit == "asserted":
         doc["asserted"] = {"positive": True}
-    else:
+    elif edit == "cell order":
         doc["cells"].reverse()
+    else:  # the same boundary cycle, listed from its second vertex
+        cycle = doc["orientation"][0]["cycle"]
+        cycle.append(cycle.pop(0))
     (tmp_path / "edited.complex.json").write_text(json.dumps(doc))
     m = manifests["rank3-cube"]._replace(
         complex_path=str(tmp_path / "edited.complex.json"),
@@ -253,13 +261,13 @@ def test_pipeline_corrupted_slope_names_the_lift(exdir, tmp_path):
     )
     report = run_pipeline(m)
     assert report.exit_code == EXIT_INVALID
-    rec = report.record("validate")
+    rec = record(report, "validate")
     assert rec.verdict == "fail"
     joined = " ".join(rec.witnesses)
     assert "slope-discontinuous" in joined
     assert "fx0.00a#0" in joined
     # requested checks after a failed validation are recorded as skipped
-    assert report.record("simplicity").verdict == "skipped"
+    assert record(report, "simplicity").verdict == "skipped"
 
 
 def test_planted_pipeline_exits_not_simple(tmp_path):
@@ -271,7 +279,7 @@ def test_planted_pipeline_exits_not_simple(tmp_path):
     )
     report = run_pipeline(m)
     assert report.exit_code == EXIT_NOT_SIMPLE
-    simp = report.record("simplicity")
+    simp = record(report, "simplicity")
     assert simp.verdict == "fail"
     assert simp.witnesses[0] == "not simple"
     assert any("p001" in str(w) for w in simp.witnesses[1:])
@@ -284,7 +292,7 @@ def test_disconnected_cover_fails_validate(tmp_path):
     m = Manifest("two.complex.json", "two.section.json", None, {}, root=str(tmp_path))
     report = run_pipeline(m)
     assert report.exit_code == EXIT_INVALID
-    rec = report.record("validate")
+    rec = record(report, "validate")
     assert rec.verdict == "fail"
     assert rec.witnesses == ("cover-disconnected: the total space is disconnected",)
     assert all(r.verdict == "skipped" for r in report.checks[1:])
@@ -356,7 +364,7 @@ def test_one_order_complex_per_run(tmp_path, monkeypatch, case):
         checks = ["obstruction"] if "--check" in case else None
         report = run_pipeline(manifest, checks)
         assert report.exit_code == EXIT_OK
-        assert report.record("obstruction").verdict == "pass"
+        assert record(report, "obstruction").verdict == "pass"
     else:
         args = {
             "obstruction --k": [
@@ -382,7 +390,7 @@ def test_splitting_normalized_only_where_printed(tmp_path, monkeypatch, case, no
              "--gluing", str(tmp_path / manifest.gluing_path)]
     if case == "cube2":
         report = run_pipeline(manifest)
-        assert report.record("obstruction").verdict == "pass"
+        assert record(report, "obstruction").verdict == "pass"
     else:
         args = {
             "obstruction": ["obstruction", "--complex",
@@ -416,7 +424,7 @@ def test_class_and_complex_computed_once_per_run(
     calls = _count_calls(monkeypatch, getattr(module, counted))
     report = run_pipeline(manifest)
     assert report.exit_code == EXIT_OK
-    assert report.record("simplicity").verdict == "pass"
+    assert record(report, "simplicity").verdict == "pass"
     assert len(calls) == expected
 
 
@@ -431,8 +439,8 @@ def test_order_complex_and_kinks_computed_once_per_verdict(tmp_path, monkeypatch
     kinks = _count_calls(monkeypatch, covers._kink)
     report = run_pipeline(manifest)
     assert report.exit_code == EXIT_OK
-    assert report.record("obstruction").verdict == "pass"
-    assert report.record("classify").verdict == "pass"
+    assert record(report, "obstruction").verdict == "pass"
+    assert record(report, "classify").verdict == "pass"
     cover = kinks[0][0].cover
     walls = [
         (lid, t)
