@@ -12,8 +12,8 @@ Run with: python3 demos/quickstart.py
 import tempfile
 from pathlib import Path
 
+from tropms.generators import generate_example
 from tropms.pipeline import (
-    generate_example,
     load_manifest,
     report_to_text,
     run_pipeline,

@@ -10,17 +10,17 @@ Run with: python3 demos/simplicity_gallery.py
 """
 
 from tropms.bundle import check
-from tropms.covers import classify, euler_genus
+from tropms.certificate import endomorphism_witness, transport
+from tropms.covers import classify
 from tropms.generators import (
     cube_o1_multisection,
+    euler_genus,
     planted_multisection,
     planted_triangle_multisection,
     rank3_multisection,
     simplex5_multisection,
 )
-from tropms.gluing import transport
 from tropms.graphs import (
-    endomorphism_witness,
     general_simplicity,
     is_simple_rank2,
 )

@@ -103,9 +103,6 @@ class PiecewisePoly(_Piecewise):
             self.fan, tuple(a * b for a, b in zip(self.parts, other.parts))
         )
 
-    def scale(self, c) -> "PiecewisePoly":
-        return PiecewisePoly(self.fan, tuple(p.scale(c) for p in self.parts))
-
     def homogeneous_part(self, d: int) -> "PiecewisePoly":
         parts = []
         for p in self.parts:

@@ -210,7 +210,8 @@ def _fiber_product(args):
 
 def _example(args):
     """Write a built-in example (complex, section, gluing, manifest)."""
-    from .pipeline import generate_example, manifest_to_text
+    from .generators import generate_example
+    from .pipeline import manifest_to_text
 
     sys.stdout.write(manifest_to_text(generate_example(args.name, args.outdir)))
 

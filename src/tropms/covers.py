@@ -292,24 +292,6 @@ def validate_cover(cover: BranchedCover) -> tuple[Diagnostic, ...]:
     return tuple(diags)
 
 
-def euler_genus(cover: BranchedCover) -> int:
-    """Genus of the total space from its cell counts."""
-    if not cover.is_connected():
-        raise ValueError("total space is disconnected")
-    nv, ne, nf = cover.total_space_counts()
-    chi = nv - ne + nf
-    if chi % 2 != 0:
-        raise ValueError(f"total space Euler characteristic {chi} is odd")
-    return (2 - chi) // 2
-
-
-def riemann_hurwitz_genus(n_branch: int) -> int:
-    """Genus of a double cover of the sphere with simple branch points."""
-    if n_branch < 2 or n_branch % 2 != 0:
-        raise ValueError("branch count must be even and at least 2")
-    return n_branch // 2 - 1
-
-
 def _kink(msec: MultiSection, cyc, t: int) -> int:
     """Kink across the wall after node ``t`` of the orbit ``cyc`` of a vertex
     lift: the integer k such that the slope jumps by k times the

@@ -15,17 +15,20 @@ Four deterministic generators:
 
 Branch presets were found once by a seeded parity search and are frozen below.
 Every builder rechecks its invariants and raises RuntimeError when one fails.
-A base must be valid and trivalent, with its frozen vertex and marker counts.
-Every double cover is built by ``_double_cover``: the 2-cells with a fully
-unbranched boundary must be exactly the planted one (none for cube2, cube-o1
-and simplex5), ``build_double_cover`` refuses a branch set that breaks
-condition E, and the genus from the Euler characteristic, the Riemann-Hurwitz
-genus of the branch count and the frozen genus must agree. ``EXAMPLES`` is
-the table of the examples ``tropms example`` writes.
+A base must be trivalent, with its frozen vertex and marker counts; it is
+validated once, by what consumes it: ``build_double_cover``, or the final
+``validate_multisection`` of ``rank3_multisection``. Every double cover is
+built by ``_double_cover``: the 2-cells with a fully unbranched boundary must
+be exactly the planted one (none for cube2, cube-o1 and simplex5),
+``build_double_cover`` refuses a branch set that breaks condition E, and the
+genus from the Euler characteristic, the Riemann-Hurwitz genus of the branch
+count and the frozen genus must agree. ``generate_example`` writes a row of
+``EXAMPLES``, the table of the examples ``tropms example`` writes.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
 
@@ -33,24 +36,27 @@ from .complexes import (
     PolyhedralSurface,
     VertexFan,
     combinatorial_dual,
+    complex_to_text,
     surface_from_cycles,
-    validate_surface,
 )
 from .covers import (
     BranchedCover,
     MultiSection,
+    _section_text,
     build_double_cover,
-    euler_genus,
-    riemann_hurwitz_genus,
+    edge_lift_id,
     validate_multisection,
 )
 from .gluing import (
+    TRIVIAL,
     GluingData,
     TorusElement,
     bar_complex,
-    coboundary_gluing,
+    gluing_to_text,
     validate_gluing,
 )
+from .lattice import canonical_transverse
+from .pipeline import Manifest, manifest_to_text
 
 STANDARD_FAN_RAYS = ((1, 0), (0, 1), (-1, -1))
 RANK3_FAN_RAYS = ((2, 1), (-1, 0), (-1, -1))
@@ -114,8 +120,8 @@ def _dual_base(primal: PolyhedralSurface, rays, what: str, vertices: int, marker
     """The combinatorial dual of ``primal`` with one fan per vertex: the given
     rays assigned to outgoing edges in counterclockwise corner order,
     optionally starting the chain at the corner lying on a quadrilateral
-    2-cell. Requires a valid surface with the given numbers of vertices and
-    of marked 2-cells."""
+    2-cell. Requires a trivalent surface with the given numbers of vertices
+    and of marked 2-cells; what consumes it validates it."""
     dual, fans = combinatorial_dual(primal), {}
     for v in dual.vertices:
         chain = dual.corners(v.id)
@@ -129,11 +135,28 @@ def _dual_base(primal: PolyhedralSurface, rays, what: str, vertices: int, marker
         cones = tuple((f, (i, (i + 1) % 3)) for i, (f, _, _) in enumerate(chain))
         fans[v.id] = VertexFan(v.id, fan_rays, cones)
     base = PolyhedralSurface(dual.cells, fans, dual.orientation, dual.asserted)
-    _require(not validate_surface(base), f"{what} base validation")
     _require(len(base.vertices) == vertices, f"{what} base must have {vertices} vertices")
     marked = [c for c in base.cells.values() if c.singular_markers]
     _require(len(marked) == markers, f"{what} base must carry {markers} singular markers")
     return base
+
+
+def euler_genus(cover: BranchedCover) -> int:
+    """Genus of the total space from its cell counts."""
+    if not cover.is_connected():
+        raise ValueError("total space is disconnected")
+    nv, ne, nf = cover.total_space_counts()
+    chi = nv - ne + nf
+    if chi % 2 != 0:
+        raise ValueError(f"total space Euler characteristic {chi} is odd")
+    return (2 - chi) // 2
+
+
+def riemann_hurwitz_genus(n_branch: int) -> int:
+    """Genus of a double cover of the sphere with simple branch points."""
+    if n_branch < 2 or n_branch % 2 != 0:
+        raise ValueError("branch count must be even and at least 2")
+    return n_branch // 2 - 1
 
 
 def _double_cover(base: PolyhedralSurface, unbranched, m: int, n: int, label: str,
@@ -366,6 +389,43 @@ def rank3_multisection() -> MultiSection:
 # -- gluing data for the worked examples --------------------------------------
 
 
+def vertex_edge_flags(msec: MultiSection) -> dict[tuple[str, str], int]:
+    """All (vertex lift, edge lift) inclusion flags, each mapped to the
+    corner that carries it: the corner whose incoming edge is the flag's."""
+    cover = msec.cover
+    x, cx, r = cover.base._index, cover._index, cover.degree
+    return {
+        (cx.ids[cx.lift_of[c * r + cx.sheets[c][1][lift]]], edge_lift_id(x.ids[1][e], lift)): c
+        for e, walls in enumerate(x.walls) for c in walls for lift in range(r)
+    }
+
+
+def coboundary_gluing(
+    msec: MultiSection,
+    lam_vertex: dict[str, TorusElement],
+    lam_edge: dict[str, Fraction],
+) -> GluingData:
+    """Gluing data of the form (vertex potential) / (edge potential) on every
+    vertex-into-edge flag. Such data always has trivial obstruction. An edge
+    potential's chart representative is its scalar against the canonical
+    generator of the edge quotient at the smaller endpoint, the inverse at the
+    other."""
+    x, out = msec.cover.base._index, {}
+    flags = vertex_edge_flags(msec)
+    for vlift, elift in sorted(f for f in flags if f[0] in lam_vertex or f[1] in lam_edge):
+        elem = lam_vertex.get(vlift, TRIVIAL)
+        coeff = Fraction(lam_edge.get(elift, 1))
+        if coeff != 1:
+            c = flags[vlift, elift]
+            e = x.corners[c][2]  # the flag's vertex is the end of e whose wall c is
+            chart = coeff if x.ends[e][x.walls[e].index(c)] == min(x.ends[e]) else 1 / coeff
+            ray = msec.cover.cone(c)[1]
+            elem = elem * TorusElement.single(canonical_transverse(ray), 1 / chart)
+        if not elem.is_trivial:
+            out[(vlift, elift)] = elem
+    return out
+
+
 def seeded_coboundary_gluing(msec: MultiSection, seed: int = 0) -> GluingData:
     """Deterministic nontrivial-looking gluing data with trivial obstruction:
     the coboundary of seeded vertex and edge potentials."""
@@ -395,3 +455,33 @@ EXAMPLES = {
                                        "elementary": True, "open-gluing-induced": True}),
     "rank3-cube": (rank3_multisection, {"regular": True, "assumption-1.4": True}),
 }
+
+
+def generate_example(name: str, outdir: str = ".") -> Manifest:
+    """Write one worked example (complex, section, gluing data for the rank-2
+    covers, manifest) into ``outdir`` and return its manifest."""
+    if name not in EXAMPLES:
+        raise ValueError(f"unknown example {name!r}; pick one of {tuple(EXAMPLES)}")
+    build, assertions = EXAMPLES[name]
+    msec = build()
+    os.makedirs(outdir, exist_ok=True)
+
+    complex_path = f"{name}.complex.json"
+    section_path = f"{name}.section.json"
+    complex_text = complex_to_text(msec.cover.base)
+    with open(os.path.join(outdir, complex_path), "w", encoding="utf-8") as fh:
+        fh.write(complex_text)
+    with open(os.path.join(outdir, section_path), "w", encoding="utf-8") as fh:
+        fh.write(_section_text(msec, complex_text))
+
+    gluing_path = None
+    if msec.cover.degree == 2:
+        gluing_path = f"{name}.gluing.json"
+        g = seeded_coboundary_gluing(msec, seed=0)
+        with open(os.path.join(outdir, gluing_path), "w", encoding="utf-8") as fh:
+            fh.write(gluing_to_text(g))
+
+    manifest = Manifest(complex_path, section_path, gluing_path, dict(assertions), root=outdir)
+    with open(os.path.join(outdir, f"{name}.manifest.json"), "w", encoding="utf-8") as fh:
+        fh.write(manifest_to_text(manifest))
+    return manifest

@@ -1,6 +1,5 @@
-"""Open-gluing data on a multi-section, its triple-intersection cocycle, the
-obstruction class on the order complex of the total space, and the transport
-of gluing constants along cycles.
+"""Open-gluing data on a multi-section, its triple-intersection cocycle, and
+the obstruction class on the order complex of the total space.
 
 Gluing data assigns a torus element to flags between lifted cells. The
 coefficient lattice has rank two at vertex lifts, rank one at edge lifts and
@@ -18,15 +17,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from . import schema
 from .complexes import Diagnostic
 from .covers import MultiSection, edge_lift_id, face_lift_id
 from .lattice import Vec, canonical_transverse, det2, dot
-
-if TYPE_CHECKING:
-    from .bundle import Bundle
 
 
 class TorusElement:
@@ -114,17 +110,6 @@ def _position(table: tuple, key) -> int | None:
     return i if table[i : i + 1] == (key,) else None
 
 
-def vertex_edge_flags(msec: MultiSection) -> dict[tuple[str, str], int]:
-    """All (vertex lift, edge lift) inclusion flags, each mapped to the
-    corner that carries it: the corner whose incoming edge is the flag's."""
-    cover = msec.cover
-    x, cx, r = cover.base._index, cover._index, cover.degree
-    return {
-        (cx.ids[cx.lift_of[c * r + cx.sheets[c][1][lift]]], edge_lift_id(x.ids[1][e], lift)): c
-        for e, walls in enumerate(x.walls) for c in walls for lift in range(r)
-    }
-
-
 def bar_complex(msec: MultiSection) -> BarComplex:
     """Order complex of the total space of a valid section."""
     cover = msec.cover
@@ -183,32 +168,6 @@ def validate_gluing(
                 "gluing-cocycle-violation",
                 f"nontrivial element into a 2-cell lift at chain {where}"))
     return tuple(diags)
-
-
-def coboundary_gluing(
-    msec: MultiSection,
-    lam_vertex: dict[str, TorusElement],
-    lam_edge: dict[str, Fraction],
-) -> GluingData:
-    """Gluing data of the form (vertex potential) / (edge potential) on every
-    vertex-into-edge flag. Such data always has trivial obstruction. An edge
-    potential's chart representative is its scalar against the canonical
-    generator of the edge quotient at the smaller endpoint, the inverse at the
-    other."""
-    x, out = msec.cover.base._index, {}
-    flags = vertex_edge_flags(msec)
-    for vlift, elift in sorted(f for f in flags if f[0] in lam_vertex or f[1] in lam_edge):
-        elem = lam_vertex.get(vlift, TRIVIAL)
-        coeff = Fraction(lam_edge.get(elift, 1))
-        if coeff != 1:
-            c = flags[vlift, elift]
-            e = x.corners[c][2]  # the flag's vertex is the end of e whose wall c is
-            chart = coeff if x.ends[e][x.walls[e].index(c)] == min(x.ends[e]) else 1 / coeff
-            ray = msec.cover.cone(c)[1]
-            elem = elem * TorusElement.single(canonical_transverse(ray), 1 / chart)
-        if not elem.is_trivial:
-            out[(vlift, elift)] = elem
-    return out
 
 
 # -- kink compatibility and the triple cocycle -------------------------------
@@ -440,61 +399,6 @@ def unbounded_chains(bar: BarComplex, c: Cochain, k: Cochain) -> list[tuple[str,
         if d[0] % 2 or any(d[1:]):
             bad.append(tuple(bar.nodes[n] for n in bar.chains[t]))
     return bad
-
-
-# -- transport ----------------------------------------------------------------
-
-
-class Transport(NamedTuple):
-    """What the sheet comparison along any cycle of a rank-two section reads from
-    one set of gluing data: the order complex, the triple cocycle and a bounding cochain."""
-
-    msec: MultiSection
-    bar: BarComplex
-    c: Cochain
-    k: Cochain
-
-
-def transport(b: Bundle) -> Transport:
-    """Compute the triple cocycle of a checked rank-two section with gluing
-    data and the canonical splitting table: once per gluing, for every cycle
-    that ``transport_ratios`` then reads."""
-    if b.msec.cover.degree != 2:
-        raise ValueError("transport needs a rank-two cover")
-    c = triple_cocycle(b.msec, b.gluing, b.bar)
-    ob = obstruction_class(c, b.bar)
-    if not ob.trivial:
-        raise ValueError(f"gluing-data inconsistency: obstruction witness {ob.witness}")
-    return Transport(b.msec, b.bar, c, normalize_splitting(b.bar, ob.cochain))
-
-
-def transport_ratios(t: Transport, cycle: list[str], sigma: str) -> list[tuple[str, Fraction]]:
-    """Sheet-comparison ratio on each edge of a cycle bounding a 2-cell:
-    (edge id, ratio) in cycle order."""
-    cover, bar = t.msec.cover, t.bar
-    x, r = cover.base._index, cover.degree
-    f = x.number[2][sigma]
-    # the chain over each cover node and its corner's outgoing (1) or incoming (-1) edge
-    chain = {(node, tri[3]): k for k, (node, tri) in enumerate(zip(bar.node, bar.triangles))}
-
-    def t_value(v: str, e: int, sheet: int) -> Fraction:
-        # the chain over v, e and sigma under one sheet of sigma, and its vertex-edge side
-        c = x.corner(x.number[0][v], f)
-        k = chain[c * r + sheet, 1 if x.corners[c][1] == e else -1]
-        value, side = t.c.values[k], t.k.values[bar.sides[k][0]]
-        return _fraction(t.c.base, value) / _fraction(t.k.base, side)
-
-    out = []
-    n = len(cycle)
-    for i in range(n):
-        v, w = cycle[i], cycle[(i + 1) % n]
-        eid = cover.base.edge_between(v, w)
-        e = x.number[1][eid]
-        if f not in x.sides[e]:
-            raise ValueError(f"cycle edge {eid} is not on the boundary of {sigma}")
-        lam = (t_value(v, e, 1) / t_value(v, e, 0)) / (t_value(w, e, 1) / t_value(w, e, 0))
-        out.append((eid, lam))
-    return out
 
 
 # -- serialization ------------------------------------------------------------

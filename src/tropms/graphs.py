@@ -3,20 +3,19 @@ cycles, the fiber product of a cover with itself, and the simplicity
 verdicts.
 
 Verdict reasons cite rule ids from docs/GLOSSARY.md in square brackets so
-reports can be traced to the exact condition that fired.
+reports can be traced to the exact condition that fired. The certificate of
+a ``not_simple`` verdict is built by ``certificate``, which no verdict runs.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from .covers import BranchedCover, ClassTag, MultiSection, check_class_C, edge_lift_id, face_lift_id
-from .lattice import Vec, dot
+from .lattice import Vec
 
-if TYPE_CHECKING:  # loaded where they run: at a pair vertex, and in the witness
+if TYPE_CHECKING:  # loaded where it runs: at a pair vertex
     from .chern import CompleteFan, NewtonPolytope
-    from .gluing import Transport
 
 
 class _Graph(NamedTuple):
@@ -38,10 +37,6 @@ class EmbeddedGraph(_Graph):
                 if v not in vertices:
                     raise ValueError(f"edge {e} has endpoint {v} outside the graph")
         return super().__new__(cls, vertices, edges, host)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.vertices
 
 
 class PairCell(NamedTuple):
@@ -382,108 +377,3 @@ def simplicity_verdict(
         upgrade = obstruction_trivial and flags >= {*_SMOOTH_FLAGS, "open-gluing-induced"}
         return is_simple_rank2(msec, tag, upgrade)
     return general_simplicity(msec, tag, local_bundles_asserted="assumption-1.4" in flags)
-
-
-# -- endomorphism witness -----------------------------------------------------
-
-
-class WitnessRecord(NamedTuple):
-    """Machine-checkable certificate extracted from a minimal cycle: sheet
-    order, comparison constants, monomial weights, and the per-edge and
-    per-vertex checks that were run."""
-
-    order: tuple[int, int]
-    constants: dict[str, Fraction]
-    weights: dict[str, Vec]
-    edge_checks: tuple[tuple[str, Fraction, bool], ...]
-    vertex_checks: tuple[tuple[str, bool], ...]
-    zero_extension: bool
-    ok: bool
-
-
-def _weight_candidates(
-    msec: MultiSection,
-    v: int,
-    cycle_edges: set[str],
-    cfan: CompleteFan,
-    diff: list[Vec],
-    poly: NewtonPolytope,
-) -> list[Vec]:
-    """Lattice points of the difference polytope that stay tight on the two
-    cycle-edge rays and vanish on every other edge divisor at the vertex
-    numbered ``v``, whose difference data ``_difference_data`` gives."""
-    x = msec.cover.base._index
-    corners = x.corners[x.first[v]:x.first[v + 1]]
-    on_cycle = [x.ids[1][out] in cycle_edges for _, out, _ in corners]
-    values = [dot(d, ray) for d, ray in zip(diff, cfan.rays)]
-    return [p for p in sorted(poly.lattice_points)
-            if all((dot(p, ray) == value) == on
-                   for ray, value, on in zip(cfan.rays, values, on_cycle))]
-
-
-def endomorphism_witness(
-    t: Transport, minimal_cycle: tuple[tuple[str, ...], str]
-) -> WitnessRecord:
-    """Certificate that a minimal cycle supports a nonscalar endomorphism:
-    comparison constants ratioed by the edge transports of ``t``, built once
-    per gluing, monomial weights surviving exactly on the cycle, extended by
-    zero elsewhere."""
-    from .gluing import transport_ratios
-
-    cycle, sigma = minimal_cycle
-    cycle = list(cycle)
-    msec = t.msec
-    x, cx = msec.cover.base._index, msec.cover._index
-    ratios = transport_ratios(t, cycle, sigma)
-    nodes = {}  # per cycle vertex: its number and the node of sheet 0 at its corner of sigma
-    for vid in cycle:
-        v = x.number[0][vid]
-        nodes[vid] = v, x.corner(v, x.number[2][sigma]) * msec.cover.degree
-
-    for order in ((0, 1), (1, 0)):
-        data = {}
-        for vid, (v, node) in nodes.items():
-            la, lb = cx.lift_of[node + order[0]], cx.lift_of[node + order[1]]
-            data[vid] = _difference_data(msec, v, la, lb)
-        if all(not poly.is_empty for _, _, poly in data.values()):
-            break
-    else:
-        raise ValueError(
-            "no sheet order gives nonempty difference polytopes along the cycle"
-        )
-    if order == (1, 0):
-        # the transports compare sheet 1 against sheet 0; flip with the order
-        ratios = [(eid, 1 / lam) for eid, lam in ratios]
-
-    n = len(cycle)
-    anchor = min(range(n), key=lambda i: cycle[i])
-    constants = {cycle[anchor]: Fraction(1)}
-    for step in range(n - 1):
-        i = (anchor + step) % n
-        v, w = cycle[i], cycle[(i + 1) % n]
-        constants[w] = constants[v] * ratios[i][1]
-    edge_checks = []
-    for i in range(n):
-        v, w = cycle[i], cycle[(i + 1) % n]
-        eid, lam = ratios[i]
-        edge_checks.append((eid, lam, constants[w] == constants[v] * lam))
-
-    cycle_edges = {eid for eid, _ in ratios}
-    weights = {}
-    vertex_checks = []
-    for v in cycle:
-        cands = _weight_candidates(msec, nodes[v][0], cycle_edges, *data[v])
-        if cands:
-            weights[v] = cands[0]
-        vertex_checks.append((v, bool(cands)))
-    zero_extension = all(h for _, h in vertex_checks)
-    ok = all(c for _, _, c in edge_checks) and zero_extension
-    return WitnessRecord(
-        order=order,
-        constants=constants,
-        weights=weights,
-        edge_checks=tuple(edge_checks),
-        vertex_checks=tuple(vertex_checks),
-        zero_extension=zero_extension,
-        ok=ok,
-    )

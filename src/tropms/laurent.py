@@ -85,9 +85,6 @@ class LaurentPoly:
         res.terms = out
         return res
 
-    def scale(self, coeff) -> "LaurentPoly":
-        return self * LaurentPoly.const(coeff)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self.terms == other.terms
 

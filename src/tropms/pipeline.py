@@ -22,8 +22,7 @@ from typing import NamedTuple
 
 from . import EXIT_INTERNAL, EXIT_INVALID, EXIT_NOT_SIMPLE, EXIT_OK, _json_text, schema
 from .bundle import Bundle, Invalid, load
-from .complexes import complex_to_text
-from .covers import ClassTag, _section_text, classify
+from .covers import ClassTag, classify
 from .graphs import Verdict, simplicity_verdict
 
 ASSERTION_FLAGS = (
@@ -267,39 +266,3 @@ def run_pipeline(manifest: Manifest, checks=None) -> Report:
         )
         exit_code = max(exit_code, out.exit_code)
     return Report(tuple(records), exit_code)
-
-
-# -- example emission ---------------------------------------------------------
-
-
-def generate_example(name: str, outdir: str = ".") -> Manifest:
-    """Write one worked example (complex, section, gluing data for the rank-2
-    covers, manifest) into ``outdir`` and return its manifest."""
-    from . import generators as gen
-    from .gluing import gluing_to_text
-
-    if name not in gen.EXAMPLES:
-        raise ValueError(f"unknown example {name!r}; pick one of {tuple(gen.EXAMPLES)}")
-    build, assertions = gen.EXAMPLES[name]
-    msec = build()
-    os.makedirs(outdir, exist_ok=True)
-
-    complex_path = f"{name}.complex.json"
-    section_path = f"{name}.section.json"
-    complex_text = complex_to_text(msec.cover.base)
-    with open(os.path.join(outdir, complex_path), "w", encoding="utf-8") as fh:
-        fh.write(complex_text)
-    with open(os.path.join(outdir, section_path), "w", encoding="utf-8") as fh:
-        fh.write(_section_text(msec, complex_text))
-
-    gluing_path = None
-    if msec.cover.degree == 2:
-        gluing_path = f"{name}.gluing.json"
-        g = gen.seeded_coboundary_gluing(msec, seed=0)
-        with open(os.path.join(outdir, gluing_path), "w", encoding="utf-8") as fh:
-            fh.write(gluing_to_text(g))
-
-    manifest = Manifest(complex_path, section_path, gluing_path, dict(assertions), root=outdir)
-    with open(os.path.join(outdir, f"{name}.manifest.json"), "w", encoding="utf-8") as fh:
-        fh.write(manifest_to_text(manifest))
-    return manifest

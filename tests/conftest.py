@@ -75,7 +75,7 @@ def holonomy(t, cycle, sigma) -> Fraction:
     of its ``transport_ratios``. With the canonical bounding cochain it is 1
     for consistent gluing data; a transport on an explicit cochain exposes
     corrupted data."""
-    from tropms.gluing import transport_ratios
+    from tropms.certificate import transport_ratios
 
     return prod((lam for _, lam in transport_ratios(t, list(cycle), sigma)), start=Fraction(1))
 

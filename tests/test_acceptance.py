@@ -13,6 +13,7 @@ from conftest import holonomy, ids, tree_gauged_rows
 from laurent_identities import verify_constant_independence, verify_duality
 
 from tropms.bundle import check
+from tropms.certificate import endomorphism_witness, transport
 from tropms.chern import (
     CANONICAL_FAN,
     CompleteFan,
@@ -20,29 +21,29 @@ from tropms.chern import (
     stability_discriminant,
     total_chern,
 )
-from tropms.covers import classify, euler_genus, riemann_hurwitz_genus
+from tropms.covers import classify
 from tropms.generators import (
+    coboundary_gluing,
     cube2_multisection,
     cube_o1_multisection,
+    euler_genus,
     planted_multisection,
     rank3_multisection,
+    riemann_hurwitz_genus,
     simplex5_multisection,
+    vertex_edge_flags,
 )
 from tropms.gluing import (
     TRIVIAL,
     TorusElement,
     bar_complex,
-    coboundary_gluing,
     edge_lift_id,
     obstruction_class,
-    transport,
     triple_cocycle,
-    vertex_edge_flags,
 )
 from tropms.graphs import (
     build_G0,
     build_G0_tilde,
-    endomorphism_witness,
     find_minimal_cycles,
     general_simplicity,
     is_simple_rank2,

@@ -4,7 +4,7 @@ Every top-level function and class of ``src/tropms``, and every method of a
 top-level class other than the dunders, must be referenced from ``src/``,
 ``demos/`` or ``perfbench/``: by name, as an attribute, in an import, or as a
 string constant equal to its name. A name that only the tests reach belongs
-in ``tests/``.
+in ``tests/``. The package also holds no ``assert`` statement.
 """
 
 import ast
@@ -60,3 +60,11 @@ def test_every_definition_is_reached_outside_the_tests():
     assert defs, f"no definitions found under {PACKAGE}"
     unreached = [qual for qual, name in defs if name not in refs]
     assert unreached == [], f"defined in src/tropms but reached only from tests: {unreached}"
+
+
+def test_no_assert_statement_in_the_package():
+    """An invariant is raised explicitly: ``python -O`` strips ``assert``."""
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}"
+             for path, tree in _trees("src/tropms")
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == [], f"assert statements in src/tropms: {found}"

@@ -17,6 +17,7 @@ import tropms
 from tropms.complexes import complex_to_text, validate_surface
 from tropms.covers import multisection_to_text
 from tropms.generators import (
+    generate_example,
     planted_multisection,
     planted_triangle_multisection,
 )
@@ -28,7 +29,6 @@ from tropms.pipeline import (
     EXIT_NOT_SIMPLE,
     EXIT_OK,
     Manifest,
-    generate_example,
     manifest_to_text,
 )
 from tropms.svg import _layout
@@ -787,36 +787,44 @@ def test_cli_import_loads_no_third_party_module():
 
 # The tropms modules a `validate` child loads, and their source lines, at
 # most: every child compiles them, so code added to the verdict path shows here.
-VALIDATE_SOURCE = {"cube2.manifest.json": (12, 3974), "rank3-cube.manifest.json": (9, 2777),
-                   "rotated.manifest.json": (12, 3974)}
+VALIDATE_SOURCE = {"cube2.manifest.json": (12, 3708), "rank3-cube.manifest.json": (9, 2613),
+                   "rotated.manifest.json": (12, 3708)}
 
 
 @pytest.mark.parametrize(
     "argv, ran, absent",
     [
         (("validate", "--manifest", "cube2.manifest.json"), "tropms.pipeline",
-         {"click", "dataclasses", "inspect", "tropms.generators", "tropms.svg", "tropms.writer"}),
+         {"click", "dataclasses", "inspect", "tropms.certificate", "tropms.generators",
+          "tropms.svg", "tropms.writer"}),
         (("chern", "--m", "2", "--n", "1"), "tropms.chern",
          {"tropms.covers", "tropms.gluing", "tropms.pipeline", "tropms.writer"}),
         (("classify", "--section", "cube2.section.json"), "tropms.covers",
-         {"tropms.gluing", "tropms.graphs", "tropms.chern", "tropms.pipeline", "tropms.writer"}),
+         {"tropms.certificate", "tropms.gluing", "tropms.graphs", "tropms.chern",
+          "tropms.pipeline", "tropms.writer"}),
         (("validate", "--manifest", "rank3-cube.manifest.json"), "tropms.graphs",
-         {"tropms.gluing", "tropms.chern", "tropms.laurent", "tropms.writer"}),
+         {"tropms.certificate", "tropms.gluing", "tropms.chern", "tropms.laurent",
+          "tropms.writer"}),
         (("validate", "--manifest", "rotated.manifest.json"), "tropms.pipeline",
-         {"tropms.generators", "tropms.svg", "tropms.writer"}),
+         {"tropms.certificate", "tropms.generators", "tropms.svg", "tropms.writer"}),
+        (("obstruction", "--complex", "cube2.complex.json", "--section", "cube2.section.json",
+          "--gluing", "cube2.gluing.json"), "tropms.gluing",
+         {"tropms.certificate", "tropms.graphs", "tropms.chern", "tropms.pipeline",
+          "tropms.writer"}),
         (("fiber-product", "--section", "cube2.section.json"), "tropms.graphs",
-         {"tropms.gluing", "tropms.chern", "tropms.laurent", "tropms.pipeline", "tropms.writer"}),
+         {"tropms.certificate", "tropms.gluing", "tropms.chern", "tropms.laurent",
+          "tropms.pipeline", "tropms.writer"}),
         (("simplicity", "--section", "planted.section.json"), "tropms.graphs",
-         {"tropms.gluing", "tropms.laurent", "tropms.writer"}),
+         {"tropms.certificate", "tropms.gluing", "tropms.laurent", "tropms.writer"}),
         (("render", "--manifest", "planted.manifest.json", "--layer", "cycles"), "tropms.svg",
-         {"tropms.gluing", "tropms.writer"}),
+         {"tropms.certificate", "tropms.gluing", "tropms.writer"}),
         (("render", "--manifest", "planted.manifest.json", "--layer", "fiber"), "tropms.chern",
-         {"tropms.gluing", "tropms.writer"}),
+         {"tropms.certificate", "tropms.gluing", "tropms.writer"}),
         (("example", "cube2", "--outdir", "written"), "tropms.writer",
          {"tropms.chern", "tropms.laurent", "tropms.svg"}),
     ],
     ids=["validate", "chern", "classify", "validate-class-C", "validate-differing-complex",
-         "fiber-product", "simplicity", "render", "render-fiber", "example"],
+         "obstruction", "fiber-product", "simplicity", "render", "render-fiber", "example"],
 )
 def test_command_loads_only_what_it_runs(tmp_path, argv, ran, absent):
     """A command imports the modules it runs and no others: beyond a bare

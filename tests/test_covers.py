@@ -14,16 +14,19 @@ from tropms.covers import (
     check_class_C,
     check_condition_E,
     classify,
-    euler_genus,
     multisection_to_text,
     parse_multisection,
-    riemann_hurwitz_genus,
     validate_cover,
     validate_multisection,
 )
-from tropms.generators import STANDARD_FAN_RAYS, _dual_base
+from tropms.generators import (
+    STANDARD_FAN_RAYS,
+    _dual_base,
+    euler_genus,
+    generate_example,
+    riemann_hurwitz_genus,
+)
 from tropms.lattice import rot90
-from tropms.pipeline import generate_example
 
 
 def all_vertices(s):

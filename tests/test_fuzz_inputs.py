@@ -22,7 +22,7 @@ from conftest import run_cli
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tropms.pipeline import generate_example
+from tropms.generators import generate_example
 
 EXAMPLES = ("simplex5", "cube2", "cube-o1", "rank3-cube")
 KINDS = ("manifest", "complex", "section", "gluing")

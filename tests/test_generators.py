@@ -6,15 +6,14 @@ from fractions import Fraction
 import pytest
 
 from tropms.bundle import check
+from tropms.certificate import endomorphism_witness, transport, transport_ratios
 from tropms.complexes import complex_to_text, validate_surface
 from tropms.covers import (
     check_class_C,
     check_condition_E,
     classify,
-    euler_genus,
     multisection_to_text,
     parse_multisection,
-    riemann_hurwitz_genus,
     validate_cover,
     validate_multisection,
 )
@@ -28,9 +27,11 @@ from tropms.generators import (
     cube2_base,
     cube2_multisection,
     cube_o1_multisection,
+    euler_genus,
     planted_multisection,
     planted_triangle_multisection,
     rank3_multisection,
+    riemann_hurwitz_genus,
     seeded_coboundary_gluing,
     simplex5_base,
     simplex5_multisection,
@@ -38,15 +39,12 @@ from tropms.generators import (
 from tropms.gluing import (
     bar_complex,
     obstruction_class,
-    transport,
-    transport_ratios,
     triple_cocycle,
     validate_gluing,
 )
 from tropms.graphs import (
     build_G0,
     build_G0_tilde,
-    endomorphism_witness,
     find_minimal_cycles,
     general_simplicity,
     is_simple_rank2,

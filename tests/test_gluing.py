@@ -10,23 +10,22 @@ from hypothesis import strategies as st
 
 from tropms import EXIT_INVALID
 from tropms.bundle import Invalid, check
+from tropms.certificate import transport
 from tropms.complexes import complex_to_text
 from tropms.covers import BranchedCover, MultiSection, build_double_cover, multisection_to_text
+from tropms.generators import coboundary_gluing, vertex_edge_flags
 from tropms.gluing import (
     TRIVIAL,
     TorusElement,
     bar_complex,
     check_edge_kinks,
-    coboundary_gluing,
     edge_lift_id,
     gluing_to_text,
     obstruction_class,
     parse_gluing,
-    transport,
     triple_cocycle,
     unbounded_chains,
     validate_gluing,
-    vertex_edge_flags,
 )
 from tropms.lattice import dot, rot90, solve_linear
 from tropms.pipeline import CHECK_ORDER, Manifest, manifest_to_text

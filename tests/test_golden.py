@@ -26,6 +26,7 @@ from tropms.complexes import complex_to_text
 from tropms.covers import multisection_to_text
 from tropms.generators import (
     cube2_multisection,
+    generate_example,
     planted_multisection,
     planted_triangle_multisection,
     simplex5_multisection,
@@ -40,7 +41,6 @@ from tropms.pipeline import (
     CHECK_ORDER,
     EXIT_INVALID,
     Manifest,
-    generate_example,
     manifest_to_text,
 )
 

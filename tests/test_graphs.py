@@ -8,6 +8,7 @@ import pytest
 from conftest import cube_surface, rebuilt
 from tropms import chern
 from tropms.bundle import check
+from tropms.certificate import endomorphism_witness, transport
 from tropms.complexes import VertexFan, surface_from_cycles, validate_surface
 from tropms.covers import (
     BranchedCover,
@@ -18,6 +19,7 @@ from tropms.covers import (
     validate_multisection,
 )
 from tropms.generators import (
+    coboundary_gluing,
     cube2_multisection,
     cube_o1_multisection,
     planted_multisection,
@@ -25,14 +27,13 @@ from tropms.generators import (
     rank3_multisection,
     simplex5_multisection,
 )
-from tropms.gluing import TorusElement, coboundary_gluing, transport
+from tropms.gluing import TorusElement
 from tropms.graphs import (
     EmbeddedGraph,
     _difference_data,
     build_G0,
     build_G0_tilde,
     build_fiber_product,
-    endomorphism_witness,
     find_minimal_cycles,
     general_simplicity,
     is_simple_rank2,
@@ -186,7 +187,7 @@ def test_g0_ring():
     g = build_G0(ring())
     assert ids(g.host, 0, g.vertices) == frozenset(BOTTOM)
     assert ids(g.host, 1, g.edges) == frozenset(BOTTOM_EDGES)
-    assert not g.is_empty
+    assert g.vertices
 
 
 def test_g0_corner_isolated_vertices():
@@ -196,7 +197,7 @@ def test_g0_corner_isolated_vertices():
 
 
 def test_g0_full_branch_empty():
-    assert build_G0(full()).is_empty
+    assert not build_G0(full()).vertices
 
 
 def test_minimal_cycles_ring():
@@ -460,7 +461,7 @@ def test_general_satisfied_corner():
 
 def test_general_satisfied_vacuously_on_full_branch():
     msec = full(2, 1)
-    assert build_G0_tilde(msec).is_empty
+    assert not build_G0_tilde(msec).vertices
     tag = classify(msec)
     assert general_simplicity(msec, tag, local_bundles_asserted=True).tag == "smoothable"
 

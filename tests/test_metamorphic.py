@@ -36,13 +36,13 @@ from tropms.generators import (
     planted_multisection,
     rank3_multisection,
     seeded_coboundary_gluing,
+    vertex_edge_flags,
 )
 from tropms.gluing import (
     TRIVIAL,
     TorusElement,
     obstruction_class,
     triple_cocycle,
-    vertex_edge_flags,
 )
 from tropms.graphs import build_fiber_product, simplicity_verdict
 

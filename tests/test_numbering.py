@@ -13,6 +13,7 @@ from conftest import run_cli, tetrahedron
 
 from tropms import generators
 from tropms.bundle import check
+from tropms.certificate import endomorphism_witness, transport
 from tropms.complexes import (
     PolyhedralSurface,
     VertexFan,
@@ -29,26 +30,26 @@ from tropms.covers import (
     validate_cover,
     validate_multisection,
 )
-from tropms.generators import cube2_multisection
+from tropms.generators import (
+    coboundary_gluing,
+    cube2_multisection,
+    generate_example,
+    vertex_edge_flags,
+)
 from tropms.gluing import (
     TorusElement,
     bar_complex,
-    coboundary_gluing,
     gluing_to_text,
     obstruction_class,
-    transport,
     triple_cocycle,
-    vertex_edge_flags,
 )
 from tropms.graphs import (
     build_fiber_product,
-    endomorphism_witness,
     general_simplicity,
     is_simple_rank2,
 )
 from tropms.pipeline import (
     EXIT_INVALID,
-    generate_example,
     load_manifest,
     report_to_text,
     run_pipeline,

@@ -12,7 +12,7 @@ import tropms
 from tropms import complexes, gluing
 from tropms.complexes import complex_to_text, parse_complex
 from tropms.covers import multisection_to_text, parse_multisection
-from tropms.generators import planted_multisection
+from tropms.generators import generate_example, planted_multisection
 from tropms.gluing import gluing_to_text, parse_gluing
 from tropms.pipeline import (
     CHECK_ORDER,
@@ -20,7 +20,6 @@ from tropms.pipeline import (
     EXIT_NOT_SIMPLE,
     EXIT_OK,
     Manifest,
-    generate_example,
     load_manifest,
     manifest_to_text,
     parse_manifest,
