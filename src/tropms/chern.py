@@ -1,15 +1,15 @@
 """Equivariant characteristic classes of rank-2 weighted double covers over the
-projective plane, the forgetful map to ordinary cohomology, and exact Newton
-polytopes of piecewise linear functions on complete plane fans."""
+projective plane, the forgetful map to ordinary cohomology (read off the values
+at the rays, no linear solve), and exact Newton polytopes of piecewise linear
+functions on complete plane fans."""
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .lattice import Vec, det2, dot, fan_flaw, solve_linear
+from .lattice import Vec, det2, dot, fan_flaw
 from .laurent import LaurentPoly
 
 Poly = LaurentPoly  # exponent slot 0 is xi1, slot 1 is xi2; exponents stay >= 0
@@ -89,26 +89,6 @@ class PiecewisePoly(_Piecewise):
                 )
         return super().__new__(cls, fan, parts)
 
-    def __add__(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        if self.fan != other.fan:
-            raise ValueError("fan mismatch")
-        return PiecewisePoly(
-            self.fan, tuple(a + b for a, b in zip(self.parts, other.parts))
-        )
-
-    def __mul__(self, other: "PiecewisePoly") -> "PiecewisePoly":
-        if self.fan != other.fan:
-            raise ValueError("fan mismatch")
-        return PiecewisePoly(
-            self.fan, tuple(a * b for a, b in zip(self.parts, other.parts))
-        )
-
-    def homogeneous_part(self, d: int) -> "PiecewisePoly":
-        parts = []
-        for p in self.parts:
-            parts.append(Poly({e: c for e, c in p.terms.items() if e[0] + e[1] == d}))
-        return PiecewisePoly(self.fan, tuple(parts))
-
     def max_degree(self) -> int:
         return max(
             (e[0] + e[1] for p in self.parts for e in p.terms), default=0
@@ -119,17 +99,6 @@ def _meet(a: Vec, b: Vec, p: int, q: int) -> tuple[Fraction, Fraction]:
     """The u with dot(u, a) = p and dot(u, b) = q, by Cramer's rule."""
     d = det2(a, b)
     return Fraction(det2((p, q), (a[1], b[1])), d), Fraction(det2((a[0], b[0]), (p, q)), d)
-
-
-def ray_class(fan: CompleteFan, ray_index: int) -> PiecewisePoly:
-    """Piecewise linear class of the divisor at one ray: value 1 on that ray,
-    0 on every other ray, linear on each cone."""
-    target = fan.rays[ray_index]
-    parts = []
-    for i in range(fan.n_cones):
-        ra, rb = fan.cone_rays(i)
-        parts.append(linear_form(_meet(ra, rb, int(target == ra), int(target == rb))))
-    return PiecewisePoly(fan, tuple(parts))
 
 
 class CohomologyClass(NamedTuple):
@@ -146,13 +115,6 @@ class CohomologyClass(NamedTuple):
 
     def __add__(self, other: "CohomologyClass") -> "CohomologyClass":
         return CohomologyClass(self.h0 + other.h0, self.h1 + other.h1, self.h2 + other.h2)
-
-    def __mul__(self, other: "CohomologyClass") -> "CohomologyClass":
-        return CohomologyClass(
-            self.h0 * other.h0,
-            self.h0 * other.h1 + self.h1 * other.h0,
-            self.h0 * other.h2 + self.h1 * other.h1 + self.h2 * other.h0,
-        )
 
     def __repr__(self) -> str:
         bits = []
@@ -195,55 +157,33 @@ def equivariant_chern(m: int, n: int) -> tuple[PiecewisePoly, PiecewisePoly]:
     )
 
 
-def _coef(p: Poly, i: int, j: int) -> Fraction:
-    return p.terms.get((i, j), Fraction(0))
-
-
-_LINEAR, _QUADRATIC = ((1, 0), (0, 1)), ((2, 0), (1, 1), (0, 2))  # exponents
-
-
-@functools.cache
-def _forgetful_basis() -> tuple[list[list[Fraction]], list[list[Fraction]]]:
-    """The systems that ``forgetful`` solves: cone by cone, the coefficients
-    of the three ray classes and of their six pairwise products. Computed
-    once; ``solve_linear`` copies the rows it is given."""
-    t = [ray_class(CANONICAL_FAN, i) for i in range(3)]
-    products = [t[i] * t[j] for i in range(3) for j in range(i, 3)]
-    return (
-        [[_coef(b.parts[cone], *e) for b in t] for cone in range(3) for e in _LINEAR],
-        [[_coef(b.parts[cone], *e) for b in products] for cone in range(3) for e in _QUADRATIC],
-    )
-
-
 def forgetful(p: PiecewisePoly) -> CohomologyClass:
     """Push an equivariant class down to ordinary cohomology.
 
-    Degree-one ray classes map to H and their pairwise products to H^2;
-    globally linear functions map to zero. Defined on the canonical fan for
-    piecewise polynomials of degree at most two.
+    Degree-one ray classes t_i (1 on ray i, 0 on the others) map to H and
+    their pairwise products to H^2; globally linear functions map to zero.
+    Defined on the canonical fan for piecewise polynomials of degree at most
+    two. Each cone is smooth, so on cone i, spanned by rays r_i and r_(i+1),
+    the linear part is p1(r_i) t_i + p1(r_(i+1)) t_(i+1) and the quadratic
+    part q_i is q(r_i) t_i^2 + q(r_(i+1)) t_(i+1)^2 plus
+    (q_i(r_i + r_(i+1)) - q(r_i) - q(r_(i+1))) t_i t_(i+1). Summing the
+    coefficients gives H and H^2 without a solve.
     """
     if p.fan != CANONICAL_FAN:
         raise ValueError("forgetful map is defined over the canonical fan")
     if p.max_degree() > 2:
         raise ValueError("degree above two is not supported")
-    linear, quadratic = _forgetful_basis()
 
     consts = [pc.terms.get((0, 0), Fraction(0)) for pc in p.parts]
     if len(set(consts)) != 1:
         raise RuntimeError("constant parts disagree despite continuity")
-    h0 = consts[0]
-
-    lin = p.homogeneous_part(1)
-    rhs1 = [_coef(lin.parts[cone], *e) for cone in range(3) for e in _LINEAR]
-    quad = p.homogeneous_part(2)
-    rhs2 = [_coef(quad.parts[cone], *e) for cone in range(3) for e in _QUADRATIC]
-    try:  # a system without a unique solution is a fault of this module, not of the input
-        (x1,), (x2,) = solve_linear(linear, [rhs1]), solve_linear(quadratic, [rhs2])
-    except ValueError as err:
-        raise RuntimeError(f"forgetful system: {err}") from err
-    if x1 is None or x2 is None:
-        raise RuntimeError("forgetful system is inconsistent")
-    return CohomologyClass(h0, sum(x1, Fraction(0)), sum(x2, Fraction(0)))
+    h1 = h2 = Fraction(0)
+    for i, part in enumerate(p.parts):
+        ra, rb = p.fan.cone_rays(i)
+        at_ray = _restrict_ray(part, ra)
+        h1 += at_ray.get(1, 0)
+        h2 += _restrict_ray(part, (ra[0] + rb[0], ra[1] + rb[1])).get(2, 0) - at_ray.get(2, 0)
+    return CohomologyClass(consts[0], h1, h2)
 
 
 def total_chern(m: int, n: int) -> CohomologyClass:

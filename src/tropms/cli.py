@@ -154,10 +154,11 @@ def _obstruction(args):
 def _simplicity(args):
     """Minimal-cycle simplicity verdict, printed with reasons and witnesses.
 
-    Without an explicit mode, degree-2 sections get the rank-2 criterion and
-    everything else the general one. Assertion flags come from the complex
-    embedded in the section file. Gluing data, when supplied, feeds the
-    smoothability upgrade through its obstruction class.
+    Without an explicit mode, a section of class S_mn gets the rank-2
+    criterion and any other class the general one, as in ``validate``.
+    Assertion flags come from the complex embedded in the section file.
+    Gluing data, when supplied, feeds the smoothability upgrade through its
+    obstruction class.
     """
     from .bundle import load
     from .covers import classify
@@ -167,8 +168,7 @@ def _simplicity(args):
     if g is not None:
         from .gluing import obstruction_class, triple_cocycle
     trivial = g is not None and obstruction_class(triple_cocycle(msec, g, bar), bar).trivial
-    mode = args.mode or ("rank2" if msec.cover.degree == 2 else "general")
-    verdict = simplicity_verdict(msec, classify(msec), mode, flags, trivial)
+    verdict = simplicity_verdict(msec, classify(msec), args.mode, flags, trivial)
     _echo_json(
         {
             "tag": verdict.tag,

@@ -354,7 +354,6 @@ def validate_multisection(msec: MultiSection) -> tuple[Diagnostic, ...]:
 class ClassTag(NamedTuple):
     tag: str  # "S_mn", "S", "C" or "none"
     pair: tuple[int, int] | None
-    detail: dict
 
 
 def _branch_pair(msec: MultiSection, v: int) -> tuple[int, int] | None:
@@ -383,27 +382,18 @@ def classify(msec: MultiSection) -> ClassTag:
     """Sort a multi-section into the alternating two-weight classes, the
     distinct-covector class, or neither. The section must be valid."""
     cover = msec.cover
-    detail: dict = {}
     if cover.degree == 2 and cover.branch_vertices:
         number = cover.base._index.number[0]
-        pairs = {}
-        for v in sorted(cover.branch_vertices):
-            pairs[v] = _branch_pair(msec, number[v])
-        detail = {v: {"pair": p} for v, p in pairs.items()}
-        if all(p is not None for p in pairs.values()):
-            distinct = set(pairs.values())
-            if len(distinct) == 1:
-                return ClassTag("S_mn", next(iter(distinct)), detail)
-            return ClassTag("S", None, detail)
+        pairs = {_branch_pair(msec, number[v]) for v in cover.branch_vertices}
+        if None not in pairs:
+            if len(pairs) == 1:
+                return ClassTag("S_mn", pairs.pop())
+            return ClassTag("S", None)
     try:
         violations = check_class_C(msec)
     except ValueError:
-        return ClassTag("none", None, detail)
-    if not violations:
-        return ClassTag("C", None, detail or {"violations": []})
-    detail = dict(detail)
-    detail["violations"] = violations
-    return ClassTag("none", None, detail)
+        return ClassTag("none", None)
+    return ClassTag("none" if violations else "C", None)
 
 
 def check_class_C(msec: MultiSection) -> tuple:

@@ -361,18 +361,21 @@ def general_simplicity(
 def simplicity_verdict(
     msec: MultiSection,
     tag: ClassTag,
-    criterion: str,
+    criterion: str | None,
     flags: frozenset[str],
     obstruction_trivial: bool = False,
 ) -> Verdict:
     """Run the rank-2 or the general criterion on a section of class ``tag``,
-    under the assertion flags that hold, ``flags``.
+    under the assertion flags that hold, ``flags``. With no ``criterion``, an
+    S_mn section gets the rank-2 criterion and any other the general one.
 
     A trivial gluing obstruction feeds the smoothability upgrade only when
     the base is asserted positive, simple and elementary and the gluing data
     induced by an open cover. The general criterion runs when the local
     models are asserted (``assumption-1.4``), and is refused otherwise.
     """
+    if criterion is None:
+        criterion = "rank2" if tag.tag == "S_mn" else "general"
     if criterion == "rank2":
         upgrade = obstruction_trivial and flags >= {*_SMOOTH_FLAGS, "open-gluing-induced"}
         return is_simple_rank2(msec, tag, upgrade)

@@ -1,9 +1,8 @@
-"""Exact helpers for the rank-2 integer lattice, and the exact linear solver."""
+"""Exact integer helpers for the rank-2 lattice and complete plane fans."""
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 Vec = tuple[int, int]
@@ -109,57 +108,3 @@ def fan_flaw(rays: Sequence[Vec]) -> str:
     if not strict or turns != 1:
         return "rays do not sweep one full turn"
     return ""
-
-
-def solve_linear(rows: Sequence, rhs: Sequence[Sequence]) -> list[list[Fraction] | None]:
-    """Solve ``rows`` x = b exactly for each right-hand side b in ``rhs``: the
-    unique solution as Fractions, or None where that side is inconsistent.
-
-    A row is a dense sequence or a {column: value} dict of ints and Fractions;
-    the columns run to the last one a row names. Raises ValueError on a side of
-    the wrong length or on dependent columns. Sparse Gaussian elimination: a
-    column's pivot is the shortest remaining row with an entry there, and only
-    a pivot other than 1 divides its row, so integers stay integers."""
-    m = len(rows)
-    if any(len(side) != m for side in rhs):
-        raise ValueError("shape mismatch")
-    a = [dict(r if isinstance(r, dict) else enumerate(r)) for r in rows]
-    n = max((c + 1 for r in a for c in r), default=0)
-    a = [{c: v.numerator if v.denominator == 1 else v for c, v in r.items() if v} for r in a]
-    b = [[side[i] for side in rhs] for i in range(m)]  # row i's value in each side
-    holding: list[set[int]] = [set() for _ in range(n)]  # column -> rows that had an entry
-    for i, r in enumerate(a):
-        for c in r:
-            holding[c].add(i)
-    pivots: list[int] = []  # the pivot row of each column
-    for c in range(n):
-        below = {i for i in holding[c] if c in a[i]}.difference(pivots)
-        if not below:
-            raise ValueError("dependent columns")
-        p = min(below, key=lambda i: (len(a[i]), i))
-        below.remove(p)
-        inv = 1 / Fraction(a[p].pop(c))  # the pivot row keeps only its later columns
-        if inv != 1:  # scale them to pivot 1, by an int when the inverse is one
-            inv = inv.numerator if inv.denominator == 1 else inv
-            a[p] = {c2: v * inv for c2, v in a[p].items()}
-            b[p] = [s * inv for s in b[p]]
-        for i in below:
-            f = a[i].pop(c)
-            for c2, v in a[p].items():
-                w = a[i].get(c2, 0) - f * v
-                if w:
-                    a[i][c2] = w
-                    holding[c2].add(i)
-                else:
-                    del a[i][c2]
-            b[i] = [s - f * t if t else s for s, t in zip(b[i], b[p])]
-        pivots.append(p)
-    x: list[list] = [[]] * n  # column -> its value in each side
-    for c in reversed(range(n)):
-        acc = b[pivots[c]]
-        for c2, v in a[pivots[c]].items():
-            acc = [s - v * t if t else s for s, t in zip(acc, x[c2])]
-        x[c] = acc
-    zero = set(range(m)).difference(pivots)  # rows eliminated to nothing
-    return [[Fraction(col[j]) for col in x] if all(b[i][j] == 0 for i in zero) else None
-            for j in range(len(rhs))]

@@ -169,9 +169,8 @@ def _obstruction(b: Bundle, tag: ClassTag, records: list[CheckRecord]) -> _Outco
 
 
 def _simplicity(b: Bundle, tag: ClassTag, records: list[CheckRecord]) -> _Outcome:
-    criterion = "rank2" if tag.tag == "S_mn" else "general"
     trivial = any(r.check == "obstruction" and r.verdict == "pass" for r in records)
-    v = simplicity_verdict(b.msec, tag, criterion, b.flags, trivial)
+    v = simplicity_verdict(b.msec, tag, None, b.flags, trivial)
     citation = _citation_of(v)
     if v.tag == "not_simple":
         return _Outcome("fail", ("not simple",) + v.witnesses, EXIT_NOT_SIMPLE, citation)

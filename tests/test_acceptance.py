@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 from conftest import holonomy, ids, tree_gauged_rows
+from exact_oracle import solve_linear
 from laurent_identities import verify_constant_independence, verify_duality
 
 from tropms.bundle import check
@@ -48,7 +49,7 @@ from tropms.graphs import (
     general_simplicity,
     is_simple_rank2,
 )
-from tropms.lattice import det2, solve_linear
+from tropms.lattice import det2
 from tropms.laurent import verify_cocycle
 
 
@@ -244,7 +245,7 @@ def test_obstruction_solver_on_random_cochains():
 
 def test_obstruction_solver_agrees_with_elimination():
     """The solver's verdict on each cochain of the solver test agrees with
-    lattice.solve_linear on the coboundary gauged on a spanning tree of the
+    exact_oracle.solve_linear on the coboundary gauged on a spanning tree of the
     chains, given the exponent row of every base element of every cochain as
     a right-hand side in one call, and with the signed exponent sum; under
     ten seconds."""

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from exact_oracle import add, forgetful_by_solve, mul, ray_class
 
 from tropms.chern import (
     CANONICAL_FAN,
@@ -15,7 +16,6 @@ from tropms.chern import (
     linear_form,
     newton_polytope,
     nonvanishing_at_fixed_point,
-    ray_class,
     sheet_slopes,
     stability_discriminant,
     total_chern,
@@ -73,7 +73,7 @@ def test_ray_classes_frozen_values():
 
 def test_ray_class_products_vanish():
     t0, t1, t2 = (ray_class(CANONICAL_FAN, i) for i in range(3))
-    assert all(p.is_zero for p in (t0 * t1 * t2).parts)
+    assert all(p.is_zero for p in mul(mul(t0, t1), t2).parts)
 
 
 def test_global_linear_forms_die():
@@ -90,11 +90,25 @@ def test_forgetful_sends_ray_classes_to_hyperplane():
 def test_forgetful_additive_on_random_combinations():
     rng = random.Random(4242)
     t = [ray_class(CANONICAL_FAN, i) for i in range(3)]
-    basis = t + [t[i] * t[j] for i in range(3) for j in range(i, 3)]
+    basis = t + [mul(t[i], t[j]) for i in range(3) for j in range(i, 3)]
     for _ in range(30):
         p = _combine(rng, basis)
         q = _combine(rng, basis)
-        assert forgetful(p + q) == forgetful(p) + forgetful(q)
+        assert forgetful(add(p, q)) == forgetful(p) + forgetful(q)
+
+
+def test_forgetful_agrees_with_the_basis_solve():
+    """The closed form against solving for the coefficients in the ray
+    classes and their products: 300 random combinations of the ray classes,
+    their six products, a constant and a global linear form."""
+    rng = random.Random(2718)
+    t = [ray_class(CANONICAL_FAN, i) for i in range(3)]
+    basis = t + [mul(t[i], t[j]) for i in range(3) for j in range(i, 3)]
+    for _ in range(300):
+        u = (rng.randint(-3, 3), rng.randint(-3, 3))
+        shift = Poly({(0, 0): Fraction(rng.randint(-3, 3), rng.randint(1, 3))}) + linear_form(u)
+        p = add(_combine(rng, basis), PiecewisePoly(CANONICAL_FAN, (shift,) * 3))
+        assert forgetful(p) == forgetful_by_solve(p)
 
 
 def _combine(rng, basis):
@@ -103,7 +117,7 @@ def _combine(rng, basis):
 
     acc = scale(basis[0], 0)
     for b in basis:
-        acc = acc + scale(b, rng.randint(-3, 3))
+        acc = add(acc, scale(b, rng.randint(-3, 3)))
     return acc
 
 

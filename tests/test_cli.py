@@ -514,20 +514,15 @@ def test_chern():
     }
 
 
-@pytest.mark.parametrize("linear, cause", [
-    ([[1, 1, 0]] * 6, "dependent columns"),
-    ([[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1], [0, 0, 1]], "inconsistent"),
-], ids=["singular", "inconsistent"])
-def test_chern_broken_forgetful_system_is_internal(monkeypatch, linear, cause):
-    """A forgetful system without a unique solution is a fault of the
-    program, not of its input: exit 3, not 2."""
+def test_chern_broken_invariant_is_internal(monkeypatch):
+    """A forgetful map that breaks the discriminant invariant is a fault of
+    the program, not of its input: exit 3, not 2."""
     from tropms import chern
 
-    quadratic = chern._forgetful_basis()[1]
-    monkeypatch.setattr(chern, "_forgetful_basis", lambda: (linear, quadratic))
+    monkeypatch.setattr(chern, "forgetful", lambda p: chern.CohomologyClass.of(0, 1, 0))
     res = invoke("chern", "--m", 2, "--n", 1)
     assert res.exit_code == EXIT_INTERNAL
-    assert res.stderr.startswith("internal error: forgetful system") and cause in res.stderr
+    assert res.stderr.startswith("internal error: discriminant invariant violated")
 
 
 def test_newton_lexicographic_points(tmp_path):
@@ -787,8 +782,10 @@ def test_cli_import_loads_no_third_party_module():
 
 # The tropms modules a `validate` child loads, and their source lines, at
 # most: every child compiles them, so code added to the verdict path shows here.
-VALIDATE_SOURCE = {"cube2.manifest.json": (12, 3708), "rank3-cube.manifest.json": (9, 2613),
-                   "rotated.manifest.json": (12, 3708)}
+VALIDATE_SOURCE = {"cube2.manifest.json": (12, 3585), "rank3-cube.manifest.json": (9, 2550),
+                   "rotated.manifest.json": (12, 3585)}
+# The same for a `chern` child: cli, __init__, chern, laurent and lattice.
+CHERN_SOURCE = (5, 1062)
 
 
 @pytest.mark.parametrize(
@@ -853,11 +850,11 @@ def test_command_loads_only_what_it_runs(tmp_path, argv, ran, absent):
     extra = loaded - _modules_loaded("pass")
     assert ran in extra
     assert not extra & absent
-    if argv[0] == "validate":
+    if argv[0] in ("validate", "chern"):
         ours = [name.partition(".")[2] or "__init__" for name in extra
                 if name.partition(".")[0] == "tropms"]
         package = Path(tropms.__file__).parent
         lines = sum(len((package / f"{name}.py").read_text(encoding="utf-8").splitlines())
                     for name in ours)
-        modules, bound = VALIDATE_SOURCE[argv[2]]
+        modules, bound = VALIDATE_SOURCE[argv[2]] if argv[0] == "validate" else CHERN_SOURCE
         assert len(ours) <= modules and lines <= bound, (sorted(ours), lines)

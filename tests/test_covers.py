@@ -3,13 +3,21 @@ import json
 import tracemalloc
 
 import pytest
-from conftest import cube_surface, rebuilt, tetrahedron, triangulated_torus, two_sheet_cover
+from conftest import (
+    cube_surface,
+    rebuilt,
+    run_cli,
+    tetrahedron,
+    triangulated_torus,
+    two_sheet_cover,
+)
 
 from tropms.bundle import Invalid, load
-from tropms.complexes import VertexFan, validate_surface
+from tropms.complexes import VertexFan, complex_to_text, validate_surface
 from tropms.covers import (
     BranchedCover,
     MultiSection,
+    _branch_pair,
     build_double_cover,
     check_class_C,
     check_condition_E,
@@ -27,6 +35,7 @@ from tropms.generators import (
     riemann_hurwitz_genus,
 )
 from tropms.lattice import rot90
+from tropms.pipeline import Manifest, manifest_to_text
 
 
 def all_vertices(s):
@@ -178,8 +187,9 @@ def test_classify_mixed_weights():
     assert validate_multisection(msec) == ()
     tag = classify(msec)
     assert tag.tag == "S"
-    assert tag.detail["v000"]["pair"] == (2, 0)
-    assert tag.detail["v111"]["pair"] == (1, 0)
+    number = msec.cover.base._index.number[0]
+    assert _branch_pair(msec, number["v000"]) == (2, 0)
+    assert _branch_pair(msec, number["v111"]) == (1, 0)
 
 
 def test_classify_uniform_kinks_is_not_standard():
@@ -187,7 +197,35 @@ def test_classify_uniform_kinks_is_not_standard():
     assert validate_multisection(msec) == ()
     tag = classify(msec)
     assert tag.tag == "none"
-    assert any(viol[0] == "coincident-slopes" for viol in tag.detail["violations"])
+    assert any(viol[0] == "coincident-slopes" for viol in check_class_C(msec))
+
+
+@pytest.mark.parametrize("asserted, record, verdict", [
+    ({}, "refused", "refused"),
+    ({"assumption-1.4": True}, "pass", "smoothable"),
+], ids=["unasserted", "asserted"])
+def test_simplicity_command_agrees_with_validate_on_degree2_class_C(tmp_path, asserted,
+                                                                    record, verdict):
+    """A degree-2 section of class C gets the general criterion from the
+    simplicity command, as from validate: both read the criterion off the
+    class, not the degree."""
+    msec = reslope_vertex(cover_1_0(), "v000", [-1, 0, -1, 1, 0, 1])
+    assert validate_multisection(msec) == () and classify(msec).tag == "C"
+    doc = json.loads(multisection_to_text(msec))
+    if asserted:
+        doc["complex"]["asserted"] = asserted
+    (tmp_path / "c.section.json").write_text(json.dumps(doc), encoding="utf-8")
+    (tmp_path / "c.complex.json").write_text(complex_to_text(msec.cover.base), encoding="utf-8")
+    (tmp_path / "c.manifest.json").write_text(manifest_to_text(
+        Manifest("c.complex.json", "c.section.json", None, {})), encoding="utf-8")
+    res = run_cli(["validate", "--manifest", tmp_path / "c.manifest.json"])
+    assert res.exit_code == 0
+    simplicity = next(r for r in json.loads(res.stdout)["checks"] if r["check"] == "simplicity")
+    res = run_cli(["simplicity", "--section", tmp_path / "c.section.json"])
+    assert res.exit_code == 0, res.stderr
+    data = json.loads(res.stdout)
+    assert (simplicity["verdict"], data["tag"]) == (record, verdict)
+    assert simplicity["witnesses"][-len(data["reasons"]):] == data["reasons"]
 
 
 def test_class_C_holds_for_alternating_models():

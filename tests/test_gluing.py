@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import by_id, cube_surface, holonomy, rebuilt, run_cli, tree_gauged_rows
+from exact_oracle import solve_linear
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -27,7 +28,7 @@ from tropms.gluing import (
     unbounded_chains,
     validate_gluing,
 )
-from tropms.lattice import dot, rot90, solve_linear
+from tropms.lattice import dot, rot90
 from tropms.pipeline import CHECK_ORDER, Manifest, manifest_to_text
 
 
@@ -331,7 +332,7 @@ def test_planted_obstruction_detected():
 
 
 def test_obstruction_agrees_with_solve_linear():
-    """lattice.solve_linear on the coboundary gauged on a spanning tree of the
+    """exact_oracle.solve_linear on the coboundary gauged on a spanning tree of the
     chains, one base element at a time, finds a bounding cochain exactly when
     obstruction_class does: random coboundaries bound, tampered ones do not."""
     msec = full_branch()

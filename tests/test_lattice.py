@@ -1,4 +1,4 @@
-"""The exact linear solver against an independent oracle: sympy's exact
+"""The test oracle's exact linear solver against an independent one: sympy's exact
 rank and solve on small dense and sparse systems, with consistent,
 inconsistent and dependent-column cases, zero rows and several right-hand
 sides. Every returned solution is also checked by substitution.
@@ -17,11 +17,11 @@ from fractions import Fraction
 import pytest
 import sympy
 from hypothesis import HealthCheck, example, given, settings
+from exact_oracle import solve_linear
 from hypothesis import strategies as st
 
 from tropms.chern import CompleteFan
 from tropms.complexes import VertexFan, surface_from_cycles, validate_surface
-from tropms.lattice import solve_linear
 
 ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
 

@@ -95,8 +95,7 @@ def verdicts(msec: MultiSection, flags: frozenset[str]) -> tuple:
     counts of the self fiber product of a section."""
     valid = validate_multisection(msec) == ()
     tag = classify(msec)
-    criterion = "rank2" if tag.tag == "S_mn" else "general"
-    simplicity = simplicity_verdict(msec, tag, criterion, flags, True).tag
+    simplicity = simplicity_verdict(msec, tag, None, flags, True).tag
     fp = build_fiber_product(msec)
     return valid, tag.tag, tag.pair, simplicity, [len(fp.of_dim(d)) for d in (0, 1, 2)]
 
