@@ -305,8 +305,4 @@ def nonvanishing_at_fixed_point(
 ) -> bool:
     """Whether the slope of the given cone lies in the Newton polytope of the
     function, so the corresponding local section survives at that fixed point."""
-    slopes = [tuple(int(c) for c in u) for u in slopes]
-    check_pl_continuity(fan, slopes)
-    values = [dot(slopes[i], fan.rays[i]) for i in range(fan.n_cones)]
-    u = slopes[cone_index]
-    return all(dot(u, r) <= values[i] for i, r in enumerate(fan.rays))
+    return tuple(int(c) for c in slopes[cone_index]) in newton_polytope(fan, slopes)

@@ -154,8 +154,8 @@ def _obstruction(args):
 def _simplicity(args):
     """Minimal-cycle simplicity verdict, printed with reasons and witnesses.
 
-    Without an explicit mode, a section of class S_mn gets the rank-2
-    criterion and any other class the general one, as in ``validate``.
+    Without an explicit mode, class S_mn gets the rank-2 criterion, class C
+    the general one and class S a refusal as out of scope, as in ``validate``.
     Assertion flags come from the complex embedded in the section file.
     Gluing data, when supplied, feeds the smoothability upgrade through its
     obstruction class.

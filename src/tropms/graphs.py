@@ -358,6 +358,11 @@ def general_simplicity(
     return Verdict("criterion_inconclusive", tuple(failures), tuple(witnesses))
 
 
+def out_of_scope(tag: ClassTag) -> str | None:
+    """Why no criterion runs unforced on class ``tag``: rank-2 covers S_mn, general C."""
+    return None if tag.tag in ("S_mn", "C") else f"class {tag.tag} out of scope"
+
+
 def simplicity_verdict(
     msec: MultiSection,
     tag: ClassTag,
@@ -367,7 +372,8 @@ def simplicity_verdict(
 ) -> Verdict:
     """Run the rank-2 or the general criterion on a section of class ``tag``,
     under the assertion flags that hold, ``flags``. With no ``criterion``, an
-    S_mn section gets the rank-2 criterion and any other the general one.
+    S_mn section gets the rank-2 criterion, a C section the general one, and
+    one of class S a refusal: it is ``out_of_scope``.
 
     A trivial gluing obstruction feeds the smoothability upgrade only when
     the base is asserted positive, simple and elementary and the gluing data
@@ -375,6 +381,9 @@ def simplicity_verdict(
     models are asserted (``assumption-1.4``), and is refused otherwise.
     """
     if criterion is None:
+        reason = out_of_scope(tag)
+        if reason and tag.tag != "none":  # class none fails the general criterion's class check
+            return Verdict("refused", (reason,), ())
         criterion = "rank2" if tag.tag == "S_mn" else "general"
     if criterion == "rank2":
         upgrade = obstruction_trivial and flags >= {*_SMOOTH_FLAGS, "open-gluing-induced"}

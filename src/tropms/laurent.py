@@ -2,8 +2,8 @@
 
 Everything lives on the three inhomogeneous charts of the projective plane.
 Chart i carries the coordinates w_i^j for j != i, in increasing j; a matrix
-remembers which chart its entries are written in, and chart changes are
-monomial substitutions.
+remembers which chart its entries are written in. A chart change maps the
+exponent of each term by a unimodular matrix and keeps its coefficient.
 """
 
 from __future__ import annotations
@@ -41,13 +41,6 @@ class LaurentPoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def is_one(self) -> bool:
-        return self.terms == {(0, 0): Fraction(1)}
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.terms)
@@ -91,28 +84,6 @@ class LaurentPoly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def substitute(self, x_image: "LaurentPoly", y_image: "LaurentPoly") -> "LaurentPoly":
-        """Monomial substitution; both images must be single terms so that
-        negative exponents stay Laurent."""
-        for im in (x_image, y_image):
-            if not im.is_monomial():
-                raise ValueError("substitution images must be monomials")
-        (xi, xj), xc = next(iter(x_image.terms.items()))
-        (yi, yj), yc = next(iter(y_image.terms.items()))
-        out: dict[tuple[int, int], Fraction] = {}
-        for (i, j), c in self.terms.items():
-            coeff = c * xc**i * yc**j
-            e = (xi * i + yi * j, xj * i + yj * j)
-            s = out.get(e)
-            s = coeff if s is None else s + coeff
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res.terms = out
-        return res
-
     def sorted_terms(self) -> list[tuple[int, int, Fraction]]:
         return [(i, j, c) for (i, j), c in sorted(self.terms.items())]
 
@@ -132,43 +103,16 @@ ZERO = LaurentPoly()
 ONE = LaurentPoly.const(1)
 
 
-class ChartMap:
-    """Invertible monomial substitution between charts."""
-
-    def __init__(self, src: int, dst: int, x_image: LaurentPoly, y_image: LaurentPoly):
-        for im in (x_image, y_image):
-            if not im.is_monomial():
-                raise ValueError("chart maps are monomial substitutions")
-        (a, b), _ = next(iter(x_image.terms.items()))
-        (c, d), _ = next(iter(y_image.terms.items()))
-        if a * d - b * c not in (1, -1):
-            raise ValueError("substitution exponent matrix must be unimodular")
-        self.src = src
-        self.dst = dst
-        self.x_image = x_image
-        self.y_image = y_image
-
-    def apply(self, p: LaurentPoly) -> LaurentPoly:
-        return p.substitute(self.x_image, self.y_image)
-
-    def apply_matrix(self, m: "LaurentMatrix") -> "LaurentMatrix":
-        if m.chart != self.src:
-            raise ValueError(f"matrix is in chart {m.chart}, map expects {self.src}")
-        return LaurentMatrix(
-            [[self.apply(e) for e in row] for row in m.entries], chart=self.dst
-        )
-
-
 def _m(c, i, j):
     return LaurentPoly.mono(c, i, j)
 
 
-#: Coordinate changes into chart 0, writing x = w0^1, y = w0^2:
-#: w1^0 = 1/x, w1^2 = y/x and w2^0 = 1/y, w2^1 = x/y.
+#: The exponents (X, Y) in chart 0 of each chart's two coordinates, writing
+#: x = w0^1, y = w0^2: w1^0 = 1/x, w1^2 = y/x and w2^0 = 1/y, w2^1 = x/y.
 TO_CHART0 = {
-    0: ChartMap(0, 0, _m(1, 1, 0), _m(1, 0, 1)),
-    1: ChartMap(1, 0, _m(1, -1, 0), _m(1, -1, 1)),
-    2: ChartMap(2, 0, _m(1, 0, -1), _m(1, 1, -1)),
+    0: ((1, 0), (0, 1)),
+    1: ((-1, 0), (-1, 1)),
+    2: ((0, -1), (1, -1)),
 }
 
 
@@ -207,17 +151,19 @@ class LaurentMatrix:
         )
 
     def is_identity(self) -> bool:
-        for i in range(self.rows):
-            for j in range(self.cols):
-                e = self.entries[i][j]
-                if i == j and not e.is_one:
-                    return False
-                if i != j and not e.is_zero:
-                    return False
-        return True
+        identity = [[ONE if i == j else ZERO for j in range(self.cols)] for i in range(self.rows)]
+        return self.entries == identity
 
     def to_chart0(self) -> "LaurentMatrix":
-        return TO_CHART0[self.chart].apply_matrix(self)
+        """The matrix written in chart 0: each term's exponent (i, j) goes to
+        i*X + j*Y, with (X, Y) from ``TO_CHART0``, and keeps its coefficient.
+        The map is unimodular, so no two terms collide."""
+        (xa, xb), (ya, yb) = TO_CHART0[self.chart]
+        return LaurentMatrix([
+            [LaurentPoly({(i * xa + j * ya, i * xb + j * yb): c for (i, j), c in p.terms.items()})
+             for p in row]
+            for row in self.entries
+        ], chart=0)
 
     def __repr__(self) -> str:
         body = "; ".join(
@@ -231,12 +177,11 @@ REFERENCE_A = (Fraction(-1), Fraction(-1), Fraction(-1))
 REFERENCE_B = (Fraction(1), Fraction(1), Fraction(1))
 
 
-def _check_exponents(m: int, n: int) -> None:
+def _checked(m: int, n: int, a, b) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """The constants as Fractions; the weights must differ, and each side
+    needs three nonzero constants."""
     if m == n:
         raise ValueError("the two weights must differ (m != n)")
-
-
-def _check_constants(a, b) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     a = tuple(Fraction(x) for x in a)
     b = tuple(Fraction(x) for x in b)
     if len(a) != 3 or len(b) != 3:
@@ -251,8 +196,7 @@ def build_tau_sf(m: int, n: int, a, b) -> tuple[LaurentMatrix, LaurentMatrix, La
 
     Returns (tau10, tau21, tau02) on charts 0, 1, 2.
     """
-    _check_exponents(m, n)
-    a, b = _check_constants(a, b)
+    a, b = _checked(m, n, a, b)
     tau10 = LaurentMatrix([[_m(a[0], -m, 0), ZERO], [ZERO, _m(b[0], -n, 0)]], chart=0)
     tau21 = LaurentMatrix([[_m(b[1], 0, -n), ZERO], [ZERO, _m(a[1], 0, -m)]], chart=1)
     tau02 = LaurentMatrix([[ZERO, _m(b[2], -n, 0)], [_m(a[2], -m, 0), ZERO]], chart=2)
@@ -261,8 +205,7 @@ def build_tau_sf(m: int, n: int, a, b) -> tuple[LaurentMatrix, LaurentMatrix, La
 
 def build_theta(m: int, n: int, a, b) -> tuple[LaurentMatrix, LaurentMatrix, LaurentMatrix]:
     """Unipotent wall-crossing corrections, each in its natural chart."""
-    _check_exponents(m, n)
-    a, b = _check_constants(a, b)
+    a, b = _checked(m, n, a, b)
 
     def lower_left(p: LaurentPoly, chart: int) -> LaurentMatrix:
         return LaurentMatrix([[ONE, ZERO], [p, ONE]], chart)

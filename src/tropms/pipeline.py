@@ -23,7 +23,7 @@ from typing import NamedTuple
 from . import EXIT_INTERNAL, EXIT_INVALID, EXIT_NOT_SIMPLE, EXIT_OK, _json_text, schema
 from .bundle import Bundle, Invalid, load
 from .covers import ClassTag, classify
-from .graphs import Verdict, simplicity_verdict
+from .graphs import Verdict, out_of_scope, simplicity_verdict
 
 ASSERTION_FLAGS = (
     "regular",
@@ -68,6 +68,8 @@ def load_manifest(path: str) -> Manifest:
 
 
 class CheckRecord(NamedTuple):
+    """One check of a report; its fields, in order, are the record's keys."""
+
     check: str
     citation: str
     verdict: str  # pass | fail | refused | inconclusive | skipped
@@ -81,20 +83,8 @@ class Report(NamedTuple):
 
 
 def report_to_json(report: Report) -> dict:
-    return {
-        "schema": REPORT_SCHEMA,
-        "checks": [
-            {
-                "check": rec.check,
-                "citation": rec.citation,
-                "verdict": rec.verdict,
-                "witnesses": rec.witnesses,
-                "seconds": rec.seconds,
-            }
-            for rec in report.checks
-        ],
-        "exit_code": report.exit_code,
-    }
+    return {"schema": REPORT_SCHEMA, "checks": [rec._asdict() for rec in report.checks],
+            "exit_code": report.exit_code}
 
 
 def report_to_text(report: Report) -> str:
@@ -193,9 +183,7 @@ def _without_gluing(b: Bundle, tag: ClassTag) -> str | None:
 
 
 def _out_of_scope(b: Bundle, tag: ClassTag) -> str | None:
-    if tag.tag not in ("S_mn", "C"):
-        return f"class {tag.tag} out of scope"
-    return None
+    return out_of_scope(tag)
 
 
 #: The checks in run order: (check id, citation, reason to skip, run); the

@@ -782,10 +782,12 @@ def test_cli_import_loads_no_third_party_module():
 
 # The tropms modules a `validate` child loads, and their source lines, at
 # most: every child compiles them, so code added to the verdict path shows here.
-VALIDATE_SOURCE = {"cube2.manifest.json": (12, 3585), "rank3-cube.manifest.json": (9, 2550),
-                   "rotated.manifest.json": (12, 3585)}
+VALIDATE_SOURCE = {"cube2.manifest.json": (12, 3489), "rank3-cube.manifest.json": (9, 2515),
+                   "rotated.manifest.json": (12, 3489)}
 # The same for a `chern` child: cli, __init__, chern, laurent and lattice.
-CHERN_SOURCE = (5, 1062)
+CHERN_SOURCE = (5, 969)
+# The same for a `verify-cocycle` child: cli, __init__ and laurent.
+COCYCLE_SOURCE = (3, 583)
 
 
 @pytest.mark.parametrize(
@@ -796,6 +798,9 @@ CHERN_SOURCE = (5, 1062)
           "tropms.svg", "tropms.writer"}),
         (("chern", "--m", "2", "--n", "1"), "tropms.chern",
          {"tropms.covers", "tropms.gluing", "tropms.pipeline", "tropms.writer"}),
+        (("verify-cocycle", "--m", "3", "--n", "1"), "tropms.laurent",
+         {"tropms.chern", "tropms.lattice", "tropms.covers", "tropms.pipeline",
+          "tropms.writer"}),
         (("classify", "--section", "cube2.section.json"), "tropms.covers",
          {"tropms.certificate", "tropms.gluing", "tropms.graphs", "tropms.chern",
           "tropms.pipeline", "tropms.writer"}),
@@ -820,7 +825,7 @@ CHERN_SOURCE = (5, 1062)
         (("example", "cube2", "--outdir", "written"), "tropms.writer",
          {"tropms.chern", "tropms.laurent", "tropms.svg"}),
     ],
-    ids=["validate", "chern", "classify", "validate-class-C", "validate-differing-complex",
+    ids=["validate", "chern", "verify-cocycle", "classify", "validate-class-C", "validate-differing-complex",
          "obstruction", "fiber-product", "simplicity", "render", "render-fiber", "example"],
 )
 def test_command_loads_only_what_it_runs(tmp_path, argv, ran, absent):
@@ -850,11 +855,12 @@ def test_command_loads_only_what_it_runs(tmp_path, argv, ran, absent):
     extra = loaded - _modules_loaded("pass")
     assert ran in extra
     assert not extra & absent
-    if argv[0] in ("validate", "chern"):
+    if argv[0] in ("validate", "chern", "verify-cocycle"):
         ours = [name.partition(".")[2] or "__init__" for name in extra
                 if name.partition(".")[0] == "tropms"]
         package = Path(tropms.__file__).parent
         lines = sum(len((package / f"{name}.py").read_text(encoding="utf-8").splitlines())
                     for name in ours)
-        modules, bound = VALIDATE_SOURCE[argv[2]] if argv[0] == "validate" else CHERN_SOURCE
+        modules, bound = (VALIDATE_SOURCE[argv[2]] if argv[0] == "validate"
+                          else CHERN_SOURCE if argv[0] == "chern" else COCYCLE_SOURCE)
         assert len(ours) <= modules and lines <= bound, (sorted(ours), lines)

@@ -228,6 +228,51 @@ def test_simplicity_command_agrees_with_validate_on_degree2_class_C(tmp_path, as
     assert simplicity["witnesses"][-len(data["reasons"]):] == data["reasons"]
 
 
+@pytest.mark.parametrize("asserted", [{}, {"assumption-1.4": True}],
+                         ids=["unasserted", "asserted"])
+def test_simplicity_command_agrees_with_validate_on_class_S(tmp_path, asserted):
+    """A section of class S, alternating with differing weight pairs, is out
+    of scope for both commands: validate skips the simplicity check and the
+    simplicity command refuses with the same reason, exit 0, whatever is
+    asserted. ``--general`` still forces the general criterion."""
+    msec = reslope_vertex(cover_1_0(), "v000", [2, 0, 2, 0, 2, 0])
+    assert validate_multisection(msec) == () and classify(msec).tag == "S"
+    doc = json.loads(multisection_to_text(msec))
+    if asserted:
+        doc["complex"]["asserted"] = asserted
+    (tmp_path / "s.section.json").write_text(json.dumps(doc), encoding="utf-8")
+    (tmp_path / "s.complex.json").write_text(complex_to_text(msec.cover.base), encoding="utf-8")
+    (tmp_path / "s.manifest.json").write_text(manifest_to_text(
+        Manifest("s.complex.json", "s.section.json", None, {})), encoding="utf-8")
+    res = run_cli(["validate", "--manifest", tmp_path / "s.manifest.json",
+                   "--check", "simplicity"])
+    assert res.exit_code == 0
+    (record,) = json.loads(res.stdout)["checks"]
+    assert (record["verdict"], record["witnesses"]) == ("skipped", ["class S out of scope"])
+    res = run_cli(["simplicity", "--section", tmp_path / "s.section.json"])
+    assert res.exit_code == 0, res.stderr
+    assert json.loads(res.stdout) == {"tag": "refused", "reasons": record["witnesses"],
+                                      "witnesses": []}
+    res = run_cli(["simplicity", "--section", tmp_path / "s.section.json", "--general"])
+    assert res.exit_code == 0, res.stderr
+    forced = json.loads(res.stdout)["tag"]
+    assert (forced == "refused") == (not asserted)
+
+
+def test_class_none_exits_invalid_in_both_commands(tmp_path):
+    msec = reslope_vertex(cover_1_0(), "v000", [1, 1, 1, 1, 1, 1])
+    assert validate_multisection(msec) == () and classify(msec).tag == "none"
+    (tmp_path / "n.section.json").write_text(multisection_to_text(msec), encoding="utf-8")
+    (tmp_path / "n.complex.json").write_text(complex_to_text(msec.cover.base), encoding="utf-8")
+    (tmp_path / "n.manifest.json").write_text(manifest_to_text(
+        Manifest("n.complex.json", "n.section.json", None, {})), encoding="utf-8")
+    res = run_cli(["validate", "--manifest", tmp_path / "n.manifest.json"])
+    assert res.exit_code == 2
+    res = run_cli(["simplicity", "--section", tmp_path / "n.section.json"])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error: class mismatch")
+
+
 def test_class_C_holds_for_alternating_models():
     msec = cover_1_0()
     rep = check_class_C(msec)

@@ -8,8 +8,11 @@ The cases are derandomized and their number is fixed (300). Their budget is
 
 The complete-fan predicate against floating-point angles: 300 derandomized
 lists of one to six small integer rays, budget 2 s.
+
+The transverse generator on every primitive ray in the box |r_i| <= 12.
 """
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -22,6 +25,7 @@ from hypothesis import strategies as st
 
 from tropms.chern import CompleteFan
 from tropms.complexes import VertexFan, surface_from_cycles, validate_surface
+from tropms.lattice import canonical_transverse, det2, dot
 
 ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
 
@@ -190,3 +194,25 @@ def test_complete_fan_agrees_with_angles():
     _fan_agrees_with_angles()
     elapsed = time.monotonic() - start
     assert elapsed < 2.0, f"took {elapsed:.2f}s"
+
+
+# -- transverse generators ------------------------------------------------------
+
+
+def test_canonical_transverse_on_every_primitive_ray_in_a_box():
+    """The generator q of every primitive ray r with |r_i| <= 12, among them
+    r1 = 0 and r1 = +-1, where r0 has no inverse modulo |r1| to speak of:
+    det(r, q) = 1, 0 <= <r, q> < <r, r>, and negating r negates q. The other
+    rays in the box are refused."""
+    primitive = 0
+    for r in itertools.product(range(-12, 13), repeat=2):
+        if r == (0, 0) or math.gcd(*r) != 1:
+            with pytest.raises(ValueError, match="must be primitive"):
+                canonical_transverse(r)
+            continue
+        primitive += 1
+        q = canonical_transverse(r)
+        assert det2(r, q) == 1, r
+        assert 0 <= dot(r, q) < dot(r, r), r
+        assert canonical_transverse((-r[0], -r[1])) == (-q[0], -q[1]), r
+    assert primitive == 368
