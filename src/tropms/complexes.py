@@ -48,7 +48,6 @@ class _SurfaceIndex(NamedTuple):
 
     ids: dict[int, tuple[str, ...]]  # dimension -> cell ids, sorted
     number: tuple[dict[str, int], ...]  # per dimension 0, 1, 2: cell id -> number
-    malformed: bool  # a cell of another dimension, or faces unfit for their cell
     ends: tuple[tuple, ...]  # per edge: its vertices as listed, None for a non-vertex
     star: tuple[tuple[int, ...], ...]  # per vertex: the edges ending there
     sides: tuple[tuple[int, ...], ...]  # per edge: the 2-cells it bounds
@@ -122,22 +121,18 @@ class PolyhedralSurface(ReadOnly):
         nv = len(ids[0])
         ends = tuple([tuple(map(number[0].get, cells[e].faces)) for e in ids[1]])
         boundaries = tuple([tuple(map(number[1].get, cells[f].faces)) for f in ids[2]])
-        malformed = len(ids) > 3 or any(cells[v].faces for v in ids[0])
         star: list[list[int]] = [[] for _ in ids[0]]
         sides: list[list[int]] = [[] for _ in ids[1]]
         between = {}
-        for e, p in enumerate(ends):  # a malformed edge is only reported
+        for e, p in enumerate(ends):  # a malformed edge is skipped; validation reports it
             if len(p) != 2 or None in p or p[0] == p[1]:
-                malformed = True
                 continue
             star[p[0]].append(e)
             star[p[1]].append(e)
             between[p[0] * nv + p[1]] = between[p[1] * nv + p[0]] = e
         for f, edges in enumerate(boundaries):
-            for e in edges:
-                if e is None:
-                    malformed = True
-                elif not sides[e] or sides[e][-1] != f:  # an edge listed twice bounds once
+            for e in edges:  # an unknown face is skipped, an edge listed twice bounds once
+                if e is not None and (not sides[e] or sides[e][-1] != f):
                     sides[e].append(f)
         # a boundary step without an edge leaves its 2-cell out of the corners
         walks = []
@@ -179,7 +174,7 @@ class PolyhedralSurface(ReadOnly):
                     walls[inn][end] = c
             corners += chain
         first.append(len(corners))
-        return _SurfaceIndex(ids, number, malformed, ends, tuple(map(tuple, star)),
+        return _SurfaceIndex(ids, number, ends, tuple(map(tuple, star)),
                              tuple(map(tuple, sides)), tuple(walks), between,
                              tuple(corners), tuple(first), walls, links)
 
@@ -228,8 +223,7 @@ def validate_surface(s: PolyhedralSurface) -> tuple[Diagnostic, ...]:
     def bad(code: str, msg: str) -> None:
         diags.append(Diagnostic(code, msg))
 
-    structure = sorted(s.cells.values(), key=lambda c: (c.dim, c.id)) if x.malformed else ()
-    for c in structure:
+    for c in (s.cells[cid] for d in sorted(x.ids) for cid in x.ids[d]):
         if c.dim not in (0, 1, 2):
             bad("cell-dim", f"cell {c.id} has dimension {c.dim}")
             continue

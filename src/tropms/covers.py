@@ -1,12 +1,12 @@
 """Branched covers of polyhedral surfaces and their multi-sections.
 
 A cover of degree r is combinatorial: every 2-cell has sheets 0..r-1, every
-edge has r lifts matched to the sheets of its two cofaces (the match to the
-lexicographically first coface is the identity), and vertex lifts arise as
-orbits of the induced monodromy around each vertex. Branching is confined to
-vertices. A multi-section adds one integral slope covector per 2-cell lift
-around each vertex lift, continuous across walls at lifts of rank at most two.
-"""
+edge has r lifts matched to the sheets of its two cofaces (the identity on
+the first by id), vertex lifts are the orbits of the induced monodromy around
+each vertex, and branching is confined to vertices; ``edge_voltages`` finds
+the matchings of a prescribed monodromy. A multi-section adds one integral
+slope covector per 2-cell lift around each vertex lift, continuous across
+walls at lifts of rank at most two."""
 
 from __future__ import annotations
 
@@ -51,7 +51,6 @@ class _CoverIndex(NamedTuple):
     corner, and each lift's orbit starts there and crosses the walls ccw. The
     fans are read here once, as the cone of each corner."""
 
-    matchings: tuple[tuple[tuple[int, ...], ...], ...]  # per edge and side: lift -> sheet
     lifts: tuple[tuple[tuple[int, ...], ...], ...]  # per corner, out and in edge: sheet -> lift
     sheets: tuple[tuple[tuple[int, ...], ...], ...]  # per corner, out and in edge: lift -> sheet
     orbits: tuple[tuple[int, ...], ...]  # per vertex lift: its nodes
@@ -132,7 +131,7 @@ class BranchedCover(ReadOnly):
                 blocks.append(tuple(sorted([node - c0 * r for node in orbit[::c1 - c0]])))
                 ids.append(f"{vid}#{s0}")
         first.append(len(orbits))
-        return _CoverIndex(tuple(matchings), tuple(lifts), tuple(sheets), tuple(orbits),
+        return _CoverIndex(tuple(lifts), tuple(sheets), tuple(orbits),
                            tuple(blocks), tuple(lift_of), tuple(first), tuple(ids), tuple(rays))
 
     def cone(self, c: int) -> tuple[Vec, Vec]:
@@ -181,7 +180,7 @@ class BranchedCover(ReadOnly):
     def is_connected(self) -> bool:
         """Whether the sheets of the 2-cells, joined across every edge lift,
         form one component."""
-        x, r = self.base._index, self.degree
+        x, cx, r = self.base._index, self._index, self.degree
         parent = list(range(len(x.ids[2]) * r))  # sheet s of 2-cell f is f * r + s
 
         def find(a):
@@ -190,9 +189,9 @@ class BranchedCover(ReadOnly):
                 a = parent[a]
             return a
 
-        for (a, b), (ma, mb) in zip(x.sides, self._index.matchings):
-            for lift in range(r):
-                ra, rb = find(a * r + ma[lift]), find(b * r + mb[lift])
+        for c, d in x.walls:  # the walls after corner c and d carry the edge
+            for sc, sd in zip(cx.sheets[c][1], cx.sheets[d][1]):  # the sheets of one edge lift
+                ra, rb = find(x.corners[c][0] * r + sc), find(x.corners[d][0] * r + sd)
                 if ra != rb:
                     parent[ra] = rb
         return len({find(a) for a in range(len(parent))}) == 1
@@ -440,22 +439,35 @@ def check_condition_E(s: PolyhedralSurface, branch) -> bool:
     return all(sum(v in branch for v in s.orientation[f]) % 2 == 0 for f in s._index.ids[2])
 
 
-def _spanning_tree(x) -> tuple[list[int], list[int]]:
-    """Lexicographic BFS tree of the 1-skeleton of a numbered surface: (bfs
-    order, per vertex its tree edge to the parent, -1 at the root)."""
+def edge_voltages(x, rhs, p: int) -> tuple[list[int], dict[int, tuple[int, int]]]:
+    """Values mod ``p`` on the edges of the valid surface numbered ``x``, zero
+    off its lexicographic BFS tree, whose signed sum at each vertex v is
+    ``rhs[v]``: an edge counts +1 where it is the incoming edge of a corner on
+    its first coface, -1 at its other end (the voltages of a cover; Gross and
+    Tucker, *Topological Graph Theory*, 1987, ch. 4). Returns them with the
+    tree: each vertex but the root, in bfs order, to its tree edge and parent.
+    Raises ValueError on a disconnected 1-skeleton or if ``rhs`` sums to nonzero mod p."""
     adj: list[list[tuple[int, int]]] = [[] for _ in x.star]
+    head = []  # per edge: the end where it counts +1
     for e, (a, b) in enumerate(x.ends):
         adj[a].append((b, e))
         adj[b].append((a, e))
-    order, parent = [0], [-1] * len(adj)
+        head.append(a if x.corners[x.walls[e][0]][0] == x.sides[e][0] else b)
+    order, tree = [0], {}
     for v in order:  # breadth first: order grows while it is walked
         for w, e in sorted(adj[v]):
-            if w and parent[w] < 0:
-                parent[w] = e
+            if w and w not in tree:
+                tree[w] = (e, v)
                 order.append(w)
     if len(order) != len(adj):
         raise ValueError("base 1-skeleton is disconnected")
-    return order, parent
+    value = [0] * len(head)
+    for v, (e, _) in reversed(tree.items()):  # e is still 0 in the sum at v
+        rest = sum(value[d] if head[d] == v else -value[d] for d in x.star[v])
+        value[e] = (rhs[v] - rest) * (1 if head[e] == v else -1) % p
+    if sum(value[e] if head[e] == 0 else -value[e] for e in x.star[0]) % p != rhs[0] % p:
+        raise ValueError(f"no voltages: the right-hand side sums to {sum(rhs) % p} mod {p}")
+    return value, tree
 
 
 def build_double_cover(
@@ -492,14 +504,8 @@ def build_double_cover(
     if not check_condition_E(s, branch):
         raise ValueError("branch set meets some 2-cell an odd number of times")
 
-    order, parent = _spanning_tree(x)
     branched = [vid in branch for vid in V]
-    twist = [0] * len(E)
-    for v in reversed(order[1:]):
-        rest = sum(twist[e] for e in x.star[v] if e != parent[v]) % 2
-        twist[parent[v]] = (branched[v] - rest) % 2
-    if sum(twist[e] for e in x.star[0]) % 2 != branched[0]:
-        raise RuntimeError("parity bookkeeping broke")
+    twist, tree = edge_voltages(x, branched, 2)
 
     matchings = {eid: ((0, 1) if t == 0 else (1, 0)) for eid, t in zip(E, twist)}
     ram = {vid: ((0, 1),) if b else ((0,), (1,)) for vid, b in zip(V, branched)}
@@ -512,12 +518,11 @@ def build_double_cover(
     cx = cover._index
     rhs = [(_typing_offset(cover, e, 0) + _typing_offset(cover, e, 1)) % 2 for e in range(len(E))]
     bit = [0] * len(V)
-    for v in order[1:]:
-        a, b = x.ends[parent[v]]
-        bit[v] = (rhs[parent[v]] + bit[b if v == a else a]) % 2
+    for v, (e, u) in tree.items():
+        bit[v] = (rhs[e] + bit[u]) % 2
     for e, (a, b) in enumerate(x.ends):
         if (bit[a] + bit[b]) % 2 != rhs[e]:
-            cycle = [V[v] for v in _tree_cycle(x, parent, a, b)]
+            cycle = [V[v] for v in _tree_cycle(tree, a, b)]
             raise ValueError("no consistent sheet typing with no twist off the spanning "
                              f"tree; inconsistent cycle {cycle}")
 
@@ -553,19 +558,17 @@ def _typing_offset(cover: BranchedCover, e: int, end: int) -> int:
     return 0 if lift == cx.first[v] else 1
 
 
-def _tree_cycle(x, parent: list[int], a: int, b: int) -> list[int]:
-    def path_to_root(v):
+def _tree_cycle(tree: dict[int, tuple[int, int]], a: int, b: int) -> list[int]:
+    def path(v, stop):  # from v up the tree to the root, or to the first vertex in stop
         out = [v]
-        while parent[v] >= 0:
-            p, q = x.ends[parent[v]]
-            v = q if v == p else p
+        while v in tree and v not in stop:
+            v = tree[v][1]
             out.append(v)
         return out
 
-    pa, pb = path_to_root(a), path_to_root(b)
-    sb = set(pb)
-    meet = next(v for v in pa if v in sb)
-    return pa[: pa.index(meet) + 1] + list(reversed(pb[: pb.index(meet)]))
+    pa = path(a, ())
+    pb = path(b, pa)  # ends where the two paths meet
+    return pa[: pa.index(pb[-1]) + 1] + pb[-2::-1]
 
 
 # -- serialization ------------------------------------------------------------

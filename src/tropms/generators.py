@@ -11,10 +11,13 @@ Four deterministic generators:
                vertices and 24 singular markers. Branch presets of sizes 74
                and 58 give covers of genus 36 and 28, weights (2, 1).
   rank3-cube   cube2 base carrying rank-3 fans and a degree-3 totally
-               ramified cover with a fixed three-sheet slope table.
+               ramified cover, its sheet shifts the mod-3 edge voltages of
+               a 3-cycle at every vertex, with a fixed three-sheet slope table.
 
 Branch presets were found once by a seeded parity search and are frozen below.
-Every builder rechecks its invariants and raises RuntimeError when one fails.
+Every builder rechecks its invariants and raises RuntimeError when one fails;
+the voltage solver ``edge_voltages`` raises ValueError on a system with no
+solution, which no frozen base gives.
 A base must be trivalent, with its frozen vertex and marker counts; it is
 validated once, by what consumes it: ``build_double_cover``, or the final
 ``validate_multisection`` of ``rank3_multisection``. Every double cover is
@@ -45,6 +48,7 @@ from .covers import (
     _section_text,
     build_double_cover,
     edge_lift_id,
+    edge_voltages,
     validate_multisection,
 )
 from .gluing import (
@@ -326,38 +330,6 @@ def planted_triangle_multisection() -> MultiSection:
 # -- rank3-cube ---------------------------------------------------------------
 
 
-def _gf3_edge_voltages(s: PolyhedralSurface) -> dict[str, int]:
-    """Cyclic-shift exponents making the corner walk rotate sheets by one at
-    every vertex; crossing a wall with its first coface, in id order, on the
-    near side adds the exponent, the reverse crossing subtracts it."""
-    x = s._index
-    n = len(x.ids[1])
-    pivots: dict[int, list[int]] = {}
-    for v in range(len(x.ids[0])):
-        row = [0] * (n + 1)
-        for f, _, wall in x.corners[x.first[v]:x.first[v + 1]]:
-            sign = 1 if f == x.sides[wall][0] else -1
-            row[wall] = (row[wall] + sign) % 3
-        row[n] = 1
-        for c, prow in pivots.items():
-            if row[c]:
-                mult = row[c] * pow(prow[c], -1, 3) % 3
-                row = [(a - mult * b) % 3 for a, b in zip(row, prow)]
-        lead = next((c for c in range(n) if row[c]), None)
-        if lead is None:
-            _require(row[n] == 0, "rank-3 voltage system is inconsistent")
-            continue
-        pivots[lead] = row
-    g = [0] * n
-    for c in sorted(pivots, reverse=True):
-        row = pivots[c]
-        acc = row[n]
-        for c2 in range(c + 1, n):
-            acc = (acc - row[c2] * g[c2]) % 3
-        g[c] = acc * pow(row[c], -1, 3) % 3
-    return dict(zip(x.ids[1], g))
-
-
 def rank3_base() -> PolyhedralSurface:
     """The cube2 base with rank-3 fans: rays (2,1), (-1,0), (-1,-1) assigned
     in corner order starting at each vertex's quadrilateral corner."""
@@ -368,8 +340,9 @@ def rank3_multisection() -> MultiSection:
     """Degree-3 cover of the rank3 base, totally ramified over every vertex,
     with the fixed slope table applied per cone and sheet."""
     base = rank3_base()
-    voltages = _gf3_edge_voltages(base)
-    matchings = {e: tuple((s + g) % 3 for s in range(3)) for e, g in voltages.items()}
+    x = base._index
+    voltages = edge_voltages(x, [1] * len(x.ids[0]), 3)[0]  # a 3-cycle around every vertex
+    matchings = {e: tuple((s + g) % 3 for s in range(3)) for e, g in zip(x.ids[1], voltages)}
     branch = frozenset(v.id for v in base.vertices)
     ram = {v: ((0, 1, 2),) for v in branch}
     cover = BranchedCover(base, 3, matchings, branch, ram)

@@ -782,8 +782,8 @@ def test_cli_import_loads_no_third_party_module():
 
 # The tropms modules a `validate` child loads, and their source lines, at
 # most: every child compiles them, so code added to the verdict path shows here.
-VALIDATE_SOURCE = {"cube2.manifest.json": (12, 3489), "rank3-cube.manifest.json": (9, 2515),
-                   "rotated.manifest.json": (12, 3489)}
+VALIDATE_SOURCE = {"cube2.manifest.json": (12, 3487), "rank3-cube.manifest.json": (9, 2513),
+                   "rotated.manifest.json": (12, 3487)}
 # The same for a `chern` child: cli, __init__, chern, laurent and lattice.
 CHERN_SOURCE = (5, 969)
 # The same for a `verify-cocycle` child: cli, __init__ and laurent.

@@ -11,6 +11,7 @@ from conftest import (
     triangulated_torus,
     two_sheet_cover,
 )
+from test_perfbench_names import inputs as perfbench_inputs  # the benchmark's input builders
 
 from tropms.bundle import Invalid, load
 from tropms.complexes import VertexFan, complex_to_text, validate_surface
@@ -22,17 +23,25 @@ from tropms.covers import (
     check_class_C,
     check_condition_E,
     classify,
+    edge_voltages,
     multisection_to_text,
     parse_multisection,
     validate_cover,
     validate_multisection,
 )
 from tropms.generators import (
+    RANK3_FAN_RAYS,
     STANDARD_FAN_RAYS,
     _dual_base,
+    cube2_multisection,
+    cube_o1_multisection,
     euler_genus,
     generate_example,
+    planted_multisection,
+    planted_triangle_multisection,
+    rank3_base,
     riemann_hurwitz_genus,
+    simplex5_multisection,
 )
 from tropms.lattice import rot90
 from tropms.pipeline import Manifest, manifest_to_text
@@ -114,6 +123,73 @@ def test_double_cover_refuses_an_inconsistent_sheet_typing():
     assert len(set(cycle)) == len(cycle) >= 3
     for v, w in zip(cycle, cycle[1:] + cycle[:1]):  # a closed walk along edges
         base.edge_between(v, w)
+
+
+def _branch_rhs(build):
+    """A double cover's base with its branch set as a right-hand side mod 2."""
+    cover = build().cover
+    return cover.base, {v.id: int(v.id in cover.branch_vertices) for v in cover.base.vertices}, 2
+
+
+def _rank3_rhs(base):
+    """A base with a 3-cycle at every vertex as a right-hand side mod 3."""
+    return base, {v.id: 1 for v in base.vertices}, 3
+
+
+VOLTAGE_CASES = {
+    "cube2": lambda: _branch_rhs(cube2_multisection),
+    "cube-o1": lambda: _branch_rhs(cube_o1_multisection),
+    "planted": lambda: _branch_rhs(planted_multisection),
+    "planted-triangle": lambda: _branch_rhs(planted_triangle_multisection),
+    "simplex5-74": lambda: _branch_rhs(simplex5_multisection),
+    "simplex5-58": lambda: _branch_rhs(lambda: simplex5_multisection(58)),
+    "rank3-cube": lambda: _rank3_rhs(rank3_base()),
+    "torus3-3": lambda: _rank3_rhs(perfbench_inputs.honeycomb_torus(3, RANK3_FAN_RAYS)),
+}
+
+
+@pytest.mark.parametrize("case", list(VOLTAGE_CASES))
+def test_edge_voltages_solve_every_vertex_equation_on_the_tree(case):
+    """Read through the public surface API: at each vertex, the wall of each
+    corner counts +1 when the corner lies on the wall's first coface by id,
+    -1 otherwise; the signed sums are the right-hand side, and the values
+    vanish off the returned spanning tree."""
+    base, rhs, p = VOLTAGE_CASES[case]()
+    x = base._index
+    value, tree = edge_voltages(x, [rhs[vid] for vid in x.ids[0]], p)
+    by_id = dict(zip(x.ids[1], value))
+    for v in base.vertices:
+        signed = sum(by_id[wall] if f == base.cofaces(wall)[0] else -by_id[wall]
+                     for f, _, wall in base.corners(v.id))
+        assert (signed - rhs[v.id]) % p == 0, v.id
+    tree_edges = {x.ids[1][e] for e, _ in tree.values()}
+    assert len(tree) == len(tree_edges) == len(x.ids[0]) - 1
+    assert all(0 <= g < p for g in value)
+    assert not [eid for eid, g in by_id.items() if g and eid not in tree_edges]
+
+
+class _ZeroRng:
+    def randrange(self, n):
+        return 0
+
+
+@pytest.mark.parametrize("n", [None, 3, 6], ids=["rank3-cube", "torus-3", "torus-6"])
+def test_edge_voltages_equal_the_benchmark_sweep_before_its_relabelling(n):
+    """The benchmark's GF(3) sweep, with every per-2-cell relabelling 0,
+    gives the solver's voltages."""
+    base = rank3_base() if n is None else perfbench_inputs.honeycomb_torus(n, RANK3_FAN_RAYS)
+    x = base._index
+    value, _ = edge_voltages(x, [1] * len(x.ids[0]), 3)
+    assert dict(zip(x.ids[1], value)) == perfbench_inputs.gf3_edge_voltages(base, _ZeroRng())
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_edge_voltages_refuse_a_right_hand_side_with_nonzero_sum(p):
+    x = rank3_base()._index
+    rhs = [0] * len(x.ids[0])
+    rhs[5] = 1
+    with pytest.raises(ValueError, match=f"^no voltages: the right-hand side sums to 1 mod {p}$"):
+        edge_voltages(x, rhs, p)
 
 
 def test_double_cover_shape():

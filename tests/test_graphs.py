@@ -1,21 +1,23 @@
 """Branch-free graphs, fiber products, simplicity verdicts, and the
 endomorphism certificate on minimal cycles."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from conftest import cube_surface, rebuilt
+from conftest import cube_surface, rebuilt, run_cli
 from tropms import chern
 from tropms.bundle import check
 from tropms.certificate import endomorphism_witness, transport
-from tropms.complexes import VertexFan, surface_from_cycles, validate_surface
+from tropms.complexes import VertexFan, complex_to_text, surface_from_cycles, validate_surface
 from tropms.covers import (
     BranchedCover,
     MultiSection,
     build_double_cover,
     check_class_C,
     classify,
+    multisection_to_text,
     validate_multisection,
 )
 from tropms.generators import (
@@ -40,6 +42,7 @@ from tropms.graphs import (
     pair_id,
     simplicity_verdict,
 )
+from tropms.pipeline import EXIT_OK, Manifest, manifest_to_text
 
 RING = frozenset({"v001", "v101", "v111", "v011"})
 CORNERS = frozenset({"v000", "v110", "v101", "v011"})
@@ -486,6 +489,25 @@ def test_general_inconclusive_on_starved_fixed_points():
     starved = [r for r in v.reasons if r.startswith("[fixed-point-support]")]
     assert len(starved) == 1
     assert "n#0|n#1" in starved[0] and "s#0|s#1" in starved[0]
+
+
+def test_validate_records_an_inconclusive_general_criterion(tmp_path):
+    """Under assumption 1.4, a class-C section whose general criterion is
+    inconclusive gets an `inconclusive` simplicity record citing the
+    criterion, with its reasons as witnesses, and `validate` exits 0."""
+    msec = bipyramid_msec()
+    (tmp_path / "b.complex.json").write_text(complex_to_text(msec.cover.base))
+    (tmp_path / "b.section.json").write_text(multisection_to_text(msec))
+    (tmp_path / "b.manifest.json").write_text(manifest_to_text(
+        Manifest("b.complex.json", "b.section.json", None, {"assumption-1.4": True})))
+    res = run_cli(["validate", "--manifest", tmp_path / "b.manifest.json"])
+    assert res.exit_code == EXIT_OK, res.output
+    rec = json.loads(res.stdout)["checks"][-1]
+    reasons = general_simplicity(msec, classify(msec), local_bundles_asserted=True).reasons
+    assert (rec["check"], rec["verdict"], rec["citation"]) == (
+        "simplicity", "inconclusive", "general-criterion")
+    assert rec["witnesses"] == list(reasons)
+    assert len(reasons) == 2
 
 
 @pytest.mark.parametrize("build, calls", [(ring, 8), (bipyramid_msec, 12)],
