@@ -41,14 +41,16 @@ class Diagnostic(NamedTuple):
 
 
 class _SurfaceIndex(NamedTuple):
-    """The topology of a surface numbered once. The cells of each dimension
-    are numbered in id order, so numbers sort as ids do, and every other
-    table holds numbers. Corners are numbered vertex by vertex in chain
-    order; a vertex whose corners do not chain into one cycle has none."""
+    """The topology of a surface numbered once, and what is wrong with it.
+    The cells of each dimension are numbered in id order, so numbers sort as
+    ids do, and every other table holds numbers. Corners are numbered vertex
+    by vertex in chain order; a vertex whose corners do not chain into one
+    cycle has none. A surface with a malformed cell has no incidences, and
+    one whose boundary cycles are not consistently oriented has no corners."""
 
     ids: dict[int, tuple[str, ...]]  # dimension -> cell ids, sorted
     number: tuple[dict[str, int], ...]  # per dimension 0, 1, 2: cell id -> number
-    ends: tuple[tuple, ...]  # per edge: its vertices as listed, None for a non-vertex
+    ends: tuple[tuple[int, int], ...]  # per edge: its vertices as listed
     star: tuple[tuple[int, ...], ...]  # per vertex: the edges ending there
     sides: tuple[tuple[int, ...], ...]  # per edge: the 2-cells it bounds
     walks: tuple[tuple[int, ...] | None, ...]  # per 2-cell: the edge leaving each cycle vertex
@@ -56,17 +58,160 @@ class _SurfaceIndex(NamedTuple):
     corners: tuple[tuple[int, int, int], ...]  # (2-cell, outgoing edge, incoming edge)
     first: tuple[int, ...]  # per vertex and one more: its first corner
     walls: tuple[list[int], ...]  # per edge and end: the corner there whose incoming edge it is
-    links: dict[int, str]  # vertex -> why its corners do not chain into one cycle
+    diagnostics: tuple[Diagnostic, ...]  # the topology checks that fail, in report order
+    oriented: bool  # no malformed cell and no orientation fault: the fans can be checked
 
     def corner(self, v: int, f: int) -> int:
         """The corner of the 2-cell numbered ``f`` at the vertex numbered ``v``."""
         return next(c for c in range(self.first[v], self.first[v + 1]) if self.corners[c][0] == f)
 
+    def closed(self) -> _SurfaceIndex:
+        """This index, where the surface is closed and oriented; else raise
+        ValueError with the first diagnostic its numbering recorded."""
+        if self.diagnostics:
+            raise ValueError(self.diagnostics[0].message)
+        return self
+
+
+def _number_surface(cells: dict[str, Cell], orientation: dict[str, tuple[str, ...]]
+                    ) -> _SurfaceIndex:
+    """Number a surface in one pass and record every topology check that
+    fails on the way, in report order: malformed cells (``cell-dim``,
+    ``missing-face``, ``face-dim``, ``edge-endpoints``), which stop the
+    pass, then ``edge-coface-count``, ``vertex-isolated``, the
+    ``orientation-*`` family and ``euler-characteristic-odd``; a fault of
+    orientation stops it before ``vertex-link``."""
+    by_dim: dict[int, list[str]] = {0: [], 1: [], 2: []}
+    for c in cells.values():
+        by_dim.setdefault(c.dim, []).append(c.id)
+    ids = {d: tuple(sorted(cids)) for d, cids in by_dim.items()}
+    number = tuple({cid: i for i, cid in enumerate(ids[d])} for d in (0, 1, 2))
+    V, E, F = ids[0], ids[1], ids[2]
+    nv = len(V)
+    diags: list[Diagnostic] = []
+
+    def bad(code: str, msg: str) -> None:
+        diags.append(Diagnostic(code, msg))
+
+    listed: dict[int, list[tuple]] = {}  # per dimension 1, 2: each cell's faces by number
+    malformed = False
+    for d in sorted(ids):
+        if d not in (0, 1, 2):
+            for cid in ids[d]:
+                bad("cell-dim", f"cell {cid} has dimension {d}")
+            continue
+        get, listed[d] = (number[d - 1].get if d else {}.get), []
+        for cid in ids[d]:
+            faces = cells[cid].faces
+            nums = tuple(map(get, faces))
+            listed[d].append(nums)
+            if None not in nums and (d != 1 or len(nums) == 2 and nums[0] != nums[1]):
+                continue
+            malformed = True  # rare: read the cell of each face to say what is wrong
+            for f in faces:
+                if f not in cells:
+                    bad("missing-face", f"cell {cid} lists unknown face {f}")
+                elif cells[f].dim != d - 1:
+                    bad("face-dim", f"cell {cid} (dim {d}) lists face {f} of dim {cells[f].dim}")
+            if d == 0:
+                bad("face-dim", f"vertex {cid} must not have faces")
+            if d == 1 and (len(faces) != 2 or faces[0] == faces[1]):
+                bad("edge-endpoints", f"edge {cid} needs two distinct endpoints")
+    if malformed:
+        none = ((),)
+        return _SurfaceIndex(ids, number, (), none * nv, none * len(E), (None,) * len(F), {}, (),
+                             (0,) * (nv + 1), (), tuple(diags), False)
+
+    ends = tuple(listed[1])
+    star: list[list[int]] = [[] for _ in V]
+    sides: list[list[int]] = [[] for _ in E]
+    between = {}
+    for e, (a, b) in enumerate(ends):
+        star[a].append(e)
+        star[b].append(e)
+        between[a * nv + b] = between[b * nv + a] = e
+    for f, edges in enumerate(listed[2]):
+        for e in edges:  # an edge listed twice bounds once
+            if not sides[e] or sides[e][-1] != f:
+                sides[e].append(f)
+    for e, fs in enumerate(sides):
+        if len(fs) != 2:
+            bad("edge-coface-count", f"edge {E[e]} has {len(fs)} cofaces, expected 2")
+    for v, es in enumerate(star):
+        if not es:
+            bad("vertex-isolated", f"vertex {V[v]} is a face of no edge")
+
+    directed: dict[int, int] = {}  # v * nv + w -> the 2-cell walking from v to w
+    twice: dict[int, list[int]] = {}  # v * nv + w -> the 2-cells, where several walk it
+    around: list[list[tuple[int, int, int]]] = [[] for _ in V]
+    walks: list[tuple[int, ...] | None] = [None] * len(F)
+    vertex = number[0].get
+    for f, fid in enumerate(F):
+        cyc = orientation.get(fid)
+        if cyc is None:
+            bad("orientation-missing", f"2-cell {fid} has no boundary cycle")
+            continue
+        if len(set(cyc)) != len(cyc) or len(cyc) < 3:
+            bad("orientation-degenerate", f"2-cell {fid} cycle {cyc} is degenerate")
+            continue
+        vs = tuple(map(vertex, cyc))
+        keys = [None if None in (v, w) else v * nv + w for v, w in zip(vs, vs[1:] + vs[:1])]
+        walk = tuple(map(between.get, keys))
+        if None in walk:
+            i = walk.index(None)
+            step = f"no edge between {cyc[i]} and {cyc[i + 1 - len(cyc)]}"
+            bad("orientation-edge", f"2-cell {fid}: {step!r}")
+            continue
+        walks[f] = walk
+        if sorted(walk) != sorted(listed[2][f]):
+            bad("orientation-face-mismatch",
+                f"2-cell {fid} boundary cycle does not match its edge list")
+        prev = walk[-1]
+        for v, k, out in zip(vs, keys, walk):
+            g = directed.setdefault(k, f)
+            if g != f:
+                twice.setdefault(k, [g]).append(f)
+            around[v].append((f, out, prev))
+            prev = out
+    for k in sorted(directed):  # in the order of the (tail, head) id pairs
+        v, w = V[k // nv], V[k % nv]
+        if k in twice:
+            bad("orientation-inconsistent",
+                f"edge {v}->{w} traversed twice (by {[F[f] for f in twice[k]]})")
+        if k % nv * nv + k // nv not in directed:
+            bad("orientation-inconsistent",
+                f"edge {v}->{w} never traversed in the opposite direction")
+    oriented = not any(d.code.startswith("orientation-") for d in diags)
+    chi = len(V) - len(E) + len(F)
+    if chi % 2 != 0:
+        bad("euler-characteristic-odd", f"closed surface cannot have chi = {chi}")
+
+    corners, first = [], []
+    walls = tuple([-1, -1] for _ in E)
+    for v, local in enumerate(around if oriented else [[] for _ in V]):
+        # each corner's incoming edge is the outgoing edge of exactly one other
+        first.append(len(corners))
+        by_out = {corner[1]: corner for corner in local}
+        chain = [by_out[min(by_out)]] if local else []
+        while len(chain) < len(local) and chain[-1][2] != chain[0][1]:
+            chain.append(by_out[chain[-1][2]])
+        if len(chain) != len(local):
+            bad("vertex-link", f"corners around {V[v]} split into several cycles")
+            continue
+        for c, (_, _, inn) in enumerate(chain, len(corners)):
+            walls[inn][0 if ends[inn][0] == v else 1] = c
+        corners += chain
+    first.append(len(corners))
+    return _SurfaceIndex(ids, number, ends, tuple(map(tuple, star)), tuple(map(tuple, sides)),
+                         tuple(walks), between, tuple(corners), tuple(first), walls,
+                         tuple(diags), oriented)
+
 
 class ReadOnly:
     """An object built whole: assigning or deleting an attribute raises.
-    ``functools.cached_property`` writes the instance dict directly, so an
-    index is still computed on its first query, from fields that cannot change."""
+    ``functools.cached_property`` writes the instance dict directly, so the
+    index of a cover and the tables of a section are still computed on their
+    first query, from fields that cannot change."""
 
     def __setattr__(self, name: str, *_):
         raise AttributeError(f"{type(self).__name__} is read-only: {name} cannot change")
@@ -78,17 +223,20 @@ class PolyhedralSurface(ReadOnly):
     """Cells, fans, boundary cycles and assertion flags of one surface.
 
     ``cells`` and ``orientation`` are read-only copies of what the surface
-    is built from, and its topology is numbered once, on the first query.
-    The fans and flags are plain dicts, which validation reads whenever it
-    runs; a cover over the surface reads the fans once, into its index.
+    is built from, and its topology is numbered and checked once, as it is
+    built. The fans and flags are plain dicts, which validation reads
+    whenever it runs; a cover over the surface reads the fans once, into its
+    index.
     """
 
     def __init__(self, cells: dict[str, Cell], fans: dict[str, VertexFan] | None = None,
                  orientation: dict[str, tuple[str, ...]] | None = None,
                  asserted: dict[str, bool] | None = None):
-        self.__dict__.update(cells=MappingProxyType(dict(cells)), fans=dict(fans or {}),
-                             orientation=MappingProxyType(dict(orientation or {})),
-                             asserted=dict(asserted or {}))
+        cells, orientation = dict(cells), dict(orientation or {})
+        self.__dict__.update(cells=MappingProxyType(cells), fans=dict(fans or {}),
+                             orientation=MappingProxyType(orientation),
+                             asserted=dict(asserted or {}),
+                             _index=_number_surface(cells, orientation))
 
     def of_dim(self, d: int) -> list[Cell]:
         """Cells of one dimension in id order."""
@@ -109,74 +257,6 @@ class PolyhedralSurface(ReadOnly):
     def euler_characteristic(self) -> int:
         ids = self._index.ids
         return len(ids[0]) - len(ids[1]) + len(ids[2])
-
-    @functools.cached_property
-    def _index(self) -> _SurfaceIndex:
-        cells = self.cells
-        by_dim: dict[int, list[str]] = {0: [], 1: [], 2: []}
-        for c in cells.values():
-            by_dim.setdefault(c.dim, []).append(c.id)
-        ids = {d: tuple(sorted(cids)) for d, cids in by_dim.items()}
-        number = tuple({cid: i for i, cid in enumerate(ids[d])} for d in (0, 1, 2))
-        nv = len(ids[0])
-        ends = tuple([tuple(map(number[0].get, cells[e].faces)) for e in ids[1]])
-        boundaries = tuple([tuple(map(number[1].get, cells[f].faces)) for f in ids[2]])
-        star: list[list[int]] = [[] for _ in ids[0]]
-        sides: list[list[int]] = [[] for _ in ids[1]]
-        between = {}
-        for e, p in enumerate(ends):  # a malformed edge is skipped; validation reports it
-            if len(p) != 2 or None in p or p[0] == p[1]:
-                continue
-            star[p[0]].append(e)
-            star[p[1]].append(e)
-            between[p[0] * nv + p[1]] = between[p[1] * nv + p[0]] = e
-        for f, edges in enumerate(boundaries):
-            for e in edges:  # an unknown face is skipped, an edge listed twice bounds once
-                if e is not None and (not sides[e] or sides[e][-1] != f):
-                    sides[e].append(f)
-        # a boundary step without an edge leaves its 2-cell out of the corners
-        walks = []
-        around: list[list[tuple[int, int, int]]] = [[] for _ in ids[0]]
-        for f, fid in enumerate(ids[2]):
-            cyc, walk = self.orientation.get(fid), None
-            if cyc is not None:
-                cyc = tuple(map(number[0].get, cyc))
-            if cyc is not None and None not in cyc:
-                walk = tuple([between.get(v * nv + w) for v, w in zip(cyc, cyc[1:] + cyc[:1])])
-                walk = None if None in walk else walk
-            walks.append(walk)
-            if walk:
-                prev = walk[-1]
-                for v, out in zip(cyc, walk):
-                    around[v].append((f, out, prev))
-                    prev = out
-        corners, first, links = [], [], {}
-        walls = tuple([-1, -1] for _ in ids[1])
-        for v, local in enumerate(around):
-            first.append(len(corners))
-            by_out = {corner[1]: corner for corner in local}
-            chain = [by_out[min(by_out)]] if by_out else []
-            while chain and chain[-1][2] != chain[0][1] and len(chain) <= len(local):
-                chain.append(by_out.get(chain[-1][2]))
-                if chain[-1] is None:
-                    break
-            if len({f for f, _, _ in local}) != len(local):
-                links[v] = f"a 2-cell touches vertex {ids[0][v]} more than once"
-            elif chain and (chain[-1] is None or chain[-1][2] != chain[0][1]):
-                links[v] = f"corners around {ids[0][v]} do not close up"
-            elif len(chain) != len(local):
-                links[v] = f"corners around {ids[0][v]} split into several cycles"
-            if v in links:
-                continue
-            for c, (_, _, inn) in enumerate(chain, len(corners)):
-                end = 0 if ends[inn][0] == v else 1
-                if walls[inn][end] < 0:
-                    walls[inn][end] = c
-            corners += chain
-        first.append(len(corners))
-        return _SurfaceIndex(ids, number, ends, tuple(map(tuple, star)),
-                             tuple(map(tuple, sides)), tuple(walks), between,
-                             tuple(corners), tuple(first), walls, links)
 
     def cofaces(self, cell_id: str) -> list[str]:
         """Cells of one dimension more having the given vertex or edge as a face, in id order."""
@@ -202,98 +282,28 @@ class PolyhedralSurface(ReadOnly):
     def corners(self, vertex_id: str) -> list[tuple[str, str, str]]:
         """2-cells around a vertex in counterclockwise order as
         (face id, outgoing edge, incoming edge), chained so that the incoming
-        edge of one corner is the outgoing edge of the next."""
-        x = self._index
+        edge of one corner is the outgoing edge of the next; raises
+        ValueError on a surface that is not closed and oriented."""
+        x = self._index.closed()
         v = x.number[0].get(vertex_id)
         if v is None:
             return []
-        if v in x.links:
-            raise ValueError(x.links[v])
         E, F = x.ids[1], x.ids[2]
         return [(F[f], E[out], E[inn]) for f, out, inn in x.corners[x.first[v]:x.first[v + 1]]]
 
 
 def validate_surface(s: PolyhedralSurface) -> tuple[Diagnostic, ...]:
-    """Structural checks for a closed oriented surface with affine fans; the
-    diagnostics of what fails, none when it is valid."""
+    """Checks for a closed oriented surface with affine fans: what its
+    numbering recorded, then, where its cells and cycles allow, its fans as
+    they are now; none when it is valid."""
     x = s._index
-    V, E, F = x.ids[0], x.ids[1], x.ids[2]
-    diags: list[Diagnostic] = []
+    if not x.oriented:
+        return x.diagnostics
+    E, F = x.ids[1], x.ids[2]
+    diags = list(x.diagnostics)
 
     def bad(code: str, msg: str) -> None:
         diags.append(Diagnostic(code, msg))
-
-    for c in (s.cells[cid] for d in sorted(x.ids) for cid in x.ids[d]):
-        if c.dim not in (0, 1, 2):
-            bad("cell-dim", f"cell {c.id} has dimension {c.dim}")
-            continue
-        for f in c.faces:
-            if f not in s.cells:
-                bad("missing-face", f"cell {c.id} lists unknown face {f}")
-            elif s.cells[f].dim != c.dim - 1:
-                bad(
-                    "face-dim",
-                    f"cell {c.id} (dim {c.dim}) lists face {f} of dim {s.cells[f].dim}",
-                )
-        if c.dim == 0 and c.faces:
-            bad("face-dim", f"vertex {c.id} must not have faces")
-        if c.dim == 1 and (len(c.faces) != 2 or c.faces[0] == c.faces[1]):
-            bad("edge-endpoints", f"edge {c.id} needs two distinct endpoints")
-
-    if any(d.code in ("missing-face", "face-dim", "edge-endpoints") for d in diags):
-        return tuple(diags)
-
-    for e, sides in enumerate(x.sides):
-        if len(sides) != 2:
-            bad("edge-coface-count", f"edge {E[e]} has {len(sides)} cofaces, expected 2")
-    for v, star in enumerate(x.star):
-        if not star:
-            bad("vertex-isolated", f"vertex {V[v]} is a face of no edge")
-
-    nv = len(V)
-    directed: dict[int, list[int]] = {}  # v * nv + w -> the 2-cells walking from v to w
-    for f, fid in enumerate(F):
-        cyc, walk = s.orientation.get(fid), x.walks[f]
-        if cyc is None:
-            bad("orientation-missing", f"2-cell {fid} has no boundary cycle")
-        elif len(set(cyc)) != len(cyc) or len(cyc) < 3:
-            bad("orientation-degenerate", f"2-cell {fid} cycle {cyc} is degenerate")
-        elif walk is None:
-            try:
-                for v, w in zip(cyc, (*cyc[1:], *cyc[:1])):
-                    s.edge_between(v, w)
-            except KeyError as exc:
-                bad("orientation-edge", f"2-cell {fid}: {exc}")
-        else:
-            if sorted(walk) != sorted(map(x.number[1].__getitem__, s.cells[fid].faces)):
-                bad(
-                    "orientation-face-mismatch",
-                    f"2-cell {fid} boundary cycle does not match its edge list",
-                )
-            cyc = tuple(map(x.number[0].__getitem__, cyc))
-            for v, w in zip(cyc, cyc[1:] + cyc[:1]):
-                directed.setdefault(v * nv + w, []).append(f)
-    for k, users in sorted(directed.items()):  # in the order of the (tail, head) id pairs
-        v, w = V[k // nv], V[k % nv]
-        if len(users) > 1:
-            bad(
-                "orientation-inconsistent",
-                f"edge {v}->{w} traversed twice (by {[F[f] for f in users]})",
-            )
-        if k % nv * nv + k // nv not in directed:
-            bad(
-                "orientation-inconsistent",
-                f"edge {v}->{w} never traversed in the opposite direction",
-            )
-
-    chi = s.euler_characteristic()
-    if chi % 2 != 0:
-        bad("euler-characteristic-odd", f"closed surface cannot have chi = {chi}")
-    if any(d.code.startswith("orientation-") for d in diags):
-        # corners are read off the boundary cycles, so they are undefined
-        return tuple(diags)
-    for why in x.links.values():
-        bad("vertex-link", why)
 
     for vid in sorted(s.fans):
         fan = s.fans[vid]
@@ -304,36 +314,26 @@ def validate_surface(s: PolyhedralSurface) -> tuple[Diagnostic, ...]:
         incident = [E[e] for e in x.star[v]]
         fan_edges = sorted(e for _, e in fan.rays)
         if fan_edges != incident:
-            bad(
-                "fan-edge-mismatch",
-                f"fan at {vid} covers edges {fan_edges}, incident are {incident}",
-            )
+            bad("fan-edge-mismatch",
+                f"fan at {vid} covers edges {fan_edges}, incident are {incident}")
             continue
         flaw = _fan_flaw(tuple([vec for vec, _ in fan.rays]), tuple([p for _, p in fan.cones]))
         if flaw:
             bad("fan-not-complete", f"fan at {vid} {flaw}")
             continue
-        if v in x.links:  # reported as vertex-link
+        chain = x.corners[x.first[v]:x.first[v + 1]]
+        if not chain and any(x.sides[e] for e in x.star[v]):  # reported as vertex-link
             continue
-        corner_by_face = {
-            F[f]: (E[out], E[inn]) for f, out, inn in x.corners[x.first[v]:x.first[v + 1]]
-        }
+        corner_by_face = {F[f]: (E[out], E[inn]) for f, out, inn in chain}
         edge_of = {i: e for i, (_, e) in enumerate(fan.rays)}
         for face2, (i, j) in fan.cones:
             if face2 not in corner_by_face:
-                bad(
-                    "fan-cone-mismatch",
-                    f"fan at {vid} assigns a cone to non-incident 2-cell {face2}",
-                )
-                continue
-            out, inn = corner_by_face[face2]
-            if (edge_of[i], edge_of[j]) != (out, inn):
-                bad(
-                    "fan-cone-mismatch",
-                    f"fan at {vid}, 2-cell {face2}: cone rays ({edge_of[i]}, "
-                    f"{edge_of[j]}) but corner edges ({out}, {inn})",
-                )
-
+                bad("fan-cone-mismatch",
+                    f"fan at {vid} assigns a cone to non-incident 2-cell {face2}")
+            elif (edge_of[i], edge_of[j]) != corner_by_face[face2]:
+                out, inn = corner_by_face[face2]
+                bad("fan-cone-mismatch", f"fan at {vid}, 2-cell {face2}: cone rays "
+                    f"({edge_of[i]}, {edge_of[j]}) but corner edges ({out}, {inn})")
     return tuple(diags)
 
 
@@ -350,31 +350,26 @@ def _fan_flaw(vecs: tuple[Vec, ...], cones: tuple[tuple[int, int], ...]) -> str:
     return ""
 
 
-def combinatorial_dual(s: PolyhedralSurface) -> PolyhedralSurface:
+def combinatorial_dual(s: PolyhedralSurface,
+                       fans: dict[str, VertexFan] | None = None) -> PolyhedralSurface:
     """Swap vertices with 2-cells; edges stay themselves with dual endpoints.
+    Raises ValueError on a surface that is not closed and oriented.
 
-    Fans do not dualize: the result has none, and keeps the flags of ``s``.
+    Fans do not dualize: the result carries ``fans``, none by default, and
+    keeps the flags of ``s``.
     """
-    x = s._index
+    x = s._index.closed()
     V, E, F = x.ids[0], x.ids[1], x.ids[2]
     cells: dict[str, Cell] = {}
     for fid in F:
         cells[fid] = Cell(fid, 0, (), s.cells[fid].singular_markers)
-    for e, sides in enumerate(x.sides):
-        if len(sides) != 2:
-            raise ValueError(f"edge {E[e]} has {len(sides)} cofaces; dual undefined")
-        cells[E[e]] = Cell(E[e], 1, (F[sides[0]], F[sides[1]]), s.cells[E[e]].singular_markers)
+    for e, (a, b) in enumerate(x.sides):
+        cells[E[e]] = Cell(E[e], 1, (F[a], F[b]), s.cells[E[e]].singular_markers)
     orientation: dict[str, tuple[str, ...]] = {}
     for v, vid in enumerate(V):
-        if v in x.links:
-            raise ValueError(x.links[v])
-        chain = x.corners[x.first[v]:x.first[v + 1]]
-        if not chain:
-            raise ValueError(f"vertex {vid} has no incident 2-cells")
-        edges = tuple([E[out] for out in sorted({out for _, out, _ in chain})])
-        cells[vid] = Cell(vid, 2, edges, s.cells[vid].singular_markers)
-        orientation[vid] = tuple([F[f] for f, _, _ in chain])
-    return PolyhedralSurface(cells, {}, orientation, s.asserted)
+        cells[vid] = Cell(vid, 2, tuple([E[e] for e in x.star[v]]), s.cells[vid].singular_markers)
+        orientation[vid] = tuple([F[f] for f, _, _ in x.corners[x.first[v]:x.first[v + 1]]])
+    return PolyhedralSurface(cells, fans, orientation, s.asserted)
 
 
 def surface_from_cycles(

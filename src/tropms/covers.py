@@ -87,16 +87,12 @@ class BranchedCover(ReadOnly):
 
     @functools.cached_property
     def _index(self) -> _CoverIndex:
-        x, r = self.base._index, self.degree
+        x, r = self.base._index.closed(), self.degree
         E = x.ids[1]
-        if x.links:
-            raise ValueError(next(iter(x.links.values())))
         identity = tuple(range(r))
         pairs: dict[tuple[int, ...], tuple] = {}  # matching -> (both sides, their inverses)
         matchings, inverses = [], []
-        for e, eid in enumerate(E):
-            if len(x.sides[e]) != 2:
-                raise ValueError(f"edge {eid} has {len(x.sides[e])} cofaces")
+        for eid in E:
             perm = tuple(self.edge_matchings[eid])
             if perm not in pairs:
                 pairs[perm] = ((identity, perm), (identity, tuple(map(perm.index, identity))))

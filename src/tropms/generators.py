@@ -125,20 +125,26 @@ def _dual_base(primal: PolyhedralSurface, rays, what: str, vertices: int, marker
     rays assigned to outgoing edges in counterclockwise corner order,
     optionally starting the chain at the corner lying on a quadrilateral
     2-cell. Requires a trivalent surface with the given numbers of vertices
-    and of marked 2-cells; what consumes it validates it."""
-    dual, fans = combinatorial_dual(primal), {}
-    for v in dual.vertices:
-        chain = dual.corners(v.id)
-        _require(len(chain) == 3, f"vertex {v.id} is not trivalent")
+    and of marked 2-cells; what consumes it validates it. A dual vertex is a
+    2-cell of ``primal``; at each cycle vertex its dual corner leaves along
+    the edge the walk enters by and enters along the one it leaves by, and
+    the corners chain in cycle order from the smallest outgoing edge."""
+    fans = {}
+    for f in primal.faces2:
+        cyc = primal.boundary_cycle(f.id)
+        walk = [primal.edge_between(v, w) for v, w in zip(cyc, (*cyc[1:], *cyc[:1]))]
+        chain = [(v, walk[i - 1], walk[i]) for i, v in enumerate(cyc)]
+        _require(len(chain) == 3, f"vertex {f.id} is not trivalent")
+        p = min(range(3), key=lambda i: chain[i][1])
         if quad_corner_first:
-            sizes = [len(dual.cells[f].faces) for f, _, _ in chain]
-            _require(sizes.count(4) == 1, f"vertex {v.id} has {sizes.count(4)} quad corners")
+            sizes = [len(primal.cofaces(v)) for v, _, _ in chain]
+            _require(sizes.count(4) == 1, f"vertex {f.id} has {sizes.count(4)} quad corners")
             p = sizes.index(4)
-            chain = chain[p:] + chain[:p]
+        chain = chain[p:] + chain[:p]
         fan_rays = tuple((rays[i], out) for i, (_, out, _) in enumerate(chain))
-        cones = tuple((f, (i, (i + 1) % 3)) for i, (f, _, _) in enumerate(chain))
-        fans[v.id] = VertexFan(v.id, fan_rays, cones)
-    base = PolyhedralSurface(dual.cells, fans, dual.orientation, dual.asserted)
+        cones = tuple((v, (i, (i + 1) % 3)) for i, (v, _, _) in enumerate(chain))
+        fans[f.id] = VertexFan(f.id, fan_rays, cones)
+    base = combinatorial_dual(primal, fans)
     _require(len(base.vertices) == vertices, f"{what} base must have {vertices} vertices")
     marked = [c for c in base.cells.values() if c.singular_markers]
     _require(len(marked) == markers, f"{what} base must carry {markers} singular markers")
