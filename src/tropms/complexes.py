@@ -5,7 +5,9 @@ endpoints, and oriented 2-cells whose boundaries are vertex cycles. A vertex
 may carry a fan: integral ray directions for its incident edges in
 counterclockwise order, together with the angular sectors occupied by the
 incident 2-cells. Any cell can be marked as meeting singular points of the
-affine structure.
+affine structure. A surface is numbered once, as it is built, and that pass
+records what keeps it from being closed and oriented; ``validate_surface``
+adds the checks of its fans.
 """
 
 from __future__ import annotations
@@ -75,12 +77,9 @@ class _SurfaceIndex(NamedTuple):
 
 def _number_surface(cells: dict[str, Cell], orientation: dict[str, tuple[str, ...]]
                     ) -> _SurfaceIndex:
-    """Number a surface in one pass and record every topology check that
-    fails on the way, in report order: malformed cells (``cell-dim``,
-    ``missing-face``, ``face-dim``, ``edge-endpoints``), which stop the
-    pass, then ``edge-coface-count``, ``vertex-isolated``, the
-    ``orientation-*`` family and ``euler-characteristic-odd``; a fault of
-    orientation stops it before ``vertex-link``."""
+    """Number a surface in one pass, recording each topology check that
+    fails in report order. A malformed cell (``cell-dim`` aside) stops the
+    pass, and a fault of orientation stops it before ``vertex-link``."""
     by_dim: dict[int, list[str]] = {0: [], 1: [], 2: []}
     for c in cells.values():
         by_dim.setdefault(c.dim, []).append(c.id)
@@ -173,7 +172,8 @@ def _number_surface(cells: dict[str, Cell], orientation: dict[str, tuple[str, ..
                 twice.setdefault(k, [g]).append(f)
             around[v].append((f, out, prev))
             prev = out
-    for k in sorted(directed):  # in the order of the (tail, head) id pairs
+    unpaired = [k for k in directed if k % nv * nv + k // nv not in directed]
+    for k in sorted({*twice, *unpaired}):  # in the order of the (tail, head) id pairs
         v, w = V[k // nv], V[k % nv]
         if k in twice:
             bad("orientation-inconsistent",
@@ -189,7 +189,7 @@ def _number_surface(cells: dict[str, Cell], orientation: dict[str, tuple[str, ..
     corners, first = [], []
     walls = tuple([-1, -1] for _ in E)
     for v, local in enumerate(around if oriented else [[] for _ in V]):
-        # each corner's incoming edge is the outgoing edge of exactly one other
+        # oriented: each corner enters by the edge one other corner leaves by
         first.append(len(corners))
         by_out = {corner[1]: corner for corner in local}
         chain = [by_out[min(by_out)]] if local else []

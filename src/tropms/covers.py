@@ -6,7 +6,8 @@ the first by id), vertex lifts are the orbits of the induced monodromy around
 each vertex, and branching is confined to vertices; ``edge_voltages`` finds
 the matchings of a prescribed monodromy. A multi-section adds one integral
 slope covector per 2-cell lift around each vertex lift, continuous across
-walls at lifts of rank at most two."""
+walls at lifts of rank at most two. A cover is numbered on its first query,
+over the numbers of a closed oriented base."""
 
 from __future__ import annotations
 
@@ -70,10 +71,10 @@ class BranchedCover(ReadOnly):
     vertex's lifts as (lift id, sheets at corner position 0), or None when
     the input declares no lifts.
 
-    The lifts are numbered once, on the first query, from the base's topology.
-    The fans are read then too, into the cone of each corner: a fan replaced
-    later is seen by validation only.
-    """
+    The lifts are numbered once, on the first query, from the base's topology
+    (a base that is not closed and oriented raises its first diagnostic), and
+    the fans are read into the cone of each corner: a fan replaced later is
+    seen by validation only."""
 
     def __init__(self, base: PolyhedralSurface, degree: int,
                  edge_matchings: dict[str, tuple[int, ...]], branch_vertices: frozenset[str],

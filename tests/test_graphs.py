@@ -596,3 +596,30 @@ def test_witness_from_rank2_verdict():
     assert verdict.tag == "not_simple"
     w = endomorphism_witness(transport(check(msec, {})), verdict.witnesses[0])
     assert w.ok
+
+
+# the S_mn sections, and the rank-2 and general verdicts measured on each
+CRITERIA = {
+    "cube2": (cube2_multisection, ("simple", "smoothable")),
+    "cube-o1": (cube_o1_multisection, ("simple", "smoothable")),
+    "simplex5-74": (lambda: simplex5_multisection(74), ("simple", "smoothable")),
+    "simplex5-58": (lambda: simplex5_multisection(58), ("simple", "smoothable")),
+    "planted": (planted_multisection, ("not_simple", "criterion_inconclusive")),
+    "planted-triangle": (planted_triangle_multisection, ("not_simple", "criterion_inconclusive")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CRITERIA))
+def test_the_two_simplicity_criteria_agree_where_both_apply(name):
+    """On an S_mn section, whose slopes are also distinct covectors, the
+    general criterion with assumption-1.4 asserted never calls a section
+    smoothable that the rank-2 criterion proves not simple; read the other
+    way, a rank-2 ``not_simple`` is never a general ``smoothable``."""
+    build, measured = CRITERIA[name]
+    msec = build()
+    tag = classify(msec)
+    assert tag.tag.startswith("S_")
+    rank2 = is_simple_rank2(msec, tag).tag
+    general = general_simplicity(msec, tag, local_bundles_asserted=True).tag
+    assert (rank2, general) != ("not_simple", "smoothable")
+    assert (rank2, general) == measured

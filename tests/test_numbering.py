@@ -1,17 +1,21 @@
 """The numbered surface and cover against a recomputation from the
 definition on string ids, a renaming that keeps the order of ids, the
 contract that validation reads fans on every run while a cover reads them
-once, the read-only surface, cover and section, and the readers of a fan at
-a vertex without one or with its rays listed from another ray."""
+once, the read-only surface, cover and section, the readers of a fan at
+a vertex without one or with its rays listed from another ray, and how many
+surfaces and covers the benchmark's set-up, an example base and a verdict
+number."""
 
+import functools
 import json
 import os
 from fractions import Fraction
 
 import pytest
 from conftest import run_cli, tetrahedron
+from test_perfbench_names import inputs
 
-from tropms import generators
+from tropms import complexes, generators
 from tropms.bundle import check
 from tropms.certificate import endomorphism_witness, transport
 from tropms.complexes import (
@@ -352,3 +356,54 @@ def test_verdicts_do_not_depend_on_where_a_fan_starts_its_rays(name, build):
     plain = _fan_readings(name, msec)
     for k in (1, 2):
         assert _fan_readings(name, _rotated(msec, k)) == plain
+
+
+@pytest.fixture
+def numberings(monkeypatch):
+    """How many surfaces and covers are numbered, counted from when the test
+    last cleared the counts."""
+    counts = {"surface": 0, "cover": 0}
+    number_surface, number_cover = complexes._number_surface, BranchedCover._index.func
+
+    def surface(*args):
+        counts["surface"] += 1
+        return number_surface(*args)
+
+    def cover(self):
+        counts["cover"] += 1
+        return number_cover(self)
+
+    monkeypatch.setattr(complexes, "_number_surface", surface)
+    counted = functools.cached_property(cover)
+    counted.__set_name__(BranchedCover, "_index")
+    monkeypatch.setattr(BranchedCover, "_index", counted)
+    return counts
+
+
+def test_the_benchmark_session_set_up_numbers_two_surfaces_per_base(tmp_path, numberings):
+    """Seven sphere bases, each numbered as the primal and as its dual."""
+    inputs.build_cli_session(str(tmp_path), 1)
+    assert numberings["surface"] == 14
+
+
+@pytest.mark.parametrize("build", [generators.cube2_base, generators.simplex5_base,
+                                   generators.rank3_base])
+def test_an_example_base_is_numbered_as_primal_and_dual(numberings, build):
+    build()
+    assert numberings["surface"] == 2
+
+
+@pytest.mark.parametrize("family, n", [("torus2", 8), ("torus3", 9)])
+def test_a_verdict_numbers_one_surface_and_one_cover(tmp_path, numberings, family, n):
+    builder = inputs.build_torus2 if family == "torus2" else inputs.build_torus3
+    manifest = builder(str(tmp_path), n, 1).covers[0][1]["manifest"]
+    numberings.update(surface=0, cover=0)
+    assert run_cli(["validate", "--manifest", manifest]).exit_code == 0
+    assert numberings == {"surface": 1, "cover": 1}
+
+
+def test_validation_numbers_nothing(numberings):
+    base = generators.cube2_base()
+    numberings.update(surface=0)
+    assert validate_surface(base) == ()
+    assert numberings["surface"] == 0
