@@ -209,8 +209,8 @@ def _number_surface(cells: dict[str, Cell], orientation: dict[str, tuple[str, ..
 
 class ReadOnly:
     """An object built whole: assigning or deleting an attribute raises.
-    ``functools.cached_property`` writes the instance dict directly, so the
-    index of a cover and the tables of a section are still computed on their
+    Only a cover and a section rely on functools' cached property, which
+    writes the instance dict directly: their indexes are computed on the
     first query, from fields that cannot change."""
 
     def __setattr__(self, name: str, *_):
