@@ -283,6 +283,9 @@ def validate_cover(cover: BranchedCover) -> tuple[Diagnostic, ...]:
             )
         if computed == trivial and vid in cover.branch_vertices:
             bad("trivial-branch-vertex", f"vertex {vid} is declared branch but unbranched")
+    for vid in sorted(cover.ramification.keys() - x.number[0].keys()):
+        bad("ramification-mismatch",
+            f"vertex {vid}: declared {cover.ramification[vid]}, computed None")
     if not cover.is_connected():
         bad("cover-disconnected", "the total space is disconnected")
     return tuple(diags)

@@ -79,6 +79,9 @@ CASES = {
                       ["edge-matching: matchings must cover exactly the edges of the base"]),
     "branch-not-vertex": ("section", lambda d: d["branch"].append("ghost"),
                           ["branch-not-vertex: branch point ghost is not a vertex"]),
+    "ramification-mismatch": (
+        "section", lambda d: d["ramification"].append({"vertex": "nowhere", "blocks": [[0, 1]]}),
+        ["ramification-mismatch: vertex nowhere: declared ((0, 1),), computed None"]),
     "slope-coverage": (
         "section", lambda d: d["slopes"].append(dict(d["slopes"][0], vertex_lift="ghost#0")),
         ["slope-coverage: slope for unknown key ('ghost#0', 'p000', 0)"]),
