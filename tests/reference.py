@@ -174,3 +174,151 @@ def surface_codes(doc: dict) -> set[str]:
             if corner_of.get(cone["face2"]) != (rays[i]["edge"], rays[j]["edge"]):
                 codes.add("fan-cone-mismatch")
     return codes
+
+
+COVER_DECLARATIONS = frozenset({"lift-mismatch", "ramification-mismatch",
+                                "undeclared-branch-vertex", "trivial-branch-vertex"})
+
+
+def section_codes(doc: dict) -> set[str]:
+    """The codes of the glossary's cover-structure and section-data families
+    that a multisection/v1 document breaks, by the conventions of its
+    "branched cover" entry: edge lift i meets sheet i of the edge's first
+    coface by id and sheet perm[i] of the other; a vertex's first corner
+    leaves along its smallest-id edge, and the corners follow ccw, each the
+    one leaving along the edge the last entered by; a vertex lift is an orbit
+    of (corner, sheet) under crossing the wall a corner enters by, named
+    ``{vertex}#{s}`` for its smallest sheet s at the first corner; and a
+    vertex's ramification is the partition of those sheets into lifts.
+
+    - ``cover-degree``: the degree is below 1.
+    - ``edge-matching``: the matchings are not on exactly the edges of the
+      base, or one is no permutation of the sheets 0..degree-1.
+    - ``branch-not-vertex``: a branch point is no vertex.
+    - ``lift-mismatch``: the document lists lifts, and they are not, vertex
+      by vertex, the computed lifts ordered by their smallest sheet, each as
+      its id and its sheets at the first corner in increasing order.
+    - ``ramification-mismatch``: a vertex's declared partition, each sheet
+      its own block where none is declared, is not the computed one up to
+      order; or a partition is declared for no vertex.
+    - ``undeclared-branch-vertex``, ``trivial-branch-vertex``: a vertex is
+      ramified and not a branch point, or a branch point and unramified.
+    - ``cover-disconnected``: the sheets of the 2-cells, joined across each
+      edge lift, fall into several components.
+    - ``slope-coverage``: the slopes are not given on exactly the (vertex
+      lift, 2-cell, sheet) of the nodes of the lifts.
+    - ``slope-discontinuous``: at a lift over at most two sheets at each
+      corner, across some wall, the vertex has no fan ray on the wall's
+      edge, or the slope jump is no multiple of the quarter-turned ray.
+
+    The checks stop at three points: ``cover-degree`` stops every later
+    check; a fault of the base (``surface_codes``), ``edge-matching`` or
+    ``branch-not-vertex`` stops the checks from ``lift-mismatch`` on; and
+    any cover fault other than the four of a declaration
+    (``COVER_DECLARATIONS``) stops the section-data checks.
+    """
+    degree = doc["degree"]
+    if degree < 1:
+        return {"cover-degree"}
+    base = doc["complex"]
+    dim = {c["id"]: c["dim"] for c in base.get("cells", [])}
+    faces = {c["id"]: c.get("faces", []) for c in base.get("cells", [])}
+    vertices = sorted(c for c, d in dim.items() if d == 0)
+    edges = sorted(c for c, d in dim.items() if d == 1)
+    cells2 = sorted(c for c, d in dim.items() if d == 2)
+    perm = {m["edge"]: m["perm"] for m in doc.get("matchings", [])}
+    codes = set()
+    if sorted(perm) != edges or any(sorted(p) != list(range(degree)) for p in perm.values()):
+        codes.add("edge-matching")
+    if any(v not in vertices for v in doc.get("branch", [])):
+        codes.add("branch-not-vertex")
+    if codes or surface_codes(base):
+        return codes
+
+    cofaces = {e: [] for e in edges}  # each edge's two 2-cells, in id order
+    for f in cells2:
+        for e in faces[f]:
+            cofaces[e].append(f)
+
+    def sheet(e, f, lift):  # the sheet of 2-cell f on one lift of its edge e
+        return lift if f == cofaces[e][0] else perm[e][lift]
+
+    def lift_of(e, f, s):  # the lift of edge e on sheet s of 2-cell f
+        return next(lift for lift in range(degree) if sheet(e, f, lift) == s)
+
+    joining = {frozenset(faces[e]): e for e in edges}  # the last in id order, as above
+    around = {v: {} for v in vertices}  # vertex -> edge out -> (2-cell, edge in)
+    for o in base.get("orientation", []):
+        cyc = o["cycle"]
+        for i, v in enumerate(cyc):
+            out = joining[frozenset((v, cyc[(i + 1) % len(cyc)]))]
+            around[v][out] = (o["face2"], joining[frozenset((cyc[i - 1], v))])
+
+    fans = {fan["vertex"]: {r["edge"]: r["vec"] for r in fan["rays"]}
+            for fan in base.get("fans", [])}
+    computed, nodes, walls = {}, set(), []  # a wall: (vertex, edge, slope keys before and after)
+    for v in vertices:
+        chain = [min(around[v])]
+        while around[v][chain[-1]][1] != chain[0]:
+            chain.append(around[v][chain[-1]][1])
+        corners = [(around[v][out][0], around[v][out][1]) for out in chain]
+        k, seen, computed[v] = len(corners), set(), []
+        for s0 in range(degree):
+            if (0, s0) in seen:
+                continue
+            orbit, (i, s) = [], (0, s0)
+            while (i, s) not in seen:
+                seen.add((i, s))
+                orbit.append((i, s))
+                f, wall = corners[i]
+                i = (i + 1) % k
+                s = sheet(wall, corners[i][0], lift_of(wall, f, s))
+            name = f"{v}#{s0}"
+            computed[v].append((name, sorted(s for i, s in orbit if i == 0)))
+            keys = [(name, corners[i][0], s) for i, s in orbit]
+            nodes.update(keys)
+            if len(orbit) <= 2 * k:  # over at most two sheets at each corner
+                walls += [(v, corners[i][1], keys[n], keys[(n + 1) % len(keys)])
+                          for n, (i, _) in enumerate(orbit)]
+
+    if "lifts" in doc:
+        declared = {e["vertex"]: [(x["id"], list(x["sheets"])) for x in e["lifts"]]
+                    for e in doc["lifts"]}
+        if declared != computed:
+            codes.add("lift-mismatch")
+    ramification = {e["vertex"]: sorted(sorted(b) for b in e["blocks"])
+                    for e in doc.get("ramification", [])}
+    branch = set(doc.get("branch", []))
+    for v in vertices:
+        blocks = [sheets for _, sheets in computed[v]]
+        if ramification.get(v, [[s] for s in range(degree)]) != blocks:
+            codes.add("ramification-mismatch")
+        if len(blocks) < degree and v not in branch:
+            codes.add("undeclared-branch-vertex")
+        if len(blocks) == degree and v in branch:
+            codes.add("trivial-branch-vertex")
+    if any(v not in around for v in ramification):
+        codes.add("ramification-mismatch")
+    component = {(f, s): {(f, s)} for f in cells2 for s in range(degree)}
+    for e, (a, b) in cofaces.items():
+        for lift in range(degree):
+            x, y = component[a, sheet(e, a, lift)], component[b, sheet(e, b, lift)]
+            if x is not y:
+                x |= y
+                for member in y:
+                    component[member] = x
+    if len({id(c) for c in component.values()}) > 1:
+        codes.add("cover-disconnected")
+    if codes - COVER_DECLARATIONS:
+        return codes
+
+    slopes = {(s["vertex_lift"], s["face2"], s["sheet"]): s["slope"]
+              for s in doc.get("slopes", [])}
+    if slopes.keys() != nodes:
+        return codes | {"slope-coverage"}
+    for v, wall, before, after in walls:
+        ray = fans.get(v, {}).get(wall)
+        u, w = slopes[before], slopes[after]
+        if ray is None or _cross((w[0] - u[0], w[1] - u[1]), (-ray[1], ray[0])) != 0:
+            codes.add("slope-discontinuous")
+    return codes

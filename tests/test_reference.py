@@ -1,26 +1,35 @@
-"""Differential tests of the surface validator against the reference in
+"""Differential tests of the validators against the references in
 ``reference.py``, written from the glossary: on every input, the set of codes
-``validate_surface`` reports must equal the set the reference computes.
+``validate_surface`` reports must equal the set ``surface_codes`` computes,
+and the set ``validate_multisection`` reports the union of that and
+``section_codes``.
 
-The inputs are every example base, the surface cases of
+The surface inputs are every example base, the surface cases of
 ``test_input_diagnostics.py``, and schema-preserving edits (``edits.py``) of
-the cube2 and rank3-cube complexes. The edits are derandomized and their
-number is fixed: 300 that still read as a complex are checked, and an edit
-the reader refuses (a duplicated id) is drawn again. Budget: 5 s in all;
-they take about 2 s on a shared 2-vCPU VM.
+the cube2 and rank3-cube complexes. The section inputs are every example
+section, a disconnected cover, the cover and section cases of
+``test_input_diagnostics.py``, the surface cases applied to a section's
+embedded complex, and edits of the cube2, cube-o1 and rank3-cube sections
+that leave their embedded complex as it is. The edits are derandomized and
+their number is fixed: 300 of each kind that still read are checked, and an
+edit the reader refuses (a duplicated id) is drawn again. Budget: 5 s for
+each kind of edit; on a shared 2-vCPU VM the complex edits take about 2 s
+and the section edits about 2.5 s.
 """
 
 import json
 
 import pytest
+from conftest import two_sheet_cover
 from edits import edits
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
-from reference import surface_codes
+from reference import section_codes, surface_codes
 from test_input_diagnostics import CASES
 
 from tropms import generators
 from tropms.complexes import complex_to_text, parse_complex, validate_surface
+from tropms.covers import multisection_to_text, parse_multisection, validate_multisection
 from tropms.schema import Malformed
 
 BASES = {
@@ -83,3 +92,79 @@ def test_reference_agrees_on_edited_complexes():
 
     run()
     assert len(read) >= 300, len(read)
+
+
+# -- the cover-structure and section-data families ------------------------------
+
+SECTIONS = {name: json.loads(multisection_to_text(build()))
+            for name, (build, _) in generators.EXAMPLES.items()}
+
+
+def _section_codes(doc) -> set[str]:
+    return {d.code for d in validate_multisection(parse_multisection(doc))}
+
+
+def _reference(doc) -> set[str]:
+    return surface_codes(doc["complex"]) | section_codes(doc)
+
+
+@pytest.mark.parametrize("name", sorted(SECTIONS))
+def test_reference_passes_every_example_section(name):
+    assert _reference(SECTIONS[name]) == _section_codes(SECTIONS[name]) == set()
+
+
+COVER_CASES = sorted(case for case in CASES if case.startswith(
+    ("cover-", "edge-matching", "branch-", "ramification-", "lift-", "slope-")))
+
+
+@pytest.mark.parametrize("case", COVER_CASES)
+def test_reference_agrees_on_the_cover_and_section_diagnostics(case):
+    doc = json.loads(json.dumps(SECTIONS["cube2"]))
+    CASES[case][1](doc)
+    assert case in section_codes(doc)
+    assert _reference(doc) == _section_codes(doc)
+
+
+@pytest.mark.parametrize("case", SURFACE_CASES)
+def test_reference_agrees_on_sections_over_a_faulty_base(case):
+    doc = json.loads(json.dumps(SECTIONS["cube2"]))
+    CASES[case][1](doc)
+    assert case in surface_codes(doc["complex"])
+    assert _reference(doc) == _section_codes(doc)
+
+
+def test_the_cover_cases_are_those_of_the_two_families():
+    assert COVER_CASES == ["branch-not-vertex", "cover-degree", "edge-matching",
+                           "ramification-mismatch", "slope-coverage"]
+
+
+# the sections without their embedded complex, which every edit leaves as it is
+SECTION_EDITS = {name: edits({k: v for k, v in SECTIONS[name].items() if k != "complex"})
+                 for name in ("cube2", "cube-o1", "rank3-cube")}
+
+
+def test_reference_agrees_on_edited_sections():
+    read = []
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(data=st.data())
+    def run(data):
+        name = data.draw(st.sampled_from(sorted(SECTION_EDITS)))
+        doc, what = data.draw(SECTION_EDITS[name])
+        doc = dict(doc, complex=SECTIONS[name]["complex"])
+        try:
+            msec = parse_multisection(doc)
+        except Malformed:
+            reject()  # a duplicated id or entry: the edit is not counted
+        read.append(what)
+        want = section_codes(doc)  # the embedded complex is valid
+        assert {d.code for d in validate_multisection(msec)} == want, (name, what)
+
+    run()
+    assert len(read) >= 300, len(read)
+
+
+def test_reference_agrees_on_a_disconnected_cover():
+    doc = json.loads(multisection_to_text(two_sheet_cover()))
+    assert _reference(doc) == _section_codes(doc) == {"cover-disconnected"}
