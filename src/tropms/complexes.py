@@ -208,10 +208,8 @@ def _number_surface(cells: dict[str, Cell], orientation: dict[str, tuple[str, ..
 
 
 class ReadOnly:
-    """An object built whole: assigning or deleting an attribute raises.
-    Only a cover and a section rely on functools' cached property, which
-    writes the instance dict directly: their indexes are computed on the
-    first query, from fields that cannot change."""
+    """An object built whole, whose constructor writes its instance dict:
+    assigning or deleting an attribute raises."""
 
     def __setattr__(self, name: str, *_):
         raise AttributeError(f"{type(self).__name__} is read-only: {name} cannot change")

@@ -6,14 +6,13 @@ the first by id), vertex lifts are the orbits of the induced monodromy around
 each vertex, and branching is confined to vertices; ``edge_voltages`` finds
 the matchings of a prescribed monodromy. A multi-section adds one integral
 slope covector per 2-cell lift around each vertex lift, continuous across
-walls at lifts of rank at most two. A cover is numbered on its first query,
-over the numbers of a closed oriented base."""
+walls at lifts of rank at most two. A cover and a section are numbered once,
+as they are built, over the numbers of a closed oriented base, and that pass
+records what keeps them from being one."""
 
 from __future__ import annotations
 
-import functools
 from bisect import bisect_right
-from contextlib import suppress
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -59,7 +58,117 @@ class _CoverIndex(NamedTuple):
     lift_of: tuple[int, ...]  # per node: its vertex lift
     first: tuple[int, ...]  # per vertex and one more: its first lift
     ids: tuple[str, ...]  # per vertex lift: its id
-    rays: tuple[tuple[Vec, Vec] | None, ...]  # per corner: rays of its out and in edge, or no fan
+    rays: tuple[tuple[Vec, Vec] | None, ...]  # per corner: rays of its out and in edge, or None
+    connected: bool  # whether the sheets of the 2-cells, joined across the edge lifts, are one
+
+
+def _number_cover(base: PolyhedralSurface, r: int, matchings: dict[str, tuple[int, ...]],
+                  branch: frozenset[str], ramification: dict[str, Partition],
+                  lifts: dict | None) -> tuple[_CoverIndex | None, tuple[Diagnostic, ...]]:
+    """Number a cover in one pass, and record each cover check that fails in
+    report order. The degree, the matchings and the branch points are
+    checked first; a malformed degree or matching, or a base that is not
+    closed, leaves no index, and a branch point that is no vertex stops the
+    checks of the lifts."""
+    x = base._index
+    V, E = x.ids[0], x.ids[1]
+    diags: list[Diagnostic] = []
+
+    def bad(code: str, msg: str) -> None:
+        diags.append(Diagnostic(code, msg))
+
+    if r < 1:
+        bad("cover-degree", f"degree {r} is not positive")
+        return None, tuple(diags)
+    if matchings.keys() != set(E):
+        bad("edge-matching", "matchings must cover exactly the edges of the base")
+    else:  # nothing is sized by the degree before a matching confirms it
+        wrong = {p for p in set(map(tuple, matchings.values()))
+                 if len(p) != r or sorted(p) != list(range(r))}
+        for eid in E if wrong else ():
+            if tuple(matchings[eid]) in wrong:
+                bad("edge-matching", f"edge {eid}: {matchings[eid]} is not a permutation")
+    for v in sorted(branch - x.number[0].keys()):
+        bad("branch-not-vertex", f"branch point {v} is not a vertex")
+    if x.diagnostics or diags and diags[0].code == "edge-matching":
+        return None, tuple(diags)
+
+    identity = tuple(range(r))
+    pairs: dict[tuple[int, ...], tuple] = {}  # matching -> (both sides, their inverses)
+    matched, inverses = [], []
+    for eid in E:
+        perm = tuple(matchings[eid])
+        if perm not in pairs:
+            pairs[perm] = ((identity, perm), (identity, tuple(map(perm.index, identity))))
+        matched.append(pairs[perm][0])
+        inverses.append(pairs[perm][1])
+    to_lift, sheets = [], []
+    for f, out, inn in x.corners:
+        a, b = x.sides[out].index(f), x.sides[inn].index(f)
+        to_lift.append((inverses[out][a], inverses[inn][b]))
+        sheets.append((matched[out][a], matched[inn][b]))
+    lift_of = [-1] * (len(x.corners) * r)
+    orbits, blocks, first, ids, rays = [], [], [], [], []
+    trivial, mismatched, checks = tuple((s,) for s in identity), {}, []
+    for v, vid in enumerate(V):
+        first.append(len(orbits))
+        c0, c1 = x.first[v], x.first[v + 1]
+        fan = base.fans.get(vid)
+        ray_of = {e: vec for vec, e in fan.rays} if fan else {}
+        for _, out, inn in x.corners[c0:c1]:  # no cone where a ray is missing
+            cone = (ray_of.get(E[out]), ray_of.get(E[inn]))
+            rays.append(None if None in cone else cone)
+        for s0 in identity:
+            if lift_of[c0 * r + s0] >= 0:
+                continue
+            orbit, c, s = [], c0, s0
+            while lift_of[c * r + s] < 0:
+                lift_of[c * r + s] = len(orbits)
+                orbit.append(c * r + s)
+                nxt = c + 1 if c + 1 < c1 else c0
+                c, s = nxt, sheets[nxt][0][to_lift[c][1][s]]
+            if (c, s) != (c0, s0):
+                raise RuntimeError("wall transitions are not bijective")
+            orbits.append(tuple(orbit))
+            blocks.append(tuple(sorted([node - c0 * r for node in orbit[::c1 - c0]])))
+            ids.append(f"{vid}#{s0}")
+        computed = tuple(blocks[first[v]:])
+        if lifts is not None and lifts.get(vid) != tuple(zip(ids[first[v]:], computed)):
+            mismatched[vid] = tuple(zip(ids[first[v]:], computed))
+        declared = ramification.get(vid, trivial)
+        if declared != computed and _canon_partition(declared) != computed:
+            checks.append(Diagnostic("ramification-mismatch",
+                                     f"vertex {vid}: declared {declared}, computed {computed}"))
+        if computed != trivial and vid not in branch:
+            checks.append(Diagnostic("undeclared-branch-vertex",
+                                     f"vertex {vid} has nontrivial monodromy {computed}"))
+        if computed == trivial and vid in branch:
+            checks.append(Diagnostic("trivial-branch-vertex",
+                                     f"vertex {vid} is declared branch but unbranched"))
+    first.append(len(orbits))
+    parent = list(range(len(x.ids[2]) * r))  # sheet s of 2-cell f is f * r + s
+    for (f, g), (_, perm) in zip(x.sides, matched):  # lift i meets sheet i of f, perm[i] of g
+        for i, j in enumerate(perm):
+            a, b = f * r + i, g * r + j
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]  # halve the path as it is walked
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            parent[a] = b
+    connected = sum(a == p for a, p in enumerate(parent)) == 1
+    if not diags:  # every branch point is a vertex
+        for vid in sorted([*mismatched, *(lifts or {}).keys() - x.number[0].keys()]):
+            bad("lift-mismatch",
+                f"vertex {vid}: declared lifts {lifts.get(vid)}, computed {mismatched.get(vid)}")
+        diags += checks
+        for vid in sorted(ramification.keys() - x.number[0].keys()):
+            bad("ramification-mismatch",
+                f"vertex {vid}: declared {ramification[vid]}, computed None")
+        if not connected:
+            bad("cover-disconnected", "the total space is disconnected")
+    return _CoverIndex(tuple(to_lift), tuple(sheets), tuple(orbits), tuple(blocks),
+                       tuple(lift_of), tuple(first), tuple(ids), tuple(rays),
+                       connected), tuple(diags)
 
 
 class BranchedCover(ReadOnly):
@@ -71,69 +180,28 @@ class BranchedCover(ReadOnly):
     vertex's lifts as (lift id, sheets at corner position 0), or None when
     the input declares no lifts.
 
-    The lifts are numbered once, on the first query, from the base's topology
-    (a base that is not closed and oriented raises its first diagnostic), and
-    the fans are read into the cone of each corner: a fan replaced later is
-    seen by validation only."""
+    The lifts are numbered once, as the cover is built, and the cover checks
+    that fail are kept in ``diagnostics``. A cover with a malformed degree or
+    matching, or over a base that is not closed and oriented, has no
+    numbering to query. The fans are read into the cone of each corner: a
+    fan replaced after the cover is built is seen by validation only."""
 
     def __init__(self, base: PolyhedralSurface, degree: int,
                  edge_matchings: dict[str, tuple[int, ...]], branch_vertices: frozenset[str],
                  ramification: dict[str, Partition] | None = None,
                  lifts: dict[str, tuple[tuple[str, tuple[int, ...]], ...]] | None = None):
+        matchings, branch = dict(edge_matchings), frozenset(branch_vertices)
+        ram, lifts = dict(ramification or {}), None if lifts is None else dict(lifts)
+        index, diags = _number_cover(base, degree, matchings, branch, ram, lifts)
         self.__dict__.update(
-            base=base, degree=degree, edge_matchings=MappingProxyType(dict(edge_matchings)),
-            branch_vertices=frozenset(branch_vertices),
-            ramification=MappingProxyType(dict(ramification or {})),
-            lifts=None if lifts is None else MappingProxyType(dict(lifts)))
-
-    @functools.cached_property
-    def _index(self) -> _CoverIndex:
-        x, r = self.base._index.closed(), self.degree
-        E = x.ids[1]
-        identity = tuple(range(r))
-        pairs: dict[tuple[int, ...], tuple] = {}  # matching -> (both sides, their inverses)
-        matchings, inverses = [], []
-        for eid in E:
-            perm = tuple(self.edge_matchings[eid])
-            if perm not in pairs:
-                pairs[perm] = ((identity, perm), (identity, tuple(map(perm.index, identity))))
-            matchings.append(pairs[perm][0])
-            inverses.append(pairs[perm][1])
-        lifts, sheets = [], []
-        for f, out, inn in x.corners:
-            a, b = x.sides[out].index(f), x.sides[inn].index(f)
-            lifts.append((inverses[out][a], inverses[inn][b]))
-            sheets.append((matchings[out][a], matchings[inn][b]))
-        lift_of = [-1] * (len(x.corners) * r)
-        orbits, blocks, first, ids, rays = [], [], [], [], []
-        for v, vid in enumerate(x.ids[0]):
-            first.append(len(orbits))
-            c0, c1 = x.first[v], x.first[v + 1]
-            fan = self.base.fans.get(vid)
-            ray_of = {e: vec for vec, e in fan.rays} if fan else {}
-            rays += [(ray_of.get(E[out]), ray_of.get(E[inn])) if fan else None
-                     for _, out, inn in x.corners[c0:c1]]
-            for s0 in range(r) if c1 > c0 else ():
-                if lift_of[c0 * r + s0] >= 0:
-                    continue
-                orbit, c, s = [], c0, s0
-                while lift_of[c * r + s] < 0:
-                    lift_of[c * r + s] = len(orbits)
-                    orbit.append(c * r + s)
-                    nxt = c + 1 if c + 1 < c1 else c0
-                    c, s = nxt, sheets[nxt][0][lifts[c][1][s]]
-                if (c, s) != (c0, s0):
-                    raise RuntimeError("wall transitions are not bijective")
-                orbits.append(tuple(orbit))
-                blocks.append(tuple(sorted([node - c0 * r for node in orbit[::c1 - c0]])))
-                ids.append(f"{vid}#{s0}")
-        first.append(len(orbits))
-        return _CoverIndex(tuple(lifts), tuple(sheets), tuple(orbits),
-                           tuple(blocks), tuple(lift_of), tuple(first), tuple(ids), tuple(rays))
+            base=base, degree=degree, edge_matchings=MappingProxyType(matchings),
+            branch_vertices=branch, ramification=MappingProxyType(ram),
+            lifts=None if lifts is None else MappingProxyType(lifts), diagnostics=diags,
+            **({} if index is None else {"_index": index}))
 
     def cone(self, c: int) -> tuple[Vec, Vec]:
         """The rays of the outgoing and incoming edge of corner ``c``, or
-        raise where its vertex has no fan."""
+        raise where its vertex has no fan with both."""
         rays = self._index.rays[c]
         if rays is None:
             x = self.base._index
@@ -177,118 +245,61 @@ class BranchedCover(ReadOnly):
     def is_connected(self) -> bool:
         """Whether the sheets of the 2-cells, joined across every edge lift,
         form one component."""
-        x, cx, r = self.base._index, self._index, self.degree
-        parent = list(range(len(x.ids[2]) * r))  # sheet s of 2-cell f is f * r + s
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for c, d in x.walls:  # the walls after corner c and d carry the edge
-            for sc, sd in zip(cx.sheets[c][1], cx.sheets[d][1]):  # the sheets of one edge lift
-                ra, rb = find(x.corners[c][0] * r + sc), find(x.corners[d][0] * r + sd)
-                if ra != rb:
-                    parent[ra] = rb
-        return len({find(a) for a in range(len(parent))}) == 1
+        return self._index.connected
 
 
 class MultiSection(ReadOnly):
     """Slopes of a section over a branched cover, a read-only copy of what it
-    is built from: they are read into a table by node once, and the kinks
-    into another."""
+    is built from. Over a numbered cover they are read once, as the section
+    is built, into a table by node, and, where they are given at exactly the
+    nodes, the kinks into another; the slope checks that fail are kept in
+    ``diagnostics``."""
 
     def __init__(self, cover: BranchedCover, slopes: dict[SlopeKey, Vec], label: str = ""):
-        self.__dict__.update(cover=cover, slopes=MappingProxyType(dict(slopes)), label=label)
-
-    @functools.cached_property
-    def _slope_at(self) -> tuple[Vec | None, ...]:
-        """The slope at every node of the cover, None where none is given."""
-        x, cx, r = self.cover.base._index, self.cover._index, self.cover.degree
-        F, ids, get = x.ids[2], cx.ids, self.slopes.get
-        return tuple([get((ids[cx.lift_of[c * r + s]], F[f], s))
-                      for c, (f, _, _) in enumerate(x.corners) for s in range(r)])
-
-    @functools.cached_property
-    def kinks(self) -> tuple[int | None, ...]:
-        """Kink across the wall after each node of every lift of rank at most
-        two, by node; None at other lifts, and at a wall with no kink, where
-        the slope jump is no multiple of the turned wall."""
-        x, cx = self.cover.base._index, self.cover._index
-        out: list[int | None] = [None] * len(cx.lift_of)
-        for v in range(len(x.ids[0])):
-            for lift in range(cx.first[v], cx.first[v + 1]):
-                cyc = cx.orbits[lift]
-                if len(cyc) > 2 * (x.first[v + 1] - x.first[v]):
-                    continue
-                for t in range(len(cyc)):
-                    with suppress(ValueError):
-                        out[cyc[t]] = _kink(self, cyc, t)
-        return tuple(out)
+        slopes = dict(slopes)
+        self.__dict__.update(cover=cover, slopes=MappingProxyType(slopes), label=label,
+                             diagnostics=())
+        if "_index" not in vars(cover):
+            return
+        x, cx, r = cover.base._index, cover._index, cover.degree
+        F, ids, get = x.ids[2], cx.ids, slopes.get
+        slope_at = self.__dict__["_slope_at"] = tuple([  # None where no slope is given
+            get((ids[cx.lift_of[c * r + s]], F[f], s))
+            for c, (f, _, _) in enumerate(x.corners) for s in range(r)])
+        kinks: list[int | None] = [None] * len(slope_at)  # None also where a lift has none
+        diags = []
+        if None in slope_at or len(slopes) != len(slope_at):
+            expected = {(ids[cx.lift_of[c * r + s]], F[f], s)
+                        for c, (f, _, _) in enumerate(x.corners) for s in range(r)}
+            diags = [Diagnostic("slope-coverage", f"missing slope for {key}")
+                     for key in sorted(expected - slopes.keys())]
+            diags += [Diagnostic("slope-coverage", f"slope for unknown key {key}")
+                      for key in sorted(slopes.keys() - expected)]
+        else:  # the kinks across every wall of each lift of rank at most two
+            for v in range(len(x.ids[0])):
+                rank2 = 2 * (x.first[v + 1] - x.first[v])  # the nodes of a lift of rank two
+                for lift in range(cx.first[v], cx.first[v + 1]):
+                    cyc, flaw = cx.orbits[lift], None
+                    for t in range(len(cyc)) if len(cyc) <= rank2 else ():
+                        try:
+                            kinks[cyc[t]] = _kink(self, cyc, t)
+                        except ValueError as exc:
+                            flaw = flaw or exc
+                    if flaw:
+                        diags.append(Diagnostic("slope-discontinuous",
+                                                f"lift {ids[lift]}: {flaw}"))
+        self.__dict__.update(kinks=tuple(kinks), diagnostics=tuple(diags))
 
 
 def validate_cover(cover: BranchedCover) -> tuple[Diagnostic, ...]:
     """Base validity, matching shape, and declared-versus-computed branching;
-    the diagnostics of what fails."""
-    base_diags = validate_surface(cover.base)
-    diags = list(base_diags)
-
-    def bad(code, msg):
-        diags.append(Diagnostic(code, msg))
-
-    if cover.degree < 1:
-        bad("cover-degree", f"degree {cover.degree} is not positive")
-        return tuple(diags)
-    x = cover.base._index
-    V = x.ids[0]
-    if cover.edge_matchings.keys() != set(x.ids[1]):
-        bad(
-            "edge-matching",
-            "matchings must cover exactly the edges of the base",
-        )
-    else:
-        for eid in x.ids[1]:  # nothing is sized by the degree before a matching confirms it
-            perm = cover.edge_matchings[eid]
-            if len(perm) != cover.degree or sorted(perm) != list(range(len(perm))):
-                bad("edge-matching", f"edge {eid}: {perm} is not a permutation")
-    for v in sorted(cover.branch_vertices):
-        if v not in x.number[0]:
-            bad("branch-not-vertex", f"branch point {v} is not a vertex")
-    if base_diags or any(d.code in ("edge-matching", "branch-not-vertex") for d in diags):
-        return tuple(diags)
-
-    trivial = tuple((s,) for s in range(cover.degree))
-    first, blocks = cover._index.first, cover._index.blocks
-    if cover.lifts is not None:
-        computed = {vid: cover.computed_lifts(vid) for vid in V}
-        if computed != cover.lifts:
-            for v in sorted(set(cover.lifts) | set(computed)):
-                declared, actual = cover.lifts.get(v), computed.get(v)
-                if declared != actual:
-                    bad("lift-mismatch",
-                        f"vertex {v}: declared lifts {declared}, computed {actual}")
-    for v, vid in enumerate(V):
-        computed = blocks[first[v]:first[v + 1]]
-        declared = cover.ramification.get(vid, trivial)
-        if declared != computed and _canon_partition(declared) != computed:
-            bad(
-                "ramification-mismatch",
-                f"vertex {vid}: declared {declared}, computed {computed}",
-            )
-        if computed != trivial and vid not in cover.branch_vertices:
-            bad(
-                "undeclared-branch-vertex",
-                f"vertex {vid} has nontrivial monodromy {computed}",
-            )
-        if computed == trivial and vid in cover.branch_vertices:
-            bad("trivial-branch-vertex", f"vertex {vid} is declared branch but unbranched")
-    for vid in sorted(cover.ramification.keys() - x.number[0].keys()):
-        bad("ramification-mismatch",
-            f"vertex {vid}: declared {cover.ramification[vid]}, computed None")
-    if not cover.is_connected():
-        bad("cover-disconnected", "the total space is disconnected")
-    return tuple(diags)
+    the diagnostics of what fails. A fault of the base stops the checks of
+    the lifts."""
+    base = validate_surface(cover.base)
+    if not base:
+        return cover.diagnostics
+    shape = ("cover-degree", "edge-matching", "branch-not-vertex")
+    return base + tuple(d for d in cover.diagnostics if d.code in shape)
 
 
 def _kink(msec: MultiSection, cyc, t: int) -> int:
@@ -308,46 +319,14 @@ def _kink(msec: MultiSection, cyc, t: int) -> int:
 def validate_multisection(msec: MultiSection) -> tuple[Diagnostic, ...]:
     """Cover validity plus slope coverage and continuity at lifts of rank
     at most two, as diagnostics. Lifts of higher rank carry raw chart data
-    and are exempt from the continuity check."""
-    diags = list(validate_cover(msec.cover))
-    declaration_only = {
-        "lift-mismatch",
-        "ramification-mismatch",
-        "undeclared-branch-vertex",
-        "trivial-branch-vertex",
-    }
-    if any(d.code not in declaration_only for d in diags):
-        return tuple(diags)
-
-    def bad(code, msg):
-        diags.append(Diagnostic(code, msg))
-
-    cover = msec.cover
-    x, cx, r = cover.base._index, cover._index, cover.degree
-    if None in msec._slope_at or len(msec.slopes) != len(msec._slope_at):
-        expected: set[SlopeKey] = {
-            (cx.ids[cx.lift_of[c * r + s]], x.ids[2][f], s)
-            for c, (f, _, _) in enumerate(x.corners) for s in range(r)
-        }
-        for key in sorted(expected - set(msec.slopes)):
-            bad("slope-coverage", f"missing slope for {key}")
-        for key in sorted(set(msec.slopes) - expected):
-            bad("slope-coverage", f"slope for unknown key {key}")
-        return tuple(diags)
-
-    kinks = msec.kinks
-    for v in range(len(x.ids[0])):
-        for lift in range(cx.first[v], cx.first[v + 1]):
-            cyc = cx.orbits[lift]
-            if len(cyc) > 2 * (x.first[v + 1] - x.first[v]):
-                continue
-            at = [kinks[node] for node in cyc]
-            if None in at:
-                try:
-                    _kink(msec, cyc, at.index(None))  # raises at the first wall with no kink
-                except ValueError as exc:
-                    bad("slope-discontinuous", f"lift {cx.ids[lift]}: {exc}")
-    return tuple(diags)
+    and are exempt from the continuity check. A cover fault other than one
+    of a declaration stops the checks of the slopes."""
+    diags = validate_cover(msec.cover)
+    declarations = ("lift-mismatch", "ramification-mismatch", "undeclared-branch-vertex",
+                    "trivial-branch-vertex")
+    if any(d.code not in declarations for d in diags):
+        return diags
+    return diags + msec.diagnostics
 
 
 class ClassTag(NamedTuple):

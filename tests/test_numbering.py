@@ -6,7 +6,6 @@ a vertex without one or with its rays listed from another ray, and how many
 surfaces and covers the benchmark's set-up, an example base and a verdict
 number."""
 
-import functools
 import json
 import os
 from fractions import Fraction
@@ -15,7 +14,7 @@ import pytest
 from conftest import run_cli, tetrahedron
 from test_perfbench_names import inputs
 
-from tropms import complexes, generators
+from tropms import complexes, covers, generators
 from tropms.bundle import check
 from tropms.certificate import endomorphism_witness, transport
 from tropms.complexes import (
@@ -363,20 +362,18 @@ def numberings(monkeypatch):
     """How many surfaces and covers are numbered, counted from when the test
     last cleared the counts."""
     counts = {"surface": 0, "cover": 0}
-    number_surface, number_cover = complexes._number_surface, BranchedCover._index.func
+    number_surface, number_cover = complexes._number_surface, covers._number_cover
 
     def surface(*args):
         counts["surface"] += 1
         return number_surface(*args)
 
-    def cover(self):
+    def cover(*args):
         counts["cover"] += 1
-        return number_cover(self)
+        return number_cover(*args)
 
     monkeypatch.setattr(complexes, "_number_surface", surface)
-    counted = functools.cached_property(cover)
-    counted.__set_name__(BranchedCover, "_index")
-    monkeypatch.setattr(BranchedCover, "_index", counted)
+    monkeypatch.setattr(covers, "_number_cover", cover)
     return counts
 
 
