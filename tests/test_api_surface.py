@@ -4,7 +4,8 @@ Every top-level function and class of ``src/tropms``, and every method of a
 top-level class other than the dunders, must be referenced from ``src/``,
 ``demos/`` or ``perfbench/``: by name, as an attribute, in an import, or as a
 string constant equal to its name. A name that only the tests reach belongs
-in ``tests/``. The package also holds no ``assert`` statement.
+in ``tests/``. The package also holds no ``assert`` statement, and its
+modules hold at most 4550 lines in all.
 """
 
 import ast
@@ -68,3 +69,9 @@ def test_no_assert_statement_in_the_package():
              for path, tree in _trees("src/tropms")
              for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == [], f"assert statements in src/tropms: {found}"
+
+
+def test_the_package_stays_within_its_line_bound():
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines())
+                for path in PACKAGE.glob("*.py"))
+    assert lines <= 4550, f"src/tropms has {lines} lines, above the bound of 4550"

@@ -399,8 +399,16 @@ def test_a_verdict_numbers_one_surface_and_one_cover(tmp_path, numberings, famil
     assert numberings == {"surface": 1, "cover": 1}
 
 
-def test_validation_numbers_nothing(numberings):
+def test_validation_numbers_nothing(numberings, monkeypatch):
+    """Validation reads what a surface, a cover and a section recorded when
+    they were built: it numbers nothing and computes no kink."""
     base = generators.cube2_base()
     numberings.update(surface=0)
     assert validate_surface(base) == ()
     assert numberings["surface"] == 0
+    msec = cube2_multisection()
+    kinks = []
+    monkeypatch.setattr(covers, "_kink", lambda *args: kinks.append(args))
+    numberings.update(surface=0, cover=0)
+    assert validate_cover(msec.cover) == validate_multisection(msec) == ()
+    assert numberings == {"surface": 0, "cover": 0} and kinks == []
