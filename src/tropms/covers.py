@@ -90,7 +90,7 @@ def _number_cover(base: PolyhedralSurface, r: int, matchings: dict[str, tuple[in
                 bad("edge-matching", f"edge {eid}: {matchings[eid]} is not a permutation")
     for v in sorted(branch - x.number[0].keys()):
         bad("branch-not-vertex", f"branch point {v} is not a vertex")
-    if x.diagnostics or diags and diags[0].code == "edge-matching":
+    if x.diagnostics or any(d.code == "edge-matching" for d in diags):
         return None, tuple(diags)
 
     identity = tuple(range(r))
@@ -121,20 +121,21 @@ def _number_cover(base: PolyhedralSurface, r: int, matchings: dict[str, tuple[in
         for s0 in identity:
             if lift_of[c0 * r + s0] >= 0:
                 continue
-            orbit, c, s = [], c0, s0
-            while lift_of[c * r + s] < 0:
-                lift_of[c * r + s] = len(orbits)
-                orbit.append(c * r + s)
+            orbit, c, s, node, lift = [], c0, s0, c0 * r + s0, len(orbits)
+            while lift_of[node] < 0:
+                lift_of[node] = lift
+                orbit.append(node)
                 nxt = c + 1 if c + 1 < c1 else c0
                 c, s = nxt, sheets[nxt][0][to_lift[c][1][s]]
+                node = c * r + s
             if (c, s) != (c0, s0):
                 raise RuntimeError("wall transitions are not bijective")
             orbits.append(tuple(orbit))
             blocks.append(tuple(sorted([node - c0 * r for node in orbit[::c1 - c0]])))
             ids.append(f"{vid}#{s0}")
         computed = tuple(blocks[first[v]:])
-        if lifts is not None and lifts.get(vid) != tuple(zip(ids[first[v]:], computed)):
-            mismatched[vid] = tuple(zip(ids[first[v]:], computed))
+        if lifts is not None and lifts.get(vid) != (mine := tuple(zip(ids[first[v]:], computed))):
+            mismatched[vid] = mine
         declared = ramification.get(vid, trivial)
         if declared != computed and _canon_partition(declared) != computed:
             checks.append(Diagnostic("ramification-mismatch",
@@ -196,12 +197,13 @@ class BranchedCover(ReadOnly):
         self.__dict__.update(
             base=base, degree=degree, edge_matchings=MappingProxyType(matchings),
             branch_vertices=branch, ramification=MappingProxyType(ram),
-            lifts=None if lifts is None else MappingProxyType(lifts), diagnostics=diags,
-            **({} if index is None else {"_index": index}))
+            lifts=None if lifts is None else MappingProxyType(lifts), diagnostics=diags)
+        if index is not None:
+            self.__dict__["_index"] = index
 
     def cone(self, c: int) -> tuple[Vec, Vec]:
         """The rays of the outgoing and incoming edge of corner ``c``, or
-        raise where its vertex has no fan with both."""
+        raise where its vertex has no fan with a ray on both."""
         rays = self._index.rays[c]
         if rays is None:
             x = self.base._index
@@ -262,22 +264,21 @@ class MultiSection(ReadOnly):
         if "_index" not in vars(cover):
             return
         x, cx, r = cover.base._index, cover._index, cover.degree
-        F, ids, get = x.ids[2], cx.ids, slopes.get
-        slope_at = self.__dict__["_slope_at"] = tuple([  # None where no slope is given
-            get((ids[cx.lift_of[c * r + s]], F[f], s))
-            for c, (f, _, _) in enumerate(x.corners) for s in range(r)])
-        kinks: list[int | None] = [None] * len(slope_at)  # None also where a lift has none
+        F, ids = x.ids[2], cx.ids
+        keys = [(ids[cx.lift_of[c * r + s]], F[f], s)  # by node
+                for c, (f, _, _) in enumerate(x.corners) for s in range(r)]
+        slope_at = self.__dict__["_slope_at"] = tuple(map(slopes.get, keys))  # None: not given
+        kinks: list[int | None] = [None] * len(slope_at)  # None: no lift of rank two, or no kink
         diags = []
         if None in slope_at or len(slopes) != len(slope_at):
-            expected = {(ids[cx.lift_of[c * r + s]], F[f], s)
-                        for c, (f, _, _) in enumerate(x.corners) for s in range(r)}
+            expected = set(keys)
             diags = [Diagnostic("slope-coverage", f"missing slope for {key}")
                      for key in sorted(expected - slopes.keys())]
             diags += [Diagnostic("slope-coverage", f"slope for unknown key {key}")
                       for key in sorted(slopes.keys() - expected)]
         else:  # the kinks across every wall of each lift of rank at most two
             for v in range(len(x.ids[0])):
-                rank2 = 2 * (x.first[v + 1] - x.first[v])  # the nodes of a lift of rank two
+                rank2 = 2 * (x.first[v + 1] - x.first[v])  # nodes in a lift of rank two
                 for lift in range(cx.first[v], cx.first[v + 1]):
                     cyc, flaw = cx.orbits[lift], None
                     for t in range(len(cyc)) if len(cyc) <= rank2 else ():
