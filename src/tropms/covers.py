@@ -45,11 +45,11 @@ def face_lift_id(fid: str, sheet: int) -> str:
 
 
 class _CoverIndex(NamedTuple):
-    """The sheets of a cover numbered once over the numbers of its base. Node
-    ``c * degree + s`` is sheet s at corner c; the vertex lifts are numbered
-    vertex by vertex, those of one vertex by their smallest sheet at its first
-    corner, and each lift's orbit starts there and crosses the walls ccw. The
-    fans are read here once, as the cone of each corner."""
+    """The sheets of a cover, numbered as it is built over the numbers of its
+    base. Node ``c * degree + s`` is sheet s at corner c; the vertex lifts are
+    numbered vertex by vertex, those of one vertex by their smallest sheet at
+    its first corner, and each lift's orbit starts there and crosses the walls
+    ccw. The fans are read here once, as the cone of each corner."""
 
     lifts: tuple[tuple[tuple[int, ...], ...], ...]  # per corner, out and in edge: sheet -> lift
     sheets: tuple[tuple[tuple[int, ...], ...], ...]  # per corner, out and in edge: lift -> sheet

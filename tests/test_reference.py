@@ -7,14 +7,15 @@ and the set ``validate_multisection`` reports the union of that and
 The surface inputs are every example base, the surface cases of
 ``test_input_diagnostics.py``, and schema-preserving edits (``edits.py``) of
 the cube2 and rank3-cube complexes. The section inputs are every example
-section, a disconnected cover, the cover and section cases of
-``test_input_diagnostics.py``, the surface cases applied to a section's
-embedded complex, and edits of the cube2, cube-o1 and rank3-cube sections
-that leave their embedded complex as it is. The edits are derandomized and
-their number is fixed: 300 of each kind that still read are checked, and an
-edit the reader refuses (a duplicated id) is drawn again. Budget: 5 s for
-each kind of edit; on a shared 2-vCPU VM the complex edits take about 2 s
-and the section edits about 2.5 s.
+section, the cover and section cases of ``test_input_diagnostics.py``, the
+surface cases applied to a section's embedded complex, a disconnected cover
+and an unramified branch point, which no other case reaches, and edits of
+the cube2, cube-o1 and rank3-cube sections that leave their embedded
+complex as it is. The edits are derandomized and their number is fixed:
+300 of each kind that still read are checked, and an edit the reader
+refuses (a duplicated id) is drawn again. Budget: 5 s for
+each kind of edit; under ``-X dev`` on a shared 2-vCPU VM the complex edits
+take about 1.5 s and the section edits about 3 s.
 """
 
 import json
@@ -165,6 +166,22 @@ def test_reference_agrees_on_edited_sections():
     assert len(read) >= 300, len(read)
 
 
-def test_reference_agrees_on_a_disconnected_cover():
-    doc = json.loads(multisection_to_text(two_sheet_cover()))
-    assert _reference(doc) == _section_codes(doc) == {"cover-disconnected"}
+def _unramified_branch_point():
+    """cube-o1 with one of its unramified vertices declared a branch point."""
+    doc = json.loads(json.dumps(SECTIONS["cube-o1"]))
+    vertices = sorted(c["id"] for c in doc["complex"]["cells"] if c["dim"] == 0)
+    doc["branch"].append(next(v for v in vertices if v not in doc["branch"]))
+    return doc
+
+
+# codes that no case above reaches, each on an input that breaks it alone
+FIXED = {
+    "cover-disconnected": lambda: json.loads(multisection_to_text(two_sheet_cover())),
+    "trivial-branch-vertex": _unramified_branch_point,
+}
+
+
+@pytest.mark.parametrize("code", sorted(FIXED))
+def test_reference_agrees_where_the_edits_do_not_reach(code):
+    doc = FIXED[code]()
+    assert _reference(doc) == _section_codes(doc) == {code}
