@@ -247,7 +247,7 @@ _COMMANDS = {
     "obstruction": (_obstruction, [
         ("--complex", _REQUIRED), ("--section", _REQUIRED), ("--gluing", _REQUIRED),
         ("--k", {"dest": "overrides", "action": "append", "help":
-                 "Replace a splitting entry, e.g. --k 'p001#0,ep001p003#0=3/4'; "
+                 "Replace a splitting entry, e.g. --k 'fx0.00a#0,ep000p001~1=3/4'; "
                  "the overridden table is rechecked against the cocycle."})]),
     "simplicity": (_simplicity, [
         ("--section", _REQUIRED), ("--gluing", {}),

@@ -14,6 +14,7 @@ import pytest
 from conftest import run_cli, triangulated_torus
 
 import tropms
+from tropms.cli import _COMMANDS
 from tropms.complexes import complex_to_text, validate_surface
 from tropms.covers import multisection_to_text
 from tropms.generators import (
@@ -601,6 +602,21 @@ def test_obstruction_override_unknown_entry(workdir):
     assert res.exit_code == EXIT_INVALID
     res = _obstruction(workdir, "--k", "malformed")
     assert res.exit_code == EXIT_INVALID
+
+
+def test_obstruction_help_example_runs_as_written(workdir):
+    """The --k example in the obstruction help names a real splitting entry."""
+    help_text = dict(_COMMANDS["obstruction"][1])["--k"]["help"]
+    override = re.search(r"--k '([^']+)'", help_text)[1]
+    res = invoke(
+        "obstruction",
+        "--complex", workdir / "cube2.complex.json",
+        "--section", workdir / "cube2.section.json",
+        "--gluing", workdir / "cube2.gluing.json",
+        "--k", override,
+    )
+    assert res.exit_code == EXIT_OK, res.output
+    assert "consistent" in json.loads(res.stdout)
 
 
 @pytest.mark.parametrize(
