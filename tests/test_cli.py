@@ -280,6 +280,35 @@ def test_file_that_is_not_json_text_is_named(workdir, tmp_path, kind, damage):
         assert message.startswith(f"{bad.name}: ")
 
 
+# Edits of cube2's complex file that keep it JSON-equal to the complex its
+# section embeds, assertion flags aside: (JSON path, new value, the fault).
+EQUAL_BUT_MALFORMED = {
+    "dim-float": (("cells", 0, "dim"), 0.0, "cells[0].dim must be an integer, got 0.0"),
+    "dim-false": (("cells", 0, "dim"), False, "cells[0].dim must be an integer, got False"),
+    "asserted-int": (("asserted",), {"regular": 1}, "asserted.regular must be boolean, got 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EQUAL_BUT_MALFORMED))
+def test_complex_file_equal_to_the_embedded_one_is_type_checked(workdir, tmp_path, case):
+    """A named complex file whose values equal the embedded complex's, but
+    not in their JSON types, is refused as malformed."""
+    path, value, fault = EQUAL_BUT_MALFORMED[case]
+    data = json.loads((workdir / "cube2.complex.json").read_text())
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    (tmp_path / "edited.complex.json").write_text(json.dumps(data))
+    m = Manifest("edited.complex.json", str(workdir / "cube2.section.json"), None, {},
+                 root=str(tmp_path))
+    (tmp_path / "edited.manifest.json").write_text(manifest_to_text(m))
+    res = invoke("validate", "--manifest", tmp_path / "edited.manifest.json")
+    assert res.exit_code == EXIT_INVALID
+    (rec,) = json.loads(res.stdout)["checks"]
+    assert rec["witnesses"] == [f"malformed complex (TypeError: edited.complex.json: {fault})"]
+
+
 def _edited_cube2(workdir, tmp_path, edit):
     """Copy the cube2 files into tmp_path, passing each parsed document
     through ``edit(kind, data)``, with a manifest naming all three."""
