@@ -1,9 +1,11 @@
 """The checked input of every command, read and validated once where it enters.
 
 ``check`` is the only code that validates a section and its gluing data, and
-``load`` the only code that reads section, complex and gluing files, each
-through ``schema.read``. Whatever reads a ``Bundle`` expects it valid and
-does not check again.
+``load`` the only code that reads complex, section and gluing files, each
+once, through ``schema.from_file``. A named complex file is checked as a
+complex and compared with the section's base by its tables, without being
+built into a surface. Whatever reads a ``Bundle`` expects it valid and does
+not check again.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import schema
-from .complexes import Diagnostic, canonical, parse_complex
+from .complexes import Diagnostic, canonical, read_complex
 from .covers import MultiSection, parse_multisection, validate_multisection
 
 if TYPE_CHECKING:  # gluing is loaded only when gluing data is given
@@ -60,37 +62,24 @@ def check(msec: MultiSection, gluing: GluingData | None = None, flags=frozenset(
     return Bundle(msec, gluing, bar, frozenset(flags))
 
 
-def _structural_json(data):
-    """A complex document without its assertion flags; anything else as is."""
-    if isinstance(data, dict):
-        return {key: value for key, value in data.items() if key != "asserted"}
-    return data
-
-
 def load(section_path: str, gluing_path: str | None = None, complex_path: str | None = None,
          assertions: dict[str, bool] | None = None) -> Bundle:
-    """Read, parse and check a section file and the gluing and complex files
-    when named. The section must be built over the named complex, which is
-    parsed, and compared with the section's base, only when its document
-    differs from the one the section embeds.
+    """Read, parse and check the complex file when named, the section file,
+    and the gluing file when named, in that order, each in one walk. The
+    section must be built over the named complex: its base has the same
+    cells, fans and boundary cycles, or the same canonical forms of them.
     A flag holds when ``assertions`` say so, or when they are silent on it
     and the embedded complex asserts it."""
-    named = None if complex_path is None else schema.read(complex_path)
-    data = schema.read(section_path)
-    embedded = data.get("complex") if isinstance(data, dict) else None
-    same = complex_path is None or (
-        isinstance(named, dict) and _structural_json(named) == _structural_json(embedded)
-    )
-    surface = None if same else schema.from_file(complex_path, parse_complex, named)
-    if same and named is not None:  # equal values may differ in JSON type (1 == 1.0 == true)
-        schema.from_file(complex_path, lambda d: schema.COMPLEX.parse(d, lambda *_: None), named)
-    msec = schema.from_file(section_path, parse_multisection, data)
-    if not same and canonical(surface) != canonical(msec.cover.base):
+    named = None if complex_path is None else schema.from_file(complex_path, read_complex)
+    msec = schema.from_file(section_path, parse_multisection)
+    base = msec.cover.base
+    ours = (base.cells, base.fans, base.orientation)
+    if named is not None and named[:3] != ours and canonical(*named[:3]) != canonical(*ours):
         raise ValueError("section is not built over the complex named alongside it")
     gluing = None
     if gluing_path is not None:
         from .gluing import parse_gluing
 
         gluing = schema.from_file(gluing_path, parse_gluing)
-    flags = msec.cover.base.asserted | (assertions or {})
+    flags = base.asserted | (assertions or {})
     return check(msec, gluing, (flag for flag, holds in flags.items() if holds))

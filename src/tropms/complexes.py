@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 from types import MappingProxyType
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import schema
 from .lattice import Vec, fan_flaw
@@ -404,16 +404,18 @@ def surface_from_cycles(
 
 
 def parse_complex(data: dict) -> PolyhedralSurface:
-    return schema.COMPLEX.parse(data, _build_complex)
+    return PolyhedralSurface(*read_complex(data))
 
 
-def _build_complex(cells, fans, orientation, asserted) -> PolyhedralSurface:
-    return PolyhedralSurface(
+def read_complex(data: dict) -> tuple[dict, dict, dict, dict]:
+    """The cells, fans and boundary cycles by id, and the assertion flags, of
+    a complex/v1 document: checked in one walk, and not numbered."""
+    return schema.COMPLEX.parse(data, lambda cells, fans, orientation, asserted: (
         schema.unique("cells", [(cell[0], Cell(*cell)) for cell in cells]),
         schema.unique("fans", [(fan[0], VertexFan(*fan)) for fan in fans]),
         schema.unique("orientation", orientation),
         asserted,
-    )
+    ))
 
 
 def _cycle_canonical(cyc: Sequence[str]) -> tuple[str, ...]:
@@ -422,21 +424,21 @@ def _cycle_canonical(cyc: Sequence[str]) -> tuple[str, ...]:
     return tuple(cyc[k:]) + tuple(cyc[:k])
 
 
-def canonical(s: PolyhedralSurface) -> tuple:
-    """The cells, fans and boundary cycles of a surface as its text lists
-    them: cells by dimension and id with sorted faces and markers, fans by
-    vertex, each cycle from its smallest vertex; equal for equal complexes."""
-    ids = s._index.ids
-    cells = [
+def canonical(cells: Mapping[str, Cell], fans: Mapping[str, VertexFan],
+              orientation: Mapping[str, Sequence[str]]) -> tuple:
+    """The cells, fans and boundary cycles of a complex, by id, as its text
+    lists them: cells by dimension and id with sorted faces and markers, fans
+    by vertex, each cycle from its smallest vertex; equal for equal complexes."""
+    listed = [
         (c.id, c.dim, sorted(c.faces) if c.faces else None,
          sorted(c.singular_markers) if c.singular_markers else None)
-        for c in (s.cells[cid] for d in sorted(ids) for cid in ids[d])
+        for c in sorted(cells.values(), key=lambda c: (c.dim, c.id))
     ]
-    fans = [(vid, s.fans[vid].rays, s.fans[vid].cones) for vid in sorted(s.fans)]
-    orientation = [(fid, _cycle_canonical(s.orientation[fid])) for fid in sorted(s.orientation)]
-    return cells, fans or None, orientation or None
+    rays = [(vid, fans[vid].rays, fans[vid].cones) for vid in sorted(fans)]
+    cycles = [(fid, _cycle_canonical(orientation[fid])) for fid in sorted(orientation)]
+    return listed, rays or None, cycles or None
 
 
 def complex_to_text(s: PolyhedralSurface) -> str:
     """The complex/v1 text of a surface; optional fields that are empty are left out."""
-    return schema.COMPLEX.text((*canonical(s), s.asserted or None))
+    return schema.COMPLEX.text((*canonical(s.cells, s.fans, s.orientation), s.asserted or None))

@@ -12,7 +12,8 @@ canonical text through ``writer``, which turns each table into straight-line
 code and which only the ``example`` command loads. A document
 that breaks its table raises ``Malformed``: one line that names the kind of
 document, the cause, the file when known and the JSON path, which is built
-only as the error unwinds. ``read`` opens and decodes every input file; one
+only as the error unwinds. ``from_file`` opens, decodes and walks every
+input file, so the decoded document lives only as long as its walk; a file
 that is not JSON text in UTF-8 raises a ValueError led by the file's name.
 """
 
@@ -208,25 +209,20 @@ def within(key: str, parse: Callable, value):
         raise
 
 
-def read(path: str):
-    """The JSON document of a file. A file that is not JSON text in UTF-8, or
-    nests too deeply to decode, raises ValueError led by the file's name."""
+def from_file(path: str, parse: Callable):
+    """``parse`` the JSON document of a file; its errors name the file. A
+    file that is not JSON text in UTF-8, or nests too deeply to decode,
+    raises ValueError led by the file's name."""
+    name = os.path.basename(path)
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except (ValueError, RecursionError) as err:  # ValueError: JSON or UTF-8 decoding
-        raise ValueError(f"{os.path.basename(path)}: {err}") from err
-
-
-def from_file(path: str, parse: Callable, data=None):
-    """``parse`` the JSON document of a file, or ``data`` already ``read``
-    from it; its errors name the file."""
-    if data is None:
-        data = read(path)
+        raise ValueError(f"{name}: {err}") from err
     try:
         return parse(data)
     except Malformed as err:
-        err.file = os.path.basename(path)
+        err.file = name
         raise
 
 

@@ -17,7 +17,7 @@ from the tables; every value reaches it as an argument.
 
 ``schema.Document.text`` imports this module on its first call, and of the
 commands only ``example`` calls it: ``bundle.load`` compares a named complex
-that differs from the section's embedded one through
+whose tables differ from the section's base through
 ``complexes.canonical``, the values written here, without writing either.
 """
 

@@ -322,6 +322,23 @@ def _edited_cube2(workdir, tmp_path, edit):
     return tmp_path
 
 
+def test_files_are_read_in_order_complex_section_gluing(workdir, tmp_path):
+    """Of two broken files, the first read is reported: a malformed complex
+    file before a section file that is not JSON text."""
+    def damage(kind, data):
+        if kind == "complex":
+            data["cells"][0]["dim"] = "0"
+
+    _edited_cube2(workdir, tmp_path, damage)
+    section = tmp_path / "cube2.section.json"
+    section.write_bytes(UNDECODABLE["truncated"](section.read_bytes()))
+    res = invoke("validate", "--manifest", tmp_path / "cube2.manifest.json")
+    assert res.exit_code == EXIT_INVALID
+    (rec,) = json.loads(res.stdout)["checks"]
+    assert rec["witnesses"] == ["malformed complex (TypeError: cube2.complex.json: "
+                                "cells[0].dim must be an integer, got '0')"]
+
+
 def test_orientation_step_without_edge_exits_invalid(workdir, tmp_path):
     def swap(kind, data):
         # p000 becomes (fx0.00a, fz0.00a, fx0.00b, ...): no edge fx0.00a-fz0.00a
@@ -827,8 +844,8 @@ def test_cli_import_loads_no_third_party_module():
 
 # The tropms modules a `validate` child loads, and their source lines, at
 # most: every child compiles them, so code added to the verdict path shows here.
-VALIDATE_SOURCE = {"cube2.manifest.json": (12, 3459), "rank3-cube.manifest.json": (9, 2485),
-                   "rotated.manifest.json": (12, 3459)}
+VALIDATE_SOURCE = {"cube2.manifest.json": (12, 3446), "rank3-cube.manifest.json": (9, 2472),
+                   "rotated.manifest.json": (12, 3446)}
 # The same for a `chern` child: cli, __init__, chern, laurent and lattice.
 CHERN_SOURCE = (5, 969)
 # The same for a `verify-cocycle` child: cli, __init__ and laurent.
@@ -877,7 +894,7 @@ def test_command_loads_only_what_it_runs(tmp_path, argv, ran, absent):
     """A command imports the modules it runs and no others: beyond a bare
     interpreter, a child pays for compiling and executing each of them. A
     complex file that differs from the section's embedded complex only in
-    where a boundary cycle starts is parsed and compared without the writer."""
+    where a boundary cycle starts is read and compared without the writer."""
     cube2 = generate_example("cube2", str(tmp_path))
     doc = json.loads((tmp_path / "cube2.complex.json").read_text(encoding="utf-8"))
     cycle = doc["orientation"][0]["cycle"]

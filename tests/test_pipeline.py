@@ -218,13 +218,13 @@ def test_pipeline_cross_checks_section_against_complex(exdir):
     assert "section is not built over the complex named alongside it" in rec.witnesses[0]
 
 
-@pytest.mark.parametrize("edit, parsed", [("asserted", 1), ("cell order", 2), ("cycle start", 2)])
-def test_complex_file_parsed_only_when_its_document_differs(
-    exdir, tmp_path, monkeypatch, edit, parsed
+@pytest.mark.parametrize("edit", ["asserted", "cell order", "cycle start"])
+def test_named_complex_file_is_compared_without_building_a_surface(
+    exdir, tmp_path, monkeypatch, edit
 ):
-    """A complex file whose document equals the section's embedded complex,
-    assertion flags aside, is not parsed again; one that differs as a
-    document but not as a complex is parsed, compared and accepted."""
+    """A complex file that differs from the section's embedded complex as a
+    document, but not as a complex, is walked once, compared by its tables
+    and accepted; only the embedded complex is built into a surface."""
     root, manifests = exdir
     doc = json.loads((root / "rank3-cube" / "rank3-cube.complex.json").read_text())
     if edit == "asserted":
@@ -240,10 +240,11 @@ def test_complex_file_parsed_only_when_its_document_differs(
         section_path=str(root / "rank3-cube" / "rank3-cube.section.json"),
         root=".",
     )
-    calls = _count_calls(monkeypatch, complexes.parse_complex)
+    parsed = _count_calls(monkeypatch, complexes.parse_complex)
+    read = _count_calls(monkeypatch, complexes.read_complex)
     report = run_pipeline(m)
     assert report.exit_code == EXIT_OK
-    assert len(calls) == parsed
+    assert (len(parsed), len(read)) == (1, 2)
 
 
 def test_pipeline_corrupted_slope_names_the_lift(exdir, tmp_path):
