@@ -355,7 +355,7 @@ def rank3_multisection() -> MultiSection:
     _require(euler_genus(cover) == 46, "rank3-cube cover genus")
     slopes = {}
     for v in base.vertices:
-        lid = f"{v.id}#0"
+        lid = cover.computed_lifts(v.id)[0][0]  # totally ramified: the one lift
         fan = base.fans[v.id]
         for fid, (i, _) in fan.cones:
             for sheet in range(3):
@@ -419,7 +419,7 @@ def seeded_coboundary_gluing(msec: MultiSection, seed: int = 0) -> GluingData:
     lam_edge = {}
     for e in sorted(e.id for e in cover.base.edges)[::17]:
         for lift in range(cover.degree):
-            lam_edge[f"{e}~{lift}"] = Fraction(rng.randint(1, 7), rng.randint(1, 7))
+            lam_edge[edge_lift_id(e, lift)] = Fraction(rng.randint(1, 7), rng.randint(1, 7))
     g = coboundary_gluing(msec, lam_vertex, lam_edge)
     _require(not validate_gluing(msec, g, bar_complex(msec)), "seeded gluing validation")
     return g
