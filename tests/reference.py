@@ -322,3 +322,18 @@ def section_codes(doc: dict) -> set[str]:
         if ray is None or _cross((w[0] - u[0], w[1] - u[1]), (-ray[1], ray[0])) != 0:
             codes.add("slope-discontinuous")
     return codes
+
+
+def branch_free(doc: dict) -> tuple[set[str], set[str], list[tuple[tuple[str, ...], str]]]:
+    """The branch-free graph (G0) of a multisection/v1 document and its
+    minimal cycles, by id: the unbranched vertices; the edges joining two of
+    them; and each 2-cell whose edges all lie in that graph, as (its
+    boundary cycle as ``orientation`` lists it, its id), sorted by id."""
+    base, branch = doc["complex"], set(doc.get("branch", []))
+    cells = base.get("cells", [])
+    vertices = {c["id"] for c in cells if c["dim"] == 0 and c["id"] not in branch}
+    edges = {c["id"] for c in cells if c["dim"] == 1 and vertices.issuperset(c.get("faces", []))}
+    cycles = {o["face2"]: tuple(o["cycle"]) for o in base.get("orientation", [])}
+    minimal = [(cycles[c["id"]], c["id"]) for c in cells
+               if c["dim"] == 2 and edges.issuperset(c.get("faces", []))]
+    return vertices, edges, sorted(minimal, key=lambda cycle: cycle[1])

@@ -16,6 +16,12 @@ complex as it is. The edits are derandomized and their number is fixed:
 refuses (a duplicated id) is drawn again. Budget: 5 s for
 each kind of edit; under ``-X dev`` on a shared 2-vCPU VM the complex edits
 take about 1.5 s and the section edits about 3 s.
+
+The branch-free graph and its minimal cycles (``build_G0``,
+``find_minimal_cycles``) are checked against ``branch_free`` on the six
+rank-2 example sections and on four double covers whose branch sets are
+symmetric differences of the frozen presets. Budget: 2 s for the ten
+cases; they take about 0.2 s on the same VM.
 """
 
 import json
@@ -25,12 +31,18 @@ from conftest import two_sheet_cover
 from edits import edits
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
-from reference import section_codes, surface_codes
+from reference import branch_free, section_codes, surface_codes
 from test_input_diagnostics import CASES
 
 from tropms import generators
 from tropms.complexes import complex_to_text, parse_complex, validate_surface
-from tropms.covers import multisection_to_text, parse_multisection, validate_multisection
+from tropms.covers import (
+    build_double_cover,
+    multisection_to_text,
+    parse_multisection,
+    validate_multisection,
+)
+from tropms.graphs import build_G0, find_minimal_cycles
 from tropms.schema import Malformed
 
 BASES = {
@@ -185,3 +197,55 @@ FIXED = {
 def test_reference_agrees_where_the_edits_do_not_reach(code):
     doc = FIXED[code]()
     assert _reference(doc) == _section_codes(doc) == {code}
+
+
+# -- the branch-free graph and its minimal cycles -------------------------------
+
+RANK2 = {
+    "cube2": generators.cube2_multisection,
+    "cube-o1": generators.cube_o1_multisection,
+    "planted": generators.planted_multisection,
+    "simplex5": generators.simplex5_multisection,
+    "simplex5-58": lambda: generators.simplex5_multisection(58),
+    "planted-triangle": generators.planted_triangle_multisection,
+}
+
+# Branch sets that are symmetric differences of two frozen presets' branch
+# sets, so of their unbranched sets; condition E is linear mod 2, so each
+# has a double cover. Each: (base, the two unbranched sets, branch points,
+# minimal cycles).
+MIXED = {
+    "cube-o1 ^ planted": ("cube2", generators.CUBE_O1_UNBRANCHED,
+                          generators.PLANTED_UNBRANCHED, 20, 4),
+    "all ^ cube-o1": ("cube2", (), generators.CUBE_O1_UNBRANCHED, 12, 9),
+    "74 ^ 58": ("simplex5", generators.SIMPLEX5_UNBRANCHED[74],
+                generators.SIMPLEX5_UNBRANCHED[58], 44, 6),
+    "74 ^ planted-triangle": ("simplex5", generators.SIMPLEX5_UNBRANCHED[74],
+                              generators.PLANTED_TRIANGLE_UNBRANCHED, 40, 5),
+}
+
+
+def _branch_free_agrees(doc) -> list:
+    """Check ``build_G0`` and ``find_minimal_cycles`` against ``branch_free``
+    on a section document; return the minimal cycles."""
+    msec = parse_multisection(doc)
+    ids = msec.cover.base._index.ids
+    vertices, edges, cycles = branch_free(doc)
+    g = build_G0(msec)
+    assert {ids[0][v] for v in g.vertices} == vertices
+    assert {ids[1][e] for e in g.edges} == edges
+    assert find_minimal_cycles(g) == cycles
+    return cycles
+
+
+@pytest.mark.parametrize("name", sorted(RANK2))
+def test_reference_agrees_on_the_branch_free_graph_of_each_rank2_example(name):
+    _branch_free_agrees(json.loads(multisection_to_text(RANK2[name]())))
+
+
+@pytest.mark.parametrize("case", sorted(MIXED))
+def test_reference_agrees_on_the_branch_free_graph_of_mixed_branch_sets(case):
+    base, a, b, points, minimal = MIXED[case]
+    msec = build_double_cover(BASES[base](), frozenset(a) ^ frozenset(b), 2, 1)
+    doc = json.loads(multisection_to_text(msec))
+    assert (len(doc["branch"]), len(_branch_free_agrees(doc))) == (points, minimal)
