@@ -84,6 +84,27 @@ def test_pinched_vertex_reported_not_raised():
         s.corners("N")
 
 
+def test_split_vertex_with_a_fan_reports_only_its_link():
+    """Two tetrahedra sharing the vertex o, which carries a complete fan:
+    its corners form no single chain, so its cones are not checked against
+    them, and only the link fault is reported there."""
+    cycles = {}
+    for k, (a, b, c) in enumerate(("BCD", "EFG")):
+        cycles |= {f"t{k}0": ("o", a, b), f"t{k}1": ("o", b, c), f"t{k}2": ("o", c, a),
+                   f"t{k}3": (a, c, b)}
+    s = surface_from_cycles(cycles)
+    edges = sorted(e.id for e in s.edges if "o" in e.faces)
+    rays = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
+    faces = sorted(f for f, cyc in cycles.items() if "o" in cyc)
+    fan = VertexFan("o", tuple(zip(rays, edges)),
+                    tuple((f, (i, (i + 1) % 6)) for i, f in enumerate(faces)))
+    rep = validate_surface(rebuilt(s, fans={"o": fan}))
+    assert [f"{d.code}: {d.message}" for d in rep] == [
+        "euler-characteristic-odd: closed surface cannot have chi = 3",
+        "vertex-link: corners around o split into several cycles",
+    ]
+
+
 def test_fan_corner_mismatch_detected():
     s = tetrahedron()
     fan = s.fans["A"]
