@@ -240,12 +240,7 @@ def _hull(points: list[Vec]) -> tuple[Vec, ...]:
 
     lower = chain(pts)
     upper = chain(reversed(pts))
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) == 1 or (len(hull) == 2 and hull[0] == hull[1]):
-        return (hull[0],)
-    if len(set(hull)) == 2:
-        return tuple(sorted(set(hull)))
-    return tuple(hull)
+    return tuple(lower[:-1] + upper[:-1])
 
 
 def check_pl_continuity(fan: CompleteFan, slopes: Sequence[Vec]) -> None:

@@ -12,7 +12,6 @@ adds the checks of its fans.
 
 from __future__ import annotations
 
-import functools
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -293,12 +292,14 @@ class PolyhedralSurface(ReadOnly):
 def validate_surface(s: PolyhedralSurface) -> tuple[Diagnostic, ...]:
     """Checks for a closed oriented surface with affine fans: what its
     numbering recorded, then, where its cells and cycles allow, its fans as
-    they are now; none when it is valid."""
+    they are now; none when it is valid. The fans are read as cell numbers,
+    and fans of one shape are checked for completeness once a call."""
     x = s._index
     if not x.oriented:
         return x.diagnostics
-    E, F = x.ids[1], x.ids[2]
+    E, edge, face = x.ids[1], x.number[1].get, x.number[2].get
     diags = list(x.diagnostics)
+    flaws: dict[tuple, str] = {}  # (ray vectors, cone pairs) -> what keeps them from a fan
 
     def bad(code: str, msg: str) -> None:
         diags.append(Diagnostic(code, msg))
@@ -309,43 +310,33 @@ def validate_surface(s: PolyhedralSurface) -> tuple[Diagnostic, ...]:
         if v is None:
             bad("fan-vertex", f"fan attached to non-vertex {vid}")
             continue
-        incident = [E[e] for e in x.star[v]]
-        fan_edges = sorted(e for _, e in fan.rays)
-        if fan_edges != incident:
-            bad("fan-edge-mismatch",
-                f"fan at {vid} covers edges {fan_edges}, incident are {incident}")
+        rays = [edge(e, -1) for _, e in fan.rays]  # numbers sort as ids do
+        if sorted(rays) != list(x.star[v]):
+            bad("fan-edge-mismatch", f"fan at {vid} covers edges "
+                f"{sorted(e for _, e in fan.rays)}, incident are {[E[e] for e in x.star[v]]}")
             continue
-        flaw = _fan_flaw(tuple([vec for vec, _ in fan.rays]), tuple([p for _, p in fan.cones]))
-        if flaw:
-            bad("fan-not-complete", f"fan at {vid} {flaw}")
+        shape = (tuple([vec for vec, _ in fan.rays]), tuple([p for _, p in fan.cones]))
+        if shape not in flaws:
+            n = len(rays)
+            tiled = len(shape[1]) == n and set(shape[1]) == {(i, (i + 1) % n) for i in range(n)}
+            flaws[shape] = fan_flaw(shape[0]) or ("" if tiled else "cones do not tile the circle")
+        if flaws[shape]:
+            bad("fan-not-complete", f"fan at {vid} {flaws[shape]}")
             continue
         chain = x.corners[x.first[v]:x.first[v + 1]]
         if not chain and any(x.sides[e] for e in x.star[v]):  # reported as vertex-link
             continue
-        corner_by_face = {F[f]: (E[out], E[inn]) for f, out, inn in chain}
-        edge_of = {i: e for i, (_, e) in enumerate(fan.rays)}
+        corner_of = {f: (out, inn) for f, out, inn in chain}
         for face2, (i, j) in fan.cones:
-            if face2 not in corner_by_face:
+            corner = corner_of.get(face(face2))
+            if corner is None:
                 bad("fan-cone-mismatch",
                     f"fan at {vid} assigns a cone to non-incident 2-cell {face2}")
-            elif (edge_of[i], edge_of[j]) != corner_by_face[face2]:
-                out, inn = corner_by_face[face2]
+            elif (rays[i], rays[j]) != corner:
                 bad("fan-cone-mismatch", f"fan at {vid}, 2-cell {face2}: cone rays "
-                    f"({edge_of[i]}, {edge_of[j]}) but corner edges ({out}, {inn})")
+                    f"({fan.rays[i][1]}, {fan.rays[j][1]}) but corner edges "
+                    f"({E[corner[0]]}, {E[corner[1]]})")
     return tuple(diags)
-
-
-@functools.lru_cache(maxsize=256)
-def _fan_flaw(vecs: tuple[Vec, ...], cones: tuple[tuple[int, int], ...]) -> str:
-    """What keeps rays, and cones given as pairs of ray indices, from forming
-    a complete fan; empty if nothing does. Fans of one shape are checked once."""
-    n = len(vecs)
-    flaw = fan_flaw(vecs)
-    if flaw:
-        return flaw
-    if set(cones) != {(i, (i + 1) % n) for i in range(n)} or len(cones) != n:
-        return "cones do not tile the circle"
-    return ""
 
 
 def combinatorial_dual(s: PolyhedralSurface,

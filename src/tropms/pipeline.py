@@ -110,9 +110,7 @@ def load_bundle(manifest: Manifest) -> Bundle:
 
 def _citation_of(verdict: Verdict) -> str:
     lead = verdict.reasons[0]
-    if lead.startswith("["):
-        return lead[1 : lead.index("]")]
-    return "general-criterion"
+    return lead[1 : lead.index("]")]
 
 
 class _Outcome(NamedTuple):

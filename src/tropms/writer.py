@@ -8,8 +8,8 @@ document is compiled once, the way ``collections.namedtuple`` builds
 ``__new__``: its table becomes Python source, one function per nested type
 and indentation depth, run with ``exec``. A record whose fields are all
 required is one ``%`` template, with ints as ``%d`` slots and strings
-quoted by ``encode_basestring_ascii``; a record with one or two optional
-fields has one template per set of fields present; a list of ints or
+quoted by ``encode_basestring_ascii``; a record with an optional field is
+a list of the texts of the fields present, joined; a list of ints or
 strings is one ``join``, and a list of fixed-shape records one
 comprehension. Flags, rationals, lists of lists and the embedded complex
 are written by closures. The source holds only field names and separators
@@ -169,46 +169,23 @@ class _Source:
         return self.defined[key]
 
     def record(self, fields: list, depth: int) -> str:
-        """Define the writer of a record with these fields; with one or two
-        optional fields, it holds one template per set of them present."""
-        name = self.fresh("w")
-        forms, args, targets = [], [], []
-        for _, kind, default, *_ in fields:
+        """Define the writer of a record with these fields: the text of each
+        field present, required or not None, in a list joined in key order."""
+        name, parts = self.fresh("w"), self.fresh("p")
+        targets, appends = [], {}  # appends: field name -> the statement adding its text
+        for key, kind, default, *_ in fields:
             if default is _REQUIRED:
-                form, arg, target = self.slots(kind, depth + 1)
+                form, args, target = self.slots(kind, depth + 1)
+                guard = ""
             else:
                 target = self.fresh("v")
-                form, arg = "%s", [self.expr(kind, depth + 1, target)]
-            forms.append(form)
-            args.append(arg)
+                form, args = "%s", [self.expr(kind, depth + 1, target)]
+                guard = f"if {target} is not None: "
+            appends[key] = f"    {guard}{parts}.append({_fill(_key(key) + form, args)})"
             targets.append(target)
-        order = sorted(range(len(fields)), key=lambda i: fields[i][0])
-        optional = [i for i in order if fields[i][2] is not _REQUIRED]
-        lines = [f"def {name}(v):", "    (" + "".join(t + ", " for t in targets) + ") = v"]
-
-        def branch(present: list[int], rest: list[int], indent: str) -> None:
-            if rest:
-                lines.append(f"{indent}if {targets[rest[0]]} is None:")
-                branch(present, rest[1:], indent + "    ")
-                branch(present + rest[:1], rest[1:], indent)
-                return
-            shown = [i for i in order if i in present or fields[i][2] is _REQUIRED]
-            form = _form("{}", depth, [_key(fields[i][0]) + forms[i] for i in shown])
-            lines.append(f"{indent}return {_fill(form, [a for i in shown for a in args[i]])}")
-
-        if len(optional) <= 2:
-            branch([], optional, "    ")
-        else:
-            parts = self.fresh("p")
-            lines.append(f"    {parts} = []")
-            for i in order:
-                item = f"{parts}.append({_fill(_key(fields[i][0]) + forms[i], args[i])})"
-                if fields[i][2] is _REQUIRED:
-                    lines.append(f"    {item}")
-                else:
-                    lines += [f"    if {targets[i]} is not None:", f"        {item}"]
-            head, sep, tail = _edges("{}", depth)
-            body = f"{head!r} + {sep!r}.join({parts}) + {tail!r}"
-            lines.append(f"    return {body} if {parts} else '{{}}'")
-        self.lines += lines
+        head, sep, tail = _edges("{}", depth)
+        body = f"{head!r} + {sep!r}.join({parts}) + {tail!r}"
+        self.lines += [f"def {name}(v):", "    (" + "".join(t + ", " for t in targets) + ") = v",
+                       f"    {parts} = []", *(appends[key] for key in sorted(appends)),
+                       f"    return {body} if {parts} else '{{}}'"]
         return name

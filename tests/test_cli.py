@@ -844,10 +844,10 @@ def test_cli_import_loads_no_third_party_module():
 
 # The tropms modules a `validate` child loads, and their source lines, at
 # most: every child compiles them, so code added to the verdict path shows here.
-VALIDATE_SOURCE = {"cube2.manifest.json": (12, 3446), "rank3-cube.manifest.json": (9, 2472),
-                   "rotated.manifest.json": (12, 3446)}
+VALIDATE_SOURCE = {"cube2.manifest.json": (12, 3430), "rank3-cube.manifest.json": (9, 2461),
+                   "rotated.manifest.json": (12, 3430)}
 # The same for a `chern` child: cli, __init__, chern, laurent and lattice.
-CHERN_SOURCE = (5, 969)
+CHERN_SOURCE = (5, 964)
 # The same for a `verify-cocycle` child: cli, __init__ and laurent.
 COCYCLE_SOURCE = (3, 583)
 
