@@ -98,9 +98,12 @@ class Rational(Leaf):
         match = type(value) is str and _RATIONAL.fullmatch(value)
         if not match:
             raise _wrong(self.what, value)
-        if match[2] and not int(match[2]):
-            raise Malformed("has a zero denominator", ZeroDivisionError)
-        return Fraction(int(match[1]), int(match[2] or 1))
+        try:  # int() refuses more digits than sys.get_int_max_str_digits()
+            return Fraction(int(match[1]), int(match[2] or 1))
+        except ZeroDivisionError:
+            raise Malformed("has a zero denominator", ZeroDivisionError) from None
+        except ValueError:
+            raise Malformed("has too many digits to convert to an integer") from None
 
 
 class List:

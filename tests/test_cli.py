@@ -506,6 +506,29 @@ def test_zero_rationals_exit_invalid(workdir, tmp_path, case):
         assert message.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["validate", "obstruction"])
+def test_rational_with_too_many_digits_exits_invalid(workdir, tmp_path, command):
+    """A gluing rational longer than int() converts is malformed gluing data
+    at its JSON path, not the interpreter's own error."""
+    def long_rational(kind, data):
+        if kind == "gluing":
+            data["assignments"][0]["element"][0]["q"] = "7" * 5000
+
+    d = _edited_cube2(workdir, tmp_path, long_rational)
+    want = ("malformed gluing data (ValueError: cube2.gluing.json: "
+            "assignments[0].element[0].q has too many digits to convert to an integer)")
+    if command == "validate":
+        res = invoke("validate", "--manifest", d / "cube2.manifest.json")
+        assert res.exit_code == EXIT_INVALID
+        (rec,) = json.loads(res.stdout)["checks"]
+        assert rec["witnesses"] == [want]
+    else:
+        res = invoke("obstruction", "--complex", d / "cube2.complex.json", "--section",
+                     d / "cube2.section.json", "--gluing", d / "cube2.gluing.json")
+        assert res.exit_code == EXIT_INVALID
+        assert res.stderr == f"error: {want}\n"
+
+
 def test_unexpected_exception_exits_internal(workdir, monkeypatch):
     def broken(msec):
         raise KeyError("lost")
@@ -844,8 +867,8 @@ def test_cli_import_loads_no_third_party_module():
 
 # The tropms modules a `validate` child loads, and their source lines, at
 # most: every child compiles them, so code added to the verdict path shows here.
-VALIDATE_SOURCE = {"cube2.manifest.json": (12, 3430), "rank3-cube.manifest.json": (9, 2461),
-                   "rotated.manifest.json": (12, 3430)}
+VALIDATE_SOURCE = {"cube2.manifest.json": (12, 3433), "rank3-cube.manifest.json": (9, 2464),
+                   "rotated.manifest.json": (12, 3433)}
 # The same for a `chern` child: cli, __init__, chern, laurent and lattice.
 CHERN_SOURCE = (5, 964)
 # The same for a `verify-cocycle` child: cli, __init__ and laurent.
