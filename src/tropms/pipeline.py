@@ -206,7 +206,7 @@ def run_pipeline(manifest: Manifest, checks=None) -> Report:
     selected = set(CHECK_ORDER if checks is None else checks)
     unknown = selected - set(CHECK_ORDER)
     if unknown:
-        raise ValueError(f"unknown check(s): {sorted(unknown)}")
+        raise ValueError(f"unknown check(s): {sorted(unknown)}; pick from {CHECK_ORDER}")
 
     t0 = time.perf_counter()
     try:

@@ -163,6 +163,14 @@ def test_validate_selected_checks(workdir):
     assert [rec["check"] for rec in report["checks"]] == ["validate", "chern"]
 
 
+def test_validate_unknown_check_names_the_choices(workdir):
+    res = invoke("validate", "--manifest", workdir / "cube-o1.manifest.json", "--check", "bogus")
+    assert res.exit_code == EXIT_INVALID
+    assert res.stdout == ""
+    assert res.stderr == ("error: unknown check(s): ['bogus']; pick from ('validate', "
+                          "'classify', 'cocycle', 'chern', 'obstruction', 'simplicity')\n")
+
+
 def test_validate_planted_exits_not_simple(workdir):
     res = invoke("validate", "--manifest", workdir / "planted.manifest.json")
     assert res.exit_code == EXIT_NOT_SIMPLE

@@ -170,6 +170,13 @@ def test_pipeline_check_subset(exdir):
     assert tuple(r.check for r in report.checks) == ("validate", "chern")
 
 
+def test_pipeline_unknown_check_names_the_choices(exdir):
+    _, manifests = exdir
+    with pytest.raises(ValueError) as err:
+        run_pipeline(manifests["cube-o1"], checks=("validate", "bogus", "apple"))
+    assert str(err.value) == f"unknown check(s): ['apple', 'bogus']; pick from {CHECK_ORDER}"
+
+
 def test_report_text_is_json_with_newline(exdir):
     _, manifests = exdir
     text = report_to_text(run_pipeline(manifests["cube-o1"], checks=("validate",)))
