@@ -14,7 +14,13 @@ from conftest import (
 from test_perfbench_names import inputs as perfbench_inputs  # the benchmark's input builders
 
 from tropms.bundle import Invalid, load
-from tropms.complexes import VertexFan, complex_to_text, validate_surface
+from tropms.complexes import (
+    Cell,
+    PolyhedralSurface,
+    VertexFan,
+    complex_to_text,
+    validate_surface,
+)
 from tropms.covers import (
     BranchedCover,
     MultiSection,
@@ -33,6 +39,7 @@ from tropms.generators import (
     RANK3_FAN_RAYS,
     STANDARD_FAN_RAYS,
     _dual_base,
+    cube2_base,
     cube2_multisection,
     cube_o1_multisection,
     euler_genus,
@@ -105,6 +112,48 @@ def test_build_preconditions():
         build_double_cover(s, vs[:2] + ["ghost", "ghost2"], 1, 0)
     with pytest.raises(ValueError):
         build_double_cover(s, ["v000", "v001"], 1, 0)
+
+
+def _two_copies(s):
+    """The disjoint union of two copies of a surface, ids prefixed a and b."""
+    cells, fans, orientation = {}, {}, {}
+    for p in "ab":
+        for c in s.cells.values():
+            cells[p + c.id] = Cell(p + c.id, c.dim, tuple(p + f for f in c.faces),
+                                   c.singular_markers)
+        for v, fan in s.fans.items():
+            fans[p + v] = VertexFan(p + v, tuple((vec, p + e) for vec, e in fan.rays),
+                                    tuple((p + f, pair) for f, pair in fan.cones))
+        orientation |= {p + f: tuple(p + v for v in cyc) for f, cyc in s.orientation.items()}
+    return PolyhedralSurface(cells, fans, orientation, dict(s.asserted))
+
+
+@pytest.mark.parametrize("case", ["non-primitive", "no-fan", "unbalanced", "disconnected"])
+def test_double_cover_refuses_a_base_it_cannot_cover(case):
+    """Each refusal of a base that passes the branch-set checks, on the
+    cube2 base branched at every vertex."""
+    base = cube2_base()
+    vid = sorted(base.fans)[5]
+    fan = base.fans[vid]
+
+    def with_rays(vecs):
+        rays = tuple((vec, e) for vec, (_, e) in zip(vecs, fan.rays))
+        return rebuilt(base, fans=base.fans | {vid: fan._replace(rays=rays)})
+
+    base, want = {
+        "non-primitive": (with_rays([(2, 0), (0, 1), (-1, -1)]),
+                          "base surface invalid: ['fan-not-complete']"),
+        "no-fan": (rebuilt(base, fans={v: f for v, f in base.fans.items() if v != vid}),
+                   f"vertex {vid} must be trivalent with a fan"),
+        "unbalanced": (with_rays([(1, 0), (0, 1), (-1, -2)]),
+                       f"fan rays at {vid} do not sum to zero"),
+        "disconnected": (_two_copies(base), "base 1-skeleton is disconnected"),
+    }[case]
+    if case != "non-primitive":  # a valid surface, refused by the builder's own checks
+        assert validate_surface(base) == ()
+    with pytest.raises(ValueError) as err:
+        build_double_cover(base, all_vertices(base), 2, 1)
+    assert str(err.value) == want
 
 
 def test_double_cover_refuses_an_inconsistent_sheet_typing():
