@@ -15,7 +15,7 @@ from conftest import run_cli, triangulated_torus
 
 import tropms
 from tropms.cli import _COMMANDS
-from tropms.complexes import complex_to_text, validate_surface
+from tropms.complexes import complex_to_text, parse_complex, validate_surface
 from tropms.covers import multisection_to_text
 from tropms.generators import (
     generate_example,
@@ -799,6 +799,33 @@ def test_render_base_glyph_counts(workdir):
     doc = res.stdout
     assert doc.count('class="vertex"') == 48
     assert doc.count('class="singular"') == 8
+
+
+def test_render_base_marks_singular_edges_and_vertices(workdir, tmp_path):
+    """A marked edge gets its circle at the midpoint of its endpoints, and a
+    marked vertex at its own position, beside the eight marked 2-cells."""
+    doc = json.loads((workdir / "cube2.complex.json").read_text())
+    edge = next(c for c in doc["cells"] if c["dim"] == 1)
+    vertex = next(c for c in doc["cells"] if c["dim"] == 0)
+
+    def mark(kind, data):
+        if kind != "gluing":
+            for cell in (data if kind == "complex" else data["complex"])["cells"]:
+                if cell["id"] in (edge["id"], vertex["id"]):
+                    cell["singular"] = ["cone-point"]
+
+    d = _edited_cube2(workdir, tmp_path, mark)
+    res = invoke("render", "--manifest", d / "cube2.manifest.json", "--layer", "base")
+    assert res.exit_code == EXIT_OK, res.output
+    circles = re.findall(r'<circle class="singular" cx="([^"]+)" cy="([^"]+)" r="7"/>',
+                         res.stdout)
+    assert len(circles) == res.stdout.count('class="singular"') == 10
+    pos = _layout(parse_complex(json.loads((d / "cube2.complex.json").read_text())))
+    (a, b), v = (pos[w] for w in edge["faces"]), pos[vertex["id"]]
+    centres = [(float(x), float(y)) for x, y in circles]
+    assert v in centres
+    assert any(abs(x - (a[0] + b[0]) / 2) <= 0.005 and abs(y - (a[1] + b[1]) / 2) <= 0.005
+               for x, y in centres)
 
 
 def test_render_g0_empty_when_fully_branched(workdir):
