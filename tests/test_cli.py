@@ -821,9 +821,9 @@ def test_render_base_marks_singular_edges_and_vertices(workdir, tmp_path):
                          res.stdout)
     assert len(circles) == res.stdout.count('class="singular"') == 10
     pos = _layout(parse_complex(json.loads((d / "cube2.complex.json").read_text())))
-    (a, b), v = (pos[w] for w in edge["faces"]), pos[vertex["id"]]
+    a, b = (pos[w] for w in edge["faces"])
     centres = [(float(x), float(y)) for x, y in circles]
-    assert v in centres
+    assert pos[vertex["id"]] in centres
     assert any(abs(x - (a[0] + b[0]) / 2) <= 0.005 and abs(y - (a[1] + b[1]) / 2) <= 0.005
                for x, y in centres)
 
