@@ -162,6 +162,16 @@ def test_total_chern_frozen_values():
     assert total_chern(1, -1) == CohomologyClass.of(1, 0, 3)
 
 
+def test_total_chern_agrees_with_the_equivariant_path():
+    """The total class against the equivariant classes pushed down by solving
+    for their coefficients in the ray classes and their products."""
+    for m, n in itertools.product(range(-6, 7), repeat=2):
+        if m == n:
+            continue
+        parts = [CohomologyClass.of(1), *map(forgetful_by_solve, equivariant_chern(m, n))]
+        assert total_chern(m, n) == CohomologyClass(*map(sum, zip(*parts)))
+
+
 def test_total_chern_closed_form_and_symmetry():
     for m, n in itertools.product(range(-4, 5), repeat=2):
         if m == n:
