@@ -1,7 +1,7 @@
-"""Equivariant characteristic classes of rank-2 weighted double covers over the
-projective plane, the forgetful map to ordinary cohomology (read off the values
-at the rays, no linear solve), and exact Newton polytopes of piecewise linear
-functions on complete plane fans."""
+"""Total Chern classes of rank-2 weighted double covers over the projective
+plane, read off the integer values of their equivariant classes at the rays,
+and exact Newton polytopes of piecewise linear functions on complete plane
+fans."""
 
 from __future__ import annotations
 
@@ -10,9 +10,6 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .lattice import Vec, det2, dot, fan_flaw
-from .laurent import LaurentPoly
-
-Poly = LaurentPoly  # exponent slot 0 is xi1, slot 1 is xi2; exponents stay >= 0
 
 
 class CompleteFan:
@@ -45,56 +42,6 @@ class CompleteFan:
 CANONICAL_FAN = CompleteFan([(-1, 0), (0, -1), (1, 1)])
 
 
-def _restrict_ray(p: Poly, ray: Vec) -> dict[int, Fraction]:
-    """Coefficients of p(t*ray) as a polynomial in t, keyed by degree."""
-    out: dict[int, Fraction] = {}
-    for (i, j), c in p.terms.items():
-        if i < 0 or j < 0:
-            raise ValueError("piecewise data must be polynomial")
-        val = c * (ray[0] ** i * ray[1] ** j)
-        d = i + j
-        s = out.get(d, Fraction(0)) + val
-        if s:
-            out[d] = s
-        else:
-            out.pop(d, None)
-    return out
-
-
-def linear_form(u) -> Poly:
-    return Poly({(1, 0): Fraction(u[0]), (0, 1): Fraction(u[1])})
-
-
-class _Piecewise(NamedTuple):
-    fan: CompleteFan
-    parts: tuple[Poly, ...]
-
-
-class PiecewisePoly(_Piecewise):
-    """One polynomial per cone of a complete fan, agreeing on shared rays."""
-
-    __slots__ = ()
-
-    def __new__(cls, fan: CompleteFan, parts: tuple[Poly, ...]):
-        if len(parts) != fan.n_cones:
-            raise ValueError("one polynomial per cone required")
-        n = fan.n_cones
-        for i in range(n):
-            ray = fan.rays[(i + 1) % n]
-            here = _restrict_ray(parts[i], ray)
-            there = _restrict_ray(parts[(i + 1) % n], ray)
-            if here != there:
-                raise ValueError(
-                    f"discontinuous across ray {ray}: {here} vs {there}"
-                )
-        return super().__new__(cls, fan, parts)
-
-    def max_degree(self) -> int:
-        return max(
-            (e[0] + e[1] for p in self.parts for e in p.terms), default=0
-        )
-
-
 def _meet(a: Vec, b: Vec, p: int, q: int) -> tuple[Fraction, Fraction]:
     """The u with dot(u, a) = p and dot(u, b) = q, by Cramer's rule."""
     d = det2(a, b)
@@ -112,9 +59,6 @@ class CohomologyClass(NamedTuple):
     @classmethod
     def of(cls, h0=0, h1=0, h2=0) -> "CohomologyClass":
         return cls(Fraction(h0), Fraction(h1), Fraction(h2))
-
-    def __add__(self, other: "CohomologyClass") -> "CohomologyClass":
-        return CohomologyClass(self.h0 + other.h0, self.h1 + other.h1, self.h2 + other.h2)
 
     def __repr__(self) -> str:
         bits = []
@@ -141,56 +85,27 @@ def sheet_slopes(m: int, n: int) -> list[tuple[Vec, Vec]]:
     ]
 
 
-def equivariant_chern(m: int, n: int) -> tuple[PiecewisePoly, PiecewisePoly]:
-    """First and second equivariant classes as piecewise polynomials: the
-    elementary symmetric functions of the two branch slopes on each cone."""
-    slopes = sheet_slopes(m, n)
-    c1_parts = []
-    c2_parts = []
-    for ua, ub in slopes:
-        fa, fb = linear_form(ua), linear_form(ub)
-        c1_parts.append(fa + fb)
-        c2_parts.append(fa * fb)
-    return (
-        PiecewisePoly(CANONICAL_FAN, tuple(c1_parts)),
-        PiecewisePoly(CANONICAL_FAN, tuple(c2_parts)),
-    )
-
-
-def forgetful(p: PiecewisePoly) -> CohomologyClass:
-    """Push an equivariant class down to ordinary cohomology.
-
-    Degree-one ray classes t_i (1 on ray i, 0 on the others) map to H and
-    their pairwise products to H^2; globally linear functions map to zero.
-    Defined on the canonical fan for piecewise polynomials of degree at most
-    two. Each cone is smooth, so on cone i, spanned by rays r_i and r_(i+1),
-    the linear part is p1(r_i) t_i + p1(r_(i+1)) t_(i+1) and the quadratic
-    part q_i is q(r_i) t_i^2 + q(r_(i+1)) t_(i+1)^2 plus
-    (q_i(r_i + r_(i+1)) - q(r_i) - q(r_(i+1))) t_i t_(i+1). Summing the
-    coefficients gives H and H^2 without a solve.
-    """
-    if p.fan != CANONICAL_FAN:
-        raise ValueError("forgetful map is defined over the canonical fan")
-    if p.max_degree() > 2:
-        raise ValueError("degree above two is not supported")
-
-    consts = [pc.terms.get((0, 0), Fraction(0)) for pc in p.parts]
-    if len(set(consts)) != 1:
-        raise RuntimeError("constant parts disagree despite continuity")
-    h1 = h2 = Fraction(0)
-    for i, part in enumerate(p.parts):
-        ra, rb = p.fan.cone_rays(i)
-        at_ray = _restrict_ray(part, ra)
-        h1 += at_ray.get(1, 0)
-        h2 += _restrict_ray(part, (ra[0] + rb[0], ra[1] + rb[1])).get(2, 0) - at_ray.get(2, 0)
-    return CohomologyClass(consts[0], h1, h2)
-
-
 def total_chern(m: int, n: int) -> CohomologyClass:
-    """Total class 1 + c1 + c2 in ordinary cohomology, computed through the
-    equivariant classes and the forgetful map."""
-    c1, c2 = equivariant_chern(m, n)
-    return CohomologyClass.of(1) + forgetful(c1) + forgetful(c2)
+    """Total class 1 + c1 + c2 in ordinary cohomology. On each cone the
+    equivariant c1 and c2 are the elementary symmetric functions of the two
+    sheets' slopes; the forgetful map sends each ray class to H, each product
+    of two to H^2 and globally linear functions to zero. Each cone is smooth,
+    so over cone i, spanned by rays r_i and r_(i+1), H collects c1(r_i) and
+    H^2 collects c2(r_i + r_(i+1)) - c2(r_i)."""
+    slopes = sheet_slopes(m, n)
+
+    def c(i: int, r: Vec) -> tuple[int, int]:  # c1 and c2 on cone i, at r
+        a, b = (dot(u, r) for u in slopes[i % len(slopes)])
+        return a + b, a * b
+
+    h1 = h2 = 0
+    for i in range(len(slopes)):
+        ra, rb = CANONICAL_FAN.cone_rays(i)
+        if c(i, rb) != c(i + 1, rb):
+            raise RuntimeError(f"equivariant classes discontinuous across ray {rb}")
+        h1 += c(i, ra)[0]
+        h2 += c(i, (ra[0] + rb[0], ra[1] + rb[1]))[1] - c(i, ra)[1]
+    return CohomologyClass.of(1, h1, h2)
 
 
 def stability_discriminant(m: int, n: int, tc: CohomologyClass) -> tuple[int, str]:

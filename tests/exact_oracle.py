@@ -1,18 +1,22 @@
 """Exact references that the checker itself never needs: a general sparse
-linear solver, and the forgetful map of ``tropms.chern`` computed the long
-way, by solving for the coefficients of a class in the ray classes and their
-products.
+linear solver, and the equivariant Chern classes of ``tropms.chern`` as
+piecewise polynomials, pushed to ordinary cohomology in closed form and the
+long way, by solving for the coefficients of a class in the ray classes and
+their products.
 
 ``solve_linear`` is the reference for the gluing obstruction's solver and for
-``forgetful``'s closed form. ``ray_class``, ``add``, ``mul`` and
-``homogeneous_part`` build and split piecewise polynomials part by part.
+``forgetful``'s closed form. ``equivariant_chern`` with ``forgetful`` or
+``forgetful_by_solve`` is the reference for ``total_chern``, which reads the
+same classes only as integers at the rays. ``ray_class``, ``add``, ``mul``
+and ``homogeneous_part`` build and split piecewise polynomials part by part.
 """
 
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from tropms.chern import CANONICAL_FAN, CohomologyClass, CompleteFan, PiecewisePoly
-from tropms.laurent import LaurentPoly as Poly
+from tropms.chern import CANONICAL_FAN, CohomologyClass, CompleteFan, sheet_slopes
+from tropms.lattice import Vec
+from tropms.laurent import LaurentPoly as Poly  # slot 0 is xi1, slot 1 is xi2; exponents >= 0
 
 
 def solve_linear(rows: Sequence, rhs: Sequence[Sequence]) -> list[list[Fraction] | None]:
@@ -67,6 +71,101 @@ def solve_linear(rows: Sequence, rhs: Sequence[Sequence]) -> list[list[Fraction]
     zero = set(range(m)).difference(pivots)  # rows eliminated to nothing
     return [[Fraction(col[j]) for col in x] if all(b[i][j] == 0 for i in zero) else None
             for j in range(len(rhs))]
+
+
+def _restrict_ray(p: Poly, ray: Vec) -> dict[int, Fraction]:
+    """Coefficients of p(t*ray) as a polynomial in t, keyed by degree."""
+    out: dict[int, Fraction] = {}
+    for (i, j), c in p.terms.items():
+        if i < 0 or j < 0:
+            raise ValueError("piecewise data must be polynomial")
+        val = c * (ray[0] ** i * ray[1] ** j)
+        d = i + j
+        s = out.get(d, Fraction(0)) + val
+        if s:
+            out[d] = s
+        else:
+            out.pop(d, None)
+    return out
+
+
+def linear_form(u) -> Poly:
+    return Poly({(1, 0): Fraction(u[0]), (0, 1): Fraction(u[1])})
+
+
+class _Piecewise(NamedTuple):
+    fan: CompleteFan
+    parts: tuple[Poly, ...]
+
+
+class PiecewisePoly(_Piecewise):
+    """One polynomial per cone of a complete fan, agreeing on shared rays."""
+
+    __slots__ = ()
+
+    def __new__(cls, fan: CompleteFan, parts: tuple[Poly, ...]):
+        if len(parts) != fan.n_cones:
+            raise ValueError("one polynomial per cone required")
+        n = fan.n_cones
+        for i in range(n):
+            ray = fan.rays[(i + 1) % n]
+            here = _restrict_ray(parts[i], ray)
+            there = _restrict_ray(parts[(i + 1) % n], ray)
+            if here != there:
+                raise ValueError(
+                    f"discontinuous across ray {ray}: {here} vs {there}"
+                )
+        return super().__new__(cls, fan, parts)
+
+    def max_degree(self) -> int:
+        return max(
+            (e[0] + e[1] for p in self.parts for e in p.terms), default=0
+        )
+
+
+def equivariant_chern(m: int, n: int) -> tuple[PiecewisePoly, PiecewisePoly]:
+    """First and second equivariant classes as piecewise polynomials: the
+    elementary symmetric functions of the two branch slopes on each cone."""
+    slopes = sheet_slopes(m, n)
+    c1_parts = []
+    c2_parts = []
+    for ua, ub in slopes:
+        fa, fb = linear_form(ua), linear_form(ub)
+        c1_parts.append(fa + fb)
+        c2_parts.append(fa * fb)
+    return (
+        PiecewisePoly(CANONICAL_FAN, tuple(c1_parts)),
+        PiecewisePoly(CANONICAL_FAN, tuple(c2_parts)),
+    )
+
+
+def forgetful(p: PiecewisePoly) -> CohomologyClass:
+    """Push an equivariant class down to ordinary cohomology.
+
+    Degree-one ray classes t_i (1 on ray i, 0 on the others) map to H and
+    their pairwise products to H^2; globally linear functions map to zero.
+    Defined on the canonical fan for piecewise polynomials of degree at most
+    two. Each cone is smooth, so on cone i, spanned by rays r_i and r_(i+1),
+    the linear part is p1(r_i) t_i + p1(r_(i+1)) t_(i+1) and the quadratic
+    part q_i is q(r_i) t_i^2 + q(r_(i+1)) t_(i+1)^2 plus
+    (q_i(r_i + r_(i+1)) - q(r_i) - q(r_(i+1))) t_i t_(i+1). Summing the
+    coefficients gives H and H^2 without a solve.
+    """
+    if p.fan != CANONICAL_FAN:
+        raise ValueError("forgetful map is defined over the canonical fan")
+    if p.max_degree() > 2:
+        raise ValueError("degree above two is not supported")
+
+    consts = [pc.terms.get((0, 0), Fraction(0)) for pc in p.parts]
+    if len(set(consts)) != 1:
+        raise RuntimeError("constant parts disagree despite continuity")
+    h1 = h2 = Fraction(0)
+    for i, part in enumerate(p.parts):
+        ra, rb = p.fan.cone_rays(i)
+        at_ray = _restrict_ray(part, ra)
+        h1 += at_ray.get(1, 0)
+        h2 += _restrict_ray(part, (ra[0] + rb[0], ra[1] + rb[1])).get(2, 0) - at_ray.get(2, 0)
+    return CohomologyClass(consts[0], h1, h2)
 
 
 def add(p: PiecewisePoly, q: PiecewisePoly) -> PiecewisePoly:

@@ -593,11 +593,12 @@ def test_chern():
 
 
 def test_chern_broken_invariant_is_internal(monkeypatch):
-    """A forgetful map that breaks the discriminant invariant is a fault of
-    the program, not of its input: exit 3, not 2."""
+    """Sheet slopes that break the discriminant invariant are a fault of the
+    program, not of its input: exit 3, not 2."""
     from tropms import chern
 
-    monkeypatch.setattr(chern, "forgetful", lambda p: chern.CohomologyClass.of(0, 1, 0))
+    slopes = chern.sheet_slopes
+    monkeypatch.setattr(chern, "sheet_slopes", lambda m, n: slopes(m + 1, n))
     res = invoke("chern", "--m", 2, "--n", 1)
     assert res.exit_code == EXIT_INTERNAL
     assert res.stderr.startswith("internal error: discriminant invariant violated")
@@ -902,10 +903,10 @@ def test_cli_import_loads_no_third_party_module():
 
 # The tropms modules a `validate` child loads, and their source lines, at
 # most: every child compiles them, so code added to the verdict path shows here.
-VALIDATE_SOURCE = {"cube2.manifest.json": (12, 3433), "rank3-cube.manifest.json": (9, 2464),
-                   "rotated.manifest.json": (12, 3433)}
-# The same for a `chern` child: cli, __init__, chern, laurent and lattice.
-CHERN_SOURCE = (5, 964)
+VALIDATE_SOURCE = {"cube2.manifest.json": (12, 3348), "rank3-cube.manifest.json": (9, 2464),
+                   "rotated.manifest.json": (12, 3348)}
+# The same for a `chern` child: cli, __init__, chern and lattice.
+CHERN_SOURCE = (4, 639)
 # The same for a `verify-cocycle` child: cli, __init__ and laurent.
 COCYCLE_SOURCE = (3, 583)
 
@@ -917,7 +918,8 @@ COCYCLE_SOURCE = (3, 583)
          {"click", "dataclasses", "inspect", "tropms.certificate", "tropms.generators",
           "tropms.svg", "tropms.writer"}),
         (("chern", "--m", "2", "--n", "1"), "tropms.chern",
-         {"tropms.covers", "tropms.gluing", "tropms.pipeline", "tropms.writer"}),
+         {"tropms.covers", "tropms.gluing", "tropms.laurent", "tropms.pipeline",
+          "tropms.writer"}),
         (("verify-cocycle", "--m", "3", "--n", "1"), "tropms.laurent",
          {"tropms.chern", "tropms.lattice", "tropms.covers", "tropms.pipeline",
           "tropms.writer"}),
