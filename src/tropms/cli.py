@@ -31,10 +31,10 @@ def _echo_json(obj) -> None:
 
 
 def _rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except ZeroDivisionError as err:
-        raise ValueError(f"malformed rational (ZeroDivisionError: {err})") from err
+    match = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?", text)
+    if not match:
+        raise ValueError(f"malformed rational {text!r}: expected p or p/q with q > 0")
+    return Fraction(int(match[1]), int(match[2] or 1))
 
 
 def _validate(args):

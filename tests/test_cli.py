@@ -682,6 +682,18 @@ def test_obstruction_override_unknown_entry(workdir):
     assert res.exit_code == EXIT_INVALID
 
 
+@pytest.mark.parametrize("value", ["0.5", "-0.5", "1e3", "1_000", " 3/4", "+1", "3/-4",
+                                   "1/00", "1e1000000"])
+def test_cli_rationals_take_the_grammar_of_the_input_files(workdir, value):
+    """--a and --k read "p" or "p/q" with q > 0, as the input files do; any
+    other value is refused at once, with one error line."""
+    key = next(iter(json.loads(_obstruction(workdir).stdout)["splitting"]))
+    for res in (invoke("verify-cocycle", "--m", 2, "--n", 1, "--a", value, 1, 1),
+                _obstruction(workdir, "--k", f"{key}={value}")):
+        assert res.exit_code == EXIT_INVALID
+        assert res.stderr == f"error: malformed rational {value!r}: expected p or p/q with q > 0\n"
+
+
 def test_obstruction_help_example_runs_as_written(workdir):
     """The --k example in the obstruction help names a real splitting entry."""
     help_text = dict(_COMMANDS["obstruction"][1])["--k"]["help"]
