@@ -333,7 +333,7 @@ def general_simplicity(
             f"graphs (pair level: {len(cycles_pair)}, base level: "
             f"{len(cycles_base)})"
         )
-        witnesses.extend(cycles_pair if cycles_pair else cycles_base)
+        witnesses.extend(cycles_pair)  # nonempty with cycles_base: it lifts to the diagonal
     # a cone's fixed point survives when its slope difference lies in the polytope
     starved = sorted(gt.host.id(k) for k, (_, diff, poly) in data.items()
                      if not any(d in poly for d in diff))

@@ -157,14 +157,9 @@ class _Source:
                                     _rational if type(kind) is Rational else _embedded(depth))
             elif type(kind) is Record:
                 name = self.record(kind.fields, depth)
-            else:
-                name = self.fresh("w")
-                if type(kind) is List:
-                    body = [f"    return {self.expr(kind, depth, 'v')}"]
-                else:
-                    form, args, target = self.slots(kind, depth)
-                    body = [f"    {target} = v", f"    return {_fill(form, args)}"]
-                self.lines += [f"def {name}(v):", *body]
+            else:  # a list: no table has an optional pair
+                name, body = self.fresh("w"), self.expr(kind, depth, "v")
+                self.lines += [f"def {name}(v):", f"    return {body}"]
             self.defined[key] = name
         return self.defined[key]
 
