@@ -592,6 +592,18 @@ def test_chern():
     }
 
 
+@pytest.mark.parametrize("m, n, total, coefficients", [
+    (1, -1, "1 + 3H^2", [1, 0, 3]),
+    (3, -3, "1 + 27H^2", [1, 0, 27]),
+    (1, 0, "1 + H + H^2", [1, 1, 1]),
+])
+def test_chern_total_omits_zero_terms_and_unit_coefficients(m, n, total, coefficients):
+    res = invoke("chern", "--m", m, "--n", n)
+    assert res.exit_code == EXIT_OK
+    data = json.loads(res.stdout)
+    assert (data["total"], data["coefficients"]) == (total, coefficients)
+
+
 def test_chern_broken_invariant_is_internal(monkeypatch):
     """Sheet slopes that break the discriminant invariant are a fault of the
     program, not of its input: exit 3, not 2."""
