@@ -177,6 +177,16 @@ def test_total_chern_agrees_with_the_equivariant_path():
         assert total_chern(m, n) == CohomologyClass(*map(sum, zip(*parts)))
 
 
+def test_total_chern_refuses_slopes_that_break_across_a_ray(monkeypatch):
+    """Sheet slopes whose classes disagree on a shared ray are no local model:
+    a fault of the program, raised as RuntimeError, not an input error."""
+    from tropms import chern
+
+    monkeypatch.setattr(chern, "sheet_slopes", lambda m, n: [((1, 0), (0, 1))] + [((0, 0),) * 2] * 2)
+    with pytest.raises(RuntimeError, match=r"discontinuous across ray \(0, -1\)"):
+        total_chern(2, 1)
+
+
 def test_total_chern_closed_form_and_symmetry():
     for m, n in itertools.product(range(-4, 5), repeat=2):
         if m == n:
