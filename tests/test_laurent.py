@@ -1,8 +1,10 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +20,7 @@ from tropms.laurent import (
     build_theta,
     verify_cocycle,
 )
+from tropms.laurent import verify_cocycle as verify_cocycle_by_product
 
 ONES = (Fraction(1), Fraction(1), Fraction(1))
 
@@ -185,6 +188,87 @@ def test_cocycle_detects_unnormalized_tuples():
         hits += 1
         assert not verify_cocycle(2, -1, a, b)
     assert hits > 30
+
+
+def test_closed_form_agrees_with_the_matrix_product():
+    """On every pair of distinct weights of size at most 6, at seeded random
+    rational constants, half of them scaled to P = a0 a1 a2 b0 b1 b2 = -1,
+    the chart-0 product of the three transitions is the identity exactly
+    when P = -1, and ``verify_cocycle`` says so."""
+    rng = random.Random(20261022)
+    pairs = [(m, n) for m, n in itertools.product(range(-6, 7), repeat=2) if m != n]
+    seen = set()
+    for k, (m, n) in enumerate(pairs):
+        a, b = random_tuples(rng, normalized=k % 2 == 0)
+        want = math.prod(a + b) == -1
+        seen.add(want)
+        assert verify_cocycle_by_product(m, n, a, b) == want, (m, n, a, b)
+        assert verify_cocycle(m, n, a, b) == want, (m, n, a, b)
+    assert len(pairs) == 156 and seen == {True, False}
+
+
+X, Y = sp.symbols("x y", positive=True)  # x = w0^1 and y = w0^2
+#: Each chart's two coordinates written in chart 0.
+CHART_COORDINATES = {0: (X, Y), 1: (1 / X, Y / X), 2: (1 / Y, X / Y)}
+
+
+def _mono(c, i, j, chart):
+    u, v = CHART_COORDINATES[chart]
+    return c * u**i * v**j
+
+
+def symbolic_tau(m, n, a, b):
+    """(tau10, tau21, tau02) written in chart 0 as sympy matrices, naive
+    factor times correction, as ``build_tau`` builds them; the weights and
+    the constants may be symbols, with m - n of known sign."""
+    d = m - n if (m - n).is_positive else n - m
+    sf = (sp.Matrix([[_mono(a[0], -m, 0, 0), 0], [0, _mono(b[0], -n, 0, 0)]]),
+          sp.Matrix([[_mono(b[1], 0, -n, 1), 0], [0, _mono(a[1], 0, -m, 1)]]),
+          sp.Matrix([[0, _mono(b[2], -n, 0, 2)], [_mono(a[2], -m, 0, 2), 0]]))
+    if (m - n).is_positive:
+        th = (sp.Matrix([[1, 0], [_mono(-a[0] * b[1] * a[2], -d, d, 0), 1]]),
+              sp.Matrix([[1, _mono(-a[0] * a[1] * b[2], d, -d, 1)], [0, 1]]),
+              sp.Matrix([[1, 0], [_mono(-b[0] * a[1] * a[2], -d, d, 2), 1]]))
+    else:
+        th = (sp.Matrix([[1, _mono(-b[0] * a[1] * b[2], -d, d, 0)], [0, 1]]),
+              sp.Matrix([[1, 0], [_mono(-b[0] * b[1] * a[2], d, -d, 1), 1]]),
+              sp.Matrix([[1, _mono(-a[0] * b[1] * b[2], -d, d, 2)], [0, 1]]))
+    return tuple(s * t for s, t in zip(sf, th))
+
+
+def _tidy(e):
+    return sp.expand(sp.powsimp(sp.expand(e), force=True))
+
+
+def test_symbolic_transitions_are_the_built_ones():
+    a = (Fraction(2), Fraction(-3), Fraction(5, 7))
+    b = (Fraction(1, 2), Fraction(11), Fraction(-13, 3))
+    for m, n in ((3, 1), (-2, 1), (0, 4), (1, -1)):
+        for sym, built in zip(symbolic_tau(sp.Integer(m), sp.Integer(n), a, b),
+                              build_tau(m, n, a, b)):
+            want = sp.Matrix([[sum((c * X**i * Y**j for (i, j), c in p.terms.items()),
+                                   sp.Integer(0)) for p in row]
+                              for row in built.to_chart0().entries])
+            assert (sym - want).applyfunc(_tidy) == sp.zeros(2, 2), (m, n)
+
+
+@pytest.mark.parametrize("side", [1, -1], ids=["m>n", "m<n"])
+def test_the_cocycle_is_the_identity_exactly_when_P_is_minus_one(side):
+    """With symbolic constants, a symbolic weight n and a symbolic gap
+    d >= 1, at m = n + side*d: the chart-0 product tau02 tau21 tau10 minus
+    the identity vanishes once b2 = -1/(a0 a1 a2 b0 b1), and one diagonal
+    entry of the product is -P. So the product is the identity if and only if
+    P = -1, which is what ``verify_cocycle`` tests."""
+    a = sp.symbols("a0:3", nonzero=True)
+    b = sp.symbols("b0:3", nonzero=True)
+    n = sp.Symbol("n", integer=True)
+    d = sp.Symbol("d", integer=True, positive=True)
+    tau10, tau21, tau02 = symbolic_tau(n + side * d, n, a, b)
+    product = (tau02 * tau21 * tau10).applyfunc(_tidy)
+    P = math.prod(a + b)
+    normalised = (product - sp.eye(2)).subs(b[2], -1 / math.prod(a + b[:2]))
+    assert normalised.applyfunc(lambda e: sp.simplify(_tidy(e))) == sp.zeros(2, 2)
+    assert _tidy(product[1, 1] if side == 1 else product[0, 0]) == _tidy(-P)
 
 
 def test_corrected_tau_det_is_unit_monomial():
