@@ -21,6 +21,8 @@ from tropms.covers import (
     validate_multisection,
 )
 from tropms.generators import (
+    STANDARD_FAN_RAYS,
+    _dual_base,
     coboundary_gluing,
     cube2_multisection,
     cube_o1_multisection,
@@ -623,3 +625,35 @@ def test_the_two_simplicity_criteria_agree_where_both_apply(name):
     general = general_simplicity(msec, tag, local_bundles_asserted=True).tag
     assert (rank2, general) != ("not_simple", "smoothable")
     assert (rank2, general) == measured
+
+
+def _cube_gap_cover(m, n):
+    """The double cover of the cube, the dual of the octahedron, branched
+    over d2, d3, u0 and u1, with weights (m, n)."""
+    e = ["e0", "e1", "e2", "e3"]
+    octahedron = {**{f"u{i}": ("n", e[i], e[(i + 1) % 4]) for i in range(4)},
+                  **{f"d{i}": ("s", e[(i + 1) % 4], e[i]) for i in range(4)}}
+    cube = _dual_base(surface_from_cycles(octahedron), STANDARD_FAN_RAYS, "cube", 8, 0)
+    return build_double_cover(cube, ["d2", "d3", "u0", "u1"], m, n)
+
+
+def test_the_cube_cover_at_weight_gap_one_meets_both_criteria():
+    msec = _cube_gap_cover(2, 1)
+    tag, flags = classify(msec), frozenset({"assumption-1.4"})
+    assert tag.pair == (2, 1)
+    assert simplicity_verdict(msec, tag, "rank2", flags).tag == "simple"
+    assert simplicity_verdict(msec, tag, "general", flags).tag == "smoothable"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "FOUND: the rank-2 and general simplicity criteria clash at weight gap 2: on this "
+    "S_mn (2, 0) cube cover rank2 says not_simple (witnesses ee1s, ee3n) and general, "
+    "under assumption-1.4, says smoothable"))
+def test_general_smoothable_never_meets_rank2_not_simple():
+    """A section the general criterion calls smoothable is simple, so the
+    rank-2 criterion, an "if and only if", must not call it not simple."""
+    msec = _cube_gap_cover(2, 0)
+    tag, flags = classify(msec), frozenset({"assumption-1.4"})
+    assert (tag.tag, tag.pair) == ("S_mn", (2, 0))
+    if simplicity_verdict(msec, tag, "general", flags).tag == "smoothable":
+        assert simplicity_verdict(msec, tag, "rank2", flags).tag != "not_simple"
