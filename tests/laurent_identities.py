@@ -9,14 +9,8 @@ weights and the transpose-inverse duality (m, n) -> (-m, -n).
 
 from fractions import Fraction
 
-from tropms.laurent import (
-    REFERENCE_A,
-    REFERENCE_B,
-    ZERO,
-    LaurentMatrix,
-    LaurentPoly,
-    build_tau,
-)
+from exact_oracle import ZERO, LaurentMatrix, LaurentPoly, build_tau
+from tropms.laurent import REFERENCE_A, REFERENCE_B
 
 
 def const(grid, chart: int) -> LaurentMatrix:

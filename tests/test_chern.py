@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from exact_oracle import (
     PiecewisePoly,
+    Poly,
     add,
     equivariant_chern,
     forgetful,
@@ -26,7 +27,6 @@ from tropms.chern import (
     total_chern,
 )
 from tropms.lattice import det2
-from tropms.laurent import LaurentPoly as Poly
 
 SQUARE_FAN = CompleteFan([(1, 0), (0, 1), (-1, 0), (0, -1)])
 HEX_FAN = CompleteFan([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)])

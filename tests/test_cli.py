@@ -927,12 +927,12 @@ def test_cli_import_loads_no_third_party_module():
 
 # The tropms modules a `validate` child loads, and their source lines, at
 # most: every child compiles them, so code added to the verdict path shows here.
-VALIDATE_SOURCE = {"cube2.manifest.json": (12, 3348), "rank3-cube.manifest.json": (9, 2464),
-                   "rotated.manifest.json": (12, 3348)}
+VALIDATE_SOURCE = {"cube2.manifest.json": (12, 3145), "rank3-cube.manifest.json": (9, 2464),
+                   "rotated.manifest.json": (12, 3145)}
 # The same for a `chern` child: cli, __init__, chern and lattice.
 CHERN_SOURCE = (4, 639)
 # The same for a `verify-cocycle` child: cli, __init__ and laurent.
-COCYCLE_SOURCE = (3, 583)
+COCYCLE_SOURCE = (3, 380)
 
 
 @pytest.mark.parametrize(

@@ -8,19 +8,17 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laurent_identities import det2, verify_constant_independence, verify_duality
-from tropms.laurent import (
-    REFERENCE_A,
-    REFERENCE_B,
+from exact_oracle import (
     TO_CHART0,
     LaurentMatrix,
     LaurentPoly,
     build_tau,
     build_tau_sf,
     build_theta,
-    verify_cocycle,
+    verify_cocycle_by_product,
 )
-from tropms.laurent import verify_cocycle as verify_cocycle_by_product
+from laurent_identities import det2, verify_constant_independence, verify_duality
+from tropms.laurent import REFERENCE_A, REFERENCE_B, verify_cocycle
 
 ONES = (Fraction(1), Fraction(1), Fraction(1))
 
