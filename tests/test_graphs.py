@@ -600,6 +600,16 @@ def test_witness_from_rank2_verdict():
     assert w.ok
 
 
+def _cube_gap_cover(m, n):
+    """The double cover of the cube, the dual of the octahedron, branched
+    over d2, d3, u0 and u1, with weights (m, n)."""
+    e = ["e0", "e1", "e2", "e3"]
+    octahedron = {**{f"u{i}": ("n", e[i], e[(i + 1) % 4]) for i in range(4)},
+                  **{f"d{i}": ("s", e[(i + 1) % 4], e[i]) for i in range(4)}}
+    cube = _dual_base(surface_from_cycles(octahedron), STANDARD_FAN_RAYS, "cube", 8, 0)
+    return build_double_cover(cube, ["d2", "d3", "u0", "u1"], m, n)
+
+
 # the S_mn sections, and the rank-2 and general verdicts measured on each
 CRITERIA = {
     "cube2": (cube2_multisection, ("simple", "smoothable")),
@@ -608,6 +618,7 @@ CRITERIA = {
     "simplex5-58": (lambda: simplex5_multisection(58), ("simple", "smoothable")),
     "planted": (planted_multisection, ("not_simple", "criterion_inconclusive")),
     "planted-triangle": (planted_triangle_multisection, ("not_simple", "criterion_inconclusive")),
+    "cube-gap1": (lambda: _cube_gap_cover(2, 1), ("simple", "smoothable")),
 }
 
 
@@ -625,24 +636,6 @@ def test_the_two_simplicity_criteria_agree_where_both_apply(name):
     general = general_simplicity(msec, tag, local_bundles_asserted=True).tag
     assert (rank2, general) != ("not_simple", "smoothable")
     assert (rank2, general) == measured
-
-
-def _cube_gap_cover(m, n):
-    """The double cover of the cube, the dual of the octahedron, branched
-    over d2, d3, u0 and u1, with weights (m, n)."""
-    e = ["e0", "e1", "e2", "e3"]
-    octahedron = {**{f"u{i}": ("n", e[i], e[(i + 1) % 4]) for i in range(4)},
-                  **{f"d{i}": ("s", e[(i + 1) % 4], e[i]) for i in range(4)}}
-    cube = _dual_base(surface_from_cycles(octahedron), STANDARD_FAN_RAYS, "cube", 8, 0)
-    return build_double_cover(cube, ["d2", "d3", "u0", "u1"], m, n)
-
-
-def test_the_cube_cover_at_weight_gap_one_meets_both_criteria():
-    msec = _cube_gap_cover(2, 1)
-    tag, flags = classify(msec), frozenset({"assumption-1.4"})
-    assert tag.pair == (2, 1)
-    assert simplicity_verdict(msec, tag, "rank2", flags).tag == "simple"
-    assert simplicity_verdict(msec, tag, "general", flags).tag == "smoothable"
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
